@@ -244,45 +244,40 @@ def test_shape_sat_planning_budget():
 def test_shape_dag_parallel_multiblock():
     """The step-DAG executor on disjoint dense blocks (exec:dag-parallel-*).
 
-    Asserts correctness (bit-identical results for every worker count) and
-    bounded DAG overhead unconditionally; the ≥2× wall-clock speedup
-    assertion only applies where it is physically possible (≥4 cores —
-    threads cannot beat one core), with the measured numbers and the host's
-    ``cpu_count`` recorded either way.
+    Asserts correctness (bit-identical results for every worker count)
+    unconditionally; the ≥2× wall-clock speedup assertion only applies
+    where it is physically possible (≥4 cores — threads cannot beat one
+    core), with the measured numbers and the host's ``cpu_count`` recorded
+    either way.  (There is one driver, so there is no loop-vs-DAG overhead
+    ratio to record; driver cost shows as perf/'s ``core.output_phase_ms``.)
     """
     query = _multiblock_query()
     dag = lower_insideout(query, list(query.order))
     assert dag.max_parallelism >= DAG_BLOCKS
 
-    loop_s, loop_result = _best_of(lambda: inside_out(query, backend="dense"))
     w1_s, w1_result = _best_of(
         lambda: DagExecutor(workers=1).run(query, backend="dense")
     )
     w4_s, w4_result = _best_of(
         lambda: DagExecutor(workers=4).run(query, backend="dense")
     )
-    assert w1_result.factor.table == loop_result.factor.table
-    assert w4_result.factor.table == loop_result.factor.table
+    assert w4_result.factor.table == w1_result.factor.table
 
     cpus = os.cpu_count() or 1
     speedup = w1_s / w4_s if w4_s else float("inf")
-    dag_overhead = w1_s / loop_s if loop_s else float("inf")
     record = record_result(
         "exec:dag-parallel-multiblock",
-        sequential_loop_s=loop_s,
         workers1_s=w1_s,
         workers4_s=w4_s,
         speedup_w4=speedup,
-        dag_overhead_w1=dag_overhead,
         cpu_count=cpus,
         blocks=DAG_BLOCKS,
         max_parallelism=dag.max_parallelism,
     )
     print(
-        f"\n[exec] dag-parallel multiblock: loop={loop_s * 1e3:.1f}ms "
+        f"\n[exec] dag-parallel multiblock: "
         f"w1={w1_s * 1e3:.1f}ms w4={w4_s * 1e3:.1f}ms "
-        f"speedup(w4/w1)={speedup:.2f}x dag_overhead={dag_overhead:.2f}x "
-        f"(cpus={cpus})"
+        f"speedup(w4/w1)={speedup:.2f}x (cpus={cpus})"
     )
     if not quick_mode():
         # Wall-clock ratios of *this* workload are hardware- and
@@ -292,13 +287,10 @@ def test_shape_dag_parallel_multiblock():
         # rows always land in BENCH_planner.json, and the CI trend gate is
         # benchmarks/compare_bench.py (ratio drift vs the checked-in
         # baseline, with CPU-sensitive metrics skipped on smaller hosts).
-        if os.environ.get("FAQ_BENCH_STRICT", "") not in ("", "0"):
-            # The DAG machinery itself must stay cheap relative to the work.
-            assert dag_overhead < 1.25, f"DAG overhead too high: {dag_overhead:.2f}x"
-            if cpus >= 4:
-                assert speedup >= 2.0, (
-                    f"expected ≥2x at workers=4 on {cpus} cores, got {speedup:.2f}x"
-                )
+        if os.environ.get("FAQ_BENCH_STRICT", "") not in ("", "0") and cpus >= 4:
+            assert speedup >= 2.0, (
+                f"expected ≥2x at workers=4 on {cpus} cores, got {speedup:.2f}x"
+            )
         publish([record])
 
 

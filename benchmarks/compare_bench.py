@@ -64,13 +64,6 @@ RATIO_FIELDS = {
     "warm_restart_speedup_x": False,
 }
 
-# metric field -> cpu_sensitive.  LOWER is better for these (overhead
-# ratios): a fresh value above baseline * (1 + tolerance) regresses.  They
-# are same-machine ratios, so they stay comparable across hosts.
-OVERHEAD_FIELDS = {
-    "dag_overhead_w1": False,
-}
-
 # informational raw timings (seconds; printed, never gating)
 TIMING_FIELDS = (
     "planning_cold_s",
@@ -121,7 +114,7 @@ def compare(fresh: dict, baseline: dict, max_regression: float):
     # A gated baseline row with no fresh counterpart means a benchmark was
     # renamed or dropped without regenerating the baseline — its regression
     # gate would otherwise just silently disappear.
-    gated_fields = set(RATIO_FIELDS) | set(OVERHEAD_FIELDS)
+    gated_fields = set(RATIO_FIELDS)
     for name in sorted(set(baseline) - set(fresh)):
         if gated_fields & set(baseline[name]):
             yield "fail", (
@@ -134,9 +127,7 @@ def compare(fresh: dict, baseline: dict, max_regression: float):
         fresh_row, base_row = fresh[name], baseline[name]
         fresh_cpus = fresh_row.get("cpu_count")
         base_cpus = base_row.get("cpu_count")
-        gated = [(field, cpu, False) for field, cpu in RATIO_FIELDS.items()]
-        gated += [(field, cpu, True) for field, cpu in OVERHEAD_FIELDS.items()]
-        for field, cpu_sensitive, lower_is_better in gated:
+        for field, cpu_sensitive in RATIO_FIELDS.items():
             if field not in fresh_row or field not in base_row:
                 continue
             fresh_value, base_value = fresh_row[field], base_row[field]
@@ -144,19 +135,12 @@ def compare(fresh: dict, baseline: dict, max_regression: float):
                 base_value, (int, float)
             ):
                 continue
-            if lower_is_better:
-                bound = base_value * (1.0 + max_regression)
-                within = fresh_value <= bound
-                bound_label = "ceiling"
-            else:
-                bound = base_value * (1.0 - max_regression)
-                within = fresh_value >= bound
-                bound_label = "floor"
+            bound = base_value * (1.0 - max_regression)
             line = (
                 f"{name} {field}: baseline={base_value:.3f} fresh={fresh_value:.3f} "
-                f"({bound_label} {bound:.3f})"
+                f"(floor {bound:.3f})"
             )
-            if within:
+            if fresh_value >= bound:
                 yield "ok", line
             elif (
                 cpu_sensitive

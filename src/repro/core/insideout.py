@@ -20,11 +20,12 @@ The output over the free variables is produced either in the listing
 representation (a final OutsideIn join, equation (9)) or as a
 :class:`~repro.core.output.FactorizedOutput` (Section 8.4).
 
-The per-variable step bodies are exposed as :func:`eliminate_semiring_step`,
-:func:`eliminate_product_step` and :func:`output_phase` so that the parallel
-step-DAG executor (:mod:`repro.exec`) runs *exactly* the same kernels as the
-sequential loop below — a DAG run with any worker count computes the same
-factors (and the same per-step stats) as ``inside_out`` itself.
+This module holds the per-step kernels — :func:`eliminate_semiring_step`,
+:func:`eliminate_product_step` and :func:`output_phase`, each a pure function
+of its input factors.  The loop over the elimination order lives in exactly
+one place, the step-DAG executor (:mod:`repro.exec`): :func:`inside_out`
+lowers the run to its step DAG and hands it to that one driver, of which a
+serial run is simply ``workers=1``.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ from repro.factors.backend import (
     BACKEND_SPARSE,
     BackendPolicy,
     DEFAULT_POLICY,
-    as_sparse,
     choose_dense,
     dense_join_reduce,
-    validate_backend,
 )
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
 from repro.factors.index import SharedTrieCache, TrieCache, build_trie
-from repro.faults import SITE_STEP_KERNEL, maybe_raise
 from repro.semiring.base import Semiring
 
 
@@ -145,7 +143,7 @@ AUTO_WORKERS_CAP = 8
 
 
 def _validated_workers(workers: int | str | None) -> int | None:
-    """Validate an opt-in ``workers=`` argument (``None`` means serial).
+    """Validate a ``workers=`` argument (``None`` means serial).
 
     ``"auto"`` resolves to the machine's CPU count capped at
     :data:`AUTO_WORKERS_CAP`, so callers can opt into parallelism without
@@ -183,7 +181,7 @@ def eliminate_semiring_step(
     produces nothing — a constant fold to the semiring one) plus its
     :class:`EliminationRecord`.  The step is a pure function of its factor
     inputs, which is what lets the DAG executor run independent steps
-    concurrently and still match the sequential loop bit for bit.
+    concurrently and still compute the same factors for every worker count.
 
     The sparse path runs the fused hash-join-and-aggregate kernel
     (:func:`repro.core.outsidein.eliminate_join`) over tries from the
@@ -191,7 +189,6 @@ def eliminate_semiring_step(
     repeated indicator projections keep their index across steps instead of
     being re-hashed tuple-by-tuple at every elimination.
     """
-    maybe_raise(SITE_STEP_KERNEL)
     semiring = query.semiring
     aggregate = query.aggregates[variable]
     start = time.perf_counter()
@@ -377,31 +374,6 @@ def _try_flat_eliminate(
     return new_factor
 
 
-def _eliminate_semiring(
-    query: FAQQuery,
-    factors: List[Factor],
-    variable: str,
-    use_indicator_projections: bool,
-    stats: InsideOutStats,
-    backend: str = BACKEND_SPARSE,
-    policy: BackendPolicy = DEFAULT_POLICY,
-    tries: Optional[TrieCache] = None,
-) -> List[Factor]:
-    """Sequential-loop wrapper around :func:`eliminate_semiring_step`."""
-    incident = [f for f in factors if variable in f.scope]
-    others = [f for f in factors if variable not in f.scope]
-    new_factor, record = eliminate_semiring_step(
-        query, incident, others, variable, use_indicator_projections,
-        stats.join_stats, backend=backend, policy=policy, tries=tries,
-    )
-    stats.steps.append(record)
-    if incident:
-        stats.max_intermediate_size = max(stats.max_intermediate_size, record.result_size)
-    if new_factor is None:
-        return list(others)
-    return others + [new_factor]
-
-
 def eliminate_product_step(
     query: FAQQuery,
     factors: List[Factor],
@@ -443,19 +415,6 @@ def eliminate_product_step(
         seconds=time.perf_counter() - start,
     )
     return new_factors, record
-
-
-def _eliminate_product(
-    query: FAQQuery,
-    factors: List[Factor],
-    variable: str,
-    stats: InsideOutStats,
-) -> List[Factor]:
-    """Sequential-loop wrapper around :func:`eliminate_product_step`."""
-    new_factors, record = eliminate_product_step(query, factors, variable)
-    stats.max_intermediate_size = max(stats.max_intermediate_size, record.result_size)
-    stats.steps.append(record)
-    return new_factors
 
 
 def _expand_isolated_free(
@@ -602,12 +561,13 @@ def inside_out(
         Thresholds for the heuristic (defaults to
         :data:`repro.factors.backend.DEFAULT_POLICY`).
     workers:
-        Opt-in parallelism.  ``None`` or ``1`` runs the sequential loop
-        below; any larger value lowers the run to an explicit step DAG and
-        executes independent elimination steps on a worker pool
-        (:class:`repro.exec.DagExecutor`).  ``"auto"`` resolves to the
+        Opt-in parallelism.  Every run is lowered to an explicit step DAG
+        and executed by the one driver (:class:`repro.exec.DagExecutor`):
+        ``None`` or ``1`` runs the steps inline on the calling thread, in
+        elimination order; any larger value executes independent
+        elimination steps on a worker pool.  ``"auto"`` resolves to the
         machine's CPU count (capped).  Results and stats totals are
-        identical to the serial run for every worker count and mode.
+        identical for every worker count and mode.
     workers_mode:
         Pool flavour when ``workers`` enables parallelism.  ``"thread"``
         (default) shares the interpreter — only the NumPy kernels escape
@@ -623,86 +583,25 @@ def inside_out(
         for the same ordering and semiring.
     step_cache:
         A :class:`~repro.exec.StepResultCache` of finished elimination
-        steps keyed by content digest.  Supplying one routes the run
-        through the step-DAG executor (at any worker count — the serial
-        DAG fallback is bit-identical to the loop below), which replays
-        shared elimination prefixes instead of recomputing them.
+        steps keyed by content digest: shared elimination prefixes replay
+        instead of recomputing.  Content digests are computed only when one
+        is supplied — a plain run never pays for hashing its factors.
 
     Returns
     -------
     :class:`InsideOutResult`
     """
-    if output_mode not in ("listing", "factorized"):
-        raise QueryError(f"unknown output mode {output_mode!r}")
-    backend = validate_backend(backend)
-    workers = _validated_workers(workers)
-    policy = backend_policy if backend_policy is not None else DEFAULT_POLICY
-    order = _validated_ordering(query, ordering)
+    from repro.exec.executor import DagExecutor
 
-    if (workers is not None and workers > 1) or step_cache is not None:
-        from repro.exec import DagExecutor
-
-        return DagExecutor(workers=workers or 1, workers_mode=workers_mode).run(
-            query,
-            ordering=order,
-            use_indicator_projections=use_indicator_projections,
-            output_mode=output_mode,
-            backend=backend,
-            backend_policy=policy,
-            shared_tries=shared_tries,
-            step_cache=step_cache,
-        )
-
-    semiring = query.semiring
-    stats = InsideOutStats()
-    started = time.perf_counter()
-
-    factors: List[Factor] = list(query.factors)
-    if not factors:
-        # An empty product is the constant 1 over all free assignments.
-        factors = [Factor((), {(): semiring.one}, name="unit")]
-
-    # One trie index per run, shared across elimination steps: surviving
-    # factors keep their per-variable buckets instead of being re-hashed at
-    # every step (the ordering is the global trie order, so the variable
-    # being eliminated is always the deepest remaining trie level).
-    tries = TrieCache(order, semiring)
-    tries.adopt_parent(shared_tries)
-
-    # Eliminate bound variables from the innermost aggregate outwards.
-    for position in range(len(order) - 1, query.num_free - 1, -1):
-        variable = order[position]
-        aggregate = query.aggregates[variable]
-        if aggregate.is_product:
-            before = factors
-            factors = _eliminate_product(query, factors, variable, stats)
-            # Product steps replace marginalised/powered factors with new
-            # objects; drop the dead factors' cached tries.
-            kept = {id(f) for f in factors}
-            for factor in before:
-                if id(factor) not in kept:
-                    tries.discard(factor)
-        else:
-            factors = _eliminate_semiring(
-                query, factors, variable, use_indicator_projections, stats,
-                backend=backend, policy=policy, tries=tries,
-            )
-
-    # Output phase over the free variables.
-    if output_mode == "factorized":
-        factorized = FactorizedOutput(
-            free=tuple(order[: query.num_free]),
-            factors=tuple(as_sparse(f, semiring) for f in factors),
-            semiring=semiring,
-            domains={v: query.domain(v) for v in query.free},
-        )
-        stats.output_size = -1
-        stats.total_seconds = time.perf_counter() - started
-        return InsideOutResult(
-            factor=None, factorized=factorized, ordering=tuple(order), stats=stats
-        )
-
-    output = output_phase(query, factors, order, backend, policy, stats.join_stats)
-    stats.output_size = len(output)
-    stats.total_seconds = time.perf_counter() - started
-    return InsideOutResult(factor=output, factorized=None, ordering=tuple(order), stats=stats)
+    return DagExecutor(
+        workers=1 if workers is None else workers, workers_mode=workers_mode
+    ).run(
+        query,
+        ordering=ordering,
+        use_indicator_projections=use_indicator_projections,
+        output_mode=output_mode,
+        backend=backend,
+        backend_policy=backend_policy,
+        shared_tries=shared_tries,
+        step_cache=step_cache,
+    )

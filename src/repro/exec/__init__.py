@@ -1,24 +1,22 @@
-"""Parallel execution of InsideOut runs as explicit step DAGs.
+"""Execution of InsideOut runs as explicit step DAGs — the one driver.
 
 The planner's chosen ordering fixes *what* each elimination step computes;
 this package makes the dependency structure between those steps explicit
-(:func:`lower_insideout` → :class:`StepDag`) and executes independent steps
-on a worker pool (:class:`DagExecutor`).  Entry points stay where they are:
-pass ``workers=`` to :func:`repro.core.insideout.inside_out`,
+(:func:`lower_insideout` → :class:`StepDag`) and executes them
+(:class:`DagExecutor`): inline on the calling thread for a serial run,
+or with independent steps on a worker pool.  Entry points stay where they
+are: pass ``workers=`` to :func:`repro.core.insideout.inside_out`,
 :meth:`repro.planner.Plan.execute`, :func:`repro.planner.execute`, any
 solver wrapper, ``db.join`` or the serving layer (:mod:`repro.serve`) —
 ``workers=`` means the *same thing everywhere*: per-query step-DAG
 parallelism (``None``/1 = serial, ``"auto"`` = CPU count capped at
-:data:`AUTO_WORKERS_CAP`).  :func:`resolve_workers` is the one shim that
-folds the deprecated ``dag_workers=`` alias into it.
+:data:`AUTO_WORKERS_CAP`).
 
 ``workers_mode="process"`` (accepted wherever ``workers=`` is) swaps the
 thread pool for worker *processes* fed through digest-keyed shared memory
 (:mod:`repro.exec.procpool` / :mod:`repro.exec.shm`), letting the sparse
 Python kernels scale past the GIL.
 """
-
-import warnings
 
 from repro.core.insideout import AUTO_WORKERS_CAP
 from repro.core.insideout import _validated_workers as validate_workers
@@ -33,48 +31,19 @@ from repro.exec.dag import (
 )
 from repro.exec.executor import (
     DagExecutor,
-    IncrementalRunInfo,
-    MergedRunInfo,
+    RunInfo,
     RunSnapshot,
     RunSpec,
     StepResultCache,
 )
 from repro.exec.shm import SharedCacheStore, ShmBlobStore, read_blob
 
-_UNSET = object()
-
-
-def resolve_workers(workers=None, dag_workers=_UNSET, *, stacklevel: int = 3):
-    """Fold the deprecated ``dag_workers=`` alias into the unified ``workers=``.
-
-    Returns the validated worker count (``None`` = serial).  Passing
-    ``dag_workers=`` emits a :class:`DeprecationWarning`; passing both with
-    conflicting values raises ``QueryError`` rather than guessing.
-    """
-    from repro.core.query import QueryError
-
-    if dag_workers is not _UNSET and dag_workers is not None:
-        warnings.warn(
-            "dag_workers= is deprecated; pass workers= instead "
-            "(the unified per-query parallelism argument)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        if workers is not None and workers != dag_workers:
-            raise QueryError(
-                f"conflicting workers={workers!r} and deprecated dag_workers={dag_workers!r}"
-            )
-        workers = dag_workers
-    return validate_workers(workers)
-
-
 __all__ = [
     "DagExecutor",
     "StepResultCache",
     "RunSpec",
-    "MergedRunInfo",
+    "RunInfo",
     "RunSnapshot",
-    "IncrementalRunInfo",
     "StepDag",
     "StepNode",
     "lower_insideout",
@@ -83,7 +52,6 @@ __all__ = [
     "KIND_PRODUCT",
     "KIND_OUTPUT",
     "validate_workers",
-    "resolve_workers",
     "AUTO_WORKERS_CAP",
     "ShmBlobStore",
     "SharedCacheStore",

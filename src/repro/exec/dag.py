@@ -1,7 +1,7 @@
 """Lowering an InsideOut run to an explicit step DAG.
 
-The sequential InsideOut loop hides a dependency structure: every factor's
-scope is known *statically* (an elimination step over induced set ``U_k``
+Algorithm 1's loop over the elimination order hides a dependency structure:
+every factor's scope is known *statically* (an elimination step over induced set ``U_k``
 always produces a factor on ``U_k \\ {X_k}``), so the dataflow between
 elimination steps can be computed before anything executes.  Steps touching
 disjoint factor groups share no slots and get no edge — the paper's own
@@ -13,8 +13,8 @@ hypergraph structure exposes the parallel schedule for free.
 * **slots** hold factors.  Slots ``0 .. num_base-1`` are the query's input
   factors (available before any step runs); every step writes its outputs
   into fresh slots.
-* **nodes** are the elimination steps, in the exact order the sequential
-  loop would run them (``node.index`` is that position).  A semiring node
+* **nodes** are the elimination steps, in elimination order — the order
+  Algorithm 1 runs them in (``node.index`` is that position).  A semiring node
   *consumes* its incident slots and *reads* the slots it takes indicator
   projections from; a product node maps every live slot to a fresh output
   slot; the final output node reads all surviving slots.
@@ -22,7 +22,7 @@ hypergraph structure exposes the parallel schedule for free.
   it consumes or reads.
 
 Executing the nodes in any topological order — in particular, concurrently
-where the DAG allows — reproduces the sequential run exactly, because each
+where the DAG allows — reproduces the in-order run exactly, because each
 step kernel (:func:`repro.core.insideout.eliminate_semiring_step` etc.) is a
 pure function of its input factors.
 """
@@ -43,7 +43,7 @@ KIND_OUTPUT = "output"
 class StepNode:
     """One step of the lowered run (a node of the step DAG)."""
 
-    index: int                      # sequential position (execution tie-break)
+    index: int                      # elimination-order position (execution tie-break)
     kind: str                       # "semiring" | "product" | "output"
     variable: Optional[str]         # eliminated variable (None for output)
     incident: Tuple[int, ...]       # slots consumed by the step
@@ -131,10 +131,10 @@ def lower_insideout(
 
     ``order`` must already be a validated free-prefix ordering (the caller
     — :class:`repro.exec.DagExecutor` — resolves ``"plan"``/``"auto"``
-    forms first).  The simulation mirrors the sequential loop of
-    :func:`repro.core.insideout.inside_out` exactly: the live list evolves
-    as ``others + [new]`` so that node input orders (and therefore factor
-    orders inside each step) match the loop's.
+    forms first).  The simulation walks Algorithm 1's loop over scopes
+    only: the live list evolves as ``others + [new]``, which fixes node
+    input orders (and therefore factor orders inside each step) — they are
+    part of a step's content digest.
 
     With ``content_digests=True`` every node (and slot) additionally gets a
     content address via :func:`annotate_digests`, turning the DAG into the

@@ -1,43 +1,50 @@
-"""The parallel step-DAG executor over the content-addressed step IR.
+"""The one InsideOut driver: a step-DAG executor over the content-addressed step IR.
 
-:class:`DagExecutor` runs the :class:`~repro.exec.dag.StepDag` of one
-InsideOut run on a thread pool.  Independent elimination steps — steps over
-disjoint factor groups, whose DAG nodes share no slots — execute
+:class:`DagExecutor` is where every InsideOut run executes.  A run is
+lowered to its :class:`~repro.exec.dag.StepDag` and the steps are scheduled
+inline on the calling thread (``workers=1`` — the serial run), on a thread
+pool, or on a shared-memory process pool.  Independent elimination steps —
+steps over disjoint factor groups, whose DAG nodes share no slots — execute
 concurrently; the dense/NumPy kernels release the GIL inside their ufunc
 reductions, so multi-block dense workloads scale with cores.  The sparse
 kernels are pure Python and gain nothing from threads, but remain *correct*
 under the pool: every step kernel is a pure function of its input factors.
 
-On top of the per-run DAG, the content addresses of
-:func:`~repro.exec.dag.annotate_digests` enable cross-run sharing:
+There is one implementation, :meth:`DagExecutor.run_many`: lower each run,
+merge the runs' nodes by content digest, schedule, finish.  A single query
+(:meth:`DagExecutor.run`) is a batch of one.  The content addresses of
+:func:`~repro.exec.dag.annotate_digests` enable sharing along two axes:
 
-* :class:`StepResultCache` is a digest-keyed LRU of finished step results
-  (output factors, the step record, and the step's join-counter delta), so
-  sequential repeated traffic replays shared elimination prefixes instead
-  of recomputing them;
-* :meth:`DagExecutor.run_many` merges several lowered runs into one
-  multi-sink DAG in which nodes with equal content digests execute exactly
-  once — the first run introducing a digest owns the execution, every other
-  (run, node) pair replays the owner's entry into its own context.
+* **across the runs of one batch** — nodes with equal content digests
+  execute exactly once: the first run introducing a digest owns the
+  execution, every other (run, node) pair replays the owner's entry into
+  its own context;
+* **across batches**, through a *step source* — anything with the
+  ``lookup_or_claim`` / ``fulfil`` / ``abandon`` face.
+  :class:`StepResultCache` is the shared one (a digest-keyed LRU of
+  finished step results, so sequential repeated traffic replays shared
+  elimination prefixes); a :class:`RunSnapshot` is the private one (the
+  node results of a standing query's previous run, so an incremental re-run
+  executes only the dirty subgraph).
+
+Digests cost a hash of every base factor, so they are computed only when
+there is something to share with: a step source is attached, or more than
+one run is merged.  A lone run with neither skips them.
 
 Replaying an entry merges the *original* step record and join-counter
 delta, so per-run stats describe the logical execution and stay identical
 to an uncached run (wall-clock ``seconds`` aside).
 
-Guarantees (enforced by ``tests/test_exec_parallel.py`` and
-``tests/test_exec_merged.py``):
+Guarantees (enforced by ``tests/test_exec_parallel.py``,
+``tests/test_exec_process.py`` and ``tests/test_exec_merged.py``):
 
-* the output factor is **bit-identical** to the sequential
-  :func:`repro.core.insideout.inside_out` run for every worker count, with
-  or without a step cache and inside or outside a merged batch, and
+* the output factor agrees with brute-force evaluation and is
+  **bit-identical** for every worker count and mode, with or without a step
+  source and inside or outside a merged batch, and
 * the :class:`~repro.core.insideout.InsideOutStats` totals (per-step
   records, join counters, max intermediate size) are identical too —
-  per-node counters are accumulated privately and merged in sequential
-  step order once the run completes.
-
-``workers=1`` is the serial fallback: the nodes run in exactly the
-sequential loop's order on the calling thread (no pool, no locks beyond
-the always-cheap ones), which keeps the serial path's cost profile.
+  per-node counters are accumulated privately and merged in elimination
+  order once the run completes.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
@@ -65,7 +73,6 @@ from repro.exec.dag import (
     KIND_OUTPUT,
     KIND_PRODUCT,
     KIND_SEMIRING,
-    StepDag,
     lower_insideout,
 )
 from repro.factors.backend import (
@@ -169,7 +176,7 @@ class StepResultCache:
 
 @dataclass
 class RunSpec:
-    """One query's execution parameters inside a merged multi-sink run."""
+    """One query's execution parameters (the arguments of ``inside_out``)."""
 
     query: FAQQuery
     ordering: Sequence[str] | str | None = None
@@ -181,31 +188,36 @@ class RunSpec:
 
 
 @dataclass
-class MergedRunInfo:
-    """Dedup accounting of one :meth:`DagExecutor.run_many` call."""
+class RunInfo:
+    """Step accounting of one :meth:`DagExecutor.run_many` call.
+
+    Pass one as ``info`` to receive the counts (they accumulate, so one
+    object can total several calls).
+    """
 
     total_nodes: int = 0     # sum of per-run DAG nodes
     merged_nodes: int = 0    # distinct nodes after digest merging
-    executed_nodes: int = 0  # nodes actually computed
-    replayed_nodes: int = 0  # merged nodes served from the step cache
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Total logical nodes per executed node (≥ 1; higher is better)."""
-        return self.total_nodes / self.executed_nodes if self.executed_nodes else 1.0
+    executed_nodes: int = 0  # merged nodes actually computed
+    replayed_nodes: int = 0  # merged nodes served from the step source
 
 
 @dataclass
 class RunSnapshot:
-    """The digest-keyed node results of one completed run.
+    """The digest-keyed node results of a standing query's previous runs.
 
-    Returned by :meth:`DagExecutor.run_incremental` and fed back into the
-    next call: a node of the new run whose ``(digest, backend)`` key
-    appears here replays the prior entry instead of recomputing.  Because a
-    node's digest folds in its *input* digests all the way down to the base
+    The private step source of incremental evaluation: attach one to a run
+    (``step_cache=snapshot``) and a node whose ``(digest, backend)`` key
+    appears here replays the prior entry instead of recomputing, while every
+    node that does execute is recorded for the next run.  Because a node's
+    digest folds in its *input* digests all the way down to the base
     factors, the set of keys that stop matching after a factor update is
     exactly the dirty subgraph downstream of the touched factors — clean
     nodes keep their digests and replay for free.
+
+    Same face as :class:`StepResultCache`, minus the claim protocol: a
+    snapshot belongs to one standing query and is never attached to two
+    concurrent runs, so nothing can wait on a claim and :meth:`abandon` has
+    nothing to release.
 
     Entries reference immutable factors (frozen on digest), so holding a
     snapshot across updates is safe by construction.
@@ -216,29 +228,43 @@ class RunSnapshot:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def lookup_or_claim(self, key) -> Optional[_StepEntry]:
+        entry = self.entries.pop(key, None)
+        if entry is not None:
+            # Re-inserted so the dict stays in recency order: the latest
+            # run's keys are always the tail (see :meth:`trim`).
+            self.entries[key] = entry
+        return entry
 
-@dataclass
-class IncrementalRunInfo:
-    """Reuse accounting of one :meth:`DagExecutor.run_incremental` call."""
+    def fulfil(self, key, entry: _StepEntry) -> None:
+        self.entries[key] = entry
 
-    total_nodes: int = 0     # nodes of the lowered DAG
-    reused_nodes: int = 0    # replayed from the prior snapshot
-    executed_nodes: int = 0  # recomputed (the dirty subgraph)
+    def abandon(self, key) -> None:
+        pass
 
-    @property
-    def reuse_ratio(self) -> float:
-        """Fraction of nodes replayed from the prior run (0.0 when cold)."""
-        return self.reused_nodes / self.total_nodes if self.total_nodes else 0.0
+    def trim(self, latest: int) -> None:
+        """Bound growth: keep only the ``latest`` most recently used entries
+        once the map has outgrown them 8x.
+
+        Entries are digest-keyed, so accumulating them is always sound; the
+        bound just stops an unbounded update stream from pinning every
+        intermediate ever computed.  ``latest`` is the node count of the run
+        that just finished, whose (complete) entry set therefore survives.
+        """
+        if len(self.entries) > max(512, 8 * latest):
+            for key in list(islice(self.entries, len(self.entries) - latest)):
+                del self.entries[key]
 
 
 class _RunState:
     """The mutable execution context of one lowered run.
 
-    Owns the slots, the per-run :class:`~repro.factors.index.TrieCache`,
-    and the per-node records/join counters.  ``execute_node`` runs a node's
-    kernel exactly like the sequential loop; ``capture``/``replay`` move a
-    node's outputs *and* its logical stats in and out of step-cache
-    entries, so a replayed run's stats match an uncached run's.
+    Validates and lowers its :class:`RunSpec`, then owns the slots, the
+    per-run :class:`~repro.factors.index.TrieCache`, and the per-node
+    records/join counters.  ``execute_node`` runs a node's kernel;
+    ``capture``/``replay`` move a node's outputs *and* its logical stats in
+    and out of step entries, so a replayed run's stats match an uncached
+    run's.
     """
 
     __slots__ = (
@@ -246,51 +272,63 @@ class _RunState:
         "slots", "tries", "records", "node_join_stats", "started",
     )
 
-    def __init__(
-        self,
-        query: FAQQuery,
-        order: List[str],
-        dag: StepDag,
-        output_mode: str,
-        backend: str,
-        policy: BackendPolicy,
-        uip: bool,
-        shared_tries: SharedTrieCache | None,
-        thread_safe: bool,
-        started: float,
-    ) -> None:
-        self.query = query
-        self.order = order
-        self.dag = dag
-        self.output_mode = output_mode
-        self.backend = backend
-        self.policy = policy
-        self.uip = uip
-        self.started = started
+    def __init__(self, spec: RunSpec, content_digests: bool, thread_safe: bool) -> None:
+        if spec.output_mode not in ("listing", "factorized"):
+            raise QueryError(f"unknown output mode {spec.output_mode!r}")
+        self.query = query = spec.query
+        self.output_mode = spec.output_mode
+        self.backend = validate_backend(spec.backend)
+        self.policy = (
+            spec.backend_policy if spec.backend_policy is not None else DEFAULT_POLICY
+        )
+        self.uip = spec.use_indicator_projections
+        self.order = order = _validated_ordering(query, spec.ordering)
+        self.started = time.perf_counter()
+        # Digests do not encode bespoke policy thresholds, so a run under a
+        # non-default policy gets none and shares nothing.
+        self.dag = dag = lower_insideout(
+            query, order,
+            use_indicator_projections=self.uip,
+            output_mode=self.output_mode,
+            content_digests=content_digests and self.policy is DEFAULT_POLICY,
+        )
 
         semiring = query.semiring
         self.slots: List[Optional[Factor]] = [None] * dag.num_slots
-        base_factors: List[Factor] = list(query.factors)
-        if not base_factors:
-            base_factors = [Factor((), {(): semiring.one}, name="unit")]
-        for i, factor in enumerate(base_factors):
-            self.slots[i] = factor
+        # An empty product is the constant 1 over all free assignments.
+        self.slots[: dag.num_base] = list(query.factors) or [
+            Factor((), {(): semiring.one}, name="unit")
+        ]
 
+        # One trie index per run, shared across elimination steps: surviving
+        # factors keep their per-variable buckets instead of being re-hashed
+        # at every step (the ordering is the global trie order, so the
+        # variable being eliminated is always the deepest remaining level).
         self.tries = TrieCache(order, semiring, thread_safe=thread_safe)
-        self.tries.adopt_parent(shared_tries)
+        self.tries.adopt_parent(spec.shared_tries)
         self.records: List[Optional[EliminationRecord]] = [None] * len(dag.nodes)
         self.node_join_stats = [OutsideInStats() for _ in dag.nodes]
 
     # ------------------------------------------------------------------ #
     def cache_key(self, index: int):
-        """The step cache key of a node (``None`` disables sharing)."""
+        """The step-source key of a node (``None`` disables sharing)."""
         digest = self.dag.nodes[index].digest
-        if digest is None or self.policy is not DEFAULT_POLICY:
-            return None
-        return (digest, self.backend)
+        return None if digest is None else (digest, self.backend)
+
+    def enter_step(self) -> None:
+        """The ``step.kernel`` fault site, drawn once per *executed* step.
+
+        Every way a step gets computed passes through here exactly once —
+        inline and thread-pool execution via :meth:`execute_node`, the
+        process pool's in-parent steps likewise and its remote steps at
+        dispatch — and a replayed step never does, so the n-th call of a
+        :class:`~repro.faults.FaultPlan` schedule names the same step under
+        every scheduler.
+        """
+        maybe_raise(SITE_STEP_KERNEL)
 
     def execute_node(self, index: int) -> None:
-        maybe_raise(SITE_STEP_KERNEL)
+        self.enter_step()
         node = self.dag.nodes[index]
         slots = self.slots
         join_stats = self.node_join_stats[index]
@@ -312,6 +350,8 @@ class _RunState:
             new_factors, record = eliminate_product_step(
                 self.query, [factor for _, factor in pairs], node.variable
             )
+            # Product steps replace marginalised/powered factors with new
+            # objects; drop the dead factors' cached tries.
             for (k, old), new in zip(pairs, new_factors):
                 slots[node.outputs[k]] = new
                 if new is not old:
@@ -361,10 +401,11 @@ class _RunState:
                     self.tries.discard(old)
 
     def finish(self) -> InsideOutResult:
-        """Assemble the run's result and stats in sequential step order.
+        """Assemble the run's result and stats in elimination order.
 
-        Totals are accumulated independently of the order the pool happened
-        to complete (or replay) nodes in, so they match the serial run.
+        Totals are accumulated independently of the order the scheduler
+        happened to complete (or replay) nodes in, so they are the same for
+        every worker count and mode.
         """
         query, dag = self.query, self.dag
         stats = InsideOutStats()
@@ -415,24 +456,25 @@ class _MergedNode:
 
 
 class DagExecutor:
-    """Executes lowered InsideOut step DAGs on a worker pool.
+    """Executes lowered InsideOut step DAGs — the one InsideOut driver.
 
     Parameters
     ----------
     workers:
-        Pool size.  ``1`` runs the serial fallback (bit-identical to the
-        sequential loop, executed inline); larger values run independent
-        steps concurrently.  ``"auto"`` resolves to the CPU count (capped);
-        ``None`` lets the platform decide (``os.cpu_count()``).
+        Pool size.  ``1`` is the serial run: the steps execute inline on
+        the calling thread, in elimination order (no pool, no locks);
+        larger values run independent steps concurrently.  ``"auto"``
+        resolves to the CPU count (capped); ``None`` lets the platform
+        decide (``os.cpu_count()``).
     workers_mode:
         ``"thread"`` (default) runs steps on a thread pool; ``"process"``
         runs them on worker processes fed through digest-keyed shared
         memory (:mod:`repro.exec.procpool`) so the sparse Python kernels
-        escape the GIL.  Process mode applies to :meth:`run`; the
-        incremental and merged entry points always use threads.  A run
-        whose context cannot cross the process boundary (e.g. lambda
-        semirings) falls back to the thread pool; ``last_process_info``
-        reports what the previous :meth:`run` actually did.
+        escape the GIL.  Process mode applies to a single run; a merged
+        batch always uses threads.  A run whose context cannot cross the
+        process boundary (e.g. lambda semirings) falls back to the thread
+        pool; ``last_process_info`` reports what the previous process-mode
+        run actually did.
     """
 
     def __init__(
@@ -461,56 +503,88 @@ class DagExecutor:
         backend: str = BACKEND_SPARSE,
         backend_policy: BackendPolicy | None = None,
         shared_tries: SharedTrieCache | None = None,
-        step_cache: StepResultCache | None = None,
+        step_cache=None,
     ) -> InsideOutResult:
-        """Lower ``query`` to a step DAG and execute it.
+        """Execute one query: a :meth:`run_many` batch of one.
 
         Accepts the same arguments as
         :func:`repro.core.insideout.inside_out` and returns the same
-        :class:`~repro.core.insideout.InsideOutResult`.  With a
-        ``step_cache``, nodes are content-addressed and finished steps are
-        replayed from / stored into the cache (under the default backend
-        policy only — the digest does not encode bespoke thresholds).
+        :class:`~repro.core.insideout.InsideOutResult`.
         """
-        if output_mode not in ("listing", "factorized"):
-            raise QueryError(f"unknown output mode {output_mode!r}")
-        backend = validate_backend(backend)
-        policy = backend_policy if backend_policy is not None else DEFAULT_POLICY
-        order = _validated_ordering(query, ordering)
-        started = time.perf_counter()
-
-        use_cache = step_cache is not None and policy is DEFAULT_POLICY
-        dag = lower_insideout(
-            query, order,
-            use_indicator_projections=use_indicator_projections,
-            output_mode=output_mode,
-            content_digests=use_cache,
+        spec = RunSpec(
+            query, ordering, use_indicator_projections, output_mode,
+            backend, backend_policy, shared_tries,
         )
-        parallel = self.workers > 1 and dag.max_parallelism > 1
-        state = _RunState(
-            query, order, dag, output_mode, backend, policy,
-            use_indicator_projections, shared_tries,
-            thread_safe=parallel, started=started,
-        )
+        return self.run_many([spec], step_cache=step_cache)[0]
 
-        if parallel and self.workers_mode == "process":
-            if self._run_process(state, dag, step_cache if use_cache else None):
-                return state.finish()
-            # The run context could not be shipped to processes; fall
-            # through to the thread scheduler (state is still untouched).
+    def run_many(
+        self,
+        specs: Sequence[RunSpec],
+        step_cache=None,
+        info: RunInfo | None = None,
+    ) -> List[InsideOutResult]:
+        """Lower, merge by digest, schedule and finish a batch of runs.
 
-        if not use_cache:
-            execute = state.execute_node
-        else:
-            def execute(index: int) -> None:
+        The runs' step DAGs are merged by content address: nodes with equal
+        ``(digest, backend)`` keys collapse into one merged node, owned by
+        the first run that introduced the digest; every other (run, node)
+        pair subscribes and has the owner's entry replayed into its own
+        context.  Each distinct key therefore executes **exactly once** per
+        batch — and not at all when ``step_cache`` already holds it.
+
+        ``step_cache`` is the batch's *step source*: a shared
+        :class:`StepResultCache`, or the :class:`RunSnapshot` of a standing
+        query's previous run (the dirty-subgraph regime of incremental
+        evaluation: after a factor update the stale keys are exactly the
+        nodes downstream of the touched base factors, so only that subgraph
+        re-executes — for *any* semiring, no algebraic assumptions).
+        Finished steps are replayed from / stored into it under the default
+        backend policy only.
+
+        Results and per-run stats are bit-identical to independent
+        :meth:`run` calls without a step source (wall-clock ``seconds``
+        fields aside; they reflect where the work actually happened).
+        Pass a :class:`RunInfo` as ``info`` to receive the step accounting.
+        """
+        specs = list(specs)
+        if not specs:
+            return []
+        # Content digests hash every base factor, so only runs that can
+        # share steps — with a step source, or with each other — pay for them.
+        digests = step_cache is not None or len(specs) > 1
+        states = [
+            _RunState(spec, digests, thread_safe=self.workers > 1) for spec in specs
+        ]
+
+        # Merge by content address: the first (run, node) with a key owns it.
+        merged: List[_MergedNode] = []
+        owner_of: Dict[tuple, int] = {}
+        mid_of: Dict[Tuple[int, int], int] = {}
+        for r, state in enumerate(states):
+            for index in range(len(state.dag.nodes)):
                 key = state.cache_key(index)
-                if key is None:
-                    state.execute_node(index)
-                    return
-                entry = step_cache.lookup_or_claim(key)
-                if entry is not None:
-                    state.replay(index, entry)
-                    return
+                mid = owner_of.get(key) if key is not None else None
+                if mid is None:
+                    mid = len(merged)
+                    merged.append(_MergedNode(owner=(r, index), key=key))
+                    if key is not None:
+                        owner_of[key] = mid
+                else:
+                    merged[mid].subscribers.append((r, index))
+                mid_of[(r, index)] = mid
+
+        replayed = [False] * len(merged)
+
+        def execute(mid: int) -> None:
+            node = merged[mid]
+            r, index = node.owner
+            state = states[r]
+            shared = node.key is not None and step_cache is not None
+            entry = step_cache.lookup_or_claim(node.key) if shared else None
+            if entry is not None:
+                state.replay(index, entry)
+                replayed[mid] = True
+            elif shared or node.subscribers:
                 # The claim must be resolved on *every* exit path between
                 # here and fulfil — capture included — or later claimants of
                 # the same digest block forever on the in-flight event.
@@ -518,20 +592,60 @@ class DagExecutor:
                     state.execute_node(index)
                     entry = state.capture(index)
                 except BaseException:
-                    step_cache.abandon(key)
+                    if shared:
+                        step_cache.abandon(node.key)
                     raise
-                step_cache.fulfil(key, entry)
+                if shared:
+                    step_cache.fulfil(node.key, entry)
+            else:
+                state.execute_node(index)
+            for sub_run, sub_index in node.subscribers:
+                states[sub_run].replay(sub_index, entry)
 
-        if parallel:
-            indegree = {node.index: len(node.depends_on) for node in dag.nodes}
-            self._run_scheduler(indegree, dag.dependents(), execute)
+        parallel = self.workers > 1 and (
+            len(states) > 1 or states[0].dag.max_parallelism > 1
+        )
+        pool_info = None
+        if parallel and self.workers_mode == "process" and len(states) == 1:
+            # ``None`` back means the run context could not be shipped to
+            # processes; fall through to threads (state is still untouched).
+            pool_info = self._run_process(states[0], step_cache)
+        if pool_info is not None:
+            executed = pool_info["remote_steps"] + pool_info["local_steps"]
         else:
-            for node in dag.nodes:
-                execute(node.index)
-        return state.finish()
+            if parallel:
+                # Edges come from the owners only: replays are
+                # input-independent, so a subscriber's own producers need
+                # not have run before its replay.
+                indegree: Dict[int, int] = {}
+                dependents: Dict[int, List[int]] = {
+                    mid: [] for mid in range(len(merged))
+                }
+                for mid, node in enumerate(merged):
+                    r, index = node.owner
+                    producers = states[r].dag.nodes[index].depends_on
+                    deps = {mid_of[(r, dep)] for dep in producers}
+                    indegree[mid] = len(deps)
+                    for dep in sorted(deps):
+                        dependents[dep].append(mid)
+                self._run_scheduler(indegree, dependents, execute)
+            else:
+                # Merged-id order is a topological order of the owner edges
+                # (every owner dependency maps to an earlier merged id) —
+                # for a lone run, plain elimination order.
+                for mid in range(len(merged)):
+                    execute(mid)
+            executed = len(merged) - sum(replayed)
+
+        if info is not None:
+            info.total_nodes += sum(len(state.dag.nodes) for state in states)
+            info.merged_nodes += len(merged)
+            info.executed_nodes += executed
+            info.replayed_nodes += len(merged) - executed
+        return [state.finish() for state in states]
 
     # ------------------------------------------------------------------ #
-    def _run_process(self, state, dag, step_cache) -> Optional[Dict[str, object]]:
+    def _run_process(self, state, step_cache) -> Optional[Dict[str, object]]:
         """Try the process-pool scheduler; ``None`` means fall back to threads."""
         from repro.exec.procpool import (
             ProcessPool,
@@ -545,215 +659,10 @@ class DagExecutor:
             self.last_process_info = None
             return None
         try:
-            self.last_process_info = pool.run(state, dag, step_cache)
+            self.last_process_info = pool.run(state, state.dag, step_cache)
         finally:
             pool.shutdown()
         return self.last_process_info
-
-    # ------------------------------------------------------------------ #
-    def run_incremental(
-        self,
-        query: FAQQuery,
-        ordering: Sequence[str] | str | None = None,
-        use_indicator_projections: bool = True,
-        output_mode: str = "listing",
-        backend: str = BACKEND_SPARSE,
-        backend_policy: BackendPolicy | None = None,
-        shared_tries: SharedTrieCache | None = None,
-        prior: RunSnapshot | None = None,
-        info: IncrementalRunInfo | None = None,
-    ) -> Tuple[InsideOutResult, RunSnapshot]:
-        """Execute a run, replaying every node unchanged since ``prior``.
-
-        This is the dirty-subgraph regime of incremental evaluation: the
-        query is lowered with content digests, and a node whose
-        ``(digest, backend)`` key appears in the prior run's
-        :class:`RunSnapshot` replays that entry instead of recomputing.
-        After a factor update the stale keys are exactly the nodes
-        downstream of the touched base factors — the dataflow edges of
-        :mod:`repro.exec.dag` give the dirty set for free — so only that
-        subgraph re-executes.  Works for *any* semiring (no algebraic
-        assumptions); the result is bit-identical to a fresh :meth:`run`.
-
-        Returns ``(result, snapshot)``; feed the snapshot into the next
-        call after the next update.  Pass an :class:`IncrementalRunInfo`
-        as ``info`` to receive the reuse accounting.  With a non-default
-        ``backend_policy`` digests are disabled (they do not encode bespoke
-        thresholds) and every node executes.
-        """
-        if output_mode not in ("listing", "factorized"):
-            raise QueryError(f"unknown output mode {output_mode!r}")
-        backend = validate_backend(backend)
-        policy = backend_policy if backend_policy is not None else DEFAULT_POLICY
-        order = _validated_ordering(query, ordering)
-        started = time.perf_counter()
-
-        dag = lower_insideout(
-            query, order,
-            use_indicator_projections=use_indicator_projections,
-            output_mode=output_mode,
-            content_digests=policy is DEFAULT_POLICY,
-        )
-        parallel = self.workers > 1 and dag.max_parallelism > 1
-        state = _RunState(
-            query, order, dag, output_mode, backend, policy,
-            use_indicator_projections, shared_tries,
-            thread_safe=parallel, started=started,
-        )
-
-        prior_entries = prior.entries if prior is not None else {}
-        snapshot = RunSnapshot()
-        run_info = info if info is not None else IncrementalRunInfo()
-        run_info.total_nodes += len(dag.nodes)
-        counters_lock = threading.Lock()
-
-        def execute(index: int) -> None:
-            key = state.cache_key(index)
-            entry = prior_entries.get(key) if key is not None else None
-            if entry is not None:
-                state.replay(index, entry)
-                with counters_lock:
-                    run_info.reused_nodes += 1
-            else:
-                state.execute_node(index)
-                entry = state.capture(index)
-                with counters_lock:
-                    run_info.executed_nodes += 1
-            if key is not None:
-                with counters_lock:
-                    snapshot.entries[key] = entry
-
-        if parallel:
-            indegree = {node.index: len(node.depends_on) for node in dag.nodes}
-            self._run_scheduler(indegree, dag.dependents(), execute)
-        else:
-            for node in dag.nodes:
-                execute(node.index)
-        return state.finish(), snapshot
-
-    # ------------------------------------------------------------------ #
-    def run_many(
-        self,
-        specs: Sequence[RunSpec],
-        step_cache: StepResultCache | None = None,
-        info: MergedRunInfo | None = None,
-    ) -> List[InsideOutResult]:
-        """Execute several runs as one merged multi-sink step DAG.
-
-        The runs' step DAGs are lowered with content digests and merged:
-        nodes with equal ``(digest, backend)`` keys collapse into one
-        merged node, owned by the first run that introduced the digest;
-        every other (run, node) pair subscribes and has the owner's entry
-        replayed into its own context.  Each distinct key therefore
-        executes **exactly once** per batch — and not at all when a
-        ``step_cache`` already holds it.  Results and per-run stats are
-        bit-identical to independent :meth:`run` calls (wall-clock
-        ``seconds`` fields aside; they reflect where the work actually
-        happened).
-
-        Pass a :class:`MergedRunInfo` as ``info`` to receive the dedup
-        accounting for the batch.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        started = time.perf_counter()
-
-        states: List[_RunState] = []
-        for spec in specs:
-            if spec.output_mode not in ("listing", "factorized"):
-                raise QueryError(f"unknown output mode {spec.output_mode!r}")
-            backend = validate_backend(spec.backend)
-            policy = (
-                spec.backend_policy if spec.backend_policy is not None
-                else DEFAULT_POLICY
-            )
-            order = _validated_ordering(spec.query, spec.ordering)
-            dag = lower_insideout(
-                spec.query, order,
-                use_indicator_projections=spec.use_indicator_projections,
-                output_mode=spec.output_mode,
-                content_digests=True,
-            )
-            states.append(_RunState(
-                spec.query, order, dag, spec.output_mode, backend, policy,
-                spec.use_indicator_projections, spec.shared_tries,
-                thread_safe=self.workers > 1, started=started,
-            ))
-
-        # Merge by content address: the first (run, node) with a key owns it.
-        merged: List[_MergedNode] = []
-        owner_of: Dict[tuple, int] = {}
-        mid_of: Dict[Tuple[int, int], int] = {}
-        for r, state in enumerate(states):
-            for node in state.dag.nodes:
-                key = state.cache_key(node.index)
-                if key is not None and key in owner_of:
-                    mid = owner_of[key]
-                    merged[mid].subscribers.append((r, node.index))
-                else:
-                    mid = len(merged)
-                    merged.append(_MergedNode(owner=(r, node.index), key=key))
-                    if key is not None:
-                        owner_of[key] = mid
-                mid_of[(r, node.index)] = mid
-
-        # Edges come from the owners only: replays are input-independent, so
-        # a subscriber's own producers need not have run before its replay.
-        indegree = {mid: 0 for mid in range(len(merged))}
-        dependents: Dict[int, List[int]] = {mid: [] for mid in range(len(merged))}
-        for mid, node in enumerate(merged):
-            r, index = node.owner
-            deps = {mid_of[(r, dep)] for dep in states[r].dag.nodes[index].depends_on}
-            indegree[mid] = len(deps)
-            for dep in sorted(deps):
-                dependents[dep].append(mid)
-
-        run_info = info if info is not None else MergedRunInfo()
-        run_info.total_nodes += sum(len(s.dag.nodes) for s in states)
-        run_info.merged_nodes += len(merged)
-        counters_lock = threading.Lock()
-
-        def execute(mid: int) -> None:
-            node = merged[mid]
-            r, index = node.owner
-            state = states[r]
-            entry = None
-            claimed = False
-            if node.key is not None and step_cache is not None:
-                entry = step_cache.lookup_or_claim(node.key)
-                claimed = entry is None
-            if entry is None:
-                # Capture stays inside the guarded region: a claimant dying
-                # between claim and fulfil (kernel *or* capture failure)
-                # must release the claim, or every later claimant of the
-                # same digest wedges on the in-flight event.
-                try:
-                    state.execute_node(index)
-                    entry = state.capture(index)
-                except BaseException:
-                    if claimed:
-                        step_cache.abandon(node.key)
-                    raise
-                if claimed:
-                    step_cache.fulfil(node.key, entry)
-                with counters_lock:
-                    run_info.executed_nodes += 1
-            else:
-                state.replay(index, entry)
-                with counters_lock:
-                    run_info.replayed_nodes += 1
-            for sub_run, sub_index in node.subscribers:
-                states[sub_run].replay(sub_index, entry)
-
-        if self.workers > 1 and len(merged) > 1:
-            self._run_scheduler(indegree, dependents, execute)
-        else:
-            # Merged-id order is a topological order of the owner edges
-            # (every owner dependency maps to an earlier merged id).
-            for mid in range(len(merged)):
-                execute(mid)
-        return [state.finish() for state in states]
 
     # ------------------------------------------------------------------ #
     def _run_scheduler(self, indegree: Dict[int, int], dependents, execute) -> None:

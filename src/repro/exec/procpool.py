@@ -16,7 +16,7 @@ same step kernels (:func:`~repro.core.insideout.eliminate_semiring_step`,
 :func:`~repro.core.insideout.eliminate_product_step`) against a
 worker-local :class:`~repro.factors.index.TrieCache`; the kernels are pure
 functions of their input factors, so results, step records, and join
-counters are identical to the serial path no matter which process ran a
+counters are identical to a ``workers=1`` run no matter which process ran a
 step.  The output phase always runs in the parent (its result never feeds
 another step).
 
@@ -383,6 +383,7 @@ class ProcessPool:
     # ------------------------------------------------------------------ #
     def _dispatch(self, worker: _Worker, state, node, blob_store, slot_digests) -> None:
         """Ship missing inputs by reference and send one step to a worker."""
+        state.enter_step()  # the step.kernel fault site, as for in-parent steps
         refs: List[Tuple[int, Optional[str]]] = []
         for slot in tuple(node.incident) + tuple(node.reads):
             if slot in worker.present:

@@ -18,9 +18,10 @@ chosen per update from the semiring and the shape of the delta:
   every stale contribution is absorbed by a fresh one.
 * **dirty-subgraph re-execution** (``REGIME_DIRTY``) — the universal
   fallback: re-lower the updated query and replay every step-DAG node
-  whose content digest is unchanged from the previous run
-  (:meth:`repro.exec.DagExecutor.run_incremental`); only the subgraph
-  downstream of the touched base factor recomputes.
+  whose content digest is unchanged from the previous run (an ordinary
+  :class:`repro.exec.DagExecutor` run whose step source is the view's
+  :class:`~repro.exec.RunSnapshot`); only the subgraph downstream of the
+  touched base factor recomputes.
 
 All three regimes produce answers bit-identical to a full recomputation
 (the differential tests enforce this cell-for-cell across backends and
@@ -38,7 +39,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.insideout import InsideOutResult, apply_output_delta, _validated_ordering
 from repro.core.query import FAQQuery, QueryError
-from repro.exec.executor import DagExecutor, IncrementalRunInfo, RunSnapshot
+from repro.exec.executor import DagExecutor, RunInfo, RunSnapshot, RunSpec
 from repro.factors.backend import BACKEND_SPARSE, as_sparse, validate_backend
 from repro.factors.delta import FactorDelta
 from repro.factors.factor import Factor
@@ -148,7 +149,7 @@ class IncrementalView:
         self._backend = validate_backend(backend)
         self._executor = DagExecutor(workers=workers or 1)
         self._add_tag = additive_tag(query.semiring, add_tag)
-        self._snapshot: Optional[RunSnapshot] = None
+        self._snapshot = RunSnapshot()
         self._output: Optional[Factor] = None
         self.stats = IncrementalStats()
 
@@ -191,7 +192,7 @@ class IncrementalView:
         view._backend = state["backend"]
         view._add_tag = state["add_tag"]
         view._executor = DagExecutor(workers=workers or 1)
-        view._snapshot = state["snapshot"]
+        view._snapshot = state["snapshot"] or RunSnapshot()
         view._output = state["output"]
         view.stats = IncrementalStats()
         return view
@@ -252,7 +253,7 @@ class IncrementalView:
         else:
             self.stats.dirty_updates += 1
             self.query = self._with_factor(index, new_factor)
-            output = self._dirty_run()
+            output = self._update_run(self.query)
             self._output = output
             return output
 
@@ -360,61 +361,40 @@ class IncrementalView:
         run pays only for the (small) subgraph the delta actually touches —
         the joins of a few changed cells, not the full factor tables.
         """
-        query = self._with_factor(index, factor)
-        info = IncrementalRunInfo()
-        result, snapshot = self._executor.run_incremental(
-            query,
-            ordering=list(self._order),
-            use_indicator_projections=self._uip,
-            backend=self._backend,
-            prior=self._snapshot,
-            info=info,
-        )
-        self._merge_snapshot(snapshot)
-        self.stats.nodes_reused += info.reused_nodes
-        self.stats.nodes_executed += info.executed_nodes
-        return self._normalize(result)
+        return self._update_run(self._with_factor(index, factor))
 
     def _full_run(self) -> Factor:
         self.stats.full_runs += 1
-        result, snapshot = self._executor.run_incremental(
-            self.query,
-            ordering=list(self._order),
-            use_indicator_projections=self._uip,
-            backend=self._backend,
-        )
-        self._snapshot = snapshot
-        return self._normalize(result)
+        output, _ = self._execute(self.query)
+        return output
 
-    def _dirty_run(self) -> Factor:
-        info = IncrementalRunInfo()
-        result, snapshot = self._executor.run_incremental(
-            self.query,
-            ordering=list(self._order),
-            use_indicator_projections=self._uip,
-            backend=self._backend,
-            prior=self._snapshot,
+    def _update_run(self, query: FAQQuery) -> Factor:
+        output, info = self._execute(query)
+        self.stats.nodes_reused += info.replayed_nodes
+        self.stats.nodes_executed += info.executed_nodes
+        return output
+
+    def _execute(self, query: FAQQuery) -> Tuple[Factor, RunInfo]:
+        """Evaluate ``query`` against the view's step snapshot.
+
+        An ordinary executor run whose step source is the snapshot: nodes
+        whose content digest it holds replay, the rest execute and are
+        recorded into it (then it is trimmed back to this run's entries if
+        the update stream has made it outgrow them).
+        """
+        info = RunInfo()
+        [result] = self._executor.run_many(
+            [RunSpec(
+                query,
+                ordering=list(self._order),
+                use_indicator_projections=self._uip,
+                backend=self._backend,
+            )],
+            step_cache=self._snapshot,
             info=info,
         )
-        self._merge_snapshot(snapshot)
-        self.stats.nodes_reused += info.reused_nodes
-        self.stats.nodes_executed += info.executed_nodes
-        return self._normalize(result)
-
-    def _merge_snapshot(self, fresh: RunSnapshot) -> None:
-        """Fold a run's snapshot into the view's, bounding growth.
-
-        Entries are digest-keyed, so accumulating them is always sound;
-        the bound just stops an unbounded update stream from pinning every
-        intermediate ever computed.  When the accumulated map outgrows the
-        latest run by 8x, the latest run's (complete) snapshot wins.
-        """
-        if self._snapshot is None:
-            self._snapshot = fresh
-            return
-        self._snapshot.entries.update(fresh.entries)
-        if len(self._snapshot.entries) > max(512, 8 * len(fresh.entries)):
-            self._snapshot = fresh
+        self._snapshot.trim(info.total_nodes)
+        return self._normalize(result), info
 
     def _normalize(self, result: InsideOutResult) -> Factor:
         factor = as_sparse(result.factor, self.query.semiring)

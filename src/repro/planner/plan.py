@@ -105,8 +105,8 @@ class Plan:
     ) -> PlanResult:
         """Run the plan and return the output over the free variables.
 
-        ``workers`` opts the InsideOut strategy into the parallel step-DAG
-        executor (:mod:`repro.exec`); ``workers_mode="process"`` swaps its
+        InsideOut always runs on the step-DAG executor (:mod:`repro.exec`);
+        ``workers`` > 1 parallelises it and ``workers_mode="process"`` swaps its
         thread pool for shared-memory worker processes so the sparse
         kernels escape the GIL.  The other strategies always execute
         serially — per-query parallelism for them comes from batching whole

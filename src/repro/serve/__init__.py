@@ -30,9 +30,8 @@ Scaling ladder — all three speak the same request/result types::
     PlanServer().submit(req)                   # thread pool, Future out
     await Frontend(replicas=4).submit(req)     # process fleet, coalesced
 
-The PR 5 call forms (bare ``FAQQuery`` in, ``PlanResult`` future out,
-``dag_workers=``) keep working through deprecation shims on
-:class:`PlanServer` and :func:`execute_batch`.
+Every InsideOut execution on any rung — single request, merged batch,
+incremental update — runs on the one driver, :class:`repro.exec.DagExecutor`.
 """
 
 from repro.serve.api import (

@@ -14,9 +14,9 @@ Everything a serving client touches lives here, frozen and explicit:
   rejects with :class:`Overloaded` (retryable: back off), planner/engine
   failures surface as :class:`PlanFailure` (not retryable: fix the query).
 
-The serving layer never hands back bare engine objects or raw
-``concurrent.futures.Future`` payloads — those were the PR 5 surface, kept
-working through deprecation shims in :mod:`repro.serve.server`.
+The serving layer never takes bare ``FAQQuery`` objects or hands back bare
+engine results — that was the PR 5 surface, now refused with a typed
+:class:`~repro.core.query.QueryError`.
 """
 
 from __future__ import annotations

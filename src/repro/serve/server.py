@@ -4,9 +4,8 @@
 :class:`~repro.planner.cache.PlanCache` and a bounded store of
 :class:`~repro.factors.index.SharedTrieCache` instances.  The redesigned
 surface speaks :class:`~repro.serve.api.ServeRequest` /
-:class:`~repro.serve.api.ServeResult`; the PR 5 call forms (bare
-``FAQQuery`` objects in/``PlanResult`` futures out, ``dag_workers=``) keep
-working through deprecation shims.
+:class:`~repro.serve.api.ServeResult` only; a bare ``FAQQuery`` is refused
+with a typed :class:`~repro.core.query.QueryError`.
 
 Three reuse effects stack on repeated traffic, now keyed by *content* —
 stable cross-process digests from :func:`repro.planner.signature.query_content_key`
@@ -29,22 +28,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
 from repro.core.query import FAQQuery, QueryError
-from repro.exec import (
-    _UNSET,
-    DagExecutor,
-    MergedRunInfo,
-    RunSpec,
-    StepResultCache,
-    resolve_workers,
-)
+from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, validate_workers
 from repro.factors.delta import FactorDelta
 from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
@@ -70,10 +61,14 @@ _MAX_INCREMENTAL_VIEWS = 32
 _RESULT_SNAPSHOT_KIND = "repro-serve-results"
 _RESULT_SNAPSHOT_VERSION = 1
 
-_LEGACY_SUBMIT_MESSAGE = (
-    "submitting bare FAQQuery objects is deprecated; wrap the query in a "
-    "repro.serve.ServeRequest (returns a typed ServeResult)"
-)
+
+def _require_request(request: Any) -> None:
+    """Refuse anything but a :class:`ServeRequest` with a typed error."""
+    if not isinstance(request, ServeRequest):
+        raise QueryError(
+            f"PlanServer takes ServeRequest objects, got {type(request).__name__}; "
+            "wrap the query in repro.serve.ServeRequest"
+        )
 
 
 def _plan_digest(request: ServeRequest) -> Optional[str]:
@@ -96,6 +91,12 @@ def _plan_digest(request: ServeRequest) -> Optional[str]:
 
 class PlanServer:
     """A long-lived serving loop over the planner and the engines.
+
+    Every InsideOut execution it starts — a single request, a merged batch,
+    an incremental update — runs on the one step-DAG driver
+    (:class:`repro.exec.DagExecutor`); what differs is only the batch size
+    and the step source attached (the server's step-result cache, a view's
+    snapshot, or none for a ``coalesce=False`` request).
 
     Parameters
     ----------
@@ -149,8 +150,6 @@ class PlanServer:
         re-execution.  Off by default in-process (in-process repeats
         already replay via ``share_steps``); the replica tier enables it —
         its rendezvous-routed traffic concentrates repeats per replica.
-    dag_workers:
-        Deprecated alias of ``workers`` (emits ``DeprecationWarning``).
     """
 
     def __init__(
@@ -168,16 +167,15 @@ class PlanServer:
         result_cache_size: int = 256,
         step_cache_size: int = 512,
         snapshot_store: Optional[SnapshotStore] = None,
-        dag_workers: Any = _UNSET,
         max_shared_queries: int = _MAX_SHARED_QUERIES,
     ) -> None:
-        self.workers = resolve_workers(workers, dag_workers)
+        self.workers = validate_workers(workers)
         if workers_mode not in ("thread", "process"):
             raise QueryError(
                 f'workers_mode must be "thread" or "process", got {workers_mode!r}'
             )
         self.workers_mode = workers_mode
-        self.pool_size = resolve_workers(pool_size) or (os.cpu_count() or 1)
+        self.pool_size = validate_workers(pool_size) or (os.cpu_count() or 1)
         self.cache = cache if cache is not None else PlanCache(cost_model=CostModel())
         self.coalesce = coalesce
         self.share_tries = share_tries
@@ -232,31 +230,17 @@ class PlanServer:
     # ------------------------------------------------------------------ #
     # the submit loop
     # ------------------------------------------------------------------ #
-    def submit(
-        self, request: Union[ServeRequest, FAQQuery], **kwargs: Any
-    ) -> "Future[ServeResult]":
+    def submit(self, request: ServeRequest) -> "Future[ServeResult]":
         """Enqueue one request; returns a future resolving to its result.
 
         Value-equal requests already in flight coalesce onto one execution:
         the duplicate's future resolves to the same result with
         ``coalesced=True``.  Asyncio callers wrap the returned future with
         :func:`asyncio.wrap_future`.
-
-        Passing a bare :class:`FAQQuery` (plus ``plan()`` kwargs) is the
-        deprecated PR 5 form; it returns a ``Future[PlanResult]``.
         """
         if self._closed:
             raise RuntimeError("PlanServer is shut down")
-        if not isinstance(request, ServeRequest):
-            warnings.warn(_LEGACY_SUBMIT_MESSAGE, DeprecationWarning, stacklevel=2)
-            with self._lock:
-                self._submitted += 1
-            return self._pool.submit(self._run_legacy, request, kwargs)
-        if kwargs:
-            raise QueryError(
-                f"ServeRequest submissions take no kwargs (got {sorted(kwargs)}); "
-                "put planner overrides in ServeRequest.options"
-            )
+        _require_request(request)
         key = request.content_key if (self.coalesce and request.coalesce) else None
         with self._lock:
             self._submitted += 1
@@ -485,11 +469,10 @@ class PlanServer:
 
     def execute_batch(
         self,
-        requests: Sequence[Union[ServeRequest, FAQQuery]],
+        requests: Sequence[ServeRequest],
         coalesce: bool = True,
         merge: Optional[bool] = None,
-        **kwargs: Any,
-    ) -> List[Union[ServeResult, PlanResult]]:
+    ) -> List[ServeResult]:
         """Execute ``requests`` concurrently; results come back in input order.
 
         With ``coalesce=True`` value-equal requests execute once and share
@@ -499,17 +482,10 @@ class PlanServer:
         and merged into one multi-sink DAG — structurally identical
         elimination steps *across distinct queries* execute exactly once
         and replay into every run that needs them, with per-query stats
-        attributed back to each result.  A batch of bare queries is the
-        deprecated PR 5 form and returns ``PlanResult`` objects (coalesced
-        on object identity, as before).
+        attributed back to each result.
         """
-        if requests and not isinstance(requests[0], ServeRequest):
-            return self._execute_batch_legacy(requests, coalesce, kwargs)
-        if kwargs:
-            raise QueryError(
-                f"ServeRequest batches take no kwargs (got {sorted(kwargs)}); "
-                "put planner overrides in ServeRequest.options"
-            )
+        for request in requests:
+            _require_request(request)
         if merge is None:
             merge = self.merge
         if merge and coalesce and self.coalesce and len(requests) > 1:
@@ -536,7 +512,8 @@ class PlanServer:
         (preserving the ``coalesced`` counter semantics of the submit
         path, deterministically).  Representative InsideOut requests are
         then executed as one merged multi-sink step DAG
-        (:meth:`repro.exec.DagExecutor.run_many`) sharing the server's
+        (:meth:`repro.exec.DagExecutor.run_many`, the same driver a single
+        request reaches as a batch of one) sharing the server's
         step-result cache; other strategies, coalesce-opted-out requests
         and completed-result-cache hits run on the ordinary paths.  Any
         merged-run failure falls back to independent execution — merging
@@ -588,23 +565,15 @@ class PlanServer:
                 continue
             started = time.perf_counter()
             try:
-                query_key = query_content_key(request.query)
-            except TypeError:
-                query_key = None
-            query = self._canonical_query(query_key, request.query)
-            try:
-                chosen = self._plan_for(query, request)
+                chosen, shared = self._prepare(request)
             except QueryError as exc:
                 rep_errors[i] = PlanFailure(str(exc), cause_type=type(exc).__name__)
                 continue
             if chosen.strategy != STRATEGY_INSIDEOUT:
                 solo.append(i)
                 continue
-            shared = None
-            if self.share_tries:
-                shared = self._shared_tries_for(query_key, query, chosen.ordering)
             specs.append(RunSpec(
-                query=query,
+                query=chosen.query,
                 ordering=list(chosen.ordering),
                 output_mode=request.output_mode,
                 backend=chosen.backend,
@@ -614,7 +583,7 @@ class PlanServer:
 
         # --- the merged multi-sink run ---------------------------------- #
         if specs:
-            info = MergedRunInfo()
+            info = RunInfo()
             executor = DagExecutor(workers=self.workers or 1)
             try:
                 outcomes = executor.run_many(
@@ -697,27 +666,17 @@ class PlanServer:
         cached = self._completed_result(request)
         if cached is not None:
             return cached
-        try:
-            query_key = query_content_key(request.query)
-        except TypeError:
-            query_key = None
-        query = self._canonical_query(query_key, request.query)
         started = time.perf_counter()
         try:
-            chosen = self._plan_for(query, request)
-            shared = None
-            step_cache = None
-            if chosen.strategy == STRATEGY_INSIDEOUT:
-                if self.share_tries:
-                    shared = self._shared_tries_for(query_key, query, chosen.ordering)
-                if request.coalesce:
-                    step_cache = self._step_results
+            chosen, shared = self._prepare(request)
+            # coalesce=False promises a private execution: no step sharing
+            # (and so no content digests — see DagExecutor.run_many).
             executed = chosen.execute(
                 output_mode=request.output_mode,
                 workers=self.workers,
                 workers_mode=self.workers_mode,
                 shared_tries=shared,
-                step_cache=step_cache,
+                step_cache=self._step_results if request.coalesce else None,
             )
         except QueryError as exc:
             raise PlanFailure(str(exc), cause_type=type(exc).__name__) from exc
@@ -782,6 +741,23 @@ class PlanServer:
         ):
             self._results.put(result.content_key, result)
         return result
+
+    def _prepare(self, request: ServeRequest) -> Tuple[Plan, Optional[SharedTrieCache]]:
+        """The front half of every execution: pin, plan, fetch warm tries.
+
+        Returns the plan (over the canonical query instance) and, for the
+        InsideOut strategy, the cross-run trie store to execute against.
+        """
+        try:
+            query_key = query_content_key(request.query)
+        except TypeError:
+            query_key = None
+        query = self._canonical_query(query_key, request.query)
+        chosen = self._plan_for(query, request)
+        shared = None
+        if self.share_tries and chosen.strategy == STRATEGY_INSIDEOUT:
+            shared = self._shared_tries_for(query_key, query, chosen.ordering)
+        return chosen, shared
 
     def _plan_for(self, query: FAQQuery, request: ServeRequest) -> Plan:
         digest = _plan_digest(request)
@@ -864,56 +840,13 @@ class PlanServer:
             return shared
 
     # ------------------------------------------------------------------ #
-    # the deprecated PR 5 surface
-    # ------------------------------------------------------------------ #
-    def _run_legacy(self, query: FAQQuery, kwargs: Dict[str, Any]) -> PlanResult:
-        output_mode = kwargs.pop("output_mode", "listing")
-        chosen = plan(query, cache=self.cache, **kwargs)
-        shared = None
-        if self.share_tries and chosen.strategy == STRATEGY_INSIDEOUT:
-            try:
-                query_key = query_content_key(query)
-            except TypeError:
-                query_key = None
-            shared = self._shared_tries_for(
-                query_key, self._canonical_query(query_key, query), chosen.ordering
-            )
-        return chosen.execute(
-            output_mode=output_mode, workers=self.workers,
-            workers_mode=self.workers_mode, shared_tries=shared,
-        )
-
-    def _execute_batch_legacy(
-        self, queries: Sequence[FAQQuery], coalesce: bool, kwargs: Dict[str, Any]
-    ) -> List[PlanResult]:
-        warnings.warn(_LEGACY_SUBMIT_MESSAGE, DeprecationWarning, stacklevel=3)
-        futures: List[Future] = []
-        in_flight: Dict[int, Future] = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # already warned once
-            for query in queries:
-                if coalesce:
-                    future = in_flight.get(id(query))
-                    if future is not None:
-                        with self._lock:
-                            self._coalesced += 1
-                        futures.append(future)
-                        continue
-                future = self.submit(query, **dict(kwargs))
-                if coalesce:
-                    in_flight[id(query)] = future
-                futures.append(future)
-        return [future.result() for future in futures]
-
-    # ------------------------------------------------------------------ #
     # observability + lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
         """Serving counters: submissions, coalescing, cache and trie reuse.
 
         ``coalesced`` counts requests answered by another request's
-        execution (content-hash coalescing, plus identity coalescing on the
-        deprecated batch path).  The trie counters are cumulative over the
+        execution (content-hash coalescing).  The trie counters are cumulative over the
         server's lifetime — stores evicted from the LRU contribute the
         counts they had at eviction time, so ``shared_trie_hits`` is
         monotone and safe to trend.
@@ -1010,7 +943,7 @@ def _chain_coalesced(primary: "Future[ServeResult]") -> "Future[ServeResult]":
 
 
 def execute_batch(
-    requests: Sequence[Union[ServeRequest, FAQQuery]],
+    requests: Sequence[ServeRequest],
     *,
     workers: Optional[int | str] = None,
     workers_mode: str = "thread",
@@ -1019,9 +952,7 @@ def execute_batch(
     coalesce: bool = True,
     share_tries: bool = True,
     merge: bool = True,
-    dag_workers: Any = _UNSET,
-    **kwargs: Any,
-) -> List[Union[ServeResult, PlanResult]]:
+) -> List[ServeResult]:
     """Run a batch of requests against a transient :class:`PlanServer`.
 
     Results come back in input order.  For long-lived traffic keep a
@@ -1036,6 +967,5 @@ def execute_batch(
         cache=cache,
         share_tries=share_tries,
         merge=merge,
-        dag_workers=dag_workers,
     ) as server:
-        return server.execute_batch(requests, coalesce=coalesce, **kwargs)
+        return server.execute_batch(requests, coalesce=coalesce)

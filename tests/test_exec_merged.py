@@ -5,9 +5,10 @@ The contracts under test:
 * **exactly-once** — a merged multi-query batch executes every distinct
   step digest once (asserted on the executor's own counters), and not at
   all when a :class:`~repro.exec.StepResultCache` already holds it;
-* **bit-identical** — merged execution returns the same factor tables
-  *and* the same :class:`~repro.core.insideout.InsideOutStats` (wall-clock
-  seconds aside) as independent runs, across semirings and worker counts;
+* **correct and bit-identical** — merged execution agrees with brute
+  force and returns the same factor tables *and* the same
+  :class:`~repro.core.insideout.InsideOutStats` (wall-clock seconds aside)
+  as independent unshared runs, across semirings and worker counts;
 * **closed loop** — :func:`~repro.planner.record_plan_feedback` turns
   observed-vs-estimated step sizes into cost-model calibration and, past
   the error threshold, plan-cache invalidation;
@@ -23,7 +24,7 @@ import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, Variable
-from repro.exec import DagExecutor, MergedRunInfo, RunSpec, StepResultCache
+from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache
 from repro.factors.factor import Factor
 from repro.hypergraph.covers import fractional_edge_cover_number
 from repro.hypergraph.elimination import elimination_sequence
@@ -131,9 +132,11 @@ def _assert_identical(serial, merged, context):
 def test_merged_batch_matches_independent_runs(name, workers):
     queries = _chain_family(name)
     independent = [inside_out(q, ordering=list(_ORDER)) for q in queries]
+    for query, run in zip(queries, independent):
+        assert query.evaluate_brute_force().equals(run.factor, query.semiring)
 
     cache = StepResultCache()
-    info = MergedRunInfo()
+    info = RunInfo()
     merged = DagExecutor(workers=workers).run_many(
         [RunSpec(query=q, ordering=list(_ORDER)) for q in queries],
         step_cache=cache,
@@ -157,9 +160,9 @@ def test_warm_step_cache_replays_the_whole_batch(name):
     executor = DagExecutor(workers=1)
     specs = [RunSpec(query=q, ordering=list(_ORDER)) for q in queries]
 
-    first = MergedRunInfo()
+    first = RunInfo()
     cold = executor.run_many(specs, step_cache=cache, info=first)
-    second = MergedRunInfo()
+    second = RunInfo()
     warm = executor.run_many(specs, step_cache=cache, info=second)
 
     for a, b in zip(cold, warm):
@@ -235,6 +238,39 @@ def test_plan_server_coalesce_opt_out_skips_sharing():
         assert got.factor.table == want.factor.table
     assert stats["merged_queries"] == 0
     assert stats["step_cache_computed"] == 0
+
+
+def test_lone_unshared_runs_never_compute_digests(monkeypatch):
+    """Content digests hash every base factor, so a run with nowhere to
+    share steps must skip them — the sparse latency gates rest on this."""
+    import repro.exec.dag as dag_module
+    from repro.engine import Engine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("annotate_digests called on an unshared lone run")
+
+    query = _chain_family("counting")[0]
+    want = query.evaluate_brute_force()
+    real = dag_module.annotate_digests
+    monkeypatch.setattr(dag_module, "annotate_digests", forbidden)
+    assert want.equals(inside_out(query, ordering=list(_ORDER)).factor, query.semiring)
+    chosen = plan(query, cache=PlanCache(), **_serve_options())
+    assert want.equals(chosen.execute().factor, query.semiring)
+    with Engine() as engine:
+        served = engine.query(ServeRequest(query=query, coalesce=False, options=_serve_options()))
+    assert want.equals(served.factor, query.semiring)
+
+    # ... while a batch of one with a step source does address its steps.
+    calls = []
+    monkeypatch.setattr(
+        dag_module, "annotate_digests",
+        lambda *args, **kwargs: (calls.append(1), real(*args, **kwargs))[1],
+    )
+    cache = StepResultCache()
+    DagExecutor(workers=1).run_many(
+        [RunSpec(query=query, ordering=list(_ORDER))], step_cache=cache
+    )
+    assert calls == [1] and cache.computed > 0
 
 
 def test_plan_server_result_cache_answers_repeat_traffic():

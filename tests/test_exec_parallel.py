@@ -1,13 +1,20 @@
-"""Parallel determinism of the step-DAG executor.
+"""Correctness and parallel determinism of the step-DAG executor.
 
-The contract of :mod:`repro.exec` is strict: for *any* worker count the
-:class:`~repro.exec.DagExecutor` must reproduce the sequential
-:func:`~repro.core.insideout.inside_out` run exactly — the output factor
-(values included, not just up to semiring equality) *and* the
-:class:`~repro.core.insideout.InsideOutStats` totals.  The seeded property
-test below checks that across semirings, factor backends and
-``workers ∈ {1, 2, 8}``, on the same randomized query family the planner
-differential harness uses.
+:class:`~repro.exec.DagExecutor` is the one InsideOut driver
+(:func:`~repro.core.insideout.inside_out` is a thin call into it), so there
+is no second implementation to compare it with.  The contract is checked
+against two references instead:
+
+* **values** against the brute-force oracle
+  (:meth:`FAQQuery.evaluate_brute_force`), and
+* **determinism** against ``workers=1`` of the same scheduler: for *any*
+  worker count the output factor (values included, not just up to semiring
+  equality) *and* the :class:`~repro.core.insideout.InsideOutStats` totals
+  must be identical.
+
+The seeded property test below checks both across semirings, factor
+backends and ``workers ∈ {1, 2, 8}``, on the same randomized query family
+the planner differential harness uses.
 """
 
 import pytest
@@ -31,8 +38,18 @@ WORKER_COUNTS = (1, 2, 8)
 BACKENDS = ("sparse", "dense", "auto")
 
 
+def _assert_correct(query, result, context):
+    """The output agrees with the brute-force oracle."""
+    expected = query.evaluate_brute_force()
+    assert expected.equals(result.factor, query.semiring), (
+        f"{context}: disagreement with brute force\n"
+        f"  expected: {sorted(expected.table.items(), key=repr)}\n"
+        f"  got     : {sorted(result.factor.table.items(), key=repr)}"
+    )
+
+
 def _assert_identical(serial, parallel, context):
-    """Outputs and stats totals must match the serial run exactly."""
+    """Outputs and stats totals must match the ``workers=1`` run exactly."""
     assert parallel.ordering == serial.ordering, context
     assert parallel.factor.scope == serial.factor.scope, context
     assert parallel.factor.table == serial.factor.table, (
@@ -65,17 +82,22 @@ def _assert_identical(serial, parallel, context):
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
 @pytest.mark.parametrize("seed", range(6))
-def test_dag_executor_matches_serial(name, seed):
-    """Values and stats totals are identical across backends and workers."""
+def test_dag_executor_is_correct_and_worker_invariant(name, seed):
+    """Right against brute force; identical across workers and entry points."""
     query = _random_query(name, seed)
     for backend in BACKENDS:
-        serial = inside_out(query, ordering=None, backend=backend)
-        for workers in WORKER_COUNTS:
-            parallel = DagExecutor(workers=workers).run(
+        serial = DagExecutor(workers=1).run(query, ordering=None, backend=backend)
+        _assert_correct(query, serial, f"{name}/seed={seed}/backend={backend}")
+        runs = {
+            f"workers={workers}": DagExecutor(workers=workers).run(
                 query, ordering=None, backend=backend
             )
+            for workers in WORKER_COUNTS[1:]
+        }
+        runs["inside_out"] = inside_out(query, ordering=None, backend=backend)
+        for label, run in runs.items():
             _assert_identical(
-                serial, parallel, f"{name}/seed={seed}/backend={backend}/workers={workers}"
+                serial, run, f"{name}/seed={seed}/backend={backend}/{label}"
             )
 
 
@@ -85,6 +107,7 @@ def test_dag_executor_matches_planned_ordering(name):
     query = _random_query(name, 7)
     chosen = plan(query)
     serial = chosen.execute()
+    _assert_correct(query, serial, f"{name}/planned")
     for workers in WORKER_COUNTS:
         parallel = chosen.execute(workers=workers)
         if chosen.strategy != "insideout":
@@ -102,6 +125,9 @@ def test_dag_executor_factorized_mode():
     serial = inside_out(query, output_mode="factorized")
     parallel = DagExecutor(workers=4).run(query, output_mode="factorized")
     assert serial.factor is None and parallel.factor is None
+    assert query.evaluate_brute_force().equals(
+        serial.factorized.to_factor(), query.semiring
+    )
     assert len(parallel.factorized.factors) == len(serial.factorized.factors)
     for a, b in zip(serial.factorized.factors, parallel.factorized.factors):
         assert a.scope == b.scope and a.table == b.table
@@ -130,6 +156,7 @@ def test_disjoint_blocks_expose_parallelism():
     output_nodes = [n for n in dag.nodes if n.kind == KIND_OUTPUT]
     assert len(output_nodes) == 1
     serial = inside_out(query)
+    _assert_correct(query, serial, "blocks")
     for workers in WORKER_COUNTS:
         _assert_identical(
             serial, inside_out(query, workers=workers), f"blocks/workers={workers}"
@@ -153,7 +180,7 @@ def test_dag_explain_mentions_structure():
     assert "output" in report
 
 
-def test_lowering_matches_loop_projections():
+def test_lowering_exposes_projection_reads():
     """Indicator-projection reads appear as DAG read edges, not consume edges."""
     # A triangle-ish query where eliminating one variable projects another
     # factor: psi(a,b), psi(b,c), psi(a,c) — eliminating c induces {a,b,c}
@@ -178,6 +205,7 @@ def test_lowering_matches_loop_projections():
     assert set(first.incident) == {1, 2}  # bc, ac
     assert set(first.reads) == {0}        # ab participates as a projection
     serial = inside_out(query)
+    _assert_correct(query, serial, "triangle")
     _assert_identical(serial, inside_out(query, workers=4), "triangle")
 
 

@@ -2,9 +2,10 @@
 
 Covers the ``workers_mode="process"`` contract end to end:
 
-* bit-identity with the serial run (tables, step records, join counters)
-  on genuinely parallel multi-block queries and on the planner
-  differential harness's random family;
+* agreement with brute force, and bit-identity with ``workers=1`` of the
+  same scheduler (tables, step records, join counters), on genuinely
+  parallel multi-block queries and on the planner differential harness's
+  random family;
 * graceful degradation when a worker process dies mid-step (retry
   in-process, finish serially, never hang);
 * transparent fallback to the thread pool when the run context cannot
@@ -46,7 +47,7 @@ from repro.factors.factor import Factor
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import BOOLEAN, MAX_PRODUCT, MIN_PLUS
 
-from test_exec_parallel import _assert_identical
+from test_exec_parallel import _assert_correct, _assert_identical
 from test_planner_differential import SEMIRINGS, _random_query
 
 ELIGIBLE = {
@@ -81,14 +82,34 @@ def _multi_block(name, seed, blocks=3, chain=3, domain=6, density=0.5):
     )
 
 
+def _brute_force_by_block(query):
+    """The oracle for a disjoint-block scalar query: the ⊗ of each block's
+    brute-force value (the joint assignment box is out of brute force's reach)."""
+    semiring = query.semiring
+    value = semiring.one
+    for block in sorted({v.split("v")[0] for v in query.order}):
+        names = [v for v in query.order if v.split("v")[0] == block]
+        part = FAQQuery(
+            variables=[query.variables[v] for v in names], free=[],
+            aggregates={v: query.aggregates[v] for v in names},
+            factors=[f for f in query.factors if set(f.scope) <= set(names)],
+            semiring=semiring,
+        ).evaluate_brute_force()
+        value = semiring.mul(value, part.table.get((), semiring.zero))
+    return value
+
+
 # ---------------------------------------------------------------------- #
-# bit-identity
+# correctness and bit-identity
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(ELIGIBLE))
 @pytest.mark.parametrize("seed", range(3))
 def test_process_matches_serial_on_multi_block(name, seed):
     query = _multi_block(name, seed)
     serial = inside_out(query, backend="sparse")
+    assert query.semiring.values_equal(
+        serial.scalar_or_zero(query.semiring), _brute_force_by_block(query)
+    ), f"{name}/seed={seed}: disagreement with brute force"
     for workers in (2, 4):
         executor = DagExecutor(workers=workers, workers_mode="process")
         parallel = executor.run(query, backend="sparse")
@@ -113,6 +134,7 @@ def test_process_matches_serial_on_random_family(name, seed):
     parallel = inside_out(
         query, ordering=None, backend="sparse", workers=4, workers_mode="process"
     )
+    _assert_correct(query, parallel, f"{name}/seed={seed}/process")
     _assert_identical(serial, parallel, f"{name}/seed={seed}/process")
 
 

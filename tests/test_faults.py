@@ -41,7 +41,7 @@ import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
-from repro.exec import DagExecutor, SharedCacheStore, StepResultCache
+from repro.exec import DagExecutor, RunInfo, RunSpec, SharedCacheStore, StepResultCache
 from repro.factors import Factor, FactorDelta
 from repro.faults import (
     ACTION_CORRUPT,
@@ -327,6 +327,41 @@ class TestInProcessFaults:
         # The very next run (same cache) succeeds — nothing waits forever.
         result = executor.run(query, step_cache=cache)
         _assert_answer(query, result.factor, "after claim release")
+
+    def test_nth_step_kernel_call_is_the_nth_executed_step(self):
+        """One draw per executed step — semiring, product and output alike —
+        so a scheduled call number names a step, not a draw inside one."""
+        query = _chain_query(length=5)  # four semiring steps, then the output
+        cache = StepResultCache(maxsize=64)
+        plan = FaultPlan(schedule={SITE_STEP_KERNEL: {3: ACTION_ERROR}})
+        with injected_faults(plan):
+            with pytest.raises(InjectedFault):
+                DagExecutor(workers=1).run(query, step_cache=cache)
+        assert plan.calls[SITE_STEP_KERNEL] == 3
+        assert cache.computed == 2, "the fault must land on the third step"
+        assert not cache._inflight
+
+    @pytest.mark.parametrize(
+        "workers, mode", [(1, "thread"), (4, "thread"), (3, "process")]
+    )
+    def test_step_kernel_draws_equal_executed_nodes(self, workers, mode):
+        """Inline, thread-pool and process-pool execution all draw exactly
+        once per executed node; a replayed node draws nothing."""
+        query = _multi_block("max-product", 1)
+        spec = RunSpec(query, backend="sparse")
+        cache = StepResultCache()
+        executor = DagExecutor(workers=workers, workers_mode=mode)
+        with injected_faults(FaultPlan()) as plan:
+            cold = RunInfo()
+            executor.run_many([spec], step_cache=cache, info=cold)
+            assert cold.executed_nodes == cold.total_nodes
+            assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
+            if mode == "process":
+                assert executor.last_process_info["remote_steps"] > 0
+            warm = RunInfo()
+            executor.run_many([spec], step_cache=cache, info=warm)
+            assert warm.executed_nodes == 0
+            assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
 
     def test_server_converts_kernel_fault_to_typed_plan_failure(self):
         server = PlanServer()

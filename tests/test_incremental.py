@@ -10,7 +10,8 @@ Covers, in order:
 * the :class:`~repro.incremental.IncrementalView` regimes: delta
   propagation, monotone append, dirty-subgraph replay, and the selection
   logic between them;
-* :meth:`~repro.exec.DagExecutor.run_incremental` node-reuse accounting;
+* a :class:`~repro.exec.RunSnapshot` as a run's step source: node-reuse
+  accounting and the growth bound;
 * the :class:`~repro.exec.StepResultCache` claim lifecycle under a dying
   claimant (the satellite-2 wedge regression);
 * :meth:`~repro.serve.PlanServer.update_factor` — warm-view hits, stale
@@ -23,7 +24,7 @@ import pytest
 
 from repro.core.insideout import apply_output_delta, inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
-from repro.exec import DagExecutor, IncrementalRunInfo, StepResultCache
+from repro.exec import DagExecutor, RunInfo, RunSnapshot, RunSpec, StepResultCache
 from repro.factors import Factor, FactorDelta, FactorError, as_dense, as_sparse
 from repro.incremental import (
     REGIME_APPEND,
@@ -277,13 +278,15 @@ def test_update_factor_index_out_of_range():
         view.update_factor(5, FactorDelta(("a", "b"), {(0, 0): 1}))
 
 
-def test_view_matches_inside_out_after_update_stream():
+def test_view_matches_full_recomputation_after_update_stream():
     view = IncrementalView(_chain_query(COUNTING, SemiringAggregate.sum))
     view.result()
     for cell, value in (((0, 0), 10), ((1, 2), 0), ((2, 2), 3)):
         out = view.update_factor(0, FactorDelta(("a", "b"), {cell: value}))
-    reference = inside_out(view.query)
-    assert out.table == as_sparse(reference.factor, COUNTING).normalize_scope(
+    assert out.table == _expected(view.query).table
+    # ... and a from-scratch InsideOut run of the final query agrees cell for cell.
+    recomputed = inside_out(view.query)
+    assert out.table == as_sparse(recomputed.factor, COUNTING).normalize_scope(
         view.query.free
     ).table
 
@@ -301,9 +304,9 @@ def test_apply_output_delta_combines_and_prunes():
 
 
 # --------------------------------------------------------------------- #
-# run_incremental: dirty-subgraph reuse accounting
+# a RunSnapshot step source: dirty-subgraph reuse accounting
 # --------------------------------------------------------------------- #
-def test_run_incremental_reuses_clean_nodes():
+def test_snapshot_step_source_reuses_clean_nodes():
     # Two disjoint chains a-b and c-d joined only at the output: updating
     # the a-b factor must not re-execute the c-d elimination.
     variables = [Variable(v, (0, 1, 2)) for v in ("a", "c", "b", "d")]
@@ -317,8 +320,11 @@ def test_run_incremental_reuses_clean_nodes():
         semiring=COUNTING,
     )
     executor = DagExecutor(workers=1)
-    result, snapshot = executor.run_incremental(query)
-    assert len(snapshot) > 0
+    snapshot = RunSnapshot()
+    cold = RunInfo()
+    executor.run_many([RunSpec(query)], step_cache=snapshot, info=cold)
+    assert cold.replayed_nodes == 0 and cold.executed_nodes == cold.total_nodes
+    assert len(snapshot) == cold.total_nodes
 
     updated = FAQQuery(
         variables=variables,
@@ -327,20 +333,34 @@ def test_run_incremental_reuses_clean_nodes():
         factors=[f_ab.apply_delta(FactorDelta(("a", "b"), {(0, 0): 50}), COUNTING), f_cd],
         semiring=COUNTING,
     )
-    info = IncrementalRunInfo()
-    result2, snapshot2 = executor.run_incremental(updated, prior=snapshot, info=info)
-    assert info.reused_nodes > 0  # the untouched c-d subgraph replayed
+    info = RunInfo()
+    [result2] = executor.run_many([RunSpec(updated)], step_cache=snapshot, info=info)
+    assert info.replayed_nodes > 0  # the untouched c-d subgraph replayed
     assert info.executed_nodes > 0  # the dirty a-b subgraph re-ran
-    assert 0.0 < info.reuse_ratio < 1.0
+    assert info.replayed_nodes + info.executed_nodes == info.total_nodes
     expected = updated.evaluate_brute_force()
     assert expected.equals(result2.factor, COUNTING)
+    # Stats of the partly replayed run match an unshared run's.
+    fresh = executor.run(updated)
+    assert [(s.variable, s.result_size) for s in result2.stats.steps] == [
+        (s.variable, s.result_size) for s in fresh.stats.steps
+    ]
+    assert result2.stats.join_stats == fresh.stats.join_stats
 
-    # identical query + prior snapshot: everything replays
-    info3 = IncrementalRunInfo()
-    result3, _ = executor.run_incremental(updated, prior=snapshot2, info=info3)
+    # identical query + warm snapshot: everything replays
+    info3 = RunInfo()
+    [result3] = executor.run_many([RunSpec(updated)], step_cache=snapshot, info=info3)
     assert info3.executed_nodes == 0
-    assert info3.reused_nodes == info3.total_nodes
+    assert info3.replayed_nodes == info3.total_nodes
     assert result3.factor.table == result2.factor.table
+
+    # The growth bound keeps exactly the latest run's entries (the tail).
+    latest = set(list(snapshot.entries)[-info3.total_nodes:])
+    snapshot.entries.update({("stale", i): None for i in range(600)})
+    for key in latest:  # touch, as a replaying run would
+        snapshot.lookup_or_claim(key)
+    snapshot.trim(info3.total_nodes)
+    assert set(snapshot.entries) == latest
 
 
 # --------------------------------------------------------------------- #

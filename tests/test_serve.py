@@ -1,13 +1,11 @@
 """The in-process serving loop: typed API, content coalescing, trie reuse.
 
 The serving surface is :class:`~repro.serve.ServeRequest` in /
-:class:`~repro.serve.ServeResult` out; the deprecated PR 5 forms (bare
-queries, ``dag_workers=``) are exercised at the bottom of the file and
-must keep working — behind ``DeprecationWarning``.
+:class:`~repro.serve.ServeResult` out; the PR 5 bare-query form is gone and
+is refused with a typed error (bottom of the file).
 """
 
 import threading
-import warnings
 
 import pytest
 
@@ -286,58 +284,15 @@ def test_trie_cache_counters_exact_under_concurrency():
 
 
 # ---------------------------------------------------------------------- #
-# the deprecated PR 5 surface (must keep working, behind warnings)
+# the removed PR 5 surface
 # ---------------------------------------------------------------------- #
-def test_legacy_bare_query_submit_warns_and_returns_plan_result():
-    from repro.planner import PlanResult
-
+def test_bare_query_is_refused_with_typed_error():
     query = _random_query("counting", 0)
     with PlanServer() as server:
-        with pytest.warns(DeprecationWarning, match="ServeRequest"):
-            future = server.submit(query)
-        result = future.result()
-    assert isinstance(result, PlanResult)
-    assert result.factor.table == _reference(query).table
-
-
-def test_legacy_bare_query_batch_warns_and_coalesces_by_identity():
-    from repro.planner import PlanResult
-
-    unique, traffic = _traffic(num_unique=3, repeats=5)
-    with PlanServer(pool_size=2) as server:
-        with pytest.warns(DeprecationWarning):
-            results = server.execute_batch(traffic)
-        stats = server.stats()
-    # The legacy contract is exact: 15 requests over 3 objects -> 3 submits.
-    assert stats["submitted"] == 3
-    assert stats["coalesced"] == len(traffic) - 3
-    by_query = {}
-    for query, result in zip(traffic, results):
-        assert isinstance(result, PlanResult)
-        by_query.setdefault(id(query), result)
-        assert result is by_query[id(query)]
-
-
-def test_legacy_dag_workers_alias_warns_everywhere():
-    query = _random_query("counting", 1)
-    with pytest.warns(DeprecationWarning, match="dag_workers"):
-        server = PlanServer(dag_workers=2)
-    assert server.workers == 2
-    server.shutdown()
-    with pytest.warns(DeprecationWarning, match="dag_workers"):
-        results = execute_batch([ServeRequest(query=query)], dag_workers=2)
-    assert results[0].factor.table == _reference(query).table
-    with pytest.raises(QueryError):
-        with pytest.warns(DeprecationWarning, match="dag_workers"):
-            PlanServer(workers=2, dag_workers=3)  # conflicting values
-
-
-def test_legacy_plan_kwargs_still_flow_through_batch():
-    unique, _ = _traffic(num_unique=2, repeats=1)
-    with pytest.warns(DeprecationWarning):
-        results = execute_batch(
-            list(unique), strategy=STRATEGY_INSIDEOUT, output_mode="factorized"
-        )
-    for result in results:
-        assert result.factor is None
-        assert result.factorized is not None
+        with pytest.raises(QueryError, match="ServeRequest"):
+            server.submit(query)
+        with pytest.raises(QueryError, match="ServeRequest"):
+            server.execute_batch([query, query])
+        assert server.stats()["submitted"] == 0
+    with pytest.raises(QueryError, match="ServeRequest"):
+        execute_batch([query])
