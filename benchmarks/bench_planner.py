@@ -473,8 +473,8 @@ def test_shape_batch_shared_subplans():
             return results, server.stats()
 
     def independent_run():
-        with PlanServer(pool_size=1, cache=cache, share_steps=False) as server:
-            return server.execute_batch(requests, merge=False)
+        with PlanServer(pool_size=1, cache=cache) as server:
+            return server.execute_batch(requests, coalesce=False)
 
     merged_s, (merged_results, stats) = _best_of(merged_run)
     independent_s, independent_results = _best_of(independent_run)

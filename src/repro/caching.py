@@ -184,16 +184,12 @@ class LruCache:
             if payload.get("kind") != kind or payload.get("version") != version:
                 return 0
             blob = payload.get("entries_blob")
-            if blob is not None:
-                # Checksummed format: verify before unpickling the entries.
-                if hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
-                    return 0
-                entries = list(pickle.loads(blob))
-            else:
-                # Legacy format (pre-checksum files): entries inline.
-                entries = list(payload.get("entries", []))
+            # Verify the checksum before unpickling the entries; a payload
+            # with no blob (or no matching digest) adopts nothing.
+            if blob is None or hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
+                return 0
             count = 0
-            for key, value in entries:
+            for key, value in pickle.loads(blob):
                 self.put(key, value)
                 count += 1
             return count

@@ -56,8 +56,6 @@ class EngineConfig:
     coalesce:
         Default for content-hash coalescing of value-equal in-flight
         requests.
-    share_tries:
-        Keep warm per-query trie stores across repeated executions.
     plan_cache_size:
         Capacity of the engine's private plan cache.
     start_method:
@@ -73,7 +71,6 @@ class EngineConfig:
     pool_size: Optional[int] = None
     replicas: Optional[int] = None
     coalesce: bool = True
-    share_tries: bool = True
     plan_cache_size: int = 1024
     start_method: Optional[str] = None
     max_pending: int = 1024
@@ -126,7 +123,6 @@ class Engine:
                     pool_size=self.config.pool_size,
                     cache=self.cache,
                     coalesce=self.config.coalesce,
-                    share_tries=self.config.share_tries,
                 )
             return self._server
 
@@ -142,7 +138,7 @@ class Engine:
         ``options`` are the planner overrides a :class:`ServeRequest`
         accepts (``strategy=``/``backend=``/``ordering=``/``use_cache=``).
         Repeated calls reuse the engine's plan cache, digest-addressed
-        plans, canonical query pinning and shared tries.
+        plans and digest-keyed shared tries.
         """
         request = self._as_request(query, output_mode=output_mode, options=options)
         return self.server.execute_request(request)

@@ -51,13 +51,6 @@ from repro.exec.shm import ShmBlobStore, ensure_tracker_running, read_blob
 from repro.factors.index import TrieCache
 from repro.faults import SITE_WORKER_KILL, fire
 
-# Legacy test hook: node indices whose dispatch first poisons the target
-# worker (it exits immediately), deterministically exercising the
-# death-recovery path.  Consumed indices are removed.  New code uses the
-# ``worker.kill`` fault site of :mod:`repro.faults` instead.
-_TEST_CRASH_NODES: Set[int] = set()
-
-
 class ProcessPoolUnavailable(Exception):
     """The run context cannot be shipped to worker processes."""
 
@@ -403,12 +396,9 @@ class ProcessPool:
             node.kind, node.variable, tuple(node.incident), tuple(node.reads),
             tuple(node.outputs), refs,
         )
-        crash = node.index in _TEST_CRASH_NODES
-        if crash:
-            _TEST_CRASH_NODES.discard(node.index)
-        elif fire(SITE_WORKER_KILL) is not None:
-            crash = True
-        if crash:
+        if fire(SITE_WORKER_KILL) is not None:
+            # Poison the target worker: it exits before replying, which
+            # exercises the death-recovery path deterministically.
             try:
                 worker.conn.send(("crash",))
             except OSError:

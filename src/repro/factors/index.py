@@ -17,9 +17,9 @@ Three index holders live here:
 * :class:`TrieCache` — the per-run index shared across one InsideOut run's
   elimination steps (optionally thread-safe for the parallel executor).
 * :class:`SharedTrieCache` — a cross-run store for *base* factors' tries
-  and indicator projections, used by :mod:`repro.serve` so repeated
-  identical queries stop re-indexing their input factors on every
-  execution.
+  and indicator projections, keyed by factor content digest, used by
+  :mod:`repro.serve` so repeated value-equal queries stop re-indexing
+  their input factors on every execution.
 """
 
 from __future__ import annotations
@@ -189,20 +189,23 @@ class SharedTrieCache:
     """Cross-run trie store for a query's *base* factors.
 
     A per-run :class:`TrieCache` dies with its run, so repeated executions
-    of the identical query re-index the same input factors every time.  The
+    of a value-equal query re-index the same input factors every time.  The
     serving layer (:mod:`repro.serve`) keeps one ``SharedTrieCache`` per
-    (query, ordering) and hands it to each run as the :class:`TrieCache`
-    parent: base-factor tries and indicator projections are built once and
-    survive across runs.  Entries are keyed by object identity and the
-    factors are pinned (the cache holds the query's factor list), so a
-    recycled ``id()`` can never resolve to a stale trie.
+    (query content, ordering) and hands it to each run as the
+    :class:`TrieCache` parent: base-factor tries and indicator projections
+    are built once and survive across runs.  Entries are keyed by the
+    factor's *content digest* — the memo
+    :func:`repro.planner.signature.factor_digest` leaves on the (from then
+    on frozen) factor — so the store serves value-equal factors held by
+    distinct objects, and a factor that was never digested is simply not
+    covered.
 
     All methods are thread-safe — concurrent runs of the same query may
     populate the store simultaneously (both build the same trie; the first
     store wins, the results are equal).
     """
 
-    __slots__ = ("order", "semiring", "hits", "misses", "_factors", "_ids",
+    __slots__ = ("order", "semiring", "hits", "misses", "_digests",
                  "_tries", "_projections", "_lock")
 
     def __init__(self, order: Sequence[str], semiring: Semiring, factors: Sequence[Any]) -> None:
@@ -210,19 +213,18 @@ class SharedTrieCache:
         self.semiring = semiring
         self.hits = 0
         self.misses = 0
-        self._factors = list(factors)  # pins the ids below
-        self._ids = frozenset(id(f) for f in self._factors)
-        self._tries: Dict[int, FactorTrie] = {}
-        # (id, overlap) -> [projected factor, trie or None (lazy)]
-        self._projections: Dict[Tuple[int, frozenset], list] = {}
+        self._digests = frozenset(getattr(f, "_digest", None) for f in factors) - {None}
+        self._tries: Dict[str, FactorTrie] = {}
+        # (digest, overlap) -> [projected factor, trie or None (lazy)]
+        self._projections: Dict[Tuple[str, frozenset], list] = {}
         self._lock = threading.Lock()
 
     def covers(self, factor) -> bool:
-        """Whether ``factor`` is one of the base factors this store serves."""
-        return id(factor) in self._ids
+        """Whether ``factor``'s content digest is one this store was built for."""
+        return getattr(factor, "_digest", None) in self._digests
 
     def trie(self, factor) -> FactorTrie:
-        key = id(factor)
+        key = factor._digest
         with self._lock:
             trie = self._tries.get(key)
             if trie is not None:
@@ -237,7 +239,7 @@ class SharedTrieCache:
         """The cached ``[projected, trie-or-None]`` pair for a projection."""
         from repro.factors.backend import as_sparse
 
-        key = (id(factor), overlap)
+        key = (factor._digest, overlap)
         with self._lock:
             entry = self._projections.get(key)
             if entry is not None:
@@ -286,8 +288,8 @@ class TrieCache:
     stay exact under the worker pool; tries themselves are built outside
     the lock (two threads may build the same trie — the first store wins
     and both results are equal).  ``adopt_parent`` plugs in a
-    :class:`SharedTrieCache` whose base-factor entries are consulted first
-    and never discarded.
+    :class:`SharedTrieCache` whose entries are consulted first, by content
+    digest, for every factor it covers, and are never discarded.
     """
 
     __slots__ = ("order", "semiring", "hits", "misses", "_tries", "_projections",

@@ -18,8 +18,7 @@ Fault sites
                    replaced by garbage bytes
 ``wire.recv``      a replica→frontend reply is dropped (surfaces as an
                    RPC timeout), delayed, or corrupted
-``worker.kill``    a process-pool worker exits mid-step (the promoted
-                   form of the old ``_TEST_CRASH_NODES`` hook)
+``worker.kill``    a process-pool worker exits mid-step
 ``shm.attach``     attaching a shared-memory segment raises ``OSError``
 ``step.kernel``    a step-DAG kernel raises :class:`InjectedFault`
 ``snapshot.io``    snapshot spill/restore I/O raises ``OSError``

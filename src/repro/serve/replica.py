@@ -38,9 +38,9 @@ import os
 import pickle
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.caching import LruCache
 from repro.faults import (
     ACTION_CORRUPT,
     ACTION_DELAY,
@@ -113,17 +113,13 @@ def _reap_replicas() -> None:
 # ---------------------------------------------------------------------- #
 # the child process
 # ---------------------------------------------------------------------- #
-def _memoised_query(wire, store: Dict[str, Any], queries: "OrderedDict[str, Any]"):
+def _memoised_query(wire, store: Dict[str, Any], queries: LruCache):
     """Rebuild (or recall) the query for a wire skeleton, LRU-bounded."""
     query = queries.get(wire.query_key) if wire.query_key is not None else None
     if query is None:
         query = decode_query(wire, store)
         if wire.query_key is not None:
-            queries[wire.query_key] = query
-            while len(queries) > _MAX_REPLICA_QUERIES:
-                queries.popitem(last=False)
-    else:
-        queries.move_to_end(wire.query_key)
+            queries.put(wire.query_key, query)
     return query
 
 
@@ -180,7 +176,7 @@ def _replica_main(
         shared_cache_adopted += adopt_rho_star_section(sections.get("rho_star"))
         shared_cache_adopted += server.cache.adopt_section(sections.get("plans"))
     store: Dict[str, Any] = {}
-    queries: "OrderedDict[str, Any]" = OrderedDict()
+    queries = LruCache(maxsize=_MAX_REPLICA_QUERIES)
     served = 0
     while True:
         try:
@@ -292,10 +288,6 @@ def _replica_main(
                 conn.send((MSG_ERR, req_id, ERR_INTERNAL, f"{type(exc).__name__}: {exc}", type(exc).__name__))
                 continue
             served += 1
-            # The pre-update query object answers nothing after this; drop
-            # the memo entry so the stale instance cannot be recalled.
-            if wire.query_key is not None:
-                queries.pop(wire.query_key, None)
             conn.send((MSG_OK, req_id, _wire_ok(result)[1]))
             continue
         if kind != MSG_EXEC:

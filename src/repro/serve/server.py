@@ -7,9 +7,11 @@ surface speaks :class:`~repro.serve.api.ServeRequest` /
 :class:`~repro.serve.api.ServeResult` only; a bare ``FAQQuery`` is refused
 with a typed :class:`~repro.core.query.QueryError`.
 
-Three reuse effects stack on repeated traffic, now keyed by *content* —
+Three reuse effects stack on repeated traffic, all keyed by *content* —
 stable cross-process digests from :func:`repro.planner.signature.query_content_key`
-— instead of object identity:
+and :func:`~repro.planner.signature.factor_digest` — never by object
+identity, so nothing is pinned and nothing is invalidated in place (new
+content makes new keys; old entries age out of their LRUs):
 
 1. **content-hash coalescing** — value-equal in-flight requests (even
    distinct objects from different clients) execute once; duplicates get
@@ -17,10 +19,9 @@ stable cross-process digests from :func:`repro.planner.signature.query_content_k
 2. **digest-addressed plans** — a content-key hit in the plan cache skips
    even the WL signature computation; the stored ordering transfers by
    variable name because equal digests certify value equality.
-3. **canonical-query pinning** — the first query object seen for a content
-   key becomes the *canonical* instance all value-equal traffic executes
-   as, so identity-keyed machinery downstream (hypergraph memos, the
-   shared trie stores) hits across distinct-but-equal objects.
+3. **digest-keyed warm tries** — the store for a (query content,
+   ordering) indexes base factors by their content digest, so value-equal
+   queries rebuilt as fresh objects skip re-indexing their inputs.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
-from repro.core.query import FAQQuery, QueryError
+from repro.core.query import QueryError
 from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, validate_workers
 from repro.factors.delta import FactorDelta
 from repro.factors.index import SharedTrieCache
@@ -54,8 +54,9 @@ from repro.serve.api import PlanFailure, ServeRequest, ServeResult
 from repro.serve.snapshot import SnapshotStore
 
 _MAX_SHARED_QUERIES = 64
-_MAX_CANONICAL_QUERIES = 256
 _MAX_INCREMENTAL_VIEWS = 32
+_RESULT_CACHE_SIZE = 256
+_STEP_CACHE_SIZE = 512
 
 # kind/version tags of the completed-result section inside a snapshot.
 _RESULT_SNAPSHOT_KIND = "repro-serve-results"
@@ -128,17 +129,6 @@ class PlanServer:
         Server-wide default for content-hash coalescing of in-flight
         value-equal requests (individual requests opt out via
         ``ServeRequest(coalesce=False)``).
-    share_tries:
-        Keep a bounded LRU of per-content-key :class:`SharedTrieCache`
-        stores so repeated executions skip re-indexing their base factors
-        (InsideOut strategy only).
-    share_steps:
-        Keep a digest-keyed :class:`~repro.exec.StepResultCache` of
-        completed elimination steps, so sequential repeated traffic (and
-        merged batches) replays shared elimination prefixes instead of
-        recomputing them.  Engaged only for coalescible requests under the
-        default backend policy — equal step digests certify bit-identical
-        results, so replay is invisible apart from wall-clock time.
     merge:
         Server-wide default for cross-query common sub-elimination in
         :meth:`execute_batch`: InsideOut requests of one batch are lowered
@@ -148,7 +138,7 @@ class PlanServer:
         Keep a bounded LRU of *completed* :class:`ServeResult` objects
         keyed by content digest, answering value-identical repeats without
         re-execution.  Off by default in-process (in-process repeats
-        already replay via ``share_steps``); the replica tier enables it —
+        already replay from the step-result cache); the replica tier enables it —
         its rendezvous-routed traffic concentrates repeats per replica.
     """
 
@@ -160,14 +150,9 @@ class PlanServer:
         pool_size: Optional[int] = None,
         cache: Optional[PlanCache] = None,
         coalesce: bool = True,
-        share_tries: bool = True,
-        share_steps: bool = True,
         merge: bool = True,
         cache_results: bool = False,
-        result_cache_size: int = 256,
-        step_cache_size: int = 512,
         snapshot_store: Optional[SnapshotStore] = None,
-        max_shared_queries: int = _MAX_SHARED_QUERIES,
     ) -> None:
         self.workers = validate_workers(workers)
         if workers_mode not in ("thread", "process"):
@@ -178,8 +163,6 @@ class PlanServer:
         self.pool_size = validate_workers(pool_size) or (os.cpu_count() or 1)
         self.cache = cache if cache is not None else PlanCache(cost_model=CostModel())
         self.coalesce = coalesce
-        self.share_tries = share_tries
-        self.share_steps = share_steps
         self.merge = merge
         self._pool = ThreadPoolExecutor(
             max_workers=self.pool_size, thread_name_prefix="repro-serve"
@@ -187,28 +170,21 @@ class PlanServer:
         self._lock = threading.Lock()
         # content key -> primary in-flight future (typed path only).
         self._inflight: Dict[str, "Future[ServeResult]"] = {}
-        # content key -> pinned canonical query object (LRU).  All
-        # value-equal traffic executes as the canonical instance so the
-        # identity-keyed stores below hit across distinct objects.
-        self._canonical: "OrderedDict[str, FAQQuery]" = OrderedDict()
-        # (content key | id, ordering) -> (query, SharedTrieCache).  The
-        # query object is pinned so an id-keyed entry can never resolve a
-        # recycled id() to another query's store, and so a content-keyed
-        # entry is dropped when its canonical instance rotates.
-        self._shared: "OrderedDict[tuple, Tuple[FAQQuery, SharedTrieCache]]" = OrderedDict()
-        self._max_shared = max_shared_queries
+        # (query content key, ordering) -> SharedTrieCache (LRU).
+        self._shared = LruCache(maxsize=_MAX_SHARED_QUERIES)
         self._evicted_trie_hits = 0
         self._evicted_trie_misses = 0
         # content-addressed step IR caches: completed elimination steps
-        # (replayed into later runs) and completed whole results.
-        self._step_results = StepResultCache(maxsize=step_cache_size) if share_steps else None
+        # (replayed into later runs of coalescible requests — equal step
+        # digests certify bit-identical results) and completed whole results.
+        self._step_results = StepResultCache(maxsize=_STEP_CACHE_SIZE)
         self._results: Optional[LruCache] = (
-            LruCache(maxsize=result_cache_size) if cache_results else None
+            LruCache(maxsize=_RESULT_CACHE_SIZE) if cache_results else None
         )
         self._result_cache_hits = 0
         # query content key -> warm IncrementalView (LRU).  An update hit
         # answers from the view's maintained state instead of re-executing.
-        self._incremental: "OrderedDict[str, IncrementalView]" = OrderedDict()
+        self._incremental = LruCache(maxsize=_MAX_INCREMENTAL_VIEWS)
         self._incremental_hits = 0
         self._incremental_misses = 0
         # Durable snapshot spill: restore warm views + completed results
@@ -260,7 +236,7 @@ class PlanServer:
 
         Bypasses the pool and the in-flight coalescing map (the replica
         tier calls this — its frontend already coalesced) but shares the
-        plan cache, digest plans, canonical pinning and trie stores.
+        plan cache, digest plans and trie stores.
         """
         return self._run_request(request)
 
@@ -282,23 +258,20 @@ class PlanServer:
         The request's query identifies the *current* (pre-update) state;
         each ``(factor_index, delta)`` changes cells of
         ``query.factors[factor_index]``, applied in order as **one atomic
-        batch**: every cache keyed by the pre-update content stays live
-        (and keeps answering with the consistent pre-batch state) until the
-        whole batch has been applied, and only then is the view re-pinned
-        under the post-batch key — no request can observe a half-applied
-        batch.  A warm :class:`~repro.incremental.IncrementalView` for the
+        batch**: every cache keyed by the pre-update content keeps
+        answering with the consistent pre-batch state, and the view is
+        stored under the post-batch key only once the whole batch has been
+        applied — no request can observe a half-applied batch.  A warm :class:`~repro.incremental.IncrementalView` for the
         query's content key answers via delta propagation / monotone append
         / dirty-subgraph replay (counted in ``incremental_hits``); a cold
         miss plans the query, builds a baseline, then applies the batch.
 
         Updates never mutate old factors — they stay frozen under their
-        digests — so every digest-keyed cache stays sound.  What *is* keyed
-        by the old query digest is invalidated here: the canonical-query
-        pin, the shared trie stores and any completed-result cache entries
-        under the stale key are evicted before the fresh answer is
-        returned.  (The step-result cache needs no eviction: updated
-        factors have *new* digests, so stale step keys simply stop being
-        looked up.)  When the server owns a
+        digests — so every digest-keyed cache stays sound and nothing is
+        evicted here: updated factors have *new* digests, the old content
+        is still a valid query whose cached tries, steps and results are
+        still its correct answer, and entries nobody asks for again age
+        out of their LRUs.  When the server owns a
         :class:`~repro.serve.snapshot.SnapshotStore`, the advanced view is
         spilled to disk afterwards so a restarted server resumes warm.
         """
@@ -317,26 +290,24 @@ class PlanServer:
             old_key: Optional[str] = query_content_key(request.query)
         except TypeError:
             old_key = None
-        view: Optional[IncrementalView] = None
-        if old_key is not None:
-            with self._lock:
-                view = self._incremental.pop(old_key, None)
+        view: Optional[IncrementalView] = (
+            self._incremental.pop(old_key) if old_key is not None else None
+        )
         with self._lock:
             if view is not None:
                 self._incremental_hits += 1
             else:
                 self._incremental_misses += 1
         if view is None:
-            query = self._canonical_query(old_key, request.query)
             try:
-                chosen = self._plan_for(query, request)
+                chosen = self._plan_for(request)
                 ordering = (
                     list(chosen.ordering)
                     if chosen.strategy == STRATEGY_INSIDEOUT
                     else None
                 )
                 view = IncrementalView(
-                    query, ordering=ordering, workers=self.workers or 1
+                    request.query, ordering=ordering, workers=self.workers or 1
                 )
                 view.result()  # baseline answer + step snapshot
             except QueryError as exc:
@@ -359,19 +330,12 @@ class PlanServer:
             raise PlanFailure(
                 f"{type(exc).__name__}: {exc}", cause_type=type(exc).__name__
             ) from exc
-        if old_key is not None:
-            self._evict_content(old_key)
         try:
-            new_key: Optional[str] = query_content_key(view.query)
+            new_key = query_content_key(view.query)
         except TypeError:
-            new_key = None
-        if new_key is not None:
-            self._canonical_query(new_key, view.query)
-            with self._lock:
-                self._incremental[new_key] = view
-                self._incremental.move_to_end(new_key)
-                while len(self._incremental) > _MAX_INCREMENTAL_VIEWS:
-                    self._incremental.popitem(last=False)
+            pass  # no content key: the view could never be found again
+        else:
+            self._incremental.put(new_key, view)
         self._spill_snapshots()
         return ServeResult(
             factor=factor,
@@ -407,12 +371,7 @@ class PlanServer:
                 view = IncrementalView.restore(state, workers=self.workers or 1)
             except Exception:  # noqa: BLE001 - a stale entry, not a failure
                 continue
-            with self._lock:
-                self._incremental[key] = view
-                self._incremental.move_to_end(key)
-                while len(self._incremental) > _MAX_INCREMENTAL_VIEWS:
-                    self._incremental.popitem(last=False)
-            self._canonical_query(key, view.query)
+            self._incremental.put(key, view)
             restored += 1
         if self._results is not None:
             restored += self._results.adopt_entries(
@@ -427,10 +386,8 @@ class PlanServer:
         """Persist the warm views + result cache (best-effort; False on failure)."""
         if self._snapshots is None:
             return False
-        with self._lock:
-            views = list(self._incremental.items())
         sections: Dict[str, Any] = {
-            "views": [(key, view.dump_state()) for key, view in views],
+            "views": [(key, view.dump_state()) for key, view in self._incremental.items()],
         }
         if self._results is not None:
             sections["results"] = self._results.dump_entries(
@@ -444,28 +401,6 @@ class PlanServer:
     def snapshot_now(self) -> bool:
         """Spill the current warm state immediately (e.g. before shutdown)."""
         return self._spill_snapshots()
-
-    def _evict_content(self, query_key: str) -> None:
-        """Drop every cache entry keyed under a now-stale query digest.
-
-        Called on the update path after a factor changed: the canonical
-        pin, the shared trie stores indexing the old factors, and any
-        completed results for the old query content must not answer future
-        traffic.  In-flight coalescing needs no eviction (the old key maps
-        to a result that was correct when those requests were admitted).
-        """
-        with self._lock:
-            self._canonical.pop(query_key, None)
-            stale = [key for key in self._shared if key[0] == query_key]
-            for key in stale:
-                _, evicted = self._shared.pop(key)
-                self._evicted_trie_hits += evicted.hits
-                self._evicted_trie_misses += evicted.misses
-        if self._results is not None:
-            prefix = query_key + ":"
-            for key, _ in self._results.items():
-                if isinstance(key, str) and key.startswith(prefix):
-                    self._results.pop(key, None)
 
     def execute_batch(
         self,
@@ -743,23 +678,35 @@ class PlanServer:
         return result
 
     def _prepare(self, request: ServeRequest) -> Tuple[Plan, Optional[SharedTrieCache]]:
-        """The front half of every execution: pin, plan, fetch warm tries.
+        """The front half of every execution: plan, fetch warm tries.
 
-        Returns the plan (over the canonical query instance) and, for the
-        InsideOut strategy, the cross-run trie store to execute against.
+        Returns the plan and, for the InsideOut strategy, the cross-run
+        trie store to execute against (``None`` for a query with no
+        content key — it already forgoes coalescing, digest plans and
+        step sharing, and forgoes warm tries too).
         """
+        chosen = self._plan_for(request)
+        if chosen.strategy != STRATEGY_INSIDEOUT:
+            return chosen, None
         try:
-            query_key = query_content_key(request.query)
+            key = (query_content_key(request.query), tuple(chosen.ordering))
         except TypeError:
-            query_key = None
-        query = self._canonical_query(query_key, request.query)
-        chosen = self._plan_for(query, request)
-        shared = None
-        if self.share_tries and chosen.strategy == STRATEGY_INSIDEOUT:
-            shared = self._shared_tries_for(query_key, query, chosen.ordering)
+            return chosen, None
+        with self._lock:
+            shared = self._shared.get(key)
+            if shared is None:
+                # The content key above left a digest memo on every factor,
+                # which is what the store indexes them by.
+                shared = SharedTrieCache(
+                    chosen.ordering, request.query.semiring, request.query.factors
+                )
+                for _, evicted in self._shared.put(key, shared):
+                    self._evicted_trie_hits += evicted.hits
+                    self._evicted_trie_misses += evicted.misses
         return chosen, shared
 
-    def _plan_for(self, query: FAQQuery, request: ServeRequest) -> Plan:
+    def _plan_for(self, request: ServeRequest) -> Plan:
+        query = request.query
         digest = _plan_digest(request)
         if digest is not None:
             hit = self.cache.lookup_digest(digest)
@@ -795,50 +742,6 @@ class PlanServer:
             )
         return chosen
 
-    def _canonical_query(self, query_key: Optional[str], query: FAQQuery) -> FAQQuery:
-        """The pinned canonical instance for this content key (LRU).
-
-        The first object seen under a key wins; value-equal later arrivals
-        execute as that instance, so identity-keyed downstream machinery
-        (hypergraph memos, trie stores) hits across distinct objects.
-        """
-        if query_key is None:
-            return query
-        with self._lock:
-            canonical = self._canonical.get(query_key)
-            if canonical is not None:
-                self._canonical.move_to_end(query_key)
-                return canonical
-            self._canonical[query_key] = query
-            while len(self._canonical) > _MAX_CANONICAL_QUERIES:
-                self._canonical.popitem(last=False)
-            return query
-
-    def _shared_tries_for(
-        self, query_key: Optional[str], query: FAQQuery, ordering: Sequence[str]
-    ) -> SharedTrieCache:
-        """The cross-run trie store for (content key, ordering), LRU-bounded.
-
-        Falls back to object identity for queries with no content key.
-        Entries pin the query object they were built for: a store must
-        neither serve a recycled ``id()`` nor outlive the canonical
-        instance whose factors it indexes (``covers`` checks factor
-        identity, so a mismatched store would silently disable sharing).
-        """
-        key = (query_key if query_key is not None else id(query), tuple(ordering))
-        with self._lock:
-            entry = self._shared.get(key)
-            if entry is not None and entry[0] is query:
-                self._shared.move_to_end(key)
-                return entry[1]
-            shared = SharedTrieCache(ordering, query.semiring, query.factors)
-            self._shared[key] = (query, shared)
-            while len(self._shared) > self._max_shared:
-                _, (_, evicted) = self._shared.popitem(last=False)
-                self._evicted_trie_hits += evicted.hits
-                self._evicted_trie_misses += evicted.misses
-            return shared
-
     # ------------------------------------------------------------------ #
     # observability + lifecycle
     # ------------------------------------------------------------------ #
@@ -852,7 +755,7 @@ class PlanServer:
         monotone and safe to trend.
         """
         with self._lock:
-            shared = [entry[1] for entry in self._shared.values()]
+            shared = [store for _, store in self._shared.items()]
             submitted = self._submitted
             coalesced = self._coalesced
             evicted_hits = self._evicted_trie_hits
@@ -871,7 +774,7 @@ class PlanServer:
             incremental_hits = self._incremental_hits
             incremental_misses = self._incremental_misses
             incremental_full_runs = sum(
-                view.stats.full_runs for view in self._incremental.values()
+                view.stats.full_runs for _, view in self._incremental.items()
             )
             snapshot_restores = self._snapshot_restores
         snapshot_stats = (
@@ -884,11 +787,7 @@ class PlanServer:
                 "snapshot_load_errors": 0,
             }
         )
-        step_stats = (
-            self._step_results.stats()
-            if self._step_results is not None
-            else {"entries": 0, "computed": 0, "replayed": 0}
-        )
+        step_stats = self._step_results.stats()
         return {
             "submitted": submitted,
             "coalesced": coalesced,
@@ -950,7 +849,6 @@ def execute_batch(
     pool_size: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     coalesce: bool = True,
-    share_tries: bool = True,
     merge: bool = True,
 ) -> List[ServeResult]:
     """Run a batch of requests against a transient :class:`PlanServer`.
@@ -965,7 +863,6 @@ def execute_batch(
         workers_mode=workers_mode,
         pool_size=pool_size,
         cache=cache,
-        share_tries=share_tries,
         merge=merge,
     ) as server:
         return server.execute_batch(requests, coalesce=coalesce)

@@ -1,5 +1,7 @@
 """LRU caches, disk persistence, and size-bucket drift invalidation."""
 
+import pickle
+
 import pytest
 
 from repro.caching import LruCache
@@ -69,6 +71,18 @@ def test_lru_cache_save_load_roundtrip(tmp_path):
     assert LruCache(4).load(path, kind="other", version=1) == 0
     assert LruCache(4).load(path, kind="t", version=2) == 0
     assert LruCache(4).load(tmp_path / "missing.pkl", kind="t", version=1) == 0
+
+
+def test_lru_cache_load_rejects_unchecksummed_legacy_file(tmp_path):
+    """Entries inline, no SHA-256: nothing certifies the file is not torn or
+    bit-rotted, so right kind + version or not, it adopts nothing."""
+    path = tmp_path / "legacy.pkl"
+    with open(path, "wb") as handle:
+        pickle.dump({"kind": "t", "version": 1, "entries": [("k", 1.5)]}, handle)
+    cache = LruCache(maxsize=4)
+    cache.put("mine", 7)
+    assert cache.load(path, kind="t", version=1) == 0
+    assert list(cache.items()) == [("mine", 7)]
 
 
 # ---------------------------------------------------------------------- #

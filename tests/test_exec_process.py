@@ -41,7 +41,7 @@ from repro.exec import (
     read_blob,
     validate_workers,
 )
-from repro.exec import procpool
+from repro.faults import ACTION_KILL, SITE_WORKER_KILL, FaultPlan, injected_faults
 from repro.factors.backend import BackendPolicy
 from repro.factors.factor import Factor
 from repro.semiring.aggregates import SemiringAggregate
@@ -162,13 +162,15 @@ def test_flat_kernel_composes_with_process_pool():
 def test_worker_crash_degrades_to_serial_not_hang():
     query = _multi_block("max-product", 1)
     serial = inside_out(query, backend="sparse")
-    # Poison the worker that receives step 0: it exits before replying.
-    procpool._TEST_CRASH_NODES.add(0)
-    try:
+    # Poison the worker that receives the first dispatched step: it exits
+    # before replying.
+    with injected_faults(FaultPlan(schedule={SITE_WORKER_KILL: {1: ACTION_KILL}})) as plan:
         executor = DagExecutor(workers=4, workers_mode="process")
         result = executor.run(query, backend="sparse")
-    finally:
-        procpool._TEST_CRASH_NODES.clear()
+    assert plan.injected.get(SITE_WORKER_KILL) == 1
+    assert query.semiring.values_equal(
+        result.scalar_or_zero(query.semiring), _brute_force_by_block(query)
+    ), "crash-recovery: disagreement with brute force"
     _assert_identical(serial, result, "crash-recovery")
     info = executor.last_process_info
     assert info["degraded"], "a dead worker must degrade the pool"
@@ -184,12 +186,13 @@ def test_crash_with_step_cache_resolves_claims():
     query = _multi_block("min-plus", 2)
     serial = inside_out(query, backend="sparse")
     cache = StepResultCache()
-    procpool._TEST_CRASH_NODES.add(1)
-    try:
+    with injected_faults(FaultPlan(schedule={SITE_WORKER_KILL: {2: ACTION_KILL}})) as plan:
         executor = DagExecutor(workers=3, workers_mode="process")
         first = executor.run(query, backend="sparse", step_cache=cache)
-    finally:
-        procpool._TEST_CRASH_NODES.clear()
+    assert plan.injected.get(SITE_WORKER_KILL) == 1
+    assert query.semiring.values_equal(
+        first.scalar_or_zero(query.semiring), _brute_force_by_block(query)
+    ), "crash+cache: disagreement with brute force"
     _assert_identical(serial, first, "crash+cache")
     # A later run on the same cache replays everything (nothing wedged).
     second = inside_out(query, backend="sparse", step_cache=cache)

@@ -463,10 +463,13 @@ def test_server_update_factor_warm_view_and_stats():
         ).table
 
 
-def test_server_update_factor_evicts_stale_results():
+def test_server_update_factor_keeps_old_content_answerable():
+    """An update evicts nothing: the old content is still a valid query whose
+    cached answer is still right, and the new content has new digests."""
     from repro.serve import PlanServer, ServeRequest
 
     query = _chain_query(COUNTING, SemiringAggregate.sum)
+    changed = _updated_chain(query, {(0, 0): 123})
     with PlanServer(cache_results=True) as server:
         request = ServeRequest(query=query)
         before = server.submit(request).result()
@@ -476,13 +479,15 @@ def test_server_update_factor_evicts_stale_results():
         updated = server.update_factor(
             request, 0, FactorDelta(("a", "b"), {(0, 0): 123})
         )
+        assert updated.factor.table == _expected(changed).table
         assert updated.factor.table != before.factor.table
-        # The old key was evicted: value-equal traffic for the *old* query
-        # re-executes (correct, since that value still exists as a query)
-        # rather than serving a cache entry the update invalidated.
-        again = server.submit(ServeRequest(query=query)).result()
-        assert server.stats()["result_cache_hits"] == 1  # no further hits
-        assert again.factor.table == before.factor.table
+        # Old content, rebuilt as a fresh object, gets the old answer (from
+        # whichever cache still holds it); new content gets the new one.
+        old = server.submit(ServeRequest(query=_updated_chain(query, {}))).result()
+        new = server.submit(ServeRequest(query=changed)).result()
+        assert old.factor.table == _expected(query).table
+        assert new.factor.table == _expected(changed).table
+        assert server.stats()["result_cache_hits"] >= 1
 
 
 def test_server_update_factor_rejects_factorized_mode():

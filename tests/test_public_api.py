@@ -4,7 +4,15 @@ The exported names of ``repro`` and ``repro.serve`` are a compatibility
 contract: removing or renaming one is a breaking change that must be made
 deliberately (deprecate first, then update this snapshot in the same
 change).  Adding names is fine — add them here too.
+
+The *options* of the serving entry points are snapshotted the same way:
+every independently settable value multiplies the configurations tests and
+benchmarks must cover, so a new knob has to show up as a one-line diff
+here.
 """
+
+import dataclasses
+import inspect
 
 import repro
 import repro.serve
@@ -71,6 +79,41 @@ SERVE_EXPORTS = {
     "ReplicaHandle",
 }
 
+# Every option (parameter or config field) of the serving entry points.
+OPTIONS = {
+    "PlanServer": (
+        "workers", "workers_mode", "pool_size", "cache", "coalesce", "merge",
+        "cache_results", "snapshot_store",
+    ),
+    "Frontend": (
+        "replicas", "workers", "workers_mode", "start_method", "max_pending",
+        "tenant_limit", "health_interval", "coalesce", "share_caches",
+        "plan_cache", "retry", "snapshot_dir", "fault_plan",
+    ),
+    "execute_batch": (
+        "workers", "workers_mode", "pool_size", "cache", "coalesce", "merge",
+    ),
+    "EngineConfig": (
+        "workers", "workers_mode", "pool_size", "replicas", "coalesce",
+        "plan_cache_size", "start_method", "max_pending", "tenant_limit",
+        "health_interval",
+    ),
+}
+
+
+def _parameters(function, skip):
+    return tuple(p for p in inspect.signature(function).parameters if p != skip)
+
+
+def test_options_census_matches_snapshot():
+    assert _parameters(repro.serve.PlanServer.__init__, "self") == OPTIONS["PlanServer"]
+    assert _parameters(repro.serve.Frontend.__init__, "self") == OPTIONS["Frontend"]
+    assert _parameters(repro.serve.execute_batch, "requests") == OPTIONS["execute_batch"]
+    assert (
+        tuple(f.name for f in dataclasses.fields(repro.EngineConfig))
+        == OPTIONS["EngineConfig"]
+    )
+
 
 def test_repro_all_matches_snapshot():
     assert set(repro.__all__) == REPRO_EXPORTS
@@ -97,8 +140,6 @@ def test_error_hierarchy_contract():
 
 
 def test_serve_value_types_are_frozen():
-    import dataclasses
-
     assert dataclasses.is_dataclass(repro.ServeRequest)
     assert dataclasses.is_dataclass(repro.ServeResult)
     assert repro.ServeRequest.__dataclass_params__.frozen

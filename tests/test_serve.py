@@ -14,6 +14,7 @@ from repro.planner import PlanCache, STRATEGY_INSIDEOUT, plan
 from repro.serve import PlanServer, ServeRequest, ServeResult, execute_batch
 
 from test_planner_differential import _random_query
+from test_signature_digest import _unencodable_query
 
 
 def _reference(query):
@@ -120,8 +121,9 @@ def test_digest_plans_skip_signature_recomputation():
 
 
 def test_shared_tries_reused_across_value_equal_objects():
-    """Trie stores are content-keyed: a *fresh* value-equal query object in
-    a later batch reuses the tries built for the canonical instance."""
+    """Trie stores index factors by content digest: a *fresh* value-equal
+    query object in a later batch reuses the tries built for the first one,
+    with no query object pinned anywhere."""
     def fresh_batch():
         return _requests(
             [_random_query("counting", seed % 2) for seed in range(6)],
@@ -131,11 +133,61 @@ def test_shared_tries_reused_across_value_equal_objects():
     with PlanServer(pool_size=2) as server:
         server.execute_batch(fresh_batch(), coalesce=False)
         first = server.stats()
-        server.execute_batch(fresh_batch(), coalesce=False)
+        batch = fresh_batch()
+        results = server.execute_batch(batch, coalesce=False)
         second = server.stats()
     assert first["shared_trie_stores"] >= 1
     assert second["shared_trie_hits"] > first["shared_trie_hits"]
     assert second["shared_trie_misses"] == first["shared_trie_misses"]
+    for request, result in zip(batch, results):
+        want = request.query.evaluate_brute_force()
+        assert want.equals(result.factor, request.query.semiring)
+
+
+def test_shared_trie_store_covers_by_digest_only():
+    """``covers`` is "this factor's digest is one I was built for": false
+    without a digest memo, false for other content, true for a value-equal
+    factor held by a different object."""
+    from repro.factors.factor import Factor
+    from repro.factors.index import SharedTrieCache
+    from repro.planner.signature import factor_digest
+    from repro.semiring.standard import COUNTING
+
+    def pair(cell, digest=True):
+        factor = Factor(("a", "b"), {(0, 0): 1, (0, 1): cell})
+        if digest:
+            factor_digest(factor)  # leaves the memo the store keys by
+        return factor
+
+    base, twin = pair(2), pair(2)
+    store = SharedTrieCache(("a", "b"), COUNTING, [base])
+    assert store.covers(base)
+    assert twin is not base and store.covers(twin)
+    assert store.trie(twin) is store.trie(base)
+    assert (store.hits, store.misses) == (1, 1)
+    assert not store.covers(pair(2, digest=False))
+    assert not store.covers(pair(3))
+    # A store built from undigested factors covers nothing.
+    assert not SharedTrieCache(("a", "b"), COUNTING, [pair(2, digest=False)]).covers(base)
+
+
+def test_query_without_content_key_answers_without_warm_tries():
+    """No content key: no coalescing, no digest plan, no step sharing — and
+    no trie store either; the answer is still right."""
+    query = _unencodable_query()
+    request = ServeRequest(
+        query=query, options={"strategy": STRATEGY_INSIDEOUT, "backend": "sparse"}
+    )
+    assert request.content_key is None
+    with PlanServer(pool_size=1) as server:
+        results = [server.execute_request(request) for _ in range(2)]
+        stats = server.stats()
+    assert stats["shared_trie_stores"] == 0
+    assert stats["shared_trie_hits"] == stats["shared_trie_misses"] == 0
+    want = query.evaluate_brute_force()
+    for result in results:
+        assert result.strategy == STRATEGY_INSIDEOUT
+        assert want.equals(result.factor, query.semiring)
 
 
 def test_submit_returns_typed_futures():
@@ -174,19 +226,27 @@ def test_server_workers_validation_matches_engines():
             PlanServer(pool_size=bad)
 
 
-def test_trie_counters_survive_lru_eviction():
+def test_trie_counters_survive_lru_eviction(monkeypatch):
     """stats() trie counters are cumulative — eviction must not shrink them."""
+    from repro.serve import server as server_module
+
+    monkeypatch.setattr(server_module, "_MAX_SHARED_QUERIES", 1)
+
     def fresh_batch():
         return _requests(
             [_random_query("counting", seed % 3) for seed in range(6)],
             options={"strategy": STRATEGY_INSIDEOUT, "backend": "sparse"},
         )
 
-    with PlanServer(pool_size=1, max_shared_queries=1) as server:
+    with PlanServer(pool_size=1) as server:
         server.execute_batch(fresh_batch(), coalesce=False)
         first = server.stats()
-        server.execute_batch(fresh_batch(), coalesce=False)
+        batch = fresh_batch()
+        results = server.execute_batch(batch, coalesce=False)
         second = server.stats()
+    for request, result in zip(batch, results):
+        want = request.query.evaluate_brute_force()
+        assert want.equals(result.factor, request.query.semiring)
     assert first["shared_trie_stores"] == 1  # the LRU kept only one store
     total_first = first["shared_trie_hits"] + first["shared_trie_misses"]
     total_second = second["shared_trie_hits"] + second["shared_trie_misses"]

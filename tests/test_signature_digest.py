@@ -174,32 +174,38 @@ def test_canonical_bytes_rejects_opaque_objects():
         canonical_bytes({"a": 1})  # mappings have no canonical order defined
 
 
-def test_unencodable_query_raises_and_request_degrades():
-    from repro.serve import ServeRequest
+class _Opaque:
+    """Orderable so Variable/table construction works, but unencodable."""
 
-    class Opaque:
-        """Orderable so Variable/table construction works, but unencodable."""
+    def __init__(self, n):
+        self.n = n
 
-        def __init__(self, n):
-            self.n = n
+    def __lt__(self, other):
+        return self.n < other.n
 
-        def __lt__(self, other):
-            return self.n < other.n
+    def __eq__(self, other):
+        return isinstance(other, _Opaque) and self.n == other.n
 
-        def __eq__(self, other):
-            return isinstance(other, Opaque) and self.n == other.n
+    def __hash__(self):
+        return hash(("opaque", self.n))
 
-        def __hash__(self):
-            return hash(("opaque", self.n))
 
-    domain = (Opaque(0), Opaque(1))
-    query = FAQQuery(
+def _unencodable_query():
+    """A valid query whose domain values have no canonical byte encoding."""
+    domain = (_Opaque(0), _Opaque(1))
+    return FAQQuery(
         variables=[Variable("A", domain), Variable("B", (0, 1))],
         free=["A"],
         aggregates={"B": SemiringAggregate.sum()},
         factors=[Factor(("A", "B"), {(domain[0], 0): 1.0, (domain[1], 1): 2.0})],
         semiring=STANDARD_SEMIRINGS["sum-product"],
     )
+
+
+def test_unencodable_query_raises_and_request_degrades():
+    from repro.serve import ServeRequest
+
+    query = _unencodable_query()
     with pytest.raises(TypeError):
         query_content_key(query)
     # The serving request degrades to "never coalesced" instead of failing.
