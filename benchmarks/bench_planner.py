@@ -20,7 +20,9 @@ Five questions, answered with numbers a future PR can diff:
    *sparse* side (``exec:sparse-parallel``), what does the vectorized
    flat-table kernel buy over the pure-Python trie kernel on one thread,
    and what does the shared-memory process pool
-   (``workers_mode="process"``) add on top at ``workers=4``?
+   (``workers_mode="process"``) add on top at ``workers=4``?  And
+   (``exec:flat-warm-store``) what does keeping the flat encodings per
+   content, in a warm ``SharedTrieCache``, buy over encoding per run?
 5. **Batched serving throughput** — on repeated Table-1 traffic, what do
    request coalescing + shared base-factor tries + pooled execution
    (:mod:`repro.serve`) buy over a serial ``plan().execute()`` loop?
@@ -55,8 +57,10 @@ from repro.factors.backend import BackendPolicy
 from repro.factors.delta import FactorDelta
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
+from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
 from repro.planner import PlanCache, plan
+from repro.planner.signature import query_content_key
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import MAX_PRODUCT, SUM_PRODUCT
 from repro.serve import PlanServer, ServeRequest
@@ -397,6 +401,59 @@ def test_shape_sparse_parallel_flat_process():
                     f"expected ≥2x at process workers=4 on {cpus} cores, "
                     f"got {sparse_speedup:.2f}x"
                 )
+        publish([record])
+
+
+@pytest.mark.shape
+def test_shape_flat_warm_store():
+    """Per-content encodings across runs (exec:flat-warm-store).
+
+    ``flat_warm_vs_cold_x`` — the sparse max-product chains run against a
+    warm :class:`~repro.factors.index.SharedTrieCache` (columns, code maps
+    and join indexes already there, as for a repeated query in
+    :mod:`repro.serve`) over the same run without a store, which encodes
+    every base table first.  Both sides run the flat kernel on one thread;
+    the ratio is what encoding once per content instead of once per run
+    buys, so it needs no cores and is gated on every host.
+    """
+    query = _sparse_multiblock_query()
+    query_content_key(query)  # the digests the store indexes factors by
+    store = SharedTrieCache(query.order, query.semiring, query.factors)
+    flat_forced = BackendPolicy(flat_min_rows=0)  # as in exec:sparse-parallel
+
+    def run(shared_tries):
+        return inside_out(
+            query, backend="sparse", backend_policy=flat_forced,
+            shared_tries=shared_tries,
+        )
+
+    run(store)
+    cold_s, cold_result = _best_of(lambda: run(None))
+    warm_s, warm_result = _best_of(lambda: run(store))
+    assert warm_result.factor.table == cold_result.factor.table
+    assert [step.backend for step in warm_result.stats.steps] == [
+        step.backend for step in cold_result.stats.steps
+    ]
+    assert any(step.backend == "flat" for step in warm_result.stats.steps)
+
+    warm_vs_cold = cold_s / warm_s if warm_s else float("inf")
+    record = record_result(
+        "exec:flat-warm-store",
+        flat_cold_s=cold_s,
+        flat_warm_s=warm_s,
+        flat_warm_vs_cold_x=warm_vs_cold,
+        cpu_count=os.cpu_count() or 1,
+        blocks=SPARSE_BLOCKS,
+    )
+    print(
+        f"\n[exec] flat-warm-store multiblock: cold={cold_s * 1e3:.1f}ms "
+        f"warm={warm_s * 1e3:.1f}ms ({warm_vs_cold:.2f}x)"
+    )
+    if not quick_mode():
+        if os.environ.get("FAQ_BENCH_STRICT", "") not in ("", "0"):
+            assert warm_vs_cold >= 1.5, (
+                f"expected a warm store ≥1.5x over re-encoding, got {warm_vs_cold:.2f}x"
+            )
         publish([record])
 
 

@@ -57,6 +57,10 @@ RATIO_FIELDS = {
     # everywhere); the process-pool speedup at workers=4 needs cores.
     "flat_vs_trie_x": False,
     "sparse_speedup_w4": True,
+    # exec:flat-warm-store — the same flat run with its encodings, code
+    # maps and join indexes already in a warm SharedTrieCache vs encoding
+    # them per run.  Work not done, on one thread: gated on every host.
+    "flat_warm_vs_cold_x": False,
     # serve:warm-restart — time-to-first-incremental-answer of a server
     # restarted over its snapshot spill vs a cold restart.  Replaying the
     # restored view vs a full baseline run is an algorithmic win (no cores
@@ -76,6 +80,8 @@ TIMING_FIELDS = (
     "trie_w1_s",
     "flat_w1_s",
     "flat_process_w4_s",
+    "flat_cold_s",
+    "flat_warm_s",
     "serial_loop_s",
     "batch_s",
     "merged_s",

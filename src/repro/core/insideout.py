@@ -253,6 +253,15 @@ def eliminate_semiring_step(
         if new_factor is not None:
             step_backend = BACKEND_FLAT
     if use_dense:
+        if tries is not None:
+            # A flat step's result still carries its encoding: scatter the
+            # columns into the box instead of looping over the listing.
+            for position, factor in enumerate(participants):
+                flat = tries.stored_flat(factor)
+                if flat is not None:
+                    participants[position] = DenseFactor.from_flat(
+                        flat, query.domains(), semiring, name=factor.name
+                    )
         new_factor = dense_join_reduce(
             participants,
             semiring,
@@ -347,7 +356,7 @@ def _try_flat_eliminate(
         return None
     flats = []
     for source, overlap in projections:
-        flat = tries.flat(tries.projection_factor(source, overlap), ctx)
+        flat = tries.projection_flat(source, overlap, ctx)
         if flat is None:
             return None
         flats.append(flat)

@@ -293,6 +293,33 @@ class DenseFactor:
                 array[cell] = value
         return cls(scope, doms, array, name=name or factor.name, zero=ops.zero)
 
+    @classmethod
+    def from_flat(
+        cls,
+        flat,
+        domains: Mapping[str, Sequence[Any]],
+        semiring: Semiring,
+        name: str | None = None,
+    ) -> "DenseFactor":
+        """:meth:`from_factor` of a listing factor, from its flat encoding.
+
+        ``flat`` is the factor's :class:`~repro.factors.flat.FlatFactor`
+        over the same ``domains``: its code columns *are* the cell indices
+        and its tolerant zeros are already masked, so the per-tuple
+        ``is_zero`` + dict-lookup loop becomes one scatter.
+        """
+        ops = dense_ops_for(semiring)
+        if ops is None:
+            raise FactorError(f"no dense ops for semiring {semiring.name!r}")
+        scope = flat.scope
+        doms = {v: tuple(domains[v]) for v in scope}
+        array = np.full(tuple(len(doms[v]) for v in scope), ops.zero, dtype=ops.dtype)
+        if len(flat):
+            # The leading ellipsis makes the empty scope (one value, no
+            # columns) the same scatter as every other.
+            array[(..., *(flat.columns[v] for v in scope))] = flat.values
+        return cls(scope, doms, array, name=name, zero=ops.zero)
+
     def to_factor(self, semiring: Semiring, name: str | None = None) -> Factor:
         """Convert back to the sparse listing representation (zeros dropped)."""
         mask = self.nonzero_mask(semiring)

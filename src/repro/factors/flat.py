@@ -12,7 +12,9 @@ handful of GIL-releasing array operations instead:
   per scope variable plus a value column of the semiring dtype
   (:class:`FlatFactor`);
 * the multiway natural join is an iterative sorted-merge on packed
-  mixed-radix key codes (``argsort`` + ``searchsorted`` + ``repeat``);
+  mixed-radix key codes: each participant's *join index* (stable sort
+  permutation, distinct keys, run-length table — :meth:`FlatFactor.join_index`)
+  is probed with one ``searchsorted`` and expanded with ``repeat``;
 * the eliminated variable's aggregate is a grouped ``ufunc.reduceat`` over
   the survivor key, and zero tuples are dropped by a vectorized mask that
   reproduces :meth:`repro.semiring.base.Semiring.values_equal` exactly.
@@ -29,11 +31,20 @@ unsafe ``int``→``float64`` conversions, custom equality predicates) makes
 the step fall back to the trie kernel instead.  :func:`try_flat_eliminate`
 returns ``None`` for every such bail-out; the caller keeps the trie path
 as the universal fallback.
+
+Everything derived from a factor's *content* — its columns, the domain code
+maps they index (:class:`FlatContext`) and its join indexes — is built once
+per content, not once per run: a step result's encoding travels with it
+through the run's :class:`~repro.factors.index.TrieCache`, and a base
+factor's (and its indicator projections') is kept, read-only, in the
+serving layer's content-addressed
+:class:`~repro.factors.index.SharedTrieCache`, so a warm run of a
+value-equal query does no per-tuple Python work at all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,10 +73,12 @@ class FlatFactor:
     codes (the value's index in the query domain tuple); ``values`` is the
     aligned value column in the semiring's dense dtype.  Rows are exactly
     the tuples the corresponding :class:`~repro.factors.index.FactorTrie`
-    would hold.
+    would hold.  The codes are positions in one :class:`FlatContext`'s
+    domain tuples, so an encoding is only meaningful next to the context
+    it was built with.
     """
 
-    __slots__ = ("scope", "columns", "values")
+    __slots__ = ("scope", "columns", "values", "_joins")
 
     def __init__(
         self,
@@ -76,23 +89,66 @@ class FlatFactor:
         self.scope = scope
         self.columns = columns
         self.values = values
+        # shared-variable tuple -> join index (see :meth:`join_index`)
+        self._joins: Dict[Tuple[str, ...], Tuple[np.ndarray, ...]] = {}
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
+    def freeze(self) -> "FlatFactor":
+        """Make every column read-only; returns ``self``.
+
+        An encoding kept across runs (:class:`~repro.factors.index.
+        SharedTrieCache`) is frozen first, so a kernel that wrote into a
+        participant in place would raise instead of corrupting the next run.
+        """
+        for column in self.columns.values():
+            column.setflags(write=False)
+        self.values.setflags(write=False)
+        return self
+
+    def join_index(
+        self, shared: Tuple[str, ...], ctx: "FlatContext"
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, keys, starts, counts)`` for a sorted-merge on ``shared``.
+
+        ``order`` is the stable sort permutation of the rows by their packed
+        key over ``shared``; ``keys`` are the distinct packed keys in
+        ascending order, and rows ``order[starts[i] : starts[i] + counts[i]]``
+        carry ``keys[i]``.  Determined by the encoding's content alone, so
+        it is memoised here and lives exactly as long as the encoding does
+        (two threads racing build it twice, equal).
+        """
+        index = self._joins.get(shared)
+        if index is None:
+            key = _pack_keys(self.columns, shared, ctx, len(self))
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            starts = _run_starts(sorted_key)
+            counts = np.diff(starts, append=len(self))
+            index = self._joins[shared] = (order, sorted_key[starts], starts, counts)
+        return index
+
 
 class FlatContext:
-    """Per-run encoding context: domain code maps + the semiring's ufuncs."""
+    """Encoding context: domain code maps + the semiring's ufuncs.
 
-    __slots__ = ("semiring", "ops", "index", "objects", "sizes")
+    A function of the semiring and the query's ``domains`` only, so one
+    context serves every run over the same domains (``domains`` keeps the
+    tuples it was built from for that comparison).
+    """
+
+    __slots__ = ("semiring", "ops", "domains", "index", "objects", "sizes")
 
     def __init__(self, semiring: Semiring, ops: DenseOps, domains) -> None:
         self.semiring = semiring
         self.ops = ops
+        self.domains: Dict[str, Tuple[Any, ...]] = {}
         self.index: Dict[str, Dict[Any, int]] = {}
         self.objects: Dict[str, np.ndarray] = {}
         self.sizes: Dict[str, int] = {}
         for variable, domain in domains.items():
+            self.domains[variable] = domain = tuple(domain)
             self.index[variable] = {value: i for i, value in enumerate(domain)}
             holder = np.empty(len(domain), dtype=object)
             holder[:] = list(domain)
@@ -214,30 +270,29 @@ def encode_flat(factor, ctx: FlatContext) -> Optional[FlatFactor]:
 
 def _encode_listing(factor: Factor, ctx: FlatContext) -> Optional[FlatFactor]:
     scope = tuple(factor.scope)
-    arity = len(scope)
-    rows = len(factor.table)
+    table = factor.table
+    rows = len(table)
     indexes = []
     for variable in scope:
         index = ctx.index.get(variable)
         if index is None:
             return None
         indexes.append(index)
-    code_lists: List[List[int]] = [[] for _ in range(arity)]
-    raw_values: List[Any] = []
+    if rows == 0:
+        columns = {variable: np.empty(0, dtype=np.int64) for variable in scope}
+        return FlatFactor(scope, columns, np.empty(0, dtype=ctx.ops.dtype))
     try:
-        for key, value in factor.table.items():
-            for position in range(arity):
-                code_lists[position].append(indexes[position][key[position]])
-            raw_values.append(value)
+        # One pass per column: the code lookup runs inside ``map`` and the
+        # array fills straight from the iterator, with no per-tuple Python.
+        columns = {
+            variable: np.fromiter(
+                map(index.__getitem__, column), np.int64, count=rows
+            )
+            for variable, index, column in zip(scope, indexes, zip(*table))
+        }
     except (KeyError, TypeError):
         return None  # a table value outside the declared domain
-    columns = {
-        variable: np.asarray(code_lists[i], dtype=np.int64)
-        for i, variable in enumerate(scope)
-    }
-    if rows == 0:
-        return FlatFactor(scope, columns, np.empty(0, dtype=ctx.ops.dtype))
-    values = _value_column(np.asarray(raw_values), ctx.ops)
+    values = _value_column(np.asarray(list(table.values())), ctx.ops)
     if values is None:
         return None
     columns, values = _drop_zero_rows(columns, values, ctx.semiring.zero)
@@ -249,8 +304,7 @@ def _encode_dense(dense: DenseFactor, ctx: FlatContext) -> Optional[FlatFactor]:
     if dense.array.dtype == object:
         return None
     for variable in scope:
-        domain = ctx.objects.get(variable)
-        if domain is None or dense.domains[variable] != tuple(domain.tolist()):
+        if dense.domains[variable] != ctx.domains.get(variable):
             return None  # axis indices would not be query-domain codes
     mask = dense.nonzero_mask(ctx.semiring)
     cells = np.nonzero(mask)
@@ -276,6 +330,43 @@ def _pack_keys(
     for variable in variables:
         key = key * ctx.sizes[variable] + columns[variable]
     return key
+
+
+def _run_starts(sorted_key: np.ndarray) -> np.ndarray:
+    """First position of every run of equal keys in a non-empty sorted array."""
+    return np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+
+
+def _join_rows(
+    state_key: np.ndarray,
+    index: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    row_cap: int,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The matching ``(state row, other row)`` pairs of a sorted-merge join.
+
+    ``index`` is the other side's :meth:`FlatFactor.join_index` (of a
+    non-empty encoding).  Pairs come state row by state row, each state
+    row's matches in the other side's original row order — the order the
+    trie kernel enumerates them in.  ``None`` past ``row_cap`` pairs.
+    """
+    order, keys, run_starts, run_counts = index
+    # Clipping keeps the probe of a state key past the last run in range;
+    # the equality test then rejects it like any other non-match.
+    run = np.minimum(np.searchsorted(keys, state_key, side="left"), len(keys) - 1)
+    keep = keys[run] == state_key
+    run = run[keep]
+    counts = run_counts[run]
+    total = int(counts.sum())
+    if total > row_cap:
+        return None
+    state_rows = np.repeat(np.flatnonzero(keep), counts)
+    # Output position p of a state row whose block starts at ``first`` reads
+    # the other side's sorted row ``run_start + (p - first)``.
+    first = np.cumsum(counts) - counts
+    other_rows = order[
+        np.repeat(run_starts[run] - first, counts) + np.arange(total, dtype=np.int64)
+    ]
+    return state_rows, other_rows
 
 
 def flat_eliminate(
@@ -323,27 +414,13 @@ def flat_eliminate(
             # Fold from the semiring one exactly as the trie kernel does.
             values = ops.mul(np.asarray(ops.one, dtype=ops.dtype), flat.values)
         else:
-            shared = [v for v in flat.scope if v in columns]
+            shared = tuple(v for v in flat.scope if v in columns)
             if shared:
                 state_key = _pack_keys(columns, shared, ctx, values.shape[0])
-                other_key = _pack_keys(flat.columns, shared, ctx, len(flat))
-                order = np.argsort(other_key, kind="stable")
-                sorted_key = other_key[order]
-                left = np.searchsorted(sorted_key, state_key, side="left")
-                right = np.searchsorted(sorted_key, state_key, side="right")
-                counts = right - left
-                keep = counts > 0
-                counts = counts[keep]
-                total = int(counts.sum())
-                if total > row_cap:
+                joined = _join_rows(state_key, flat.join_index(shared, ctx), row_cap)
+                if joined is None:
                     return None
-                state_rows = np.repeat(np.flatnonzero(keep), counts)
-                starts = np.repeat(left[keep], counts)
-                ends = np.cumsum(counts)
-                offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                    ends - counts, counts
-                )
-                other_rows = order[starts + offsets]
+                state_rows, other_rows = joined
             else:
                 total = values.shape[0] * len(flat)
                 if total > row_cap:
@@ -380,9 +457,7 @@ def flat_eliminate(
     order = np.argsort(group_key, kind="stable")
     sorted_key = group_key[order]
     sorted_values = values[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    )
+    starts = _run_starts(sorted_key)
     aggregated = ufunc.reduceat(sorted_values, starts)
     group_rows = order[starts]
     mask = _zero_mask(aggregated, ctx.semiring.zero)

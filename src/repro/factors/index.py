@@ -16,10 +16,16 @@ Three index holders live here:
   round trip mixed ``auto`` plans used to pay.
 * :class:`TrieCache` — the per-run index shared across one InsideOut run's
   elimination steps (optionally thread-safe for the parallel executor).
-* :class:`SharedTrieCache` — a cross-run store for *base* factors' tries
-  and indicator projections, keyed by factor content digest, used by
-  :mod:`repro.serve` so repeated value-equal queries stop re-indexing
-  their input factors on every execution.
+* :class:`SharedTrieCache` — a cross-run store for *base* factors' tries,
+  indicator projections and flat encodings (:mod:`repro.factors.flat`),
+  keyed by factor content digest, used by :mod:`repro.serve` so repeated
+  value-equal queries stop re-indexing and re-encoding their input
+  factors on every execution.
+
+Both holders index a factor two ways — as a trie for the Python kernel and
+as flat code columns for the vectorized one — and their ``hits``/``misses``
+count lookups of either kind: a hit is a trie, projection or encoding
+(including a cached "this table has no encoding") that was already there.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.factors.factor import Factor
+from repro.factors.flat import encode_flat, flat_context
 from repro.semiring.base import Semiring
 
 ValueTuple = Tuple[Any, ...]
@@ -186,27 +193,33 @@ def build_tries(
 
 
 class SharedTrieCache:
-    """Cross-run trie store for a query's *base* factors.
+    """Cross-run index store for a query's *base* factors.
 
     A per-run :class:`TrieCache` dies with its run, so repeated executions
     of a value-equal query re-index the same input factors every time.  The
     serving layer (:mod:`repro.serve`) keeps one ``SharedTrieCache`` per
     (query content, ordering) and hands it to each run as the
-    :class:`TrieCache` parent: base-factor tries and indicator projections
-    are built once and survive across runs.  Entries are keyed by the
-    factor's *content digest* — the memo
-    :func:`repro.planner.signature.factor_digest` leaves on the (from then
-    on frozen) factor — so the store serves value-equal factors held by
-    distinct objects, and a factor that was never digested is simply not
-    covered.
+    :class:`TrieCache` parent: base-factor tries, indicator projections and
+    — for the vectorized kernel — their flat encodings, join indexes and
+    the query's :class:`~repro.factors.flat.FlatContext` are built once and
+    survive across runs.  Entries are keyed by the factor's *content
+    digest* — the memo :func:`repro.planner.signature.factor_digest` leaves
+    on the (from then on frozen) factor — so the store serves value-equal
+    factors held by distinct objects, and a factor that was never digested
+    is simply not covered.
+
+    Flat encodings are codes into one context's domain tuples, so
+    :meth:`flat_context` hands the store's context (and with it the stored
+    encodings) only to a run over equal ``domains``; any other run encodes
+    privately.  Stored columns are read-only.
 
     All methods are thread-safe — concurrent runs of the same query may
-    populate the store simultaneously (both build the same trie; the first
-    store wins, the results are equal).
+    populate the store simultaneously (both build the same entry outside
+    the lock; the first store wins, the results are equal).
     """
 
     __slots__ = ("order", "semiring", "hits", "misses", "_digests",
-                 "_tries", "_projections", "_lock")
+                 "_tries", "_projections", "_flats", "_flat_ctx", "_lock")
 
     def __init__(self, order: Sequence[str], semiring: Semiring, factors: Sequence[Any]) -> None:
         self.order: Tuple[str, ...] = tuple(order)
@@ -215,8 +228,12 @@ class SharedTrieCache:
         self.misses = 0
         self._digests = frozenset(getattr(f, "_digest", None) for f in factors) - {None}
         self._tries: Dict[str, FactorTrie] = {}
-        # (digest, overlap) -> [projected factor, trie or None (lazy)]
+        # (digest, overlap) -> [projected factor, trie or None (lazy),
+        #                       FlatFactor | False or None (lazy)]
         self._projections: Dict[Tuple[str, frozenset], list] = {}
+        # digest -> FlatFactor | False (a failed encode, probed once per content)
+        self._flats: Dict[str, Any] = {}
+        self._flat_ctx: Any = None  # FlatContext | False once built
         self._lock = threading.Lock()
 
     def covers(self, factor) -> bool:
@@ -236,7 +253,7 @@ class SharedTrieCache:
             return self._tries.setdefault(key, trie)
 
     def projection_entry(self, factor, overlap: frozenset) -> list:
-        """The cached ``[projected, trie-or-None]`` pair for a projection."""
+        """The cached ``[projected, trie-or-None, flat-or-None]`` entry."""
         from repro.factors.backend import as_sparse
 
         key = (factor._digest, overlap)
@@ -249,7 +266,7 @@ class SharedTrieCache:
         sparse = as_sparse(factor, self.semiring)
         projected = sparse.indicator_projection(overlap, self.semiring)
         with self._lock:
-            return self._projections.setdefault(key, [projected, None])
+            return self._projections.setdefault(key, [projected, None, None])
 
     def projection_trie(self, entry: list) -> FactorTrie:
         """The (lazily built) trie of a projection entry."""
@@ -261,6 +278,68 @@ class SharedTrieCache:
             if entry[1] is None:
                 entry[1] = trie
             return entry[1]
+
+    def flat_context(self, domains):
+        """The store's encoding context, if ``domains`` are the ones it encodes.
+
+        Built from the first run's ``domains``; ``None`` for a run whose
+        domains differ (its codes would mean other values) or a semiring
+        without ufuncs.
+        """
+        with self._lock:
+            ctx = self._flat_ctx
+        if ctx is None:
+            built = flat_context(self.semiring, domains) or False
+            with self._lock:
+                if self._flat_ctx is None:
+                    self._flat_ctx = built
+                ctx = self._flat_ctx
+        if ctx is False or ctx.domains != domains:
+            return None
+        return ctx
+
+    def flat(self, factor, ctx):
+        """The stored flat encoding of a covered factor (``None`` if it has none).
+
+        ``ctx`` must be this store's :meth:`flat_context`.
+        """
+        key = factor._digest
+        with self._lock:
+            flat = self._flats.get(key)
+            if flat is not None:
+                self.hits += 1
+                return _encoding(flat)
+            self.misses += 1
+        flat = _encode_frozen(factor, ctx)
+        with self._lock:
+            return _encoding(self._flats.setdefault(key, flat))
+
+    def projection_flat(self, entry: list, ctx):
+        """The (lazily built) flat encoding of a projection entry."""
+        with self._lock:
+            if entry[2] is not None:
+                self.hits += 1
+                return _encoding(entry[2])
+            self.misses += 1
+        flat = _encode_frozen(entry[0], ctx)
+        with self._lock:
+            if entry[2] is None:
+                entry[2] = flat
+            return _encoding(entry[2])
+
+
+def _encode_frozen(factor, ctx):
+    """A read-only flat encoding to keep across runs, or ``False`` if none."""
+    flat = encode_flat(factor, ctx)
+    return False if flat is None else flat.freeze()
+
+
+def _encoding(cached):
+    """A cached encode outcome as callers see it: ``False`` (none) -> ``None``.
+
+    Not ``cached or None``: an encoding with no rows is falsy too.
+    """
+    return None if cached is False else cached
 
 
 class TrieCache:
@@ -288,12 +367,19 @@ class TrieCache:
     stay exact under the worker pool; tries themselves are built outside
     the lock (two threads may build the same trie — the first store wins
     and both results are equal).  ``adopt_parent`` plugs in a
-    :class:`SharedTrieCache` whose entries are consulted first, by content
-    digest, for every factor it covers, and are never discarded.
+    :class:`SharedTrieCache` whose entries are consulted, by content
+    digest, for every factor it covers before anything is built here, and
+    are never discarded.
+
+    The vectorized kernel's encodings follow the same lookup order —
+    local, then parent, then encode — through :meth:`flat` and
+    :meth:`projection_flat`; the parent's encodings are used only when the
+    run also adopted the parent's context (:meth:`flat_context`).
     """
 
     __slots__ = ("order", "semiring", "hits", "misses", "_tries", "_projections",
-                 "_projection_keys", "_lock", "_parent", "_flats", "_flat_ctx")
+                 "_projection_keys", "_lock", "_parent", "_flats", "_flat_ctx",
+                 "_flat_parent")
 
     def __init__(
         self, order: Sequence[str], semiring: Semiring, thread_safe: bool = False
@@ -303,7 +389,8 @@ class TrieCache:
         self.hits = 0
         self.misses = 0
         self._tries: Dict[int, Tuple[Any, FactorTrie]] = {}
-        # key -> [source factor, projected factor, trie or None (lazy)]
+        # key -> [source factor, projected factor, trie or None (lazy),
+        #         parent entry or None, FlatFactor | False or None (lazy)]
         self._projections: Dict[Tuple[int, frozenset], list] = {}
         self._projection_keys: Dict[int, set] = {}
         self._lock = threading.RLock() if thread_safe else nullcontext()
@@ -313,6 +400,8 @@ class TrieCache:
         # factors are probed once.  Discarded together with the tries.
         self._flats: Dict[int, Tuple[Any, Any]] = {}
         self._flat_ctx: Any = None
+        # The parent, once its flat context is this run's (else None).
+        self._flat_parent: Optional[SharedTrieCache] = None
 
     def adopt_parent(self, parent: Optional[SharedTrieCache]) -> None:
         """Consult ``parent`` for base-factor tries before building locally.
@@ -356,13 +445,13 @@ class TrieCache:
             self.misses += 1
         if self._parent is not None and self._parent.covers(factor):
             shared = self._parent.projection_entry(factor, overlap_key)
-            entry = [factor, shared[0], None, shared]
+            entry = [factor, shared[0], None, shared, None]
         else:
             from repro.factors.backend import as_sparse
 
             sparse = as_sparse(factor, self.semiring)
             projected = sparse.indicator_projection(overlap_key, self.semiring)
-            entry = [factor, projected, None, None]
+            entry = [factor, projected, None, None, None]
         with self._lock:
             stored = self._projections.get(key)
             if stored is not None and stored[0] is factor:
@@ -389,37 +478,61 @@ class TrieCache:
                 entry[2] = FactorTrie(entry[1], self.order, self.semiring)
         return entry[1], entry[2]
 
+    def projection_flat(self, factor, overlap: Iterable[str], ctx):
+        """The flat encoding of ``factor``'s indicator projection onto ``overlap``."""
+        entry = self._projection_entry(factor, overlap)
+        if entry[4] is None:
+            if entry[3] is not None and self._flat_parent is not None:
+                flat = self._flat_parent.projection_flat(entry[3], ctx)
+            else:
+                flat = encode_flat(entry[1], ctx)
+            entry[4] = flat if flat is not None else False
+        return _encoding(entry[4])
+
     def flat_context(self, domains):
         """The run's flat-encoding context, built once (``None`` if unmapped).
 
         A run evaluates a single query, so the ``domains`` mapping is the
-        same at every call — the first one wins.
+        same at every call — the first one wins.  The parent's context is
+        adopted when it encodes these very domains.
         """
-        from repro.factors.flat import flat_context
-
         with self._lock:
             if self._flat_ctx is None:
-                self._flat_ctx = flat_context(self.semiring, domains) or False
+                shared = None
+                if self._parent is not None:
+                    shared = self._parent.flat_context(domains)
+                if shared is not None:
+                    self._flat_parent = self._parent
+                self._flat_ctx = shared or flat_context(self.semiring, domains) or False
             return self._flat_ctx or None
 
     def flat(self, factor, ctx):
         """The cached flat encoding of ``factor`` (``None`` if it has none)."""
-        from repro.factors.flat import encode_flat
-
         key = id(factor)
         with self._lock:
             entry = self._flats.get(key)
             if entry is not None and entry[0] is factor:
                 self.hits += 1
-                return entry[1] or None
+                return _encoding(entry[1])
             self.misses += 1
-        encoded = encode_flat(factor, ctx)
+        if self._flat_parent is not None and self._flat_parent.covers(factor):
+            encoded = self._flat_parent.flat(factor, ctx)
+        else:
+            encoded = encode_flat(factor, ctx)
         with self._lock:
             stored = self._flats.get(key)
             if stored is not None and stored[0] is factor:
-                return stored[1] or None
+                return _encoding(stored[1])
             self._flats[key] = (factor, encoded if encoded is not None else False)
         return encoded
+
+    def stored_flat(self, factor):
+        """The encoding already held for ``factor``, if any (never encodes)."""
+        with self._lock:
+            entry = self._flats.get(id(factor))
+        if entry is not None and entry[0] is factor:
+            return _encoding(entry[1])
+        return None
 
     def store_flat(self, factor, flat) -> None:
         """Register a step result's flat encoding for downstream steps."""

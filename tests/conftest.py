@@ -62,3 +62,25 @@ def triangle_query():
         semiring=COUNTING,
         name="triangle",
     )
+
+
+@pytest.fixture
+def encode_counts(monkeypatch):
+    """Counts of every flat encode and code-map build, whoever asks for them."""
+    from repro.factors import flat as flat_module
+
+    counts = {"encodes": 0, "contexts": 0}
+
+    def counting(name, key):
+        original = getattr(flat_module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flat_module, name, wrapper)
+
+    counting("_encode_listing", "encodes")
+    counting("_encode_dense", "encodes")
+    counting("FlatContext", "contexts")
+    return counts

@@ -15,13 +15,18 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, Variable
+from repro.factors import flat as flat_module
 from repro.factors.backend import BACKEND_FLAT, BackendPolicy
+from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
 from repro.factors.flat import flat_step_eligible
+from repro.factors.index import SharedTrieCache
+from repro.planner.signature import query_content_key
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import BOOLEAN, MAX_PRODUCT, MAX_SUM, MIN_PLUS
 
@@ -254,3 +259,264 @@ def test_flat_runs_are_worker_invariant(name):
         assert [s.backend for s in parallel.stats.steps] == [
             s.backend for s in serial.stats.steps
         ], (name, workers)
+
+
+# ---------------------------------------------------------------------- #
+# per-content encodings: the shared store, the join index, the dense hand-off
+# ---------------------------------------------------------------------- #
+def _chain_query(seed=0, domain=20, density=0.7, domains=None, tables=None, free=("x0",)):
+    """A max-product chain ``x0 - x1 - x2`` big enough that eliminating
+    ``x2`` and ``x1`` picks the flat kernel under the default policy."""
+    rng = random.Random(1_009 * seed + 17)
+    names = ["x0", "x1", "x2"]
+    if tables is None:
+        tables = [
+            {
+                pair: round(rng.uniform(0.1, 2.0), 3)
+                for pair in itertools.product(range(domain), repeat=2)
+                if rng.random() < density
+            }
+            for _ in names[1:]
+        ]
+    domains = domains or {v: tuple(range(domain)) for v in names}
+    return FAQQuery(
+        variables=[Variable(v, domains[v]) for v in names],
+        free=list(free),
+        aggregates={v: SemiringAggregate.max() for v in names if v not in free},
+        factors=[
+            Factor(scope, table, name="".join(scope))
+            for scope, table in zip(zip(names, names[1:]), tables)
+        ],
+        semiring=MAX_PRODUCT,
+    )
+
+
+def _check_answer(query, result, flat_steps=2, backend="sparse"):
+    """Against brute force, and ``==`` the trie-only run; kernels as expected."""
+    assert result.factor.equals(query.evaluate_brute_force(), query.semiring)
+    trie = inside_out(query, backend=backend, backend_policy=NO_FLAT)
+    assert result.factor.table == trie.factor.table
+    kernels = [s.backend for s in result.stats.steps]
+    assert kernels.count(BACKEND_FLAT) == flat_steps, kernels
+
+
+def _store_for(query):
+    query_content_key(query)  # leaves the digest memo the store keys by
+    return SharedTrieCache(query.order, query.semiring, query.factors)
+
+
+def test_warm_store_run_encodes_nothing(encode_counts):
+    query = _chain_query()
+    store = _store_for(query)
+    cold = inside_out(query, shared_tries=store)
+    _check_answer(query, cold)
+    # 2 base tables + the one indicator projection, under one context.
+    assert encode_counts == {"encodes": 3, "contexts": 1}
+    twin = _chain_query()  # value-equal, all-new objects
+    query_content_key(twin)
+    warm = inside_out(twin, shared_tries=store)
+    _check_answer(twin, warm)
+    assert encode_counts == {"encodes": 3, "contexts": 1}
+    assert warm.factor.table == cold.factor.table
+
+
+def test_shared_columns_are_read_only():
+    query = _chain_query()
+    store = _store_for(query)
+    inside_out(query, shared_tries=store)
+    ctx = store.flat_context(query.domains())
+    flat = store.flat(query.factors[0], ctx)
+    with pytest.raises(ValueError):
+        flat.values[0] = 0.0
+    with pytest.raises(ValueError):
+        flat.columns["x0"][0] = 0
+    projection = store.projection_flat(
+        store.projection_entry(query.factors[0], frozenset({"x1"})), ctx
+    )
+    with pytest.raises(ValueError):
+        projection.columns["x1"][0] = 0
+
+
+def test_stored_empty_encoding_is_an_encoding():
+    # No rows is not "no encoding": the step stays on the flat kernel when
+    # the empty table's encoding comes back from the store.
+    query = _chain_query(tables=[_chain_query().factors[0].table, {}])
+    store = _store_for(query)
+    for _ in range(2):
+        result = inside_out(query, backend_policy=FORCE_FLAT, shared_tries=store)
+        assert result.stats.steps[0].backend == BACKEND_FLAT
+        assert result.factor.table == {}
+    ctx = store.flat_context(query.domains())
+    assert len(store.flat(query.factors[1], ctx)) == 0
+
+
+def test_store_is_ignored_for_encodings_when_domains_differ(encode_counts):
+    query = _chain_query()
+    store = _store_for(query)
+    inside_out(query, shared_tries=store)
+    before = dict(encode_counts)
+    # Same tables (so the store covers them), domains listed backwards:
+    # every stored code would now name another value.
+    backwards = {v: tuple(reversed(d)) for v, d in query.domains().items()}
+    other = _chain_query(domains=backwards, tables=[f.table for f in query.factors])
+    query_content_key(other)
+    assert all(store.covers(f) for f in other.factors)
+    assert store.flat_context(other.domains()) is None
+    result = inside_out(other, shared_tries=store)
+    _check_answer(other, result)
+    assert encode_counts["encodes"] == before["encodes"] + 3  # privately, as without a store
+    assert encode_counts["contexts"] == before["contexts"] + 1
+    # ... and the store still serves the domains it was built from.
+    again = inside_out(query, shared_tries=store)
+    _check_answer(query, again)
+    assert encode_counts["encodes"] == before["encodes"] + 3
+
+
+def test_concurrent_runs_on_a_cold_store_agree():
+    import sys
+    import threading
+
+    query = _chain_query(seed=4)
+    store = _store_for(query)
+    results, errors = [None, None], []
+
+    def run(slot):
+        try:
+            results[slot] = inside_out(query, workers=4, shared_tries=store)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    for result in results:
+        _check_answer(query, result)
+    # First store wins: whatever the race, one encoding per content remains.
+    ctx = store.flat_context(query.domains())
+    assert store.flat(query.factors[0], ctx) is store.flat(query.factors[0], ctx)
+
+
+def test_store_covers_only_unchanged_factors_after_an_update(encode_counts):
+    from repro.factors.delta import FactorDelta
+
+    query = _chain_query(seed=2)
+    store = _store_for(query)
+    inside_out(query, shared_tries=store)
+    cell = next(iter(query.factors[1].table))
+    changed = query.factors[1].apply_delta(
+        FactorDelta(("x1", "x2"), {cell: 1.75}), query.semiring
+    )
+    updated = _chain_query(tables=[query.factors[0].table, changed.table])
+    query_content_key(updated)
+    before = encode_counts["encodes"]
+    result = inside_out(updated, shared_tries=store)
+    _check_answer(updated, result)
+    # Only the changed table is encoded again; the unchanged one and its
+    # projection come from the store.
+    assert encode_counts["encodes"] == before + 1
+    twin = _chain_query(seed=2)
+    query_content_key(twin)
+    old = inside_out(twin, shared_tries=store)
+    assert encode_counts["encodes"] == before + 1
+    _check_answer(twin, old)
+
+
+def _two_searchsorted_join(state_key, other_key):
+    """The join as the kernel first did it — the reference for ``_join_rows``."""
+    order = np.argsort(other_key, kind="stable")
+    sorted_key = other_key[order]
+    left = np.searchsorted(sorted_key, state_key, side="left")
+    right = np.searchsorted(sorted_key, state_key, side="right")
+    counts = right - left
+    keep = counts > 0
+    counts = counts[keep]
+    total = int(counts.sum())
+    state_rows = np.repeat(np.flatnonzero(keep), counts)
+    starts = np.repeat(left[keep], counts)
+    ends = np.cumsum(counts)
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    return state_rows, order[starts + offsets]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_join_index_matches_two_searchsorted(seed):
+    rng = np.random.default_rng(seed)
+    sizes = {"a": 7, "b": 5, "c": 3}
+    ctx = flat_module.flat_context(
+        MAX_PRODUCT, {v: tuple(range(n)) for v, n in sizes.items()}
+    )
+    rows = int(rng.integers(1, 60))
+    # Drawn with replacement from part of the key space: duplicate keys on
+    # both sides, and state keys below, between and above the other side's.
+    other = flat_module.FlatFactor(
+        ("a", "b", "c"),
+        {v: rng.integers(1, max(2, n - 1), size=rows) for v, n in sizes.items()},
+        rng.uniform(0.5, 1.5, size=rows),
+    )
+    shared = ("a", "b")
+    state = {v: rng.integers(0, sizes[v], size=40) for v in shared}
+    state_key = flat_module._pack_keys(state, shared, ctx, 40)
+    other_key = flat_module._pack_keys(other.columns, shared, ctx, rows)
+    want_state, want_other = _two_searchsorted_join(state_key, other_key)
+    index = other.join_index(shared, ctx)
+    assert other.join_index(shared, ctx) is index  # memoised per shared tuple
+    got_state, got_other = flat_module._join_rows(state_key, index, 1 << 30)
+    assert got_state.tolist() == want_state.tolist()
+    assert got_other.tolist() == want_other.tolist()
+    assert flat_module._join_rows(state_key, index, len(want_state)) is not None
+    if len(want_state):
+        assert flat_module._join_rows(state_key, index, len(want_state) - 1) is None
+
+
+def test_row_cap_bails_out_to_the_trie_kernel():
+    query = _chain_query(seed=5)
+    capped = inside_out(
+        query, backend="sparse", backend_policy=BackendPolicy(flat_row_cap=10)
+    )
+    _check_answer(query, capped, flat_steps=0)
+
+
+def test_flat_result_enters_a_dense_step_by_its_columns(monkeypatch):
+    # Sparse enough that "auto" keeps x2 and x1 off the dense kernel, which
+    # then takes the 48-row result over x0.
+    query = _chain_query(seed=1, domain=48, density=0.1, free=())
+    scattered = []
+    from_flat = DenseFactor.from_flat.__func__
+
+    def counting(cls, flat, *args, **kwargs):
+        scattered.append(len(flat))
+        return from_flat(cls, flat, *args, **kwargs)
+
+    monkeypatch.setattr(DenseFactor, "from_flat", classmethod(counting))
+    result = inside_out(query, backend="auto")
+    assert [s.backend for s in result.stats.steps] == [BACKEND_FLAT, BACKEND_FLAT, "dense"]
+    assert scattered == [result.stats.steps[1].result_size]
+    _check_answer(query, result, backend="auto")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 30])
+def test_dense_from_flat_equals_from_factor(rows):
+    rng = random.Random(rows)
+    domains = {"a": tuple("pqrst"), "b": tuple(range(4)), "c": (True, False)}
+    ctx = flat_module.flat_context(MAX_PRODUCT, domains)
+    cells = rng.sample(list(itertools.product(*domains.values())), rows)
+    # Values within the tolerance of zero are dropped by both conversions.
+    table = {cell: rng.choice([0.0, 1e-12, 0.25, 3.0]) for cell in cells}
+    for scope in [("a", "b", "c"), ("c", "a"), ()]:
+        keep = [list(domains).index(v) for v in scope]
+        factor = Factor(scope, {tuple(c[i] for i in keep): v for c, v in table.items()})
+        flat = flat_module.encode_flat(factor, ctx)
+        got = DenseFactor.from_flat(flat, domains, MAX_PRODUCT, name=factor.name)
+        want = DenseFactor.from_factor(factor, domains, MAX_PRODUCT)
+        assert (got.scope, got.domains, got.name) == (want.scope, want.domains, want.name)
+        assert got.array.dtype == want.array.dtype
+        assert np.array_equal(got.array, want.array)

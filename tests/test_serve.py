@@ -9,10 +9,13 @@ import threading
 
 import pytest
 
+from repro.core.insideout import inside_out
 from repro.core.query import QueryError
+from repro.factors.backend import BACKEND_FLAT, BackendPolicy
 from repro.planner import PlanCache, STRATEGY_INSIDEOUT, plan
 from repro.serve import PlanServer, ServeRequest, ServeResult, execute_batch
 
+from test_flat_kernel import _chain_query, _check_answer
 from test_planner_differential import _random_query
 from test_signature_digest import _unencodable_query
 
@@ -169,6 +172,91 @@ def test_shared_trie_store_covers_by_digest_only():
     assert not store.covers(pair(3))
     # A store built from undigested factors covers nothing.
     assert not SharedTrieCache(("a", "b"), COUNTING, [pair(2, digest=False)]).covers(base)
+
+
+def _flat_request(query):
+    """A private InsideOut run whose big sparse steps pick the flat kernel."""
+    return ServeRequest(
+        query, coalesce=False,
+        options={"strategy": STRATEGY_INSIDEOUT, "backend": "sparse"},
+    )
+
+
+def test_warm_engine_query_encodes_nothing(encode_counts):
+    """The flat kernel's encodings are per content: the second run of a
+    value-equal query, rebuilt from fresh objects, encodes no table, builds
+    no code map, and still runs on the flat kernel."""
+    from repro.engine import Engine
+
+    with Engine() as engine:
+        first = engine.query(_flat_request(_chain_query()))
+        cold = dict(encode_counts)
+        assert cold == {"encodes": 3, "contexts": 1}
+        twin = _chain_query()
+        second = engine.query(_flat_request(twin))
+    assert encode_counts == cold
+    _check_answer(twin, second)
+    assert second.factor.table == first.factor.table
+
+
+def test_update_factor_leaves_old_content_warm(encode_counts):
+    """An update evicts nothing: the old content's encodings still answer
+    it, and the new content gets (and then reuses) its own."""
+    from repro.factors.delta import FactorDelta
+
+    old = _chain_query(seed=3)
+    cell = next(iter(old.factors[1].table))
+    delta = FactorDelta(("x1", "x2"), {cell: 1.9})
+    new = _chain_query(
+        tables=[old.factors[0].table, old.factors[1].apply_delta(delta, old.semiring).table]
+    )
+    with PlanServer(pool_size=1) as server:
+        server.execute_request(_flat_request(old))
+        updated = server.update_factor(_flat_request(old), 1, delta)
+        assert updated.factor.equals(new.evaluate_brute_force(), new.semiring)
+        warm = dict(encode_counts)
+        again = server.execute_request(_flat_request(_chain_query(seed=3)))
+        assert encode_counts == warm
+        _check_answer(old, again)
+        fresh = server.execute_request(_flat_request(new))
+        _check_answer(new, fresh)
+        stored = dict(encode_counts)
+        twin = _chain_query(tables=[f.table for f in new.factors])
+        repeat = server.execute_request(_flat_request(twin))
+        assert encode_counts == stored
+        assert repeat.factor.table == fresh.factor.table == updated.factor.table
+
+
+def test_ineligible_table_is_probed_once_per_content(encode_counts):
+    """A NaN-valued table has no flat encoding; the store remembers that, so
+    a later run of the same content goes to the trie kernel unprobed."""
+    import math
+
+    def poisoned():
+        query = _chain_query(seed=6)
+        table = dict(query.factors[1].table)
+        table[next(iter(table))] = math.nan
+        return _chain_query(tables=[query.factors[0].table, table])
+
+    with PlanServer(pool_size=1) as server:
+        first = server.execute_request(_flat_request(poisoned()))
+        # The projection onto x1, the NaN table (refused), then for x1's
+        # step the other base table and the trie kernel's result over x1.
+        assert encode_counts["encodes"] == 4
+        second = server.execute_request(_flat_request(poisoned()))
+    # Only that result is the run's own; the refusal was remembered.
+    assert encode_counts["encodes"] == 5
+    for result in (first, second):
+        # x2's step holds the NaN table and must stay off the flat kernel.
+        assert result.stats.steps[0].backend != BACKEND_FLAT
+    # NaN != NaN, so compare the tables as printed.
+    reference = inside_out(
+        poisoned(), ordering=second.ordering, backend="sparse",
+        backend_policy=BackendPolicy(flat_enabled=False),
+    )
+    assert repr(sorted(second.factor.table.items())) == repr(
+        sorted(reference.factor.table.items())
+    )
 
 
 def test_query_without_content_key_answers_without_warm_tries():
