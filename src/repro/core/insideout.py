@@ -169,9 +169,9 @@ def eliminate_semiring_step(
     variable: str,
     use_indicator_projections: bool,
     join_stats: OutsideInStats,
+    tries: TrieCache,
     backend: str = BACKEND_SPARSE,
     policy: BackendPolicy = DEFAULT_POLICY,
-    tries: Optional[TrieCache] = None,
 ) -> Tuple[Optional[Factor], EliminationRecord]:
     """One semiring-aggregate elimination step (lines 5-11 of Algorithm 1).
 
@@ -183,11 +183,12 @@ def eliminate_semiring_step(
     inputs, which is what lets the DAG executor run independent steps
     concurrently and still compute the same factors for every worker count.
 
-    The sparse path runs the fused hash-join-and-aggregate kernel
-    (:func:`repro.core.outsidein.eliminate_join`) over tries from the
-    per-run :class:`~repro.factors.index.TrieCache`: surviving factors and
-    repeated indicator projections keep their index across steps instead of
-    being re-hashed tuple-by-tuple at every elimination.
+    ``tries`` is the run's :class:`~repro.factors.index.TrieCache`: the
+    sparse path runs the fused hash-join-and-aggregate kernel
+    (:func:`repro.core.outsidein.eliminate_join`) over its tries, the flat
+    path over its encodings, so surviving factors and repeated indicator
+    projections keep their index across steps instead of being re-hashed
+    tuple-by-tuple at every elimination.
     """
     semiring = query.semiring
     aggregate = query.aggregates[variable]
@@ -226,7 +227,7 @@ def eliminate_semiring_step(
         for factor in others:
             overlap = frozenset(factor.scope) & induced
             if overlap:
-                if tries is not None and not isinstance(factor, DenseFactor):
+                if not isinstance(factor, DenseFactor):
                     # Cached per (factor, overlap); the trie is built lazily
                     # on the sparse branch only (dense steps never need one).
                     projected = tries.projection_factor(factor, overlap)
@@ -245,7 +246,7 @@ def eliminate_semiring_step(
     )
     step_backend = BACKEND_DENSE if use_dense else BACKEND_SPARSE
     new_factor = None
-    if not use_dense and tries is not None and policy.flat_enabled:
+    if not use_dense and policy.flat_enabled:
         new_factor = _try_flat_eliminate(
             query, incident, participants, projections, dense_projections,
             variable, output_scope, induced, aggregate.tag, policy, tries,
@@ -253,15 +254,14 @@ def eliminate_semiring_step(
         if new_factor is not None:
             step_backend = BACKEND_FLAT
     if use_dense:
-        if tries is not None:
-            # A flat step's result still carries its encoding: scatter the
-            # columns into the box instead of looping over the listing.
-            for position, factor in enumerate(participants):
-                flat = tries.stored_flat(factor)
-                if flat is not None:
-                    participants[position] = DenseFactor.from_flat(
-                        flat, query.domains(), semiring, name=factor.name
-                    )
+        # A flat step's result still carries its encoding: scatter the
+        # columns into the box instead of looping over the listing.
+        for position, factor in enumerate(participants):
+            flat = tries.stored_flat(factor)
+            if flat is not None:
+                participants[position] = DenseFactor.from_flat(
+                    flat, query.domains(), semiring, name=factor.name
+                )
         new_factor = dense_join_reduce(
             participants,
             semiring,
@@ -271,9 +271,7 @@ def eliminate_semiring_step(
             aggregate.tag,
             name=f"psi_elim({variable})",
         )
-    elif new_factor is not None:
-        pass  # the flat kernel already produced the step result
-    elif tries is not None:
+    elif new_factor is None:  # else the flat kernel already produced the result
         participant_tries = [tries.trie(f) for f in incident]
         participant_tries.extend(
             tries.projection(source, overlap)[1] for source, overlap in projections
@@ -295,19 +293,8 @@ def eliminate_semiring_step(
             stats=join_stats,
             name=f"psi_elim({variable})",
         )
-    else:
-        new_factor = join_factors(
-            participants,
-            semiring,
-            output_scope=output_scope,
-            combine=aggregate.combine,
-            variable_order=list(query.order),
-            stats=join_stats,
-            name=f"psi_elim({variable})",
-        )
-    if tries is not None:
-        for factor in incident:
-            tries.discard(factor)
+    for factor in incident:
+        tries.discard(factor)
     record = EliminationRecord(
         variable=variable,
         kind="semiring",

@@ -225,36 +225,7 @@ class Frontend:
         :class:`ReplicaTimeout` subclass) when the fleet lost the request
         ``retry.attempts`` times.
         """
-        if self._closed:
-            raise RuntimeError("Frontend is shut down")
-        if not isinstance(request, ServeRequest):
-            raise TypeError(
-                f"Frontend.submit takes a ServeRequest, got {type(request).__name__} "
-                "(the deprecated bare-query form exists only on PlanServer)"
-            )
-        if request.output_mode != "listing":
-            raise PlanFailure(
-                "factorized output cannot cross a process boundary; "
-                "serve factorized queries in-process via PlanServer",
-                cause_type="QueryError",
-            )
-        self._ensure_health_task()
-        self._submitted += 1
-
-        # -------------------------- admission -------------------------- #
-        if self._pending >= self.max_pending:
-            self._shed_queue += 1
-            self._decay_latency()
-            raise Overloaded(f"queue full ({self._pending} pending)", request.tenant)
-        if (
-            self.tenant_limit is not None
-            and self._tenant_pending.get(request.tenant, 0) >= self.tenant_limit
-        ):
-            self._shed_tenant += 1
-            self._decay_latency()
-            raise Overloaded(
-                f"tenant quota exceeded ({self.tenant_limit} in flight)", request.tenant
-            )
+        tenants = self._admit([request])
         if request.deadline is not None:
             estimated = self._estimated_wait()
             if estimated > request.deadline:
@@ -280,8 +251,7 @@ class Frontend:
         if key is not None:
             future = loop.create_future()
             self._inflight[key] = future
-        self._pending += 1
-        self._tenant_pending[request.tenant] = self._tenant_pending.get(request.tenant, 0) + 1
+        self._hold(tenants, +1)
         try:
             await self._reader_enter(loop)
             try:
@@ -300,12 +270,57 @@ class Frontend:
         finally:
             if key is not None and self._inflight.get(key) is future:
                 del self._inflight[key]
-            self._pending -= 1
-            remaining = self._tenant_pending.get(request.tenant, 1) - 1
+            self._hold(tenants, -1)
+
+    def _admit(self, requests: Sequence[ServeRequest]) -> Dict[str, int]:
+        """The admission check of :meth:`submit` and :meth:`submit_many`.
+
+        Refuses malformed input, then sheds the group — whole, each request
+        counted — when it would overflow ``max_pending`` or take any of its
+        tenants past ``tenant_limit``.  Returns the group's per-tenant
+        request counts for :meth:`_hold`.
+        """
+        if self._closed:
+            raise RuntimeError("Frontend is shut down")
+        tenants: Dict[str, int] = {}
+        for request in requests:
+            if not isinstance(request, ServeRequest):
+                raise TypeError(
+                    f"Frontend takes ServeRequest values, got {type(request).__name__}"
+                )
+            if request.output_mode != "listing":
+                raise PlanFailure(
+                    "factorized output cannot cross a process boundary; "
+                    "serve factorized queries in-process via PlanServer",
+                    cause_type="QueryError",
+                )
+            tenants[request.tenant] = tenants.get(request.tenant, 0) + 1
+        self._ensure_health_task()
+        count = len(requests)
+        self._submitted += count
+        if self._pending + count > self.max_pending:
+            self._shed_queue += count
+            self._decay_latency()
+            raise Overloaded(f"queue full ({self._pending} pending)", requests[0].tenant)
+        if self.tenant_limit is not None:
+            for tenant, n in tenants.items():
+                if self._tenant_pending.get(tenant, 0) + n > self.tenant_limit:
+                    self._shed_tenant += count
+                    self._decay_latency()
+                    raise Overloaded(
+                        f"tenant quota exceeded ({self.tenant_limit} in flight)", tenant
+                    )
+        return tenants
+
+    def _hold(self, tenants: Dict[str, int], sign: int) -> None:
+        """Take (``+1``) or release (``-1``) an admitted group's in-flight slots."""
+        for tenant, n in tenants.items():
+            self._pending += sign * n
+            remaining = self._tenant_pending.get(tenant, 0) + sign * n
             if remaining <= 0:
-                self._tenant_pending.pop(request.tenant, None)
+                self._tenant_pending.pop(tenant, None)
             else:
-                self._tenant_pending[request.tenant] = remaining
+                self._tenant_pending[tenant] = remaining
 
     async def _dispatch(
         self, request: ServeRequest, loop: asyncio.AbstractEventLoop
@@ -349,29 +364,10 @@ class Frontend:
         :class:`ServeResult` or an exception object; admission shedding
         raises :class:`Overloaded` for the whole group.
         """
-        if self._closed:
-            raise RuntimeError("Frontend is shut down")
-        for request in requests:
-            if request.output_mode != "listing":
-                raise PlanFailure(
-                    "factorized output cannot cross a process boundary; "
-                    "serve factorized queries in-process via PlanServer",
-                    cause_type="QueryError",
-                )
-        self._ensure_health_task()
+        tenants = self._admit(requests)
         count = len(requests)
-        self._submitted += count
-        if self._pending >= self.max_pending:
-            self._shed_queue += count
-            self._decay_latency()
-            raise Overloaded(f"queue full ({self._pending} pending)", requests[0].tenant)
         loop = asyncio.get_running_loop()
-        self._pending += count
-        tenants: Dict[str, int] = {}
-        for request in requests:
-            tenants[request.tenant] = tenants.get(request.tenant, 0) + 1
-        for tenant, n in tenants.items():
-            self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + n
+        self._hold(tenants, +1)
         self._merged_groups += 1
         self._merged_group_requests += count
         try:
@@ -409,13 +405,7 @@ class Frontend:
             finally:
                 self._reader_exit()
         finally:
-            self._pending -= count
-            for tenant, n in tenants.items():
-                remaining = self._tenant_pending.get(tenant, n) - n
-                if remaining <= 0:
-                    self._tenant_pending.pop(tenant, None)
-                else:
-                    self._tenant_pending[tenant] = remaining
+            self._hold(tenants, -1)
 
     # ------------------------------------------------------------------ #
     # fleet-wide factor updates (epoch-gated)
@@ -547,7 +537,7 @@ class Frontend:
         """Expected queueing delay for a new arrival, from the latency EWMA.
 
         Optimistic before any observation (admit; the tier has no basis to
-        shed yet) — thereafter ``ewma × ceil(backlog share per replica)``.
+        shed yet) — thereafter ``ewma × backlog share per replica``.
         """
         if self._latency_ewma is None or self._pending == 0:
             return 0.0

@@ -6,8 +6,8 @@ over one pipe, speaking :mod:`repro.serve.protocol`.  Each replica keeps
 * a digest-addressed **factor store** (tables ship once, then are referred
   to by digest — the amortisation the wire protocol exists for);
 * a **query memo** (content key → rebuilt :class:`FAQQuery`), so repeated
-  traffic reuses one query object and with it every identity-keyed memo
-  downstream (hypergraph, shared tries);
+  traffic reuses one query object and with it every per-object memo
+  downstream (hypergraph, content and sharing keys);
 * its own :class:`~repro.serve.server.PlanServer` for digest-addressed
   plans and trie reuse.
 
@@ -400,45 +400,63 @@ class ReplicaHandle:
             self._start()
 
     # ------------------------------------------------------------------ #
-    def execute(self, request: ServeRequest) -> ServeResult:
-        """Run one request on this replica (blocking; thread-safe).
-
-        Ships only the factor payloads the replica is missing; answers a
-        ``("need", ...)`` reply (a replica that restarted mid-conversation)
-        by resending with the requested tables.
-        """
+    def _encoded(self, query) -> Tuple[Any, Dict[str, Any]]:
+        """The query's wire form and its digest → table map."""
         try:
-            wire, tables = encode_query(request.query)
+            return encode_query(query)
         except TypeError as exc:
             raise PlanFailure(
                 f"query is not digest-addressable and cannot be served by a replica: {exc}",
                 cause_type=type(exc).__name__,
             ) from exc
+
+    def _exchange(self, build, wires, tables: Dict[str, Any], ok_kind: str) -> Any:
+        """The ship-once exchange every request kind goes through.
+
+        ``build(req_id, payloads)`` makes the message; ``payloads`` are the
+        ``tables`` of ``wires`` the replica is not known to hold.  A
+        ``("need", ...)`` reply (a replica that restarted mid-conversation)
+        is answered once, by resending with the requested tables.  Returns
+        the body of the ``ok_kind`` reply; an error reply raises
+        :class:`PlanFailure`, anything else :class:`ReplicaCrashed`.
+        """
         req_id = next(_REQ_IDS)
 
-        def exec_msg(payloads):
-            return (
-                MSG_EXEC, req_id, wire, payloads, request.output_mode,
-                request.options, request.coalesce,
-            )
+        def send(payloads: Dict[str, Any]) -> tuple:
+            reply = self._validated(self._call(build(req_id, payloads)), req_id)
+            self.known.update(payloads)
+            return reply
 
         with self.lock:
-            payloads = {d: tables[d] for d in missing_digests(wire, self.known)}
-            reply = self._validated(self._call(exec_msg(payloads)), req_id)
-            self.known.update(payloads)
+            reply = send({
+                d: tables[d] for wire in wires for d in missing_digests(wire, self.known)
+            })
             if reply[0] == MSG_NEED:
-                payloads = {d: tables[d] for d in reply[2]}
-                reply = self._validated(self._call(exec_msg(payloads)), req_id)
-                self.known.update(payloads)
-        if reply[0] == MSG_OK:
-            result: WireResult = reply[2]
-            return self._serve_result(result, request)
+                reply = send({d: tables[d] for d in reply[2]})
+        if reply[0] == ok_kind:
+            return reply[2]
         if reply[0] == MSG_ERR:
             _, _, err_kind, message, cause_type = reply
             raise PlanFailure(message, cause_type=cause_type)
         raise ReplicaCrashed(
             f"replica {self.index} sent unexpected reply {reply[0]!r}"
         )
+
+    def execute(self, request: ServeRequest) -> ServeResult:
+        """Run one request on this replica (blocking; thread-safe).
+
+        Ships only the factor payloads the replica is missing
+        (:meth:`_exchange`).
+        """
+        wire, tables = self._encoded(request.query)
+        result: WireResult = self._exchange(
+            lambda req_id, payloads: (
+                MSG_EXEC, req_id, wire, payloads, request.output_mode,
+                request.options, request.coalesce,
+            ),
+            [wire], tables, MSG_OK,
+        )
+        return self._serve_result(result, request)
 
     def update(
         self, request: ServeRequest, deltas: Sequence[Tuple[int, Any]]
@@ -450,38 +468,15 @@ class ReplicaHandle:
         known-digest set keeps only digests that still name live factors
         (the pre-update factors' digests simply stop being referenced).
         """
-        try:
-            wire, tables = encode_query(request.query)
-        except TypeError as exc:
-            raise PlanFailure(
-                f"query is not digest-addressable and cannot be served by a replica: {exc}",
-                cause_type=type(exc).__name__,
-            ) from exc
-        req_id = next(_REQ_IDS)
-
-        def update_msg(payloads):
-            return (
+        wire, tables = self._encoded(request.query)
+        result: WireResult = self._exchange(
+            lambda req_id, payloads: (
                 MSG_UPDATE, req_id, wire, payloads, tuple(deltas),
                 request.output_mode, request.options,
-            )
-
-        with self.lock:
-            payloads = {d: tables[d] for d in missing_digests(wire, self.known)}
-            reply = self._validated(self._call(update_msg(payloads)), req_id)
-            self.known.update(payloads)
-            if reply[0] == MSG_NEED:
-                payloads = {d: tables[d] for d in reply[2]}
-                reply = self._validated(self._call(update_msg(payloads)), req_id)
-                self.known.update(payloads)
-        if reply[0] == MSG_OK:
-            result: WireResult = reply[2]
-            return self._serve_result(result, request)
-        if reply[0] == MSG_ERR:
-            _, _, err_kind, message, cause_type = reply
-            raise PlanFailure(message, cause_type=cause_type)
-        raise ReplicaCrashed(
-            f"replica {self.index} sent unexpected reply {reply[0]!r}"
+            ),
+            [wire], tables, MSG_OK,
         )
+        return self._serve_result(result, request)
 
     def execute_many(self, requests: List[ServeRequest]) -> List[Any]:
         """Run a batch on this replica as one merged dispatch (blocking).
@@ -495,47 +490,31 @@ class ReplicaHandle:
         :class:`~repro.serve.api.ReplicaCrashed` for the whole batch.
         """
         outcomes: List[Any] = [None] * len(requests)
-        encoded: List[Tuple[int, ServeRequest, Any, Dict[str, Any]]] = []
+        encoded: List[Tuple[int, ServeRequest, Any]] = []
+        combined: Dict[str, Any] = {}
         for i, request in enumerate(requests):
             try:
-                wire, tables = encode_query(request.query)
-            except TypeError as exc:
-                outcomes[i] = PlanFailure(
-                    f"query is not digest-addressable and cannot be served by a replica: {exc}",
-                    cause_type=type(exc).__name__,
-                )
+                wire, tables = self._encoded(request.query)
+            except PlanFailure as exc:
+                outcomes[i] = exc
                 continue
-            encoded.append((i, request, wire, tables))
+            encoded.append((i, request, wire))
+            combined.update(tables)
         if not encoded:
             return outcomes
-        req_id = next(_REQ_IDS)
         items = tuple(
             (wire, request.output_mode, request.options, request.coalesce)
-            for _, request, wire, _ in encoded
+            for _, request, wire in encoded
         )
-        combined: Dict[str, Any] = {}
-        for _, _, _, tables in encoded:
-            combined.update(tables)
-        with self.lock:
-            payloads: Dict[str, Any] = {}
-            for _, _, wire, _ in encoded:
-                for digest in missing_digests(wire, self.known):
-                    payloads.setdefault(digest, combined[digest])
-            reply = self._validated(
-                self._call((MSG_EXEC_MANY, req_id, items, payloads)), req_id
-            )
-            self.known.update(payloads)
-            if reply[0] == MSG_NEED:
-                payloads = {d: combined[d] for d in reply[2]}
-                reply = self._validated(
-                    self._call((MSG_EXEC_MANY, req_id, items, payloads)), req_id
-                )
-                self.known.update(payloads)
-        if reply[0] != MSG_OK_MANY or len(reply[2]) != len(encoded):
+        replies = self._exchange(
+            lambda req_id, payloads: (MSG_EXEC_MANY, req_id, items, payloads),
+            [wire for _, _, wire in encoded], combined, MSG_OK_MANY,
+        )
+        if len(replies) != len(encoded):
             raise ReplicaCrashed(
-                f"replica {self.index} sent unexpected reply {reply[0]!r}"
+                f"replica {self.index} answered {len(replies)} of {len(encoded)} requests"
             )
-        for (i, request, _, _), outcome in zip(encoded, reply[2]):
+        for (i, request, _), outcome in zip(encoded, replies):
             if outcome[0] == MSG_OK:
                 outcomes[i] = self._serve_result(outcome[1], request)
             else:

@@ -115,8 +115,7 @@ class PlanServer:
         threads.
     pool_size:
         Thread-pool size for concurrent query execution (defaults to the
-        CPU count).  This is what ``PlanServer(workers=N)`` meant before
-        the serving API redesign.
+        CPU count).
     cache:
         The :class:`~repro.planner.cache.PlanCache` to plan against.
         Defaults to a server-private cache *paired with a server-private

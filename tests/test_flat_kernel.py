@@ -330,9 +330,7 @@ def test_shared_columns_are_read_only():
         flat.values[0] = 0.0
     with pytest.raises(ValueError):
         flat.columns["x0"][0] = 0
-    projection = store.projection_flat(
-        store.projection_entry(query.factors[0], frozenset({"x1"})), ctx
-    )
+    projection = store.projection_flat(query.factors[0], frozenset({"x1"}), ctx)
     with pytest.raises(ValueError):
         projection.columns["x1"][0] = 0
 

@@ -225,32 +225,82 @@ class TestEliminateJoin:
         assert stats.intersections > 0
 
 
+@pytest.fixture(params=["per-run", "shared"])
+def holder_for(request):
+    """``holder_for(order, factors, semiring)``: a per-run ``TrieCache`` or a
+    ``SharedTrieCache`` built for the (digested) factors — same lookups."""
+    from repro.factors.index import SharedTrieCache, TrieCache
+    from repro.planner.signature import factor_digest
+
+    def build(order, factors, semiring=COUNTING):
+        if request.param == "per-run":
+            return TrieCache(order, semiring)
+        for factor in factors:
+            factor_digest(factor)  # leaves the memo the shared holder keys by
+        return SharedTrieCache(order, semiring, factors)
+
+    build.keeps_discarded = request.param == "shared"
+    return build
+
+
 class TestTrieCache:
-    def test_trie_reused_for_same_factor(self):
-        from repro.factors.index import TrieCache
-
-        cache = TrieCache(("A", "B"), COUNTING)
+    def test_trie_reused_for_same_factor(self, holder_for):
         psi = make_factor(("A", "B"), {(0, 0): 1})
+        cache = holder_for(("A", "B"), [psi])
         assert cache.trie(psi) is cache.trie(psi)
+        assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_projection_reused_and_discarded(self):
-        from repro.factors.index import TrieCache
-
-        cache = TrieCache(("A", "B", "C"), COUNTING)
+    def test_projection_reused_and_discarded(self, holder_for):
         psi = make_factor(("A", "B"), {(0, 0): 1, (0, 1): 2})
+        cache = holder_for(("A", "B", "C"), [psi])
         projected, trie = cache.projection(psi, {"A"})
         assert projected.table == {(0,): 1}
+        assert cache.projection_factor(psi, {"A"}) is projected
         assert cache.projection(psi, {"A"})[1] is trie
         cache.discard(psi)
-        assert cache.projection(psi, {"A"})[1] is not trie
+        # A run drops a consumed factor's entry; the cross-run store keeps it.
+        assert (cache.projection(psi, {"A"})[1] is trie) == holder_for.keeps_discarded
 
-    def test_dense_factor_indexed_via_listing(self):
+    def test_dense_factor_indexed_via_listing(self, holder_for):
         from repro.factors.dense import DenseFactor
-        from repro.factors.index import TrieCache
 
         dense = DenseFactor.from_factor(
             make_factor(("A",), {(0,): 2, (1,): 0}), {"A": (0, 1)}, COUNTING
         )
-        cache = TrieCache(("A",), COUNTING)
+        cache = holder_for(("A",), [dense])
         trie = cache.trie(dense)
         assert trie.value((0,)) == 2
+
+    def test_flat_encodings_reused_per_factor_and_projection(self, holder_for):
+        from repro.semiring.standard import MAX_PRODUCT
+
+        psi = make_factor(("A", "B"), {(0, 0): 0.5, (0, 1): 2.0, (1, 1): 4.0})
+        domains = {"A": (0, 1), "B": (0, 1)}
+        cache = holder_for(("A", "B"), [psi], MAX_PRODUCT)
+        ctx = cache.flat_context(domains)
+        assert ctx is cache.flat_context(domains)
+        flat = cache.flat(psi, ctx)
+        assert len(flat) == 3 and cache.flat(psi, ctx) is flat
+        projection = cache.projection_flat(psi, {"B"}, ctx)
+        assert sorted(projection.columns["B"].tolist()) == [0, 1]
+        assert cache.projection_flat(psi, {"B"}, ctx) is projection
+        # flat: miss, hit; projection_flat: (factor, encoding) misses, then hits.
+        assert (cache.hits, cache.misses) == (3, 3)
+
+    def test_parent_served_lookup_is_a_local_miss_and_a_parent_hit(self):
+        from repro.factors.index import SharedTrieCache, TrieCache
+        from repro.planner.signature import factor_digest
+
+        psi = make_factor(("A", "B"), {(0, 0): 1, (0, 1): 2})
+        factor_digest(psi)
+        store = SharedTrieCache(("A", "B"), COUNTING, [psi])
+        warm = store.trie(psi)
+        assert (store.hits, store.misses) == (0, 1)
+        run = TrieCache(("A", "B"), COUNTING)
+        run.adopt_parent(store)
+        assert run.trie(psi) is warm
+        assert (run.hits, run.misses) == (0, 1)
+        assert (store.hits, store.misses) == (1, 1)
+        assert run.trie(psi) is warm  # now local: the parent is not asked again
+        assert (run.hits, run.misses) == (1, 1)
+        assert (store.hits, store.misses) == (1, 1)

@@ -13,6 +13,8 @@ here.
 
 import dataclasses
 import inspect
+import pathlib
+import re
 
 import repro
 import repro.serve
@@ -113,6 +115,33 @@ def test_options_census_matches_snapshot():
         tuple(f.name for f in dataclasses.fields(repro.EngineConfig))
         == OPTIONS["EngineConfig"]
     )
+
+
+# Upper bound on ``^class .*(Cache|Store|Snapshot)`` under src/repro/
+# (ROADMAP 2(d)).  Lowering it is the only allowed edit.
+CACHE_CLASS_CEILING = 10
+
+# The lookups of the two trie holders; each is written once between them.
+HOLDER_LOOKUPS = ("trie", "projection", "projection_factor", "flat", "projection_flat")
+
+
+def test_cache_class_census_stays_under_ceiling():
+    root = pathlib.Path(repro.__file__).parent
+    pattern = re.compile(r"^class .*(Cache|Store|Snapshot)", re.MULTILINE)
+    found = [
+        f"{path.relative_to(root)}: {match.group(0)}"
+        for path in sorted(root.rglob("*.py"))
+        for match in pattern.finditer(path.read_text())
+    ]
+    assert len(found) <= CACHE_CLASS_CEILING, found
+
+
+def test_trie_holders_define_each_lookup_once():
+    from repro.factors.index import SharedTrieCache, TrieCache
+
+    for name in HOLDER_LOOKUPS:
+        owners = [cls for cls in (TrieCache, SharedTrieCache) if name in vars(cls)]
+        assert len(owners) == 1, (name, owners)
 
 
 def test_repro_all_matches_snapshot():

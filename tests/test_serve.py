@@ -397,12 +397,18 @@ def test_cost_model_invocations_exact_under_concurrency():
     assert model.invocations == threads_n * per_thread
 
 
-def test_trie_cache_counters_exact_under_concurrency():
-    """The per-run ``TrieCache`` hit/miss counters stay exact under the pool."""
-    from repro.factors.index import TrieCache
+@pytest.mark.parametrize("holder", ["per-run", "shared"])
+def test_trie_cache_counters_exact_under_concurrency(holder):
+    """Either trie holder's hit/miss counters stay exact under the pool."""
+    from repro.factors.index import SharedTrieCache, TrieCache
+    from repro.planner.signature import query_content_key
 
     query = _random_query("counting", 2)
-    tries = TrieCache(tuple(query.order), query.semiring, thread_safe=True)
+    if holder == "per-run":
+        tries = TrieCache(tuple(query.order), query.semiring, thread_safe=True)
+    else:
+        query_content_key(query)  # leaves the digest memos the store keys by
+        tries = SharedTrieCache(tuple(query.order), query.semiring, query.factors)
     factors = list(query.factors)
     threads_n, per_thread = 4, 40
     barrier = threading.Barrier(threads_n)

@@ -103,6 +103,39 @@ def test_tenant_quota_sheds_excess_in_flight():
         assert fe.stats()["shed_tenant"] == 2
 
 
+def test_tenant_quota_holds_on_the_merged_path():
+    def same_tenant_batch():
+        # One factor set -> one sharing key -> one merged group under merge=True.
+        return [
+            ServeRequest(query=_random_query("counting", 3), tenant="acme") for _ in range(4)
+        ]
+
+    with Frontend(replicas=1, health_interval=None, tenant_limit=1) as fe:
+        outcomes = fe.serve_batch(same_tenant_batch(), return_exceptions=True, merge=False)
+        assert sum(isinstance(o, Overloaded) for o in outcomes) == 3
+        assert fe.stats()["shed_tenant"] == 3
+        # As one group the four would put acme at 4 in flight: shed whole.
+        outcomes = fe.serve_batch(same_tenant_batch(), return_exceptions=True)
+        assert all(isinstance(o, Overloaded) and o.tenant == "acme" for o in outcomes)
+        stats = fe.stats()
+        assert stats["shed_tenant"] == 3 + 4
+        assert stats["merged_groups"] == 0
+
+
+def test_merged_group_admission_checks_queue_bound_and_types():
+    group = [ServeRequest(query=_random_query("counting", 3)) for _ in range(4)]
+    with Frontend(replicas=1, health_interval=None, max_pending=3) as fe:
+        # The bound applies to the backlog *with* the group, not before it.
+        outcomes = fe.serve_batch(group, return_exceptions=True)
+        assert all(isinstance(o, Overloaded) for o in outcomes)
+        assert fe.stats()["shed_queue"] == 4
+        assert fe.serve_batch(group[:3])[0].factor.equals(
+            _reference(group[0].query), group[0].query.semiring
+        )
+        with pytest.raises(TypeError, match="ServeRequest"):
+            asyncio.run(fe.submit_many([group[0].query]))
+
+
 def test_tenant_quota_is_per_tenant():
     with Frontend(replicas=1, health_interval=None, tenant_limit=1) as fe:
         requests = [
