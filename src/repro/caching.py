@@ -1,4 +1,5 @@
-"""A small thread-safe LRU used by the process-wide memo caches.
+"""A small thread-safe LRU used by the process-wide memo caches, and the
+one sealed envelope everything this package spills is written in.
 
 Both the planner's :class:`~repro.planner.cache.PlanCache` and the
 process-wide ``ρ*`` memo of :mod:`repro.hypergraph.covers` need the same
@@ -7,6 +8,21 @@ counters, and safety under the worker pools introduced by
 :mod:`repro.exec` and :mod:`repro.serve` (planning and execution now run
 concurrently against the shared caches).  This module is deliberately
 dependency-free so that both layers can import it without cycles.
+
+Everything persisted or published — :meth:`LruCache.save` files, the
+serving tier's :class:`~repro.serve.snapshot.SnapshotStore` files, and both
+shared-memory stores of :mod:`repro.exec.shm` — is one :func:`seal`
+envelope::
+
+    bytes 0..7    magic  b"REPROSL1"  (envelope layout version)
+    bytes 8..15   payload length, little-endian u64
+    bytes 16..47  SHA-256 of the pickle
+    bytes 48..    pickle of (kind, version, payload)
+
+:func:`unseal` hands the payload back only when all of it checks out: the
+magic pins the layout, the checksum rejects torn or bit-rotted bytes, and
+the ``kind``/``version`` tags reject a foreign or stale writer — so bumping
+a store's version invalidates everything it ever spilled at once.
 """
 
 from __future__ import annotations
@@ -14,12 +30,67 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 import tempfile
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable, Iterator, List, Tuple
 
 _MISSING = object()
+
+_MAGIC = b"REPROSL1"
+_HEADER = struct.Struct("<8sQ32s")  # magic | pickle length | SHA-256
+
+
+def seal(payload: Any, *, kind: str, version: int) -> bytes:
+    """``payload`` in the checksummed, ``kind``/``version``-tagged envelope."""
+    data = pickle.dumps((kind, version, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(_MAGIC, len(data), hashlib.sha256(data).digest()) + data
+
+
+def unseal(raw, *, kind: str, version: int) -> Any:
+    """The payload :func:`seal` wrapped, or ``None`` on any mismatch.
+
+    ``raw`` is the sealed bytes or a longer buffer starting with them (a
+    shared-memory segment is rounded up to whole pages).  Short, foreign,
+    truncated, corrupt and wrong-``kind``/``version`` input all give
+    ``None``; only unpickling checksum-clean bytes can raise (a payload
+    class that moved between releases), which every caller treats as one
+    more way of adopting nothing.
+    """
+    if len(raw) < _HEADER.size:
+        return None
+    magic, length, digest = _HEADER.unpack_from(raw)
+    data = bytes(raw[_HEADER.size:_HEADER.size + length])
+    if magic != _MAGIC or len(data) != length or hashlib.sha256(data).digest() != digest:
+        return None
+    sealed_kind, sealed_version, payload = pickle.loads(data)
+    if sealed_kind != kind or sealed_version != version:
+        return None
+    return payload
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``.
+
+    A crash mid-write leaves the previous file intact; a failed write
+    leaves no temp file behind.
+    """
+    path = os.fspath(path)
+    fd, tmp_path = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".",
+        prefix=os.path.basename(path) + ".", suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 class LruCache:
@@ -96,11 +167,11 @@ class LruCache:
     # persistence
     # ------------------------------------------------------------------ #
     def dump_entries(self, *, kind: str, version: int) -> dict:
-        """The in-memory form of :meth:`save`'s envelope.
+        """The entries under their kind/version tags, as a plain dict.
 
-        Used by the shared-memory cache store (:mod:`repro.exec.shm`) to
-        publish a snapshot across a replica fleet without touching disk;
-        the same kind/version tags gate adoption.
+        One section of the shared-memory cache store (:mod:`repro.exec.shm`),
+        which publishes a snapshot across a replica fleet without touching
+        disk; the same kind/version tags as :meth:`save` gate adoption.
         """
         with self._lock:
             entries = list(self._entries.items())
@@ -129,39 +200,16 @@ class LruCache:
             return 0
 
     def save(self, path, *, kind: str, version: int) -> int:
-        """Pickle the entries to ``path`` tagged with a kind + format version.
+        """Persist the entries to ``path`` tagged with a kind + format version.
 
-        Returns the number of entries written.  The tag is checked by
-        :meth:`load`, so bumping ``version`` invalidates every persisted
-        file of that kind at once.  The write is **atomic** (temp file +
-        ``os.replace``, so a crash mid-save leaves the previous file
-        intact) and **checksummed**: the entries travel as one pickled
-        blob whose SHA-256 is stored alongside, so :meth:`load` rejects a
-        torn or bit-rotted file instead of adopting garbage.
+        Returns the number of entries written.  The file is one
+        :func:`seal` envelope, written with :func:`write_atomic`:
+        bumping ``version`` invalidates every persisted file of that kind
+        at once, and :meth:`load` rejects a torn or bit-rotted file instead
+        of adopting garbage.
         """
-        with self._lock:
-            entries = list(self._entries.items())
-        blob = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = {
-            "kind": kind,
-            "version": version,
-            "entries_blob": blob,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
-        path = os.fspath(path)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", prefix=os.path.basename(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        entries = list(self.items())
+        write_atomic(path, seal(entries, kind=kind, version=version))
         return len(entries)
 
     def load(self, path, *, kind: str, version: int) -> int:
@@ -173,23 +221,13 @@ class LruCache:
         """
         # Best-effort by contract: a missing, truncated, corrupt or
         # stale-format file (including unpicklable entries whose classes
-        # moved between releases — the version tag can only be checked
-        # *after* pickle has instantiated them) must never crash the
-        # loading process; it is simply ignored.
+        # moved between releases) must never crash the loading process; it
+        # is simply ignored.
         try:
             with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if not isinstance(payload, dict):
-                return 0
-            if payload.get("kind") != kind or payload.get("version") != version:
-                return 0
-            blob = payload.get("entries_blob")
-            # Verify the checksum before unpickling the entries; a payload
-            # with no blob (or no matching digest) adopts nothing.
-            if blob is None or hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
-                return 0
+                entries = unseal(handle.read(), kind=kind, version=version)
             count = 0
-            for key, value in pickle.loads(blob):
+            for key, value in entries or ():
                 self.put(key, value)
                 count += 1
             return count

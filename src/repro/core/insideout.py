@@ -128,12 +128,7 @@ def _validated_ordering(query: FAQQuery, ordering: Sequence[str] | None) -> List
         from repro.core.faqw import approximate_faqw_ordering
 
         return list(approximate_faqw_ordering(query))
-    order = list(ordering)
-    if set(order) != set(query.order) or len(order) != len(query.order):
-        raise QueryError("ordering must be a permutation of the query variables")
-    if set(order[: query.num_free]) != set(query.free):
-        raise QueryError("ordering must list the free variables first")
-    return order
+    return query.checked_ordering(ordering)
 
 
 # Cap for workers="auto": realistic step DAGs rarely have the topological

@@ -198,12 +198,12 @@ class FAQQuery:
     # ------------------------------------------------------------------ #
     # derived queries
     # ------------------------------------------------------------------ #
-    def with_ordering(self, ordering: Sequence[str]) -> "FAQQuery":
-        """Re-write the query along a new variable ordering.
+    def checked_ordering(self, ordering: Sequence[str]) -> List[str]:
+        """``ordering`` as a list, or :class:`QueryError` unless it is an
+        explicit permutation of the variables that lists the free ones first.
 
-        The ordering must contain every variable exactly once and start with
-        the free variables (in any order).  Aggregates travel with their
-        variables.  No semantic check is performed here — use
+        The one syntactic check every engine and the planner apply to a
+        caller-supplied ordering; no semantic check is performed here — use
         :func:`repro.core.evo.is_equivalent_ordering` for that.
         """
         order = list(ordering)
@@ -211,6 +211,15 @@ class FAQQuery:
             raise QueryError("ordering must be a permutation of the query variables")
         if set(order[: self.num_free]) != set(self.free):
             raise QueryError("ordering must list the free variables first")
+        return order
+
+    def with_ordering(self, ordering: Sequence[str]) -> "FAQQuery":
+        """Re-write the query along a new variable ordering.
+
+        The ordering must pass :meth:`checked_ordering`.  Aggregates travel
+        with their variables.
+        """
+        order = self.checked_ordering(ordering)
         variables = [self.variables[v] for v in order]
         return FAQQuery(
             variables=variables,

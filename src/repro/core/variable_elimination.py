@@ -17,8 +17,9 @@ InsideOut itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
+from repro.core.insideout import _expand_isolated_free
 from repro.core.query import FAQQuery, QueryError
 from repro.factors.backend import (
     BACKEND_SPARSE,
@@ -103,11 +104,7 @@ def variable_elimination(
 
         order = list(plan(query, strategy=STRATEGY_VARIABLE_ELIMINATION).ordering)
     else:
-        order = list(ordering)
-        if set(order) != set(query.order):
-            raise QueryError("ordering must be a permutation of the query variables")
-        if set(order[: query.num_free]) != set(query.free):
-            raise QueryError("ordering must list the free variables first")
+        order = query.checked_ordering(ordering)
 
     stats = VariableEliminationStats()
     factors: List[Factor] = [f.copy() for f in query.factors]
@@ -200,16 +197,9 @@ def variable_elimination(
         stats.multiplications += len(output)
     output = as_sparse(output, semiring)
 
-    # Expand free variables that no factor mentions (constant directions).
-    missing = [v for v in query.free if v not in output.scope]
-    for variable in missing:
-        domain = query.domain(variable)
-        table: Dict[Tuple[Any, ...], Any] = {}
-        for key, value in output.table.items():
-            for dom_value in domain:
-                table[key + (dom_value,)] = value
-        output = Factor(tuple(output.scope) + (variable,), table, name=output.name)
-    output = output.normalize_scope(query.free) if query.free else output
+    output = _expand_isolated_free(query, output, semiring)
+    if query.free:
+        output = output.normalize_scope(query.free)
 
     stats.max_intermediate_size = max(stats.max_intermediate_size, len(output))
     return VariableEliminationResult(factor=output, ordering=tuple(order), stats=stats)

@@ -64,12 +64,6 @@ def yannakakis(
             by_edge[edge] = binary_hash_join(by_edge[edge], relation)
         else:
             by_edge[edge] = relation
-    # Relations whose schema is strictly contained in a tree node get folded
-    # into that node by a semijoin + join.
-    for relation in relations:
-        edge = relation.attributes
-        if edge in by_edge and by_edge[edge] is relation:
-            continue
     nodes = list(tree.nodes)
     for relation in relations:
         if relation.attributes in by_edge:

@@ -12,10 +12,11 @@ solver wrapper, ``db.join`` or the serving layer (:mod:`repro.serve`) —
 parallelism (``None``/1 = serial, ``"auto"`` = CPU count capped at
 :data:`AUTO_WORKERS_CAP`).
 
-``workers_mode="process"`` (accepted wherever ``workers=`` is) swaps the
-thread pool for worker *processes* fed through digest-keyed shared memory
-(:mod:`repro.exec.procpool` / :mod:`repro.exec.shm`), letting the sparse
-Python kernels scale past the GIL.
+``workers_mode="process"`` (accepted wherever ``workers=`` is) has the
+pool's threads hand their steps to worker *processes* fed through
+digest-keyed shared memory (:mod:`repro.exec.procpool` /
+:mod:`repro.exec.shm`), letting the sparse Python kernels scale past the
+GIL.
 """
 
 from repro.core.insideout import AUTO_WORKERS_CAP

@@ -2,13 +2,16 @@
 
 :class:`DagExecutor` is where every InsideOut run executes.  A run is
 lowered to its :class:`~repro.exec.dag.StepDag` and the steps are scheduled
-inline on the calling thread (``workers=1`` — the serial run), on a thread
-pool, or on a shared-memory process pool.  Independent elimination steps —
-steps over disjoint factor groups, whose DAG nodes share no slots — execute
-concurrently; the dense/NumPy kernels release the GIL inside their ufunc
-reductions, so multi-block dense workloads scale with cores.  The sparse
-kernels are pure Python and gain nothing from threads, but remain *correct*
-under the pool: every step kernel is a pure function of its input factors.
+inline on the calling thread (``workers=1`` — the serial run) or on a
+thread pool.  Independent elimination steps — steps over disjoint factor
+groups, whose DAG nodes share no slots — execute concurrently; the
+dense/NumPy kernels release the GIL inside their ufunc reductions, so
+multi-block dense workloads scale with cores.  The sparse kernels are pure
+Python and gain nothing from threads, but remain *correct* under the pool:
+every step kernel is a pure function of its input factors.  Process mode
+changes only *where* a scheduled step computes: each pool thread hands its
+step to a worker process (:mod:`repro.exec.procpool`) and blocks on the
+reply, so there is one scheduler and one step-source protocol in every mode.
 
 There is one implementation, :meth:`DagExecutor.run_many`: lower each run,
 merge the runs' nodes by content digest, schedule, finish.  A single query
@@ -256,6 +259,49 @@ class RunSnapshot:
                 del self.entries[key]
 
 
+def run_step_kernel(run, node, join_stats: OutsideInStats) -> EliminationRecord:
+    """The one ``node.kind`` → kernel dispatch of an elimination step.
+
+    ``run`` is whoever holds the step's inputs — the parent's
+    :class:`_RunState` or a pool worker's mirror of it: anything with
+    ``query`` / ``uip`` / ``backend`` / ``policy`` / ``tries`` and the
+    ``slots`` the node reads.  Writes the node's output slots and returns
+    its record.
+    """
+    slots = run.slots
+    incident = [slots[s] for s in node.incident]
+    if node.kind == KIND_SEMIRING:
+        slots[node.outputs[0]], record = eliminate_semiring_step(
+            run.query, incident, [slots[s] for s in node.reads], node.variable,
+            run.uip, join_stats,
+            backend=run.backend, policy=run.policy, tries=run.tries,
+        )
+    elif node.kind == KIND_PRODUCT:
+        new_factors, record = eliminate_product_step(
+            run.query, [f for f in incident if f is not None], node.variable
+        )
+        # Outputs align positionally with the incident slots (a None input
+        # keeps a None output).  Product steps replace marginalised/powered
+        # factors with new objects; drop the dead factors' cached tries.
+        fresh = iter(new_factors)
+        for old, out in zip(incident, node.outputs):
+            slots[out] = new = None if old is None else next(fresh)
+            if new is not old:
+                run.tries.discard(old)
+    else:  # pragma: no cover - defensive
+        raise QueryError(f"no elimination kernel for step kind {node.kind!r}")
+    return record
+
+
+def capture_step(run, node, record, join_stats: OutsideInStats) -> _StepEntry:
+    """The shareable entry of a node ``run`` has just executed."""
+    return _StepEntry(
+        outputs=tuple(run.slots[s] for s in node.outputs),
+        record=record,
+        join_delta=replace(join_stats),
+    )
+
+
 class _RunState:
     """The mutable execution context of one lowered run.
 
@@ -320,59 +366,38 @@ class _RunState:
 
         Every way a step gets computed passes through here exactly once —
         inline and thread-pool execution via :meth:`execute_node`, the
-        process pool's in-parent steps likewise and its remote steps at
-        dispatch — and a replayed step never does, so the n-th call of a
-        :class:`~repro.faults.FaultPlan` schedule names the same step under
-        every scheduler.
+        process pool before it decides where the step runs (a step redone
+        in-process after its worker failed goes straight to
+        :meth:`compute_node`) — and a replayed step never does, so the n-th
+        call of a :class:`~repro.faults.FaultPlan` schedule names the same
+        step under every scheduler.
         """
         maybe_raise(SITE_STEP_KERNEL)
 
     def execute_node(self, index: int) -> None:
         self.enter_step()
+        self.compute_node(index)
+
+    def compute_node(self, index: int) -> None:
+        """Run a node's kernel in this process (no fault-site draw)."""
         node = self.dag.nodes[index]
-        slots = self.slots
-        join_stats = self.node_join_stats[index]
-        if node.kind == KIND_SEMIRING:
-            incident = [slots[s] for s in node.incident]
-            others = [slots[s] for s in node.reads]
-            new_factor, record = eliminate_semiring_step(
-                self.query, incident, others, node.variable,
-                self.uip, join_stats,
-                backend=self.backend, policy=self.policy, tries=self.tries,
-            )
-            slots[node.outputs[0]] = new_factor
-            self.records[index] = record
-        elif node.kind == KIND_PRODUCT:
-            pairs = [
-                (k, slots[s]) for k, s in enumerate(node.incident)
-                if slots[s] is not None
-            ]
-            new_factors, record = eliminate_product_step(
-                self.query, [factor for _, factor in pairs], node.variable
-            )
-            # Product steps replace marginalised/powered factors with new
-            # objects; drop the dead factors' cached tries.
-            for (k, old), new in zip(pairs, new_factors):
-                slots[node.outputs[k]] = new
-                if new is not old:
-                    self.tries.discard(old)
-            self.records[index] = record
-        elif node.kind == KIND_OUTPUT:
+        if node.kind == KIND_OUTPUT:
+            slots = self.slots
             factors = [slots[s] for s in node.incident if slots[s] is not None]
             slots[node.outputs[0]] = output_phase(
                 self.query, factors, self.order, self.backend, self.policy,
-                join_stats,
+                self.node_join_stats[index],
             )
-        else:  # pragma: no cover - defensive
-            raise QueryError(f"unknown step kind {node.kind!r}")
+        else:
+            self.records[index] = run_step_kernel(
+                self, node, self.node_join_stats[index]
+            )
 
     def capture(self, index: int) -> _StepEntry:
         """Snapshot an executed node as a shareable step-cache entry."""
-        node = self.dag.nodes[index]
-        return _StepEntry(
-            outputs=tuple(self.slots[s] for s in node.outputs),
-            record=self.records[index],
-            join_delta=replace(self.node_join_stats[index]),
+        return capture_step(
+            self, self.dag.nodes[index], self.records[index],
+            self.node_join_stats[index],
         )
 
     def replay(self, index: int, entry: _StepEntry) -> None:
@@ -467,14 +492,15 @@ class DagExecutor:
         resolves to the CPU count (capped); ``None`` lets the platform
         decide (``os.cpu_count()``).
     workers_mode:
-        ``"thread"`` (default) runs steps on a thread pool; ``"process"``
-        runs them on worker processes fed through digest-keyed shared
-        memory (:mod:`repro.exec.procpool`) so the sparse Python kernels
-        escape the GIL.  Process mode applies to a single run; a merged
-        batch always uses threads.  A run whose context cannot cross the
-        process boundary (e.g. lambda semirings) falls back to the thread
-        pool; ``last_process_info`` reports what the previous process-mode
-        run actually did.
+        ``"thread"`` (default) computes steps on the pool's threads;
+        ``"process"`` has each thread hand its step to a worker process
+        fed through digest-keyed shared memory
+        (:mod:`repro.exec.procpool`) so the sparse Python kernels escape
+        the GIL.  Process mode applies to a single run; a merged batch
+        always computes on the threads, as does a run whose context cannot
+        cross the process boundary (e.g. lambda semirings);
+        ``last_process_info`` reports what the previous process-mode run
+        actually did.
     """
 
     def __init__(
@@ -573,6 +599,15 @@ class DagExecutor:
                     merged[mid].subscribers.append((r, index))
                 mid_of[(r, index)] = mid
 
+        parallel = self.workers > 1 and (
+            len(states) > 1 or states[0].dag.max_parallelism > 1
+        )
+        # Process mode applies to a single run; ``None`` back means its
+        # context could not be shipped and the threads compute in-process.
+        pool = None
+        if parallel and self.workers_mode == "process" and len(states) == 1:
+            pool = self._process_pool(states[0])
+        run_node = _RunState.execute_node if pool is None else pool.execute_node
         replayed = [False] * len(merged)
 
         def execute(mid: int) -> None:
@@ -589,7 +624,7 @@ class DagExecutor:
                 # here and fulfil — capture included — or later claimants of
                 # the same digest block forever on the in-flight event.
                 try:
-                    state.execute_node(index)
+                    run_node(state, index)
                     entry = state.capture(index)
                 except BaseException:
                     if shared:
@@ -598,21 +633,11 @@ class DagExecutor:
                 if shared:
                     step_cache.fulfil(node.key, entry)
             else:
-                state.execute_node(index)
+                run_node(state, index)
             for sub_run, sub_index in node.subscribers:
                 states[sub_run].replay(sub_index, entry)
 
-        parallel = self.workers > 1 and (
-            len(states) > 1 or states[0].dag.max_parallelism > 1
-        )
-        pool_info = None
-        if parallel and self.workers_mode == "process" and len(states) == 1:
-            # ``None`` back means the run context could not be shipped to
-            # processes; fall through to threads (state is still untouched).
-            pool_info = self._run_process(states[0], step_cache)
-        if pool_info is not None:
-            executed = pool_info["remote_steps"] + pool_info["local_steps"]
-        else:
+        try:
             if parallel:
                 # Edges come from the owners only: replays are
                 # input-independent, so a subscriber's own producers need
@@ -635,7 +660,10 @@ class DagExecutor:
                 # for a lone run, plain elimination order.
                 for mid in range(len(merged)):
                     execute(mid)
-            executed = len(merged) - sum(replayed)
+        finally:
+            if pool is not None:
+                self.last_process_info = pool.shutdown()
+        executed = len(merged) - sum(replayed)
 
         if info is not None:
             info.total_nodes += sum(len(state.dag.nodes) for state in states)
@@ -645,8 +673,8 @@ class DagExecutor:
         return [state.finish() for state in states]
 
     # ------------------------------------------------------------------ #
-    def _run_process(self, state, step_cache) -> Optional[Dict[str, object]]:
-        """Try the process-pool scheduler; ``None`` means fall back to threads."""
+    def _process_pool(self, state):
+        """A worker-process pool for ``state``'s run; ``None`` means threads only."""
         from repro.exec.procpool import (
             ProcessPool,
             ProcessPoolUnavailable,
@@ -654,15 +682,10 @@ class DagExecutor:
         )
 
         try:
-            pool = ProcessPool(self.workers, build_run_spec(state))
+            return ProcessPool(self.workers, build_run_spec(state))
         except ProcessPoolUnavailable:
             self.last_process_info = None
             return None
-        try:
-            self.last_process_info = pool.run(state, state.dag, step_cache)
-        finally:
-            pool.shutdown()
-        return self.last_process_info
 
     # ------------------------------------------------------------------ #
     def _run_scheduler(self, indegree: Dict[int, int], dependents, execute) -> None:

@@ -1,36 +1,40 @@
-"""A process-pool backend for the step-DAG executor.
+"""Worker processes as an execution site of the step-DAG executor.
 
 Threads only help the dense kernels (NumPy releases the GIL); the sparse
 trie kernel and the flat kernel's Python glue still serialise on it.
-``DagExecutor(workers_mode="process")`` escapes the GIL entirely: the
-parent lowers the run as usual, then drives a pool of worker *processes*
-over the same step DAG.
+``DagExecutor(workers_mode="process")`` escapes the GIL without a second
+scheduler: the driver's ordinary scheduler threads (one per worker) call
+:meth:`ProcessPool.execute_node` where they would call
+``_RunState.execute_node``.  The call takes an idle worker, ships the
+step's missing inputs, blocks on the worker's reply with the GIL released,
+and replays the reply into the run — readiness, the step-source claim
+protocol and the merged-node bookkeeping all stay in
+:mod:`repro.exec.executor`.
 
 Data movement is digest-keyed shared memory, not pipe pickling: every
 factor a worker needs (base factors and intermediate step results alike)
 is published once into a :class:`~repro.exec.shm.ShmBlobStore` segment —
 keyed by the slot's content digest when the step IR carries one — and a
 worker receives only ``(slot, segment name)`` references, attaching and
-unpickling each segment at most once per worker.  Workers execute the very
-same step kernels (:func:`~repro.core.insideout.eliminate_semiring_step`,
-:func:`~repro.core.insideout.eliminate_product_step`) against a
-worker-local :class:`~repro.factors.index.TrieCache`; the kernels are pure
-functions of their input factors, so results, step records, and join
-counters are identical to a ``workers=1`` run no matter which process ran a
-step.  The output phase always runs in the parent (its result never feeds
-another step).
+unpickling each segment at most once per worker.  Workers run the very
+same node→kernel dispatch (:func:`~repro.exec.executor.run_step_kernel`)
+against a worker-local :class:`~repro.factors.index.TrieCache`; the kernels
+are pure functions of their input factors, so results, step records, and
+join counters are identical to a ``workers=1`` run no matter which process
+ran a step.  The output phase always runs in the parent (its result never
+feeds another step).
 
 Fault handling is degrade-don't-hang: a worker dying mid-step (EOF on its
-pipe) marks the pool *degraded* — the lost step is retried in-process by
-the parent and every remaining step runs serially in-process, so a crashed
-worker costs wall-clock, never the run.  A worker that reports a step
-*error* (not a death) has the step retried in-process too, which either
-succeeds or re-raises the real exception with a proper traceback.
+pipe) or reporting a step *error* marks the pool *degraded* — the calling
+thread redoes the step in-process (which either succeeds or re-raises the
+real exception with a proper traceback) and every remaining step runs
+in-process on the scheduler threads, so a crashed worker costs wall-clock,
+never the run.
 
 Environments whose run context cannot cross a process boundary (lambda
 semirings, unpicklable aggregates) raise
-:class:`ProcessPoolUnavailable` at pool construction; the executor falls
-back to the thread scheduler.
+:class:`ProcessPoolUnavailable` at pool construction; the executor's
+threads then compute every step in-process.
 """
 
 from __future__ import annotations
@@ -38,18 +42,18 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import queue
+import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.insideout import (
-    eliminate_product_step,
-    eliminate_semiring_step,
-)
 from repro.core.outsidein import OutsideInStats
 from repro.core.query import FAQQuery, Variable
-from repro.exec.dag import KIND_PRODUCT, KIND_SEMIRING
+from repro.exec.dag import KIND_OUTPUT
+from repro.exec.executor import capture_step, run_step_kernel
 from repro.exec.shm import ShmBlobStore, ensure_tracker_running, read_blob
 from repro.factors.index import TrieCache
 from repro.faults import SITE_WORKER_KILL, fire
+
 
 class ProcessPoolUnavailable(Exception):
     """The run context cannot be shipped to worker processes."""
@@ -84,17 +88,16 @@ def build_run_spec(state) -> Dict[str, Any]:
 # worker side
 # ---------------------------------------------------------------------- #
 class _WorkerRun:
-    """Worker-local mirror of the parent's run state."""
+    """The run context :func:`run_step_kernel` needs, worker-local."""
 
     def __init__(self, spec: Dict[str, Any]) -> None:
         self.query: FAQQuery = spec["query"]
-        self.order = spec["order"]
         self.backend = spec["backend"]
         self.policy = spec["policy"]
         self.uip = spec["uip"]
         self.slots: Dict[int, Any] = {}
         self.blobs: Dict[str, Any] = {}  # segment name -> factor
-        self.tries = TrieCache(self.order, self.query.semiring)
+        self.tries = TrieCache(spec["order"], self.query.semiring)
 
     def load_refs(self, refs) -> None:
         for slot, name in refs:
@@ -107,38 +110,12 @@ class _WorkerRun:
                     self.blobs[name] = factor
                 self.slots[slot] = factor
 
-    def execute(self, payload) -> Tuple[Tuple[Any, ...], Any, OutsideInStats]:
-        kind, variable, incident, reads, outputs, refs = payload
+    def execute(self, node, refs):
+        """Run one step; the reply is the entry the parent replays."""
         self.load_refs(refs)
         join_stats = OutsideInStats()
-        if kind == KIND_SEMIRING:
-            incident_factors = [self.slots[s] for s in incident]
-            others = [self.slots[s] for s in reads]
-            new_factor, record = eliminate_semiring_step(
-                self.query, incident_factors, others, variable, self.uip,
-                join_stats, backend=self.backend, policy=self.policy,
-                tries=self.tries,
-            )
-            self.slots[outputs[0]] = new_factor
-            return (new_factor,), record, join_stats
-        if kind == KIND_PRODUCT:
-            # Mirrors _RunState.execute_node: outputs align positionally
-            # with the incident slots; None inputs keep None outputs.
-            pairs = [
-                (k, self.slots[s]) for k, s in enumerate(incident)
-                if self.slots[s] is not None
-            ]
-            new_factors, record = eliminate_product_step(
-                self.query, [factor for _, factor in pairs], variable
-            )
-            outs: List[Any] = [None] * len(outputs)
-            for (k, old), new in zip(pairs, new_factors):
-                outs[k] = new
-                self.slots[outputs[k]] = new
-                if new is not old:
-                    self.tries.discard(old)
-            return tuple(outs), record, join_stats
-        raise ValueError(f"process worker cannot execute step kind {kind!r}")
+        record = run_step_kernel(self, node, join_stats)
+        return capture_step(self, node, record, join_stats)
 
 
 def _worker_main(conn) -> None:
@@ -153,17 +130,12 @@ def _worker_main(conn) -> None:
         if tag == "run":
             run = _WorkerRun(message[1])
         elif tag == "step":
-            index = message[1]
             try:
-                outputs, record, join_stats = run.execute(message[2])
+                reply = ("done", run.execute(message[1], message[2]))
             except BaseException as exc:  # noqa: BLE001 - reported to parent
-                try:
-                    conn.send(("error", index, repr(exc)))
-                except (OSError, ValueError):
-                    return
-                continue
+                reply = ("error", repr(exc))
             try:
-                conn.send(("done", index, outputs, record, join_stats))
+                conn.send(reply)
             except (OSError, ValueError):
                 return
         elif tag == "crash":
@@ -176,18 +148,16 @@ def _worker_main(conn) -> None:
 # parent side
 # ---------------------------------------------------------------------- #
 class _Worker:
-    __slots__ = ("process", "conn", "alive", "present", "busy_on")
+    __slots__ = ("process", "conn", "present")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.alive = True
         self.present: Set[int] = set()  # slots already shipped
-        self.busy_on: Optional[int] = None  # in-flight node index
 
 
 class ProcessPool:
-    """Drives one lowered run over a pool of worker processes."""
+    """Worker processes that the scheduler's threads run one run's steps on."""
 
     def __init__(self, workers: int, spec: Dict[str, Any], context=None) -> None:
         try:
@@ -199,21 +169,9 @@ class ProcessPool:
         ctx = context if context is not None else multiprocessing.get_context()
         ensure_tracker_running()  # fork children must share the tracker
         self.workers: List[_Worker] = []
-        try:
-            for _ in range(workers):
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_worker_main, args=(child_conn,), daemon=True
-                )
-                process.start()
-                child_conn.close()
-                parent_conn.send(("run", spec))
-                self.workers.append(_Worker(process, parent_conn))
-        except Exception as exc:
-            self.shutdown()
-            raise ProcessPoolUnavailable(
-                f"could not start process workers: {exc!r}"
-            ) from exc
+        self._idle: "queue.SimpleQueue[_Worker]" = queue.SimpleQueue()
+        self._blobs = ShmBlobStore()
+        self._lock = threading.Lock()  # guards the info counters
         self.info: Dict[str, Any] = {
             "mode": "process",
             "workers": workers,
@@ -223,200 +181,104 @@ class ProcessPool:
             "degraded": False,
             "shipped_blobs": 0,
         }
-
-    # ------------------------------------------------------------------ #
-    def run(self, state, dag, step_cache=None) -> Dict[str, Any]:
-        """Execute ``dag`` against ``state``; returns the pool info dict."""
-        from multiprocessing.connection import wait
-
-        blob_store = ShmBlobStore()
-        slot_digests = getattr(dag, "slot_digests", None) or [None] * dag.num_slots
-        indegree = {node.index: len(node.depends_on) for node in dag.nodes}
-        dependents = dag.dependents()
-        ready = sorted(
-            (index for index, degree in indegree.items() if degree == 0),
-            reverse=True,
-        )
-        total = len(dag.nodes)
-        processed = 0
-        claimed: Dict[int, tuple] = {}   # node index -> held cache key
-        parked: Dict[tuple, List[int]] = {}  # key -> nodes awaiting our claim
-
-        def complete(index: int) -> None:
-            nonlocal processed
-            processed += 1
-            for dependent in dependents[index]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    ready.append(dependent)
-
-        def resolve(index: int, entry) -> None:
-            """Fulfil a held claim and release any nodes parked on it."""
-            key = claimed.pop(index, None)
-            if key is None:
-                return
-            step_cache.fulfil(key, entry)
-            for waiter in parked.pop(key, ()):
-                state.replay(waiter, entry)
-                complete(waiter)
-
-        def execute_local(index: int) -> None:
-            key = claimed.get(index)
-            if key is None:
-                state.execute_node(index)
-                self.info["local_steps"] += 1
-                return
-            try:
-                state.execute_node(index)
-                entry = state.capture(index)
-            except BaseException:
-                step_cache.abandon(claimed.pop(index))
-                raise
-            self.info["local_steps"] += 1
-            resolve(index, entry)
-
-        def handle_death(worker: _Worker) -> None:
-            worker.alive = False
-            self.info["degraded"] = True
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            index = worker.busy_on
-            worker.busy_on = None
-            if index is not None:
-                self.info["retried_steps"] += 1
-                execute_local(index)
-                complete(index)
-
         try:
-            while processed < total:
-                deferred: List[int] = []
-                while ready:
-                    index = ready.pop()
-                    node = dag.nodes[index]
-                    key = state.cache_key(index) if step_cache is not None else None
-                    if key is not None and index not in claimed:
-                        if key in parked or any(k == key for k in claimed.values()):
-                            # Our own run holds this claim in flight; park the
-                            # node instead of deadlocking the event loop on
-                            # the cache's in-flight event.
-                            parked.setdefault(key, []).append(index)
-                            continue
-                        entry = step_cache.lookup_or_claim(key)
-                        if entry is not None:
-                            state.replay(index, entry)
-                            complete(index)
-                            continue
-                        claimed[index] = key
-                    idle = next(
-                        (w for w in self.workers if w.alive and w.busy_on is None),
-                        None,
-                    )
-                    remote_ok = (
-                        node.kind in (KIND_SEMIRING, KIND_PRODUCT)
-                        and not self.info["degraded"]
-                    )
-                    if not remote_ok:
-                        execute_local(index)
-                        complete(index)
-                    elif idle is None:
-                        deferred.append(index)
-                    else:
-                        self._dispatch(
-                            idle, state, node, blob_store, slot_digests
-                        )
-                        if not idle.alive:
-                            handle_death(idle)
-                ready = deferred
-                if processed >= total:
-                    break
-                busy = [w for w in self.workers if w.alive and w.busy_on is not None]
-                if not busy:
-                    if ready:
-                        continue  # degraded mid-loop; drain locally
-                    raise RuntimeError("process pool stalled with no runnable steps")
-                for conn in wait([w.conn for w in busy]):
-                    worker = next(w for w in busy if w.conn is conn)
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        handle_death(worker)
-                        continue
-                    index = worker.busy_on
-                    worker.busy_on = None
-                    if message[0] == "done":
-                        _, _, outputs, record, join_delta = message
-                        from repro.exec.executor import _StepEntry
-
-                        entry = _StepEntry(
-                            outputs=tuple(outputs),
-                            record=record,
-                            join_delta=join_delta,
-                        )
-                        state.replay(index, entry)
-                        node = dag.nodes[index]
-                        for slot in node.outputs:
-                            worker.present.add(slot)
-                        self.info["remote_steps"] += 1
-                        resolve(index, entry)
-                        complete(index)
-                    else:  # ("error", index, repr) — retry in-process
-                        self.info["retried_steps"] += 1
-                        execute_local(index)
-                        complete(index)
-        except BaseException:
-            for key in claimed.values():
-                step_cache.abandon(key)
-            raise
-        finally:
-            blob_store.close()
-        return dict(self.info)
+            for _ in range(workers):
+                parent_conn, child_conn = ctx.Pipe()
+                process = ctx.Process(
+                    target=_worker_main, args=(child_conn,), daemon=True
+                )
+                process.start()
+                child_conn.close()
+                parent_conn.send(("run", spec))
+                worker = _Worker(process, parent_conn)
+                self.workers.append(worker)
+                self._idle.put(worker)
+        except Exception as exc:
+            self.shutdown()
+            raise ProcessPoolUnavailable(
+                f"could not start process workers: {exc!r}"
+            ) from exc
 
     # ------------------------------------------------------------------ #
-    def _dispatch(self, worker: _Worker, state, node, blob_store, slot_digests) -> None:
+    def execute_node(self, state, index: int) -> None:
+        """Execute one node of ``state``'s run, on an idle worker if possible.
+
+        Called from the scheduler's threads in place of
+        ``state.execute_node(index)``.  A node that cannot go remote — the
+        output phase, a degraded pool, no idle worker — or whose worker
+        failed is computed in-process by the calling thread.
+        """
+        state.enter_step()  # the step.kernel fault site, once per step
+        node = state.dag.nodes[index]
+        worker = None
+        if node.kind != KIND_OUTPUT and not self.info["degraded"]:
+            try:
+                worker = self._idle.get_nowait()
+            except queue.Empty:
+                pass
+        remote = worker is not None and self._run_remote(worker, state, node)
+        if not remote:
+            state.compute_node(index)
+        with self._lock:
+            self.info["remote_steps" if remote else "local_steps"] += 1
+
+    def _run_remote(self, worker: _Worker, state, node) -> bool:
+        """One step on ``worker``; ``False`` means redo it in-process.
+
+        The worker goes back on the idle queue on every path but its own
+        death, which is how a broken pipe — or a step that could not even
+        be shipped — reads from here.
+        """
+        done = False
+        try:
+            self._dispatch(worker, state, node)
+            tag, entry = worker.conn.recv()  # blocks with the GIL released
+            done = tag == "done"
+            if done:
+                worker.present.update(node.outputs)
+        except (EOFError, OSError, ValueError):
+            worker = None
+        finally:
+            if worker is not None:
+                self._idle.put(worker)
+        if done:
+            state.replay(node.index, entry)
+        else:
+            with self._lock:
+                self.info["degraded"] = True
+                self.info["retried_steps"] += 1
+        return done
+
+    def _dispatch(self, worker: _Worker, state, node) -> None:
         """Ship missing inputs by reference and send one step to a worker."""
-        state.enter_step()  # the step.kernel fault site, as for in-parent steps
+        slot_digests = state.dag.slot_digests
         refs: List[Tuple[int, Optional[str]]] = []
-        for slot in tuple(node.incident) + tuple(node.reads):
+        for slot in node.incident + node.reads:
             if slot in worker.present:
                 continue
             factor = state.slots[slot]
             if factor is None:
                 refs.append((slot, None))
             else:
-                key = slot_digests[slot] if slot_digests[slot] is not None else slot
-                before = len(blob_store)
-                name = blob_store.put(key, factor)
-                if len(blob_store) > before:
-                    self.info["shipped_blobs"] += 1
-                refs.append((slot, name))
+                digest = slot_digests[slot] if slot_digests else None
+                refs.append(
+                    (slot, self._blobs.put(slot if digest is None else digest, factor))
+                )
             worker.present.add(slot)
-        payload = (
-            node.kind, node.variable, tuple(node.incident), tuple(node.reads),
-            tuple(node.outputs), refs,
-        )
         if fire(SITE_WORKER_KILL) is not None:
             # Poison the target worker: it exits before replying, which
             # exercises the death-recovery path deterministically.
-            try:
-                worker.conn.send(("crash",))
-            except OSError:
-                pass
-        worker.busy_on = node.index
-        try:
-            worker.conn.send(("step", node.index, payload))
-        except (OSError, ValueError):
-            worker.alive = False  # caller runs the death path
+            worker.conn.send(("crash",))
+        worker.conn.send(("step", node, refs))
 
     # ------------------------------------------------------------------ #
-    def shutdown(self) -> None:
+    def shutdown(self) -> Dict[str, Any]:
+        """Stop the workers, unlink the shipped segments, return the info."""
         for worker in self.workers:
-            if worker.alive:
-                try:
-                    worker.conn.send(("exit",))
-                except (OSError, ValueError):
-                    pass
+            try:
+                worker.conn.send(("exit",))
+            except (OSError, ValueError):
+                pass  # already dead
             try:
                 worker.conn.close()
             except OSError:
@@ -426,3 +288,6 @@ class ProcessPool:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
+        self.info["shipped_blobs"] = len(self._blobs)
+        self._blobs.close()
+        return dict(self.info)

@@ -15,19 +15,13 @@ Two stores live here, both built on :mod:`multiprocessing.shared_memory`:
   publishes its warm caches; every replica adopts them at startup instead
   of warming a private copy (ROADMAP item 2's mmap-store follow-on).
 
-Segment layout of a :class:`SharedCacheStore` (and of every
-:class:`ShmBlobStore` blob, which uses the header's length field only)::
-
-    bytes 0..7    magic  b"REPROSH1"  (store kind + layout version)
-    bytes 8..15   payload length, little-endian u64
-    bytes 16..47  SHA-256 of the payload   (SharedCacheStore only)
-    bytes 48..    pickled payload
-
-Invalidation is by construction: the magic pins the layout, the payload
-embeds the same ``kind``/``version`` tags the on-disk persistence of
-:meth:`repro.caching.LruCache.save` uses, and the checksum rejects torn or
-foreign segments.  Adoption is *best-effort everywhere* — any mismatch
-(missing segment, wrong magic, wrong version, bad checksum, unpicklable
+Every segment — cache store and blob alike — holds one
+:func:`repro.caching.seal` envelope (magic | length | SHA-256 | pickle
+tagged kind + version), the same one the on-disk persistence uses.
+Invalidation is by construction: the checksum rejects torn or foreign
+segments and the kind tag keeps a blob from being adopted as a cache store
+(and vice versa).  Adoption is *best-effort everywhere* — any mismatch
+(missing segment, wrong magic, kind or version, bad checksum, unpicklable
 payload) adopts nothing rather than failing the process.
 
 ``resource_tracker`` note: attaching a segment from a child process
@@ -39,25 +33,21 @@ attach-side handle immediately — the creating parent owns cleanup.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import multiprocessing
-import pickle
-import struct
 import sys
+import threading
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, Optional
 
+from repro.caching import seal, unseal
 from repro.faults import SITE_SHM_ATTACH, maybe_raise
 
-_MAGIC = b"REPROSH1"
-_LEN_OFFSET = 8
-_SHA_OFFSET = 16
-_PAYLOAD_OFFSET = 48
-
-# Payload tags of the SharedCacheStore (mirrors LruCache.save's envelope).
+# Envelope tags of the two stores.
 SHARED_CACHE_KIND = "repro-shared-caches"
 SHARED_CACHE_VERSION = 1
+BLOB_KIND = "repro-shm-blob"
+BLOB_VERSION = 1
 
 
 def _private_tracker() -> bool:
@@ -110,6 +100,13 @@ def _reap_segments() -> None:
             pass
 
 
+def _publish(sealed: bytes) -> shared_memory.SharedMemory:
+    """A new segment (owned by this process) holding one sealed envelope."""
+    segment = shared_memory.SharedMemory(create=True, size=len(sealed))
+    segment.buf[:len(sealed)] = sealed
+    return segment
+
+
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without adopting cleanup duty."""
     maybe_raise(SITE_SHM_ATTACH, OSError)
@@ -125,15 +122,16 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 class ShmBlobStore:
     """Parent-owned content-keyed blobs in shared memory.
 
-    ``put`` pickles a value under a key once and returns the segment name;
-    repeated puts of the same key are free.  Readers (in any process) call
-    :func:`read_blob` with the name.  The creating process must call
-    :meth:`close` when the run ends — segments have kernel lifetime, not
-    process lifetime.
+    ``put`` seals a value under a key once and returns the segment name;
+    repeated puts of the same key are free, from any thread.  Readers (in
+    any process) call :func:`read_blob` with the name.  The creating
+    process must call :meth:`close` when the run ends — segments have
+    kernel lifetime, not process lifetime.
     """
 
     def __init__(self) -> None:
         self._segments: Dict[Any, shared_memory.SharedMemory] = {}
+        self._lock = threading.Lock()  # put is check-then-create
         _LIVE_STORES.add(self)
 
     def __len__(self) -> int:
@@ -141,17 +139,13 @@ class ShmBlobStore:
 
     def put(self, key: Any, value: Any) -> str:
         """Publish ``value`` under ``key`` (idempotent), returning the name."""
-        segment = self._segments.get(key)
-        if segment is None:
-            data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            segment = shared_memory.SharedMemory(
-                create=True, size=_PAYLOAD_OFFSET + len(data)
-            )
-            segment.buf[:8] = _MAGIC
-            segment.buf[_LEN_OFFSET:_SHA_OFFSET] = struct.pack("<Q", len(data))
-            segment.buf[_PAYLOAD_OFFSET:_PAYLOAD_OFFSET + len(data)] = data
-            self._segments[key] = segment
-        return segment.name
+        with self._lock:
+            segment = self._segments.get(key)
+            if segment is None:
+                segment = self._segments[key] = _publish(
+                    seal(value, kind=BLOB_KIND, version=BLOB_VERSION)
+                )
+            return segment.name
 
     def name_for(self, key: Any) -> Optional[str]:
         segment = self._segments.get(key)
@@ -172,23 +166,22 @@ def read_blob(name: str) -> Any:
     """Unpickle the blob published under segment ``name`` (any process)."""
     segment = _attach(name)
     try:
-        if bytes(segment.buf[:8]) != _MAGIC:
-            raise ValueError(f"segment {name!r} is not a repro blob")
-        (length,) = struct.unpack("<Q", bytes(segment.buf[_LEN_OFFSET:_SHA_OFFSET]))
-        data = bytes(segment.buf[_PAYLOAD_OFFSET:_PAYLOAD_OFFSET + length])
-        return pickle.loads(data)
+        value = unseal(segment.buf, kind=BLOB_KIND, version=BLOB_VERSION)
     finally:
         segment.close()
+    if value is None:
+        raise ValueError(f"segment {name!r} is not a repro blob")
+    return value
 
 
 class SharedCacheStore:
     """A published read-only cache snapshot shared across a replica fleet.
 
-    The payload is ``{"kind", "version", "sections"}`` where ``sections``
-    maps a section name (``"rho_star"``, ``"plans"``) to the same
-    ``{"kind", "version", "entries"}`` envelope the on-disk persistence
-    uses — adopters validate both layers, so a version bump on either the
-    store or an individual cache invalidates cleanly.
+    The payload maps a section name (``"rho_star"``, ``"plans"``) to the
+    ``{"kind", "version", "entries"}`` form of
+    :meth:`repro.caching.LruCache.dump_entries` — adopters validate both
+    layers, so a version bump on either the store or an individual cache
+    invalidates cleanly.
     """
 
     def __init__(self, segment: shared_memory.SharedMemory) -> None:
@@ -202,22 +195,10 @@ class SharedCacheStore:
 
     @classmethod
     def publish(cls, sections: Dict[str, Any]) -> "SharedCacheStore":
-        """Create a checksummed segment holding ``sections`` (parent side)."""
-        payload = {
-            "kind": SHARED_CACHE_KIND,
-            "version": SHARED_CACHE_VERSION,
-            "sections": sections,
-        }
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(data).digest()
-        segment = shared_memory.SharedMemory(
-            create=True, size=_PAYLOAD_OFFSET + len(data)
-        )
-        segment.buf[:8] = _MAGIC
-        segment.buf[_LEN_OFFSET:_SHA_OFFSET] = struct.pack("<Q", len(data))
-        segment.buf[_SHA_OFFSET:_PAYLOAD_OFFSET] = digest
-        segment.buf[_PAYLOAD_OFFSET:_PAYLOAD_OFFSET + len(data)] = data
-        return cls(segment)
+        """Create a sealed segment holding ``sections`` (parent side)."""
+        return cls(_publish(
+            seal(sections, kind=SHARED_CACHE_KIND, version=SHARED_CACHE_VERSION)
+        ))
 
     @staticmethod
     def adopt(name: Optional[str]) -> Dict[str, Any]:
@@ -229,23 +210,9 @@ class SharedCacheStore:
         except Exception:
             return {}
         try:
-            if bytes(segment.buf[:8]) != _MAGIC:
-                return {}
-            (length,) = struct.unpack(
-                "<Q", bytes(segment.buf[_LEN_OFFSET:_SHA_OFFSET])
+            sections = unseal(
+                segment.buf, kind=SHARED_CACHE_KIND, version=SHARED_CACHE_VERSION
             )
-            expected = bytes(segment.buf[_SHA_OFFSET:_PAYLOAD_OFFSET])
-            data = bytes(segment.buf[_PAYLOAD_OFFSET:_PAYLOAD_OFFSET + length])
-            if hashlib.sha256(data).digest() != expected:
-                return {}
-            payload = pickle.loads(data)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("kind") != SHARED_CACHE_KIND
-                or payload.get("version") != SHARED_CACHE_VERSION
-            ):
-                return {}
-            sections = payload.get("sections")
             return sections if isinstance(sections, dict) else {}
         except Exception:
             return {}

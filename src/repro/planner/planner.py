@@ -172,15 +172,6 @@ def candidate_orderings(
     return candidates
 
 
-def _validated_explicit_ordering(query: FAQQuery, ordering: Sequence[str]) -> Tuple[str, ...]:
-    order = tuple(ordering)
-    if set(order) != set(query.order) or len(order) != len(query.order):
-        raise QueryError("ordering must be a permutation of the query variables")
-    if set(order[: query.num_free]) != set(query.free):
-        raise QueryError("ordering must list the free variables first")
-    return order
-
-
 # ---------------------------------------------------------------------- #
 # the planner
 # ---------------------------------------------------------------------- #
@@ -295,7 +286,7 @@ def _plan_search(
     # pinned ordering: no search, no cache
     # ------------------------------------------------------------------ #
     if ordering is not None:
-        order = _validated_explicit_ordering(query, ordering)
+        order = tuple(query.checked_ordering(ordering))
         if strategy is not None:
             # Ordering and strategy pinned: nothing worth an LP-backed
             # scoring pass remains.  An open backend defers to the engines'

@@ -322,6 +322,23 @@ class Frontend:
             else:
                 self._tenant_pending[tenant] = remaining
 
+    async def _recover(self, replica, exc: ReplicaCrashed, attempts: int) -> bool:
+        """The tier's one answer to a crashed or timed-out replica call.
+
+        Counts the failure and restarts the replica; then, unless
+        ``attempts`` (this failure included) has used up ``retry.attempts``,
+        counts the retry and sleeps its backoff.  Returns whether to retry.
+        """
+        self._replica_crashes += 1
+        if isinstance(exc, ReplicaTimeout):
+            self._timeouts += 1
+        await asyncio.to_thread(replica.restart)
+        if attempts >= self.retry.attempts:
+            return False
+        self._retries += 1
+        await asyncio.sleep(self.retry.backoff(attempts))
+        return True
+
     async def _dispatch(
         self, request: ServeRequest, loop: asyncio.AbstractEventLoop
     ) -> ServeResult:
@@ -340,15 +357,9 @@ class Frontend:
             try:
                 result = await asyncio.to_thread(replica.execute, request)
             except ReplicaCrashed as exc:
-                self._replica_crashes += 1
-                if isinstance(exc, ReplicaTimeout):
-                    self._timeouts += 1
-                await asyncio.to_thread(replica.restart)
                 attempts += 1
-                if attempts >= self.retry.attempts:
+                if not await self._recover(replica, exc, attempts):
                     raise
-                self._retries += 1
-                await asyncio.sleep(self.retry.backoff(attempts))
                 continue
             finally:
                 replica.load -= 1
@@ -383,15 +394,9 @@ class Frontend:
                             replica.execute_many, list(requests)
                         )
                     except ReplicaCrashed as exc:
-                        self._replica_crashes += 1
-                        if isinstance(exc, ReplicaTimeout):
-                            self._timeouts += 1
-                        await asyncio.to_thread(replica.restart)
                         attempts += 1
-                        if attempts >= self.retry.attempts:
+                        if not await self._recover(replica, exc, attempts):
                             raise
-                        self._retries += 1
-                        await asyncio.sleep(self.retry.backoff(attempts))
                         continue
                     finally:
                         replica.load -= count
@@ -507,15 +512,9 @@ class Frontend:
             except PlanFailure as exc:
                 return exc
             except ReplicaCrashed as exc:
-                self._replica_crashes += 1
-                if isinstance(exc, ReplicaTimeout):
-                    self._timeouts += 1
-                await asyncio.to_thread(replica.restart)
                 attempts += 1
-                if attempts >= self.retry.attempts:
+                if not await self._recover(replica, exc, attempts):
                     return exc
-                self._retries += 1
-                await asyncio.sleep(self.retry.backoff(attempts))
 
     def update_batch(
         self, request: ServeRequest, deltas: Sequence[Tuple[int, Any]]

@@ -10,21 +10,15 @@ at construction, so its first incremental request after a crash is
 answered *warm* (delta propagation against the restored snapshot) instead
 of paying a cold full run.
 
-File format (mirrors the shared-memory segment layout of
-:mod:`repro.exec.shm`, with its own magic)::
-
-    bytes 0..7    magic  b"REPROSN1"  (store kind + layout version)
-    bytes 8..15   payload length, little-endian u64
-    bytes 16..47  SHA-256 of the payload
-    bytes 48..    pickled payload  {"kind", "version", "sections"}
+Each file is one :func:`repro.caching.seal` envelope (magic | length |
+SHA-256 | pickle tagged kind + version) holding the sections.
 
 Durability rules:
 
-* **atomic** — payloads are written to a temp file and ``os.replace``\\ d
-  into place, so a crash mid-spill leaves the previous snapshot intact;
-* **checksummed** — the SHA-256 rejects torn or bit-rotted files;
-* **version-tagged** — both the magic and the embedded kind/version tags
-  must match, so a layout change invalidates old files cleanly;
+* **atomic** — :func:`repro.caching.write_atomic`, so a crash mid-spill
+  leaves the previous snapshot intact;
+* **checksummed** and **version-tagged** — torn, bit-rotted, foreign and
+  stale-layout files are all rejected by :func:`repro.caching.unseal`;
 * **best-effort** — save returns ``False`` and load returns ``None`` on
   any failure (including injected ``snapshot.io`` faults); a snapshot is
   an optimisation, never a correctness requirement.
@@ -32,20 +26,12 @@ Durability rules:
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import struct
-import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.caching import seal, unseal, write_atomic
 from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
-
-_MAGIC = b"REPROSN1"
-_LEN_OFFSET = 8
-_SHA_OFFSET = 16
-_PAYLOAD_OFFSET = 48
 
 SNAPSHOT_KIND = "repro-serve-snapshot"
 SNAPSHOT_VERSION = 1
@@ -75,30 +61,10 @@ class SnapshotStore:
         """Atomically persist ``sections`` under ``name``; False on failure."""
         try:
             maybe_raise(SITE_SNAPSHOT_IO, OSError)
-            payload = {
-                "kind": SNAPSHOT_KIND,
-                "version": SNAPSHOT_VERSION,
-                "sections": sections,
-            }
-            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            blob = bytearray(_PAYLOAD_OFFSET + len(data))
-            blob[:8] = _MAGIC
-            blob[_LEN_OFFSET:_SHA_OFFSET] = struct.pack("<Q", len(data))
-            blob[_SHA_OFFSET:_PAYLOAD_OFFSET] = hashlib.sha256(data).digest()
-            blob[_PAYLOAD_OFFSET:] = data
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=f".{name}.", suffix=".tmp"
+            write_atomic(
+                self.path_for(name),
+                seal(sections, kind=SNAPSHOT_KIND, version=SNAPSHOT_VERSION),
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(bytes(blob))
-                os.replace(tmp_path, self.path_for(name))
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
         except Exception:
             self.save_errors += 1
             return False
@@ -109,29 +75,18 @@ class SnapshotStore:
         """The sections persisted under ``name``; ``None`` on any mismatch."""
         try:
             maybe_raise(SITE_SNAPSHOT_IO, OSError)
-            raw = self.path_for(name).read_bytes()
-            if len(raw) < _PAYLOAD_OFFSET or raw[:8] != _MAGIC:
-                return None
-            (length,) = struct.unpack("<Q", raw[_LEN_OFFSET:_SHA_OFFSET])
-            data = raw[_PAYLOAD_OFFSET:_PAYLOAD_OFFSET + length]
-            if len(data) != length:
-                return None
-            if hashlib.sha256(data).digest() != raw[_SHA_OFFSET:_PAYLOAD_OFFSET]:
-                return None
-            payload = pickle.loads(data)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("kind") != SNAPSHOT_KIND
-                or payload.get("version") != SNAPSHOT_VERSION
-            ):
-                return None
+            sections = unseal(
+                self.path_for(name).read_bytes(),
+                kind=SNAPSHOT_KIND, version=SNAPSHOT_VERSION,
+            )
         except FileNotFoundError:
             return None
         except Exception:
             self.load_errors += 1
             return None
-        self.loads += 1
-        return payload.get("sections")
+        if sections is not None:
+            self.loads += 1
+        return sections
 
     def stats(self) -> dict:
         return {

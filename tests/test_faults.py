@@ -34,6 +34,7 @@ is additionally marked ``slow``.
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -41,7 +42,14 @@ import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
-from repro.exec import DagExecutor, RunInfo, RunSpec, SharedCacheStore, StepResultCache
+from repro.exec import (
+    DagExecutor,
+    RunInfo,
+    RunSpec,
+    SharedCacheStore,
+    ShmBlobStore,
+    StepResultCache,
+)
 from repro.factors import Factor, FactorDelta
 from repro.faults import (
     ACTION_CORRUPT,
@@ -362,6 +370,62 @@ class TestInProcessFaults:
             executor.run_many([spec], step_cache=cache, info=warm)
             assert warm.executed_nodes == 0
             assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
+
+    def test_step_kernel_draws_equal_executed_nodes_under_worker_kill(self):
+        """A step redone in-process after its worker died is still one
+        executed step: the retry must not draw the fault site again."""
+        query = _multi_block("max-product", 1)
+        executor = DagExecutor(workers=3, workers_mode="process")
+        info = RunInfo()
+        with injected_faults(
+            FaultPlan(schedule={SITE_WORKER_KILL: {1: ACTION_KILL}})
+        ) as plan:
+            executor.run_many([RunSpec(query, backend="sparse")], info=info)
+        assert executor.last_process_info["retried_steps"] >= 1
+        assert info.executed_nodes == info.total_nodes
+        assert plan.calls[SITE_STEP_KERNEL] == info.executed_nodes
+
+    def test_pool_shared_state_survives_thread_contention(self):
+        """The scheduler's threads share the pool's counters, idle queue and
+        blob store.  More threads than cores, switching every 10 µs: a lost
+        update breaks the step accounting or publishes one key twice."""
+        query = _multi_block("max-product", 3, blocks=6)
+        serial = inside_out(query, backend="sparse")
+        store = ShmBlobStore()
+        names = []
+        barrier = threading.Barrier(8)
+
+        def publish():
+            row = []
+            for key in range(8):
+                barrier.wait(timeout=30)  # all eight put the same key at once
+                row.append(store.put(key, ("v", key)))
+            names.append(row)
+
+        threads = [threading.Thread(target=publish) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(store) == 8
+            assert len(names) == 8 and all(row == names[0] for row in names)
+            for _ in range(3):
+                executor = DagExecutor(workers=6, workers_mode="process")
+                info = RunInfo()
+                [result] = executor.run_many(
+                    [RunSpec(query, backend="sparse")], info=info
+                )
+                pool = executor.last_process_info
+                assert result.factor.table == serial.factor.table
+                assert pool["remote_steps"] + pool["local_steps"] == info.executed_nodes
+                assert pool["remote_steps"] > 0 and not pool["degraded"]
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
 
     def test_server_converts_kernel_fault_to_typed_plan_failure(self):
         server = PlanServer()

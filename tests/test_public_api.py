@@ -125,14 +125,20 @@ CACHE_CLASS_CEILING = 10
 HOLDER_LOOKUPS = ("trie", "projection", "projection_factor", "flat", "projection_flat")
 
 
-def test_cache_class_census_stays_under_ceiling():
+def _source_lines(pattern):
+    """``relative path: line`` for every src/repro line matching ``pattern``."""
     root = pathlib.Path(repro.__file__).parent
-    pattern = re.compile(r"^class .*(Cache|Store|Snapshot)", re.MULTILINE)
-    found = [
-        f"{path.relative_to(root)}: {match.group(0)}"
+    regex = re.compile(pattern)
+    return [
+        f"{path.relative_to(root)}: {line.strip()}"
         for path in sorted(root.rglob("*.py"))
-        for match in pattern.finditer(path.read_text())
+        for line in path.read_text().splitlines()
+        if regex.search(line)
     ]
+
+
+def test_cache_class_census_stays_under_ceiling():
+    found = _source_lines(r"^class .*(Cache|Store|Snapshot)")
     assert len(found) <= CACHE_CLASS_CEILING, found
 
 
@@ -142,6 +148,31 @@ def test_trie_holders_define_each_lookup_once():
     for name in HOLDER_LOOKUPS:
         owners = [cls for cls in (TrieCache, SharedTrieCache) if name in vars(cls)]
         assert len(owners) == 1, (name, owners)
+
+
+def test_one_scheduler_one_claim_protocol():
+    """The process pool is an execution site, not a second driver: the
+    step-source claim protocol has one caller, and the pool keeps neither a
+    ready-queue nor a handle on the step source."""
+    callers = {
+        line.split(":")[0]
+        for line in _source_lines(r"lookup_or_claim\(")
+        if "def " not in line
+    }
+    assert callers == {"exec/executor.py"}, callers
+    pool = [
+        line for line in _source_lines(r"indegree|step_cache")
+        if line.startswith("exec/procpool.py")
+    ]
+    assert not pool, pool
+
+
+def test_one_sealed_envelope():
+    """One spill format (ROADMAP 2(d)): the magic and the temp-file +
+    ``os.replace`` write live in ``caching.py`` only."""
+    assert len(_source_lines(r"^_MAGIC = ")) == 1
+    temp_files = {line.split(":")[0] for line in _source_lines(r"tempfile\.mkstemp")}
+    assert temp_files == {"caching.py"}, temp_files
 
 
 def test_repro_all_matches_snapshot():

@@ -81,6 +81,24 @@ class TestRestrictions:
         with pytest.raises(QueryError):
             variable_elimination(triangle_query, ordering=["A", "B"])
 
+    def test_duplicated_ordering_rejected(self):
+        """A repeated variable covers the right *set* but is no permutation:
+        eliminating ``c`` twice would fold its domain in twice (81, not 27)."""
+        domain = (0, 1, 2)
+        pairs = {(i, j): 1 for i in domain for j in domain}
+        query = FAQQuery(
+            variables=[Variable(v, domain) for v in "abc"],
+            free=[],
+            aggregates={v: SemiringAggregate.sum() for v in "abc"},
+            factors=[make_factor(("a", "b"), pairs), make_factor(("b", "c"), pairs)],
+            semiring=COUNTING,
+        )
+        assert variable_elimination(query, ordering=["a", "b", "c"]).scalar == 27
+        with pytest.raises(QueryError):
+            variable_elimination(query, ordering=["a", "b", "c", "c"])
+        with pytest.raises(QueryError):
+            inside_out(query, ordering=["a", "b", "c", "c"])
+
     def test_scalar_accessor_requires_no_free_variables(self):
         psi = make_factor(("A",), {(0,): 1})
         query = FAQQuery(
