@@ -6,7 +6,10 @@ decompositions and the treewidth / hypertree width / fractional hypertree
 width family (Section 4.3), vertex orderings and induced widths
 (Section 4.4), and α/β-acyclicity (Definitions 4.4 / 4.5).  This package
 implements that substrate from scratch on top of ``networkx`` (for Gaifman
-graphs and trees) and ``scipy`` (for the covering linear programs).
+graphs and trees).  The covering linear programs are a few vertices by a
+dozen edges and are solved by a certified tableau kernel in
+:mod:`~repro.hypergraph.covers`; ``scipy`` is imported only for a cover LP
+too large for it.
 """
 
 from repro.hypergraph.hypergraph import Hypergraph, HypergraphError

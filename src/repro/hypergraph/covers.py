@@ -12,18 +12,153 @@
   counts via branch-and-bound over distinct edges, otherwise greedy with a
   logarithmic guarantee — the paper only needs ``ρ*`` for its main results).
 * :func:`agm_bound` — the data-dependent AGM bound ``∏ |ψ_S|^{λ*_S}``.
+
+**How the LP is solved.**  With ``A`` the 0/1 vertex × edge incidence
+matrix of the target and ``c ≥ 0`` the edge costs, the cover LP and its
+packing dual are ::
+
+    min c·λ   s.t.  Aλ ≥ 1,  λ ≥ 0        (cover: one λ per edge)
+    max 1·y   s.t.  Aᵀy ≤ c,  y ≥ 0       (packing: one y per vertex)
+
+The packing's slack basis is feasible at ``y = 0`` because ``c ≥ 0``, so
+:func:`_tableau_cover` runs a dense primal simplex on it with no phase 1
+and reads ``λ`` off the objective row under the slack columns.  The LPs
+this package meets are a handful of vertices by a dozen edges (one induced
+set of a planner step), where *calling* a general solver costs ten times
+the solve.  Unit costs make them highly degenerate and size-1 factors give
+zero costs (a degenerate start), hence Bland's anti-cycling rule.
+
+**Certified, not trusted.**  The kernel's answer is returned only when
+:func:`_certified` proves it: ``λ`` feasible for the cover, ``y`` feasible
+for the packing, and ``c·λ = 1·y`` — by weak duality both are then optimal.
+An LP above :data:`_TABLEAU_CELLS`, a run out of pivots or a failed
+certificate goes to :func:`_reference_cover` (``scipy.optimize.linprog``,
+imported there so that ``import repro`` does not pay for it), which is also
+the reference ``tests/test_covers.py`` holds the kernel to.
+
+**Closed forms** answer before any matrix is built: (i) a one-vertex target
+costs the cheapest edge covering it; (ii) under unit costs, pairwise-disjoint
+maximal restrictions cost their count (one restriction holding the whole
+target: 1); (iii) when every edge meeting the target has the same size
+``N``, the weighted LP is ``log N`` times the unit one, so ``AGM = N^ρ*``
+and :func:`agm_bound` asks the ``ρ*`` memo instead of a solver.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.caching import LruCache
 from repro.hypergraph.hypergraph import Hypergraph, HypergraphError
+
+# Feasibility / optimality tolerance of the kernel's pivots and certificate.
+_EPS = 1e-9
+
+# The kernel takes LPs whose tableau — (edges + 1) × (vertices + edges + 1)
+# cells — is at most this big; larger ones go to scipy's HiGHS.  A constant,
+# not a knob: a pivot costs O(cells) and Bland's rule takes many on a big
+# degenerate LP, while HiGHS costs ~2 ms to *call* whatever the size.
+# Measured on the 2-core reference host (40 seeded random covers per row,
+# unit costs — the degenerate, slow case for the kernel; ms per solve):
+#
+#     vertices × edges, vertices per edge    cells   reference   kernel
+#          6 × 12    3                         247      2.21       0.17
+#         10 × 28    3                       1 131      2.43       0.34
+#         20 × 40    3                       2 501      2.40       1.27
+#         20 × 40    4                       2 501      2.90       1.99
+#         29 × 39    2                       2 760      2.37       0.96
+#         22 × 44    4                       3 015      2.80       2.62
+#         25 × 50    4                       3 876      2.70       3.90
+#         40 × 80    2                       9 801      3.04       2.46
+#         40 × 80    4                       9 801      3.75      21.4
+#         60 × 150   3                      31 861      7.72     123
+#
+# The curves cross near 3 000 cells for the worst shape measured.  The
+# largest LP the tests and the benchmark workloads solve is 10 × 28.
+_TABLEAU_CELLS = 3000
+# Bland's rule terminates; the budget only bounds a numerically stuck run.
+_PIVOTS_PER_COLUMN = 20
+
+
+def _tableau_cover(
+    matrix: np.ndarray, costs: np.ndarray
+) -> Optional[Tuple[float, np.ndarray]]:
+    """Certified optimum ``(c·λ, λ)`` of the cover LP, or ``None``.
+
+    Primal simplex on the packing dual (module docstring).  Row ``j < n`` of
+    the tableau is edge ``j``'s constraint ``Σ_{v ∈ S_j} y_v + s_j = c_j``;
+    the last row holds the reduced costs, the last column the right-hand
+    sides.  Bland's rule: the lowest-index improving column enters, and
+    among the rows tying the ratio test the lowest-index basic variable
+    leaves.  ``None`` means "not proved" — out of pivots, an unbounded
+    column (an uncoverable vertex) or a failed :func:`_certified`.
+    """
+    m, n = matrix.shape
+    width = m + n
+    tableau = np.zeros((n + 1, width + 1))
+    tableau[:n, :m] = matrix.T
+    tableau[:n, m:width] = np.eye(n)
+    tableau[:n, width] = costs
+    tableau[n, :m] = -1.0
+    basis = np.arange(m, width)
+    for _ in range(_PIVOTS_PER_COLUMN * width):
+        improving = np.flatnonzero(tableau[n, :width] < -_EPS)
+        if not improving.size:
+            break
+        column = improving[0]
+        entries = tableau[:n, column]
+        rows = np.flatnonzero(entries > _EPS)
+        if not rows.size:
+            return None
+        ratios = tableau[rows, width] / entries[rows]
+        ties = rows[ratios <= ratios.min() + _EPS]
+        row = ties[np.argmin(basis[ties])]
+        pivot_row = tableau[row] / tableau[row, column]
+        tableau -= np.outer(tableau[:, column], pivot_row)
+        tableau[row] = pivot_row
+        basis[row] = column
+    else:
+        return None
+    cover = tableau[n, m:width].copy()
+    packing = np.zeros(m)
+    basic = basis < m
+    packing[basis[basic]] = tableau[:n, width][basic]
+    if not _certified(matrix, costs, cover, packing):
+        return None
+    np.maximum(cover, 0.0, out=cover)
+    return float(costs @ cover), cover
+
+
+def _certified(
+    matrix: np.ndarray, costs: np.ndarray, cover: np.ndarray, packing: np.ndarray
+) -> bool:
+    """Whether ``cover`` and ``packing`` prove each other optimal.
+
+    A feasible cover costs at least what any feasible packing is worth
+    (weak duality), so a feasible pair of equal value is an optimal pair.
+    """
+    value = float(packing.sum())
+    return bool(
+        cover.min() >= -_EPS
+        and packing.min() >= -_EPS
+        and (matrix @ cover).min() >= 1.0 - _EPS
+        and (packing @ matrix - costs).max() <= _EPS
+        and abs(float(costs @ cover) - value) <= _EPS * max(1.0, value)
+    )
+
+
+def _reference_cover(matrix: np.ndarray, costs: np.ndarray) -> Tuple[float, np.ndarray]:
+    """The cover LP through ``scipy`` (HiGHS): large LPs, and the reference."""
+    from scipy.optimize import linprog
+    result = linprog(
+        costs, A_ub=-matrix, b_ub=-np.ones(len(matrix)), bounds=(0, None), method="highs"
+    )
+    if not result.success:  # pragma: no cover - defensive
+        raise HypergraphError(f"fractional edge cover LP failed: {result.message}")
+    return float(result.fun), result.x
 
 
 def _distinct_covering_edges(
@@ -50,14 +185,16 @@ def fractional_edge_cover(
     (giving ``ρ*``); pass ``log2 |ψ_S|`` to obtain the exponent of the AGM
     bound.
 
-    Returns ``(objective, {edge: λ_S})``.  Raises if some subset vertex is
-    covered by no edge (the LP would be infeasible), unless
-    ``ignore_uncovered`` is set, in which case uncovered vertices are simply
-    dropped from the constraint set (useful for queries with variables that
-    occur in no factor).
+    Returns ``(objective, {edge: λ_S})`` — a proved optimum: closed form (i)
+    for a one-vertex target, otherwise the certified tableau kernel for LPs
+    up to :data:`_TABLEAU_CELLS` and ``scipy``'s HiGHS above it (module
+    docstring).  Raises if some subset vertex is covered by no edge (the LP
+    would be infeasible), unless ``ignore_uncovered`` is set, in which case
+    uncovered vertices are simply dropped from the constraint set (useful
+    for queries with variables that occur in no factor).
     """
-    target = frozenset(subset) if subset is not None else hypergraph.vertices
-    target = frozenset(v for v in target if v in hypergraph.vertices)
+    vertices = hypergraph.vertices
+    target = vertices if subset is None else frozenset(subset) & vertices
     if not target:
         return 0.0, {}
 
@@ -77,27 +214,32 @@ def fractional_edge_cover(
                 f"vertices {sorted(map(repr, missing))} are not covered by any hyperedge"
             )
 
-    vertex_list = sorted(target, key=repr)
     num_edges = len(edges)
     costs = np.ones(num_edges)
     if weights is not None:
         for j, edge in enumerate(edges):
             costs[j] = weights.get(edge, 1.0)
 
-    # Constraints: for each vertex v in target, sum over edges containing v of
-    # lambda_e >= 1, expressed as -A lambda <= -1 for linprog.
-    a_ub = np.zeros((len(vertex_list), num_edges))
-    for i, vertex in enumerate(vertex_list):
-        for j, edge in enumerate(edges):
-            if vertex in edge:
-                a_ub[i, j] = -1.0
-    b_ub = -np.ones(len(vertex_list))
+    if len(target) == 1:
+        # Closed form (i): every candidate edge covers the one vertex.
+        cheapest = int(np.argmin(costs))
+        solution = dict.fromkeys(edges, 0.0)
+        solution[edges[cheapest]] = 1.0
+        return float(costs[cheapest]), solution
 
-    result = linprog(costs, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * num_edges, method="highs")
-    if not result.success:  # pragma: no cover - defensive
-        raise HypergraphError(f"fractional edge cover LP failed: {result.message}")
-    solution = {edge: float(result.x[j]) for j, edge in enumerate(edges)}
-    return float(result.fun), solution
+    row_of = {vertex: i for i, vertex in enumerate(sorted(target, key=repr))}
+    matrix = np.zeros((len(row_of), num_edges))
+    for j, edge in enumerate(edges):
+        for vertex in edge & target:
+            matrix[row_of[vertex], j] = 1.0
+
+    solved = None
+    if (num_edges + 1) * (len(row_of) + num_edges + 1) <= _TABLEAU_CELLS:
+        solved = _tableau_cover(matrix, costs)
+    if solved is None:
+        solved = _reference_cover(matrix, costs)
+    objective, cover = solved
+    return objective, {edge: float(cover[j]) for j, edge in enumerate(edges)}
 
 
 # The restricted-edge-structure memo for ρ*.  Keys are frozensets of the
@@ -113,7 +255,11 @@ _RHO_STAR_VERSION = 1
 
 
 def rho_star_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the process-wide ρ* memo (observability)."""
+    """Hit/miss/size counters of the process-wide ρ* memo (observability).
+
+    Structures with a closed form never reach the memo, so ``misses`` is
+    the number of ``ρ*`` LPs this process solved.
+    """
     return {
         "hits": _RHO_STAR_CACHE.hits,
         "misses": _RHO_STAR_CACHE.misses,
@@ -167,13 +313,15 @@ def fractional_edge_cover_number(
 ) -> float:
     """``ρ*_H(B)``: the optimal value of the fractional edge cover LP.
 
-    Memoised process-wide on the restricted edge structure (see the module
-    docstring): the LP is solved at most once per distinct structure, over a
-    canonically sorted restricted hypergraph so the cached value is
-    bit-identical no matter which caller populated it.
+    Pairwise-disjoint maximal restrictions (closed form (ii): a one-vertex
+    target, one edge holding the whole target, a matching) are counted, not
+    solved.  Everything else is memoised process-wide on the restricted edge
+    structure (see the module docstring): the LP is solved at most once per
+    distinct structure, over a canonically sorted restricted hypergraph so
+    the cached value is bit-identical no matter which caller populated it.
     """
-    target = frozenset(subset) if subset is not None else hypergraph.vertices
-    target = frozenset(v for v in target if v in hypergraph.vertices)
+    vertices = hypergraph.vertices
+    target = vertices if subset is None else frozenset(subset) & vertices
     if not target:
         return 0.0
 
@@ -198,6 +346,9 @@ def fractional_edge_cover_number(
     restricted = frozenset(
         e for e in distinct if not any(e < other for other in distinct)
     )
+    if sum(map(len, restricted)) == len(covered):
+        # Pairwise disjoint: each needs weight 1 and helps no other.
+        return float(len(restricted))
 
     cached = _RHO_STAR_CACHE.get(restricted)
     if cached is not None:
@@ -274,23 +425,37 @@ def agm_bound(
 
     ``factor_sizes`` maps each distinct hyperedge to the size of (the largest)
     factor on that edge.  Edges of size 0 force the bound to 0 whenever they
-    intersect the target; edges of size 1 contribute nothing.
+    intersect the target; edges of size 1 contribute nothing.  An edge with
+    no recorded size cannot be used in the cover — any size invented for it
+    would make the result something other than a bound — and the target
+    must then be coverable by the sized edges alone.
+
+    When every sized edge meeting the target has the same size ``N`` the
+    bound is ``N^ρ*`` (closed form (iii)) and comes from the ``ρ*`` memo.
     """
-    target = frozenset(subset) if subset is not None else hypergraph.vertices
-    target = frozenset(v for v in target if v in hypergraph.vertices)
+    vertices = hypergraph.vertices
+    target = vertices if subset is None else frozenset(subset) & vertices
     if not target:
         return 1.0
 
     weights: Dict[FrozenSet, float] = {}
+    unsized = False
     for edge in set(hypergraph.edges):
+        if not edge & target:
+            continue
         size = factor_sizes.get(edge, None)
         if size is None:
-            continue
-        if size <= 0:
-            if edge & target:
-                return 0.0
-            continue
-        weights[edge] = math.log2(size) if size > 1 else 0.0
+            unsized = True
+        elif size <= 0:
+            return 0.0
+        else:
+            weights[edge] = math.log2(size) if size > 1 else 0.0
+    if unsized:
+        hypergraph = Hypergraph(vertices, weights)
 
-    objective, _ = fractional_edge_cover(hypergraph, target, weights=weights)
+    uniform = set(weights.values())
+    if len(uniform) == 1:
+        objective = uniform.pop() * fractional_edge_cover_number(hypergraph, target)
+    else:
+        objective, _ = fractional_edge_cover(hypergraph, target, weights=weights)
     return float(2.0 ** objective)

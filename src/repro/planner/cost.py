@@ -21,10 +21,14 @@ elimination it would perform:
 
 ``ρ*`` and AGM evaluations are memoised per cost-model instance: candidate
 orderings of the same query share most of their induced sets, and each
-evaluation solves a small LP.  ``ρ*`` is additionally backed by the
+evaluation is at worst a small LP.  ``ρ*`` is additionally backed by the
 process-wide restricted-edge-structure memo of
 :func:`repro.hypergraph.covers.fractional_edge_cover_number`, so even a
-fresh cost model rarely pays for an LP the process has seen before.  :attr:`CostModel.invocations` counts
+fresh cost model rarely pays for an LP the process has seen before — and
+so does the AGM bound whenever the factors meeting an induced set all have
+one size ``N`` (#SAT clauses, one relation joined with itself): it is then
+``N^ρ*`` and :func:`~repro.hypergraph.covers.agm_bound` asks that memo
+instead of solving the weighted LP.  :attr:`CostModel.invocations` counts
 top-level :meth:`CostModel.estimate` calls so tests can verify that a
 :class:`~repro.planner.cache.PlanCache` hit skips the ordering search.
 """

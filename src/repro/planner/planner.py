@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.evo import is_equivalent_ordering, linear_extensions
+from repro.core.expression_tree import build_expression_tree
 from repro.core.faqw import approximate_faqw_ordering
 from repro.core.query import FAQQuery, QueryError
 from repro.factors.backend import validate_backend
@@ -57,6 +58,7 @@ from repro.planner.signature import (
     ordering_to_indices,
     query_signature,
 )
+from repro.semiring.aggregates import PRODUCT_TAG
 
 DEFAULT_COST_MODEL = CostModel()
 """The process-wide cost model (its ``invocations`` counter is observable)."""
@@ -106,13 +108,20 @@ def candidate_orderings(
     if hypergraph is None:
         hypergraph = query.hypergraph()
     raw: List[Tuple[str, ...]] = [tuple(query.order)]
+    tree = build_expression_tree(query)
 
     try:
-        raw.append(tuple(approximate_faqw_ordering(query)))
+        raw.append(tuple(approximate_faqw_ordering(query, exact_limit=_EXACT_SEARCH_VARS)))
     except Exception:  # pragma: no cover - defensive: never lose plannability
         pass
 
-    if query.num_variables <= _EXACT_SEARCH_VARS:
+    # When one block holds every variable (a #SAT count, a partition
+    # function, a join) the Section 7 tree has one node to order, its H_L
+    # is the query's hypergraph, and the approximation above has just run
+    # the very search below: same graph, same ρ*, same free prefix.
+    blocks = [node for node in tree.iter_nodes() if node.variables]
+    searched = len(blocks) == 1 and blocks[0].tag != PRODUCT_TAG
+    if query.num_variables <= _EXACT_SEARCH_VARS and not searched:
         # Free-prefix-constrained branch-and-bound: optimal induced ρ* width
         # among the orderings the query actually admits (free variables
         # first), so the planner never has to repair an unconstrained
@@ -148,7 +157,7 @@ def candidate_orderings(
             raw.extend(
                 tuple(ext)
                 for ext in itertools.islice(
-                    linear_extensions(query, limit=_MAX_LINEAR_EXTENSIONS),
+                    linear_extensions(tree, limit=_MAX_LINEAR_EXTENSIONS),
                     _MAX_LINEAR_EXTENSIONS,
                 )
             )

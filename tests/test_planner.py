@@ -454,3 +454,46 @@ class TestEngineIntegration:
             STRATEGY_YANNAKAKIS,
             STRATEGY_GENERIC_JOIN,
         }
+
+
+def test_single_block_query_runs_the_exact_ordering_search_once(monkeypatch):
+    """With one variable-bearing node in the Section 7 tree, the per-node
+    search of ``approximate_faqw_ordering`` *is* the free-prefix-constrained
+    search over the whole hypergraph, so ``candidate_orderings`` runs it
+    once (it used to run it twice and drop the duplicate)."""
+    from repro.datasets.cnf import random_k_cnf
+    from repro.hypergraph import orderings
+    from repro.planner.planner import candidate_orderings
+    from repro.solvers.sat import sharp_sat_query
+
+    searches = []
+    search = orderings.best_ordering_search
+
+    def counting(hypergraph, width_fn, free=()):
+        searches.append(hypergraph.num_vertices)
+        return search(hypergraph, width_fn, free=free)
+
+    monkeypatch.setattr(orderings, "best_ordering_search", counting)
+    query = sharp_sat_query(random_k_cnf(6, 10, 3, seed=57))
+    # The list the two-search version returned for this query.
+    assert candidate_orderings(query) == [
+        ("x1", "x2", "x3", "x4", "x5", "x6"),
+        ("x1", "x3", "x4", "x6", "x2", "x5"),
+        ("x6", "x5", "x4", "x3", "x2", "x1"),
+        ("x1", "x2", "x3", "x4", "x6", "x5"),
+        ("x1", "x2", "x3", "x5", "x4", "x6"),
+        ("x1", "x2", "x3", "x5", "x6", "x4"),
+    ]
+    assert searches == [6]
+
+    # Two blocks (two components): each node's search sees only its own
+    # variables, so the search over the whole hypergraph still runs.
+    del searches[:]
+    pair = {(0, 1): 1, (1, 0): 1}
+    split = FAQQuery(
+        [Variable(v, (0, 1)) for v in "abcd"], [],
+        {v: SemiringAggregate.sum() for v in "abcd"},
+        [Factor(("a", "b"), pair), Factor(("c", "d"), pair)], COUNTING,
+    )
+    candidate_orderings(split)
+    assert searches == [2, 2, 4]

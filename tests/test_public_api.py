@@ -13,8 +13,11 @@ here.
 
 import dataclasses
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import repro
 import repro.serve
@@ -173,6 +176,31 @@ def test_one_sealed_envelope():
     assert len(_source_lines(r"^_MAGIC = ")) == 1
     temp_files = {line.split(":")[0] for line in _source_lines(r"tempfile\.mkstemp")}
     assert temp_files == {"caching.py"}, temp_files
+
+
+def test_planning_and_executing_never_imports_scipy_optimize():
+    """The cover LPs this package meets are solved by its own tableau kernel;
+    ``scipy.optimize`` (half of the import time, ~30 MB resident) is imported
+    only by the path for LPs above ``covers._TABLEAU_CELLS``."""
+    script = (
+        "import sys, repro\n"
+        "from repro.semiring.standard import COUNTING\n"
+        "pair = {(0, 1): 1, (1, 0): 1, (1, 1): 1}\n"
+        "query = repro.FAQQuery(\n"
+        "    [repro.Variable(v, (0, 1)) for v in 'abc'], [],\n"
+        "    {v: repro.SemiringAggregate.sum() for v in 'abc'},\n"
+        "    [repro.Factor(s, pair) for s in ('ab', 'bc', 'ac')], COUNTING)\n"
+        "plan = repro.plan_query(query)\n"
+        "assert plan.faq_width == 1.5, plan.faq_width\n"
+        "assert plan.execute().factor.table == query.evaluate_brute_force().table\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])),
+    )
+    assert out.stdout.split() == ["False"], out.stdout
 
 
 def test_repro_all_matches_snapshot():
