@@ -9,7 +9,8 @@ This package implements the paper's primary contribution:
 * :mod:`~repro.core.insideout` — the InsideOut variable-elimination
   algorithm (Algorithm 1),
 * :mod:`~repro.core.variable_elimination` — textbook variable elimination
-  (the PGM baseline without indicator projections / multiway joins),
+  (the PGM baseline without indicator projections / multiway joins: a
+  lowering run by the same driver as InsideOut, not a second loop),
 * :mod:`~repro.core.expression_tree` — expression trees and precedence
   posets (Section 6),
 * :mod:`~repro.core.evo` — equivalent variable orderings, component-wise

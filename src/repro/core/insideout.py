@@ -25,7 +25,10 @@ This module holds the per-step kernels — :func:`eliminate_semiring_step`,
 of its input factors.  The loop over the elimination order lives in exactly
 one place, the step-DAG executor (:mod:`repro.exec`): :func:`inside_out`
 lowers the run to its step DAG and hands it to that one driver, of which a
-serial run is simply ``workers=1``.
+serial run is simply ``workers=1``.  Textbook variable elimination
+(:mod:`repro.core.variable_elimination`) is the same kernels with twists 1
+and 2 off: no projections, and the pairwise join of
+:func:`_pairwise_eliminate` as a semiring step's sparse path.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.factors.backend import (
     BACKEND_SPARSE,
     BackendPolicy,
     DEFAULT_POLICY,
+    as_sparse,
     choose_dense,
     dense_join_reduce,
 )
@@ -112,17 +116,20 @@ class InsideOutResult:
         return self.factor.table.get((), semiring.zero)
 
 
-def _validated_ordering(query: FAQQuery, ordering: Sequence[str] | None) -> List[str]:
-    """Resolve and validate the variable ordering used by InsideOut."""
+def _validated_ordering(
+    query: FAQQuery, ordering: Sequence[str] | None, strategy: str | None = None
+) -> List[str]:
+    """Resolve and validate the variable ordering of an elimination run."""
     if ordering is None:
         return list(query.order)
     if isinstance(ordering, str):
         if ordering == "plan":
-            # Ask the cost-based planner for its best InsideOut ordering
-            # (cached by query signature; see :mod:`repro.planner`).
+            # Ask the cost-based planner for its best ordering under the
+            # run's strategy (InsideOut unless told otherwise; cached by
+            # query signature, see :mod:`repro.planner`).
             from repro.planner import STRATEGY_INSIDEOUT, plan
 
-            return list(plan(query, strategy=STRATEGY_INSIDEOUT).ordering)
+            return list(plan(query, strategy=strategy or STRATEGY_INSIDEOUT).ordering)
         if ordering != "auto":
             raise QueryError(f"unknown ordering specification {ordering!r}")
         from repro.core.faqw import approximate_faqw_ordering
@@ -167,6 +174,7 @@ def eliminate_semiring_step(
     tries: TrieCache,
     backend: str = BACKEND_SPARSE,
     policy: BackendPolicy = DEFAULT_POLICY,
+    pairwise: bool = False,
 ) -> Tuple[Optional[Factor], EliminationRecord]:
     """One semiring-aggregate elimination step (lines 5-11 of Algorithm 1).
 
@@ -184,6 +192,10 @@ def eliminate_semiring_step(
     path over its encodings, so surviving factors and repeated indicator
     projections keep their index across steps instead of being re-hashed
     tuple-by-tuple at every elimination.
+
+    ``pairwise`` (the variable-elimination lowering) swaps the sparse path
+    for textbook pairwise products (:func:`_pairwise_eliminate`): no trie,
+    no flat kernel.
     """
     semiring = query.semiring
     aggregate = query.aggregates[variable]
@@ -241,7 +253,7 @@ def eliminate_semiring_step(
     )
     step_backend = BACKEND_DENSE if use_dense else BACKEND_SPARSE
     new_factor = None
-    if not use_dense and policy.flat_enabled:
+    if not use_dense and policy.flat_enabled and not pairwise:
         new_factor = _try_flat_eliminate(
             query, incident, participants, projections, dense_projections,
             variable, output_scope, induced, aggregate.tag, policy, tries,
@@ -266,6 +278,8 @@ def eliminate_semiring_step(
             aggregate.tag,
             name=f"psi_elim({variable})",
         )
+    elif pairwise:
+        new_factor = _pairwise_eliminate(incident, variable, aggregate.combine, semiring)
     elif new_factor is None:  # else the flat kernel already produced the result
         participant_tries = [tries.trie(f) for f in incident]
         participant_tries.extend(
@@ -301,6 +315,26 @@ def eliminate_semiring_step(
         backend=step_backend,
     )
     return new_factor, record
+
+
+def _pairwise_eliminate(
+    incident: List[Factor], variable: str, combine, semiring: Semiring
+) -> Factor:
+    """Textbook variable elimination's join: pairwise products, then ``⊕``.
+
+    The partial products grow with the treewidth of the incident factors
+    rather than the fractional hypertree width — the gap Table 1 attributes
+    to prior PGM algorithms.  Only the *last* multiply is fused with the
+    marginalisation, so the full induced-set product is never materialised.
+    """
+    product = as_sparse(incident[0], semiring)
+    if len(incident) == 1:
+        return product.aggregate_marginalize(variable, combine, semiring)
+    for factor in incident[1:-1]:
+        product = product.multiply(as_sparse(factor, semiring), semiring)
+    return product.multiply_marginalize(
+        as_sparse(incident[-1], semiring), variable, combine, semiring
+    )
 
 
 def _try_flat_eliminate(
@@ -533,7 +567,8 @@ def inside_out(
         :func:`repro.core.faqw.approximate_faqw_ordering` to stay safe.
     use_indicator_projections:
         Disable to fall back to plain variable elimination intermediates
-        (used by the ablation benchmark).
+        (used by the ablation benchmark; the variable-elimination lowering
+        of :func:`repro.exec.dag.lower_insideout` turns them off itself).
     output_mode:
         ``"listing"`` (default) materialises the output factor;
         ``"factorized"`` skips the final join and returns a

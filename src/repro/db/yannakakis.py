@@ -65,11 +65,6 @@ def yannakakis(
         else:
             by_edge[edge] = relation
     nodes = list(tree.nodes)
-    for relation in relations:
-        if relation.attributes in by_edge:
-            continue
-        host = next(node for node in nodes if relation.attributes <= node)
-        by_edge[host] = binary_hash_join(by_edge[host], relation)
 
     if tree.number_of_nodes() == 1:
         only = by_edge[nodes[0]]

@@ -116,15 +116,19 @@ class Engine:
         with self._lock:
             if self._closed:
                 raise RuntimeError("Engine is closed")
-            if self._server is None:
-                self._server = PlanServer(
-                    workers=self.config.workers,
-                    workers_mode=self.config.workers_mode,
-                    pool_size=self.config.pool_size,
-                    cache=self.cache,
-                    coalesce=self.config.coalesce,
-                )
-            return self._server
+            return self._started()
+
+    def _started(self) -> PlanServer:
+        """The server, built on first need (the caller holds the lock)."""
+        if self._server is None:
+            self._server = PlanServer(
+                workers=self.config.workers,
+                workers_mode=self.config.workers_mode,
+                pool_size=self.config.pool_size,
+                cache=self.cache,
+                coalesce=self.config.coalesce,
+            )
+        return self._server
 
     def query(
         self,
@@ -203,19 +207,20 @@ class Engine:
     # observability + lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
-        """The in-process server's counters (empty-ish before first use)."""
+        """The in-process server's counters (:meth:`PlanServer.stats`).
+
+        One key set at every point of the lifecycle: zeros before the first
+        query, the final counts after :meth:`close`.
+        """
         with self._lock:
-            server = self._server
-        if server is None:
-            return {"submitted": 0, "plan_cache_hits": self.cache.hits,
-                    "plan_cache_misses": self.cache.misses}
+            server = self._started()
         return server.stats()
 
     def close(self) -> None:
-        """Shut the in-process server down (idempotent)."""
+        """Shut the in-process server down (idempotent); its counters stay."""
         with self._lock:
             self._closed = True
-            server, self._server = self._server, None
+            server = self._server
         if server is not None:
             server.shutdown(wait=True)
 

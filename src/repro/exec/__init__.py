@@ -1,5 +1,7 @@
-"""Execution of InsideOut runs as explicit step DAGs — the one driver.
+"""Execution of elimination runs as explicit step DAGs — the one driver.
 
+InsideOut and textbook variable elimination are two lowerings of the same
+loop (``lower_insideout(..., strategy=...)``), so both run here.
 The planner's chosen ordering fixes *what* each elimination step computes;
 this package makes the dependency structure between those steps explicit
 (:func:`lower_insideout` → :class:`StepDag`) and executes them

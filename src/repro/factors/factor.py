@@ -420,15 +420,12 @@ class Factor:
         variable: str,
         combine: Callable[[Any, Any], Any],
         semiring: Semiring,
-    ) -> Tuple["Factor", int]:
+    ) -> "Factor":
         """Fused ``(self ⊗ other)`` then ``⊕``-eliminate ``variable``.
 
         Joins like :meth:`multiply` but aggregates ``variable`` out of each
         joined tuple on the fly instead of materialising the full product
-        first.  Returns ``(factor, joined_count)`` where ``joined_count`` is
-        the number of non-zero joined tuples the unfused product would have
-        listed — callers tracking intermediate sizes keep their historical
-        accounting without paying for the intermediate.
+        first.
         """
         other_only = [v for v in other.scope if v not in self.scope]
         product_scope = self.scope + tuple(other_only)
@@ -437,20 +434,15 @@ class Factor:
         keep_idx = [i for i, v in enumerate(product_scope) if v != variable]
         new_scope = tuple(product_scope[i] for i in keep_idx)
 
-        joined = 0
         table: Dict[ValueTuple, Any] = {}
         for full, prod in self._joined_items(other, semiring):
-            joined += 1
             reduced = tuple(full[i] for i in keep_idx)
             if reduced in table:
                 table[reduced] = combine(table[reduced], prod)
             else:
                 table[reduced] = prod
         table = {k: v for k, v in table.items() if not semiring.is_zero(v)}
-        return (
-            Factor(new_scope, table, name=f"({self.name}*{other.name})-agg({variable})"),
-            joined,
-        )
+        return Factor(new_scope, table, name=f"({self.name}*{other.name})-agg({variable})")
 
     def normalize_scope(self, order: Sequence[str]) -> "Factor":
         """Return an equivalent factor whose scope follows ``order``.

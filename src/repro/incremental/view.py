@@ -246,10 +246,12 @@ class IncrementalView:
         self.stats.record(regime)
         if regime == REGIME_DELTA:
             self.stats.delta_updates += 1
-            output = self._apply_delta_regime(index, old_factor, changes, base)
+            cells = self._signed_differences(old_factor, changes)
+            output = self._apply_cells(index, old_factor, cells, "+delta", base)
         elif regime == REGIME_APPEND:
             self.stats.append_updates += 1
-            output = self._apply_append_regime(index, old_factor, changes, base)
+            cells = {c: v for c, v in changes.items() if not semiring.is_zero(v)}
+            output = self._apply_cells(index, old_factor, cells, "+append", base)
         else:
             self.stats.dirty_updates += 1
             self.query = self._with_factor(index, new_factor)
@@ -286,49 +288,33 @@ class IncrementalView:
                 return REGIME_DIRTY
         return REGIME_APPEND
 
-    def _apply_delta_regime(
-        self,
-        index: int,
-        old_factor: Factor,
-        changes: Dict[Tuple[Any, ...], Any],
-        base: Factor,
-    ) -> Factor:
+    def _signed_differences(
+        self, old_factor: Factor, changes: Dict[Tuple[Any, ...], Any]
+    ) -> Dict[Tuple[Any, ...], Any]:
+        """The non-zero ``new ⊖ old`` of each changed cell (delta regime)."""
         semiring = self.query.semiring
         sub = SUBTRACTABLE[semiring.name]
         diff: Dict[Tuple[Any, ...], Any] = {}
         for cell, value in changes.items():
-            old_value = old_factor.value_of_tuple(cell, semiring)
-            signed = sub(value, old_value)
+            signed = sub(value, old_factor.value_of_tuple(cell, semiring))
             if not semiring.values_equal(signed, semiring.zero):
                 diff[cell] = signed
-        if not diff:
-            return base
-        delta_factor = Factor(
-            old_factor.scope, diff, name=old_factor.name + "+delta"
-        )
-        correction = self._run_with_factor(index, delta_factor)
-        return apply_output_delta(base, correction, semiring, name=base.name)
+        return diff
 
-    def _apply_append_regime(
+    def _apply_cells(
         self,
         index: int,
         old_factor: Factor,
-        changes: Dict[Tuple[Any, ...], Any],
+        cells: Dict[Tuple[Any, ...], Any],
+        suffix: str,
         base: Factor,
     ) -> Factor:
-        semiring = self.query.semiring
-        appended = {
-            cell: value
-            for cell, value in changes.items()
-            if not semiring.is_zero(value)
-        }
-        if not appended:
+        """``base ⊕`` the query run with factor ``index`` reduced to ``cells``."""
+        if not cells:
             return base
-        delta_factor = Factor(
-            old_factor.scope, appended, name=old_factor.name + "+append"
-        )
+        delta_factor = Factor(old_factor.scope, cells, name=old_factor.name + suffix)
         correction = self._run_with_factor(index, delta_factor)
-        return apply_output_delta(base, correction, semiring, name=base.name)
+        return apply_output_delta(base, correction, self.query.semiring, name=base.name)
 
     # ------------------------------------------------------------------ #
     # execution helpers

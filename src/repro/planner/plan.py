@@ -1,13 +1,17 @@
 """The :class:`Plan` value object: a chosen strategy, ordering and backend.
 
 A plan is produced by :func:`repro.planner.planner.plan` and executed with
-:meth:`Plan.execute`, which dispatches to the engine the planner selected:
+:meth:`Plan.execute`.  The two *elimination* strategies are lowerings run by
+the one step-DAG driver (:class:`repro.exec.DagExecutor`), reached through
+the one :meth:`Plan.run_spec`:
 
-* ``"insideout"`` — :func:`repro.core.insideout.inside_out` (the general
-  FAQ algorithm, any query);
-* ``"variable-elimination"`` — the textbook baseline of
-  :func:`repro.core.variable_elimination.variable_elimination` (FAQ-SS
-  queries plus product aggregates);
+* ``"insideout"`` — the general FAQ algorithm (Algorithm 1), any query;
+* ``"variable-elimination"`` — the textbook baseline: the same loop with no
+  indicator projections and the pairwise join as a semiring step's sparse
+  path (FAQ-SS queries plus product aggregates);
+
+the two *join* strategies each call their own evaluator:
+
 * ``"yannakakis"`` — :func:`repro.db.yannakakis.yannakakis` (α-acyclic
   all-free indicator queries, i.e. natural joins);
 * ``"generic-join"`` — :func:`repro.db.generic_join.generic_join`
@@ -27,11 +31,13 @@ from repro.factors.factor import Factor
 from repro.planner.cost import (
     OrderingEstimate,
     STRATEGY_GENERIC_JOIN,
-    STRATEGY_INSIDEOUT,
-    STRATEGY_VARIABLE_ELIMINATION,
     STRATEGY_YANNAKAKIS,
 )
 from repro.semiring.base import Semiring
+
+# The strategies with an evaluator of their own; every other plan is an
+# elimination lowering on the step-DAG driver.
+JOIN_STRATEGIES = (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN)
 
 
 @dataclass
@@ -105,33 +111,26 @@ class Plan:
     ) -> PlanResult:
         """Run the plan and return the output over the free variables.
 
-        InsideOut always runs on the step-DAG executor (:mod:`repro.exec`);
-        ``workers`` > 1 parallelises it and ``workers_mode="process"`` swaps its
-        thread pool for shared-memory worker processes so the sparse
-        kernels escape the GIL.  The other strategies always execute
-        serially — per-query parallelism for them comes from batching whole
-        queries through :mod:`repro.serve`.  ``shared_tries`` passes a
+        An elimination plan (InsideOut or variable elimination) runs on the
+        step-DAG executor (:mod:`repro.exec`): ``workers`` > 1 parallelises
+        it and ``workers_mode="process"`` swaps its thread pool for
+        shared-memory worker processes so the sparse kernels escape the
+        GIL.  ``shared_tries`` passes a
         :class:`~repro.factors.index.SharedTrieCache` of this query's
         base-factor tries (the serving layer reuses one across repeated
         identical queries); ``step_cache`` a
         :class:`~repro.exec.StepResultCache` of content-addressed step
         results (shared elimination prefixes replay instead of
-        recomputing).  Both are InsideOut-only accelerations and are
-        ignored by the other strategies.
+        recomputing).  The join strategies execute serially, in listing
+        mode, and ignore all four — per-query parallelism for them comes
+        from batching whole queries through :mod:`repro.serve`.
         """
-        if self.strategy == STRATEGY_INSIDEOUT:
-            from repro.core.insideout import inside_out
+        if self.strategy not in JOIN_STRATEGIES:
+            from repro.exec.executor import DagExecutor
 
-            result = inside_out(
-                self.query,
-                ordering=list(self.ordering),
-                output_mode=output_mode,
-                backend=self.backend,
-                workers=workers,
-                workers_mode=workers_mode,
-                shared_tries=shared_tries,
-                step_cache=step_cache,
-            )
+            result = DagExecutor(
+                workers=1 if workers is None else workers, workers_mode=workers_mode
+            ).run_many([self.run_spec(output_mode, shared_tries)], step_cache=step_cache)[0]
             return PlanResult(
                 plan=self,
                 factor=result.factor,
@@ -141,22 +140,29 @@ class Plan:
             )
         if output_mode != "listing":
             raise QueryError(
-                f"output mode {output_mode!r} requires the insideout strategy"
-            )
-        if self.strategy == STRATEGY_VARIABLE_ELIMINATION:
-            from repro.core.variable_elimination import variable_elimination
-
-            result = variable_elimination(
-                self.query, ordering=list(self.ordering), backend=self.backend
-            )
-            return PlanResult(
-                plan=self, factor=result.factor, ordering=result.ordering, raw=result
+                f"output mode {output_mode!r} requires an elimination strategy"
             )
         if self.strategy == STRATEGY_YANNAKAKIS:
             return self._execute_yannakakis()
-        if self.strategy == STRATEGY_GENERIC_JOIN:
-            return self._execute_generic_join()
-        raise QueryError(f"unknown plan strategy {self.strategy!r}")
+        return self._execute_generic_join()
+
+    def run_spec(self, output_mode: str = "listing", shared_tries: Any = None):
+        """This elimination plan as a run of the step-DAG driver.
+
+        The one place a plan becomes a :class:`~repro.exec.RunSpec` —
+        :meth:`execute` runs it alone, the serving tier merges it with the
+        rest of a batch.
+        """
+        from repro.exec.executor import RunSpec
+
+        return RunSpec(
+            query=self.query,
+            ordering=list(self.ordering),
+            output_mode=output_mode,
+            backend=self.backend,
+            shared_tries=shared_tries,
+            strategy=self.strategy,
+        )
 
     def _relations(self):
         from repro.db.relation import Relation

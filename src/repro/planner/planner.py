@@ -461,9 +461,10 @@ def _pick(estimates: List[OrderingEstimate]) -> OrderingEstimate:
 def _plan_step_sizes(winner: OrderingEstimate) -> Tuple[float, ...]:
     """The per-step size estimates worth comparing against a run's stats.
 
-    Only the InsideOut strategy executes the step sequence the cost model
-    simulated (``InsideOutStats.steps`` aligns with the estimate's steps),
-    so only its plans carry sizes into the feedback loop.
+    Only InsideOut plans carry sizes into the feedback loop.  A
+    variable-elimination plan runs on the same driver and reports the same
+    ``InsideOutStats.steps``, but its estimates have never been calibrated
+    against them; bringing it in is a planner change of its own.
     """
     if winner.strategy != STRATEGY_INSIDEOUT:
         return ()
@@ -539,8 +540,8 @@ def execute(
     """Plan and execute ``query`` in one call (see :func:`plan` for kwargs).
 
     ``workers`` is an execution argument, not a planning one: it opts the
-    chosen plan into the parallel step-DAG executor (InsideOut strategy
-    only; see :meth:`~repro.planner.plan.Plan.execute`).
+    chosen plan into the parallel step-DAG executor (the elimination
+    strategies; see :meth:`~repro.planner.plan.Plan.execute`).
     """
     if output_mode != "listing":
         kwargs.setdefault("strategy", STRATEGY_INSIDEOUT)

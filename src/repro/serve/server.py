@@ -50,6 +50,7 @@ from repro.planner import (
     query_content_key,
     record_plan_feedback,
 )
+from repro.planner.plan import JOIN_STRATEGIES
 from repro.serve.api import PlanFailure, ServeRequest, ServeResult
 from repro.serve.snapshot import SnapshotStore
 
@@ -93,8 +94,9 @@ def _plan_digest(request: ServeRequest) -> Optional[str]:
 class PlanServer:
     """A long-lived serving loop over the planner and the engines.
 
-    Every InsideOut execution it starts — a single request, a merged batch,
-    an incremental update — runs on the one step-DAG driver
+    Every elimination plan it executes (InsideOut or variable elimination)
+    — a single request, a merged batch, an incremental update — runs on the
+    one step-DAG driver
     (:class:`repro.exec.DagExecutor`); what differs is only the batch size
     and the step source attached (the server's step-result cache, a view's
     snapshot, or none for a ``coalesce=False`` request).
@@ -130,7 +132,7 @@ class PlanServer:
         ``ServeRequest(coalesce=False)``).
     merge:
         Server-wide default for cross-query common sub-elimination in
-        :meth:`execute_batch`: InsideOut requests of one batch are lowered
+        :meth:`execute_batch`: the elimination plans of one batch are lowered
         to content-addressed step DAGs, merged into one multi-sink DAG,
         and each distinct step digest executes exactly once.
     cache_results:
@@ -411,8 +413,8 @@ class PlanServer:
 
         With ``coalesce=True`` value-equal requests execute once and share
         one result (duplicates flagged ``coalesced=True``).  With ``merge``
-        (defaulting to the server-wide setting) the batch's InsideOut
-        requests are additionally lowered to content-addressed step DAGs
+        (defaulting to the server-wide setting) the batch's elimination
+        plans are additionally lowered to content-addressed step DAGs
         and merged into one multi-sink DAG — structurally identical
         elimination steps *across distinct queries* execute exactly once
         and replay into every run that needs them, with per-query stats
@@ -425,17 +427,7 @@ class PlanServer:
         if merge and coalesce and self.coalesce and len(requests) > 1:
             return self._execute_batch_merged(list(requests))
         if not coalesce:
-            requests = [
-                r if not r.coalesce else ServeRequest(
-                    query=r.query,
-                    output_mode=r.output_mode,
-                    tenant=r.tenant,
-                    deadline=r.deadline,
-                    coalesce=False,
-                    options=r.options,
-                )
-                for r in requests
-            ]
+            requests = [replace(r, coalesce=False) for r in requests]
         futures = [self.submit(request) for request in requests]
         return [future.result() for future in futures]
 
@@ -444,11 +436,12 @@ class PlanServer:
 
         Content-key duplicates first coalesce onto one representative
         (preserving the ``coalesced`` counter semantics of the submit
-        path, deterministically).  Representative InsideOut requests are
-        then executed as one merged multi-sink step DAG
+        path, deterministically).  Representatives planned as eliminations
+        (InsideOut or variable elimination) are then executed as one merged
+        multi-sink step DAG
         (:meth:`repro.exec.DagExecutor.run_many`, the same driver a single
         request reaches as a batch of one) sharing the server's
-        step-result cache; other strategies, coalesce-opted-out requests
+        step-result cache; the join strategies, coalesce-opted-out requests
         and completed-result-cache hits run on the ordinary paths.  Any
         merged-run failure falls back to independent execution — merging
         is an optimisation, never a correctness risk.
@@ -503,16 +496,10 @@ class PlanServer:
             except QueryError as exc:
                 rep_errors[i] = PlanFailure(str(exc), cause_type=type(exc).__name__)
                 continue
-            if chosen.strategy != STRATEGY_INSIDEOUT:
+            if chosen.strategy in JOIN_STRATEGIES:
                 solo.append(i)
                 continue
-            specs.append(RunSpec(
-                query=chosen.query,
-                ordering=list(chosen.ordering),
-                output_mode=request.output_mode,
-                backend=chosen.backend,
-                shared_tries=shared,
-            ))
+            specs.append(chosen.run_spec(request.output_mode, shared))
             merged.append((i, chosen, started))
 
         # --- the merged multi-sink run ---------------------------------- #
@@ -682,7 +669,8 @@ class PlanServer:
         Returns the plan and, for the InsideOut strategy, the cross-run
         trie store to execute against (``None`` for a query with no
         content key — it already forgoes coalescing, digest plans and
-        step sharing, and forgoes warm tries too).
+        step sharing, and forgoes warm tries too — and for every other
+        strategy: neither of variable elimination's kernels reads a trie).
         """
         chosen = self._plan_for(request)
         if chosen.strategy != STRATEGY_INSIDEOUT:

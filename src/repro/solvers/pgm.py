@@ -81,7 +81,9 @@ def marginal_variable_elimination(
     The baseline keeps the written ordering and the listing representation
     by default so that its cost profile stays comparable with the paper's
     prior-work bounds; pass ``ordering="plan"`` to let the planner search,
-    or ``backend="auto"`` / ``"dense"`` to vectorize it as well.
+    or ``backend="auto"`` / ``"dense"`` to vectorize it as well.  It runs
+    on the same step-DAG driver as the InsideOut wrappers above (as the
+    variable-elimination lowering), serially.
     """
     query = model.marginal_query(list(variables))
     result = variable_elimination(query, ordering=ordering, backend=backend)

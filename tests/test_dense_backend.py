@@ -269,7 +269,7 @@ class TestQueryEquivalence:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_variable_elimination_backends_match_brute_force(self, seed):
-        query = small_random_query(seed + 6000, allow_products=False, semiring=COUNTING)
+        query = small_random_query(seed + 6000, semiring=COUNTING)
         tags = {query.aggregates[v].tag for v in query.semiring_variables}
         if len(tags) > 1:
             pytest.skip("VE is FAQ-SS only")

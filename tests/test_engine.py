@@ -81,6 +81,27 @@ def test_engine_close_is_idempotent_and_final():
         engine.query(_random_query("counting", 0))
 
 
+def test_engine_stats_have_one_shape_across_the_lifecycle():
+    """Zeros before first use, the final counts after ``close()`` — never a
+    shorter dict, so ``stats()["coalesced"]`` is safe to read at any point."""
+    engine = Engine()
+    fresh = engine.stats()
+    assert fresh["submitted"] == fresh["coalesced"] == fresh["merged_queries"] == 0
+    queries = [_random_query("counting", seed) for seed in range(3)]
+    engine.batch(queries)
+    in_use = engine.stats()
+    engine.close()
+    closed = engine.stats()
+    assert sorted(fresh) == sorted(in_use) == sorted(closed)
+    assert in_use["submitted"] == closed["submitted"] == len(queries)
+    assert closed["plan_cache_misses"] == in_use["plan_cache_misses"] > 0
+    with pytest.raises(RuntimeError):
+        engine.query(queries[0])
+    never_used = Engine()
+    never_used.close()
+    assert sorted(never_used.stats()) == sorted(closed)
+
+
 @pytest.mark.slow
 def test_engine_serve_starts_a_replicated_tier():
     query = _random_query("counting", 4)

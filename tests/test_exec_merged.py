@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, Variable
-from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache
+from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, lower_insideout
 from repro.factors.factor import Factor
 from repro.hypergraph.covers import fractional_edge_cover_number
 from repro.hypergraph.elimination import elimination_sequence
@@ -40,6 +40,7 @@ from repro.planner import (
 from repro.planner.cache import REPLAN_ERROR_THRESHOLD
 from repro.serve import PlanServer, ServeRequest
 
+from test_exec_process import _brute_force_by_block, _multi_block
 from test_planner_differential import SEMIRINGS
 
 MERGED_SEMIRINGS = ("counting", "max-product", "boolean")
@@ -238,6 +239,82 @@ def test_plan_server_coalesce_opt_out_skips_sharing():
         assert got.factor.table == want.factor.table
     assert stats["merged_queries"] == 0
     assert stats["step_cache_computed"] == 0
+
+
+# ---------------------------------------------------------------------- #
+# a variable-elimination plan is a run of the same driver
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("options", ({"strategy": "variable-elimination"}, {}))
+def test_plan_server_merges_variable_elimination_plans(options):
+    """Being planned as VE — which the default options do to this family —
+    no longer opts a request out of the merged batch."""
+    queries = _chain_family("counting")[:-1]  # the distinct variants
+    with PlanServer() as server:
+        results = server.execute_batch(
+            [ServeRequest(query=q, options=options) for q in queries]
+        )
+        stats = server.stats()
+    for query, got in zip(queries, results):
+        assert query.evaluate_brute_force().equals(got.factor, query.semiring)
+        assert got.strategy == "variable-elimination"
+    assert stats["merged_queries"] == len(queries)
+    assert 0 < stats["merged_executed_steps"] < stats["merged_total_steps"]
+
+
+def test_variable_elimination_plan_honours_workers_and_step_cache():
+    query = _multi_block("max-product", 1, domain=4, density=0.9)
+    chosen = plan(
+        query, strategy="variable-elimination", backend="dense", cache=PlanCache()
+    )
+    dag = lower_insideout(query, list(chosen.ordering), strategy=chosen.strategy)
+    assert dag.max_parallelism > 1
+    assert all(node.pairwise for node in dag.nodes if node.kind == "semiring")
+
+    serial = chosen.execute(workers=1)
+    assert query.semiring.values_equal(serial.scalar, _brute_force_by_block(query))
+    assert {step.backend for step in serial.stats.steps} == {"dense"}
+    for label, kwargs in (
+        ("threads", {"workers": 2}),
+        ("processes", {"workers": 2, "workers_mode": "process"}),
+    ):
+        _assert_identical(serial.raw, chosen.execute(**kwargs).raw, f"VE plan/{label}")
+
+    cache = StepResultCache()
+    cold = chosen.execute(step_cache=cache)
+    computed = cache.stats()["computed"]
+    assert computed == len(dag.nodes)
+    warm = chosen.execute(step_cache=cache)
+    _assert_identical(serial.raw, cold.raw, "VE plan/cold step cache")
+    _assert_identical(serial.raw, warm.raw, "VE plan/warm step cache")
+    assert cache.stats() == {
+        "entries": computed, "computed": computed, "replayed": len(dag.nodes)
+    }
+
+
+def test_pairwise_steps_never_share_a_digest_with_trie_or_flat_steps():
+    """Same inputs, same variable, other join: the float reduction order
+    differs, so the content addresses must."""
+    query = _chain_family("max-product")[0]
+    lowered = {
+        strategy: lower_insideout(
+            query, list(_ORDER), use_indicator_projections=False,
+            content_digests=True, strategy=strategy,
+        )
+        for strategy in ("insideout", "variable-elimination")
+    }
+    marked, unmarked = lowered["variable-elimination"], lowered["insideout"]
+    assert marked.slot_digests[: marked.num_base] == unmarked.slot_digests[: unmarked.num_base]
+    for a, b in zip(marked.nodes, unmarked.nodes):
+        assert (a.kind, a.variable, a.incident, a.reads) == (b.kind, b.variable, b.incident, b.reads)
+        assert a.digest is not None and b.digest is not None
+        assert a.digest != b.digest
+    # ... and through the cache: a VE run after an InsideOut run replays nothing.
+    cache = StepResultCache()
+    inside_out(query, ordering=list(_ORDER), use_indicator_projections=False, step_cache=cache)
+    DagExecutor(workers=1).run_many(
+        [RunSpec(query, list(_ORDER), strategy="variable-elimination")], step_cache=cache
+    )
+    assert cache.stats()["replayed"] == 0
 
 
 def test_lone_unshared_runs_never_compute_digests(monkeypatch):

@@ -1,8 +1,9 @@
 """Correctness and parallel determinism of the step-DAG executor.
 
-:class:`~repro.exec.DagExecutor` is the one InsideOut driver
-(:func:`~repro.core.insideout.inside_out` is a thin call into it), so there
-is no second implementation to compare it with.  The contract is checked
+:class:`~repro.exec.DagExecutor` is the one elimination driver
+(:func:`~repro.core.insideout.inside_out` and
+:func:`~repro.core.variable_elimination.variable_elimination` are thin calls
+into it), so there is no second implementation to compare it with.  The contract is checked
 against two references instead:
 
 * **values** against the brute-force oracle
@@ -12,19 +13,23 @@ against two references instead:
   equality) *and* the :class:`~repro.core.insideout.InsideOutStats` totals
   must be identical.
 
-The seeded property test below checks both across semirings, factor
-backends and ``workers ∈ {1, 2, 8}``, on the same randomized query family
-the planner differential harness uses.
+The seeded property test below checks both across semirings, both
+elimination lowerings, factor backends and ``workers ∈ {1, 2, 8}``, on the
+same randomized query family the planner differential harness uses.
 """
+
+import itertools
 
 import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
+from repro.core.variable_elimination import variable_elimination
 from repro.exec import (
     KIND_OUTPUT,
     KIND_SEMIRING,
     DagExecutor,
+    RunSpec,
     lower_insideout,
 )
 from repro.factors.factor import Factor
@@ -36,6 +41,8 @@ from test_planner_differential import SEMIRINGS, _random_query
 
 WORKER_COUNTS = (1, 2, 8)
 BACKENDS = ("sparse", "dense", "auto")
+# strategy (the lowering) -> the public entry point that is a thin call into it
+ENTRY_POINTS = {"insideout": inside_out, "variable-elimination": variable_elimination}
 
 
 def _assert_correct(query, result, context):
@@ -83,22 +90,24 @@ def _assert_identical(serial, parallel, context):
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
 @pytest.mark.parametrize("seed", range(6))
 def test_dag_executor_is_correct_and_worker_invariant(name, seed):
-    """Right against brute force; identical across workers and entry points."""
+    """Right against brute force; identical across workers and entry points.
+
+    Every query of the family has one semiring aggregate tag (plus product
+    aggregates), so both lowerings apply to all of them.
+    """
     query = _random_query(name, seed)
-    for backend in BACKENDS:
-        serial = DagExecutor(workers=1).run(query, ordering=None, backend=backend)
-        _assert_correct(query, serial, f"{name}/seed={seed}/backend={backend}")
+    for (strategy, entry_point), backend in itertools.product(ENTRY_POINTS.items(), BACKENDS):
+        context = f"{name}/seed={seed}/{strategy}/backend={backend}"
+        spec = RunSpec(query, backend=backend, strategy=strategy)
+        [serial] = DagExecutor(workers=1).run_many([spec])
+        _assert_correct(query, serial, context)
         runs = {
-            f"workers={workers}": DagExecutor(workers=workers).run(
-                query, ordering=None, backend=backend
-            )
+            f"workers={workers}": DagExecutor(workers=workers).run_many([spec])[0]
             for workers in WORKER_COUNTS[1:]
         }
-        runs["inside_out"] = inside_out(query, ordering=None, backend=backend)
+        runs[entry_point.__name__] = entry_point(query, ordering=None, backend=backend)
         for label, run in runs.items():
-            _assert_identical(
-                serial, run, f"{name}/seed={seed}/backend={backend}/{label}"
-            )
+            _assert_identical(serial, run, f"{context}/{label}")
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
@@ -110,8 +119,8 @@ def test_dag_executor_matches_planned_ordering(name):
     _assert_correct(query, serial, f"{name}/planned")
     for workers in WORKER_COUNTS:
         parallel = chosen.execute(workers=workers)
-        if chosen.strategy != "insideout":
-            # Only the InsideOut strategy parallelises; the others must
+        if chosen.strategy not in ENTRY_POINTS:
+            # Only the elimination strategies parallelise; the joins must
             # still return the same result with workers set.
             assert parallel.factor.table == serial.factor.table
             continue

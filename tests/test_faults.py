@@ -438,6 +438,30 @@ class TestInProcessFaults:
         _assert_answer(query, result.factor, "served after injected kernel fault")
         server.shutdown()
 
+    def test_variable_elimination_request_draws_the_same_site(self):
+        """The strategy the planner picks on dense PGMs is a run of the same
+        driver: a ``step.kernel`` fault is a typed failure, the step-cache
+        claims are abandoned, and the site is drawn once per executed node."""
+        query = _chain_query(length=5)  # four pairwise steps, then the output
+        request = ServeRequest(query=query, options={"strategy": "variable-elimination"})
+        schedule = {SITE_STEP_KERNEL: {3: ACTION_ERROR}}
+        with PlanServer() as server, injected_faults(FaultPlan(schedule=schedule)) as plan:
+            with pytest.raises(PlanFailure) as info:
+                server.execute_request(request)
+            assert "InjectedFault" in str(info.value)
+            assert plan.calls[SITE_STEP_KERNEL] == 3
+            assert not server._step_results._inflight, "a failed step left its claim wedged"
+            assert server.stats()["step_cache_computed"] == 2
+            # An identical request replays the two finished steps and computes
+            # the rest; a wedged claim would block it forever.
+            result = server.submit(request).result(timeout=30)
+            assert result.strategy == "variable-elimination"
+            _assert_answer(query, result.factor, "served after injected kernel fault")
+            stats = server.stats()
+            assert (stats["step_cache_computed"], stats["step_cache_replayed"]) == (5, 2)
+            # draws == executed nodes: five computed plus the one that faulted.
+            assert plan.calls[SITE_STEP_KERNEL] == 5 + 1
+
     def test_worker_kill_degrades_pool_bit_identically(self):
         """The promoted ``_TEST_CRASH_NODES`` scenario, driven by a plan."""
         query = _multi_block("max-product", 1)

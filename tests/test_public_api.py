@@ -170,6 +170,22 @@ def test_one_scheduler_one_claim_protocol():
     assert not pool, pool
 
 
+def test_one_elimination_loop():
+    """Variable elimination is a lowering on the one driver, not a second
+    one: the per-step fault site is drawn in the executor only, the dense
+    kernel is called from the one step-kernel module only, and the second
+    driver's result / stats classes are gone."""
+    site = {line.split(":")[0] for line in _source_lines(r"SITE_STEP_KERNEL")}
+    assert site == {"faults.py", "exec/executor.py"}, site
+    callers = {
+        line.split(":")[0]
+        for line in _source_lines(r"dense_join_reduce\(")
+        if "def " not in line
+    }
+    assert callers == {"core/insideout.py"}, callers
+    assert not _source_lines(r"^class VariableElimination")
+
+
 def test_one_sealed_envelope():
     """One spill format (ROADMAP 2(d)): the magic and the temp-file +
     ``os.replace`` write live in ``caching.py`` only."""

@@ -116,7 +116,7 @@ class TestStats:
     def test_intermediate_sizes_recorded(self, triangle_query):
         result = variable_elimination(triangle_query)
         assert result.stats.max_intermediate_size >= 1
-        assert len(result.stats.intermediate_sizes) >= 1
+        assert len(result.stats.steps) >= 1
 
     def test_insideout_intermediates_never_larger_with_projections(self):
         # On the highly selective triangle instance the InsideOut intermediate
