@@ -60,8 +60,14 @@ class FAQQuery:
         Mapping from each bound variable name to its
         :class:`~repro.semiring.aggregates.Aggregate`.
     factors:
-        The input factors ``psi_S`` (listing representation).  Explicit zero
-        entries are pruned on construction.
+        The input factors ``psi_S`` (listing or dense representation).  The
+        query takes a copy of each with explicit zero entries pruned, so
+        the caller's later edits cannot reach it — except a factor that is
+        *frozen* (content-digested, hence immutable) and lists no zero of
+        ``semiring``: that one is held by reference
+        (:meth:`Factor.is_pruned <repro.factors.factor.Factor.is_pruned>`),
+        so its digest memo and everything indexed under it are shared by
+        every query it is part of.
     semiring:
         Provides the product ``⊗`` with identities ``0`` / ``1`` shared by
         all aggregates.  (The ``add`` of this semiring is *not* used unless a
@@ -112,7 +118,9 @@ class FAQQuery:
                 raise QueryError(
                     f"factor {factor.name} mentions unknown variables {unknown}"
                 )
-            self.factors.append(factor.pruned(semiring))
+            self.factors.append(
+                factor if factor.is_pruned(semiring) else factor.pruned(semiring)
+            )
         self._hypergraph: Hypergraph | None = None
 
     # ------------------------------------------------------------------ #

@@ -279,13 +279,38 @@ def annotate_digests(
     digests, which propagate and simply disable sharing for the affected
     subgraph.
     """
-    from repro.planner.signature import _digest, canonical_bytes, factor_digest
+    from repro.planner.signature import (
+        _digest, canonical_bytes, canonical_sequence, factor_digest,
+    )
 
-    def encode(payload) -> Optional[bytes]:
+    domain_parts: Dict[str, bytes] = {}
+
+    def domain_part(variable: str) -> bytes:
+        """``canonical_bytes((variable, its domain))``, encoded once per call:
+        a variable is in the induced set of several nodes."""
+        part = domain_parts.get(variable)
+        if part is None:
+            part = domain_parts[variable] = canonical_bytes(
+                (variable, tuple(query.domain(variable)))
+            )
+        return part
+
+    def encode(head: tuple, domains=None, tail: tuple = ()) -> Optional[bytes]:
+        """``canonical_bytes`` of the tuple ``head + (domain spec,) + tail``.
+
+        The domain spec is ``((v, Dom(v)) for v in sorted(domains))``; a
+        payload without one passes ``head`` alone.
+        """
         try:
-            return canonical_bytes(payload)
+            parts = [canonical_bytes(v) for v in head]
+            if domains is not None:
+                parts.append(
+                    canonical_sequence(domain_part(v) for v in sorted(domains))
+                )
+            parts.extend(canonical_bytes(v) for v in tail)
         except TypeError:
             return None
+        return canonical_sequence(parts)
 
     slot_digests: List[Optional[str]] = [None] * dag.num_slots
     if query.factors:
@@ -300,9 +325,6 @@ def annotate_digests(
 
     sem = query.semiring.name
     scopes = dag.slot_scope
-
-    def domain_spec(variables) -> tuple:
-        return tuple((v, tuple(query.domain(v))) for v in sorted(variables))
 
     for node in dag.nodes:
         inputs = tuple(slot_digests[s] for s in node.incident)
@@ -321,18 +343,19 @@ def annotate_digests(
             )
             if any(d is None for d, _ in reads):
                 continue
-            payload = encode((
-                "pairwise" if node.pairwise else "semiring",
-                sem,
-                variable,
-                query.tag(variable),
-                bool(use_indicator_projections),
-                tuple(v for v in order if v in induced),
-                tuple(v for v in query.order if v in induced),
-                domain_spec(induced),
-                inputs,
-                reads,
-            ))
+            payload = encode(
+                (
+                    "pairwise" if node.pairwise else "semiring",
+                    sem,
+                    variable,
+                    query.tag(variable),
+                    bool(use_indicator_projections),
+                    tuple(v for v in order if v in induced),
+                    tuple(v for v in query.order if v in induced),
+                ),
+                induced,
+                (inputs, reads),
+            )
             if payload is None:
                 continue
             node.digest = _digest(b"step", payload)
@@ -353,15 +376,17 @@ def annotate_digests(
             )
         else:  # KIND_OUTPUT
             free = set(query.free)
-            payload = encode((
-                "output",
-                sem,
-                tuple(query.free),
-                tuple(v for v in order if v in free),
-                tuple(v for v in query.order if v in free),
-                domain_spec(query.free),
-                inputs,
-            ))
+            payload = encode(
+                (
+                    "output",
+                    sem,
+                    tuple(query.free),
+                    tuple(v for v in order if v in free),
+                    tuple(v for v in query.order if v in free),
+                ),
+                query.free,
+                (inputs,),
+            )
             if payload is None:
                 continue
             node.digest = _digest(b"step", payload)

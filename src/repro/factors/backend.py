@@ -65,6 +65,8 @@ class FactorBackend(Protocol):
 
     def pruned(self, semiring: Semiring) -> "FactorBackend": ...
 
+    def is_pruned(self, semiring: Semiring) -> bool: ...
+
     def indicator_projection(self, target: Iterable[str], semiring: Semiring) -> "FactorBackend": ...
 
     def product_marginalize(self, variable: str, domain_size: int, semiring: Semiring) -> "FactorBackend": ...

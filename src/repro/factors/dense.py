@@ -229,6 +229,11 @@ class DenseFactor:
         """Zeros are implicit in the dense representation; returns a copy."""
         return self.copy()
 
+    def is_pruned(self, semiring: Semiring) -> bool:
+        """Whether a query may hold this factor as it is: once frozen, since
+        there are no listed zeros to sweep (see :meth:`Factor.is_pruned`)."""
+        return self.frozen
+
     def is_identically_zero(self, semiring: Semiring) -> bool:
         return not bool(self.nonzero_mask(semiring).any())
 

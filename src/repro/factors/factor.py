@@ -41,9 +41,17 @@ class _FrozenTable(dict):
     factor has been content-digested — an in-place table change after that
     point would silently invalidate every digest-keyed cache entry derived
     from the factor (step results, shared tries, completed serve results).
+
+    Because the content can no longer change, what has been established
+    about it stays true: ``zero_free`` is the semiring under which the
+    table is known to list no zero (unset until
+    :meth:`Factor.is_pruned` or :meth:`Factor.apply_delta` sets it).  It
+    lives on the table, not the factor, so it cannot outlive the freeze:
+    a copy or an unpickled factor starts with a plain ``dict`` and without
+    it.
     """
 
-    __slots__ = ()
+    __slots__ = ("zero_free",)
 
     __setitem__ = _frozen_table_write
     __delitem__ = _frozen_table_write
@@ -168,6 +176,12 @@ class Factor:
         overwritten.  ``self`` is untouched — the returned factor is a new
         object with no digest memo, so every content-addressed layer sees
         the update as new content.
+
+        A result cell is either one of ``self``'s or a non-zero change, so
+        when ``self`` is known to list no zero of ``semiring``
+        (:meth:`is_pruned`) the result lists none either.  It then comes
+        back frozen and carrying that knowledge: the query it goes into
+        holds it by reference instead of sweeping and copying it.
         """
         table: Dict[ValueTuple, Any] = dict(self.table)
         for cell, value in delta.aligned_changes(self.scope).items():
@@ -175,7 +189,10 @@ class Factor:
                 table.pop(cell, None)
             else:
                 table[cell] = value
-        return Factor(self.scope, table, name=name or self.name)
+        updated = Factor(self.scope, table, name=name or self.name)
+        if getattr(self.table, "zero_free", None) is semiring:
+            updated.freeze().table.zero_free = semiring
+        return updated
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -205,9 +222,34 @@ class Factor:
     # zero handling
     # ------------------------------------------------------------------ #
     def pruned(self, semiring: Semiring) -> "Factor":
-        """Return a copy with explicit zero entries removed."""
+        """Return a copy with explicit zero entries removed.
+
+        Always a new, mutable factor without a digest memo — the copy a
+        query takes of an input it may not hold by reference
+        (:meth:`is_pruned`).
+        """
         table = {k: v for k, v in self.table.items() if not semiring.is_zero(v)}
         return Factor(self.scope, table, name=self.name)
+
+    def is_pruned(self, semiring: Semiring) -> bool:
+        """Whether a query over ``semiring`` may hold this factor as it is.
+
+        True when the table is frozen — nobody can change it under the
+        query — and lists no zero of ``semiring``.  The sweep that
+        establishes the second half runs once per frozen table and
+        semiring: its outcome is remembered on the table
+        (:class:`_FrozenTable`), for the semiring object that ran it, so a
+        factor swept under one semiring is swept again under another whose
+        zero may differ.
+        """
+        table = self.table
+        if not isinstance(table, _FrozenTable):
+            return False
+        if getattr(table, "zero_free", None) is not semiring:
+            if any(semiring.is_zero(v) for v in table.values()):
+                return False
+            table.zero_free = semiring
+        return True
 
     def is_identically_zero(self, semiring: Semiring) -> bool:
         """Return ``True`` if every listed entry is zero (or none is listed)."""

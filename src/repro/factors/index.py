@@ -22,9 +22,10 @@ entry record per factor, and every kernel reads it through one holder:
   InsideOut run, keyed by factor identity, optionally thread-safe for the
   parallel executor.
 * :class:`SharedTrieCache` — the same holder keyed by factor content
-  digest, which :mod:`repro.serve` keeps across runs as each run's parent
-  so repeated value-equal queries stop re-indexing and re-encoding their
-  *base* factors.
+  digest, which :mod:`repro.serve` and each incremental view keep across
+  runs as each run's parent so repeated value-equal queries, and updates
+  of a standing one, stop re-indexing and re-encoding the *base* factors
+  that did not change.
 
 A holder's ``hits``/``misses`` count lookups: a hit is a trie, projection
 or encoding (including a cached "this table has no encoding") that was
@@ -416,16 +417,22 @@ class SharedTrieCache(TrieCache):
 
     A per-run :class:`TrieCache` dies with its run, so repeated executions
     of a value-equal query would re-index the same input factors every
-    time.  The serving layer (:mod:`repro.serve`) keeps one
-    ``SharedTrieCache`` per (query content, ordering) and hands it to each
-    run as the :class:`TrieCache` parent.  It is the same holder with five
-    differences:
+    time.  Whoever runs the same contents again keeps one and hands it to
+    each run as the :class:`TrieCache` parent.  There are two such owners:
+    the serving layer (:mod:`repro.serve`) keeps one per (query content,
+    ordering) and never changes what it covers — an updated query is other
+    content and gets another store — while an
+    :class:`~repro.incremental.IncrementalView` keeps one for its lifetime
+    and moves it along with its standing query (:meth:`cover`), so an
+    update re-indexes the one factor it replaced.  It is the same holder
+    with five differences:
 
     * entries are keyed by the factor's *content digest* — the memo
       :func:`repro.planner.signature.factor_digest` leaves on the (from
       then on frozen) factor — so it serves value-equal factors held by
-      distinct objects, and :meth:`covers` only the digests it was built
-      for (a factor that was never digested is simply not covered);
+      distinct objects, and :meth:`covers` only the digests it was last
+      told to :meth:`cover` (a factor that was never digested is simply
+      not covered);
     * it is always locked: concurrent runs of the same query may populate
       it simultaneously;
     * stored encodings are read-only (:meth:`FlatFactor.freeze
@@ -442,10 +449,24 @@ class SharedTrieCache(TrieCache):
 
     def __init__(self, order: Sequence[str], semiring: Semiring, factors: Sequence[Any]) -> None:
         super().__init__(order, semiring, thread_safe=True)
-        self._digests = frozenset(getattr(f, "_digest", None) for f in factors) - {None}
+        self.cover(factors)
+
+    def cover(self, factors: Sequence[Any]) -> None:
+        """Serve exactly the contents of ``factors`` from now on.
+
+        Entries of any other content are dropped, so the store never holds
+        an index of something that is no longer one of its owner's factors;
+        entries of contents that stay are untouched.  Not to be called
+        while a run is reading the store.
+        """
+        digests = frozenset(getattr(f, "_digest", None) for f in factors) - {None}
+        with self._lock:
+            self._digests = digests
+            for key in [k for k in self._entries if k not in digests]:
+                del self._entries[key]
 
     def covers(self, factor) -> bool:
-        """Whether ``factor``'s content digest is one this store was built for."""
+        """Whether ``factor``'s content digest is one this store serves."""
         return getattr(factor, "_digest", None) in self._digests
 
     def _key(self, factor):

@@ -29,6 +29,20 @@ worker counts).  Updates never mutate factors in place — factor tables
 freeze when digested, and the supported update path is
 ``Factor.apply_delta`` producing a new factor with a new digest, which is
 what keeps every digest-keyed cache in the engine honest.
+
+**What an update pays for.**  The content that changed, and the steps
+downstream of it.  The standing query holds its (frozen) factors by
+reference, so the n−1 factors an update does not touch are neither copied
+nor swept for zeros nor digested again; the new factor is zero-free by
+construction (``Factor.apply_delta``), is named once — one full content
+digest — and is held by reference from then on.  The view keeps one
+:class:`~repro.factors.index.SharedTrieCache` for its pinned ordering and
+hands it to every run, so tries, indicator projections and flat encodings
+of the untouched factors stay warm; it covers exactly the standing
+query's factor contents (the replaced content's entry is dropped with the
+update, a delta factor is never in it).  What is still O(|factor|) per
+update is that one digest and the new factor's own index; what is still
+O(|query|) is re-lowering and re-annotating the step DAG.
 """
 
 from __future__ import annotations
@@ -43,6 +57,8 @@ from repro.exec.executor import DagExecutor, RunInfo, RunSnapshot, RunSpec
 from repro.factors.backend import BACKEND_SPARSE, as_sparse, validate_backend
 from repro.factors.delta import FactorDelta
 from repro.factors.factor import Factor
+from repro.factors.index import SharedTrieCache
+from repro.planner.signature import factor_digest
 from repro.semiring.base import Semiring
 
 REGIME_DELTA = "delta"
@@ -150,6 +166,7 @@ class IncrementalView:
         self._executor = DagExecutor(workers=workers or 1)
         self._add_tag = additive_tag(query.semiring, add_tag)
         self._snapshot = RunSnapshot()
+        self._tries = SharedTrieCache(self._order, query.semiring, query.factors)
         self._output: Optional[Factor] = None
         self.stats = IncrementalStats()
 
@@ -162,9 +179,10 @@ class IncrementalView:
         Everything a restarted server needs to resume *warm*: the current
         query (frozen factors), the pinned ordering/backend knobs, the
         digest-keyed step snapshot and the current answer.  Runtime-only
-        machinery (the executor) and the accounting stats are excluded —
-        a restored view starts with fresh stats, which is what lets tests
-        assert "no full recompute after restore" as ``full_runs == 0``.
+        machinery (the executor, the index store) and the accounting stats
+        are excluded — a restored view starts with fresh stats, which is
+        what lets tests assert "no full recompute after restore" as
+        ``full_runs == 0``.
         """
         return {
             "query": self.query,
@@ -184,15 +202,27 @@ class IncrementalView:
         without any execution, and its first :meth:`update_factor` runs
         against the saved step snapshot — only the dirty subgraph of that
         update executes, exactly as if the process had never restarted.
+        Its index store starts empty and refills as updates run.
+
+        Pickling thaws a factor's table but keeps its digest memo; a
+        factor that carries one is frozen again here, so the restored
+        query's factors are held by reference like a live view's and
+        their digests are not computed a second time.
         """
         view = cls.__new__(cls)
         view.query = state["query"]
+        for factor in view.query.factors:
+            if getattr(factor, "_digest", None) is not None:
+                factor.freeze()
         view._order = tuple(state["order"])
         view._uip = state["uip"]
         view._backend = state["backend"]
         view._add_tag = state["add_tag"]
         view._executor = DagExecutor(workers=workers or 1)
         view._snapshot = state["snapshot"] or RunSnapshot()
+        view._tries = SharedTrieCache(
+            view._order, view.query.semiring, view.query.factors
+        )
         view._output = state["output"]
         view.stats = IncrementalStats()
         return view
@@ -233,14 +263,11 @@ class IncrementalView:
         semiring = self.query.semiring
         old_factor = self.query.factors[index]
         changes = delta.effective_changes(old_factor, semiring)
+        if not changes:
+            return base  # nothing changed: same query, same answer
         new_factor = old_factor.apply_delta(
             FactorDelta(old_factor.scope, changes), semiring
         )
-
-        if not changes:
-            # No-op update: nothing changed, keep the cached answer.
-            self.query = self._with_factor(index, new_factor)
-            return base
 
         regime = self._choose_regime(old_factor, changes)
         self.stats.record(regime)
@@ -254,12 +281,12 @@ class IncrementalView:
             output = self._apply_cells(index, old_factor, cells, "+append", base)
         else:
             self.stats.dirty_updates += 1
-            self.query = self._with_factor(index, new_factor)
+            self._install(index, new_factor)
             output = self._update_run(self.query)
             self._output = output
             return output
 
-        self.query = self._with_factor(index, new_factor)
+        self._install(index, new_factor)
         # The snapshot stays: its entries are *content-addressed*, so a
         # stale entry can never replay wrongly — it either matches a future
         # node's digest (and is then valid by construction) or is ignored.
@@ -337,6 +364,31 @@ class IncrementalView:
             name=self.query.name,
         )
 
+    def _install(self, index: int, factor: Factor) -> None:
+        """Make ``factor`` factor ``index`` of the standing query.
+
+        New content is named here, once, before the query takes it: the
+        digest freezes it, so this and every later query of the view hold
+        it by reference, memo included.
+        """
+        self._digest(factor)
+        self.query = self._with_factor(index, factor)
+        self._cover()
+
+    @staticmethod
+    def _digest(factor: Factor) -> None:
+        try:
+            factor_digest(factor)
+        except TypeError:
+            pass  # no canonical encoding: copied and indexed per run, as before
+
+    def _cover(self) -> None:
+        """Name every factor of the standing query (a memo hit for all but
+        new content) and point the index store at exactly those contents."""
+        for factor in self.query.factors:
+            self._digest(factor)
+        self._tries.cover(self.query.factors)
+
     def _run_with_factor(self, index: int, factor: Factor) -> Factor:
         """Evaluate the view's query with factor ``index`` swapped for
         ``factor`` (the delta/append correction run).
@@ -351,6 +403,7 @@ class IncrementalView:
 
     def _full_run(self) -> Factor:
         self.stats.full_runs += 1
+        self._cover()
         output, _ = self._execute(self.query)
         return output
 
@@ -375,6 +428,7 @@ class IncrementalView:
                 ordering=list(self._order),
                 use_indicator_projections=self._uip,
                 backend=self._backend,
+                shared_tries=self._tries,
             )],
             step_cache=self._snapshot,
             info=info,

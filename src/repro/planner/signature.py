@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.query import FAQQuery
 
@@ -247,8 +247,17 @@ def canonical_bytes(value: Any) -> bytes:
         parts = sorted(canonical_bytes(v) for v in value)
         return b"S(" + b",".join(parts) + b")"
     if isinstance(value, (tuple, list)):
+        # canonical_sequence, inline: this line runs once per factor row.
         return b"(" + b",".join(canonical_bytes(v) for v in value) + b")"
     raise TypeError(f"no canonical byte encoding for {type(value).__name__!r}")
+
+
+def canonical_sequence(parts: Iterable[bytes]) -> bytes:
+    """:func:`canonical_bytes` of a tuple, from its elements' encodings.
+
+    For callers that encode one element once and reuse it in many tuples.
+    """
+    return b"(" + b",".join(parts) + b")"
 
 
 def _digest(*chunks: bytes) -> str:

@@ -267,9 +267,11 @@ def test_deletions_are_exact_in_every_regime():
 def test_noop_update_keeps_answer_and_skips_regimes():
     view = IncrementalView(_chain_query(COUNTING, SemiringAggregate.sum))
     base = view.result()
+    before = view.query
     out = view.update_factor(0, FactorDelta(("a", "b"), {(0, 0): 1}))  # same value
     assert out.table == base.table
     assert view.stats.regimes == {}
+    assert view.query is before  # nothing changed, nothing rebuilt
 
 
 def test_update_factor_index_out_of_range():
@@ -289,6 +291,172 @@ def test_view_matches_full_recomputation_after_update_stream():
     assert out.table == as_sparse(recomputed.factor, COUNTING).normalize_scope(
         view.query.free
     ).table
+
+
+# --------------------------------------------------------------------- #
+# an update costs what it touches
+# --------------------------------------------------------------------- #
+def _two_chains(semiring, aggregate_factory, domain, seed):
+    """Two disjoint 4-variable chains: six integer pair factors, ``x0`` free."""
+    import random
+
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(8)]
+    factors = [
+        Factor((a, b), {
+            (i, j): rng.randint(1, 4)
+            for i in range(domain) for j in range(domain) if rng.random() < 0.8
+        })
+        for a, b in zip(names, names[1:]) if (a, b) != ("x3", "x4")
+    ]
+    return FAQQuery(
+        variables=[Variable(v, tuple(range(domain))) for v in names],
+        free=["x0"],
+        aggregates={v: aggregate_factory() for v in names[1:]},
+        factors=factors,
+        semiring=semiring,
+    )
+
+
+def _store_digests(view):
+    return set(view._tries._entries)
+
+
+def _live_digests(view):
+    return {factor._digest for factor in view.query.factors}
+
+
+@pytest.mark.parametrize(
+    "semiring, factory, regime, value",
+    [
+        (COUNTING, SemiringAggregate.sum, REGIME_DELTA, 9),
+        (MAX_PRODUCT, SemiringAggregate.max, REGIME_APPEND, 9),
+        (MAX_PRODUCT, SemiringAggregate.max, REGIME_DIRTY, 1),
+    ],
+)
+def test_update_work_census(monkeypatch, semiring, factory, regime, value):
+    """One update copies, sweeps, digests and indexes the factor it replaces
+    and nothing else — counted, not clocked."""
+    from repro.factors import factor as factor_module
+    from repro.factors import index as index_module
+    from repro.planner import signature
+
+    view = IncrementalView(_two_chains(semiring, factory, domain=6, seed=3))
+    view.result()
+    index = 1
+    # Warm-up on the same factor: the view recomputes the steps downstream
+    # of replaced content in the first later run that reads them, which is
+    # work on *touched* content and would blur the count below.
+    view.update_factor(index, FactorDelta(("x1", "x2"), {(0, 0): 5}))
+    before = list(view.query.factors)
+    untouched = [f for j, f in enumerate(before) if j != index]
+    cell = max(before[index].table, key=before[index].table.get)
+    changes = {cell: before[index].table[cell] * value if value > 1 else value}
+    assert len(before[index]) > len(changes)
+    view.stats.regimes.clear()
+
+    digested, pruned, indexed, projected = [], [], [], []
+
+    def spy(owner, name, seen):
+        """Record the factor each call of ``owner.name`` is made on."""
+        original = getattr(owner, name)
+
+        def wrapper(factor, *args, **kwargs):
+            seen.append(factor)
+            return original(factor, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(signature, "_compute_factor_digest", digested)
+    spy(factor_module.Factor, "pruned", pruned)
+    spy(factor_module.Factor, "indicator_projection", projected)
+    spy(index_module, "build_trie", indexed)
+
+    out = view.update_factor(index, FactorDelta(before[index].scope, changes))
+
+    assert view.stats.regimes == {regime: 1}
+    for j, factor in enumerate(before):
+        assert (view.query.factors[j] is factor) == (j != index)
+    new_factor = view.query.factors[index]
+    assert new_factor.frozen and new_factor._digest is not None
+    # the one full digest is the new factor's; a delta factor is delta-sized
+    assert [f for f in digested if len(f) > len(changes)] == [new_factor]
+    assert all(len(f) <= len(changes) for f in pruned), pruned
+    for seen in (pruned, indexed, projected):
+        assert not any(f is base for f in seen for base in untouched)
+    # the store follows the standing query: old content out, new content in
+    assert before[index]._digest not in _store_digests(view)
+    assert _store_digests(view) <= _live_digests(view)
+    assert view.stats.full_runs == 1
+    # ... and the answer is the full recomputation's (which indexes everything,
+    # so it comes after the counts).
+    recomputed = as_sparse(inside_out(view.query).factor, semiring)
+    assert out.table == recomputed.normalize_scope(view.query.free).table
+
+
+@pytest.mark.parametrize(
+    "semiring, factory",
+    [(COUNTING, SemiringAggregate.sum), (MAX_PRODUCT, SemiringAggregate.max)],
+)
+def test_update_stream_stays_exact_and_store_stays_live(semiring, factory):
+    """200 seeded updates (inserts, changes, deletions; every regime the
+    semiring has): each answer equals brute force of the current query, and
+    the view's index store never holds content that is no longer a factor."""
+    import random
+
+    rng = random.Random(20)
+    view = IncrementalView(_two_chains(semiring, factory, domain=2, seed=4))
+    view.result()
+    for _ in range(200):
+        index = rng.randrange(len(view.query.factors))
+        scope = view.query.factors[index].scope
+        changes = {
+            (rng.randrange(2), rng.randrange(2)): rng.randint(0, 5)
+            for _ in range(rng.randint(1, 2))
+        }
+        out = view.update_factor(index, FactorDelta(scope, changes))
+        assert out.table == _expected(view.query).table
+        assert _store_digests(view) <= _live_digests(view)
+    assert _store_digests(view)
+    assert view.stats.full_runs == 1
+    assert len(view.stats.regimes) == (1 if semiring is COUNTING else 2)
+
+
+def test_restored_view_resumes_without_a_full_run():
+    """The index store is runtime-only: a restored view starts with an empty
+    one, refills it as updates run, and never recomputes from scratch.  Its
+    factors come back frozen under their digest memos, so they are held by
+    reference like a live view's."""
+    import pickle
+
+    from repro.factors.index import SharedTrieCache
+
+    view = IncrementalView(_two_chains(MAX_PRODUCT, SemiringAggregate.max, 3, seed=6))
+    view.result()
+    view.update_factor(0, FactorDelta(("x0", "x1"), {(0, 0): 7}))
+    state = view.dump_state()
+    assert not any(isinstance(part, SharedTrieCache) for part in state.values())
+
+    restored = IncrementalView.restore(pickle.loads(pickle.dumps(state)))
+    assert not _store_digests(restored)
+    assert restored.result().table == view.result().table
+    listed = next(iter(view.query.factors[2].table))
+    updates = (
+        (0, {(0, 0): 9}),   # rises: append
+        (2, {listed: 0}),   # deleted: dirty
+        (4, {(2, 0): 6}),
+    )
+    for index, changes in updates:
+        delta = FactorDelta(view.query.factors[index].scope, changes)
+        before = list(restored.query.factors)
+        out = restored.update_factor(index, delta)
+        for j, factor in enumerate(before):  # by reference from the first update on
+            assert (restored.query.factors[j] is factor) == (j != index)
+        assert out.table == view.update_factor(index, delta).table
+        assert out.table == _expected(restored.query).table
+        assert _store_digests(restored) <= _live_digests(restored)
+    assert _store_digests(restored)
+    assert restored.stats.full_runs == 0
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,13 @@
 """Unit tests for :class:`repro.core.query.FAQQuery` and its brute-force evaluator."""
 
+import pickle
+
 import pytest
 
 from repro.core.query import FAQQuery, QueryError, Variable
+from repro.planner.signature import factor_digest
 from repro.semiring.aggregates import ProductAggregate, SemiringAggregate
-from repro.semiring.standard import COUNTING
+from repro.semiring.standard import COUNTING, MIN_PLUS
 
 from _helpers import make_factor
 
@@ -106,6 +109,105 @@ class TestConstruction:
             semiring=COUNTING,
         )
         assert len(query.factors[0]) == 1
+
+
+def one_var_query(factor, semiring=COUNTING):
+    return FAQQuery(
+        variables=[Variable("A", (0, 1, 2))],
+        free=["A"],
+        aggregates={},
+        factors=[factor],
+        semiring=semiring,
+    )
+
+
+class TestFactorsByReference:
+    """A query copies its inputs, except a frozen factor it knows lists no
+    zero of its semiring — that one it holds by reference."""
+
+    def test_unfrozen_factor_is_copied_and_isolated(self):
+        psi = make_factor(("A",), {(0,): 1, (1,): 2})
+        query = one_var_query(psi)
+        assert query.factors[0] is not psi
+        psi.table[(2,)] = 7
+        del psi.table[(0,)]
+        assert query.factors[0].table == {(0,): 1, (1,): 2}
+
+    def test_frozen_zero_free_factor_is_held_by_reference(self):
+        psi = make_factor(("A",), {(0,): 1, (1,): 2})
+        digest = factor_digest(psi)  # freezes
+        query = one_var_query(psi)
+        assert query.factors[0] is psi
+        assert query.factors[0]._digest == digest
+        # ... and by every later query, without another sweep.
+        assert one_var_query(psi).factors[0] is psi
+
+    def test_frozen_factor_with_explicit_zero_is_pruned_to_a_copy(self):
+        psi = make_factor(("A",), {(0,): 0, (1,): 2})
+        factor_digest(psi)
+        query = one_var_query(psi)
+        assert query.factors[0] is not psi
+        assert query.factors[0].table == {(1,): 2}
+        assert psi.table == {(0,): 0, (1,): 2}
+        assert not psi.is_pruned(COUNTING)
+
+    def test_zero_freedom_is_per_semiring(self):
+        """Swept under COUNTING (zero 0) says nothing about MIN_PLUS (zero inf)."""
+        inf = MIN_PLUS.zero
+        psi = make_factor(("A",), {(0,): 1, (1,): inf})
+        factor_digest(psi)
+        assert one_var_query(psi, COUNTING).factors[0] is psi
+        swept_again = one_var_query(psi, MIN_PLUS).factors[0]
+        assert swept_again is not psi
+        assert swept_again.table == {(0,): 1}
+        # A table free of both zeros is shared by both queries.
+        clean = make_factor(("A",), {(0,): 1, (1,): 2})
+        factor_digest(clean)
+        assert one_var_query(clean, COUNTING).factors[0] is clean
+        assert one_var_query(clean, MIN_PLUS).factors[0] is clean
+        assert one_var_query(clean, COUNTING).factors[0] is clean
+
+    def test_with_ordering_of_a_digested_query_shares_its_factors(self):
+        psi = make_factor(("A", "B", "C"), {(0, 0, 0): 1, (1, 0, 1): 2})
+        query = FAQQuery(
+            variables=[Variable(v, (0, 1)) for v in "ABC"],
+            free=["A"],
+            aggregates={"B": SemiringAggregate.sum(), "C": SemiringAggregate.sum()},
+            factors=[psi],
+            semiring=COUNTING,
+        )
+        digest = factor_digest(query.factors[0])
+        reordered = query.with_ordering(["A", "C", "B"])
+        assert reordered.factors[0] is query.factors[0]
+        assert reordered.factors[0]._digest == digest
+
+    def test_unpickled_factor_is_swept_again(self):
+        """What a factor knows about its zeros does not survive pickling:
+        the revived table is a plain dict, so the query copies it."""
+        psi = make_factor(("A",), {(0,): 1, (1,): 2})
+        factor_digest(psi)
+        assert psi.is_pruned(COUNTING)
+        revived = pickle.loads(pickle.dumps(psi))
+        assert not revived.is_pruned(COUNTING)
+        query = one_var_query(revived)
+        assert query.factors[0] is not revived
+        assert query.factors[0].table == psi.table
+
+    def test_apply_delta_of_a_zero_free_parent_is_held_by_reference(self):
+        from repro.factors import FactorDelta
+
+        psi = make_factor(("A",), {(0,): 1, (1,): 2})
+        factor_digest(psi)
+        plain = psi.apply_delta(FactorDelta(("A",), {(2,): 5}), COUNTING)
+        assert not plain.frozen  # nothing known about the parent yet
+        assert one_var_query(psi).factors[0] is psi  # now it is
+        child = psi.apply_delta(FactorDelta(("A",), {(0,): 0, (2,): 5}), COUNTING)
+        assert child.table == {(1,): 2, (2,): 5}
+        assert child.frozen and child._digest is None
+        assert one_var_query(child).factors[0] is child
+        # Known under COUNTING only: a MIN_PLUS update of it starts over.
+        other = child.apply_delta(FactorDelta(("A",), {(0,): 3}), MIN_PLUS)
+        assert not other.frozen
 
 
 class TestDerivedSets:

@@ -232,3 +232,108 @@ def test_plan_cache_digest_entries_are_isolated_and_counted():
     assert len(cache) == 0  # digest entries do not occupy signature slots
     cache.clear()
     assert cache.lookup_digest("k1") is None
+
+
+# ---------------------------------------------------------------------- #
+# step digests: the payload encoding is pinned
+# ---------------------------------------------------------------------- #
+def _step_digest_query():
+    """Free, sum and product variables, so every node kind is lowered."""
+    from repro.semiring.aggregates import ProductAggregate
+    from repro.semiring.standard import COUNTING
+
+    domain = (0, 1, 2)
+    pair = {(i, j): 1 + i + 2 * j for i in domain for j in domain if (i + j) % 3}
+    return FAQQuery(
+        variables=[Variable(v, domain) for v in "ABCD"],
+        free=["A"],
+        aggregates={
+            "B": SemiringAggregate.sum(),
+            "C": ProductAggregate.product(),
+            "D": SemiringAggregate.sum(),
+        },
+        factors=[Factor(("A", "B"), pair), Factor(("B", "C"), pair), Factor(("C", "D"), pair)],
+        semiring=COUNTING,
+    )
+
+
+def _reference_step_digests(dag, query, order, uip):
+    """Node digests recomputed the plain way: every payload, domains
+    included, goes through ``canonical_bytes`` whole."""
+    from repro.planner.signature import _digest
+
+    slots = [None] * dag.num_slots
+    slots[: dag.num_base] = [factor_digest(f) for f in query.factors]
+    sem, scopes, digests = query.semiring.name, dag.slot_scope, []
+
+    def domain_spec(variables):
+        return tuple((v, tuple(query.domain(v))) for v in sorted(variables))
+
+    for node in dag.nodes:
+        inputs = tuple(slots[s] for s in node.incident)
+        if node.kind == "semiring":
+            induced = frozenset().union(*(scopes[s] for s in node.incident))
+            reads = tuple(
+                (slots[s], tuple(sorted(scopes[s] & induced))) for s in node.reads
+            )
+            digest = _digest(b"step", canonical_bytes((
+                "pairwise" if node.pairwise else "semiring", sem, node.variable,
+                query.tag(node.variable), bool(uip),
+                tuple(v for v in order if v in induced),
+                tuple(v for v in query.order if v in induced),
+                domain_spec(induced), inputs, reads,
+            )))
+            slots[node.outputs[0]] = digest
+        elif node.kind == "product":
+            head = canonical_bytes(
+                ("product", sem, node.variable, query.domain_size(node.variable))
+            )
+            for slot, out, source in zip(node.incident, node.outputs, inputs):
+                slots[out] = _digest(
+                    b"step", head, canonical_bytes((node.variable in scopes[slot],)),
+                    source.encode("ascii"),
+                )
+            digest = _digest(b"step", head, canonical_bytes(inputs))
+        else:
+            free = set(query.free)
+            digest = _digest(b"step", canonical_bytes((
+                "output", sem, tuple(query.free),
+                tuple(v for v in order if v in free),
+                tuple(v for v in query.order if v in free),
+                domain_spec(query.free), inputs,
+            )))
+            slots[node.outputs[0]] = digest
+        digests.append(digest)
+    return digests, slots
+
+
+@pytest.mark.parametrize("strategy", ["insideout", "variable-elimination"])
+def test_step_digests_are_the_canonical_bytes_of_their_payload(strategy):
+    """``annotate_digests`` encodes each domain once per run and splices the
+    bytes in; the digests must be what encoding every payload whole gives —
+    persisted ``RunSnapshot`` entries are keyed by them."""
+    from repro.exec import lower_insideout
+
+    query = _step_digest_query()
+    order = list(query.order)
+    uip = strategy == "insideout"
+    dag = lower_insideout(
+        query, order, use_indicator_projections=uip,
+        content_digests=True, strategy=strategy,
+    )
+    assert {node.kind for node in dag.nodes} == {"semiring", "product", "output"}
+    digests, slots = _reference_step_digests(dag, query, order, uip)
+    assert [node.digest for node in dag.nodes] == digests
+    assert dag.slot_digests == slots
+    assert None not in digests
+
+
+def test_step_digest_of_a_fixed_query_is_pinned():
+    """The literal: computed at CONTENT_KEY_VERSION 1, before the domain memo."""
+    from repro.exec import lower_insideout
+
+    query = _step_digest_query()
+    dag = lower_insideout(query, list(query.order), content_digests=True)
+    assert dag.nodes[-1].digest == (
+        "041b1a247bcb62215431764c520ba9483225256b9f27bfe1e60fa47a63139a31"
+    )
