@@ -297,7 +297,7 @@ def eliminate_semiring_step(
             semiring,
             variable,
             output_scope,
-            aggregate.combine,
+            aggregate.op,  # a semiring step's aggregate always carries its ⊕
             variable_order=tries.order,
             stats=join_stats,
             name=f"psi_elim({variable})",

@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.factors.backend import as_sparse
 from repro.factors.factor import Factor
-from repro.factors.index import _LEAF, FactorTrie
+from repro.factors.index import FactorTrie
 from repro.semiring.base import Semiring
 
 
@@ -105,13 +105,14 @@ def enumerate_join(
     prefixes: List[Tuple[Any, ...]] = [() for _ in tries]
     assignment: Dict[str, Any] = {}
     counters = stats if stats is not None else OutsideInStats()
+    is_zero = semiring.zero_test()
 
     def recurse(depth: int) -> Iterator[Tuple[Dict[str, Any], Any]]:
         if depth == len(order):
             value = semiring.one
             for idx, trie in enumerate(tries):
                 value = semiring.mul(value, trie.value(prefixes[idx], semiring.zero))
-                if semiring.is_zero(value):
+                if is_zero(value):
                     return
             counters.emitted_tuples += 1
             yield dict(assignment), value
@@ -191,7 +192,8 @@ def join_factors(
             )
         else:
             table[key] = value
-    table = {k: v for k, v in table.items() if not semiring.is_zero(v)}
+    is_zero = semiring.zero_test()
+    table = {k: v for k, v in table.items() if not is_zero(v)}
     return Factor(scope, table, name=name or "join")
 
 
@@ -221,12 +223,23 @@ def eliminate_join(
     without materialising per-tuple assignment dicts or the induced-set
     relation.
 
+    The loops do per candidate only what differs per candidate: one ``⊗``
+    and one zero test per participating trie and one ``⊕`` per surviving
+    product.  How to test for zero is decided once per call
+    (:meth:`Semiring.zero_test <repro.semiring.base.Semiring.zero_test>`),
+    candidate sets are ``dict`` key views intersected in place, and the
+    counters are added once per level.  ``combine`` is called directly, so
+    pass the aggregate's ``⊕`` itself.  When a single trie carries
+    ``variable`` its values are folded in that trie's insertion order; the
+    ``⊕`` order is otherwise unspecified (a set's), so float sums are
+    reproducible per input but compare by ``Factor.equals``, not ``==``,
+    across versions.
+
     Falls back to the general :func:`join_factors` when ``variable`` is not
     last in the join order (never the case when called from InsideOut).
     """
     counters = stats if stats is not None else OutsideInStats()
     out_scope = tuple(output_scope)
-    zero = semiring.zero
     empty = Factor(out_scope, {}, name=name or f"elim({variable})")
     if not tries:
         return empty
@@ -235,7 +248,7 @@ def eliminate_join(
     # must be the order the tries were built against).
     seen: set = set()
     for trie in tries:
-        if not trie.root:
+        if trie.empty:
             return empty  # some participant is identically zero
         seen.update(trie.variables)
     order = [v for v in variable_order if v in seen]
@@ -263,9 +276,14 @@ def eliminate_join(
         index = {v: i for i, v in enumerate(survivors)}
         key_perm = [index[v] for v in out_scope]
 
-    var_set = {i for i, t in enumerate(tries) if variable in t.variables}
-    var_tries = sorted(var_set)
-    base_tries = [i for i in range(len(tries)) if i not in var_set]
+    # ``variable`` is the last level of every trie that holds it, so once
+    # the survivors are bound such a trie's node maps candidate -> value,
+    # and every other trie's node *is* its value.  The order of the ⊗ fold
+    # (base tries by index, then these by index) is what the flat kernel's
+    # row-for-row guarantee is stated against.
+    var_tries = [i for i, t in enumerate(tries) if variable in t.variables]
+    first_var, rest_vars = var_tries[0], var_tries[1:]
+    base_tries = [i for i, t in enumerate(tries) if variable not in t.variables]
     participating: List[List[int]] = [
         [i for i, t in enumerate(tries) if v in t.variables] for v in survivors
     ]
@@ -274,43 +292,39 @@ def eliminate_join(
     values: List[Any] = [None] * len(survivors)
     table: Dict[Tuple[Any, ...], Any] = {}
     mul = semiring.mul
-    is_zero = semiring.is_zero
+    one = semiring.one
+    is_zero = semiring.zero_test()
 
     def emit() -> None:
         """All survivors bound: fold the eliminated variable's aggregate."""
-        value = semiring.one
+        value = one
         for i in base_tries:
-            held = nodes[i].get(_LEAF)
-            if held is None:
-                return  # pragma: no cover - defensive (descent guarantees a leaf)
-            value = mul(value, held)
+            value = mul(value, nodes[i])
             if is_zero(value):
                 return
-        candidate_maps = [nodes[i] for i in var_tries]
-        counters.intersections += len(candidate_maps)
-        candidates = None
-        for child in candidate_maps:
-            keys = child.keys() - {_LEAF} if _LEAF in child else child.keys()
-            candidates = set(keys) if candidates is None else candidates & keys
-            if not candidates:
-                return
+        counters.intersections += len(var_tries)
+        first = nodes[first_var]
+        rest = [nodes[i] for i in rest_vars]
+        candidates = first.keys()
+        for child in rest:
+            candidates = candidates & child.keys()
+        if not candidates:
+            return
+        counters.search_steps += len(candidates)
+        emitted = 0
         accumulated = None
         for candidate in candidates:
-            counters.search_steps += 1
-            product = value
-            for i in var_tries:
-                held = nodes[i][candidate].get(_LEAF)
-                if held is None:
-                    product = None  # pragma: no cover - defensive
-                    break
-                product = mul(product, held)
-                if is_zero(product):
-                    product = None
-                    break
-            if product is None:
+            product = mul(value, first[candidate])
+            if is_zero(product):
                 continue
-            counters.emitted_tuples += 1
-            accumulated = product if accumulated is None else combine(accumulated, product)
+            for child in rest:
+                product = mul(product, child[candidate])
+                if is_zero(product):
+                    break
+            else:
+                emitted += 1
+                accumulated = product if accumulated is None else combine(accumulated, product)
+        counters.emitted_tuples += emitted
         if accumulated is None or is_zero(accumulated):
             return
         key = tuple(values) if key_perm is None else tuple(values[i] for i in key_perm)
@@ -322,21 +336,20 @@ def eliminate_join(
             return
         active = participating[depth]
         counters.intersections += len(active)
-        candidates = None
-        for i in active:
-            keys = nodes[i].keys() - {_LEAF} if _LEAF in nodes[i] else nodes[i].keys()
-            candidates = set(keys) if candidates is None else candidates & keys
-            if not candidates:
-                return
+        saved = [nodes[i] for i in active]
+        candidates = saved[0].keys()
+        for node in saved[1:]:
+            candidates = candidates & node.keys()
+        if not candidates:
+            return
+        counters.search_steps += len(candidates)
         for candidate in candidates:
-            counters.search_steps += 1
             values[depth] = candidate
-            saved = [nodes[i] for i in active]
-            for i in active:
-                nodes[i] = nodes[i][candidate]
+            for i, node in zip(active, saved):
+                nodes[i] = node[candidate]
             descend(depth + 1)
-            for pos, i in enumerate(active):
-                nodes[i] = saved[pos]
+        for i, node in zip(active, saved):
+            nodes[i] = node
 
     descend(0)
     return Factor(out_scope, table, name=name or f"elim({variable})")

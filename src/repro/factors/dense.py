@@ -286,8 +286,9 @@ class DenseFactor:
         array = np.full(shape, ops.zero, dtype=ops.dtype)
         if factor.table:
             index = tuple({val: i for i, val in enumerate(doms[v])} for v in scope)
+            is_zero = semiring.zero_test()
             for key, value in factor.table.items():
-                if semiring.is_zero(value):
+                if is_zero(value):
                     continue
                 try:
                     cell = tuple(index[d][key[d]] for d in range(len(scope)))

@@ -228,7 +228,8 @@ class Factor:
         query takes of an input it may not hold by reference
         (:meth:`is_pruned`).
         """
-        table = {k: v for k, v in self.table.items() if not semiring.is_zero(v)}
+        is_zero = semiring.zero_test()
+        table = {k: v for k, v in self.table.items() if not is_zero(v)}
         return Factor(self.scope, table, name=self.name)
 
     def is_pruned(self, semiring: Semiring) -> bool:
@@ -246,7 +247,7 @@ class Factor:
         if not isinstance(table, _FrozenTable):
             return False
         if getattr(table, "zero_free", None) is not semiring:
-            if any(semiring.is_zero(v) for v in table.values()):
+            if any(map(semiring.zero_test(), table.values())):
                 return False
             table.zero_free = semiring
         return True
@@ -315,11 +316,13 @@ class Factor:
                 f"indicator projection of {self.name} onto a disjoint set {sorted(target_set)}"
             )
         new_scope = tuple(self.scope[i] for i in keep_idx)
+        is_zero = semiring.zero_test()
+        one = semiring.one
         table: Dict[ValueTuple, Any] = {}
         for key, value in self.table.items():
-            if semiring.is_zero(value):
+            if is_zero(value):
                 continue
-            table[tuple(key[i] for i in keep_idx)] = semiring.one
+            table[tuple(key[i] for i in keep_idx)] = one
         return Factor(new_scope, table, name=self.name + f"/{{{','.join(new_scope)}}}")
 
     def support_projection(self, target: Iterable[str]) -> set:
@@ -344,16 +347,17 @@ class Factor:
             raise FactorError(f"{variable} not in scope {self.scope}")
         keep_idx = [i for i, v in enumerate(self.scope) if v != variable]
         new_scope = tuple(self.scope[i] for i in keep_idx)
+        is_zero = semiring.zero_test()
         table: Dict[ValueTuple, Any] = {}
         for key, value in self.table.items():
-            if semiring.is_zero(value):
+            if is_zero(value):
                 continue
             reduced = tuple(key[i] for i in keep_idx)
             if reduced in table:
                 table[reduced] = combine(table[reduced], value)
             else:
                 table[reduced] = value
-        table = {k: v for k, v in table.items() if not semiring.is_zero(v)}
+        table = {k: v for k, v in table.items() if not is_zero(v)}
         return Factor(new_scope, table, name=self.name + f"-agg({variable})")
 
     def product_marginalize(
@@ -427,20 +431,22 @@ class Factor:
         other_rest_idx = [other.scope.index(v) for v in other_only]
         self_shared_idx = [self.scope.index(v) for v in shared]
 
+        is_zero = semiring.zero_test()
+        mul = semiring.mul
         buckets: Dict[ValueTuple, list] = {}
         for key, value in other.table.items():
-            if semiring.is_zero(value):
+            if is_zero(value):
                 continue
             sig = tuple(key[i] for i in other_shared_idx)
             buckets.setdefault(sig, []).append((tuple(key[i] for i in other_rest_idx), value))
 
         for key, value in self.table.items():
-            if semiring.is_zero(value):
+            if is_zero(value):
                 continue
             sig = tuple(key[i] for i in self_shared_idx)
             for rest, other_value in buckets.get(sig, ()):
-                prod = semiring.mul(value, other_value)
-                if semiring.is_zero(prod):
+                prod = mul(value, other_value)
+                if is_zero(prod):
                     continue
                 yield key + rest, prod
 
@@ -483,7 +489,8 @@ class Factor:
                 table[reduced] = combine(table[reduced], prod)
             else:
                 table[reduced] = prod
-        table = {k: v for k, v in table.items() if not semiring.is_zero(v)}
+        is_zero = semiring.zero_test()
+        table = {k: v for k, v in table.items() if not is_zero(v)}
         return Factor(new_scope, table, name=f"({self.name}*{other.name})-agg({variable})")
 
     def normalize_scope(self, order: Sequence[str]) -> "Factor":

@@ -47,11 +47,16 @@ from repro.semiring.base import Semiring
 
 ValueTuple = Tuple[Any, ...]
 
-_LEAF = "__leaf__"
-
 
 class FactorTrie:
     """A trie over a factor's non-zero tuples, ordered by a global order.
+
+    One nested ``dict`` level per scope variable, in the global order; the
+    *last* level maps the last variable's value straight to the tuple's
+    semiring value.  A node reached by binding every variable therefore
+    *is* the value — there is no leaf record and no sentinel key, so no
+    domain value can be mistaken for one.  A factor over no variables has
+    no level to hold its value: its ``root`` is the value itself.
 
     Parameters
     ----------
@@ -62,35 +67,21 @@ class FactorTrie:
         variables sorted by their position in ``order``; scope variables not
         present in ``order`` are an error.
     semiring:
-        Used to skip explicit zero entries.
+        Used to skip explicit zero entries (not at all when the table is
+        already known to list none under this semiring).
+
+    ``empty`` is true when no tuple was indexed (the factor is identically
+    zero).  It is the only valid emptiness test: an arity-0 ``root`` is a
+    semiring value, and a non-zero value may well be falsy (min-plus' one
+    is ``0.0``).
     """
 
-    __slots__ = ("factor", "variables", "root")
+    __slots__ = ("factor", "variables", "root", "empty")
 
     def __init__(self, factor: Factor, order: Sequence[str], semiring: Semiring) -> None:
-        position = {v: i for i, v in enumerate(order)}
-        missing = [v for v in factor.scope if v not in position]
-        if missing:
-            raise ValueError(f"order {list(order)} misses scope variables {missing}")
-        self.factor = factor
-        self.variables: Tuple[str, ...] = tuple(
-            sorted(factor.scope, key=lambda v: position[v])
-        )
-        perm = [factor.scope.index(v) for v in self.variables]
-        root: Dict[Any, Any] = {}
-        for key, value in factor.table.items():
-            if semiring.is_zero(value):
-                continue
-            node = root
-            for idx in perm[:-1] if perm else []:
-                node = node.setdefault(key[idx], {})
-            if perm:
-                last = key[perm[-1]]
-                leaf = node.setdefault(last, {})
-                leaf[_LEAF] = value
-            else:
-                root[_LEAF] = value
-        self.root = root
+        table = factor.table
+        skip = None if getattr(table, "zero_free", None) is semiring else semiring.zero_test()
+        self._index(factor, order, table.items(), skip)
 
     @classmethod
     def from_dense(cls, dense, order: Sequence[str], semiring: Semiring) -> "FactorTrie":
@@ -103,33 +94,54 @@ class FactorTrie:
         ``DenseFactor.to_factor`` would produce, so the resulting trie is
         interchangeable with the converted one.
         """
-        position = {v: i for i, v in enumerate(order)}
-        missing = [v for v in dense.scope if v not in position]
-        if missing:
-            raise ValueError(f"order {list(order)} misses scope variables {missing}")
-        self = cls.__new__(cls)
-        self.factor = dense
-        self.variables = tuple(sorted(dense.scope, key=lambda v: position[v]))
-        perm = [dense.scope.index(v) for v in self.variables]
-        root: Dict[Any, Any] = {}
-        mask = dense.nonzero_mask(semiring)
         domains = [dense.domains[v] for v in dense.scope]
         array = dense.array
         is_object = array.dtype == object
-        for cell in np.argwhere(mask):
-            raw = array[tuple(cell)]
-            value = raw if is_object else raw.item()
-            node = root
-            for idx in perm[:-1] if perm else []:
-                node = node.setdefault(domains[idx][cell[idx]], {})
-            if perm:
-                last = domains[perm[-1]][cell[perm[-1]]]
-                leaf = node.setdefault(last, {})
-                leaf[_LEAF] = value
-            else:
-                root[_LEAF] = value
-        self.root = root
+
+        def cells():
+            for cell in np.argwhere(dense.nonzero_mask(semiring)):
+                raw = array[tuple(cell)]
+                key = tuple(domain[i] for domain, i in zip(domains, cell))
+                yield key, raw if is_object else raw.item()
+
+        self = cls.__new__(cls)
+        self._index(dense, order, cells(), None)
         return self
+
+    def _index(self, factor, order: Sequence[str], items, skip) -> None:
+        """Fill the trie from ``(scope-aligned tuple, value)`` pairs.
+
+        ``skip`` is the zero predicate to filter the values with, or
+        ``None`` when ``items`` are known to hold no zero.
+        """
+        position = {v: i for i, v in enumerate(order)}
+        missing = [v for v in factor.scope if v not in position]
+        if missing:
+            raise ValueError(f"order {list(order)} misses scope variables {missing}")
+        self.factor = factor
+        self.variables: Tuple[str, ...] = tuple(
+            sorted(factor.scope, key=lambda v: position[v])
+        )
+        perm = [factor.scope.index(v) for v in self.variables]
+        if not perm:
+            held = [value for _, value in items if skip is None or not skip(value)]
+            self.empty = not held
+            self.root = held[0] if held else None
+            return
+        inner, last = perm[:-1], perm[-1]
+        root: Dict[Any, Any] = {}
+        for key, value in items:
+            if skip is not None and skip(value):
+                continue
+            node = root
+            for idx in inner:
+                child = node.get(key[idx])
+                if child is None:
+                    child = node[key[idx]] = {}
+                node = child
+            node[key[last]] = value
+        self.root = root
+        self.empty = not root
 
     # ------------------------------------------------------------------ #
     @property
@@ -137,40 +149,47 @@ class FactorTrie:
         """Number of trie levels (the factor arity)."""
         return len(self.variables)
 
+    def _node(self, prefix: ValueTuple) -> Optional[Dict[Any, Any]]:
+        """The ``dict`` level reached by ``prefix``, a *proper* prefix of
+        ``self.variables``; ``None`` if no listed tuple extends it."""
+        if self.empty or len(prefix) >= len(self.variables):
+            return None
+        node = self.root
+        for value in prefix:
+            node = node.get(value)
+            if node is None:
+                return None
+        return node
+
     def children(self, prefix: ValueTuple) -> Dict[Any, Any]:
         """Return the child map at ``prefix`` (values of the next variable).
 
         ``prefix`` is a tuple of values for ``self.variables[:len(prefix)]``.
-        Returns an empty dict if the prefix is not present.
+        The map's values are sub-tries, or the tuples' semiring values when
+        the next variable is the last.  Returns an empty dict if the prefix
+        is not present or already binds every variable.
         """
-        node = self.root
-        for value in prefix:
-            node = node.get(value)
-            if node is None:
-                return {}
-        return {k: v for k, v in node.items() if k != _LEAF}
+        return dict(self._node(prefix) or {})
 
     def candidate_values(self, prefix: ValueTuple) -> set:
         """Set of values of the next variable compatible with ``prefix``."""
-        return set(self.children(prefix).keys())
+        return set(self._node(prefix) or ())
 
     def has_prefix(self, prefix: ValueTuple) -> bool:
         """``True`` iff some listed tuple extends ``prefix``."""
-        node = self.root
-        for value in prefix:
-            node = node.get(value)
-            if node is None:
-                return False
-        return True
+        if not prefix:
+            return not self.empty
+        node = self._node(prefix[:-1])
+        return node is not None and prefix[-1] in node
 
     def value(self, full: ValueTuple, default: Any = None) -> Any:
         """The stored value for a complete tuple over ``self.variables``."""
-        node = self.root
-        for value in full:
-            node = node.get(value)
-            if node is None:
-                return default
-        return node.get(_LEAF, default)
+        if len(full) != len(self.variables):
+            return default
+        if not full:
+            return default if self.empty else self.root
+        node = self._node(full[:-1])
+        return default if node is None else node.get(full[-1], default)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"FactorTrie({self.factor.name}, levels={self.variables})"

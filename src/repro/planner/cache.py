@@ -87,6 +87,13 @@ class PlanHealth:
 
     ewma_error: float = 0.0   # EWMA of the max |log(observed/estimated)| per run
     observations: int = 0
+    # Re-plan hysteresis.  ``tolerated`` is the error level at which this
+    # key's plan was invalidated, re-searched and came back the same: no
+    # search has anything better to offer at or below it, so only a larger
+    # error invalidates again.  ``replanned`` is the choice of the plan an
+    # invalidation dropped, held until the re-search stores its answer.
+    tolerated: float = 0.0
+    replanned: Optional[tuple] = None
 
 
 # A cached plan is invalidated (forcing a fresh search on the next lookup)
@@ -96,6 +103,13 @@ class PlanHealth:
 REPLAN_ERROR_THRESHOLD = 1.5
 DRIFT_REPLAN_ERROR_THRESHOLD = 0.75
 _HEALTH_ALPHA = 0.5
+
+
+def _choice(plan) -> tuple:
+    """What a re-search decides: (strategy, backend, ordering) of a
+    :class:`CachedPlan` or a :class:`DigestPlan`."""
+    ordering = plan.ordering if isinstance(plan, DigestPlan) else plan.ordering_indices
+    return plan.strategy, plan.backend, ordering
 
 
 def _shape_key(key: tuple) -> Optional[Tuple[tuple, Tuple[int, ...]]]:
@@ -196,6 +210,7 @@ class PlanCache:
             plan = replace(plan, buckets=split[1])
         evicted = self._entries.put(key, plan)
         with self._lock:
+            self._settle_replan(key, plan)
             if split is not None:
                 self._shapes[split[0]] = key
             for evicted_key, _ in evicted:
@@ -219,6 +234,8 @@ class PlanCache:
     def store_digest(self, digest: str, plan: DigestPlan) -> None:
         """Insert (or refresh) a digest-addressed plan."""
         self._digests.put(digest, plan)
+        with self._lock:
+            self._settle_replan(digest, plan)
 
     # ------------------------------------------------------------------ #
     # the feedback loop — observed error accumulation and invalidation
@@ -241,6 +258,12 @@ class PlanCache:
         invalidated — the next lookup misses and the planner re-searches
         with freshly calibrated estimates.  Returns ``True`` when the plan
         was invalidated.
+
+        A plan that such a re-search already returned unchanged is not
+        invalidated again at or below the error that sent it there
+        (:attr:`PlanHealth.tolerated`): the same error would buy the same
+        plan, for the price of a search on every few lookups.  An error
+        that grows past that level still re-plans.
         """
         if not errors:
             return False
@@ -257,13 +280,31 @@ class PlanCache:
                     (1.0 - _HEALTH_ALPHA) * health.ewma_error + _HEALTH_ALPHA * signal
                 )
             health.observations += 1
-            replan = health.ewma_error > threshold
+            replan = health.ewma_error > max(threshold, health.tolerated)
             if replan:
-                del self._health[key]
                 self.replans += 1
         if replan:
-            self.invalidate(key)
+            dropped = self._remove(key)
+            with self._lock:
+                if dropped is None:
+                    self._health.pop(key, None)
+                else:
+                    self._health[key] = PlanHealth(
+                        tolerated=health.ewma_error, replanned=_choice(dropped)
+                    )
         return replan
+
+    def _settle_replan(self, key, plan) -> None:
+        """``plan`` is being stored under ``key``: if it answers a re-search
+        that feedback forced, keep the tolerated level when it is the plan
+        that was dropped, and forget it when the search chose otherwise.
+        Call with the lock held."""
+        health = self._health.get(key)
+        if health is not None and health.replanned is not None:
+            if health.replanned == _choice(plan):
+                health.replanned = None
+            else:
+                del self._health[key]
 
     def invalidate(self, key) -> bool:
         """Drop the plan stored under ``key`` (tuple or digest string).
@@ -274,9 +315,13 @@ class PlanCache:
         """
         with self._lock:
             self._health.pop(key, None)
+        return self._remove(key) is not None
+
+    def _remove(self, key):
+        """Pop and return the plan stored under ``key`` (``None`` if none)."""
         if isinstance(key, str):
-            return self._digests.pop(key, None) is not None
-        removed = self._entries.pop(key, None) is not None
+            return self._digests.pop(key, None)
+        removed = self._entries.pop(key, None)
         split = _shape_key(key)
         if split is not None:
             with self._lock:

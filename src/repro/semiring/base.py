@@ -13,10 +13,33 @@ share the same ``⊗``, ``0`` and ``1``; only ``⊕`` may differ per variable.
 Instances of this class are cheap, immutable descriptions of such algebraic
 structures; they are used both by the core engine and by the test-suite's
 axiom checks.
+
+What "zero" means, per carrier
+------------------------------
+Every kernel drops a value that *is* the additive identity, so the test
+for it is part of a semiring's contract (``eq is None``; a custom ``eq``
+decides everything itself):
+
+* ``int``, ``bool``, :class:`fractions.Fraction`, ``frozenset`` and any
+  other exact carrier: ``a == zero``, nothing else;
+* an infinite identity (``±inf``: min-plus, max-sum, min-product):
+  ``a == zero`` — no finite value and no ``nan`` is ever "close to" an
+  infinity;
+* a float zero ``0.0``: ``abs(a) <= 1e-9``, an *absolute* tolerance
+  (:data:`TOLERANCE`), for every numeric ``a`` — a float or complex
+  rounding residue is a zero, ``1e-8`` is not;
+* an ``int`` or ``bool`` zero meeting a ``float`` / ``complex`` value (a
+  counting query fed floats): the same absolute tolerance, for that
+  value only.
+
+:meth:`Semiring.values_equal` is the general (relative, ``1e-9 *
+max(1, |a|, |b|)``) comparison; against a zero it reduces to the list
+above, and :meth:`Semiring.zero_test` hands a loop the reduced form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -26,6 +49,10 @@ class SemiringError(ValueError):
 
 
 _INF = float("inf")
+
+TOLERANCE = 1e-9
+"""The one float tolerance: relative in :meth:`Semiring.values_equal`,
+which makes it absolute against a ``0.0`` (see the module docstring)."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +101,7 @@ class Semiring:
                     # not: a relative tolerance of 1e-9 * inf would declare
                     # *every* value equal to the infinite identity.
                     return False
-                return difference <= 1e-9 * max(1.0, abs(a), abs(b))
+                return difference <= TOLERANCE * max(1.0, abs(a), abs(b))
             except (OverflowError, ValueError):  # pragma: no cover - inf/nan corner
                 return False
         return False
@@ -82,6 +109,30 @@ class Semiring:
     def is_zero(self, a: Any) -> bool:
         """Return ``True`` if ``a`` equals the additive identity."""
         return self.values_equal(a, self.zero)
+
+    def zero_test(self) -> Callable[[Any], bool]:
+        """The cheapest predicate with :meth:`is_zero`'s truth table.
+
+        For a loop that tests many values: bind the result once, outside
+        the loop.  Which form applies is decided here, from the zero's
+        type, instead of once per value inside :meth:`values_equal` (see
+        the module docstring for the forms).  A custom ``eq`` and any zero
+        that is not a plain ``int`` 0, a float ``0.0`` or a float infinity
+        get :meth:`is_zero` itself.  Built per call and never stored: a
+        semiring stays a picklable value.
+        """
+        zero = self.zero
+        if self.eq is None:
+            kind = type(zero)
+            if kind is int and zero == 0:
+                return lambda a: a == 0 or (
+                    isinstance(a, (float, complex)) and abs(a) <= TOLERANCE
+                )
+            if kind is float and zero == 0.0:
+                return lambda a: abs(a) <= TOLERANCE
+            if kind is float and math.isinf(zero):
+                return lambda a: a == zero
+        return self.is_zero
 
     def is_one(self, a: Any) -> bool:
         """Return ``True`` if ``a`` equals the multiplicative identity."""

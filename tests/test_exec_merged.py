@@ -438,6 +438,39 @@ def test_wild_estimates_trigger_replanning():
     assert replanned.cache_key is not None
 
 
+def test_a_replan_that_changes_nothing_is_not_repeated():
+    """Re-plan hysteresis: the same wild error, re-searched to the same
+    plan, does not invalidate it again; a larger error still does."""
+    query = _insideout_only_query()
+    cache = PlanCache(cost_model=CostModel())
+    chosen = plan(query, cache=cache)
+    executed = chosen.execute()
+
+    def wrong(by):
+        again = plan(query, cache=cache)
+        assert (again.strategy, again.backend, again.ordering) == (
+            chosen.strategy, chosen.backend, chosen.ordering)
+        skewed = tuple(float(rec.result_size) * by for rec in executed.stats.steps)
+        skewed += (float(executed.stats.output_size) * by,) * (
+            len(again.step_sizes) - len(skewed))
+        return again, replace(again, step_sizes=skewed)
+
+    _, skewed = wrong(1e3)
+    assert record_plan_feedback(skewed, executed.stats, cache=cache).replanned
+    assert cache.replans == 1
+    for attempt in range(3):  # the re-search stored the same plan: tolerated now
+        again, skewed = wrong(1e3)
+        assert again.cache_hit == (attempt > 0)
+        feedback = record_plan_feedback(skewed, executed.stats, cache=cache)
+        assert feedback.worst > REPLAN_ERROR_THRESHOLD and not feedback.replanned
+    assert cache.replans == 1
+    for _ in range(3):  # the EWMA climbs towards the larger error and crosses
+        _, skewed = wrong(1e6)
+        if record_plan_feedback(skewed, executed.stats, cache=cache).replanned:
+            break
+    assert cache.replans == 2
+
+
 def test_observed_errors_are_signed_logs():
     query = _insideout_only_query()
     chosen = plan(query, cache=PlanCache())

@@ -4,7 +4,8 @@ import pytest
 
 from repro.factors.factor import Factor
 from repro.factors.index import FactorTrie, build_tries
-from repro.semiring.standard import COUNTING
+from repro.semiring.base import Semiring
+from repro.semiring.standard import COUNTING, MIN_PLUS
 
 
 @pytest.fixture
@@ -35,6 +36,44 @@ class TestTrieConstruction:
         trie = FactorTrie(constant, ["A"], COUNTING)
         assert trie.depth == 0
         assert trie.value(()) == 5
+
+    def test_a_falsy_constant_is_not_an_empty_trie(self):
+        # min-plus' one is 0.0: falsy, and as far from its zero (inf) as can be.
+        trie = FactorTrie(Factor((), {(): 0.0}), ["A"], MIN_PLUS)
+        assert not trie.empty and trie.value((), default=None) == 0.0
+        assert FactorTrie(Factor((), {(): float("inf")}), ["A"], MIN_PLUS).empty
+        assert FactorTrie(Factor((), {}), ["A"], MIN_PLUS).empty
+        assert FactorTrie(Factor(("A",), {(0,): 0}), ["A"], COUNTING).empty
+
+    def test_values_sit_at_the_last_level(self, psi):
+        trie = FactorTrie(psi, ["A", "B", "C"], COUNTING)
+        assert trie.root == {0: {0: {0: 1}, 1: {0: 2}}, 1: {0: {1: 3}, 1: {1: 4}}}
+        assert trie.children((1, 1)) == {1: 4}
+        assert trie.children((1, 1, 1)) == {} and trie.children((5,)) == {}
+        assert trie.has_prefix(()) and trie.has_prefix((1, 1, 1))
+        assert not trie.has_prefix((1, 1, 0)) and not trie.has_prefix((1, 1, 1, 1))
+        assert trie.value((1, 1)) is None
+
+    def test_no_domain_value_is_reserved(self):
+        factor = Factor(("A", "B"), {("__leaf__", "__leaf__"): 2, ("x", "__leaf__"): 3})
+        trie = FactorTrie(factor, ["A", "B"], COUNTING)
+        assert trie.candidate_values(()) == {"__leaf__", "x"}
+        assert trie.candidate_values(("__leaf__",)) == {"__leaf__"}
+        assert trie.value(("__leaf__", "__leaf__")) == 2
+
+    def test_a_table_known_zero_free_is_not_swept(self, monkeypatch):
+        asked = []
+        bind = Semiring.zero_test
+        monkeypatch.setattr(Semiring, "zero_test", lambda self: asked.append(self) or bind(self))
+        factor = Factor(("A",), {(0,): 1, (1,): 2}).freeze()
+        FactorTrie(factor, ["A"], COUNTING)
+        assert asked == [COUNTING]
+        assert factor.is_pruned(COUNTING)  # sweeps once, and remembers
+        del asked[:]
+        assert FactorTrie(factor, ["A"], COUNTING).root == {0: 1, 1: 2}
+        assert asked == []
+        FactorTrie(factor, ["A"], MIN_PLUS)  # zero-free under another semiring only
+        assert asked == [MIN_PLUS]
 
 
 class TestTrieNavigation:
