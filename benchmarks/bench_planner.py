@@ -18,10 +18,8 @@ Five questions, answered with numbers a future PR can diff:
    plain sequential loop?  (Thread speedup requires multiple cores — the
    row records ``cpu_count`` so the number is interpretable.)  On the
    *sparse* side (``exec:sparse-parallel``), what does the vectorized
-   flat-table kernel buy over the pure-Python trie kernel on one thread,
-   and what does the shared-memory process pool
-   (``workers_mode="process"``) add on top at ``workers=4``?  And
-   (``exec:flat-warm-store``) what does keeping the flat encodings per
+   flat-table kernel buy over the pure-Python trie kernel on one thread?
+   And (``exec:flat-warm-store``) what does keeping the flat encodings per
    content, in a warm ``SharedTrieCache``, buy over encoding per run?
 5. **Batched serving throughput** — on repeated Table-1 traffic, what do
    request coalescing + shared base-factor tries + pooled execution
@@ -305,8 +303,7 @@ def _sparse_multiblock_query(
 
     Pair factors at 50% density keep every elimination in the sparse
     regime (dict tables, no dense arrays), where the per-row Python trie
-    walk is the bottleneck the vectorized flat kernel replaces; disjoint
-    blocks give the step DAG real parallelism for the process pool.
+    walk is the bottleneck the vectorized flat kernel replaces.
     """
     rng = random.Random(seed)
     values = tuple(range(domain))
@@ -329,22 +326,16 @@ def _sparse_multiblock_query(
 
 
 @pytest.mark.shape
-def test_shape_sparse_parallel_flat_process():
-    """Vectorized sparse kernels + the process pool (exec:sparse-parallel).
+def test_shape_sparse_flat_vs_trie():
+    """The vectorized sparse kernel on one thread (exec:sparse-parallel).
 
-    Two stacked escapes from the interpreter on the same sparse workload:
+    ``flat_vs_trie_x`` — the flat-table kernel (NumPy code columns, fused
+    multiply-then-marginalize) vs the pure-Python trie kernel on the same
+    sparse workload, both on one thread.  An algorithmic/vectorization
+    win: no cores required.
 
-    * ``flat_vs_trie_x`` — the flat-table kernel (NumPy code columns,
-      fused multiply-then-marginalize) vs the pure-Python trie kernel,
-      both on one thread.  An algorithmic/vectorization win: no cores
-      required, so it is gated on every host.
-    * ``sparse_speedup_w4`` — ``workers_mode="process"`` at ``workers=4``
-      vs ``workers=1``, flat kernel on both sides.  Real parallelism via
-      shared-memory worker processes; needs ≥4 cores to show up, so the
-      metric is CPU-sensitive (recorded everywhere, gated on big hosts).
-
-    Bit-identity of all variants against the serial trie run is asserted
-    unconditionally — the kernels and the pool must never change answers.
+    Bit-identity of the flat run against the trie run is asserted
+    unconditionally — the kernel must never change answers.
     """
     query = _sparse_multiblock_query()
     trie_only = BackendPolicy(flat_enabled=False)
@@ -359,48 +350,21 @@ def test_shape_sparse_parallel_flat_process():
     assert flat_result.factor.table == trie_result.factor.table
     assert any(step.backend == "flat" for step in flat_result.stats.steps)
 
-    process_executor = DagExecutor(workers=4, workers_mode="process")
-    w4_s, w4_result = _best_of(
-        lambda: process_executor.run(
-            query, backend="sparse", backend_policy=flat_forced
-        )
-    )
-    assert w4_result.factor.table == trie_result.factor.table
-    process_info = process_executor.last_process_info
-    assert process_info is not None and process_info["remote_steps"] > 0
-
     cpus = os.cpu_count() or 1
     flat_vs_trie = trie_s / flat_s if flat_s else float("inf")
-    sparse_speedup = flat_s / w4_s if w4_s else float("inf")
     record = record_result(
         "exec:sparse-parallel",
         trie_w1_s=trie_s,
         flat_w1_s=flat_s,
-        flat_process_w4_s=w4_s,
         flat_vs_trie_x=flat_vs_trie,
-        sparse_speedup_w4=sparse_speedup,
-        remote_steps=process_info["remote_steps"],
-        shipped_blobs=process_info["shipped_blobs"],
         cpu_count=cpus,
         blocks=SPARSE_BLOCKS,
     )
     print(
         f"\n[exec] sparse-parallel multiblock: trie={trie_s * 1e3:.1f}ms "
-        f"flat={flat_s * 1e3:.1f}ms ({flat_vs_trie:.2f}x) "
-        f"process-w4={w4_s * 1e3:.1f}ms (speedup {sparse_speedup:.2f}x) "
-        f"(cpus={cpus})"
+        f"flat={flat_s * 1e3:.1f}ms ({flat_vs_trie:.2f}x) (cpus={cpus})"
     )
     if not quick_mode():
-        if os.environ.get("FAQ_BENCH_STRICT", "") not in ("", "0"):
-            # Vectorization wins on any host; process scaling needs cores.
-            assert flat_vs_trie >= 2.0, (
-                f"expected flat kernel ≥2x over trie, got {flat_vs_trie:.2f}x"
-            )
-            if cpus >= 4:
-                assert sparse_speedup >= 2.0, (
-                    f"expected ≥2x at process workers=4 on {cpus} cores, "
-                    f"got {sparse_speedup:.2f}x"
-                )
         publish([record])
 
 

@@ -54,9 +54,8 @@ RATIO_FIELDS = {
     "incremental_speedup_x": False,
     # exec:sparse-parallel — the vectorized flat kernel over the
     # pure-Python trie kernel is a single-thread vectorization win (gated
-    # everywhere); the process-pool speedup at workers=4 needs cores.
+    # everywhere).
     "flat_vs_trie_x": False,
-    "sparse_speedup_w4": True,
     # exec:flat-warm-store — the same flat run with its encodings, code
     # maps and join indexes already in a warm SharedTrieCache vs encoding
     # them per run.  Work not done, on one thread: gated on every host.
@@ -79,7 +78,6 @@ TIMING_FIELDS = (
     "workers4_s",
     "trie_w1_s",
     "flat_w1_s",
-    "flat_process_w4_s",
     "flat_cold_s",
     "flat_warm_s",
     "serial_loop_s",

@@ -139,8 +139,7 @@ def _validated_ordering(
 
 
 # Cap for workers="auto": realistic step DAGs rarely have the topological
-# width to keep more workers busy, and process workers each pay a startup
-# plus shared-memory attach cost.
+# width to keep more workers busy.
 AUTO_WORKERS_CAP = 8
 
 
@@ -545,7 +544,6 @@ def inside_out(
     backend: str = BACKEND_SPARSE,
     backend_policy: BackendPolicy | None = None,
     workers: int | str | None = None,
-    workers_mode: str = "thread",
     shared_tries: SharedTrieCache | None = None,
     step_cache=None,
 ) -> InsideOutResult:
@@ -591,17 +589,9 @@ def inside_out(
         and executed by the one driver (:class:`repro.exec.DagExecutor`):
         ``None`` or ``1`` runs the steps inline on the calling thread, in
         elimination order; any larger value executes independent
-        elimination steps on a worker pool.  ``"auto"`` resolves to the
-        machine's CPU count (capped).  Results and stats totals are
-        identical for every worker count and mode.
-    workers_mode:
-        Pool flavour when ``workers`` enables parallelism.  ``"thread"``
-        (default) shares the interpreter — only the NumPy kernels escape
-        the GIL.  ``"process"`` drives worker *processes* over the same
-        step DAG, shipping factors through digest-keyed shared memory
-        (:mod:`repro.exec.procpool`), so the sparse Python kernels scale
-        with cores too; runs whose context cannot be pickled fall back to
-        the thread pool transparently.
+        elimination steps on a thread pool (only the NumPy kernels escape
+        the GIL).  ``"auto"`` resolves to the machine's CPU count (capped).
+        Results and stats totals are identical for every worker count.
     shared_tries:
         A :class:`~repro.factors.index.SharedTrieCache` holding this
         query's base-factor tries across runs (supplied by the serving
@@ -619,9 +609,7 @@ def inside_out(
     """
     from repro.exec.executor import DagExecutor
 
-    return DagExecutor(
-        workers=1 if workers is None else workers, workers_mode=workers_mode
-    ).run(
+    return DagExecutor(workers=workers).run(
         query,
         ordering=ordering,
         use_indicator_projections=use_indicator_projections,

@@ -42,11 +42,6 @@ class EngineConfig:
         Per-query step-DAG parallelism — the unified ``workers=`` meaning
         shared with every other entry point (``None``/1 = serial per
         query, ``"auto"`` = capped CPU count).
-    workers_mode:
-        ``"thread"`` (default) or ``"process"`` — whether per-query
-        parallelism runs on a thread pool or on shared-memory worker
-        processes (the sparse kernels escape the GIL; see
-        :mod:`repro.exec.procpool`).
     pool_size:
         In-process concurrency of the engine's :class:`PlanServer`
         (defaults to the CPU count).
@@ -67,7 +62,6 @@ class EngineConfig:
     """
 
     workers: Optional[int | str] = None
-    workers_mode: str = "thread"
     pool_size: Optional[int] = None
     replicas: Optional[int] = None
     coalesce: bool = True
@@ -123,7 +117,6 @@ class Engine:
         if self._server is None:
             self._server = PlanServer(
                 workers=self.config.workers,
-                workers_mode=self.config.workers_mode,
                 pool_size=self.config.pool_size,
                 cache=self.cache,
                 coalesce=self.config.coalesce,
@@ -177,7 +170,6 @@ class Engine:
         """
         kwargs = {
             "workers": self.config.workers,
-            "workers_mode": self.config.workers_mode,
             "start_method": self.config.start_method,
             "max_pending": self.config.max_pending,
             "tenant_limit": self.config.tenant_limit,

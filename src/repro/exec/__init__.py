@@ -12,13 +12,8 @@ are: pass ``workers=`` to :func:`repro.core.insideout.inside_out`,
 solver wrapper, ``db.join`` or the serving layer (:mod:`repro.serve`) —
 ``workers=`` means the *same thing everywhere*: per-query step-DAG
 parallelism (``None``/1 = serial, ``"auto"`` = CPU count capped at
-:data:`AUTO_WORKERS_CAP`).
-
-``workers_mode="process"`` (accepted wherever ``workers=`` is) has the
-pool's threads hand their steps to worker *processes* fed through
-digest-keyed shared memory (:mod:`repro.exec.procpool` /
-:mod:`repro.exec.shm`), letting the sparse Python kernels scale past the
-GIL.
+:data:`AUTO_WORKERS_CAP`).  A scheduled step computes on the scheduler
+thread that was handed it; ``workers=`` is the only parallelism option.
 """
 
 from repro.core.insideout import AUTO_WORKERS_CAP
@@ -39,7 +34,7 @@ from repro.exec.executor import (
     RunSpec,
     StepResultCache,
 )
-from repro.exec.shm import SharedCacheStore, ShmBlobStore, read_blob
+from repro.exec.shm import SharedCacheStore
 
 __all__ = [
     "DagExecutor",
@@ -56,7 +51,5 @@ __all__ = [
     "KIND_OUTPUT",
     "validate_workers",
     "AUTO_WORKERS_CAP",
-    "ShmBlobStore",
     "SharedCacheStore",
-    "read_blob",
 ]

@@ -10,10 +10,8 @@ groups, whose DAG nodes share no slots — execute concurrently; the
 dense/NumPy kernels release the GIL inside their ufunc reductions, so
 multi-block dense workloads scale with cores.  The sparse kernels are pure
 Python and gain nothing from threads, but remain *correct* under the pool:
-every step kernel is a pure function of its input factors.  Process mode
-changes only *where* a scheduled step computes: each pool thread hands its
-step to a worker process (:mod:`repro.exec.procpool`) and blocks on the
-reply, so there is one scheduler and one step-source protocol in every mode.
+every step kernel is a pure function of its input factors.  A scheduled
+step computes in exactly one place: the thread that was handed it.
 
 There is one implementation, :meth:`DagExecutor.run_many`: lower each run,
 merge the runs' nodes by content digest, schedule, finish.  A single query
@@ -40,11 +38,11 @@ Replaying an entry merges the *original* step record and join-counter
 delta, so per-run stats describe the logical execution and stay identical
 to an uncached run (wall-clock ``seconds`` aside).
 
-Guarantees (enforced by ``tests/test_exec_parallel.py``,
-``tests/test_exec_process.py`` and ``tests/test_exec_merged.py``):
+Guarantees (enforced by ``tests/test_exec_parallel.py`` and
+``tests/test_exec_merged.py``):
 
 * the output factor agrees with brute-force evaluation and is
-  **bit-identical** for every worker count and mode, with or without a step
+  **bit-identical** for every worker count, with or without a step
   source and inside or outside a merged batch, and
 * the :class:`~repro.core.insideout.InsideOutStats` totals (per-step
   records, join counters, max intermediate size) are identical too —
@@ -269,50 +267,6 @@ class RunSnapshot:
                 del self.entries[key]
 
 
-def run_step_kernel(run, node, join_stats: OutsideInStats) -> EliminationRecord:
-    """The one ``node.kind`` → kernel dispatch of an elimination step.
-
-    ``run`` is whoever holds the step's inputs — the parent's
-    :class:`_RunState` or a pool worker's mirror of it: anything with
-    ``query`` / ``uip`` / ``backend`` / ``policy`` / ``tries`` and the
-    ``slots`` the node reads.  Writes the node's output slots and returns
-    its record.
-    """
-    slots = run.slots
-    incident = [slots[s] for s in node.incident]
-    if node.kind == KIND_SEMIRING:
-        slots[node.outputs[0]], record = eliminate_semiring_step(
-            run.query, incident, [slots[s] for s in node.reads], node.variable,
-            run.uip, join_stats,
-            backend=run.backend, policy=run.policy, tries=run.tries,
-            pairwise=node.pairwise,
-        )
-    elif node.kind == KIND_PRODUCT:
-        new_factors, record = eliminate_product_step(
-            run.query, [f for f in incident if f is not None], node.variable
-        )
-        # Outputs align positionally with the incident slots (a None input
-        # keeps a None output).  Product steps replace marginalised/powered
-        # factors with new objects; drop the dead factors' cached tries.
-        fresh = iter(new_factors)
-        for old, out in zip(incident, node.outputs):
-            slots[out] = new = None if old is None else next(fresh)
-            if new is not old:
-                run.tries.discard(old)
-    else:  # pragma: no cover - defensive
-        raise QueryError(f"no elimination kernel for step kind {node.kind!r}")
-    return record
-
-
-def capture_step(run, node, record, join_stats: OutsideInStats) -> _StepEntry:
-    """The shareable entry of a node ``run`` has just executed."""
-    return _StepEntry(
-        outputs=tuple(run.slots[s] for s in node.outputs),
-        record=record,
-        join_delta=replace(join_stats),
-    )
-
-
 class _RunState:
     """The mutable execution context of one lowered run.
 
@@ -373,43 +327,52 @@ class _RunState:
         digest = self.dag.nodes[index].digest
         return None if digest is None else (digest, self.backend)
 
-    def enter_step(self) -> None:
-        """The ``step.kernel`` fault site, drawn once per *executed* step.
+    def execute_node(self, index: int) -> None:
+        """Run a node's kernel, writing its output slots and its record.
 
-        Every way a step gets computed passes through here exactly once —
-        inline and thread-pool execution via :meth:`execute_node`, the
-        process pool before it decides where the step runs (a step redone
-        in-process after its worker failed goes straight to
-        :meth:`compute_node`) — and a replayed step never does, so the n-th
-        call of a :class:`~repro.faults.FaultPlan` schedule names the same
-        step under every scheduler.
+        The one ``node.kind`` → kernel dispatch, and the ``step.kernel``
+        fault site: drawn once per *executed* step (a replayed step never
+        gets here), so the n-th call of a :class:`~repro.faults.FaultPlan`
+        schedule names the same step for every worker count.
         """
         maybe_raise(SITE_STEP_KERNEL)
-
-    def execute_node(self, index: int) -> None:
-        self.enter_step()
-        self.compute_node(index)
-
-    def compute_node(self, index: int) -> None:
-        """Run a node's kernel in this process (no fault-site draw)."""
         node = self.dag.nodes[index]
-        if node.kind == KIND_OUTPUT:
-            slots = self.slots
-            factors = [slots[s] for s in node.incident if slots[s] is not None]
+        slots = self.slots
+        join_stats = self.node_join_stats[index]
+        incident = [slots[s] for s in node.incident]
+        if node.kind == KIND_SEMIRING:
+            slots[node.outputs[0]], self.records[index] = eliminate_semiring_step(
+                self.query, incident, [slots[s] for s in node.reads], node.variable,
+                self.uip, join_stats,
+                backend=self.backend, policy=self.policy, tries=self.tries,
+                pairwise=node.pairwise,
+            )
+        elif node.kind == KIND_PRODUCT:
+            new_factors, self.records[index] = eliminate_product_step(
+                self.query, [f for f in incident if f is not None], node.variable
+            )
+            # Outputs align positionally with the incident slots (a None input
+            # keeps a None output).  Product steps replace marginalised/powered
+            # factors with new objects; drop the dead factors' cached tries.
+            fresh = iter(new_factors)
+            for old, out in zip(incident, node.outputs):
+                slots[out] = new = None if old is None else next(fresh)
+                if new is not old:
+                    self.tries.discard(old)
+        elif node.kind == KIND_OUTPUT:
             slots[node.outputs[0]] = output_phase(
-                self.query, factors, self.order, self.backend, self.policy,
-                self.node_join_stats[index],
+                self.query, [f for f in incident if f is not None], self.order,
+                self.backend, self.policy, join_stats,
             )
-        else:
-            self.records[index] = run_step_kernel(
-                self, node, self.node_join_stats[index]
-            )
+        else:  # pragma: no cover - defensive
+            raise QueryError(f"no elimination kernel for step kind {node.kind!r}")
 
     def capture(self, index: int) -> _StepEntry:
         """Snapshot an executed node as a shareable step-cache entry."""
-        return capture_step(
-            self, self.dag.nodes[index], self.records[index],
-            self.node_join_stats[index],
+        return _StepEntry(
+            outputs=tuple(self.slots[s] for s in self.dag.nodes[index].outputs),
+            record=self.records[index],
+            join_delta=replace(self.node_join_stats[index]),
         )
 
     def replay(self, index: int, entry: _StepEntry) -> None:
@@ -442,7 +405,7 @@ class _RunState:
 
         Totals are accumulated independently of the order the scheduler
         happened to complete (or replay) nodes in, so they are the same for
-        every worker count and mode.
+        every worker count.
         """
         query, dag = self.query, self.dag
         stats = InsideOutStats()
@@ -500,36 +463,13 @@ class DagExecutor:
     workers:
         Pool size.  ``1`` is the serial run: the steps execute inline on
         the calling thread, in elimination order (no pool, no locks);
-        larger values run independent steps concurrently.  ``"auto"``
-        resolves to the CPU count (capped); ``None`` lets the platform
-        decide (``os.cpu_count()``).
-    workers_mode:
-        ``"thread"`` (default) computes steps on the pool's threads;
-        ``"process"`` has each thread hand its step to a worker process
-        fed through digest-keyed shared memory
-        (:mod:`repro.exec.procpool`) so the sparse Python kernels escape
-        the GIL.  Process mode applies to a single run; a merged batch
-        always computes on the threads, as does a run whose context cannot
-        cross the process boundary (e.g. lambda semirings);
-        ``last_process_info`` reports what the previous process-mode run
-        actually did.
+        larger values run independent steps concurrently on a thread
+        pool.  ``"auto"`` resolves to the CPU count (capped); ``None`` means
+        serial, like ``1``.
     """
 
-    def __init__(
-        self, workers: Optional[int | str] = None, workers_mode: str = "thread"
-    ) -> None:
-        workers = _validated_workers(workers)
-        if workers is None:
-            import os
-
-            workers = os.cpu_count() or 1
-        if workers_mode not in ("thread", "process"):
-            raise QueryError(
-                f'workers_mode must be "thread" or "process", got {workers_mode!r}'
-            )
-        self.workers = workers
-        self.workers_mode = workers_mode
-        self.last_process_info: Optional[Dict[str, object]] = None
+    def __init__(self, workers: Optional[int | str] = None) -> None:
+        self.workers = _validated_workers(workers) or 1
 
     # ------------------------------------------------------------------ #
     def run(
@@ -614,12 +554,6 @@ class DagExecutor:
         parallel = self.workers > 1 and (
             len(states) > 1 or states[0].dag.max_parallelism > 1
         )
-        # Process mode applies to a single run; ``None`` back means its
-        # context could not be shipped and the threads compute in-process.
-        pool = None
-        if parallel and self.workers_mode == "process" and len(states) == 1:
-            pool = self._process_pool(states[0])
-        run_node = _RunState.execute_node if pool is None else pool.execute_node
         replayed = [False] * len(merged)
 
         def execute(mid: int) -> None:
@@ -636,7 +570,7 @@ class DagExecutor:
                 # here and fulfil — capture included — or later claimants of
                 # the same digest block forever on the in-flight event.
                 try:
-                    run_node(state, index)
+                    state.execute_node(index)
                     entry = state.capture(index)
                 except BaseException:
                     if shared:
@@ -645,36 +579,30 @@ class DagExecutor:
                 if shared:
                     step_cache.fulfil(node.key, entry)
             else:
-                run_node(state, index)
+                state.execute_node(index)
             for sub_run, sub_index in node.subscribers:
                 states[sub_run].replay(sub_index, entry)
 
-        try:
-            if parallel:
-                # Edges come from the owners only: replays are
-                # input-independent, so a subscriber's own producers need
-                # not have run before its replay.
-                indegree: Dict[int, int] = {}
-                dependents: Dict[int, List[int]] = {
-                    mid: [] for mid in range(len(merged))
-                }
-                for mid, node in enumerate(merged):
-                    r, index = node.owner
-                    producers = states[r].dag.nodes[index].depends_on
-                    deps = {mid_of[(r, dep)] for dep in producers}
-                    indegree[mid] = len(deps)
-                    for dep in sorted(deps):
-                        dependents[dep].append(mid)
-                self._run_scheduler(indegree, dependents, execute)
-            else:
-                # Merged-id order is a topological order of the owner edges
-                # (every owner dependency maps to an earlier merged id) —
-                # for a lone run, plain elimination order.
-                for mid in range(len(merged)):
-                    execute(mid)
-        finally:
-            if pool is not None:
-                self.last_process_info = pool.shutdown()
+        if parallel:
+            # Edges come from the owners only: replays are input-independent,
+            # so a subscriber's own producers need not have run before its
+            # replay.
+            indegree: Dict[int, int] = {}
+            dependents: Dict[int, List[int]] = {mid: [] for mid in range(len(merged))}
+            for mid, node in enumerate(merged):
+                r, index = node.owner
+                producers = states[r].dag.nodes[index].depends_on
+                deps = {mid_of[(r, dep)] for dep in producers}
+                indegree[mid] = len(deps)
+                for dep in sorted(deps):
+                    dependents[dep].append(mid)
+            self._run_scheduler(indegree, dependents, execute)
+        else:
+            # Merged-id order is a topological order of the owner edges
+            # (every owner dependency maps to an earlier merged id) —
+            # for a lone run, plain elimination order.
+            for mid in range(len(merged)):
+                execute(mid)
         executed = len(merged) - sum(replayed)
 
         if info is not None:
@@ -683,21 +611,6 @@ class DagExecutor:
             info.executed_nodes += executed
             info.replayed_nodes += len(merged) - executed
         return [state.finish() for state in states]
-
-    # ------------------------------------------------------------------ #
-    def _process_pool(self, state):
-        """A worker-process pool for ``state``'s run; ``None`` means threads only."""
-        from repro.exec.procpool import (
-            ProcessPool,
-            ProcessPoolUnavailable,
-            build_run_spec,
-        )
-
-        try:
-            return ProcessPool(self.workers, build_run_spec(state))
-        except ProcessPoolUnavailable:
-            self.last_process_info = None
-            return None
 
     # ------------------------------------------------------------------ #
     def _run_scheduler(self, indegree: Dict[int, int], dependents, execute) -> None:

@@ -1,33 +1,23 @@
-"""Shared-memory stores for the multiprocess execution and serving tiers.
+"""The shared-memory store of the serving tier's replica fleet.
 
-Two stores live here, both built on :mod:`multiprocessing.shared_memory`:
+:class:`SharedCacheStore` is a named, versioned, checksummed
+:mod:`multiprocessing.shared_memory` segment publishing read-only cache
+payloads (the process-wide ρ* LP memo and the planner's plan cache)
+fleet-wide.  The serving tier's parent process publishes its warm caches;
+every replica adopts them at startup instead of warming a private copy
+(ROADMAP item 2's mmap-store follow-on).
 
-* :class:`ShmBlobStore` — a parent-owned, content-keyed blob store.  The
-  process-pool executor (:mod:`repro.exec.procpool`) publishes each factor
-  table (base factors and intermediate step results) exactly once, keyed by
-  its content digest; workers attach by segment name, unpickle, and cache
-  by key, so a factor crosses the process boundary **once per worker** no
-  matter how many steps read it.
-
-* :class:`SharedCacheStore` — a named, versioned, checksummed segment
-  publishing read-only cache payloads (the process-wide ρ* LP memo and the
-  planner's plan cache) fleet-wide.  The serving tier's parent process
-  publishes its warm caches; every replica adopts them at startup instead
-  of warming a private copy (ROADMAP item 2's mmap-store follow-on).
-
-Every segment — cache store and blob alike — holds one
-:func:`repro.caching.seal` envelope (magic | length | SHA-256 | pickle
-tagged kind + version), the same one the on-disk persistence uses.
-Invalidation is by construction: the checksum rejects torn or foreign
-segments and the kind tag keeps a blob from being adopted as a cache store
-(and vice versa).  Adoption is *best-effort everywhere* — any mismatch
-(missing segment, wrong magic, kind or version, bad checksum, unpicklable
-payload) adopts nothing rather than failing the process.
+The segment holds one :func:`repro.caching.seal` envelope (magic | length |
+SHA-256 | pickle tagged kind + version), the same one the on-disk
+persistence uses.  Invalidation is by construction: the checksum rejects
+torn or foreign segments.  Adoption is *best-effort everywhere* — any
+mismatch (missing segment, wrong magic, kind or version, bad checksum,
+unpicklable payload) adopts nothing rather than failing the process.
 
 ``resource_tracker`` note: attaching a segment from a child process
 registers it with the child's resource tracker, which would unlink it when
-the child exits (bpo-39959).  Both stores therefore unregister the
-attach-side handle immediately — the creating parent owns cleanup.
+the child exits (bpo-39959).  The attach-side handle is therefore
+unregistered immediately — the creating parent owns cleanup.
 """
 
 from __future__ import annotations
@@ -35,7 +25,6 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import sys
-import threading
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, Optional
@@ -43,11 +32,9 @@ from typing import Any, Dict, Optional
 from repro.caching import seal, unseal
 from repro.faults import SITE_SHM_ATTACH, maybe_raise
 
-# Envelope tags of the two stores.
+# Envelope tag of the store.
 SHARED_CACHE_KIND = "repro-shared-caches"
 SHARED_CACHE_VERSION = 1
-BLOB_KIND = "repro-shm-blob"
-BLOB_VERSION = 1
 
 
 def _private_tracker() -> bool:
@@ -117,61 +104,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         except Exception:  # pragma: no cover - tracker API drift
             pass
     return segment
-
-
-class ShmBlobStore:
-    """Parent-owned content-keyed blobs in shared memory.
-
-    ``put`` seals a value under a key once and returns the segment name;
-    repeated puts of the same key are free, from any thread.  Readers (in
-    any process) call :func:`read_blob` with the name.  The creating
-    process must call :meth:`close` when the run ends — segments have
-    kernel lifetime, not process lifetime.
-    """
-
-    def __init__(self) -> None:
-        self._segments: Dict[Any, shared_memory.SharedMemory] = {}
-        self._lock = threading.Lock()  # put is check-then-create
-        _LIVE_STORES.add(self)
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def put(self, key: Any, value: Any) -> str:
-        """Publish ``value`` under ``key`` (idempotent), returning the name."""
-        with self._lock:
-            segment = self._segments.get(key)
-            if segment is None:
-                segment = self._segments[key] = _publish(
-                    seal(value, kind=BLOB_KIND, version=BLOB_VERSION)
-                )
-            return segment.name
-
-    def name_for(self, key: Any) -> Optional[str]:
-        segment = self._segments.get(key)
-        return segment.name if segment is not None else None
-
-    def close(self) -> None:
-        """Close and unlink every published segment."""
-        for segment in self._segments.values():
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-        self._segments.clear()
-
-
-def read_blob(name: str) -> Any:
-    """Unpickle the blob published under segment ``name`` (any process)."""
-    segment = _attach(name)
-    try:
-        value = unseal(segment.buf, kind=BLOB_KIND, version=BLOB_VERSION)
-    finally:
-        segment.close()
-    if value is None:
-        raise ValueError(f"segment {name!r} is not a repro blob")
-    return value
 
 
 class SharedCacheStore:

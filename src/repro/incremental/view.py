@@ -163,7 +163,7 @@ class IncrementalView:
         self._order: Tuple[str, ...] = tuple(_validated_ordering(query, ordering))
         self._uip = use_indicator_projections
         self._backend = validate_backend(backend)
-        self._executor = DagExecutor(workers=workers or 1)
+        self._executor = DagExecutor(workers=workers)
         self._add_tag = additive_tag(query.semiring, add_tag)
         self._snapshot = RunSnapshot()
         self._tries = SharedTrieCache(self._order, query.semiring, query.factors)
@@ -218,7 +218,7 @@ class IncrementalView:
         view._uip = state["uip"]
         view._backend = state["backend"]
         view._add_tag = state["add_tag"]
-        view._executor = DagExecutor(workers=workers or 1)
+        view._executor = DagExecutor(workers=workers)
         view._snapshot = state["snapshot"] or RunSnapshot()
         view._tries = SharedTrieCache(
             view._order, view.query.semiring, view.query.factors

@@ -105,32 +105,29 @@ class Plan:
         self,
         output_mode: str = "listing",
         workers: int | str | None = None,
-        workers_mode: str = "thread",
         shared_tries: Any = None,
         step_cache: Any = None,
     ) -> PlanResult:
         """Run the plan and return the output over the free variables.
 
         An elimination plan (InsideOut or variable elimination) runs on the
-        step-DAG executor (:mod:`repro.exec`): ``workers`` > 1 parallelises
-        it and ``workers_mode="process"`` swaps its thread pool for
-        shared-memory worker processes so the sparse kernels escape the
-        GIL.  ``shared_tries`` passes a
+        step-DAG executor (:mod:`repro.exec`): ``workers`` > 1 runs its
+        independent steps on a thread pool.  ``shared_tries`` passes a
         :class:`~repro.factors.index.SharedTrieCache` of this query's
         base-factor tries (the serving layer reuses one across repeated
         identical queries); ``step_cache`` a
         :class:`~repro.exec.StepResultCache` of content-addressed step
         results (shared elimination prefixes replay instead of
         recomputing).  The join strategies execute serially, in listing
-        mode, and ignore all four — per-query parallelism for them comes
+        mode, and ignore all three — per-query parallelism for them comes
         from batching whole queries through :mod:`repro.serve`.
         """
         if self.strategy not in JOIN_STRATEGIES:
             from repro.exec.executor import DagExecutor
 
-            result = DagExecutor(
-                workers=1 if workers is None else workers, workers_mode=workers_mode
-            ).run_many([self.run_spec(output_mode, shared_tries)], step_cache=step_cache)[0]
+            result = DagExecutor(workers=workers).run_many(
+                [self.run_spec(output_mode, shared_tries)], step_cache=step_cache
+            )[0]
             return PlanResult(
                 plan=self,
                 factor=result.factor,

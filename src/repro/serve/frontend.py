@@ -100,10 +100,6 @@ class Frontend:
         ``workers=`` meaning (``None``/1 = serial per query, ``"auto"`` =
         capped CPU count; the fleet still overlaps distinct queries across
         processes).
-    workers_mode:
-        Pool flavour for per-query parallelism inside each replica:
-        ``"thread"`` (default) or ``"process"`` (shared-memory worker
-        processes; see :mod:`repro.exec.procpool`).
     start_method:
         ``multiprocessing`` start method (platform default when ``None``).
     share_caches:
@@ -149,7 +145,6 @@ class Frontend:
         replicas: Optional[int] = None,
         *,
         workers: Optional[int | str] = None,
-        workers_mode: str = "thread",
         start_method: Optional[str] = None,
         max_pending: int = 1024,
         tenant_limit: Optional[int] = None,
@@ -173,7 +168,6 @@ class Frontend:
         self._set = ReplicaSet(
             size,
             workers=workers,
-            workers_mode=workers_mode,
             shared_cache_name=(
                 self._shared_caches.name if self._shared_caches is not None else None
             ),

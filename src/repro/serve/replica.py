@@ -141,7 +141,6 @@ def _replica_main(
     conn,
     replica_id: int,
     workers: Optional[int] = None,
-    workers_mode: str = "thread",
     shared_cache_name: Optional[str] = None,
     snapshot_dir: Optional[str] = None,
     fault_config: Optional[Dict[str, Any]] = None,
@@ -160,8 +159,7 @@ def _replica_main(
     # traffic that opted into sharing (coalesce=True on the wire) is answered
     # by content digest without re-executing.
     server = PlanServer(
-        workers=workers, workers_mode=workers_mode, pool_size=1, cache_results=True,
-        snapshot_store=snapshots,
+        workers=workers, pool_size=1, cache_results=True, snapshot_store=snapshots,
     )
     # Adopt the fleet-wide warm caches the parent published to shared
     # memory (best-effort: a missing/stale segment adopts nothing) so a
@@ -342,8 +340,7 @@ class ReplicaHandle:
         index: int,
         *,
         workers: Optional[int | str] = None,
-        workers_mode: str = "thread",
-        shared_cache_name: Optional[str] = None,
+            shared_cache_name: Optional[str] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
         snapshot_dir: Optional[str] = None,
         fault_config: Optional[Dict[str, Any]] = None,
@@ -351,7 +348,6 @@ class ReplicaHandle:
     ) -> None:
         self.index = index
         self.workers = workers
-        self.workers_mode = workers_mode
         self.shared_cache_name = shared_cache_name
         self.rpc_timeout = rpc_timeout
         self.snapshot_dir = snapshot_dir
@@ -371,8 +367,8 @@ class ReplicaHandle:
             self.process = self._ctx.Process(
                 target=_replica_main,
                 args=(
-                    child, self.index, self.workers, self.workers_mode,
-                    self.shared_cache_name, self.snapshot_dir, self.fault_config,
+                    child, self.index, self.workers, self.shared_cache_name,
+                    self.snapshot_dir, self.fault_config,
                 ),
                 name=f"repro-replica-{self.index}",
                 daemon=True,
@@ -688,8 +684,7 @@ class ReplicaSet:
         size: int,
         *,
         workers: Optional[int | str] = None,
-        workers_mode: str = "thread",
-        shared_cache_name: Optional[str] = None,
+            shared_cache_name: Optional[str] = None,
         start_method: Optional[str] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
         snapshot_dir: Optional[str] = None,
@@ -701,9 +696,8 @@ class ReplicaSet:
         self._closed = False
         self.replicas: List[ReplicaHandle] = [
             ReplicaHandle(
-                i, workers=workers, workers_mode=workers_mode,
-                shared_cache_name=shared_cache_name, context=context,
-                rpc_timeout=rpc_timeout,
+                i, workers=workers, shared_cache_name=shared_cache_name,
+                context=context, rpc_timeout=rpc_timeout,
                 # Per-replica spill directories: a restarted replica i
                 # resumes from replica i's own snapshot, warm.
                 snapshot_dir=(

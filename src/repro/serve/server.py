@@ -109,12 +109,6 @@ class PlanServer:
         meaning shared with every other entry point (``None``/1 = serial
         per query, ``"auto"`` = capped CPU count; the pool still overlaps
         distinct queries).
-    workers_mode:
-        Pool flavour for per-query parallelism: ``"thread"`` (default) or
-        ``"process"`` (shared-memory worker processes — the sparse kernels
-        escape the GIL; see :mod:`repro.exec.procpool`).  Applies to plain
-        executions; merged batches and incremental views always use
-        threads.
     pool_size:
         Thread-pool size for concurrent query execution (defaults to the
         CPU count).
@@ -147,7 +141,6 @@ class PlanServer:
         self,
         workers: Optional[int | str] = None,
         *,
-        workers_mode: str = "thread",
         pool_size: Optional[int] = None,
         cache: Optional[PlanCache] = None,
         coalesce: bool = True,
@@ -156,11 +149,6 @@ class PlanServer:
         snapshot_store: Optional[SnapshotStore] = None,
     ) -> None:
         self.workers = validate_workers(workers)
-        if workers_mode not in ("thread", "process"):
-            raise QueryError(
-                f'workers_mode must be "thread" or "process", got {workers_mode!r}'
-            )
-        self.workers_mode = workers_mode
         self.pool_size = validate_workers(pool_size) or (os.cpu_count() or 1)
         self.cache = cache if cache is not None else PlanCache(cost_model=CostModel())
         self.coalesce = coalesce
@@ -308,7 +296,7 @@ class PlanServer:
                     else None
                 )
                 view = IncrementalView(
-                    request.query, ordering=ordering, workers=self.workers or 1
+                    request.query, ordering=ordering, workers=self.workers
                 )
                 view.result()  # baseline answer + step snapshot
             except QueryError as exc:
@@ -369,7 +357,7 @@ class PlanServer:
         restored = 0
         for key, state in sections.get("views") or []:
             try:
-                view = IncrementalView.restore(state, workers=self.workers or 1)
+                view = IncrementalView.restore(state, workers=self.workers)
             except Exception:  # noqa: BLE001 - a stale entry, not a failure
                 continue
             self._incremental.put(key, view)
@@ -505,7 +493,7 @@ class PlanServer:
         # --- the merged multi-sink run ---------------------------------- #
         if specs:
             info = RunInfo()
-            executor = DagExecutor(workers=self.workers or 1)
+            executor = DagExecutor(workers=self.workers)
             try:
                 outcomes = executor.run_many(
                     specs, step_cache=self._step_results, info=info
@@ -595,7 +583,6 @@ class PlanServer:
             executed = chosen.execute(
                 output_mode=request.output_mode,
                 workers=self.workers,
-                workers_mode=self.workers_mode,
                 shared_tries=shared,
                 step_cache=self._step_results if request.coalesce else None,
             )
@@ -832,7 +819,6 @@ def execute_batch(
     requests: Sequence[ServeRequest],
     *,
     workers: Optional[int | str] = None,
-    workers_mode: str = "thread",
     pool_size: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     coalesce: bool = True,
@@ -847,7 +833,6 @@ def execute_batch(
     """
     with PlanServer(
         workers=workers,
-        workers_mode=workers_mode,
         pool_size=pool_size,
         cache=cache,
         merge=merge,

@@ -1,4 +1,4 @@
-"""LRU caches, disk persistence, and size-bucket drift invalidation."""
+"""LRU caches, disk and shared-memory persistence, and size-bucket drift invalidation."""
 
 import pickle
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.caching import LruCache
 from repro.core.query import FAQQuery, Variable
+from repro.exec import SharedCacheStore
 from repro.factors.factor import Factor
 from repro.hypergraph.covers import (
     clear_rho_star_cache,
@@ -29,6 +30,9 @@ from repro.planner.signature import (
 )
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import COUNTING
+
+from test_exec_parallel import _multi_block
+from test_planner_differential import _random_query
 
 
 # ---------------------------------------------------------------------- #
@@ -231,3 +235,67 @@ def test_cached_plan_buckets_backfilled_on_store():
     ))
     entry = cache.lookup(key)
     assert entry.buckets == signature_shape(signature)[1]
+
+
+# ---------------------------------------------------------------------- #
+# the fleet's shared-memory store
+# ---------------------------------------------------------------------- #
+def test_shared_cache_store_roundtrip_and_rejection():
+    from multiprocessing import shared_memory
+
+    sections = {"rho_star": {"kind": "k", "version": 1, "entries": [(1, 2.0)]}}
+    store = SharedCacheStore.publish(sections)
+    try:
+        assert SharedCacheStore.adopt(store.name) == sections
+    finally:
+        store.close()
+    # Best-effort contract: anything invalid adopts nothing.
+    assert SharedCacheStore.adopt(None) == {}
+    assert SharedCacheStore.adopt("") == {}
+    assert SharedCacheStore.adopt("psm_does_not_exist_xyz") == {}
+    raw = pickle.dumps([1, 2, 3])
+    foreign = shared_memory.SharedMemory(create=True, size=len(raw))
+    try:
+        # A foreign segment is not a cache store (no envelope) — rejected.
+        foreign.buf[:len(raw)] = raw
+        assert SharedCacheStore.adopt(foreign.name) == {}
+    finally:
+        foreign.close()
+        foreign.unlink()
+
+
+def test_cache_section_dump_and_adopt():
+    from repro.hypergraph.covers import (
+        adopt_rho_star_section,
+        dump_rho_star_section,
+    )
+
+    query = _random_query("max-product", 9)
+    cache = PlanCache()
+    plan(query, cache=cache)  # warms both the plan cache and the rho* memo
+    plans = cache.dump_section()
+    assert plans["entries"], "planning should have cached a plan"
+    other = PlanCache()
+    assert other.adopt_section(plans) == len(plans["entries"])
+    assert other.adopt_section({"kind": "wrong", "version": 0, "entries": []}) == 0
+    rho = dump_rho_star_section()
+    assert adopt_rho_star_section(rho) == len(rho["entries"])
+    assert adopt_rho_star_section(None) == 0
+
+
+def test_cold_replica_adopts_fleet_warm_caches():
+    """The satellite-6 contract: a cold replica starts fleet-warm."""
+    from repro.engine import Engine
+
+    query = _multi_block("max-product", 6)
+    engine = Engine()
+    warm = engine.query(query)  # warms the engine plan cache + rho* memo
+    with engine.serve(replicas=1, health_interval=None) as tier:
+        results = tier.serve_batch([query])
+        assert results[0].factor.table == warm.factor.table
+        stats = tier._set.replicas[0].ping()
+        assert stats is not None
+        assert stats["shared_cache_adopted"] > 0, (
+            "cold replica failed to adopt the published fleet caches"
+        )
+    engine.close()

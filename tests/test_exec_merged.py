@@ -40,7 +40,7 @@ from repro.planner import (
 from repro.planner.cache import REPLAN_ERROR_THRESHOLD
 from repro.serve import PlanServer, ServeRequest
 
-from test_exec_process import _brute_force_by_block, _multi_block
+from test_exec_parallel import _brute_force_by_block, _multi_block
 from test_planner_differential import SEMIRINGS
 
 MERGED_SEMIRINGS = ("counting", "max-product", "boolean")
@@ -273,11 +273,7 @@ def test_variable_elimination_plan_honours_workers_and_step_cache():
     serial = chosen.execute(workers=1)
     assert query.semiring.values_equal(serial.scalar, _brute_force_by_block(query))
     assert {step.backend for step in serial.stats.steps} == {"dense"}
-    for label, kwargs in (
-        ("threads", {"workers": 2}),
-        ("processes", {"workers": 2, "workers_mode": "process"}),
-    ):
-        _assert_identical(serial.raw, chosen.execute(**kwargs).raw, f"VE plan/{label}")
+    _assert_identical(serial.raw, chosen.execute(workers=2).raw, "VE plan/threads")
 
     cache = StepResultCache()
     cold = chosen.execute(step_cache=cache)

@@ -19,6 +19,8 @@ same randomized query family the planner differential harness uses.
 """
 
 import itertools
+import os
+import random
 
 import pytest
 
@@ -26,16 +28,18 @@ from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
 from repro.core.variable_elimination import variable_elimination
 from repro.exec import (
+    AUTO_WORKERS_CAP,
     KIND_OUTPUT,
     KIND_SEMIRING,
     DagExecutor,
     RunSpec,
     lower_insideout,
+    validate_workers,
 )
 from repro.factors.factor import Factor
 from repro.planner import plan
 from repro.semiring.aggregates import SemiringAggregate
-from repro.semiring.standard import COUNTING
+from repro.semiring.standard import BOOLEAN, COUNTING, MAX_PRODUCT, MIN_PLUS
 
 from test_planner_differential import SEMIRINGS, _random_query
 
@@ -156,6 +160,55 @@ def _multi_block_query(blocks=3, chain=3, domain=3):
     return FAQQuery(variables, [], aggregates, factors, COUNTING, name="blocks")
 
 
+ELIGIBLE = {
+    "max-product": (MAX_PRODUCT, lambda rng: round(rng.uniform(0.1, 2.0), 3),
+                    SemiringAggregate.max),
+    "min-plus": (MIN_PLUS, lambda rng: round(rng.uniform(-1.0, 3.0), 3),
+                 SemiringAggregate.min),
+    "boolean": (BOOLEAN, lambda rng: True, SemiringAggregate.logical_or),
+}
+
+
+def _multi_block(name, seed, blocks=3, chain=3, domain=6, density=0.5):
+    """Disjoint sparse chain blocks: real step-DAG parallelism."""
+    semiring, value_of, aggregate_factory = ELIGIBLE[name]
+    rng = random.Random(104_729 * seed + sum(ord(c) for c in name))
+    variables, factors, aggregates = [], [], {}
+    for block in range(blocks):
+        names = [f"b{block}v{i}" for i in range(chain)]
+        for v in names:
+            variables.append(Variable(v, tuple(range(domain))))
+            aggregates[v] = aggregate_factory()
+        for left, right in zip(names, names[1:]):
+            table = {
+                values: value_of(rng)
+                for values in itertools.product(range(domain), range(domain))
+                if rng.random() < density
+            }
+            factors.append(Factor((left, right), table, name=f"{left}{right}"))
+    return FAQQuery(
+        variables=variables, free=[], aggregates=aggregates,
+        factors=factors, semiring=semiring,
+    )
+
+
+def _brute_force_by_block(query):
+    """The oracle for a disjoint-block scalar query: the ⊗ of each block's
+    brute-force value (the joint assignment box is out of brute force's reach)."""
+    semiring = query.semiring
+    value = semiring.one
+    for block in sorted({v.split("v")[0] for v in query.order}):
+        names = [v for v in query.order if v.split("v")[0] == block]
+        part = FAQQuery(
+            variables=[query.variables[v] for v in names], free=[],
+            aggregates={v: query.aggregates[v] for v in names},
+            factors=[f for f in query.factors if set(f.scope) <= set(names)],
+            semiring=semiring,
+        ).evaluate_brute_force()
+        value = semiring.mul(value, part.table.get((), semiring.zero))
+    return value
+
+
 def test_disjoint_blocks_expose_parallelism():
     """Steps over disjoint factor groups get no DAG edge (the tentpole claim)."""
     query = _multi_block_query(blocks=4)
@@ -239,6 +292,26 @@ def test_workers_validation():
         inside_out(query, workers=True)
     with pytest.raises(QueryError):
         DagExecutor(workers=0)
+
+
+def test_workers_auto_resolution():
+    resolved = validate_workers("auto")
+    assert isinstance(resolved, int)
+    assert 1 <= resolved <= AUTO_WORKERS_CAP
+    assert resolved <= max(os.cpu_count() or 1, 1)
+    query = _random_query("counting", 3)
+    serial = inside_out(query)
+    auto = inside_out(query, workers="auto")
+    assert auto.factor.table == serial.factor.table
+    executor = DagExecutor(workers="auto")
+    assert executor.workers == resolved
+
+
+def test_workers_validation_still_rejects_junk():
+    query = _random_query("counting", 0)
+    for bad in (0, -2, True, "automatic", 1.5):
+        with pytest.raises(QueryError):
+            inside_out(query, workers=bad)
 
 
 def test_solver_entry_points_accept_workers():

@@ -2,11 +2,10 @@
 
 This file is the single home for failure-path testing.  Before PR 10 the
 failure modes were each covered by a bespoke monkeypatch scattered across
-the suite (``_TEST_CRASH_NODES`` in the process-pool tests, a wedged
-step-cache claimant in the incremental tests, a hand-set shed EWMA in the
-frontend tests); those scenarios are promoted here onto the named fault
-sites of :mod:`repro.faults` so one seeded :class:`FaultPlan` can replay
-any of them exactly.
+the suite (a wedged step-cache claimant in the incremental tests, a hand-set
+shed EWMA in the frontend tests); those scenarios are promoted here onto the
+named fault sites of :mod:`repro.faults` so one seeded :class:`FaultPlan`
+can replay any of them exactly.
 
 Layers, bottom up:
 
@@ -16,9 +15,8 @@ Layers, bottom up:
 * :class:`SnapshotStore` durability (atomic, checksummed, version-tagged,
   best-effort under injected I/O faults);
 * in-process hardening — ``step.kernel`` faults abandon step-cache claims
-  and surface as typed :class:`PlanFailure`; ``worker.kill`` degrades the
-  process pool bit-identically; ``shm.attach`` faults make cache adoption
-  a no-op instead of a crash;
+  and surface as typed :class:`PlanFailure`; ``shm.attach`` faults make
+  cache adoption a no-op instead of a crash;
 * the wire — RPC deadlines (``drop`` → :class:`ReplicaTimeout`), protocol
   desync (``corrupt`` → :class:`ReplicaCrashed`), kills, busy-vs-wedged
   pings, idempotent close;
@@ -33,7 +31,6 @@ The short chaos profile runs in tier-1 (``chaos`` marker); the long soak
 is additionally marked ``slow``.
 """
 
-import os
 import sys
 import threading
 import time
@@ -47,7 +44,6 @@ from repro.exec import (
     RunInfo,
     RunSpec,
     SharedCacheStore,
-    ShmBlobStore,
     StepResultCache,
 )
 from repro.factors import Factor, FactorDelta
@@ -63,7 +59,6 @@ from repro.faults import (
     SITE_STEP_KERNEL,
     SITE_WIRE_RECV,
     SITE_WIRE_SEND,
-    SITE_WORKER_KILL,
     SITES,
     FaultPlan,
     InjectedFault,
@@ -90,7 +85,7 @@ from repro.serve import (
 )
 from repro.serve import replica as replica_module
 
-from test_exec_process import _multi_block
+from test_exec_parallel import _multi_block
 
 
 # ---------------------------------------------------------------------- #
@@ -349,83 +344,42 @@ class TestInProcessFaults:
         assert cache.computed == 2, "the fault must land on the third step"
         assert not cache._inflight
 
-    @pytest.mark.parametrize(
-        "workers, mode", [(1, "thread"), (4, "thread"), (3, "process")]
-    )
-    def test_step_kernel_draws_equal_executed_nodes(self, workers, mode):
-        """Inline, thread-pool and process-pool execution all draw exactly
-        once per executed node; a replayed node draws nothing."""
+    @pytest.mark.parametrize("workers", [1, 4], ids=["1-thread", "4-thread"])
+    def test_step_kernel_draws_equal_executed_nodes(self, workers):
+        """Inline and thread-pool execution both draw exactly once per
+        executed node; a replayed node draws nothing."""
         query = _multi_block("max-product", 1)
         spec = RunSpec(query, backend="sparse")
         cache = StepResultCache()
-        executor = DagExecutor(workers=workers, workers_mode=mode)
+        executor = DagExecutor(workers=workers)
         with injected_faults(FaultPlan()) as plan:
             cold = RunInfo()
             executor.run_many([spec], step_cache=cache, info=cold)
             assert cold.executed_nodes == cold.total_nodes
             assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
-            if mode == "process":
-                assert executor.last_process_info["remote_steps"] > 0
             warm = RunInfo()
             executor.run_many([spec], step_cache=cache, info=warm)
             assert warm.executed_nodes == 0
             assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
 
-    def test_step_kernel_draws_equal_executed_nodes_under_worker_kill(self):
-        """A step redone in-process after its worker died is still one
-        executed step: the retry must not draw the fault site again."""
-        query = _multi_block("max-product", 1)
-        executor = DagExecutor(workers=3, workers_mode="process")
-        info = RunInfo()
-        with injected_faults(
-            FaultPlan(schedule={SITE_WORKER_KILL: {1: ACTION_KILL}})
-        ) as plan:
-            executor.run_many([RunSpec(query, backend="sparse")], info=info)
-        assert executor.last_process_info["retried_steps"] >= 1
-        assert info.executed_nodes == info.total_nodes
-        assert plan.calls[SITE_STEP_KERNEL] == info.executed_nodes
-
     def test_pool_shared_state_survives_thread_contention(self):
-        """The scheduler's threads share the pool's counters, idle queue and
-        blob store.  More threads than cores, switching every 10 µs: a lost
-        update breaks the step accounting or publishes one key twice."""
+        """The scheduler's threads share the ready queue and the per-run
+        trie cache.  More threads than cores, switching every 10 µs: a lost
+        update breaks the step accounting or the answer."""
         query = _multi_block("max-product", 3, blocks=6)
         serial = inside_out(query, backend="sparse")
-        store = ShmBlobStore()
-        names = []
-        barrier = threading.Barrier(8)
-
-        def publish():
-            row = []
-            for key in range(8):
-                barrier.wait(timeout=30)  # all eight put the same key at once
-                row.append(store.put(key, ("v", key)))
-            names.append(row)
-
-        threads = [threading.Thread(target=publish) for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            assert len(store) == 8
-            assert len(names) == 8 and all(row == names[0] for row in names)
             for _ in range(3):
-                executor = DagExecutor(workers=6, workers_mode="process")
                 info = RunInfo()
-                [result] = executor.run_many(
+                [result] = DagExecutor(workers=6).run_many(
                     [RunSpec(query, backend="sparse")], info=info
                 )
-                pool = executor.last_process_info
                 assert result.factor.table == serial.factor.table
-                assert pool["remote_steps"] + pool["local_steps"] == info.executed_nodes
-                assert pool["remote_steps"] > 0 and not pool["degraded"]
+                assert info.executed_nodes == info.total_nodes
         finally:
             sys.setswitchinterval(interval)
-            store.close()
 
     def test_server_converts_kernel_fault_to_typed_plan_failure(self):
         server = PlanServer()
@@ -461,21 +415,6 @@ class TestInProcessFaults:
             assert (stats["step_cache_computed"], stats["step_cache_replayed"]) == (5, 2)
             # draws == executed nodes: five computed plus the one that faulted.
             assert plan.calls[SITE_STEP_KERNEL] == 5 + 1
-
-    def test_worker_kill_degrades_pool_bit_identically(self):
-        """The promoted ``_TEST_CRASH_NODES`` scenario, driven by a plan."""
-        query = _multi_block("max-product", 1)
-        serial = inside_out(query, backend="sparse")
-        with injected_faults(
-            FaultPlan(schedule={SITE_WORKER_KILL: {1: ACTION_KILL}})
-        ) as plan:
-            executor = DagExecutor(workers=3, workers_mode="process")
-            parallel = executor.run(query, backend="sparse")
-            assert plan.injected.get(SITE_WORKER_KILL) == 1
-        assert parallel.factor.table == serial.factor.table
-        info = executor.last_process_info
-        assert info["degraded"], "worker death must degrade, not hang"
-        assert info["retried_steps"] >= 1
 
     def test_shm_attach_fault_makes_adoption_a_noop(self):
         store = SharedCacheStore.publish({"queries": {"k": "v"}})
@@ -887,7 +826,7 @@ def test_chaos_short_profile():
 @pytest.mark.slow
 def test_chaos_soak_covers_every_fault_site(tmp_path):
     """The long soak: >=200 requests under seeded random fault schedules
-    covering all seven sites, in two phases (fleet wire faults, then
+    covering all six sites, in two phases (fleet wire faults, then
     in-process execution/snapshot faults).  The invariant throughout:
     every request terminates with a bit-correct answer or a typed
     ServeError — never a hang, never a wrong answer."""
@@ -931,18 +870,7 @@ def test_chaos_soak_covers_every_fault_site(tmp_path):
     assert served + failed == 150
     assert served >= 100
 
-    # -- phase 2a: process-pool worker death ---------------------------- #
-    pool_query = _multi_block("max-product", 2)
-    pool_serial = inside_out(pool_query, backend="sparse")
-    plan_pool = FaultPlan(schedule={SITE_WORKER_KILL: {1: ACTION_KILL}})
-    with injected_faults(plan_pool):
-        executor = DagExecutor(workers=3, workers_mode="process")
-        pool_result = executor.run(pool_query, backend="sparse")
-    assert pool_result.factor.table == pool_serial.factor.table
-    covered.update(plan_pool.injected)
-    total_requests += 1
-
-    # -- phase 2b: shared-memory attach failure ------------------------- #
+    # -- phase 2a: shared-memory attach failure ------------------------- #
     plan_shm = FaultPlan(schedule={SITE_SHM_ATTACH: {1: ACTION_ERROR}})
     shm_store = SharedCacheStore.publish({"queries": {}})
     try:
@@ -952,7 +880,7 @@ def test_chaos_soak_covers_every_fault_site(tmp_path):
         shm_store.close()
     covered.update(plan_shm.injected)
 
-    # -- phase 2c: serving under kernel + snapshot I/O chaos ------------ #
+    # -- phase 2b: serving under kernel + snapshot I/O chaos ------------ #
     plan_serve = FaultPlan(
         seed=7919,
         rates={SITE_STEP_KERNEL: 0.12, SITE_SNAPSHOT_IO: 0.3},

@@ -19,6 +19,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import repro
 import repro.serve
 
@@ -87,21 +89,18 @@ SERVE_EXPORTS = {
 # Every option (parameter or config field) of the serving entry points.
 OPTIONS = {
     "PlanServer": (
-        "workers", "workers_mode", "pool_size", "cache", "coalesce", "merge",
-        "cache_results", "snapshot_store",
+        "workers", "pool_size", "cache", "coalesce", "merge", "cache_results",
+        "snapshot_store",
     ),
     "Frontend": (
-        "replicas", "workers", "workers_mode", "start_method", "max_pending",
-        "tenant_limit", "health_interval", "coalesce", "share_caches",
-        "plan_cache", "retry", "snapshot_dir", "fault_plan",
+        "replicas", "workers", "start_method", "max_pending", "tenant_limit",
+        "health_interval", "coalesce", "share_caches", "plan_cache", "retry",
+        "snapshot_dir", "fault_plan",
     ),
-    "execute_batch": (
-        "workers", "workers_mode", "pool_size", "cache", "coalesce", "merge",
-    ),
+    "execute_batch": ("workers", "pool_size", "cache", "coalesce", "merge"),
     "EngineConfig": (
-        "workers", "workers_mode", "pool_size", "replicas", "coalesce",
-        "plan_cache_size", "start_method", "max_pending", "tenant_limit",
-        "health_interval",
+        "workers", "pool_size", "replicas", "coalesce", "plan_cache_size",
+        "start_method", "max_pending", "tenant_limit", "health_interval",
     ),
 }
 
@@ -122,7 +121,7 @@ def test_options_census_matches_snapshot():
 
 # Upper bound on ``^class .*(Cache|Store|Snapshot)`` under src/repro/
 # (ROADMAP 2(d)).  Lowering it is the only allowed edit.
-CACHE_CLASS_CEILING = 10
+CACHE_CLASS_CEILING = 9
 
 # The lookups of the two trie holders; each is written once between them.
 HOLDER_LOOKUPS = ("trie", "projection", "projection_factor", "flat", "projection_flat")
@@ -154,20 +153,40 @@ def test_trie_holders_define_each_lookup_once():
 
 
 def test_one_scheduler_one_claim_protocol():
-    """The process pool is an execution site, not a second driver: the
-    step-source claim protocol has one caller, and the pool keeps neither a
-    ready-queue nor a handle on the step source."""
+    """One execution site: the step-source claim protocol has one caller, a
+    step's fault site is drawn in one function, and only the replica fleet
+    (its processes and its shared-memory store) touches multiprocessing."""
     callers = {
         line.split(":")[0]
         for line in _source_lines(r"lookup_or_claim\(")
         if "def " not in line
     }
     assert callers == {"exec/executor.py"}, callers
-    pool = [
-        line for line in _source_lines(r"indegree|step_cache")
-        if line.startswith("exec/procpool.py")
-    ]
-    assert not pool, pool
+    draws = _source_lines(r"\(SITE_STEP_KERNEL")
+    assert len(draws) == 1 and draws[0].startswith("exec/executor.py"), draws
+    importers = {
+        line.split(":")[0]
+        for line in _source_lines(r"^\s*(import|from) multiprocessing")
+    }
+    assert importers == {"exec/shm.py", "serve/replica.py"}, importers
+
+
+def test_workers_mode_is_gone_not_shimmed():
+    """Process mode was removed in PR 24 without a deprecation path: the
+    option is Python's own ``TypeError`` at every entry point."""
+    from repro.exec import DagExecutor
+    from repro.semiring.standard import COUNTING
+
+    query = repro.FAQQuery(
+        [repro.Variable("a", (0, 1))], [], {"a": repro.SemiringAggregate.sum()},
+        [repro.Factor("a", {(0,): 1, (1,): 1})], COUNTING,
+    )
+    with pytest.raises(TypeError):
+        repro.inside_out(query, workers=2, workers_mode="process")
+    with pytest.raises(TypeError):
+        DagExecutor(workers_mode="process")
+    with pytest.raises(TypeError):
+        repro.EngineConfig(workers_mode="process")
 
 
 def test_one_elimination_loop():

@@ -314,6 +314,11 @@ def test_server_workers_validation_matches_engines():
             PlanServer(pool_size=bad)
 
 
+def test_plan_server_accepts_auto_and_validates_mode():
+    with PlanServer(workers="auto") as server:
+        assert isinstance(server.workers, int) and server.workers >= 1
+
+
 def test_trie_counters_survive_lru_eviction(monkeypatch):
     """stats() trie counters are cumulative — eviction must not shrink them."""
     from repro.serve import server as server_module
