@@ -42,13 +42,13 @@ _MAGIC = b"REPROSL1"
 _HEADER = struct.Struct("<8sQ32s")  # magic | pickle length | SHA-256
 
 
-def seal(payload: Any, *, kind: str, version: int) -> bytes:
+def seal(payload: Any, *, kind: str, version: Hashable) -> bytes:
     """``payload`` in the checksummed, ``kind``/``version``-tagged envelope."""
     data = pickle.dumps((kind, version, payload), protocol=pickle.HIGHEST_PROTOCOL)
     return _HEADER.pack(_MAGIC, len(data), hashlib.sha256(data).digest()) + data
 
 
-def unseal(raw, *, kind: str, version: int) -> Any:
+def unseal(raw, *, kind: str, version: Hashable) -> Any:
     """The payload :func:`seal` wrapped, or ``None`` on any mismatch.
 
     ``raw`` is the sealed bytes or a longer buffer starting with them (a

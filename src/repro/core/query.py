@@ -44,6 +44,26 @@ class Variable:
         """``|Dom(X)|``."""
         return len(self.domain)
 
+    def content_bytes(self) -> bytes:
+        """``canonical_bytes((name, domain))``, encoded once per variable.
+
+        Step digests splice these bytes in for every variable a step
+        induces (:func:`repro.exec.dag.annotate_digests`).  The memo is not
+        a field: equality, hashing and pickling see only the name and the
+        domain.  Raises ``TypeError`` for a domain without a canonical
+        encoding.
+        """
+        encoded = self.__dict__.get("_content_bytes")
+        if encoded is None:
+            from repro.planner.signature import canonical_bytes
+
+            encoded = canonical_bytes((self.name, tuple(self.domain)))
+            object.__setattr__(self, "_content_bytes", encoded)
+        return encoded
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"name": self.name, "domain": self.domain}
+
 
 class FAQQuery:
     """A Functional Aggregate Query.

@@ -283,30 +283,22 @@ def annotate_digests(
         _digest, canonical_bytes, canonical_sequence, factor_digest,
     )
 
-    domain_parts: Dict[str, bytes] = {}
-
-    def domain_part(variable: str) -> bytes:
-        """``canonical_bytes((variable, its domain))``, encoded once per call:
-        a variable is in the induced set of several nodes."""
-        part = domain_parts.get(variable)
-        if part is None:
-            part = domain_parts[variable] = canonical_bytes(
-                (variable, tuple(query.domain(variable)))
-            )
-        return part
+    variables = query.variables
 
     def encode(head: tuple, domains=None, tail: tuple = ()) -> Optional[bytes]:
         """``canonical_bytes`` of the tuple ``head + (domain spec,) + tail``.
 
-        The domain spec is ``((v, Dom(v)) for v in sorted(domains))``; a
-        payload without one passes ``head`` alone.
+        The domain spec is ``((v, Dom(v)) for v in sorted(domains))``,
+        spliced from each variable's memoised encoding
+        (:meth:`~repro.core.query.Variable.content_bytes`); a payload
+        without one passes ``head`` alone.
         """
         try:
             parts = [canonical_bytes(v) for v in head]
             if domains is not None:
-                parts.append(
-                    canonical_sequence(domain_part(v) for v in sorted(domains))
-                )
+                parts.append(canonical_sequence(
+                    variables[v].content_bytes() for v in sorted(domains)
+                ))
             parts.extend(canonical_bytes(v) for v in tail)
         except TypeError:
             return None

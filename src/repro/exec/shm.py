@@ -31,10 +31,11 @@ from typing import Any, Dict, Optional
 
 from repro.caching import seal, unseal
 from repro.faults import SITE_SHM_ATTACH, maybe_raise
+from repro.planner.signature import sealed_version
 
 # Envelope tag of the store.
 SHARED_CACHE_KIND = "repro-shared-caches"
-SHARED_CACHE_VERSION = 1
+SHARED_CACHE_VERSION = sealed_version(1)
 
 
 def _private_tracker() -> bool:

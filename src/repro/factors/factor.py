@@ -63,9 +63,9 @@ class _FrozenTable(dict):
     setdefault = _frozen_table_write
 
     def __reduce__(self):
-        # Pickle as a plain dict: a factor crossing a process boundary is a
-        # fresh object whose digest memo is recomputed (and re-frozen) on
-        # first use in the receiving process.
+        # Pickle as a plain dict: a factor crossing a process boundary keeps
+        # its digest memo, and the first factor_digest call in the receiving
+        # process freezes it again.
         return (dict, (dict(self),))
 
 
@@ -85,7 +85,7 @@ class Factor:
         Optional human-readable name (defaults to ``psi_{scope}``).
     """
 
-    __slots__ = ("scope", "table", "name", "_variables", "_digest")
+    __slots__ = ("scope", "table", "name", "_variables", "_digest", "_buckets")
 
     def __init__(
         self,
@@ -112,6 +112,17 @@ class Factor:
         self.name = name if name is not None else "psi_{" + ",".join(map(str, self.scope)) + "}"
         self._variables: frozenset | None = None
         self._digest: str | None = None  # content-digest memo; factors are immutable
+        # bucket state of the digest (repro.planner.signature.BucketTable),
+        # or what apply_delta handed over to derive it (BucketDelta)
+        self._buckets = None
+
+    def __getstate__(self):
+        # The bucket key sets index this process's rows: at most the bucket
+        # digests cross a process boundary.
+        state = {slot: getattr(self, slot, None) for slot in self.__slots__}
+        if self._buckets is not None:
+            state["_buckets"] = self._buckets.portable()
+        return None, state
 
     # ------------------------------------------------------------------ #
     # basic protocol
@@ -177,6 +188,15 @@ class Factor:
         object with no digest memo, so every content-addressed layer sees
         the update as new content.
 
+        Its digest is *derived*: when ``self`` is digested, frozen and
+        bucketed (see :func:`~repro.planner.signature.factor_digest`) and
+        the result keeps its bucket count, the result carries ``self``'s
+        bucket table and the changed keys — no reference to ``self`` — and
+        naming it re-hashes only the buckets those keys fall in.  Such a
+        result comes back frozen, since the derivation certifies exactly
+        the table built here.  The first child of a lineage builds the
+        parent's per-bucket key sets, one pass over its keys.
+
         A result cell is either one of ``self``'s or a non-zero change, so
         when ``self`` is known to list no zero of ``semiring``
         (:meth:`is_pruned`) the result lists none either.  It then comes
@@ -184,12 +204,19 @@ class Factor:
         holds it by reference instead of sweeping and copying it.
         """
         table: Dict[ValueTuple, Any] = dict(self.table)
-        for cell, value in delta.aligned_changes(self.scope).items():
+        changes = delta.aligned_changes(self.scope)
+        for cell, value in changes.items():
             if semiring.is_zero(value):
                 table.pop(cell, None)
             else:
                 table[cell] = value
-        updated = Factor(self.scope, table, name=name or self.name)
+        # this table's keys and the delta's are validated already
+        updated = Factor(self.scope, (), name=name or self.name)
+        updated.table = table
+        if self._buckets is not None and self._digest is not None and self.frozen:
+            updated._buckets = self._buckets.child(self.table, changes, len(table))
+            if updated._buckets is not None:
+                updated.freeze()
         if getattr(self.table, "zero_free", None) is semiring:
             updated.freeze().table.zero_free = semiring
         return updated

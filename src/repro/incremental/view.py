@@ -33,16 +33,23 @@ what keeps every digest-keyed cache in the engine honest.
 **What an update pays for.**  The content that changed, and the steps
 downstream of it.  The standing query holds its (frozen) factors by
 reference, so the n−1 factors an update does not touch are neither copied
-nor swept for zeros nor digested again; the new factor is zero-free by
-construction (``Factor.apply_delta``), is named once — one full content
-digest — and is held by reference from then on.  The view keeps one
+nor swept for zeros nor digested again.  The new factor is zero-free by
+construction (``Factor.apply_delta``) and is named once, by a *derived*
+digest: it carries its parent's bucket table and the changed keys, so
+naming it re-hashes the ≈ √|factor| rows of each bucket a changed cell
+falls in — O(|delta|·√|factor|), not a hash of the whole table (see
+:func:`~repro.planner.signature.factor_digest`; the first update of a
+lineage also sorts the parent's keys into their buckets, once).  It is
+held by reference from then on.  The view keeps one
 :class:`~repro.factors.index.SharedTrieCache` for its pinned ordering and
 hands it to every run, so tries, indicator projections and flat encodings
 of the untouched factors stay warm; it covers exactly the standing
 query's factor contents (the replaced content's entry is dropped with the
 update, a delta factor is never in it).  What is still O(|factor|) per
-update is that one digest and the new factor's own index; what is still
-O(|query|) is re-lowering and re-annotating the step DAG.
+update is copying the table and the new factor's own index; what is
+still O(|query|) is re-lowering and re-annotating the step DAG — the
+latter splices each variable's memoised domain encoding, so it is
+O(nodes) once every factor is named.
 """
 
 from __future__ import annotations
@@ -202,27 +209,20 @@ class IncrementalView:
         without any execution, and its first :meth:`update_factor` runs
         against the saved step snapshot — only the dirty subgraph of that
         update executes, exactly as if the process had never restarted.
-        Its index store starts empty and refills as updates run.
-
-        Pickling thaws a factor's table but keeps its digest memo; a
-        factor that carries one is frozen again here, so the restored
-        query's factors are held by reference like a live view's and
-        their digests are not computed a second time.
+        Its index store starts empty and refills as updates run; naming
+        the restored factors is a memo hit that freezes them again, so
+        they are held by reference like a live view's.
         """
         view = cls.__new__(cls)
         view.query = state["query"]
-        for factor in view.query.factors:
-            if getattr(factor, "_digest", None) is not None:
-                factor.freeze()
         view._order = tuple(state["order"])
         view._uip = state["uip"]
         view._backend = state["backend"]
         view._add_tag = state["add_tag"]
         view._executor = DagExecutor(workers=workers)
         view._snapshot = state["snapshot"] or RunSnapshot()
-        view._tries = SharedTrieCache(
-            view._order, view.query.semiring, view.query.factors
-        )
+        view._tries = SharedTrieCache(view._order, view.query.semiring, ())
+        view._cover()
         view._output = state["output"]
         view.stats = IncrementalStats()
         return view

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+import zlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.query import FAQQuery
@@ -205,13 +206,27 @@ def bucket_drift(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
 # process (PYTHONHASHSEED), so the digests below are built from an explicit
 # canonical byte encoding instead.
 
-CONTENT_KEY_VERSION = 1
+CONTENT_KEY_VERSION = 2
 """Format version folded into every content digest.
 
-Bump together with :data:`SIGNATURE_VERSION` whenever the canonical byte
-encoding (or what it covers) changes, so digests computed by an old process
-can never alias digests of a new one across a rolling restart.
+Bump whenever the canonical byte encoding (or what it covers) changes, so
+digests computed by an old process can never alias digests of a new one
+across a rolling restart; every store that spills digest-keyed state seals
+with :func:`sealed_version`, so the bump also invalidates their spills.
+Version 2: a sparse factor's rows are digested in hash buckets
+(:func:`factor_digest`).
 """
+
+
+def sealed_version(store_version: int) -> Tuple[int, int]:
+    """The seal tag of a store that spills digest-keyed state.
+
+    Pairs the store's own layout version with :data:`CONTENT_KEY_VERSION`:
+    a spill names factors and steps by content digest, and a factor in it
+    carries its digest memo, so a spill written under another content-key
+    version must be adopted by nothing.
+    """
+    return (store_version, CONTENT_KEY_VERSION)
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -225,8 +240,10 @@ def canonical_bytes(value: Any) -> bytes:
     encode equally in every process.  Unsupported types raise ``TypeError``
     — callers (the serving tier) degrade gracefully.
     """
-    if value is None:
-        return b"N"
+    # Ordered by how often each shape occurs: this runs once per key (a
+    # tuple) and value of every digested row.
+    if isinstance(value, (tuple, list)):
+        return b"(" + b",".join([canonical_bytes(v) for v in value]) + b")"
     if isinstance(value, bool):  # before int: bool subclasses int
         return b"T" if value else b"F"
     if isinstance(value, int):
@@ -235,20 +252,19 @@ def canonical_bytes(value: Any) -> bytes:
     if isinstance(value, float):
         raw = repr(value).encode("ascii")  # repr is shortest-roundtrip, stable
         return b"f%d:%s" % (len(raw), raw)
-    if isinstance(value, complex):
-        raw = repr(value).encode("ascii")
-        return b"c%d:%s" % (len(raw), raw)
     if isinstance(value, str):
         raw = value.encode("utf-8")
         return b"s%d:%s" % (len(raw), raw)
+    if value is None:
+        return b"N"
+    if isinstance(value, complex):
+        raw = repr(value).encode("ascii")
+        return b"c%d:%s" % (len(raw), raw)
     if isinstance(value, (bytes, bytearray)):
         return b"b%d:%s" % (len(value), bytes(value))
     if isinstance(value, (frozenset, set)):
         parts = sorted(canonical_bytes(v) for v in value)
         return b"S(" + b",".join(parts) + b")"
-    if isinstance(value, (tuple, list)):
-        # canonical_sequence, inline: this line runs once per factor row.
-        return b"(" + b",".join(canonical_bytes(v) for v in value) + b")"
     raise TypeError(f"no canonical byte encoding for {type(value).__name__!r}")
 
 
@@ -281,22 +297,44 @@ def signature_digest(signature: tuple) -> str:
 def factor_digest(factor: Any) -> str:
     """A stable content digest of one factor (scope, name excluded).
 
-    Keyed on the scope *names* plus the sorted non-default table entries,
-    so two value-equal factors — distinct objects, different processes —
-    digest identically, and any changed cell changes the digest.  Dense
-    ndarray factors digest their domains and raw cells without a listing
-    round trip.  Memoised on the factor, so the O(input) hash is paid once
-    per factor object.
+    Keyed on the scope *names* plus the non-default table entries, so two
+    value-equal factors — distinct objects, different processes — digest
+    identically, and any changed cell changes the digest.  Dense ndarray
+    factors digest their domains and raw cells without a listing round
+    trip.  Memoised on the factor, so the hash is paid once per factor
+    object.
+
+    **Bucketed layout (sparse factors).**  The n rows fall into B buckets,
+    B a power of two within √2 of √n and fixed by n alone (one bucket below
+    :data:`BUCKET_MIN_ROWS` rows); a row's bucket is the CRC-32 of its key's
+    :func:`canonical_bytes` — never the salted builtin ``hash``.  A bucket's
+    digest is the SHA-256 of its sorted ``key=value`` encodings, and the
+    factor digest is the SHA-256 of (scope, B, the bucket digests in bucket
+    order).  It certifies what a single hash over all rows did: it is a
+    function of content alone, independent of insertion order, and two
+    tables with equal digests are equal short of a SHA-256 collision.
+
+    **Derived digests.**  A factor that :meth:`Factor.apply_delta
+    <repro.factors.factor.Factor.apply_delta>` built from a digested parent
+    with the same B carries the parent's :class:`BucketTable` and the keys
+    the delta changed, not the parent: its digest re-hashes only the
+    buckets those keys fall in — O(|delta|·√n) rows instead of n — and is
+    byte-identical to a fresh digest of the same table.  A delta that
+    writes a key equal to a stored one of another encoding (``True`` for
+    ``1``) gets no derivation, and its child is digested in full.
 
     Digesting **freezes** the factor: every digest-keyed cache (step
     results, shared tries, completed serve results) relies on the digest
     certifying the table content forever, so in-place mutation after this
-    point raises instead of silently serving stale answers.  The supported
-    update path is ``Factor.apply_delta``, which returns a new factor with
-    a new digest.
+    point raises instead of silently serving stale answers.  Pickling thaws
+    a table but keeps the memo, which still certifies it: a memo hit on a
+    thawed factor freezes it again.  The supported update path is
+    ``Factor.apply_delta``, which returns a new factor with a new digest.
     """
     cached = getattr(factor, "_digest", None)
     if cached is not None:
+        if not getattr(factor, "frozen", True):
+            factor.freeze()
         return cached
     digest = _compute_factor_digest(factor)
     try:
@@ -310,6 +348,11 @@ def factor_digest(factor: Any) -> str:
 
 
 def _compute_factor_digest(factor: Any) -> str:
+    """The digest :func:`factor_digest` memoises.
+
+    A sparse factor's :class:`BucketTable` is recorded on it on the way
+    (``None`` for a one-bucket factor, which keeps no bucket state).
+    """
     from repro.factors.dense import DenseFactor
 
     if isinstance(factor, DenseFactor):
@@ -321,13 +364,159 @@ def _compute_factor_digest(factor: Any) -> str:
             str(factor.array.dtype).encode("ascii"),
             factor.array.tobytes(),
         )
-    items = sorted(
-        (canonical_bytes(key) + b"=" + canonical_bytes(value))
-        for key, value in factor.table.items()
-    )
+    table = factor.table
+    count = bucket_count(len(table))
+    derivation = getattr(factor, "_buckets", None)
+    if isinstance(derivation, BucketDelta) and derivation.parent.count == count:
+        buckets = derivation.apply(table)
+    else:
+        buckets = BucketTable(_bucket_digests(table, count))
+    try:
+        factor._buckets = buckets if count > 1 else None
+    except AttributeError:  # foreign factor-like object without the slot
+        pass
     return _digest(
-        b"sparse", canonical_bytes(tuple(factor.scope)), b";".join(items)
+        b"sparse",
+        canonical_bytes(tuple(factor.scope)),
+        b"%d" % count,
+        buckets.digests,
     )
+
+
+# ---------------------------------------------------------------------- #
+# the bucketed sparse-factor digest
+# ---------------------------------------------------------------------- #
+BUCKET_MIN_ROWS = 256
+"""Below this many rows a sparse factor is one bucket and keeps no bucket
+state: re-hashing it whole on an update costs less than holding the state
+on every small factor would."""
+
+
+def bucket_count(rows: int) -> int:
+    """B for a factor of ``rows`` rows: the power of two within √2 of
+    √rows (1 below :data:`BUCKET_MIN_ROWS`)."""
+    if rows < BUCKET_MIN_ROWS:
+        return 1
+    return 1 << (rows.bit_length() // 2)
+
+
+def _bucket_digest(rows: Iterable[bytes]) -> bytes:
+    return hashlib.sha256(b";".join(sorted(rows))).digest()
+
+
+def _bucket_digests(table: Dict[Any, Any], count: int) -> bytes:
+    """The ``count`` bucket digests of ``table``, concatenated in bucket order."""
+    if count == 1:
+        return _bucket_digest(
+            canonical_bytes(key) + b"=" + canonical_bytes(value)
+            for key, value in table.items()
+        )
+    rows: List[List[bytes]] = [[] for _ in range(count)]
+    mask = count - 1
+    crc32 = zlib.crc32
+    for key, value in table.items():
+        raw = canonical_bytes(key)
+        rows[crc32(raw) & mask].append(raw + b"=" + canonical_bytes(value))
+    return b"".join(map(_bucket_digest, rows))
+
+
+class BucketTable:
+    """What a digested sparse factor keeps of its bucketed digest.
+
+    ``digests`` holds the B bucket digests, 32 bytes each in bucket order:
+    all a fresh digest keeps, and all that crosses a process boundary.
+    ``keys`` — one set of row keys per bucket — stays ``None`` until the
+    first :meth:`child` of a lineage builds it from the table; a derived
+    table shares the sets of the buckets it did not touch with its parent
+    (copy-on-write), so a chain of updates holds one key set per row plus
+    the touched buckets' copies still alive.
+    """
+
+    __slots__ = ("digests", "keys")
+
+    def __init__(self, digests: bytes, keys: Optional[List[set]] = None) -> None:
+        self.digests = digests
+        self.keys = keys
+
+    @property
+    def count(self) -> int:
+        return len(self.digests) // 32
+
+    def portable(self) -> "BucketTable":
+        """This table without its key sets (they index this process's rows)."""
+        return self if self.keys is None else BucketTable(self.digests)
+
+    def child(self, table: Dict[Any, Any], changed: Iterable[Any], rows: int
+              ) -> Optional["BucketDelta"]:
+        """What a child of ``table`` — the content this bucket table
+        digests — needs to derive its own digest: ``None`` unless the
+        child's ``rows`` keep B.  Builds the key sets on first use.
+
+        Also ``None`` when a changed key equals a stored key that encodes
+        differently (``True`` and ``1``, ``1.0`` and ``1``, ``-0.0`` and
+        ``0.0``) and so lives in another bucket: the child's table keeps
+        the stored key object, so that other bucket is the one to re-hash.
+        """
+        count = self.count
+        if bucket_count(rows) != count:
+            return None
+        mask = count - 1
+        keys = self.keys
+        if keys is None:
+            keys = [set() for _ in range(count)]
+            for key in table:
+                keys[zlib.crc32(canonical_bytes(key)) & mask].add(key)
+            self.keys = keys
+        located = []
+        for key in changed:
+            index = zlib.crc32(canonical_bytes(key)) & mask
+            if key in table and key not in keys[index]:
+                return None
+            located.append((key, index))
+        return BucketDelta(self, tuple(located))
+
+
+class BucketDelta:
+    """A parent's :class:`BucketTable` and the keys its child changed,
+    each paired with its bucket index.
+
+    Held by a factor from :meth:`Factor.apply_delta
+    <repro.factors.factor.Factor.apply_delta>` until it is digested; it
+    references the parent's bucket table, never the parent factor.
+    """
+
+    __slots__ = ("parent", "changed")
+
+    def __init__(self, parent: BucketTable, changed: Tuple[Tuple[Any, int], ...]) -> None:
+        self.parent = parent
+        self.changed = changed
+
+    def portable(self) -> None:
+        """Nothing: a derivation does not cross a process boundary."""
+        return None
+
+    def apply(self, table: Dict[Any, Any]) -> BucketTable:
+        """The child's bucket table: the parent's, with every bucket a
+        changed key falls in re-hashed from ``table``."""
+        parent = self.parent
+        keys = list(parent.keys)
+        digests = bytearray(parent.digests)
+        touched: Dict[int, set] = {}
+        for key, index in self.changed:
+            bucket = touched.get(index)
+            if bucket is None:
+                bucket = touched[index] = set(keys[index])
+            if key in table:
+                bucket.add(key)
+            else:
+                bucket.discard(key)
+        for index, bucket in touched.items():
+            keys[index] = bucket
+            digests[32 * index:32 * (index + 1)] = _bucket_digest(
+                canonical_bytes(key) + b"=" + canonical_bytes(table[key])
+                for key in bucket
+            )
+        return BucketTable(bytes(digests), keys)
 
 
 _CONTENT_KEY_MEMO: "weakref.WeakKeyDictionary[FAQQuery, str]" = weakref.WeakKeyDictionary()
@@ -352,18 +541,20 @@ def query_content_key(query: FAQQuery) -> str:
     if cached is not None:
         return cached
     signature, _ = query_signature(query)
-    spelling = (
-        query.semiring.name,
-        tuple(query.order),
-        tuple(query.free),
-        tuple((v, query.tag(v)) for v in query.bound),
-        tuple((v, query.domain(v)) for v in query.order),
-    )
+    # canonical_bytes of (semiring, order, free, tags, ((v, Dom(v)) ...)),
+    # the domains spliced from each variable's memoised encoding
+    spelling = canonical_sequence([
+        canonical_bytes(query.semiring.name),
+        canonical_bytes(tuple(query.order)),
+        canonical_bytes(tuple(query.free)),
+        canonical_bytes(tuple((v, query.tag(v)) for v in query.bound)),
+        canonical_sequence(query.variables[v].content_bytes() for v in query.order),
+    ])
     factor_part = ";".join(sorted(factor_digest(f) for f in query.factors))
     key = _digest(
         b"query",
         signature_digest(signature).encode("ascii"),
-        canonical_bytes(spelling),
+        spelling,
         factor_part.encode("ascii"),
     )
     _CONTENT_KEY_MEMO[query] = key

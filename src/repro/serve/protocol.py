@@ -167,12 +167,16 @@ def decode_query(wire: WireQuery, store: Dict[str, Any]) -> FAQQuery:
 
     Raises ``KeyError`` naming the first missing digest — the replica turns
     that into a ``("need", ...)`` reply rather than failing the request.
+    A shipped factor arrives thawed but with its digest memo; naming it is
+    a memo hit that freezes it again, so the query holds it by reference
+    instead of copying it.
     """
     factors = []
     for digest in wire.factor_digests:
         factor = store.get(digest)
         if factor is None:
             raise KeyError(digest)
+        factor_digest(factor)
         factors.append(factor)
     return FAQQuery(
         variables=list(wire.variables),

@@ -51,6 +51,7 @@ from repro.planner import (
     record_plan_feedback,
 )
 from repro.planner.plan import JOIN_STRATEGIES
+from repro.planner.signature import sealed_version
 from repro.serve.api import PlanFailure, ServeRequest, ServeResult
 from repro.serve.snapshot import SnapshotStore
 
@@ -61,7 +62,7 @@ _STEP_CACHE_SIZE = 512
 
 # kind/version tags of the completed-result section inside a snapshot.
 _RESULT_SNAPSHOT_KIND = "repro-serve-results"
-_RESULT_SNAPSHOT_VERSION = 1
+_RESULT_SNAPSHOT_VERSION = sealed_version(1)
 
 
 def _require_request(request: Any) -> None:

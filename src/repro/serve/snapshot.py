@@ -32,9 +32,10 @@ from typing import Any, Optional
 
 from repro.caching import seal, unseal, write_atomic
 from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
+from repro.planner.signature import sealed_version
 
 SNAPSHOT_KIND = "repro-serve-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = sealed_version(1)
 
 
 class SnapshotStore:

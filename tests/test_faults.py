@@ -568,6 +568,61 @@ class TestWarmRestart:
         )
         revived.shutdown()
 
+    def test_spill_under_another_content_key_version_adopts_nothing(self, tmp_path):
+        """A spill names factors and steps by content digest, and its
+        factors carry their digest memos: one sealed under the previous
+        content-key version must restore no view and no result."""
+        from repro.caching import seal, unseal, write_atomic
+        from repro.exec.shm import SHARED_CACHE_VERSION
+        from repro.planner.signature import CONTENT_KEY_VERSION, sealed_version
+        from repro.serve.server import _RESULT_SNAPSHOT_VERSION
+        from repro.serve.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
+
+        for tag in (SNAPSHOT_VERSION, _RESULT_SNAPSHOT_VERSION, SHARED_CACHE_VERSION):
+            assert tag == sealed_version(tag[0])  # each follows the content key
+        store = SnapshotStore(tmp_path)
+        query = _chain_query(name="stale-spill")
+        server = PlanServer(snapshot_store=store, cache_results=True)
+        request = ServeRequest(query=query)
+        server.execute_request(request)
+        server.update_factor(request, 0, FactorDelta(("v0", "v1"), {(0, 0): 9}))
+        server.shutdown()
+        path = store.path_for("server")
+        sections = unseal(path.read_bytes(), kind=SNAPSHOT_KIND, version=SNAPSHOT_VERSION)
+        assert sections["views"] and sections["results"]["entries"]
+
+        def restores(sections, version):
+            write_atomic(path, seal(sections, kind=SNAPSHOT_KIND, version=version))
+            revived = PlanServer(snapshot_store=SnapshotStore(tmp_path), cache_results=True)
+            try:
+                return revived.stats()["snapshot_restores"]
+            finally:
+                revived.shutdown()
+
+        stale = (1, CONTENT_KEY_VERSION - 1)
+        assert restores(sections, SNAPSHOT_VERSION) >= 2  # views and results
+        assert restores(sections, stale) == 0
+        assert SnapshotStore(tmp_path).load("server") is None
+        # the result section inside a current envelope carries its own tag
+        sections = dict(sections, views=[], results=dict(sections["results"], version=stale))
+        assert restores(sections, SNAPSHOT_VERSION) == 0
+
+    def test_shared_caches_under_another_content_key_version_adopt_nothing(self):
+        from repro.caching import seal
+        from repro.exec import shm
+        from repro.planner.signature import CONTENT_KEY_VERSION
+
+        stale = (1, CONTENT_KEY_VERSION - 1)
+        sections = {"plans": {"kind": "k", "version": 1, "entries": []}}
+        for version, adopted in ((stale, {}), (shm.SHARED_CACHE_VERSION, sections)):
+            store = shm.SharedCacheStore(shm._publish(
+                seal(sections, kind=shm.SHARED_CACHE_KIND, version=version)
+            ))
+            try:
+                assert SharedCacheStore.adopt(store.name) == adopted
+            finally:
+                store.close()
+
     def test_restored_result_cache_serves_without_recompute(self, tmp_path):
         store = SnapshotStore(tmp_path)
         query = _chain_query(name="warm-results")

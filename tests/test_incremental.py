@@ -180,14 +180,27 @@ def test_served_factor_mutation_raises_and_update_path_is_fresh():
         ).table
 
 
-def test_frozen_table_pickles_as_plain_dict():
+def test_frozen_table_pickles_as_plain_dict(monkeypatch):
+    """The table still pickles as a plain dict; the factor keeps its digest
+    memo, and its first digest in the receiving process is a memo hit that
+    freezes it again."""
     import pickle
 
+    from repro.planner import signature
+
     factor = Factor(("a",), {(0,): 1})
-    factor_digest(factor)
-    revived = pickle.loads(pickle.dumps(factor.table))
-    assert type(revived) is dict
-    assert revived == {(0,): 1}
+    digest = factor_digest(factor)
+    revived_table = pickle.loads(pickle.dumps(factor.table))
+    assert type(revived_table) is dict
+    assert revived_table == {(0,): 1}
+    revived = pickle.loads(pickle.dumps(factor))
+    assert not revived.frozen and revived._digest == digest
+    computed = []
+    monkeypatch.setattr(signature, "_compute_factor_digest", computed.append)
+    assert factor_digest(revived) == digest
+    assert revived.frozen and computed == []
+    with pytest.raises(FactorError):
+        revived.table[(1,)] = 2
 
 
 # --------------------------------------------------------------------- #

@@ -45,6 +45,24 @@ def test_execute_batch_preserves_input_order():
         assert result.factor.table == want.table
 
 
+def test_shipped_factors_are_held_by_reference():
+    """A factor crosses the wire thawed but with its digest memo: the
+    replica-side query freezes it again and holds it instead of a copy."""
+    import pickle
+
+    from repro.planner import query_content_key
+    from repro.serve.protocol import decode_query, encode_query
+    from test_signature_digest import _fixed_query
+
+    wire, tables = encode_query(_fixed_query())
+    shipped = pickle.loads(pickle.dumps(tables))
+    assert not any(factor.frozen for factor in shipped.values())
+    rebuilt = decode_query(pickle.loads(pickle.dumps(wire)), shipped)
+    for factor, digest in zip(rebuilt.factors, wire.factor_digests):
+        assert factor is shipped[digest] and factor.frozen
+    assert query_content_key(rebuilt) == wire.query_key
+
+
 def test_content_coalescing_across_distinct_objects():
     """Value-equal queries built as *distinct objects* (different clients)
     coalesce onto in-flight executions — the content-hash upgrade over the

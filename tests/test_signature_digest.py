@@ -13,19 +13,29 @@ pin the two properties everything else relies on:
 """
 
 import os
+import pickle
+import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from repro.core.query import FAQQuery, Variable
+from repro.factors.delta import FactorDelta
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
 from repro.planner import PlanCache, factor_digest, query_content_key, signature_digest
 from repro.planner.cache import DigestPlan
-from repro.planner.signature import canonical_bytes, query_signature
+from repro.planner.signature import (
+    BUCKET_MIN_ROWS,
+    BucketDelta,
+    bucket_count,
+    canonical_bytes,
+    query_signature,
+)
 from repro.semiring.aggregates import SemiringAggregate
-from repro.semiring.standard import STANDARD_SEMIRINGS
+from repro.semiring.standard import COUNTING, STANDARD_SEMIRINGS
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,23 +57,41 @@ def _fixed_query(value=1.5, domain=(0, 1, 2), rename=None, name="digest-fixture"
     )
 
 
+def _derived_lineage():
+    """A bucketed factor updated three times through ``apply_delta``; the
+    last digest is derived from its parent's bucket table."""
+    rng = random.Random(600)
+    factor = Factor(("A", "B"), {
+        (rng.randrange(100), f"v{rng.randrange(100)}"): rng.randint(1, 9)
+        for _ in range(700)
+    })
+    factor_digest(factor)
+    for changes in ({(0, "v0"): 5}, {(1, "v1"): 0, (2, "v9"): 3}, {(3, "v3"): 7}):
+        factor = factor.apply_delta(FactorDelta(("A", "B"), changes), COUNTING)
+        assert isinstance(factor._buckets, BucketDelta)
+        factor_digest(factor)
+    return factor
+
+
 # ---------------------------------------------------------------------- #
 # cross-process stability
 # ---------------------------------------------------------------------- #
 def _key_in_subprocess(hash_seed):
-    """Compute the fixture's content key in a fresh interpreter."""
+    """Compute the fixture's content key and a derived factor digest in a
+    fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(_REPO, "src"), os.path.join(_REPO, "tests")]
     )
     env["PYTHONHASHSEED"] = str(hash_seed)
     script = (
-        "from test_signature_digest import _fixed_query\n"
+        "from test_signature_digest import _derived_lineage, _fixed_query\n"
         "from repro.planner import query_content_key, factor_digest\n"
         "q = _fixed_query()\n"
         "print(query_content_key(q))\n"
         "for f in q.factors:\n"
         "    print(factor_digest(f))\n"
+        "print(factor_digest(_derived_lineage()))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script],
@@ -76,11 +104,15 @@ def _key_in_subprocess(hash_seed):
 def test_digests_stable_across_processes():
     """The coalescing keys agree between this process and fresh interpreters
     started under *different* hash seeds — the property builtin ``hash``
-    lacks and the cross-process serving tier requires."""
+    lacks and the cross-process serving tier requires.  A digest *derived*
+    through ``apply_delta`` there equals a fresh digest of the same table
+    here: row buckets come from CRC-32, never the salted ``hash``."""
     query = _fixed_query()
+    derived = _derived_lineage()
+    fresh = factor_digest(Factor(derived.scope, dict(derived.table)))
     here = [query_content_key(query)] + [factor_digest(f) for f in query.factors]
-    assert _key_in_subprocess(0) == here
-    assert _key_in_subprocess(12345) == here
+    assert _key_in_subprocess(0) == here + [fresh]
+    assert _key_in_subprocess(12345) == here + [fresh]
 
 
 # ---------------------------------------------------------------------- #
@@ -151,6 +183,172 @@ def test_dense_factor_digest_tracks_cells():
     arr2 = arr.copy()
     arr2[1, 1] = 4.5
     assert factor_digest(d1) != factor_digest(DenseFactor(("A", "B"), domains, arr2))
+
+
+# ---------------------------------------------------------------------- #
+# bucketed factor digests: derived == fresh, order-free, O(|delta|·√n)
+# ---------------------------------------------------------------------- #
+_KEY_KINDS = ("int", "float", "str", "tuple")
+
+
+def _random_key(rng, kind):
+    if kind == "int":
+        return (rng.randrange(400), rng.randrange(400))
+    if kind == "float":
+        return (rng.randrange(400) / 8, rng.random())
+    if kind == "str":
+        return (f"s{rng.randrange(4000)}", rng.choice("abcé"))
+    return ((rng.randrange(20), rng.randrange(20)), rng.randrange(400))
+
+
+def _random_factor(rng, rows, kind):
+    table = {}
+    while len(table) < rows:
+        table[_random_key(rng, kind)] = rng.randint(1, 9)
+    return Factor(("A", "B"), table)
+
+
+@pytest.mark.parametrize("kind", _KEY_KINDS)
+def test_bucketed_digest_is_order_free_and_cell_sensitive(kind):
+    rng = random.Random(kind)
+    for rows in (0, 1, BUCKET_MIN_ROWS - 1, BUCKET_MIN_ROWS, 1500, 5000):
+        factor = _random_factor(rng, rows, kind)
+        items = list(factor.table.items())
+        rng.shuffle(items)
+        digest = factor_digest(factor)
+        assert digest == factor_digest(Factor(factor.scope, items)) == factor_digest(factor.copy())
+        if rows < BUCKET_MIN_ROWS:
+            assert factor._buckets is None  # one bucket, no bucket state
+        else:
+            assert factor._buckets.count == bucket_count(rows) > 1
+            assert factor._buckets.keys is None  # built by the first child only
+        if not rows:
+            continue
+        key, value = items[0]
+        fresh = _random_key(rng, kind)
+        while fresh in factor.table:
+            fresh = _random_key(rng, kind)
+        for changed in (
+            dict(factor.table) | {key: value + 1},               # overwrite
+            {k: v for k, v in factor.table.items() if k != key},  # delete
+            dict(factor.table) | {fresh: 1},                     # insert
+        ):
+            assert factor_digest(Factor(factor.scope, changed)) != digest
+
+
+@pytest.mark.parametrize("kind", _KEY_KINDS)
+def test_derived_digest_equals_a_fresh_digest_along_a_delta_stream(kind):
+    """Overwrites, inserts and deletes-to-zero, up to 50 cells a step, on a
+    factor that grows past two bucket-count thresholds and shrinks back
+    below them: after every step the derived digest is the fresh one."""
+    rng = random.Random(f"stream-{kind}")
+    factor = _random_factor(rng, 200, kind)
+    factor_digest(factor)
+    counts, derived, growing = [], 0, True
+    for _ in range(120):
+        if len(factor) > 700:
+            growing = False
+        elif len(factor) < 150:
+            growing = True
+        keys = list(factor.table)
+        changes = {}
+        for _ in range(rng.randint(1, 50)):
+            roll = rng.random()
+            if roll < (0.7 if growing else 0.15):
+                changes[_random_key(rng, kind)] = rng.randint(1, 9)  # insert
+            elif roll < 0.85:
+                changes[rng.choice(keys)] = 0  # delete: zero under COUNTING
+            else:
+                changes[rng.choice(keys)] = rng.randint(10, 20)  # overwrite
+        child = factor.apply_delta(FactorDelta(factor.scope, changes), COUNTING)
+        derived += isinstance(child._buckets, BucketDelta)
+        assert factor_digest(child) == factor_digest(child.copy())
+        counts.append(bucket_count(len(child)))
+        factor = child
+    steps = list(zip(counts, counts[1:]))
+    assert {1, 16, 32} <= set(counts)
+    assert any(a < b for a, b in steps) and any(a > b for a, b in steps)
+    assert derived >= len(counts) // 2
+
+
+@pytest.mark.parametrize("stored, written", [
+    (1, True), (True, 1), (1, 1.0), (1.0, 1), (0.0, -0.0), (-0.0, 0.0),
+])
+@pytest.mark.parametrize("value", [7, 0], ids=["overwrite", "delete"])
+def test_derived_digest_of_an_equal_key_with_another_encoding(stored, written, value):
+    """A delta key equal to a stored key but encoded differently: the
+    child's table keeps the stored key object, whose bucket may not be the
+    one the delta key's encoding picks.  Across every bucket count from
+    2⁴ to 2⁷ the derived digest stays the fresh one, and a later update
+    of the same cell neither raises nor drifts."""
+    moved = 0
+    for rows in (300, 1100, 4200, 16500):
+        table = {(i,): 2 for i in range(2, rows)}
+        table[(stored,)] = 5
+        parent = Factor(("A",), table)
+        digest = factor_digest(parent)
+        count = parent._buckets.count
+        moved += (zlib.crc32(canonical_bytes((stored,))) ^
+                  zlib.crc32(canonical_bytes((written,)))) & (count - 1) != 0
+        child = parent.apply_delta(FactorDelta(("A",), {(written,): value}), COUNTING)
+        assert factor_digest(child) == factor_digest(child.copy())
+        assert factor_digest(child) != digest
+        grandchild = child.apply_delta(FactorDelta(("A",), {(stored,): 9}), COUNTING)
+        assert factor_digest(grandchild) == factor_digest(grandchild.copy())
+    assert moved  # some bucket count puts the two encodings apart
+
+
+def test_one_cell_update_rehashes_a_bucket_not_the_factor(monkeypatch):
+    """O(|delta|·√n) pinned with a count, not a clock: naming a one-cell
+    update of a 4 096-row factor encodes at most 4·√n row keys."""
+    from repro.planner import signature
+
+    rng = random.Random(4096)
+    factor = _random_factor(rng, 4096, "int")
+    factor_digest(factor)
+    # The first child of a lineage builds the parent's key sets: one pass.
+    factor = factor.apply_delta(FactorDelta(factor.scope, {next(iter(factor.table)): 99}), COUNTING)
+    factor_digest(factor)
+    cell = next(iter(factor.table))
+    encoded = []
+    original = signature.canonical_bytes
+
+    def counting(value):
+        if type(value) is tuple:  # a row key (or, once, the scope)
+            encoded.append(value)
+        return original(value)
+
+    monkeypatch.setattr(signature, "canonical_bytes", counting)
+    child = factor.apply_delta(FactorDelta(factor.scope, {cell: 42}), COUNTING)
+    digest = factor_digest(child)
+    monkeypatch.undo()
+    assert 0 < len(encoded) <= 4 * 64
+    assert digest == factor_digest(child.copy())
+
+
+def test_pickled_factor_carries_bucket_digests_not_key_sets():
+    rng = random.Random(2000)
+    parent = _random_factor(rng, 2000, "int")
+    factor_digest(parent)
+    child = parent.apply_delta(FactorDelta(parent.scope, {next(iter(parent.table)): 0}), COUNTING)
+    digest = factor_digest(child)
+    assert child._buckets.keys is not None
+    count = child._buckets.count
+    fresh = Factor(child.scope, dict(child.table), name=child.name)
+    factor_digest(fresh)
+    plain = Factor(child.scope, dict(child.table), name=child.name)
+    size = len(pickle.dumps(child))
+    assert size <= len(pickle.dumps(fresh))
+    # what travels beyond the table: B×32 bytes of bucket digests, the
+    # 64-character digest memo and a little framing
+    assert size - len(pickle.dumps(plain)) <= count * 32 + 256
+    revived = pickle.loads(pickle.dumps(child))
+    assert revived._digest == digest and revived._buckets.keys is None
+    assert revived._buckets.digests == child._buckets.digests
+    # a pending derivation does not travel at all
+    pending = child.apply_delta(FactorDelta(child.scope, {next(iter(child.table)): 7}), COUNTING)
+    assert isinstance(pending._buckets, BucketDelta)
+    assert pickle.loads(pickle.dumps(pending))._buckets is None
 
 
 # ---------------------------------------------------------------------- #
@@ -329,11 +527,15 @@ def test_step_digests_are_the_canonical_bytes_of_their_payload(strategy):
 
 
 def test_step_digest_of_a_fixed_query_is_pinned():
-    """The literal: computed at CONTENT_KEY_VERSION 1, before the domain memo."""
+    """The literal: computed at CONTENT_KEY_VERSION 2 (bucketed factor
+    digests; these factors are one bucket each).  Version 1 gave
+    ``041b1a24…``; the per-variable domain memo changed no step bytes."""
     from repro.exec import lower_insideout
+    from repro.planner.signature import CONTENT_KEY_VERSION
 
+    assert CONTENT_KEY_VERSION == 2
     query = _step_digest_query()
     dag = lower_insideout(query, list(query.order), content_digests=True)
     assert dag.nodes[-1].digest == (
-        "041b1a247bcb62215431764c520ba9483225256b9f27bfe1e60fa47a63139a31"
+        "71f693503f6d441e8ba9ae2ae3b5f52b66bdc9dc7edcc63ed36bc83b7eac1908"
     )
