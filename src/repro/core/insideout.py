@@ -18,7 +18,10 @@ with three twists over textbook variable elimination:
 
 The output over the free variables is produced either in the listing
 representation (a final OutsideIn join, equation (9)) or as a
-:class:`~repro.core.output.FactorizedOutput` (Section 8.4).
+:class:`~repro.core.output.FactorizedOutput` (Section 8.4).  When the
+residual factors form an α-acyclic hypergraph the listing join is first
+semijoin-reduced along its join tree: on a natural join, where nothing is
+eliminated, this *is* Yannakakis' algorithm (Appendix F.1).
 
 This module holds the per-step kernels — :func:`eliminate_semiring_step`,
 :func:`eliminate_product_step` and :func:`output_phase`, each a pure function
@@ -35,7 +38,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import networkx as nx
 
 from repro.core.outsidein import OutsideInStats, eliminate_join, join_factors
 from repro.core.output import FactorizedOutput
@@ -53,6 +59,8 @@ from repro.factors.backend import (
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
 from repro.factors.index import SharedTrieCache, TrieCache, build_trie
+from repro.hypergraph.acyclicity import join_tree
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.semiring.base import Semiring
 
 
@@ -464,6 +472,74 @@ def _expand_isolated_free(
     return result.normalize_scope(query.free)
 
 
+def _semijoin_reduce(
+    factors: List[Factor], semiring: Semiring, order: Sequence[str]
+) -> Optional[Tuple[List[Factor], List[str]]]:
+    """Yannakakis' full reducer over the factors' supports, or ``None``.
+
+    ``None`` unless the factors have two or more distinct non-empty scopes
+    forming an α-acyclic hypergraph.  Otherwise both semijoin passes run
+    along its join tree over each scope's support (the tuples every factor
+    on it lists non-zero), and each factor keeps its surviving rows — exact
+    in every semiring, since a removed row could only produce ``⊗``-zero.
+    Also returns a preorder of the tree's variables to bind them in: every
+    value bound along it then extends to an output tuple, so the search
+    takes ``O(input + output)`` steps whatever the plan's ordering.
+    """
+    scopes = {frozenset(f.scope) for f in factors if f.scope}
+    tree = join_tree(Hypergraph.from_scopes(scopes)) if len(scopes) > 1 else None
+    if tree is None:
+        return None
+    factors = [as_sparse(f, semiring) for f in factors]
+    # The tree spans every pair of scopes, so one root reaches every node.
+    root = next(iter(tree.nodes))
+    preorder = list(nx.dfs_preorder_nodes(tree, root))
+    parent = nx.dfs_predecessors(tree, root)
+    # A node's support holds tuples over its variables in ``order``.
+    columns = {node: [v for v in order if v in node] for node in preorder}
+
+    def projection(variables: Sequence[str], onto: Sequence[str]):
+        """A function taking a row over ``variables`` to its tuple over ``onto``."""
+        indices = [list(variables).index(v) for v in onto]
+        if len(indices) == 1:
+            return lambda row, i=indices[0]: (row[i],)
+        return itemgetter(*indices) if indices else (lambda row: ())
+
+    is_zero = semiring.zero_test()
+    support: Dict[frozenset, set] = {}
+    for factor in factors:
+        if factor.scope:
+            node = frozenset(factor.scope)
+            key = projection(factor.scope, columns[node])
+            rows = {key(k) for k, v in factor.table.items() if not is_zero(v)}
+            support[node] = support[node] & rows if node in support else rows
+
+    def semijoin(node: frozenset, other: frozenset) -> None:
+        """``support[node] ⋉ support[other]``, in place."""
+        shared = [v for v in columns[node] if v in other]
+        theirs = projection(columns[other], shared)
+        keys = {theirs(row) for row in support[other]}
+        mine = projection(columns[node], shared)
+        support[node] = {row for row in support[node] if mine(row) in keys}
+
+    for node in reversed(preorder[1:]):
+        semijoin(parent[node], node)
+    for node in preorder[1:]:
+        semijoin(node, parent[node])
+
+    reduced: List[Factor] = []
+    for factor in factors:
+        if factor.scope:
+            node = frozenset(factor.scope)
+            key = projection(factor.scope, columns[node])
+            table = {k: v for k, v in factor.table.items() if key(k) in support[node]}
+            if len(table) < len(factor.table):
+                factor = Factor(factor.scope, table, name=factor.name)
+        reduced.append(factor)
+    binding = list(dict.fromkeys(v for node in preorder for v in columns[node]))
+    return reduced, binding
+
+
 def output_phase(
     query: FAQQuery,
     factors: List[Factor],
@@ -472,7 +548,13 @@ def output_phase(
     policy: BackendPolicy,
     join_stats: OutsideInStats,
 ) -> Factor:
-    """The output phase over the free variables (listing mode, equation (9))."""
+    """The output phase over the free variables (listing mode, equation (9)).
+
+    The listing branch is one multiway join of ``factors``, all of whose
+    variables are free.  An α-acyclic join is semijoin-reduced and searched
+    along its join tree first (:func:`_semijoin_reduce`); any other binds
+    the variables in ``order``, worst-case optimally.
+    """
     semiring = query.semiring
     if query.num_free == 0:
         value = semiring.one
@@ -493,12 +575,16 @@ def output_phase(
             name=f"{query.name}(out)",
         ).to_factor(semiring, name=f"{query.name}(out)")
     else:
+        variable_order = list(order)
+        reduced = _semijoin_reduce(factors, semiring, order)
+        if reduced is not None:
+            factors, variable_order = reduced
         output = join_factors(
             factors,
             semiring,
             output_scope=output_scope,
             combine=None,
-            variable_order=list(order),
+            variable_order=variable_order,
             stats=join_stats,
             name=f"{query.name}(out)",
         )

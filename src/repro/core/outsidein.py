@@ -88,30 +88,32 @@ def enumerate_join(
     if not factors:
         yield {}, semiring.one
         return
-    if any(len(f) == 0 for f in factors):
+    order = _join_order(factors, variable_order)
+    tries = [FactorTrie(f, order, semiring) for f in factors]
+    if any(trie.empty for trie in tries):
         # Some factor is identically zero: the product is empty.
         return
 
-    order = _join_order(factors, variable_order)
-    tries = [FactorTrie(f, order, semiring) for f in factors]
-    # Group tries by the variable that constitutes their next level at each
-    # global depth: trie ``t`` participates at depth ``d`` iff
-    # ``order[d] == t.variables[len(prefix_t)]``.
-    by_variable: Dict[str, List[int]] = {v: [] for v in order}
-    for idx, trie in enumerate(tries):
-        for variable in trie.variables:
-            by_variable[variable].append(idx)
-
-    prefixes: List[Tuple[Any, ...]] = [() for _ in tries]
+    # The tries taking part at each depth: trie ``t`` holds ``order[d]`` at
+    # its next level once every earlier variable of its scope is bound.
+    participating = [
+        [i for i, trie in enumerate(tries) if variable in trie.variables]
+        for variable in order
+    ]
+    # Each trie's current node: its level of the next unbound variable, or
+    # — once its whole scope is bound — its value.
+    nodes: List[Any] = [trie.root for trie in tries]
     assignment: Dict[str, Any] = {}
     counters = stats if stats is not None else OutsideInStats()
+    mul = semiring.mul
+    one = semiring.one
     is_zero = semiring.zero_test()
 
     def recurse(depth: int) -> Iterator[Tuple[Dict[str, Any], Any]]:
         if depth == len(order):
-            value = semiring.one
-            for idx, trie in enumerate(tries):
-                value = semiring.mul(value, trie.value(prefixes[idx], semiring.zero))
+            value = one
+            for node in nodes:
+                value = mul(value, node)
                 if is_zero(value):
                     return
             counters.emitted_tuples += 1
@@ -119,30 +121,25 @@ def enumerate_join(
             return
 
         variable = order[depth]
-        participating = by_variable[variable]
-        candidate_sets = []
-        for idx in participating:
-            candidate_sets.append(tries[idx].candidate_values(prefixes[idx]))
-            counters.intersections += 1
-        if not candidate_sets:  # pragma: no cover - defensive (cannot happen)
-            return
-        candidate_sets.sort(key=len)
-        candidates = candidate_sets[0]
-        for other in candidate_sets[1:]:
-            candidates = candidates & other
-            if not candidates:
-                return
-
-        for value in candidates:
-            counters.search_steps += 1
-            assignment[variable] = value
-            saved = [prefixes[idx] for idx in participating]
-            for idx in participating:
-                prefixes[idx] = prefixes[idx] + (value,)
-            yield from recurse(depth + 1)
-            for pos, idx in enumerate(participating):
-                prefixes[idx] = saved[pos]
-            del assignment[variable]
+        active = participating[depth]
+        counters.intersections += len(active)
+        saved = [nodes[i] for i in active]
+        # Intersect by walking the smallest level and probing the others in
+        # place: no level is copied.
+        smallest, *others = sorted(saved, key=len)
+        for candidate in smallest:
+            for level in others:
+                if candidate not in level:
+                    break
+            else:
+                counters.search_steps += 1
+                assignment[variable] = candidate
+                for i, level in zip(active, saved):
+                    nodes[i] = level[candidate]
+                yield from recurse(depth + 1)
+        for i, level in zip(active, saved):
+            nodes[i] = level
+        assignment.pop(variable, None)
 
     yield from recurse(0)
 

@@ -17,13 +17,14 @@ from repro.db.generic_join import generic_join
 def join(relations, output_attributes=None, workers=None):
     """Natural join routed through the cost-based planner.
 
-    The planner (:mod:`repro.planner`) picks the algorithm from estimated
-    cost: Yannakakis for α-acyclic queries, worst-case optimal generic join
-    for cyclic ones, InsideOut otherwise.  ``output_attributes`` is pushed
-    into the query as existential aggregates rather than applied as a
+    The join runs as an FAQ query on the planner's one execution path
+    (:mod:`repro.planner`), whose output phase semijoin-reduces an
+    α-acyclic join as Yannakakis does and searches a cyclic one worst-case
+    optimally as generic join does.  ``output_attributes`` is pushed into
+    the query as existential aggregates rather than applied as a
     post-projection, so the work is bounded by the *projected* output.
-    Use :func:`yannakakis` or :func:`generic_join` directly to pin an
-    algorithm.
+    :func:`yannakakis` and :func:`generic_join` are the reference
+    evaluators it is tested against.
     """
     from repro.planner import execute
     from repro.solvers.joins import natural_join_insideout, projected_join_query

@@ -5,10 +5,11 @@ The paper repeatedly uses Yannakakis' algorithm as the reference point for
 Appendix F.1): a full semijoin reduction along a join tree followed by joins
 back up the tree runs in ``O~(N + output)``.
 
-It is also one of the execution strategies of the cost-based planner
-(:mod:`repro.planner`): all-free indicator FAQ queries whose hypergraph is
-α-acyclic are routed here automatically — use :func:`repro.db.join` for the
-planner-routed entry point.
+This module is the reference implementation over relations.  The engine
+does not call it: InsideOut's output phase
+(:func:`repro.core.insideout.output_phase`) runs the same semijoin
+reduction over factor supports, so :func:`repro.db.join` gets Yannakakis'
+bound on an α-acyclic join without leaving the planner's execution path.
 """
 
 from __future__ import annotations

@@ -149,9 +149,14 @@ class FactorTrie:
         """Number of trie levels (the factor arity)."""
         return len(self.variables)
 
-    def _node(self, prefix: ValueTuple) -> Optional[Dict[Any, Any]]:
-        """The ``dict`` level reached by ``prefix``, a *proper* prefix of
-        ``self.variables``; ``None`` if no listed tuple extends it."""
+    def level(self, prefix: ValueTuple) -> Optional[Dict[Any, Any]]:
+        """The trie's own node reached by ``prefix`` (read it, never write it).
+
+        ``prefix`` binds ``self.variables[:len(prefix)]``.  The level maps
+        each next-variable value extending it to a sub-trie, or to the
+        tuple's semiring value at the last variable.  ``None`` when no
+        listed tuple extends ``prefix`` or it binds every variable.
+        """
         if self.empty or len(prefix) >= len(self.variables):
             return None
         node = self.root
@@ -160,36 +165,6 @@ class FactorTrie:
             if node is None:
                 return None
         return node
-
-    def children(self, prefix: ValueTuple) -> Dict[Any, Any]:
-        """Return the child map at ``prefix`` (values of the next variable).
-
-        ``prefix`` is a tuple of values for ``self.variables[:len(prefix)]``.
-        The map's values are sub-tries, or the tuples' semiring values when
-        the next variable is the last.  Returns an empty dict if the prefix
-        is not present or already binds every variable.
-        """
-        return dict(self._node(prefix) or {})
-
-    def candidate_values(self, prefix: ValueTuple) -> set:
-        """Set of values of the next variable compatible with ``prefix``."""
-        return set(self._node(prefix) or ())
-
-    def has_prefix(self, prefix: ValueTuple) -> bool:
-        """``True`` iff some listed tuple extends ``prefix``."""
-        if not prefix:
-            return not self.empty
-        node = self._node(prefix[:-1])
-        return node is not None and prefix[-1] in node
-
-    def value(self, full: ValueTuple, default: Any = None) -> Any:
-        """The stored value for a complete tuple over ``self.variables``."""
-        if len(full) != len(self.variables):
-            return default
-        if not full:
-            return default if self.empty else self.root
-        node = self._node(full[:-1])
-        return default if node is None else node.get(full[-1], default)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"FactorTrie({self.factor.name}, levels={self.variables})"

@@ -8,11 +8,10 @@ Public surface::
     print(result.plan.explain())            # why this plan was chosen
 
 ``plan()`` scores candidate variable orderings with a FAQ-width/AGM cost
-model, picks an execution strategy (InsideOut, textbook variable
-elimination, Yannakakis or generic join where the query shape allows) and a
-factor backend (sparse listing vs dense ndarray), and caches the winning
-plan under a structural query signature so repeated or isomorphic queries
-skip planning entirely.
+model, picks an execution strategy (InsideOut, or textbook variable
+elimination where the query shape allows) and a factor backend (sparse
+listing vs dense ndarray), and caches the winning plan under a structural
+query signature so repeated or isomorphic queries skip planning entirely.
 """
 
 from repro.planner.cache import (
@@ -27,10 +26,8 @@ from repro.planner.cost import (
     OrderingEstimate,
     QueryStatistics,
     STRATEGIES,
-    STRATEGY_GENERIC_JOIN,
     STRATEGY_INSIDEOUT,
     STRATEGY_VARIABLE_ELIMINATION,
-    STRATEGY_YANNAKAKIS,
     StepEstimate,
     observed_step_errors,
 )
@@ -68,8 +65,6 @@ __all__ = [
     "STRATEGIES",
     "STRATEGY_INSIDEOUT",
     "STRATEGY_VARIABLE_ELIMINATION",
-    "STRATEGY_YANNAKAKIS",
-    "STRATEGY_GENERIC_JOIN",
     "PlanHealth",
     "PlanFeedback",
     "record_plan_feedback",

@@ -52,32 +52,26 @@ from repro.hypergraph.covers import agm_bound, fractional_edge_cover_number
 from repro.hypergraph.elimination import induced_unions
 from repro.hypergraph.hypergraph import Hypergraph
 
-# Strategy names understood by the planner.
+# Strategy names understood by the planner: the two lowerings the step-DAG
+# executor runs.  Joins are not a strategy of their own — an all-free join
+# has no elimination step, and its answer is InsideOut's output phase.
 STRATEGY_INSIDEOUT = "insideout"
 STRATEGY_VARIABLE_ELIMINATION = "variable-elimination"
-STRATEGY_YANNAKAKIS = "yannakakis"
-STRATEGY_GENERIC_JOIN = "generic-join"
-STRATEGIES = (
-    STRATEGY_INSIDEOUT,
-    STRATEGY_VARIABLE_ELIMINATION,
-    STRATEGY_YANNAKAKIS,
-    STRATEGY_GENERIC_JOIN,
-)
+STRATEGIES = (STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION)
 
 # Per-estimated-tuple work factors.  A dense (vectorised) cell is far cheaper
-# than a sparse per-tuple dict operation; Yannakakis and generic join avoid
-# the general elimination machinery on the query shapes they apply to.
+# than a sparse per-tuple dict operation.
 DENSE_CELL_WEIGHT = 0.05
 # Calibration loop (CostModel.observe): EWMA smoothing of the observed
 # log-size errors, and the clamp keeping one pathological run from swinging
 # future estimates by more than e^±2 ≈ 7.4x in either direction.
 CALIBRATION_ALPHA = 0.5
 CALIBRATION_CLAMP = 2.0
+# Multiplier on each lowering's estimated total: where both apply, a near tie
+# goes to variable elimination.
 STRATEGY_WEIGHT = {
     STRATEGY_INSIDEOUT: 1.0,
     STRATEGY_VARIABLE_ELIMINATION: 0.95,
-    STRATEGY_GENERIC_JOIN: 0.8,
-    STRATEGY_YANNAKAKIS: 0.6,
 }
 
 
@@ -313,9 +307,6 @@ class CostModel:
         if hypergraph is None:
             hypergraph = query.hypergraph()
 
-        if strategy in (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN):
-            return self._estimate_join_strategy(query, stats, order, hypergraph, strategy)
-
         unions = induced_unions(hypergraph, order, query.product_variables)
         k_set = query.k_set
 
@@ -456,44 +447,6 @@ class CostModel:
             total_cost=total,
             faq_width=faq_width,
             steps=estimates,
-        )
-
-    def _estimate_join_strategy(
-        self,
-        query: FAQQuery,
-        stats: QueryStatistics,
-        order: Tuple[str, ...],
-        hypergraph: Hypergraph,
-        strategy: str,
-    ) -> OrderingEstimate:
-        """Score Yannakakis / generic join on an all-free indicator query."""
-        all_vars = frozenset(query.order)
-        out_est = min(
-            self._box_cells(all_vars, stats), self.agm(hypergraph, stats, all_vars)
-        )
-        if strategy == STRATEGY_YANNAKAKIS:
-            # Two semijoin passes plus the bottom-up join: O~(input + output).
-            sparse = 3.0 * stats.total_input + out_est
-        else:
-            sparse = stats.total_input + out_est
-        step = StepEstimate(
-            variable="<join>",
-            kind="output",
-            induced=all_vars,
-            rho_star=self.rho_star(hypergraph, all_vars),
-            box_cells=self._box_cells(all_vars, stats),
-            sparse_cost=sparse,
-            dense_cost=None,
-            backend=BACKEND_SPARSE,
-            est_size=out_est,
-        )
-        return OrderingEstimate(
-            ordering=order,
-            strategy=strategy,
-            backend=BACKEND_SPARSE,
-            total_cost=sparse * STRATEGY_WEIGHT[strategy] * self.calibration(strategy),
-            faq_width=step.rho_star,
-            steps=[step],
         )
 
     @staticmethod

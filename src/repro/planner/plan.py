@@ -1,21 +1,20 @@
 """The :class:`Plan` value object: a chosen strategy, ordering and backend.
 
 A plan is produced by :func:`repro.planner.planner.plan` and executed with
-:meth:`Plan.execute`.  The two *elimination* strategies are lowerings run by
-the one step-DAG driver (:class:`repro.exec.DagExecutor`), reached through
-the one :meth:`Plan.run_spec`:
+:meth:`Plan.execute`.  Both strategies are lowerings run by the one step-DAG
+executor (:class:`repro.exec.DagExecutor`), reached through the one
+:meth:`Plan.run_spec`:
 
 * ``"insideout"`` — the general FAQ algorithm (Algorithm 1), any query;
 * ``"variable-elimination"`` — the textbook baseline: the same loop with no
   indicator projections and the pairwise join as a semiring step's sparse
-  path (FAQ-SS queries plus product aggregates);
+  path (FAQ-SS queries plus product aggregates).
 
-the two *join* strategies each call their own evaluator:
-
-* ``"yannakakis"`` — :func:`repro.db.yannakakis.yannakakis` (α-acyclic
-  all-free indicator queries, i.e. natural joins);
-* ``"generic-join"`` — :func:`repro.db.generic_join.generic_join`
-  (cyclic all-free indicator queries).
+A natural join (every variable free) is an ordinary plan with no
+elimination step: its answer is the output phase
+(:func:`repro.core.insideout.output_phase`), which semijoin-reduces an
+α-acyclic join along its join tree first, as Yannakakis' algorithm does,
+and binds the variables worst-case optimally, as generic join does.
 
 :meth:`Plan.explain` renders a human-readable report of what was chosen and
 why, including the scored runner-up candidates.
@@ -28,16 +27,8 @@ from typing import Any, List, Optional, Tuple
 
 from repro.core.query import FAQQuery, QueryError
 from repro.factors.factor import Factor
-from repro.planner.cost import (
-    OrderingEstimate,
-    STRATEGY_GENERIC_JOIN,
-    STRATEGY_YANNAKAKIS,
-)
+from repro.planner.cost import OrderingEstimate
 from repro.semiring.base import Semiring
-
-# The strategies with an evaluator of their own; every other plan is an
-# elimination lowering on the step-DAG driver.
-JOIN_STRATEGIES = (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN)
 
 
 @dataclass
@@ -110,41 +101,31 @@ class Plan:
     ) -> PlanResult:
         """Run the plan and return the output over the free variables.
 
-        An elimination plan (InsideOut or variable elimination) runs on the
-        step-DAG executor (:mod:`repro.exec`): ``workers`` > 1 runs its
-        independent steps on a thread pool.  ``shared_tries`` passes a
+        The plan runs on the step-DAG executor (:mod:`repro.exec`):
+        ``workers`` > 1 runs its independent steps on a thread pool.
+        ``shared_tries`` passes a
         :class:`~repro.factors.index.SharedTrieCache` of this query's
         base-factor tries (the serving layer reuses one across repeated
         identical queries); ``step_cache`` a
         :class:`~repro.exec.StepResultCache` of content-addressed step
         results (shared elimination prefixes replay instead of
-        recomputing).  The join strategies execute serially, in listing
-        mode, and ignore all three — per-query parallelism for them comes
-        from batching whole queries through :mod:`repro.serve`.
+        recomputing).
         """
-        if self.strategy not in JOIN_STRATEGIES:
-            from repro.exec.executor import DagExecutor
+        from repro.exec.executor import DagExecutor
 
-            result = DagExecutor(workers=workers).run_many(
-                [self.run_spec(output_mode, shared_tries)], step_cache=step_cache
-            )[0]
-            return PlanResult(
-                plan=self,
-                factor=result.factor,
-                factorized=result.factorized,
-                ordering=result.ordering,
-                raw=result,
-            )
-        if output_mode != "listing":
-            raise QueryError(
-                f"output mode {output_mode!r} requires an elimination strategy"
-            )
-        if self.strategy == STRATEGY_YANNAKAKIS:
-            return self._execute_yannakakis()
-        return self._execute_generic_join()
+        result = DagExecutor(workers=workers).run_many(
+            [self.run_spec(output_mode, shared_tries)], step_cache=step_cache
+        )[0]
+        return PlanResult(
+            plan=self,
+            factor=result.factor,
+            factorized=result.factorized,
+            ordering=result.ordering,
+            raw=result,
+        )
 
     def run_spec(self, output_mode: str = "listing", shared_tries: Any = None):
-        """This elimination plan as a run of the step-DAG driver.
+        """This plan as a run of the step-DAG executor.
 
         The one place a plan becomes a :class:`~repro.exec.RunSpec` —
         :meth:`execute` runs it alone, the serving tier merges it with the
@@ -160,35 +141,6 @@ class Plan:
             shared_tries=shared_tries,
             strategy=self.strategy,
         )
-
-    def _relations(self):
-        from repro.db.relation import Relation
-
-        return [
-            Relation(factor.name or f"psi{i}", factor.scope, factor.table.keys())
-            for i, factor in enumerate(self.query.factors)
-        ]
-
-    def _execute_yannakakis(self) -> PlanResult:
-        from repro.db.yannakakis import yannakakis
-
-        free = list(self.query.free)
-        relation = yannakakis(self._relations(), output_attributes=free)
-        one = self.query.semiring.one
-        factor = Factor(
-            tuple(free), {row: one for row in relation.tuples}, name=f"{self.query.name}(out)"
-        )
-        return PlanResult(plan=self, factor=factor, ordering=self.ordering, raw=relation)
-
-    def _execute_generic_join(self) -> PlanResult:
-        from repro.db.generic_join import generic_join
-
-        relation = generic_join(self._relations(), attribute_order=list(self.ordering))
-        one = self.query.semiring.one
-        factor = Factor(
-            relation.schema, {row: one for row in relation.tuples}, name=f"{self.query.name}(out)"
-        ).normalize_scope(self.query.free)
-        return PlanResult(plan=self, factor=factor, ordering=self.ordering, raw=relation)
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -13,8 +13,11 @@ tested decision:
    :class:`~repro.planner.cost.CostModel` (FAQ-width LPs + data-aware AGM
    estimates + the dense-box heuristic);
 3. **strategy choice** — InsideOut always applies; textbook variable
-   elimination for FAQ-SS queries; Yannakakis / generic join for all-free
-   indicator queries (natural joins), acyclic or not;
+   elimination for FAQ-SS queries.  A natural join (every variable free)
+   is no separate strategy: it plans as either lowering with no
+   elimination step, and its answer comes from the output phase, which
+   carries Yannakakis' semijoin reduction for α-acyclic joins and generic
+   join's worst-case-optimal search for the rest;
 4. **caching** — the winning plan is stored in a
    :class:`~repro.planner.cache.PlanCache` under the structural signature
    of :mod:`repro.planner.signature`, so repeated or isomorphic queries
@@ -36,7 +39,6 @@ from repro.core.expression_tree import build_expression_tree
 from repro.core.faqw import approximate_faqw_ordering
 from repro.core.query import FAQQuery, QueryError
 from repro.factors.backend import validate_backend
-from repro.hypergraph.acyclicity import join_tree
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.orderings import min_degree_ordering, min_fill_ordering
 from repro.planner.cache import DEFAULT_PLAN_CACHE, CachedPlan, PlanCache
@@ -45,15 +47,12 @@ from repro.planner.cost import (
     OrderingEstimate,
     QueryStatistics,
     STRATEGIES,
-    STRATEGY_GENERIC_JOIN,
     STRATEGY_INSIDEOUT,
     STRATEGY_VARIABLE_ELIMINATION,
-    STRATEGY_YANNAKAKIS,
     observed_step_errors,
 )
 from repro.planner.plan import Plan, PlanResult
 from repro.planner.signature import (
-    is_indicator_join,
     ordering_from_indices,
     ordering_to_indices,
     query_signature,
@@ -75,18 +74,12 @@ _EXACT_SEARCH_VARS = 9
 # ---------------------------------------------------------------------- #
 # strategy applicability
 # ---------------------------------------------------------------------- #
-def applicable_strategies(query: FAQQuery, hypergraph: Hypergraph | None = None) -> List[str]:
+def applicable_strategies(query: FAQQuery) -> List[str]:
     """The strategies the plan space allows for this query."""
     strategies = [STRATEGY_INSIDEOUT]
     tags = {query.aggregates[v].tag for v in query.semiring_variables}
     if len(tags) <= 1:
         strategies.append(STRATEGY_VARIABLE_ELIMINATION)
-    if is_indicator_join(query):
-        if hypergraph is None:
-            hypergraph = query.hypergraph()
-        if join_tree(hypergraph) is not None:
-            strategies.append(STRATEGY_YANNAKAKIS)
-        strategies.append(STRATEGY_GENERIC_JOIN)
     return strategies
 
 
@@ -281,7 +274,7 @@ def _plan_search(
         ordering = None
 
     def _validated_strategies() -> List[str]:
-        strategies = applicable_strategies(query, query.hypergraph())
+        strategies = applicable_strategies(query)
         if strategy is None:
             return strategies
         if strategy not in strategies:
@@ -300,11 +293,7 @@ def _plan_search(
             # Ordering and strategy pinned: nothing worth an LP-backed
             # scoring pass remains.  An open backend defers to the engines'
             # cheap per-step runtime heuristic ("auto") — the pre-planner
-            # behaviour of the solver wrappers.  Join strategies still get
-            # the applicability check: executing Yannakakis on a
-            # non-indicator query would be silently wrong.
-            if strategy in (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN):
-                _validated_strategies()
+            # behaviour of the solver wrappers.
             return Plan(
                 query=query,
                 strategy=strategy,
@@ -354,8 +343,7 @@ def _plan_search(
             cached = plan_cache.lookup_drifted(key)
             drifted = cached is not None
         if cached is not None and len(cached.ordering_indices) == query.num_variables:
-            # An exact signature hit certifies isomorphism (including the
-            # indicator bit join strategies depend on), so the cached
+            # An exact signature hit certifies isomorphism, so the cached
             # strategy and ordering transfer without re-validation.  A
             # *drifted* transfer is only shape-certified: the bucket change
             # can perturb the canonical labelling, so the transferred
@@ -408,12 +396,6 @@ def _plan_search(
 
     estimates: List[OrderingEstimate] = []
     for candidate_strategy in strategies:
-        if candidate_strategy in (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN):
-            # Their cost does not depend on the elimination ordering.
-            estimates.append(
-                model.estimate(query, stats, candidates[0], candidate_strategy, hypergraph)
-            )
-            continue
         for candidate in candidates:
             estimates.append(
                 model.estimate(query, stats, candidate, candidate_strategy, hypergraph)
@@ -540,9 +522,7 @@ def execute(
     """Plan and execute ``query`` in one call (see :func:`plan` for kwargs).
 
     ``workers`` is an execution argument, not a planning one: it opts the
-    chosen plan into the parallel step-DAG executor (the elimination
-    strategies; see :meth:`~repro.planner.plan.Plan.execute`).
+    chosen plan into the parallel step-DAG executor (see
+    :meth:`~repro.planner.plan.Plan.execute`).
     """
-    if output_mode != "listing":
-        kwargs.setdefault("strategy", STRATEGY_INSIDEOUT)
     return plan(query, stats, **kwargs).execute(output_mode=output_mode, workers=workers)

@@ -32,7 +32,7 @@ from repro.core.query import FAQQuery
 
 _REFINEMENT_ROUNDS = 3
 
-SIGNATURE_VERSION = 2
+SIGNATURE_VERSION = 3
 """Format version of :func:`query_signature` tuples and cached-plan payloads.
 
 Bump whenever the signature layout — or the :class:`~repro.planner.cache.CachedPlan`
@@ -40,10 +40,10 @@ payload stored under it — changes: persisted plan caches
 (:meth:`repro.planner.cache.PlanCache.save`) are tagged with this version
 and silently discarded on mismatch, so stale on-disk plans can never be
 deserialised against a new signature scheme.  Version 2: ``CachedPlan``
-gained ``step_sizes`` (the planner feedback loop).
+gained ``step_sizes`` (the planner feedback loop).  Version 3: the
+signature lost its indicator-join field (joins are no strategy of their
+own, so no cached plan depends on the factor values).
 """
-
-_INDICATOR_MEMO: "weakref.WeakKeyDictionary[FAQQuery, bool]" = weakref.WeakKeyDictionary()
 
 
 def size_bucket(size: int) -> int:
@@ -103,47 +103,6 @@ def canonical_order(query: FAQQuery) -> List[str]:
     return sorted(query.order, key=lambda v: (colors[v], position[v]))
 
 
-def is_indicator_join(query: FAQQuery) -> bool:
-    """Whether this is an all-free query of covering indicator (0/1) factors.
-
-    This is exactly the shape the relational strategies (Yannakakis /
-    generic join) apply to: every variable free and mentioned by some
-    factor, no empty scopes, and every factor value equal to the semiring
-    one.  Strategy applicability depends on the factor *values*, which the
-    purely structural part of the signature cannot see — folding this bit
-    into the signature keeps indicator and weighted variants of the same
-    shape in separate cache entries, so a cached join-strategy plan can
-    never transfer to a query it would compute wrong values for.
-
-    The O(input) value scan only runs for all-free queries and is memoised
-    per query instance (queries are immutable after construction), so the
-    signature and the planner's applicability check share one scan.
-    """
-    cached = _INDICATOR_MEMO.get(query)
-    if cached is not None:
-        return cached
-    result = _compute_indicator_join(query)
-    _INDICATOR_MEMO[query] = result
-    return result
-
-
-def _compute_indicator_join(query: FAQQuery) -> bool:
-    if query.num_free != query.num_variables or query.num_variables == 0:
-        return False
-    if not query.factors:
-        return False
-    semiring = query.semiring
-    mentioned = set()
-    for factor in query.factors:
-        if not factor.scope:
-            return False
-        mentioned.update(factor.scope)
-        for value in factor.table.values():
-            if not semiring.is_one(value):
-                return False
-    return mentioned == set(query.order)
-
-
 def query_signature(query: FAQQuery) -> Tuple[tuple, List[str]]:
     """The cache signature of a query plus its canonical variable order.
 
@@ -164,13 +123,7 @@ def query_signature(query: FAQQuery) -> Tuple[tuple, List[str]]:
             for f in query.factors
         )
     )
-    signature = (
-        query.semiring.name,
-        query.num_free,
-        is_indicator_join(query),
-        variables,
-        factors,
-    )
+    signature = (query.semiring.name, query.num_free, variables, factors)
     return signature, canon
 
 
@@ -184,8 +137,8 @@ def signature_shape(signature: tuple) -> Tuple[tuple, Tuple[int, ...]]:
     produces — so the plan cache can transfer a plan between them when the
     per-factor drift stays within :func:`bucket_drift`'s tolerance.
     """
-    semiring, num_free, indicator, variables, factors = signature
-    shape = (semiring, num_free, indicator, variables, tuple(s for s, _ in factors))
+    semiring, num_free, variables, factors = signature
+    shape = (semiring, num_free, variables, tuple(s for s, _ in factors))
     buckets = tuple(b for _, b in factors)
     return shape, buckets
 

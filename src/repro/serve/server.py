@@ -50,7 +50,6 @@ from repro.planner import (
     query_content_key,
     record_plan_feedback,
 )
-from repro.planner.plan import JOIN_STRATEGIES
 from repro.planner.signature import sealed_version
 from repro.serve.api import PlanFailure, ServeRequest, ServeResult
 from repro.serve.snapshot import SnapshotStore
@@ -425,13 +424,12 @@ class PlanServer:
 
         Content-key duplicates first coalesce onto one representative
         (preserving the ``coalesced`` counter semantics of the submit
-        path, deterministically).  Representatives planned as eliminations
-        (InsideOut or variable elimination) are then executed as one merged
-        multi-sink step DAG
+        path, deterministically).  The representatives' plans are then
+        executed as one merged multi-sink step DAG
         (:meth:`repro.exec.DagExecutor.run_many`, the same driver a single
         request reaches as a batch of one) sharing the server's
-        step-result cache; the join strategies, coalesce-opted-out requests
-        and completed-result-cache hits run on the ordinary paths.  Any
+        step-result cache; coalesce-opted-out requests and
+        completed-result-cache hits run on the ordinary paths.  Any
         merged-run failure falls back to independent execution — merging
         is an optimisation, never a correctness risk.
         """
@@ -484,9 +482,6 @@ class PlanServer:
                 chosen, shared = self._prepare(request)
             except QueryError as exc:
                 rep_errors[i] = PlanFailure(str(exc), cause_type=type(exc).__name__)
-                continue
-            if chosen.strategy in JOIN_STRATEGIES:
-                solo.append(i)
                 continue
             specs.append(chosen.run_spec(request.output_mode, shared))
             merged.append((i, chosen, started))

@@ -53,9 +53,11 @@ def natural_join_insideout(
 ) -> Relation:
     """Evaluate a natural join via the cost-based planner.
 
-    The planner routes α-acyclic joins to Yannakakis' algorithm, cyclic
-    joins to the worst-case optimal generic join, and everything else to
-    InsideOut; pass an explicit ``ordering`` to pin the elimination order.
+    Every variable is free, so the plan has no elimination step and the
+    answer is InsideOut's output phase: a semijoin reduction and a search
+    along the join tree for an α-acyclic join (Yannakakis' bound), a
+    worst-case-optimal search in the plan's ordering for a cyclic one
+    (generic join's).  Pass an explicit ``ordering`` to pin that ordering.
     """
     query = natural_join_query(relations)
     result = execute(query, ordering=ordering, workers=workers)

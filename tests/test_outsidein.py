@@ -54,6 +54,44 @@ class TestEnumerateJoin:
         assert stats.search_steps > 0
         assert stats.intersections > 0
 
+    def test_intersection_probes_levels_in_place(self, monkeypatch):
+        """Regression: a probe walks the smallest participating trie level
+        and asks the others for membership; it copies no level.  On a star
+        join of a 20 000-row factor with a 10-row one, the search touches
+        ``O(small + output)`` level elements, not the big factor's keys."""
+        from repro.core import outsidein
+        from repro.factors.index import FactorTrie
+
+        visits = [0]
+
+        class CountingLevel(dict):
+            def __iter__(self):
+                for key in dict.__iter__(self):
+                    visits[0] += 1
+                    yield key
+
+            def __contains__(self, key):
+                visits[0] += 1
+                return dict.__contains__(self, key)
+
+        def counting(node):
+            if isinstance(node, dict):
+                return CountingLevel({k: counting(v) for k, v in node.items()})
+            return node
+
+        class CountingTrie(FactorTrie):
+            def __init__(self, factor, order, semiring):
+                super().__init__(factor, order, semiring)
+                self.root = counting(self.root)
+
+        monkeypatch.setattr(outsidein, "FactorTrie", CountingTrie)
+        big = make_factor(("X", "A"), {(x, a): 1 for x in range(10_000) for a in (0, 1)})
+        small = make_factor(("X", "B"), {(x, 0): 1 for x in range(0, 10_000, 1_000)})
+        assert len(big) == 20_000
+        results = list(enumerate_join([big, small], COUNTING, ["X", "A", "B"]))
+        assert len(results) == 20
+        assert visits[0] <= 4 * (len(small) + len(results))
+
     def test_stats_merge(self):
         a = OutsideInStats(search_steps=1, emitted_tuples=2, intersections=3)
         b = OutsideInStats(search_steps=10, emitted_tuples=20, intersections=30)
@@ -269,7 +307,7 @@ class TestTrieCache:
         )
         cache = holder_for(("A",), [dense])
         trie = cache.trie(dense)
-        assert trie.value((0,)) == 2
+        assert trie.level(()) == {0: 2}
 
     def test_flat_encodings_reused_per_factor_and_projection(self, holder_for):
         from repro.semiring.standard import MAX_PRODUCT

@@ -4,21 +4,21 @@ import math
 
 import pytest
 
+from repro.core import insideout as insideout_module
 from repro.core.evo import is_equivalent_ordering
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
 from repro.core.variable_elimination import variable_elimination
 from repro.db import generic_join, join
 from repro.db.relation import Relation
+from repro.exec import StepResultCache
 from repro.factors.factor import Factor
 from repro.planner import (
     CostModel,
     PlanCache,
     STRATEGIES,
-    STRATEGY_GENERIC_JOIN,
     STRATEGY_INSIDEOUT,
     STRATEGY_VARIABLE_ELIMINATION,
-    STRATEGY_YANNAKAKIS,
     applicable_strategies,
     candidate_orderings,
     execute,
@@ -64,6 +64,62 @@ def _indicator_join_query(cyclic: bool) -> FAQQuery:
         semiring=BOOLEAN,
         name="ind-join",
     )
+
+
+def _path_query(n: int, dangling: bool) -> FAQQuery:
+    """The path join ``R(a,b) S(b,c) T(c,d) U(d,e)`` in one of two shapes.
+
+    Dangling: ``R``, ``S`` and ``T`` join into ``n * n`` tuples over
+    ``a..d`` and ``U`` matches none of them, so the join is empty; a search
+    walks all ``n * n`` pairs unless the dangling tuples go first.  Clean:
+    every relation is the identity on ``range(n)``, so the join has ``n``
+    tuples, but a search that binds ``a`` and ``d`` before the variables
+    between them still tries all ``n * n`` pairs of ends.
+    """
+    if dangling:
+        rows = {
+            ("a", "b"): [(i, 0) for i in range(n)],
+            ("b", "c"): [(0, j) for j in range(n)],
+            ("c", "d"): [(j, 0) for j in range(n)],
+            ("d", "e"): [(1, 0)],
+        }
+        domains = {"a": range(n), "b": (0,), "c": range(n), "d": (0, 1), "e": (0,)}
+    else:
+        scopes = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+        rows = {scope: [(i, i) for i in range(n)] for scope in scopes}
+        domains = {v: range(n) for v in "abcde"}
+    return FAQQuery(
+        variables=[Variable(v, tuple(domains[v])) for v in "abcde"],
+        free=list("abcde"),
+        aggregates={},
+        factors=[
+            Factor(scope, {row: True for row in table}, name="".join(scope))
+            for scope, table in rows.items()
+        ],
+        semiring=BOOLEAN,
+        name="path",
+    )
+
+
+def _triangle_join_query() -> FAQQuery:
+    """``R(A,B) S(B,C) T(A,C)`` over the edges of a sparse random graph."""
+    import networkx as nx
+
+    from repro.solvers.joins import natural_join_query, triangle_join_relations
+
+    graph = nx.gnm_random_graph(100, 250, seed=3)
+    return natural_join_query(triangle_join_relations(graph))
+
+
+def _reference_join(query: FAQQuery) -> Factor:
+    """A natural join's answer from the relational reference evaluator."""
+    relations = [
+        Relation(f"r{i}", f.scope, f.table.keys()) for i, f in enumerate(query.factors)
+    ]
+    joined = generic_join(relations)
+    return Factor(
+        joined.schema, {row: True for row in joined.tuples}
+    ).normalize_scope(query.free)
 
 
 class TestPlanning:
@@ -195,20 +251,89 @@ class TestStrategySpace:
         with pytest.raises(QueryError):
             plan(query, strategy=STRATEGY_VARIABLE_ELIMINATION, use_cache=False)
 
-    def test_acyclic_indicator_join_allows_yannakakis(self):
-        strategies = applicable_strategies(_indicator_join_query(cyclic=False))
-        assert STRATEGY_YANNAKAKIS in strategies
-        assert STRATEGY_GENERIC_JOIN in strategies
+    def test_acyclic_indicator_join_is_semijoin_reduced(self):
+        """Yannakakis is the output phase's reduction, not a strategy: an
+        acyclic join plans like any query, and the reduction leaves every
+        factor exactly the rows that take part in the join — wherever the
+        dangling rows sit in the join tree."""
+        assert applicable_strategies(_indicator_join_query(cyclic=False)) == [
+            STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION,
+        ]
+        rows = {
+            ("A", "B"): [(0, 0), (1, 1)],
+            ("B", "C"): [(0, 0), (2, 2)],
+            ("C", "D"): [(0, 5), (3, 3)],
+        }
+        factors = [Factor(scope, {r: True for r in table}) for scope, table in rows.items()]
+        reduced = insideout_module._semijoin_reduce(factors, BOOLEAN, list("ABCD"))
+        assert reduced is not None
+        factors, binding = reduced
+        assert [sorted(f.table) for f in factors] == [[(0, 0)], [(0, 0)], [(0, 5)]]
+        assert sorted(binding) == ["A", "B", "C", "D"]
 
-    def test_cyclic_indicator_join_excludes_yannakakis(self):
-        strategies = applicable_strategies(_indicator_join_query(cyclic=True))
-        assert STRATEGY_YANNAKAKIS not in strategies
-        assert STRATEGY_GENERIC_JOIN in strategies
+    def test_cyclic_indicator_join_is_not_semijoin_reduced(self):
+        """A cyclic join has no join tree: the output phase searches it
+        worst-case optimally in the plan's ordering, as generic join does."""
+        query = _indicator_join_query(cyclic=True)
+        assert applicable_strategies(query) == [
+            STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION,
+        ]
+        assert insideout_module._semijoin_reduce(
+            list(query.factors), BOOLEAN, query.order
+        ) is None
 
     def test_bound_variables_exclude_join_strategies(self, triangle_query):
+        """Being all-free adds no strategy: a join and a count plan in the
+        same space."""
         strategies = applicable_strategies(triangle_query)
-        assert STRATEGY_YANNAKAKIS not in strategies
-        assert STRATEGY_GENERIC_JOIN not in strategies
+        assert strategies == applicable_strategies(_indicator_join_query(cyclic=False))
+        assert strategies == applicable_strategies(_indicator_join_query(cyclic=True))
+        assert set(strategies) == set(STRATEGIES)
+
+    @pytest.mark.parametrize("name", ["yannakakis", "generic-join"])
+    def test_join_strategy_names_are_refused(self, name):
+        query = _indicator_join_query(cyclic=False)
+        with pytest.raises(QueryError):
+            plan(query, strategy=name, use_cache=False)
+        with pytest.raises(QueryError):
+            plan(query, strategy=name, ordering=list(query.order), use_cache=False)
+
+    @pytest.mark.parametrize("dangling", [True, False])
+    def test_acyclic_join_work_is_linear_in_any_ordering(self, dangling):
+        """Yannakakis' bound on the one path: the search takes
+        ``O(input + output)`` steps on a path join, for the planner's
+        choice and for every ordering it could be pinned to — including
+        ``a,d,b,c``, which binds the two ends of the path first."""
+        n = 2000
+        query = _path_query(n, dangling)
+        chosen = plan(query, use_cache=False)
+        runs = [("planner", chosen.execute())]
+        orderings = candidate_orderings(query) + [tuple("adbce")]
+        for ordering in orderings:
+            for strategy in STRATEGIES:
+                pinned = plan(query, ordering=list(ordering), strategy=strategy)
+                runs.append((f"{strategy} {ordering}", pinned.execute()))
+        for label, result in runs:
+            assert len(result.factor) == (0 if dangling else n), label
+            steps = result.stats.join_stats.search_steps
+            assert steps <= 4 * (n + len(result.factor)), (label, steps)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_join_plan_takes_workers_and_the_step_cache(self, cyclic):
+        """Joins sparse enough that a relational evaluator used to be the
+        planner's pick run on the step-DAG executor like any plan."""
+        query = _triangle_join_query() if cyclic else _path_query(20, dangling=False)
+        chosen = plan(query, use_cache=False)
+        serial = chosen.execute()
+        assert _reference_join(query).equals(serial.factor, BOOLEAN)
+        assert chosen.execute(workers=2).factor.table == serial.factor.table
+        cache = StepResultCache()
+        cold = chosen.execute(step_cache=cache)
+        computed = cache.stats()["computed"]
+        assert computed >= 1
+        warm = chosen.execute(step_cache=cache)
+        assert cache.stats()["computed"] == computed
+        assert cold.factor.table == warm.factor.table == serial.factor.table
 
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_every_join_strategy_agrees(self, cyclic):
@@ -277,10 +402,10 @@ class TestPlanCache:
         sig2, _ = query_signature(renamed)
         assert sig == sig2
 
-    def test_indicator_and_weighted_variants_do_not_share_plans(self):
-        """Regression: a cached Yannakakis plan must never transfer to a
-        same-shaped query with non-indicator values (it would silently
-        output semiring ones instead of the real products)."""
+    def test_indicator_and_weighted_variants_share_one_plan(self):
+        """No plan depends on whether the values are all ones, so the
+        weighted variant of a join hits the indicator variant's cached plan
+        — and still gets the real products."""
         names = ["A", "B", "C"]
         dom = tuple(range(3))
 
@@ -302,8 +427,8 @@ class TestPlanCache:
         )
         weighted = query_with(2)
         second = plan(weighted, cache=cache)
-        assert not second.cache_hit  # different signature (indicator bit)
-        assert second.strategy not in (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN)
+        assert second.cache_hit and len(cache) == 1
+        assert (second.strategy, second.ordering) == (first.strategy, first.ordering)
         assert second.execute().factor.equals(
             weighted.evaluate_brute_force(), COUNTING
         )
@@ -448,12 +573,8 @@ class TestEngineIntegration:
         assert DEFAULT_COST_MODEL.invocations == before
 
     def test_planner_strategies_constant(self):
-        assert set(STRATEGIES) == {
-            STRATEGY_INSIDEOUT,
-            STRATEGY_VARIABLE_ELIMINATION,
-            STRATEGY_YANNAKAKIS,
-            STRATEGY_GENERIC_JOIN,
-        }
+        """The two lowerings of the one executor; joins are neither."""
+        assert STRATEGIES == (STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION)
 
 
 def test_single_block_query_runs_the_exact_ordering_search_once(monkeypatch):

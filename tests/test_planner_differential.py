@@ -1,13 +1,15 @@
 """Randomized differential testing of the planner against brute force.
 
 Every plan the planner can emit — each applicable strategy (InsideOut,
-textbook variable elimination, Yannakakis, generic join), each factor
-backend (sparse / dense / auto) and a spread of EVO-valid candidate
-orderings — is executed on small random FAQ queries over five semirings
-(sum-product counting, max-product, min-plus, Boolean, set) with random
-free-variable sets, and the output is compared against the exhaustive
-reference semantics of :meth:`FAQQuery.evaluate_brute_force` (the
-``pgm/brute.py``-style ground truth).
+textbook variable elimination), each factor backend (sparse / dense /
+auto) and a spread of EVO-valid candidate orderings — is executed on small
+random FAQ queries over five semirings (sum-product counting, max-product,
+min-plus, Boolean, set) with random free-variable sets, and the output is
+compared against the exhaustive reference semantics of
+:meth:`FAQQuery.evaluate_brute_force` (the ``pgm/brute.py``-style ground
+truth).  A quarter of the queries are natural joins (every variable free,
+indicator values), acyclic and cyclic, which exercise the output phase's
+semijoin reduction and its worst-case-optimal search.
 
 Runs are fully seeded; on failure the assertion message prints the
 semiring/seed pair (and the exact strategy/backend/ordering) needed to
@@ -28,11 +30,9 @@ import pytest
 
 from repro.core.query import FAQQuery, Variable
 from repro.factors.factor import Factor
+from repro.hypergraph.acyclicity import join_tree
 from repro.planner import (
     PlanCache,
-    STRATEGY_GENERIC_JOIN,
-    STRATEGY_INSIDEOUT,
-    STRATEGY_YANNAKAKIS,
     applicable_strategies,
     candidate_orderings,
     plan,
@@ -44,7 +44,6 @@ SET_UNIVERSE = (0, 1, 2, 3)
 SET_SEMIRING = set_semiring(SET_UNIVERSE)
 
 BACKENDS = ("sparse", "dense", "auto")
-JOIN_STRATEGIES = (STRATEGY_YANNAKAKIS, STRATEGY_GENERIC_JOIN)
 
 
 def _union_aggregate():
@@ -107,8 +106,7 @@ def _random_query(name: str, seed: int) -> FAQQuery:
         table = {}
         for values in itertools.product(*(domains[v] for v in scope)):
             if rng.random() < 0.7:
-                # All-free queries use indicator values so the relational
-                # strategies (Yannakakis / generic join) become applicable.
+                # All-free queries use indicator values: natural joins.
                 table[values] = semiring.one if all_free else value_of(rng)
         factors.append(Factor(scope, table, name=f"psi{index}"))
 
@@ -141,15 +139,12 @@ def _run_differential(name: str, seed: int) -> None:
     # 1. the planner's own free choice — serial, then through the parallel
     # step-DAG executor (which must agree with brute force too; exact
     # serial/parallel equality is asserted in test_exec_parallel.py).
-    # Only the InsideOut strategy parallelises — for the others workers=
-    # would re-run the identical serial path and add no coverage.
     chosen = plan(query, cache=cache)
     check(chosen.execute(), f"free choice: {chosen.strategy}/{chosen.backend}")
-    if chosen.strategy == STRATEGY_INSIDEOUT:
-        check(
-            chosen.execute(workers=2),
-            f"free choice (workers=2): {chosen.strategy}/{chosen.backend}",
-        )
+    check(
+        chosen.execute(workers=2),
+        f"free choice (workers=2): {chosen.strategy}/{chosen.backend}",
+    )
 
     # 2. every strategy x backend over a spread of valid orderings
     orderings = [chosen.ordering]
@@ -159,8 +154,7 @@ def _run_differential(name: str, seed: int) -> None:
     strategies = applicable_strategies(query)
     for ordering in orderings[:4]:
         for strategy in strategies:
-            backends = ("sparse",) if strategy in JOIN_STRATEGIES else BACKENDS
-            for backend in backends:
+            for backend in BACKENDS:
                 pinned = plan(
                     query,
                     ordering=list(ordering),
@@ -341,11 +335,20 @@ def test_update_stream_reaches_all_regimes():
 
 
 def test_join_strategies_are_exercised():
-    """The random query space actually reaches Yannakakis and generic join."""
+    """The random query space reaches both acyclic natural joins (the output
+    phase's semijoin reduction) and cyclic ones (its worst-case-optimal
+    search alone)."""
     seen = set()
     for name in sorted(SEMIRINGS):
+        semiring = SEMIRINGS[name][0]
         for seed in range(50):
             query = _random_query(name, seed)
-            seen.update(applicable_strategies(query))
-    assert STRATEGY_YANNAKAKIS in seen
-    assert STRATEGY_GENERIC_JOIN in seen
+            indicator = all(
+                semiring.is_one(value)
+                for factor in query.factors
+                for value in factor.table.values()
+            )
+            scopes = {frozenset(f.scope) for f in query.factors if f.scope}
+            if query.num_free == query.num_variables and indicator and len(scopes) >= 2:
+                seen.add(join_tree(query.hypergraph()) is not None)
+    assert seen == {True, False}

@@ -16,6 +16,7 @@ from repro.planner import PlanCache, STRATEGY_INSIDEOUT, plan
 from repro.serve import PlanServer, ServeRequest, ServeResult, execute_batch
 
 from test_flat_kernel import _chain_query, _check_answer
+from test_planner import _path_query, _reference_join
 from test_planner_differential import _random_query
 from test_signature_digest import _unencodable_query
 
@@ -43,6 +44,19 @@ def test_execute_batch_preserves_input_order():
         want = expected[id(query)]
         assert result.factor.scope == want.scope
         assert result.factor.table == want.table
+
+
+def test_join_requests_merge_with_the_rest_of_a_batch():
+    """A natural join is an ordinary plan: it runs in the batch's merged
+    step DAG beside an elimination query, not on a route of its own."""
+    join = _path_query(20, dangling=False)
+    chain = _chain_query(domain=4)
+    with PlanServer(pool_size=2) as server:
+        joined, chained = server.execute_batch(_requests([join, chain]))
+        stats = server.stats()
+    assert stats["merged_queries"] == 2
+    assert joined.factor.equals(_reference_join(join), join.semiring)
+    assert chained.factor.equals(chain.evaluate_brute_force(), chain.semiring)
 
 
 def test_shipped_factors_are_held_by_reference():
