@@ -30,7 +30,10 @@ Scaling ladder — all three speak the same request/result types::
     PlanServer().submit(req)                   # thread pool, Future out
     await Frontend(replicas=4).submit(req)     # process fleet, coalesced
 
-Every InsideOut execution on any rung — single request, merged batch,
+A request is a batch of one on every rung: the server has one execute
+path (``PlanServer._serve``), the wire one execute message (``exec``)
+and the front-end one retry loop (``Frontend._dispatch``).  Every
+elimination plan on any rung — single request, merged batch,
 incremental update — runs on the one driver, :class:`repro.exec.DagExecutor`.
 """
 

@@ -14,9 +14,10 @@
    traffic to the replica that already holds its factor tables and warm
    tries, falling back to least-loaded under skew (see
    :class:`~repro.serve.replica.ReplicaSet`).
-4. **dispatch** — the blocking pipe round-trip runs in a worker thread
-   (``asyncio.to_thread``), so the event loop keeps admitting while
-   replicas compute.  Failure handling follows the tier's
+4. **dispatch** — one retry loop for a single request (a batch of one)
+   and a merged group alike.  The blocking pipe round-trip runs in a
+   worker thread (``asyncio.to_thread``), so the event loop keeps
+   admitting while replicas compute.  Failure handling follows the tier's
    :class:`~repro.serve.api.RetryPolicy`: a crashed (or RPC-deadline
    missing) replica is restarted and the request retried with jittered
    exponential backoff until the attempt budget runs out, after which the
@@ -220,6 +221,8 @@ class Frontend:
         ``retry.attempts`` times.
         """
         tenants = self._admit([request])
+        loop = asyncio.get_running_loop()
+        deadline_at = None
         if request.deadline is not None:
             estimated = self._estimated_wait()
             if estimated > request.deadline:
@@ -230,6 +233,7 @@ class Frontend:
                     f"(estimated wait {estimated:.3f}s)",
                     request.tenant,
                 )
+            deadline_at = loop.time() + request.deadline
 
         # ------------------------- coalescing -------------------------- #
         key = request.content_key if (self.coalesce and request.coalesce) else None
@@ -240,18 +244,15 @@ class Frontend:
                 result = await asyncio.shield(primary)
                 return result.mark_coalesced()
 
-        loop = asyncio.get_running_loop()
         future: Optional["asyncio.Future[ServeResult]"] = None
         if key is not None:
             future = loop.create_future()
             self._inflight[key] = future
         self._hold(tenants, +1)
         try:
-            await self._reader_enter(loop)
-            try:
-                result = await self._dispatch(request, loop)
-            finally:
-                self._reader_exit()
+            [result] = await self._dispatch([request], deadline_at)
+            if isinstance(result, BaseException):
+                raise result
         except BaseException as exc:
             if future is not None and not future.done():
                 future.set_exception(exc)
@@ -334,77 +335,65 @@ class Frontend:
         return True
 
     async def _dispatch(
-        self, request: ServeRequest, loop: asyncio.AbstractEventLoop
-    ) -> ServeResult:
-        deadline_at = (
-            loop.time() + request.deadline if request.deadline is not None else None
-        )
-        attempts = 0
-        while True:
-            if deadline_at is not None and loop.time() >= deadline_at:
-                self._shed_deadline += 1
-                self._decay_latency()
-                raise Overloaded("deadline expired before dispatch", request.tenant)
-            replica = self._set.pick(request.content_key)
-            replica.load += 1
-            started = loop.time()
-            try:
-                result = await asyncio.to_thread(replica.execute, request)
-            except ReplicaCrashed as exc:
-                attempts += 1
-                if not await self._recover(replica, exc, attempts):
-                    raise
-                continue
-            finally:
-                replica.load -= 1
-                self._observe_latency(loop.time() - started)
-            return result
+        self, requests: Sequence[ServeRequest], deadline_at: Optional[float]
+    ) -> List[Any]:
+        """The tier's one retry loop: run a group on one replica.
+
+        Waits for the update gate, routes on the first request's content
+        key and sends the group in one round trip; a crashed or timed-out
+        replica is restarted and the group retried per the tier's
+        :class:`RetryPolicy`.  Returns per-request outcomes in order (see
+        :meth:`ReplicaHandle.execute`); sheds with :class:`Overloaded` once
+        ``deadline_at`` (event-loop time) has passed.
+        """
+        loop = asyncio.get_running_loop()
+        await self._reader_enter(loop)
+        try:
+            attempts = 0
+            while True:
+                if deadline_at is not None and loop.time() >= deadline_at:
+                    self._shed_deadline += 1
+                    self._decay_latency()
+                    raise Overloaded("deadline expired before dispatch", requests[0].tenant)
+                replica = self._set.pick(requests[0].content_key)
+                replica.load += len(requests)
+                started = loop.time()
+                try:
+                    return await asyncio.to_thread(replica.execute, list(requests))
+                except ReplicaCrashed as exc:
+                    attempts += 1
+                    if not await self._recover(replica, exc, attempts):
+                        raise
+                finally:
+                    replica.load -= len(requests)
+                    self._observe_latency(loop.time() - started)
+        finally:
+            self._reader_exit()
 
     async def submit_many(self, requests: Sequence[ServeRequest]) -> List[Any]:
         """Dispatch a sharing-key group to one replica as a merged batch.
 
-        All requests cross the pipe in a single ``exec_many`` message and the
-        replica merges their step DAGs, so structurally shared elimination
-        steps execute once.  Returns per-request outcomes in order — each a
-        :class:`ServeResult` or an exception object; admission shedding
-        raises :class:`Overloaded` for the whole group.
+        The group takes the one retry loop :meth:`submit` takes, as one
+        ``exec`` message, and the replica merges their step DAGs, so
+        structurally shared elimination steps execute once.  Returns
+        per-request outcomes in order — each a :class:`ServeResult` or an
+        exception object; admission shedding raises :class:`Overloaded`
+        for the whole group.  Outcomes the replica coalesced (duplicates
+        in the group, completed-result cache hits) count in
+        ``stats()["coalesced"]``.
         """
         tenants = self._admit(requests)
-        count = len(requests)
-        loop = asyncio.get_running_loop()
         self._hold(tenants, +1)
         self._merged_groups += 1
-        self._merged_group_requests += count
+        self._merged_group_requests += len(requests)
         try:
-            await self._reader_enter(loop)
-            try:
-                attempts = 0
-                while True:
-                    replica = self._set.pick(requests[0].content_key)
-                    replica.load += count
-                    started = loop.time()
-                    try:
-                        outcomes = await asyncio.to_thread(
-                            replica.execute_many, list(requests)
-                        )
-                    except ReplicaCrashed as exc:
-                        attempts += 1
-                        if not await self._recover(replica, exc, attempts):
-                            raise
-                        continue
-                    finally:
-                        replica.load -= count
-                        self._observe_latency(loop.time() - started)
-                    self._coalesced += sum(
-                        1
-                        for o in outcomes
-                        if isinstance(o, ServeResult) and o.coalesced
-                    )
-                    return outcomes
-            finally:
-                self._reader_exit()
+            outcomes = await self._dispatch(requests, None)
         finally:
             self._hold(tenants, -1)
+        self._coalesced += sum(
+            1 for o in outcomes if isinstance(o, ServeResult) and o.coalesced
+        )
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # fleet-wide factor updates (epoch-gated)

@@ -14,19 +14,14 @@ them); the first element is the message kind:
 ========================  ============================================
 frontend → replica
 ========================  ============================================
-``("exec", req_id, wire_query, payloads, output_mode, options,
-coalesce)``                execute one request; ``payloads`` maps digests
-                           to factor objects the replica is missing
-                           (per-query ``workers=`` is fixed at replica
-                           spawn time, not per message); ``coalesce``
-                           carries the request's sharing opt-in so the
-                           replica's step/result caches engage only for
-                           traffic that allowed it
-``("exec_many", req_id, items, payloads)``
-                           execute a batch as one merged step DAG;
-                           ``items`` is a tuple of ``(wire_query,
-                           output_mode, options, coalesce)`` and
-                           ``payloads`` covers the whole batch
+``("exec", req_id, items, payloads)``
+                           execute a batch — a single request is a batch
+                           of one; ``items`` is a tuple of ``(wire_query,
+                           output_mode, options, coalesce)`` (``coalesce``
+                           engages the replica's step/result caches only
+                           for traffic that allowed it) and ``payloads``
+                           maps digests to the factor objects the replica
+                           is missing, for the whole batch
 ``("update", req_id, wire_query, payloads, deltas, output_mode,
 options)``                 apply a factor-update batch to the query's
                            standing incremental view and answer with the
@@ -40,8 +35,8 @@ options)``                 apply a factor-update batch to the query's
 ========================  ============================================
 replica → frontend
 ========================  ============================================
-``("ok", req_id, result)``            a :class:`WireResult`
-``("ok_many", req_id, outcomes)``      per-item outcomes for ``exec_many``:
+``("ok", req_id, result)``            a :class:`WireResult` for ``update``
+``("ok_many", req_id, outcomes)``      per-item outcomes for ``exec``:
                                        each is ``("ok", WireResult)`` or
                                        ``("err", kind, message,
                                        cause_type)`` in item order
@@ -50,7 +45,7 @@ cause_type)``                          typed failure (``kind`` ∈
                                        ``{"plan", "internal"}``)
 ``("need", req_id, digests)``          the replica lacks these factor
                                        payloads (e.g. it restarted);
-                                       resend ``exec`` with them included
+                                       resend the message with them included
 ``("pong", nonce, stats)``             health reply + serving counters
 ========================  ============================================
 
@@ -62,7 +57,7 @@ fail at the *sender* — the frontend surfaces that as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.query import FAQQuery, Variable
@@ -71,7 +66,6 @@ from repro.semiring.aggregates import Aggregate
 from repro.semiring.base import Semiring
 
 MSG_EXEC = "exec"
-MSG_EXEC_MANY = "exec_many"
 MSG_UPDATE = "update"
 MSG_PING = "ping"
 MSG_SHUTDOWN = "shutdown"
@@ -188,12 +182,8 @@ def decode_query(wire: WireQuery, store: Dict[str, Any]) -> FAQQuery:
     )
 
 
-def missing_digests(wire: WireQuery, known: set) -> Tuple[str, ...]:
-    """The factor digests of ``wire`` not in ``known`` (deduplicated, ordered)."""
-    seen = set()
-    missing = []
-    for digest in wire.factor_digests:
-        if digest not in known and digest not in seen:
-            seen.add(digest)
-            missing.append(digest)
-    return tuple(missing)
+def missing_digests(wires: Sequence[WireQuery], known: set) -> Tuple[str, ...]:
+    """The factor digests of ``wires`` not in ``known`` (deduplicated, ordered)."""
+    return tuple(dict.fromkeys(
+        digest for wire in wires for digest in wire.factor_digests if digest not in known
+    ))

@@ -66,7 +66,6 @@ from repro.serve.protocol import (
     ERR_PLAN,
     MSG_ERR,
     MSG_EXEC,
-    MSG_EXEC_MANY,
     MSG_NEED,
     MSG_OK,
     MSG_OK_MANY,
@@ -123,18 +122,22 @@ def _memoised_query(wire, store: Dict[str, Any], queries: LruCache):
     return query
 
 
-def _wire_ok(result) -> tuple:
-    return (
-        MSG_OK,
-        WireResult(
-            factor=result.factor,
-            ordering=result.ordering,
-            strategy=result.strategy,
-            backend=result.backend,
-            seconds=result.seconds,
-            coalesced=result.coalesced,
-        ),
+def _wire_result(result) -> WireResult:
+    return WireResult(
+        factor=result.factor,
+        ordering=result.ordering,
+        strategy=result.strategy,
+        backend=result.backend,
+        seconds=result.seconds,
+        coalesced=result.coalesced,
     )
+
+
+def _wire_error(exc: BaseException) -> tuple:
+    """``(kind, message, cause_type)`` of a failure crossing the pipe."""
+    if isinstance(exc, PlanFailure):
+        return (ERR_PLAN, str(exc), exc.cause_type)
+    return (ERR_INTERNAL, f"{type(exc).__name__}: {exc}", type(exc).__name__)
 
 
 def _replica_main(
@@ -201,77 +204,21 @@ def _replica_main(
         # parent sees a pipe error or an RPC timeout and restarts us.
         if fire(SITE_REPLICA_KILL) is not None:
             os._exit(1)
-        if kind == MSG_EXEC_MANY:
+        if kind == MSG_EXEC:
             _, req_id, items, payloads = message
-            store.update(payloads)
-            missing: list = []
-            seen_missing: set = set()
-            for wire, _, _, _ in items:
-                for digest in missing_digests(wire, store.keys()):
-                    if digest not in seen_missing:
-                        seen_missing.add(digest)
-                        missing.append(digest)
-            if missing:
-                conn.send((MSG_NEED, req_id, tuple(missing)))
-                continue
-            requests: List[Optional[ServeRequest]] = []
-            outcomes: List[Optional[tuple]] = []
-            for wire, output_mode, options, coalesce in items:
-                try:
-                    request = ServeRequest(
-                        query=_memoised_query(wire, store, queries),
-                        output_mode=output_mode,
-                        coalesce=coalesce,
-                        options=options,
-                    )
-                except Exception as exc:  # noqa: BLE001 - fail the item, not the batch
-                    requests.append(None)
-                    outcomes.append(
-                        (MSG_ERR, ERR_INTERNAL, f"{type(exc).__name__}: {exc}", type(exc).__name__)
-                    )
-                    continue
-                requests.append(request)
-                outcomes.append(None)
-            live = [r for r in requests if r is not None]
-            results: Optional[List[Any]] = None
-            if live:
-                try:
-                    results = list(server.execute_batch(live))
-                except Exception:  # noqa: BLE001 - retry item-by-item for typed errors
-                    results = None
-            if results is None and live:
-                results = []
-                for request in live:
-                    try:
-                        results.append(server.execute_request(request))
-                    except PlanFailure as exc:
-                        results.append((MSG_ERR, ERR_PLAN, str(exc), exc.cause_type))
-                    except Exception as exc:  # noqa: BLE001
-                        results.append(
-                            (MSG_ERR, ERR_INTERNAL, f"{type(exc).__name__}: {exc}", type(exc).__name__)
-                        )
-            answers = iter(results or [])
-            wire_outcomes = []
-            for slot in outcomes:
-                if slot is not None:
-                    wire_outcomes.append(slot)
-                    continue
-                result = next(answers)
-                if isinstance(result, tuple):
-                    wire_outcomes.append(result)
-                    continue
-                if not result.coalesced:
-                    served += 1
-                wire_outcomes.append(_wire_ok(result))
-            conn.send((MSG_OK_MANY, req_id, wire_outcomes))
+            wires = [item[0] for item in items]
+        elif kind == MSG_UPDATE:
+            _, req_id, wire, payloads, deltas, output_mode, options = message
+            wires = [wire]
+        else:
+            conn.send((MSG_ERR, None, ERR_INTERNAL, f"unknown message {kind!r}", "ServeError"))
+            continue
+        store.update(payloads)
+        missing = missing_digests(wires, store.keys())
+        if missing:
+            conn.send((MSG_NEED, req_id, missing))
             continue
         if kind == MSG_UPDATE:
-            _, req_id, wire, payloads, deltas, output_mode, options = message
-            store.update(payloads)
-            missing = missing_digests(wire, store.keys())
-            if missing:
-                conn.send((MSG_NEED, req_id, missing))
-                continue
             try:
                 request = ServeRequest(
                     query=_memoised_query(wire, store, queries),
@@ -279,41 +226,37 @@ def _replica_main(
                     options=options,
                 )
                 result = server.update_factors(request, list(deltas))
-            except PlanFailure as exc:
-                conn.send((MSG_ERR, req_id, ERR_PLAN, str(exc), exc.cause_type))
-                continue
             except Exception as exc:  # noqa: BLE001 - replica must not die on a bad update
-                conn.send((MSG_ERR, req_id, ERR_INTERNAL, f"{type(exc).__name__}: {exc}", type(exc).__name__))
+                conn.send((MSG_ERR, req_id, *_wire_error(exc)))
                 continue
             served += 1
-            conn.send((MSG_OK, req_id, _wire_ok(result)[1]))
+            conn.send((MSG_OK, req_id, _wire_result(result)))
             continue
-        if kind != MSG_EXEC:
-            conn.send((MSG_ERR, None, ERR_INTERNAL, f"unknown message {kind!r}", "ServeError"))
-            continue
-        _, req_id, wire, payloads, output_mode, options, coalesce = message
-        store.update(payloads)
-        missing = missing_digests(wire, store.keys())
-        if missing:
-            conn.send((MSG_NEED, req_id, missing))
-            continue
+        decoded: List[Any] = []
+        for wire, output_mode, options, coalesce in items:
+            try:
+                decoded.append(ServeRequest(
+                    query=_memoised_query(wire, store, queries),
+                    output_mode=output_mode,
+                    coalesce=coalesce,
+                    options=options,
+                ))
+            except Exception as exc:  # noqa: BLE001 - fail the item, not the batch
+                decoded.append(exc)
+        live = [r for r in decoded if isinstance(r, ServeRequest)]
         try:
-            request = ServeRequest(
-                query=_memoised_query(wire, store, queries),
-                output_mode=output_mode,
-                coalesce=coalesce,
-                options=options,
-            )
-            result = server.execute_request(request)
-        except PlanFailure as exc:
-            conn.send((MSG_ERR, req_id, ERR_PLAN, str(exc), exc.cause_type))
-            continue
-        except Exception as exc:  # noqa: BLE001 - replica must not die on a bad request
-            conn.send((MSG_ERR, req_id, ERR_INTERNAL, f"{type(exc).__name__}: {exc}", type(exc).__name__))
-            continue
-        if not result.coalesced:
-            served += 1
-        conn.send((MSG_OK, req_id, _wire_ok(result)[1]))
+            answers = iter(server._serve(live))
+        except Exception as exc:  # noqa: BLE001 - replica must not die on a bad batch
+            answers = itertools.repeat(exc)
+        outcomes = []
+        for item in decoded:
+            outcome = next(answers) if isinstance(item, ServeRequest) else item
+            if isinstance(outcome, BaseException):
+                outcomes.append((MSG_ERR, *_wire_error(outcome)))
+                continue
+            served += not outcome.coalesced
+            outcomes.append((MSG_OK, _wire_result(outcome)))
+        conn.send((MSG_OK_MANY, req_id, outcomes))
     conn.close()
 
 
@@ -323,7 +266,9 @@ def _replica_main(
 class ReplicaHandle:
     """One replica process plus its pipe, lock and known-digest set.
 
-    ``load`` is the front-end's in-flight count for routing decisions (the
+    Two calls talk to the replica: :meth:`execute` runs a batch of
+    requests (a single request is a batch of one) and :meth:`update`
+    applies a factor-update batch.  ``load`` is the front-end's in-flight count for routing decisions (the
     handle itself serialises calls under ``self.lock`` — one pipe, one
     outstanding request).  A pipe failure raises
     :class:`~repro.serve.api.ReplicaCrashed`; a reply missing its deadline
@@ -424,9 +369,7 @@ class ReplicaHandle:
             return reply
 
         with self.lock:
-            reply = send({
-                d: tables[d] for wire in wires for d in missing_digests(wire, self.known)
-            })
+            reply = send({d: tables[d] for d in missing_digests(wires, self.known)})
             if reply[0] == MSG_NEED:
                 reply = send({d: tables[d] for d in reply[2]})
         if reply[0] == ok_kind:
@@ -437,22 +380,6 @@ class ReplicaHandle:
         raise ReplicaCrashed(
             f"replica {self.index} sent unexpected reply {reply[0]!r}"
         )
-
-    def execute(self, request: ServeRequest) -> ServeResult:
-        """Run one request on this replica (blocking; thread-safe).
-
-        Ships only the factor payloads the replica is missing
-        (:meth:`_exchange`).
-        """
-        wire, tables = self._encoded(request.query)
-        result: WireResult = self._exchange(
-            lambda req_id, payloads: (
-                MSG_EXEC, req_id, wire, payloads, request.output_mode,
-                request.options, request.coalesce,
-            ),
-            [wire], tables, MSG_OK,
-        )
-        return self._serve_result(result, request)
 
     def update(
         self, request: ServeRequest, deltas: Sequence[Tuple[int, Any]]
@@ -474,10 +401,12 @@ class ReplicaHandle:
         )
         return self._serve_result(result, request)
 
-    def execute_many(self, requests: List[ServeRequest]) -> List[Any]:
-        """Run a batch on this replica as one merged dispatch (blocking).
+    def execute(self, requests: Sequence[ServeRequest]) -> List[Any]:
+        """Run a batch on this replica (blocking; thread-safe) — a single
+        request is a batch of one.
 
-        The whole batch crosses the pipe in a single ``exec_many`` message;
+        The whole batch crosses the pipe in one ``exec`` message carrying
+        only the factor payloads the replica is missing (:meth:`_exchange`);
         the replica's :class:`~repro.serve.server.PlanServer` merges the
         queries' step DAGs so structurally shared elimination steps execute
         once.  Returns per-request outcomes in order — each a
@@ -503,7 +432,7 @@ class ReplicaHandle:
             for _, request, wire in encoded
         )
         replies = self._exchange(
-            lambda req_id, payloads: (MSG_EXEC_MANY, req_id, items, payloads),
+            lambda req_id, payloads: (MSG_EXEC, req_id, items, payloads),
             [wire for _, _, wire in encoded], combined, MSG_OK_MANY,
         )
         if len(replies) != len(encoded):

@@ -31,11 +31,11 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.caching import LruCache
 from repro.core.query import QueryError
-from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, validate_workers
+from repro.exec import DagExecutor, RunInfo, StepResultCache, validate_workers
 from repro.factors.delta import FactorDelta
 from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
@@ -73,6 +73,17 @@ def _require_request(request: Any) -> None:
         )
 
 
+def _plan_failure(exc: Exception) -> PlanFailure:
+    """The one conversion of an engine exception (a ``QueryError``, an
+    injected kernel fault, ...) into the typed, non-retryable failure."""
+    name = type(exc).__name__
+    failure = PlanFailure(
+        str(exc) if isinstance(exc, QueryError) else f"{name}: {exc}", cause_type=name
+    )
+    failure.__cause__ = exc
+    return failure
+
+
 def _plan_digest(request: ServeRequest) -> Optional[str]:
     """The plan-cache digest of a request, or ``None`` when not cacheable.
 
@@ -94,12 +105,12 @@ def _plan_digest(request: ServeRequest) -> Optional[str]:
 class PlanServer:
     """A long-lived serving loop over the planner and the engines.
 
-    Every elimination plan it executes (InsideOut or variable elimination)
-    — a single request, a merged batch, an incremental update — runs on the
-    one step-DAG driver
-    (:class:`repro.exec.DagExecutor`); what differs is only the batch size
-    and the step source attached (the server's step-result cache, a view's
-    snapshot, or none for a ``coalesce=False`` request).
+    Every request is served as part of a batch — a single request is a
+    batch of one — and every elimination plan it executes (InsideOut or
+    variable elimination), like every incremental update, runs on the one
+    step-DAG driver (:class:`repro.exec.DagExecutor`); what differs is only
+    the batch size and the step source attached (the server's step-result
+    cache, a view's snapshot, or none for a ``coalesce=False`` request).
 
     Parameters
     ----------
@@ -121,14 +132,12 @@ class PlanServer:
         mis-estimated plans are invalidated and re-searched against the
         calibrated model without perturbing the process-wide default model.
     coalesce:
-        Server-wide default for content-hash coalescing of in-flight
-        value-equal requests (individual requests opt out via
-        ``ServeRequest(coalesce=False)``).
-    merge:
-        Server-wide default for cross-query common sub-elimination in
-        :meth:`execute_batch`: the elimination plans of one batch are lowered
-        to content-addressed step DAGs, merged into one multi-sink DAG,
-        and each distinct step digest executes exactly once.
+        Server-wide default for content-hash coalescing of value-equal
+        requests, in flight or in one batch (individual requests opt out
+        via ``ServeRequest(coalesce=False)``).  The coalescible requests of
+        a batch also share elimination steps: their plans run as one merged
+        multi-sink step DAG in which each distinct step digest executes
+        exactly once.
     cache_results:
         Keep a bounded LRU of *completed* :class:`ServeResult` objects
         keyed by content digest, answering value-identical repeats without
@@ -144,7 +153,6 @@ class PlanServer:
         pool_size: Optional[int] = None,
         cache: Optional[PlanCache] = None,
         coalesce: bool = True,
-        merge: bool = True,
         cache_results: bool = False,
         snapshot_store: Optional[SnapshotStore] = None,
     ) -> None:
@@ -152,7 +160,6 @@ class PlanServer:
         self.pool_size = validate_workers(pool_size) or (os.cpu_count() or 1)
         self.cache = cache if cache is not None else PlanCache(cost_model=CostModel())
         self.coalesce = coalesce
-        self.merge = merge
         self._pool = ThreadPoolExecutor(
             max_workers=self.pool_size, thread_name_prefix="repro-serve"
         )
@@ -223,11 +230,15 @@ class PlanServer:
     def execute_request(self, request: ServeRequest) -> ServeResult:
         """Execute one request synchronously on the calling thread.
 
-        Bypasses the pool and the in-flight coalescing map (the replica
-        tier calls this — its frontend already coalesced) but shares the
-        plan cache, digest plans and trie stores.
+        A batch of one on the calling thread: bypasses the pool and the
+        in-flight coalescing map but shares the plan cache, digest plans,
+        trie stores and step-result cache.  A failure raises
+        :class:`PlanFailure`.
         """
-        return self._run_request(request)
+        [outcome] = self._serve([request])
+        if isinstance(outcome, PlanFailure):
+            raise outcome
+        return outcome
 
     def update_factor(
         self, request: ServeRequest, factor_index: int, delta: FactorDelta
@@ -299,26 +310,14 @@ class PlanServer:
                     request.query, ordering=ordering, workers=self.workers
                 )
                 view.result()  # baseline answer + step snapshot
-            except QueryError as exc:
-                raise PlanFailure(str(exc), cause_type=type(exc).__name__) from exc
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:  # noqa: BLE001 - e.g. an injected kernel fault
-                raise PlanFailure(
-                    f"{type(exc).__name__}: {exc}", cause_type=type(exc).__name__
-                ) from exc
+            except Exception as exc:  # noqa: BLE001 - typed, e.g. a kernel fault
+                raise _plan_failure(exc)
         factor: Any = None
         try:
             for factor_index, delta in deltas:
                 factor = view.update_factor(factor_index, delta)
-        except QueryError as exc:
-            raise PlanFailure(str(exc), cause_type=type(exc).__name__) from exc
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # noqa: BLE001 - e.g. an injected kernel fault
-            raise PlanFailure(
-                f"{type(exc).__name__}: {exc}", cause_type=type(exc).__name__
-            ) from exc
+        except Exception as exc:  # noqa: BLE001 - typed, e.g. a kernel fault
+            raise _plan_failure(exc)
         try:
             new_key = query_content_key(view.query)
         except TypeError:
@@ -395,167 +394,146 @@ class PlanServer:
         self,
         requests: Sequence[ServeRequest],
         coalesce: bool = True,
-        merge: Optional[bool] = None,
     ) -> List[ServeResult]:
-        """Execute ``requests`` concurrently; results come back in input order.
+        """Execute ``requests`` as one batch; results come back in input order.
 
         With ``coalesce=True`` value-equal requests execute once and share
-        one result (duplicates flagged ``coalesced=True``).  With ``merge``
-        (defaulting to the server-wide setting) the batch's elimination
-        plans are additionally lowered to content-addressed step DAGs
-        and merged into one multi-sink DAG — structurally identical
-        elimination steps *across distinct queries* execute exactly once
-        and replay into every run that needs them, with per-query stats
-        attributed back to each result.
+        one result (duplicates flagged ``coalesced=True``), and the batch's
+        elimination plans are lowered to content-addressed step DAGs and
+        merged into one multi-sink DAG — structurally identical elimination
+        steps *across distinct queries* execute exactly once and replay into
+        every run that needs them, with per-query stats attributed back to
+        each result.  With ``coalesce=False`` every request runs privately,
+        fanned out over the pool.  The first failure, in input order, raises.
         """
         for request in requests:
             _require_request(request)
-        if merge is None:
-            merge = self.merge
-        if merge and coalesce and self.coalesce and len(requests) > 1:
-            return self._execute_batch_merged(list(requests))
         if not coalesce:
             requests = [replace(r, coalesce=False) for r in requests]
-        futures = [self.submit(request) for request in requests]
-        return [future.result() for future in futures]
-
-    def _execute_batch_merged(self, requests: List[ServeRequest]) -> List[ServeResult]:
-        """Cross-query common sub-elimination over one batch.
-
-        Content-key duplicates first coalesce onto one representative
-        (preserving the ``coalesced`` counter semantics of the submit
-        path, deterministically).  The representatives' plans are then
-        executed as one merged multi-sink step DAG
-        (:meth:`repro.exec.DagExecutor.run_many`, the same driver a single
-        request reaches as a batch of one) sharing the server's
-        step-result cache; coalesce-opted-out requests and
-        completed-result-cache hits run on the ordinary paths.  Any
-        merged-run failure falls back to independent execution — merging
-        is an optimisation, never a correctness risk.
-        """
+        if not (coalesce and self.coalesce):
+            futures = [self.submit(request) for request in requests]
+            return [future.result() for future in futures]
         if self._closed:
             raise RuntimeError("PlanServer is shut down")
         with self._lock:
             self._submitted += len(requests)
-            self._merged_batches += 1
-
-        # --- content-key dedup onto representatives -------------------- #
-        rep_of: List[int] = []
-        duplicate: List[bool] = []
-        reps: List[ServeRequest] = []
-        first_of: Dict[str, int] = {}
-        dup_count = 0
-        for request in requests:
-            key = request.content_key if (self.coalesce and request.coalesce) else None
-            if key is not None and key in first_of:
-                rep_of.append(first_of[key])
-                duplicate.append(True)
-                dup_count += 1
-                continue
-            if key is not None:
-                first_of[key] = len(reps)
-            rep_of.append(len(reps))
-            duplicate.append(False)
-            reps.append(request)
-        if dup_count:
-            with self._lock:
-                self._coalesced += dup_count
-
-        # --- plan representatives; partition mergeable vs solo ---------- #
-        rep_results: List[Optional[ServeResult]] = [None] * len(reps)
-        rep_errors: List[Optional[BaseException]] = [None] * len(reps)
-        merged: List[Tuple[int, Plan, float]] = []  # (rep index, plan, started)
-        specs: List[RunSpec] = []
-        solo: List[int] = []
-        for i, request in enumerate(reps):
-            cached = self._completed_result(request)
-            if cached is not None:
-                rep_results[i] = cached
-                continue
-            if not request.coalesce:
-                # A private execution was promised; keep it out of the
-                # shared DAG (and the step cache — _run_request gates it).
-                solo.append(i)
-                continue
-            started = time.perf_counter()
-            try:
-                chosen, shared = self._prepare(request)
-            except QueryError as exc:
-                rep_errors[i] = PlanFailure(str(exc), cause_type=type(exc).__name__)
-                continue
-            specs.append(chosen.run_spec(request.output_mode, shared))
-            merged.append((i, chosen, started))
-
-        # --- the merged multi-sink run ---------------------------------- #
-        if specs:
-            info = RunInfo()
-            executor = DagExecutor(workers=self.workers)
-            try:
-                outcomes = executor.run_many(
-                    specs, step_cache=self._step_results, info=info
-                )
-            except QueryError as exc:
-                failure = PlanFailure(str(exc), cause_type=type(exc).__name__)
-                for i, _, _ in merged:
-                    rep_errors[i] = failure
-            except BaseException:
-                # Correctness fallback: execute the runs independently.
-                for i, _, _ in merged:
-                    try:
-                        rep_results[i] = self._run_request(reps[i])
-                    except BaseException as exc:  # noqa: BLE001 - per-request
-                        rep_errors[i] = exc
-            else:
-                with self._lock:
-                    self._merged_queries += len(specs)
-                    self._merged_total_nodes += info.total_nodes
-                    self._merged_unique_nodes += info.merged_nodes
-                    self._merged_executed_nodes += info.executed_nodes
-                    self._merged_replayed_nodes += info.replayed_nodes
-                for (i, chosen, started), outcome in zip(merged, outcomes):
-                    executed = PlanResult(
-                        plan=chosen,
-                        factor=outcome.factor,
-                        factorized=outcome.factorized,
-                        ordering=outcome.ordering,
-                        raw=outcome,
-                    )
-                    rep_results[i] = self._finish(reps[i], chosen, executed, started)
-
-        # --- solo representatives on the pool --------------------------- #
-        if solo:
-            futures = {i: self._pool.submit(self._run_request, reps[i]) for i in solo}
-            for i, future in futures.items():
-                try:
-                    rep_results[i] = future.result()
-                except BaseException as exc:  # noqa: BLE001 - per-request
-                    rep_errors[i] = exc
-
-        # --- reassemble in input order ---------------------------------- #
-        results: List[ServeResult] = []
-        for index, request in enumerate(requests):
-            rep = rep_of[index]
-            error = rep_errors[rep]
-            if error is not None:
-                raise error
-            result = rep_results[rep]
-            results.append(result.mark_coalesced() if duplicate[index] else result)
-        return results
+        outcomes = self._serve(requests)
+        for outcome in outcomes:
+            if isinstance(outcome, PlanFailure):
+                raise outcome
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
+    def _serve(
+        self, requests: Sequence[ServeRequest]
+    ) -> List[Union[ServeResult, PlanFailure]]:
+        """Serve a batch: one outcome per request, in input order.
+
+        The one execution path of the server — a single request is a batch
+        of one.  In order:
+
+        1. content-key duplicates coalesce onto one representative;
+        2. the completed-result cache answers what it holds;
+        3. every other representative is planned (a failure is its outcome);
+        4. the coalescible representatives run as one merged multi-sink
+           step DAG (:meth:`repro.exec.DagExecutor.run_many`) on the
+           server's step-result cache, and each ``coalesce=False`` one runs
+           alone without it — a private execution shares no step and so
+           computes no step digest.
+
+        A merged run of two or more specs that raises re-runs each spec
+        alone — merging is an optimisation, never a correctness risk; a
+        failed run of one spec is its request's :class:`PlanFailure`.
+        """
+        reps: List[ServeRequest] = []
+        rep_of: List[int] = []
+        first_of: Dict[str, int] = {}
+        for request in requests:
+            key = request.content_key if (self.coalesce and request.coalesce) else None
+            rep = first_of.get(key) if key is not None else None
+            if rep is None:
+                rep = len(reps)
+                reps.append(request)
+                if key is not None:
+                    first_of[key] = rep
+            rep_of.append(rep)
+        if len(reps) < len(requests):
+            with self._lock:
+                self._coalesced += len(requests) - len(reps)
+
+        outcomes: List[Any] = [self._completed_result(r) for r in reps]
+        planned: List[Tuple[int, Plan, Any, float]] = []  # (rep, plan, spec, started)
+        for i, request in enumerate(reps):
+            if outcomes[i] is not None:
+                continue
+            started = time.perf_counter()
+            try:
+                chosen, shared = self._prepare(request)
+            except Exception as exc:  # noqa: BLE001 - typed per request
+                outcomes[i] = _plan_failure(exc)
+                continue
+            planned.append((i, chosen, chosen.run_spec(request.output_mode, shared), started))
+
+        jobs = [([p for p in planned if reps[p[0]].coalesce], self._step_results)]
+        jobs += [([p], None) for p in planned if not reps[p[0]].coalesce]
+        executor = DagExecutor(workers=self.workers)
+        while jobs:
+            runs, step_cache = jobs.pop(0)
+            if not runs:
+                continue
+            info = RunInfo()
+            try:
+                results = executor.run_many(
+                    [spec for _, _, spec, _ in runs], step_cache=step_cache, info=info
+                )
+            except Exception as exc:  # noqa: BLE001 - typed per request
+                if len(runs) == 1:
+                    outcomes[runs[0][0]] = _plan_failure(exc)
+                else:  # one bad spec must not fail the specs merged with it
+                    jobs[:0] = [([run], step_cache) for run in runs]
+                continue
+            if len(runs) > 1:
+                with self._lock:
+                    self._merged_batches += 1
+                    self._merged_queries += len(runs)
+                    self._merged_total_nodes += info.total_nodes
+                    self._merged_unique_nodes += info.merged_nodes
+                    self._merged_executed_nodes += info.executed_nodes
+                    self._merged_replayed_nodes += info.replayed_nodes
+            for (i, chosen, _, started), result in zip(runs, results):
+                executed = PlanResult(
+                    plan=chosen,
+                    factor=result.factor,
+                    factorized=result.factorized,
+                    ordering=result.ordering,
+                    raw=result,
+                )
+                outcomes[i] = self._finish(reps[i], chosen, executed, started)
+
+        seen = set()
+        served: List[Union[ServeResult, PlanFailure]] = []
+        for rep in rep_of:
+            outcome = outcomes[rep]
+            if rep in seen and isinstance(outcome, ServeResult):
+                outcome = outcome.mark_coalesced()
+            seen.add(rep)
+            served.append(outcome)
+        return served
+
     def _fulfil(
         self, request: ServeRequest, key: Optional[str], future: "Future[ServeResult]"
     ) -> None:
         try:
-            result = self._run_request(request)
+            [outcome] = self._serve([request])
         except BaseException as exc:  # noqa: BLE001 - forwarded to the future
-            self._retire(key, future)
-            future.set_exception(exc)
+            outcome = exc
+        self._retire(key, future)
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
         else:
-            self._retire(key, future)
-            future.set_result(result)
+            future.set_result(outcome)
 
     def _retire(self, key: Optional[str], future: "Future[ServeResult]") -> None:
         # Remove from the in-flight map *before* resolving the future, so a
@@ -566,31 +544,6 @@ class PlanServer:
         with self._lock:
             if self._inflight.get(key) is future:
                 del self._inflight[key]
-
-    def _run_request(self, request: ServeRequest) -> ServeResult:
-        cached = self._completed_result(request)
-        if cached is not None:
-            return cached
-        started = time.perf_counter()
-        try:
-            chosen, shared = self._prepare(request)
-            # coalesce=False promises a private execution: no step sharing
-            # (and so no content digests — see DagExecutor.run_many).
-            executed = chosen.execute(
-                output_mode=request.output_mode,
-                workers=self.workers,
-                shared_tries=shared,
-                step_cache=self._step_results if request.coalesce else None,
-            )
-        except QueryError as exc:
-            raise PlanFailure(str(exc), cause_type=type(exc).__name__) from exc
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:  # noqa: BLE001 - e.g. an injected kernel fault
-            raise PlanFailure(
-                f"{type(exc).__name__}: {exc}", cause_type=type(exc).__name__
-            ) from exc
-        return self._finish(request, chosen, executed, started)
 
     def _completed_result(self, request: ServeRequest) -> Optional[ServeResult]:
         """A completed-result cache hit for this request, if any.
@@ -619,12 +572,12 @@ class PlanServer:
         started: float,
     ) -> ServeResult:
         """Build the typed result, close the feedback loop, fill caches."""
-        if chosen.strategy == STRATEGY_INSIDEOUT and executed.stats is not None:
-            # Observed-vs-estimated step sizes calibrate the cache's paired
-            # cost model and accumulate into the cached plan's health (a
-            # plan past the error threshold is invalidated — the next
-            # occurrence re-plans against the calibrated model).
-            record_plan_feedback(chosen, executed.stats, cache=self.cache)
+        # Observed-vs-estimated step sizes calibrate the cache's paired cost
+        # model and accumulate into the cached plan's health (a plan past
+        # the error threshold is invalidated — the next occurrence re-plans
+        # against the calibrated model).  A variable-elimination plan
+        # carries no step sizes, so it observes nothing.
+        record_plan_feedback(chosen, executed.stats, cache=self.cache)
         result = ServeResult(
             factor=executed.factor,
             factorized=executed.factorized,
@@ -818,7 +771,6 @@ def execute_batch(
     pool_size: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     coalesce: bool = True,
-    merge: bool = True,
 ) -> List[ServeResult]:
     """Run a batch of requests against a transient :class:`PlanServer`.
 
@@ -827,10 +779,5 @@ def execute_batch(
     instead — its plan cache, shared tries and step-result cache stay warm
     across batches.
     """
-    with PlanServer(
-        workers=workers,
-        pool_size=pool_size,
-        cache=cache,
-        merge=merge,
-    ) as server:
+    with PlanServer(workers=workers, pool_size=pool_size, cache=cache) as server:
         return server.execute_batch(requests, coalesce=coalesce)

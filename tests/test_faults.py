@@ -392,6 +392,21 @@ class TestInProcessFaults:
         _assert_answer(query, result.factor, "served after injected kernel fault")
         server.shutdown()
 
+    def test_failed_merged_run_reruns_each_request_alone(self):
+        """A kernel fault in a merged run of two requests fails neither:
+        each spec re-runs alone, and no merged run is counted."""
+        queries = [_chain_query(salt=salt) for salt in (1, 2)]
+        requests = [ServeRequest(query=q, options={"strategy": "insideout"}) for q in queries]
+        schedule = {SITE_STEP_KERNEL: {1: ACTION_ERROR}}
+        with PlanServer() as server, injected_faults(FaultPlan(schedule=schedule)) as plan:
+            results = server.execute_batch(requests)
+            stats = server.stats()
+        assert plan.calls[SITE_STEP_KERNEL] > 1
+        for query, result in zip(queries, results):
+            _assert_answer(query, result.factor, "after a failed merged run")
+            assert not result.coalesced
+        assert stats["merged_queries"] == stats["merged_batches"] == 0
+
     def test_variable_elimination_request_draws_the_same_site(self):
         """The strategy the planner picks on dense PGMs is a run of the same
         driver: a ``step.kernel`` fault is a typed failure, the step-cache
@@ -446,12 +461,12 @@ class TestReplicaWireFaults:
             ):
                 started = time.monotonic()
                 with pytest.raises(ReplicaTimeout):
-                    replica.execute(ServeRequest(query=query))
+                    replica.execute([ServeRequest(query=query)])
                 assert time.monotonic() - started < 5.0
             assert replica.timeouts == 1
             # ReplicaTimeout is a ReplicaCrashed: callers restart and go on.
             replica.restart()
-            result = replica.execute(ServeRequest(query=query))
+            [result] = replica.execute([ServeRequest(query=query)])
             _assert_answer(query, result.factor, "after timeout restart")
         finally:
             replica.close()
@@ -464,9 +479,9 @@ class TestReplicaWireFaults:
                 FaultPlan(schedule={SITE_WIRE_SEND: {1: ACTION_CORRUPT}})
             ):
                 with pytest.raises(ReplicaCrashed):
-                    replica.execute(ServeRequest(query=query))
+                    replica.execute([ServeRequest(query=query)])
             replica.restart()
-            result = replica.execute(ServeRequest(query=query))
+            [result] = replica.execute([ServeRequest(query=query)])
             _assert_answer(query, result.factor, "after desync restart")
         finally:
             replica.close()
@@ -478,7 +493,7 @@ class TestReplicaWireFaults:
                 FaultPlan(schedule={SITE_WIRE_RECV: {1: ACTION_CORRUPT}})
             ):
                 with pytest.raises(ReplicaCrashed):
-                    replica.execute(ServeRequest(query=_chain_query()))
+                    replica.execute([ServeRequest(query=_chain_query())])
         finally:
             replica.close()
 
@@ -490,12 +505,12 @@ class TestReplicaWireFaults:
                 FaultPlan(schedule={SITE_REPLICA_KILL: {1: ACTION_KILL}})
             ):
                 with pytest.raises(ReplicaCrashed):
-                    replica.execute(ServeRequest(query=query))
+                    replica.execute([ServeRequest(query=query)])
             assert not replica.alive()
             replica.restart()
             # The restarted replica lost its factor tables; the NEED
             # handshake re-ships them transparently.
-            result = replica.execute(ServeRequest(query=query))
+            [result] = replica.execute([ServeRequest(query=query)])
             _assert_answer(query, result.factor, "after kill restart")
         finally:
             replica.close()

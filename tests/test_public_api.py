@@ -11,6 +11,7 @@ benchmarks must cover, so a new knob has to show up as a one-line diff
 here.
 """
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -89,15 +90,14 @@ SERVE_EXPORTS = {
 # Every option (parameter or config field) of the serving entry points.
 OPTIONS = {
     "PlanServer": (
-        "workers", "pool_size", "cache", "coalesce", "merge", "cache_results",
-        "snapshot_store",
+        "workers", "pool_size", "cache", "coalesce", "cache_results", "snapshot_store",
     ),
     "Frontend": (
         "replicas", "workers", "start_method", "max_pending", "tenant_limit",
         "health_interval", "coalesce", "share_caches", "plan_cache", "retry",
         "snapshot_dir", "fault_plan",
     ),
-    "execute_batch": ("workers", "pool_size", "cache", "coalesce", "merge"),
+    "execute_batch": ("workers", "pool_size", "cache", "coalesce"),
     "EngineConfig": (
         "workers", "pool_size", "replicas", "coalesce", "plan_cache_size",
         "start_method", "max_pending", "tenant_limit", "health_interval",
@@ -169,6 +169,38 @@ def test_one_scheduler_one_claim_protocol():
         for line in _source_lines(r"^\s*(import|from) multiprocessing")
     }
     assert importers == {"exec/shm.py", "serve/replica.py"}, importers
+
+
+def test_a_request_is_a_batch_of_one():
+    """One execute path per serving layer: one server function runs
+    requests, the front-end calls a replica's execute from one line, and
+    the replica loop answers exactly four message kinds."""
+    root = pathlib.Path(repro.__file__).parent / "serve"
+    server = ast.parse((root / "server.py").read_text())
+    runners = {
+        node.name
+        for node in ast.walk(server)
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("run_many", "execute")
+    }
+    assert runners == {"_serve"}, runners
+    calls = _source_lines(r"replica\.execute\b")
+    assert [line.split(":")[0] for line in calls] == ["serve/frontend.py"], calls
+    replica = ast.parse((root / "replica.py").read_text())
+    [main] = [n for n in ast.walk(replica) if isinstance(n, ast.FunctionDef) and n.name == "_replica_main"]
+    kinds = {
+        name.id
+        for compare in ast.walk(main)
+        if isinstance(compare, ast.Compare)
+        and isinstance(compare.left, ast.Name)
+        and compare.left.id == "kind"
+        for name in ast.walk(compare)
+        if isinstance(name, ast.Name) and name.id.startswith("MSG_")
+    }
+    assert kinds == {"MSG_EXEC", "MSG_UPDATE", "MSG_PING", "MSG_SHUTDOWN"}, kinds
 
 
 def test_workers_mode_is_gone_not_shimmed():

@@ -231,6 +231,25 @@ def test_plan_failure_is_typed_and_crosses_the_pipe(frontend):
     assert all(p is not None for p in frontend.ping())
 
 
+def test_a_failing_group_member_does_not_mark_the_others_coalesced():
+    """A merged group in which one request fails: the good request was run,
+    not shared, so it comes back ``coalesced=False`` and counts as served —
+    a failure is its own request's outcome, not a cause to re-run the rest."""
+    query = _random_query("counting", 3)
+    group = [
+        ServeRequest(query=query),
+        ServeRequest(query=query, options={"strategy": "yannakakis"}),
+    ]
+    with Frontend(replicas=1, health_interval=None) as fe:
+        good, bad = fe.serve_batch(group, return_exceptions=True)
+        [pong] = fe.ping()
+        assert fe.stats()["coalesced"] == 0
+    assert isinstance(bad, PlanFailure)
+    assert isinstance(good, ServeResult) and not good.coalesced
+    assert good.factor.table == _reference(query).table
+    assert pong["served"] == 1 and pong["result_cache_hits"] == 0
+
+
 def test_factorized_output_rejected_at_the_frontend(frontend):
     request = ServeRequest(query=_random_query("counting", 2), output_mode="factorized")
     outcomes = frontend.serve_batch([request], return_exceptions=True)
