@@ -268,8 +268,8 @@ def eliminate_semiring_step(
         if new_factor is not None:
             step_backend = BACKEND_FLAT
     if use_dense:
-        # A flat step's result still carries its encoding: scatter the
-        # columns into the box instead of looping over the listing.
+        # A flat step's result carries its encoding: scatter the columns
+        # into the box instead of decoding and looping over the listing.
         for position, factor in enumerate(participants):
             flat = tries.stored_flat(factor)
             if flat is not None:
@@ -395,15 +395,10 @@ def _try_flat_eliminate(
         if flat is None:
             return None
         flats.append(flat)
-    produced = flat_eliminate(
+    return flat_eliminate(
         flats, variable, output_scope, tag, ctx, policy.flat_row_cap,
         name=f"psi_elim({variable})",
     )
-    if produced is None:
-        return None
-    new_factor, encoding = produced
-    tries.store_flat(new_factor, encoding)
-    return new_factor
 
 
 def eliminate_product_step(

@@ -14,10 +14,15 @@ handful of GIL-releasing array operations instead:
 * the multiway natural join is an iterative sorted-merge on packed
   mixed-radix key codes: each participant's *join index* (stable sort
   permutation, distinct keys, run-length table — :meth:`FlatFactor.join_index`)
-  is probed with one ``searchsorted`` and expanded with ``repeat``;
+  is probed by indexing a direct-address lookup array when the shared key
+  box is no larger than the encoding (one ``searchsorted`` into the
+  distinct keys otherwise) and expanded with ``repeat``;
 * the eliminated variable's aggregate is a grouped ``ufunc.reduceat`` over
   the survivor key, and zero tuples are dropped by a vectorized mask that
-  reproduces :meth:`repro.semiring.base.Semiring.values_equal` exactly.
+  reproduces :meth:`repro.semiring.base.Semiring.values_equal` exactly;
+* a step result is a :class:`Factor` whose ``table`` is decoded from its
+  encoding on first read: a flat or dense step consuming it reads the
+  encoding, so a chain of flat steps builds no Python table in between.
 
 The kernel is engineered to agree with the trie path up to ``==`` on the
 resulting table (and to be deterministic in itself): participants are
@@ -34,9 +39,10 @@ as the universal fallback.
 
 Everything derived from a factor's *content* — its columns, the domain code
 maps they index (:class:`FlatContext`) and its join indexes — is built once
-per content, not once per run: a step result's encoding travels with it
-through the run's :class:`~repro.factors.index.TrieCache`, and a base
-factor's (and its indicator projections') is kept, read-only, in the
+per content, not once per run: a step result carries its encoding to
+whichever run's :class:`~repro.factors.index.TrieCache` reads it under the
+same context (:func:`encode_flat` hands it over instead of re-encoding),
+and a base factor's (and its indicator projections') is kept, read-only, in the
 serving layer's content-addressed
 :class:`~repro.factors.index.SharedTrieCache`, so a warm run of a
 value-equal query does no per-tuple Python work at all.
@@ -44,7 +50,9 @@ value-equal query does no per-tuple Python work at all.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+import math
+import threading
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,37 +104,55 @@ class FlatFactor:
         return int(self.values.shape[0])
 
     def freeze(self) -> "FlatFactor":
-        """Make every column read-only; returns ``self``.
+        """Make every column and join index read-only; returns ``self``.
 
         An encoding kept across runs (:class:`~repro.factors.index.
         SharedTrieCache`) is frozen first, so a kernel that wrote into a
         participant in place would raise instead of corrupting the next run.
+        Join indexes built later are frozen as they are stored.
         """
         for column in self.columns.values():
             column.setflags(write=False)
         self.values.setflags(write=False)
+        for index in list(self._joins.values()):
+            _freeze_arrays(index)
         return self
 
     def join_index(
         self, shared: Tuple[str, ...], ctx: "FlatContext"
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(order, keys, starts, counts)`` for a sorted-merge on ``shared``.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(order, keys, starts, counts, lut)`` for a sorted-merge on ``shared``.
 
         ``order`` is the stable sort permutation of the rows by their packed
         key over ``shared``; ``keys`` are the distinct packed keys in
         ascending order, and rows ``order[starts[i] : starts[i] + counts[i]]``
-        carry ``keys[i]``.  Determined by the encoding's content alone, so
-        it is memoised here and lives exactly as long as the encoding does
-        (two threads racing build it twice, equal).
+        carry ``keys[i]``.  ``lut`` maps every packed key of the ``shared``
+        box to its position in ``keys`` (``-1``: absent) when the box has
+        no more cells than the encoding has rows — so it is never larger
+        than ``order`` — and is ``None`` above that.  Determined by the
+        encoding's content alone, so it is memoised here and lives exactly
+        as long as the encoding does (two threads racing build it twice,
+        equal).
         """
         index = self._joins.get(shared)
         if index is None:
-            key = _pack_keys(self.columns, shared, ctx, len(self))
+            rows = len(self)
+            key = _pack_keys(self.columns, shared, ctx, rows)
             order = np.argsort(key, kind="stable")
             sorted_key = key[order]
             starts = _run_starts(sorted_key)
-            counts = np.diff(starts, append=len(self))
-            index = self._joins[shared] = (order, sorted_key[starts], starts, counts)
+            counts = np.diff(starts, append=rows)
+            keys = sorted_key[starts]
+            lut = None
+            box = math.prod(ctx.sizes[v] for v in shared)
+            if box <= rows:
+                lut = np.full(box, -1, dtype=np.int64)
+                lut[keys] = np.arange(len(keys), dtype=np.int64)
+            index = self._joins[shared] = (order, keys, starts, counts, lut)
+            # Checked after the store: a concurrent freeze() either sees the
+            # index in ``_joins`` or has already frozen the values.
+            if not self.values.flags.writeable:
+                _freeze_arrays(index)
         return index
 
 
@@ -262,7 +288,12 @@ def encode_flat(factor, ctx: FlatContext) -> Optional[FlatFactor]:
     keep every exactly-non-zero cell (as :meth:`FactorTrie.from_dense`
     does) — the join's per-multiplication masking handles the near-zero
     stragglers precisely where the trie kernel's ``is_zero`` tests would.
+    A flat step's result under ``ctx`` is not re-encoded: its own encoding
+    is returned (:func:`stored_encoding`).
     """
+    stored = stored_encoding(factor, ctx)
+    if stored is not None:
+        return stored
     if isinstance(factor, DenseFactor):
         return _encode_dense(factor, ctx)
     return _encode_listing(factor, ctx)
@@ -319,6 +350,76 @@ def _encode_dense(dense: DenseFactor, ctx: FlatContext) -> Optional[FlatFactor]:
 
 
 # ---------------------------------------------------------------------- #
+# lazy result tables
+# ---------------------------------------------------------------------- #
+_TABLE = Factor.table  # the slot a lazy result's decoded table fills
+_DECODE_LOCK = threading.Lock()
+
+
+class _LazyFactor(Factor):
+    """A flat step's result: ``table`` is decoded on first read.
+
+    Flat and dense consumers read the encoding (:func:`stored_encoding`,
+    :meth:`DenseFactor.from_flat`) and ``len()`` counts its rows, so a
+    table nobody reads is never built.  The first read decodes through the
+    ordinary :class:`Factor` constructor and fills the slot only if it is
+    still empty, so two threads racing it leave one table — and never undo
+    a :meth:`freeze` the other applied.  Pickles as a plain :class:`Factor`.
+    """
+
+    __slots__ = ("_flat", "_ctx")
+
+    def __init__(self, flat: FlatFactor, ctx: FlatContext, name: str) -> None:
+        super().__init__(flat.scope, (), name=name)
+        _TABLE.__delete__(self)
+        self._flat = flat
+        self._ctx = ctx
+
+    @property
+    def table(self):
+        try:
+            return _TABLE.__get__(self)
+        except AttributeError:
+            pass
+        decoded = Factor(self.scope, _decoded_items(self._flat, self._ctx)).table
+        with _DECODE_LOCK:
+            try:
+                return _TABLE.__get__(self)
+            except AttributeError:
+                _TABLE.__set__(self, decoded)
+                return decoded
+
+    @table.setter
+    def table(self, table) -> None:
+        _TABLE.__set__(self, table)
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __reduce_ex__(self, protocol):
+        plain = Factor.__new__(Factor)
+        for slot in Factor.__slots__:
+            setattr(plain, slot, getattr(self, slot))
+        return object.__new__, (Factor,), plain.__getstate__()
+
+
+def _decoded_items(flat: FlatFactor, ctx: FlatContext):
+    """``(value tuple, value)`` pairs of an encoding, in row order."""
+    values = flat.values.tolist()
+    if not flat.scope:
+        return zip([()] * len(values), values)
+    decoded = [ctx.objects[v][flat.columns[v]].tolist() for v in flat.scope]
+    return zip(zip(*decoded), values)
+
+
+def stored_encoding(factor, ctx) -> Optional[FlatFactor]:
+    """The encoding a flat step's result carries, if it was made under ``ctx``."""
+    if isinstance(factor, _LazyFactor) and factor._ctx is ctx:
+        return factor._flat
+    return None
+
+
+# ---------------------------------------------------------------------- #
 # the fused join-and-marginalize kernel
 # ---------------------------------------------------------------------- #
 def _pack_keys(
@@ -337,9 +438,15 @@ def _run_starts(sorted_key: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
 
 
+def _freeze_arrays(arrays: Iterable[Optional[np.ndarray]]) -> None:
+    for array in arrays:
+        if array is not None:
+            array.setflags(write=False)
+
+
 def _join_rows(
     state_key: np.ndarray,
-    index: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    index: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]],
     row_cap: int,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The matching ``(state row, other row)`` pairs of a sorted-merge join.
@@ -349,11 +456,16 @@ def _join_rows(
     row's matches in the other side's original row order — the order the
     trie kernel enumerates them in.  ``None`` past ``row_cap`` pairs.
     """
-    order, keys, run_starts, run_counts = index
-    # Clipping keeps the probe of a state key past the last run in range;
-    # the equality test then rejects it like any other non-match.
-    run = np.minimum(np.searchsorted(keys, state_key, side="left"), len(keys) - 1)
-    keep = keys[run] == state_key
+    order, keys, run_starts, run_counts, lut = index
+    if lut is not None:
+        # Packed state keys lie in the box ``lut`` spans: a direct lookup.
+        run = lut[state_key]
+        keep = run >= 0
+    else:
+        # Clipping keeps the probe of a state key past the last run in
+        # range; the equality test then rejects it like any other non-match.
+        run = np.minimum(np.searchsorted(keys, state_key, side="left"), len(keys) - 1)
+        keep = keys[run] == state_key
     run = run[keep]
     counts = run_counts[run]
     total = int(counts.sum())
@@ -377,7 +489,7 @@ def flat_eliminate(
     ctx: FlatContext,
     row_cap: int,
     name: str,
-) -> Optional[Tuple[Factor, FlatFactor]]:
+) -> Optional[Factor]:
     """Fused multiply-then-marginalize over flat-encoded participants.
 
     ``participants`` must be in the trie kernel's fold order (indicator
@@ -385,26 +497,27 @@ def flat_eliminate(
     multiplied participant by participant and zero-masked after every
     multiplication, reproducing ``eliminate_join``'s per-``mul``
     ``is_zero`` short-circuits row for row.  Returns the result as a
-    listing :class:`Factor` *plus* its own flat encoding (so the next step
-    consuming the factor skips the re-encode), or ``None`` when an
+    :class:`Factor` that holds its own flat encoding and decodes ``table``
+    only when something reads it (a consumer under ``ctx`` takes the
+    encoding instead — :func:`stored_encoding`), or ``None`` when an
     intermediate would exceed ``row_cap`` rows (the caller falls back to
     the trie kernel, whose depth-first descent never materialises the
     join).
     """
     ops = ctx.ops
 
-    def empty_pair() -> Tuple[Factor, FlatFactor]:
-        factor = Factor(output_scope, {}, name=name)
-        encoding = FlatFactor(
-            output_scope,
+    def result(columns: Dict[str, np.ndarray], values: np.ndarray) -> Factor:
+        return _LazyFactor(FlatFactor(output_scope, columns, values), ctx, name)
+
+    def empty() -> Factor:
+        return result(
             {v: np.empty(0, dtype=np.int64) for v in output_scope},
             np.empty(0, dtype=ops.dtype),
         )
-        return factor, encoding
 
     for flat in participants:
         if len(flat) == 0:
-            return empty_pair()  # some participant is identically zero
+            return empty()  # some participant is identically zero
 
     columns: Dict[str, np.ndarray] = {}
     values: Optional[np.ndarray] = None
@@ -439,7 +552,7 @@ def flat_eliminate(
             columns = new_columns
         columns, values = _drop_zero_rows(columns, values, ctx.semiring.zero)
         if values.shape[0] == 0:
-            return empty_pair()
+            return empty()
 
     ufunc = AGGREGATE_UFUNCS[tag]
     if not output_scope:
@@ -448,10 +561,8 @@ def flat_eliminate(
             bool(total_value) if values.dtype == np.bool_ else float(total_value)
         )
         if ctx.semiring.is_zero(total_value):
-            return empty_pair()
-        factor = Factor((), {(): total_value}, name=name)
-        encoding = FlatFactor((), {}, np.asarray([total_value], dtype=ops.dtype))
-        return factor, encoding
+            return empty()
+        return result({}, np.asarray([total_value], dtype=ops.dtype))
 
     group_key = _pack_keys(columns, output_scope, ctx, values.shape[0])
     order = np.argsort(group_key, kind="stable")
@@ -466,11 +577,5 @@ def flat_eliminate(
         aggregated = aggregated[keep]
         group_rows = group_rows[keep]
     if aggregated.shape[0] == 0:
-        return empty_pair()
-
-    result_columns = {v: columns[v][group_rows] for v in output_scope}
-    decoded = [ctx.objects[v][result_columns[v]].tolist() for v in output_scope]
-    table = dict(zip(zip(*decoded), aggregated.tolist()))
-    factor = Factor(output_scope, table, name=name)
-    encoding = FlatFactor(output_scope, result_columns, aggregated)
-    return factor, encoding
+        return empty()
+    return result({v: columns[v][group_rows] for v in output_scope}, aggregated)

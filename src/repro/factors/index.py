@@ -42,7 +42,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.factors.factor import Factor
-from repro.factors.flat import encode_flat, flat_context
+from repro.factors.flat import encode_flat, flat_context, stored_encoding
 from repro.semiring.base import Semiring
 
 ValueTuple = Tuple[Any, ...]
@@ -385,15 +385,11 @@ class TrieCache:
         return ctx or None
 
     def stored_flat(self, factor):
-        """The encoding already held for ``factor``, if any (never encodes)."""
+        """The encoding a flat step's result carries under the holder's
+        context, if any (never encodes)."""
         with self._lock:
-            entry = self._entries.get(self._key(factor))
-        return None if entry is None else _encoding(entry.flat)
-
-    def store_flat(self, factor, flat) -> None:
-        """Register a step result's flat encoding for downstream steps."""
-        with self._lock:
-            self._entry(factor).flat = flat
+            ctx = self._flat_ctx
+        return stored_encoding(factor, ctx)
 
     def discard(self, factor) -> None:
         """Drop the entry of a factor consumed by an elimination step."""

@@ -445,6 +445,25 @@ def _two_searchsorted_join(state_key, other_key):
     return state_rows, order[starts + offsets]
 
 
+def _assert_join_matches(other, state, shared, ctx, direct):
+    """``_join_rows`` over ``other``'s join index == the two-searchsorted join,
+    on the probe branch ``direct`` names, up to and at the ``row_cap``."""
+    rows = len(other)
+    state_key = flat_module._pack_keys(state, shared, ctx, len(state[shared[0]]))
+    other_key = flat_module._pack_keys(other.columns, shared, ctx, rows)
+    want_state, want_other = _two_searchsorted_join(state_key, other_key)
+    index = other.join_index(shared, ctx)
+    assert other.join_index(shared, ctx) is index  # memoised per shared tuple
+    assert (index[-1] is not None) == direct
+    got_state, got_other = flat_module._join_rows(state_key, index, 1 << 30)
+    assert got_state.tolist() == want_state.tolist()
+    assert got_other.tolist() == want_other.tolist()
+    assert flat_module._join_rows(state_key, index, len(want_state)) is not None
+    if len(want_state):
+        assert flat_module._join_rows(state_key, index, len(want_state) - 1) is None
+    return want_state
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_join_index_matches_two_searchsorted(seed):
     rng = np.random.default_rng(seed)
@@ -452,27 +471,50 @@ def test_join_index_matches_two_searchsorted(seed):
     ctx = flat_module.flat_context(
         MAX_PRODUCT, {v: tuple(range(n)) for v, n in sizes.items()}
     )
-    rows = int(rng.integers(1, 60))
-    # Drawn with replacement from part of the key space: duplicate keys on
-    # both sides, and state keys below, between and above the other side's.
-    other = flat_module.FlatFactor(
-        ("a", "b", "c"),
-        {v: rng.integers(1, max(2, n - 1), size=rows) for v, n in sizes.items()},
-        rng.uniform(0.5, 1.5, size=rows),
+    shared = ("a", "b")
+    box = sizes["a"] * sizes["b"]
+    # Both probe branches: a shared box larger than the other side
+    # (searchsorted) and one no larger (direct-address lookup).
+    for rows, direct in ((int(rng.integers(1, box)), False),
+                         (int(rng.integers(box, 2 * box)), True)):
+        # Drawn with replacement from part of the key space: duplicate keys
+        # on both sides, and state keys below, between and above the other
+        # side's.
+        other = flat_module.FlatFactor(
+            ("a", "b", "c"),
+            {v: rng.integers(1, max(2, n - 1), size=rows) for v, n in sizes.items()},
+            rng.uniform(0.5, 1.5, size=rows),
+        )
+        state = {v: rng.integers(0, sizes[v], size=40) for v in shared}
+        _assert_join_matches(other, state, shared, ctx, direct)
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "searchsorted"])
+def test_join_rows_edge_probes(direct):
+    sizes = {"a": 4, "b": 3}
+    ctx = flat_module.flat_context(
+        MAX_PRODUCT, {v: tuple(range(n)) for v, n in sizes.items()}
     )
     shared = ("a", "b")
-    state = {v: rng.integers(0, sizes[v], size=40) for v in shared}
-    state_key = flat_module._pack_keys(state, shared, ctx, 40)
-    other_key = flat_module._pack_keys(other.columns, shared, ctx, rows)
-    want_state, want_other = _two_searchsorted_join(state_key, other_key)
-    index = other.join_index(shared, ctx)
-    assert other.join_index(shared, ctx) is index  # memoised per shared tuple
-    got_state, got_other = flat_module._join_rows(state_key, index, 1 << 30)
-    assert got_state.tolist() == want_state.tolist()
-    assert got_other.tolist() == want_other.tolist()
-    assert flat_module._join_rows(state_key, index, len(want_state)) is not None
-    if len(want_state):
-        assert flat_module._join_rows(state_key, index, len(want_state) - 1) is None
+    # Keys 0..5 of the 12-cell box, each listed twice (12 rows: the direct
+    # branch) or once with one dropped (5 rows: searchsorted).
+    keys = np.repeat(np.arange(6), 2) if direct else np.array([0, 1, 2, 4, 5])
+    other = flat_module.FlatFactor(
+        shared,
+        {"a": keys // 3, "b": keys % 3},
+        np.linspace(0.5, 1.5, len(keys)),
+    )
+
+    def state(*packed):
+        packed = np.array(packed, dtype=np.int64)
+        return {"a": packed // 3, "b": packed % 3}
+
+    # Keys past the last run (6..11, up to the box's last cell), between runs
+    # (3 on the searchsorted side) and matching ones, in mixed order.
+    matched = _assert_join_matches(other, state(11, 0, 7, 5, 3, 6, 2), shared, ctx, direct)
+    assert set(matched.tolist()) == ({1, 3, 4, 6} if direct else {1, 3, 6})
+    # A probe with no match at all: no pairs, within a row cap of 0.
+    assert len(_assert_join_matches(other, state(11, 9, 6), shared, ctx, direct)) == 0
 
 
 def test_row_cap_bails_out_to_the_trie_kernel():
@@ -518,3 +560,155 @@ def test_dense_from_flat_equals_from_factor(rows):
         assert (got.scope, got.domains, got.name) == (want.scope, want.domains, want.name)
         assert got.array.dtype == want.array.dtype
         assert np.array_equal(got.array, want.array)
+
+
+# ---------------------------------------------------------------------- #
+# frozen join indexes; lazy result tables
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("shared", [("x0",), ("x0", "x1")], ids=["direct", "searchsorted"])
+@pytest.mark.parametrize("built", ["before-freeze", "after-freeze"])
+def test_frozen_encoding_has_a_read_only_join_index(shared, built):
+    query = _chain_query()  # 20 x 20 domain box, ~280 listed pairs
+    ctx = flat_module.flat_context(query.semiring, query.domains())
+    flat = flat_module.encode_flat(query.factors[0], ctx)
+    if built == "before-freeze":
+        flat.join_index(shared, ctx)
+    flat.freeze()
+    index = flat.join_index(shared, ctx)
+    assert (index[-1] is not None) == (shared == ("x0",))
+    arrays = [a for a in index if a is not None]
+    assert arrays and all(not a.flags.writeable for a in arrays)
+
+
+def _lazy_result():
+    """A flat step's result (max over ``x1`` of the chain's two factors)."""
+    query = _chain_query()
+    ctx = flat_module.flat_context(query.semiring, query.domains())
+    flats = [flat_module.encode_flat(f, ctx) for f in query.factors]
+    result = flat_module.flat_eliminate(
+        flats, "x1", ("x0", "x2"), "max", ctx, 1 << 30, name="lazy"
+    )
+    return result, ctx
+
+
+def _eager_decode(flat, ctx):
+    return {
+        tuple(ctx.domains[v][int(flat.columns[v][row])] for v in flat.scope):
+            flat.values[row].item()
+        for row in range(len(flat))
+    }
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """How many times a lazy result table has been decoded."""
+    calls = []
+    original = flat_module._decoded_items
+
+    def counting(flat, ctx):
+        calls.append(len(flat))
+        return original(flat, ctx)
+
+    monkeypatch.setattr(flat_module, "_decoded_items", counting)
+    return calls
+
+
+def test_lazy_table_equals_the_eager_decode(decodes):
+    result, ctx = _lazy_result()
+    flat = flat_module.stored_encoding(result, ctx)
+    assert len(result) == len(flat) > 0 and not decodes  # len() reads the encoding
+    table = result.table
+    assert decodes == [len(flat)]
+    assert table == _eager_decode(flat, ctx)
+    assert result.table is table and len(decodes) == 1  # decoded once
+    assert len(result) == len(table)
+
+
+def test_lazy_result_hands_its_encoding_over(decodes, encode_counts):
+    result, ctx = _lazy_result()
+    before = encode_counts["encodes"]
+    flat = flat_module.stored_encoding(result, ctx)
+    assert flat_module.encode_flat(result, ctx) is flat
+    assert not decodes and encode_counts["encodes"] == before
+    # Another context's codes may mean other values: decoded and re-encoded.
+    other = flat_module.flat_context(MAX_PRODUCT, ctx.domains)
+    assert flat_module.stored_encoding(result, other) is None
+    again = flat_module.encode_flat(result, other)
+    assert again is not flat and encode_counts["encodes"] == before + 1
+    assert decodes == [len(flat)]
+    assert np.array_equal(again.values, flat.values)
+
+
+def test_lazy_result_pickles_as_a_plain_factor():
+    import pickle
+
+    from repro.planner.signature import factor_digest
+
+    result, _ = _lazy_result()
+    clone = pickle.loads(pickle.dumps(result))
+    assert type(clone) is Factor
+    assert (clone.scope, clone.name) == (result.scope, result.name)
+    assert clone.table == result.table
+    assert type(result.copy()) is Factor
+    digest = factor_digest(result)  # frozen, with the digest memo
+    clone = pickle.loads(pickle.dumps(result))
+    assert type(clone) is Factor and clone._digest == digest
+    assert clone.table == result.table and factor_digest(clone) == digest
+
+
+def test_racing_first_reads_then_digest_leave_a_frozen_table(monkeypatch):
+    import threading
+
+    from repro.planner.signature import factor_digest
+
+    result, _ = _lazy_result()
+    entered, release = threading.Event(), threading.Event()
+    decode = flat_module._decoded_items
+
+    def stalling(flat, ctx):
+        items = list(decode(flat, ctx))
+        if not entered.is_set():  # the first reader stalls mid-decode
+            entered.set()
+            release.wait(timeout=10)
+        return items
+
+    monkeypatch.setattr(flat_module, "_decoded_items", stalling)
+    seen = []
+
+    def read_then_digest():
+        seen.append(result.table)
+        seen.append(factor_digest(result))
+
+    slow = threading.Thread(target=read_then_digest)
+    slow.start()
+    assert entered.wait(timeout=10)
+    # The second reader decodes and stores first, and its digest freezes
+    # what it stored; the stalled reader must then return that same table.
+    read_then_digest()
+    frozen = result.table
+    assert result.frozen and seen == [frozen, seen[1]]
+    release.set()
+    slow.join(timeout=10)
+    assert not slow.is_alive()
+    assert seen[2] is frozen and seen[3] == seen[1]
+    assert result.table is frozen and result.frozen
+
+
+def test_flat_chain_never_decodes_its_intermediates(monkeypatch, decodes):
+    # x2 and x1 run flat, the second consuming the first's result by its
+    # encoding; x0 runs dense on the second's columns.
+    query = _chain_query(seed=1, domain=48, density=0.1, free=())
+    made = []
+    eliminate = flat_module.flat_eliminate
+
+    def keeping(*args, **kwargs):
+        made.append(eliminate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(flat_module, "flat_eliminate", keeping)
+    result = inside_out(query, backend="auto", backend_policy=FORCE_FLAT)
+    assert [s.backend for s in result.stats.steps] == [BACKEND_FLAT, BACKEND_FLAT, "dense"]
+    assert len(made) == 2 and not decodes
+    assert [len(f) for f in made] == [s.result_size for s in result.stats.steps[:2]]
+    _check_answer(query, result, backend="auto")
+    assert not decodes  # the brute-force and trie runs decode nothing either
