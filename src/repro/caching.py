@@ -9,9 +9,8 @@ counters, and safety under the worker pools introduced by
 concurrently against the shared caches).  This module is deliberately
 dependency-free so that both layers can import it without cycles.
 
-Everything persisted or published — :meth:`LruCache.save` files, the
-serving tier's :class:`~repro.serve.snapshot.SnapshotStore` files, and both
-shared-memory stores of :mod:`repro.exec.shm` — is one :func:`seal`
+Everything persisted — :meth:`LruCache.save` files and the serving tier's
+:class:`~repro.serve.snapshot.SnapshotStore` files — is one :func:`seal`
 envelope::
 
     bytes 0..7    magic  b"REPROSL1"  (envelope layout version)
@@ -51,10 +50,9 @@ def seal(payload: Any, *, kind: str, version: Hashable) -> bytes:
 def unseal(raw, *, kind: str, version: Hashable) -> Any:
     """The payload :func:`seal` wrapped, or ``None`` on any mismatch.
 
-    ``raw`` is the sealed bytes or a longer buffer starting with them (a
-    shared-memory segment is rounded up to whole pages).  Short, foreign,
-    truncated, corrupt and wrong-``kind``/``version`` input all give
-    ``None``; only unpickling checksum-clean bytes can raise (a payload
+    ``raw`` is the sealed bytes or a longer buffer starting with them.
+    Short, foreign, truncated, corrupt and wrong-``kind``/``version`` input
+    all give ``None``; only unpickling checksum-clean bytes can raise (a payload
     class that moved between releases), which every caller treats as one
     more way of adopting nothing.
     """
@@ -169,9 +167,9 @@ class LruCache:
     def dump_entries(self, *, kind: str, version: int) -> dict:
         """The entries under their kind/version tags, as a plain dict.
 
-        One section of the shared-memory cache store (:mod:`repro.exec.shm`),
-        which publishes a snapshot across a replica fleet without touching
-        disk; the same kind/version tags as :meth:`save` gate adoption.
+        One section of the warm caches a replica fleet's parent hands every
+        replica it starts, without touching disk; the same kind/version
+        tags as :meth:`save` gate adoption.
         """
         with self._lock:
             entries = list(self._entries.items())

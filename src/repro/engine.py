@@ -86,11 +86,11 @@ class Engine:
     and lazily starts one in-process :class:`PlanServer` for
     :meth:`query`/:meth:`batch`/:meth:`submit`.  :meth:`serve` starts a
     replicated tier; the returned :class:`Frontend` is independently
-    context-managed.  The fleet parent publishes its warm read-only caches
-    (the engine's plan cache and the process-wide ρ* memo) to a
-    shared-memory store every replica adopts at startup, so cold replicas
-    begin fleet-warm; entries created later are still per-replica
-    (re-derived from the same deterministic planner).
+    context-managed.  The fleet parent pickles its warm read-only caches
+    (the engine's plan cache and the process-wide ρ* memo) into the
+    arguments of every replica process it starts, so cold replicas begin
+    warm; entries created later are still per-replica (re-derived from the
+    same deterministic planner).
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, **overrides: Any) -> None:
@@ -166,7 +166,9 @@ class Engine:
 
         Returns a :class:`~repro.serve.frontend.Frontend` (use it as a
         context manager).  ``overrides`` replace individual frontend
-        arguments (``max_pending=``, ``tenant_limit=``, ...).
+        arguments (``max_pending=``, ``tenant_limit=``, ...).  Every replica
+        the tier starts, restarts included, adopts the engine's plan cache
+        and the ρ* memo as they stand at this call.
         """
         kwargs = {
             "workers": self.config.workers,
@@ -176,7 +178,7 @@ class Engine:
             "health_interval": self.config.health_interval,
             "coalesce": self.config.coalesce,
             # Cold replicas adopt the engine's warm plan cache (plus the
-            # process-wide rho* memo) through the shared-memory store.
+            # process-wide rho* memo) from their process arguments.
             "plan_cache": self.cache,
         }
         kwargs.update(overrides)

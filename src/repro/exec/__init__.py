@@ -30,18 +30,15 @@ from repro.exec.dag import (
 from repro.exec.executor import (
     DagExecutor,
     RunInfo,
-    RunSnapshot,
     RunSpec,
     StepResultCache,
 )
-from repro.exec.shm import SharedCacheStore
 
 __all__ = [
     "DagExecutor",
     "StepResultCache",
     "RunSpec",
     "RunInfo",
-    "RunSnapshot",
     "StepDag",
     "StepNode",
     "lower_insideout",
@@ -51,5 +48,4 @@ __all__ = [
     "KIND_OUTPUT",
     "validate_workers",
     "AUTO_WORKERS_CAP",
-    "SharedCacheStore",
 ]

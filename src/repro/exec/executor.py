@@ -22,13 +22,12 @@ merge the runs' nodes by content digest, schedule, finish.  A single query
   execute exactly once: the first run introducing a digest owns the
   execution, every other (run, node) pair replays the owner's entry into
   its own context;
-* **across batches**, through a *step source* — anything with the
-  ``lookup_or_claim`` / ``fulfil`` / ``abandon`` face.
-  :class:`StepResultCache` is the shared one (a digest-keyed LRU of
-  finished step results, so sequential repeated traffic replays shared
-  elimination prefixes); a :class:`RunSnapshot` is the private one (the
-  node results of a standing query's previous run, so an incremental re-run
-  executes only the dirty subgraph).
+* **across batches**, through a *step source*: a
+  :class:`StepResultCache`, a digest-keyed LRU of finished step results.
+  A server holds one shared across its traffic, so sequential repeated
+  requests replay shared elimination prefixes; an incremental view holds
+  a private one, so a re-run after a factor update executes only the
+  dirty subgraph.
 
 Digests cost a hash of every base factor, so they are computed only when
 there is something to share with: a step source is attached, or more than
@@ -55,7 +54,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
@@ -107,15 +105,22 @@ class StepResultCache:
     inputs and operation, the backend pins the representation choice, and
     callers only engage the cache under the default
     :class:`~repro.factors.backend.BackendPolicy` — so a hit replays a
-    bit-identical result.  The cache is shared across queries (the serving
-    tier holds one per :class:`~repro.serve.PlanServer`), which is what
+    bit-identical result.  The serving tier holds one per
+    :class:`~repro.serve.PlanServer`, shared across queries, which is what
     makes *sequential* repeated traffic skip shared elimination prefixes.
+    An :class:`~repro.incremental.IncrementalView` holds a private one:
+    a node's digest folds in its input digests down to the base factors,
+    so after a factor update exactly the subgraph downstream of the
+    touched factor misses, and the clean nodes replay.
 
     Thread-safe, with an in-flight claim map so concurrent executions of
     the same digest compute it exactly once: the first caller *claims* the
     key and computes, later callers block until the claimant fulfils (or
     abandons) it.  ``computed``/``replayed`` count resolved lookups and are
     the executor counters the differential tests assert exactly-once with.
+
+    A pickled cache is its bound and its entries in LRU order; claims, the
+    lock and the counters belong to the live process.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
@@ -127,6 +132,14 @@ class StepResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __getstate__(self):
+        return {"maxsize": self._entries.maxsize, "entries": list(self._entries.items())}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state["maxsize"])
+        for key, entry in state["entries"]:
+            self._entries.put(key, entry)
 
     def lookup_or_claim(self, key) -> Optional[_StepEntry]:
         """Return a finished entry, or claim ``key`` and return ``None``.
@@ -210,61 +223,6 @@ class RunInfo:
     merged_nodes: int = 0    # distinct nodes after digest merging
     executed_nodes: int = 0  # merged nodes actually computed
     replayed_nodes: int = 0  # merged nodes served from the step source
-
-
-@dataclass
-class RunSnapshot:
-    """The digest-keyed node results of a standing query's previous runs.
-
-    The private step source of incremental evaluation: attach one to a run
-    (``step_cache=snapshot``) and a node whose ``(digest, backend)`` key
-    appears here replays the prior entry instead of recomputing, while every
-    node that does execute is recorded for the next run.  Because a node's
-    digest folds in its *input* digests all the way down to the base
-    factors, the set of keys that stop matching after a factor update is
-    exactly the dirty subgraph downstream of the touched factors — clean
-    nodes keep their digests and replay for free.
-
-    Same face as :class:`StepResultCache`, minus the claim protocol: a
-    snapshot belongs to one standing query and is never attached to two
-    concurrent runs, so nothing can wait on a claim and :meth:`abandon` has
-    nothing to release.
-
-    Entries reference immutable factors (frozen on digest), so holding a
-    snapshot across updates is safe by construction.
-    """
-
-    entries: Dict[tuple, _StepEntry] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def lookup_or_claim(self, key) -> Optional[_StepEntry]:
-        entry = self.entries.pop(key, None)
-        if entry is not None:
-            # Re-inserted so the dict stays in recency order: the latest
-            # run's keys are always the tail (see :meth:`trim`).
-            self.entries[key] = entry
-        return entry
-
-    def fulfil(self, key, entry: _StepEntry) -> None:
-        self.entries[key] = entry
-
-    def abandon(self, key) -> None:
-        pass
-
-    def trim(self, latest: int) -> None:
-        """Bound growth: keep only the ``latest`` most recently used entries
-        once the map has outgrown them 8x.
-
-        Entries are digest-keyed, so accumulating them is always sound; the
-        bound just stops an unbounded update stream from pinning every
-        intermediate ever computed.  ``latest`` is the node count of the run
-        that just finished, whose (complete) entry set therefore survives.
-        """
-        if len(self.entries) > max(512, 8 * latest):
-            for key in list(islice(self.entries, len(self.entries) - latest)):
-                del self.entries[key]
 
 
 class _RunState:
@@ -510,9 +468,9 @@ class DagExecutor:
         context.  Each distinct key therefore executes **exactly once** per
         batch — and not at all when ``step_cache`` already holds it.
 
-        ``step_cache`` is the batch's *step source*: a shared
-        :class:`StepResultCache`, or the :class:`RunSnapshot` of a standing
-        query's previous run (the dirty-subgraph regime of incremental
+        ``step_cache`` is the batch's *step source*: a
+        :class:`StepResultCache`, shared by a server's traffic or private to
+        a standing query (the dirty-subgraph regime of incremental
         evaluation: after a factor update the stale keys are exactly the
         nodes downstream of the touched base factors, so only that subgraph
         re-executes — for *any* semiring, no algebraic assumptions).

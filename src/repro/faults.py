@@ -1,7 +1,7 @@
 """Deterministic fault injection for the serving and execution tiers.
 
 The failure paths of this engine — replica crash/restart, wire timeouts,
-shared-memory attach races, snapshot spill I/O — were each covered by one
+kernel errors, snapshot spill I/O — were each covered by one
 bespoke monkeypatch before this module.  A :class:`FaultPlan` replaces
 them with a *seeded*, named-site harness: the hot paths call
 :func:`fire`/:func:`maybe_raise` at fixed **fault sites**, and an
@@ -18,7 +18,6 @@ Fault sites
                    replaced by garbage bytes
 ``wire.recv``      a replica→frontend reply is dropped (surfaces as an
                    RPC timeout), delayed, or corrupted
-``shm.attach``     attaching a shared-memory segment raises ``OSError``
 ``step.kernel``    a step-DAG kernel raises :class:`InjectedFault`
 ``snapshot.io``    snapshot spill/restore I/O raises ``OSError``
 =================  ====================================================
@@ -53,7 +52,6 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 SITE_REPLICA_KILL = "replica.kill"
 SITE_WIRE_SEND = "wire.send"
 SITE_WIRE_RECV = "wire.recv"
-SITE_SHM_ATTACH = "shm.attach"
 SITE_STEP_KERNEL = "step.kernel"
 SITE_SNAPSHOT_IO = "snapshot.io"
 
@@ -61,7 +59,6 @@ SITES = (
     SITE_REPLICA_KILL,
     SITE_WIRE_SEND,
     SITE_WIRE_RECV,
-    SITE_SHM_ATTACH,
     SITE_STEP_KERNEL,
     SITE_SNAPSHOT_IO,
 )
@@ -77,7 +74,6 @@ _DEFAULT_ACTIONS: Dict[str, Tuple[str, ...]] = {
     SITE_REPLICA_KILL: (ACTION_KILL,),
     SITE_WIRE_SEND: (ACTION_DROP, ACTION_DELAY, ACTION_CORRUPT),
     SITE_WIRE_RECV: (ACTION_DROP, ACTION_DELAY, ACTION_CORRUPT),
-    SITE_SHM_ATTACH: (ACTION_ERROR,),
     SITE_STEP_KERNEL: (ACTION_ERROR,),
     SITE_SNAPSHOT_IO: (ACTION_ERROR,),
 }

@@ -288,11 +288,11 @@ def load_rho_star_cache(path) -> int:
 
 
 def dump_rho_star_section() -> dict:
-    """Snapshot the ρ* memo as a shared-memory cache-store section.
+    """Snapshot the ρ* memo as a warm-cache section.
 
-    The serving tier's fleet parent publishes this through
-    :class:`repro.exec.shm.SharedCacheStore` so cold replicas adopt the
-    fleet-wide warm memo instead of re-solving the LPs.
+    The serving tier's fleet parent pickles this into the arguments of
+    every replica process it starts, so cold replicas adopt the warm memo
+    instead of re-solving the LPs.
     """
     return _RHO_STAR_CACHE.dump_entries(
         kind=_RHO_STAR_KIND, version=_RHO_STAR_VERSION

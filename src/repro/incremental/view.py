@@ -20,8 +20,8 @@ chosen per update from the semiring and the shape of the delta:
   fallback: re-lower the updated query and replay every step-DAG node
   whose content digest is unchanged from the previous run (an ordinary
   :class:`repro.exec.DagExecutor` run whose step source is the view's
-  :class:`~repro.exec.RunSnapshot`); only the subgraph downstream of the
-  touched base factor recomputes.
+  private :class:`~repro.exec.StepResultCache`); only the subgraph
+  downstream of the touched base factor recomputes.
 
 All three regimes produce answers bit-identical to a full recomputation
 (the differential tests enforce this cell-for-cell across backends and
@@ -60,7 +60,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.insideout import InsideOutResult, apply_output_delta, _validated_ordering
 from repro.core.query import FAQQuery, QueryError
-from repro.exec.executor import DagExecutor, RunInfo, RunSnapshot, RunSpec
+from repro.exec.executor import DagExecutor, RunInfo, RunSpec, StepResultCache
 from repro.factors.backend import BACKEND_SPARSE, as_sparse, validate_backend
 from repro.factors.delta import FactorDelta
 from repro.factors.factor import Factor
@@ -172,7 +172,7 @@ class IncrementalView:
         self._backend = validate_backend(backend)
         self._executor = DagExecutor(workers=workers)
         self._add_tag = additive_tag(query.semiring, add_tag)
-        self._snapshot = RunSnapshot()
+        self._steps = StepResultCache()
         self._tries = SharedTrieCache(self._order, query.semiring, query.factors)
         self._output: Optional[Factor] = None
         self.stats = IncrementalStats()
@@ -185,7 +185,7 @@ class IncrementalView:
 
         Everything a restarted server needs to resume *warm*: the current
         query (frozen factors), the pinned ordering/backend knobs, the
-        digest-keyed step snapshot and the current answer.  Runtime-only
+        digest-keyed step cache's entries and the current answer.  Runtime-only
         machinery (the executor, the index store) and the accounting stats
         are excluded — a restored view starts with fresh stats, which is
         what lets tests assert "no full recompute after restore" as
@@ -197,7 +197,7 @@ class IncrementalView:
             "uip": self._uip,
             "backend": self._backend,
             "add_tag": self._add_tag,
-            "snapshot": self._snapshot,
+            "steps": self._steps,
             "output": self._output,
         }
 
@@ -207,7 +207,7 @@ class IncrementalView:
 
         The restored view answers :meth:`result` from the saved output
         without any execution, and its first :meth:`update_factor` runs
-        against the saved step snapshot — only the dirty subgraph of that
+        against the saved step entries — only the dirty subgraph of that
         update executes, exactly as if the process had never restarted.
         Its index store starts empty and refills as updates run; naming
         the restored factors is a memo hit that freezes them again, so
@@ -220,7 +220,7 @@ class IncrementalView:
         view._backend = state["backend"]
         view._add_tag = state["add_tag"]
         view._executor = DagExecutor(workers=workers)
-        view._snapshot = state["snapshot"] or RunSnapshot()
+        view._steps = state["steps"]
         view._tries = SharedTrieCache(view._order, view.query.semiring, ())
         view._cover()
         view._output = state["output"]
@@ -259,7 +259,7 @@ class IncrementalView:
                 f"factor index {index} out of range (query has "
                 f"{len(self.query.factors)} factors)"
             )
-        base = self.result()  # ensure a baseline answer + snapshot exist
+        base = self.result()  # ensure a baseline answer + its steps exist
         semiring = self.query.semiring
         old_factor = self.query.factors[index]
         changes = delta.effective_changes(old_factor, semiring)
@@ -287,7 +287,7 @@ class IncrementalView:
             return output
 
         self._install(index, new_factor)
-        # The snapshot stays: its entries are *content-addressed*, so a
+        # The step cache stays: its entries are *content-addressed*, so a
         # stale entry can never replay wrongly — it either matches a future
         # node's digest (and is then valid by construction) or is ignored.
         # Steps disjoint from the updated factor keep replaying across
@@ -393,7 +393,7 @@ class IncrementalView:
         """Evaluate the view's query with factor ``index`` swapped for
         ``factor`` (the delta/append correction run).
 
-        Runs against the view's step snapshot: every elimination step *not*
+        Runs against the view's step cache: every elimination step *not*
         involving the swapped factor has the same content digest as the
         baseline run and replays instead of recomputing, so the correction
         run pays only for the (small) subgraph the delta actually touches —
@@ -414,12 +414,12 @@ class IncrementalView:
         return output
 
     def _execute(self, query: FAQQuery) -> Tuple[Factor, RunInfo]:
-        """Evaluate ``query`` against the view's step snapshot.
+        """Evaluate ``query`` against the view's step cache.
 
-        An ordinary executor run whose step source is the snapshot: nodes
+        An ordinary executor run whose step source is the cache: nodes
         whose content digest it holds replay, the rest execute and are
-        recorded into it (then it is trimmed back to this run's entries if
-        the update stream has made it outgrow them).
+        recorded into it.  Its LRU bound keeps an unbounded update stream
+        from pinning every intermediate ever computed.
         """
         info = RunInfo()
         [result] = self._executor.run_many(
@@ -430,10 +430,9 @@ class IncrementalView:
                 backend=self._backend,
                 shared_tries=self._tries,
             )],
-            step_cache=self._snapshot,
+            step_cache=self._steps,
             info=info,
         )
-        self._snapshot.trim(info.total_nodes)
         return self._normalize(result), info
 
     def _normalize(self, result: InsideOutResult) -> Factor:

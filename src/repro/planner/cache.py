@@ -358,11 +358,11 @@ class PlanCache:
         return merged
 
     def dump_section(self) -> dict:
-        """Snapshot the entries as a shared-memory cache-store section.
+        """Snapshot the entries as a warm-cache section.
 
-        The serving tier's fleet parent publishes this through
-        :class:`repro.exec.shm.SharedCacheStore` so cold replicas start
-        with the fleet-wide warm plan cache instead of re-planning.
+        The serving tier's fleet parent pickles this into the arguments of
+        every replica process it starts, so cold replicas start with the
+        warm plan cache instead of re-planning.
         """
         return self._entries.dump_entries(
             kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION

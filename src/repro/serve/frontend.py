@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import pickle
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import FAQQuery
@@ -64,27 +65,21 @@ from repro.serve.replica import ReplicaSet
 _EWMA_ALPHA = 0.2
 
 
-def _publish_shared_caches(plan_cache):
-    """Publish the parent's warm read-only caches to shared memory.
+def _warm_caches(plan_cache) -> Optional[bytes]:
+    """The parent's warm read-only caches, pickled once for every replica.
 
-    Returns the owning :class:`~repro.exec.shm.SharedCacheStore` (the
-    frontend closes it on shutdown), or ``None`` when publication fails —
-    sharing is an optimisation, never a startup requirement.  Publishing
-    before the fleet forks also guarantees the resource tracker is
-    running, so replicas share it instead of spawning private ones.
+    The process-wide ρ* LP memo and, when given, ``plan_cache``, as
+    kind/version-tagged sections.  ``None`` when they cannot be pickled:
+    replicas then start cold — warm caches are an optimisation, never a
+    startup requirement.
     """
-    from repro.exec.shm import SharedCacheStore, ensure_tracker_running
     from repro.hypergraph.covers import dump_rho_star_section
 
-    ensure_tracker_running()
-    sections = {"rho_star": dump_rho_star_section()}
-    if plan_cache is not None:
-        try:
-            sections["plans"] = plan_cache.dump_section()
-        except Exception:  # noqa: BLE001 - plans are optional cargo
-            pass
     try:
-        return SharedCacheStore.publish(sections)
+        sections = {"rho_star": dump_rho_star_section()}
+        if plan_cache is not None:
+            sections["plans"] = plan_cache.dump_section()
+        return pickle.dumps(sections, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - e.g. unpicklable cache entries
         return None
 
@@ -103,17 +98,14 @@ class Frontend:
         processes).
     start_method:
         ``multiprocessing`` start method (platform default when ``None``).
-    share_caches:
-        Publish the parent's warm read-only caches (the process-wide ρ*
-        LP memo and, when ``plan_cache`` is given, the plan cache) to a
-        shared-memory :class:`~repro.exec.shm.SharedCacheStore` that every
-        replica adopts at startup — cold replicas start with the
-        fleet-wide warm caches instead of warming private copies.  Each
-        replica reports how many entries it adopted as the
-        ``shared_cache_adopted`` health stat.
     plan_cache:
-        A warm :class:`~repro.planner.cache.PlanCache` to include in the
-        published store (:meth:`Engine.serve` passes the engine's own).
+        A warm :class:`~repro.planner.cache.PlanCache` to hand the replicas
+        (:meth:`Engine.serve` passes the engine's own).  The parent pickles
+        it, with the process-wide ρ* LP memo, once at construction; every
+        replica process it starts, restarts included, adopts them, so
+        cold replicas begin with the warm caches instead of warming
+        private copies.  Each replica reports how many entries it adopted
+        as the ``shared_cache_adopted`` health stat.
     max_pending:
         Global bound on dispatched-but-unfinished requests; past it new
         arrivals are shed with ``Overloaded("queue full")``.
@@ -151,7 +143,6 @@ class Frontend:
         tenant_limit: Optional[int] = None,
         health_interval: Optional[float] = 1.0,
         coalesce: bool = True,
-        share_caches: bool = True,
         plan_cache: Any = None,
         retry: Optional[RetryPolicy] = None,
         snapshot_dir: Optional[str] = None,
@@ -163,15 +154,10 @@ class Frontend:
         self.health_interval = health_interval
         self.coalesce = coalesce
         self.retry = retry if retry is not None else RetryPolicy()
-        self._shared_caches = (
-            _publish_shared_caches(plan_cache) if share_caches else None
-        )
         self._set = ReplicaSet(
             size,
             workers=workers,
-            shared_cache_name=(
-                self._shared_caches.name if self._shared_caches is not None else None
-            ),
+            warm_caches=_warm_caches(plan_cache),
             start_method=start_method,
             rpc_timeout=self.retry.rpc_timeout,
             snapshot_dir=snapshot_dir,
@@ -730,7 +716,6 @@ class Frontend:
         self._closed = True
         await self._cancel_health_task()
         await asyncio.to_thread(self._set.close)
-        self._close_shared_caches()
 
     def close(self) -> None:
         """Synchronous shutdown (for non-async callers; idempotent)."""
@@ -740,12 +725,6 @@ class Frontend:
         self._health_task = None
         self._health_loop_obj = None
         self._set.close()
-        self._close_shared_caches()
-
-    def _close_shared_caches(self) -> None:
-        if self._shared_caches is not None:
-            self._shared_caches.close()
-            self._shared_caches = None
 
     def __enter__(self) -> "Frontend":
         return self

@@ -144,18 +144,18 @@ def _replica_main(
     conn,
     replica_id: int,
     workers: Optional[int] = None,
-    shared_cache_name: Optional[str] = None,
+    warm_caches: Optional[bytes] = None,
     snapshot_dir: Optional[str] = None,
     fault_config: Optional[Dict[str, Any]] = None,
 ) -> None:
     """The replica loop (module-level so the spawn start method can pickle it)."""
+    from repro.hypergraph.covers import adopt_rho_star_section
     from repro.serve.server import PlanServer
     from repro.serve.snapshot import SnapshotStore
 
     # A replica carries its own deterministic fault plan (derived from the
-    # parent's seed) so chaos runs inject inside the child too: worker
-    # kills, step-kernel faults, shm-attach failures, snapshot I/O errors
-    # and hard replica deaths all originate here.
+    # parent's seed) so chaos runs inject inside the child too: step-kernel
+    # faults, snapshot I/O errors and hard replica deaths all originate here.
     install_plan(FaultPlan.from_config(fault_config))
     snapshots = SnapshotStore(snapshot_dir) if snapshot_dir else None
     # cache_results=True is the replica-side completed-result cache: repeat
@@ -164,18 +164,13 @@ def _replica_main(
     server = PlanServer(
         workers=workers, pool_size=1, cache_results=True, snapshot_store=snapshots,
     )
-    # Adopt the fleet-wide warm caches the parent published to shared
-    # memory (best-effort: a missing/stale segment adopts nothing) so a
-    # cold replica starts with the warm ρ* memo and plan cache instead of
-    # warming private copies.
-    shared_cache_adopted = 0
-    if shared_cache_name:
-        from repro.exec.shm import SharedCacheStore
-        from repro.hypergraph.covers import adopt_rho_star_section
-
-        sections = SharedCacheStore.adopt(shared_cache_name)
-        shared_cache_adopted += adopt_rho_star_section(sections.get("rho_star"))
-        shared_cache_adopted += server.cache.adopt_section(sections.get("plans"))
+    # Adopt the warm caches the parent pickled into our arguments so a cold
+    # replica starts with the warm ρ* memo and plan cache instead of
+    # warming private copies.  Best-effort: each section is checked against
+    # its kind/version tags, and a stale or absent one adopts nothing.
+    sections = pickle.loads(warm_caches) if warm_caches else {}
+    shared_cache_adopted = adopt_rho_star_section(sections.get("rho_star"))
+    shared_cache_adopted += server.cache.adopt_section(sections.get("plans"))
     store: Dict[str, Any] = {}
     queries = LruCache(maxsize=_MAX_REPLICA_QUERIES)
     served = 0
@@ -274,7 +269,9 @@ class ReplicaHandle:
     :class:`~repro.serve.api.ReplicaCrashed`; a reply missing its deadline
     raises :class:`~repro.serve.api.ReplicaTimeout`; :meth:`restart`
     replaces the process and resets the known-digest set, after which
-    factor tables re-ship lazily.  With a ``snapshot_dir`` the replacement
+    factor tables re-ship lazily.  ``warm_caches`` (the parent's pickled
+    warm-cache sections) is passed to every process the handle starts,
+    restarts included.  With a ``snapshot_dir`` the replacement
     process restores its warm incremental views and completed-result cache
     from the dead one's spill, so it answers its first incremental request
     without a cold full run.
@@ -285,7 +282,7 @@ class ReplicaHandle:
         index: int,
         *,
         workers: Optional[int | str] = None,
-            shared_cache_name: Optional[str] = None,
+        warm_caches: Optional[bytes] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
         snapshot_dir: Optional[str] = None,
         fault_config: Optional[Dict[str, Any]] = None,
@@ -293,7 +290,7 @@ class ReplicaHandle:
     ) -> None:
         self.index = index
         self.workers = workers
-        self.shared_cache_name = shared_cache_name
+        self.warm_caches = warm_caches
         self.rpc_timeout = rpc_timeout
         self.snapshot_dir = snapshot_dir
         self.fault_config = fault_config
@@ -312,7 +309,7 @@ class ReplicaHandle:
             self.process = self._ctx.Process(
                 target=_replica_main,
                 args=(
-                    child, self.index, self.workers, self.shared_cache_name,
+                    child, self.index, self.workers, self.warm_caches,
                     self.snapshot_dir, self.fault_config,
                 ),
                 name=f"repro-replica-{self.index}",
@@ -613,7 +610,7 @@ class ReplicaSet:
         size: int,
         *,
         workers: Optional[int | str] = None,
-            shared_cache_name: Optional[str] = None,
+        warm_caches: Optional[bytes] = None,
         start_method: Optional[str] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
         snapshot_dir: Optional[str] = None,
@@ -625,7 +622,7 @@ class ReplicaSet:
         self._closed = False
         self.replicas: List[ReplicaHandle] = [
             ReplicaHandle(
-                i, workers=workers, shared_cache_name=shared_cache_name,
+                i, workers=workers, warm_caches=warm_caches,
                 context=context, rpc_timeout=rpc_timeout,
                 # Per-replica spill directories: a restarted replica i
                 # resumes from replica i's own snapshot, warm.

@@ -110,7 +110,7 @@ class PlanServer:
     variable elimination), like every incremental update, runs on the one
     step-DAG driver (:class:`repro.exec.DagExecutor`); what differs is only
     the batch size and the step source attached (the server's step-result
-    cache, a view's snapshot, or none for a ``coalesce=False`` request).
+    cache, a view's private one, or none for a ``coalesce=False`` request).
 
     Parameters
     ----------
@@ -309,7 +309,7 @@ class PlanServer:
                 view = IncrementalView(
                     request.query, ordering=ordering, workers=self.workers
                 )
-                view.result()  # baseline answer + step snapshot
+                view.result()  # baseline answer + its steps
             except Exception as exc:  # noqa: BLE001 - typed, e.g. a kernel fault
                 raise _plan_failure(exc)
         factor: Any = None

@@ -3,15 +3,19 @@
 A :class:`PlanServer` that owns a :class:`SnapshotStore` spills its warm
 incremental state — the per-content-key
 :class:`~repro.incremental.IncrementalView` states (query, pinned
-ordering, digest-keyed :class:`~repro.exec.executor.RunSnapshot`, current
-answer) and the digest-keyed completed-result cache — to disk after every
-update batch.  A replica restarted over the same directory restores them
-at construction, so its first incremental request after a crash is
-answered *warm* (delta propagation against the restored snapshot) instead
-of paying a cold full run.
+ordering, the entries of its digest-keyed
+:class:`~repro.exec.StepResultCache`, current answer) and the
+digest-keyed completed-result cache — to disk after every update batch.
+A replica restarted over the same directory restores them at
+construction, so its first incremental request after a crash is answered
+*warm* (delta propagation against the restored step entries) instead of
+paying a cold full run.
 
 Each file is one :func:`repro.caching.seal` envelope (magic | length |
-SHA-256 | pickle tagged kind + version) holding the sections.
+SHA-256 | pickle tagged kind + version) holding the sections.  The
+layout number of :data:`SNAPSHOT_VERSION` (2: a view spills its step
+cache's bound and entries) changes with the sections' shape, so an older
+spill loads as ``None``.
 
 Durability rules:
 
@@ -35,7 +39,7 @@ from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
 from repro.planner.signature import sealed_version
 
 SNAPSHOT_KIND = "repro-serve-snapshot"
-SNAPSHOT_VERSION = sealed_version(1)
+SNAPSHOT_VERSION = sealed_version(2)
 
 
 class SnapshotStore:

@@ -1,4 +1,5 @@
-"""LRU caches, disk and shared-memory persistence, and size-bucket drift invalidation."""
+"""LRU caches, disk persistence, a replica fleet's warm start, and
+size-bucket drift invalidation."""
 
 import pickle
 
@@ -6,7 +7,6 @@ import pytest
 
 from repro.caching import LruCache
 from repro.core.query import FAQQuery, Variable
-from repro.exec import SharedCacheStore
 from repro.factors.factor import Factor
 from repro.hypergraph.covers import (
     clear_rho_star_cache,
@@ -238,32 +238,8 @@ def test_cached_plan_buckets_backfilled_on_store():
 
 
 # ---------------------------------------------------------------------- #
-# the fleet's shared-memory store
+# a replica fleet's warm start
 # ---------------------------------------------------------------------- #
-def test_shared_cache_store_roundtrip_and_rejection():
-    from multiprocessing import shared_memory
-
-    sections = {"rho_star": {"kind": "k", "version": 1, "entries": [(1, 2.0)]}}
-    store = SharedCacheStore.publish(sections)
-    try:
-        assert SharedCacheStore.adopt(store.name) == sections
-    finally:
-        store.close()
-    # Best-effort contract: anything invalid adopts nothing.
-    assert SharedCacheStore.adopt(None) == {}
-    assert SharedCacheStore.adopt("") == {}
-    assert SharedCacheStore.adopt("psm_does_not_exist_xyz") == {}
-    raw = pickle.dumps([1, 2, 3])
-    foreign = shared_memory.SharedMemory(create=True, size=len(raw))
-    try:
-        # A foreign segment is not a cache store (no envelope) — rejected.
-        foreign.buf[:len(raw)] = raw
-        assert SharedCacheStore.adopt(foreign.name) == {}
-    finally:
-        foreign.close()
-        foreign.unlink()
-
-
 def test_cache_section_dump_and_adopt():
     from repro.hypergraph.covers import (
         adopt_rho_star_section,
@@ -299,3 +275,33 @@ def test_cold_replica_adopts_fleet_warm_caches():
             "cold replica failed to adopt the published fleet caches"
         )
     engine.close()
+
+
+def test_restarted_replica_adopts_the_warm_caches_again():
+    """The handle re-passes the parent's warm caches to every process it
+    starts, so a replacement replica is as warm as the first."""
+    from repro.engine import Engine
+
+    engine = Engine()
+    engine.query(_multi_block("max-product", 6))
+    with engine.serve(replicas=1, health_interval=None) as tier:
+        replica = tier._set.replicas[0]
+        first = replica.ping()["shared_cache_adopted"]
+        replica.restart()
+        assert replica.ping()["shared_cache_adopted"] == first > 0
+    engine.close()
+
+
+def test_unpicklable_warm_caches_leave_the_fleet_cold_not_down(monkeypatch):
+    import repro.hypergraph.covers as covers
+    from repro.serve import Frontend
+
+    monkeypatch.setattr(
+        covers, "dump_rho_star_section",
+        lambda: {"kind": "k", "version": 1, "entries": [(1, lambda: 0)]},
+    )
+    query = _chain_query()
+    with Frontend(replicas=1, health_interval=None) as tier:
+        [result] = tier.serve_batch([query])
+        assert query.evaluate_brute_force().equals(result.factor, COUNTING)
+        assert tier.ping()[0]["shared_cache_adopted"] == 0

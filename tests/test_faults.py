@@ -15,8 +15,7 @@ Layers, bottom up:
 * :class:`SnapshotStore` durability (atomic, checksummed, version-tagged,
   best-effort under injected I/O faults);
 * in-process hardening — ``step.kernel`` faults abandon step-cache claims
-  and surface as typed :class:`PlanFailure`; ``shm.attach`` faults make
-  cache adoption a no-op instead of a crash;
+  and surface as typed :class:`PlanFailure`;
 * the wire — RPC deadlines (``drop`` → :class:`ReplicaTimeout`), protocol
   desync (``corrupt`` → :class:`ReplicaCrashed`), kills, busy-vs-wedged
   pings, idempotent close;
@@ -37,13 +36,13 @@ import time
 
 import pytest
 
+from repro.caching import seal, unseal, write_atomic
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
 from repro.exec import (
     DagExecutor,
     RunInfo,
     RunSpec,
-    SharedCacheStore,
     StepResultCache,
 )
 from repro.factors import Factor, FactorDelta
@@ -54,7 +53,6 @@ from repro.faults import (
     ACTION_ERROR,
     ACTION_KILL,
     SITE_REPLICA_KILL,
-    SITE_SHM_ATTACH,
     SITE_SNAPSHOT_IO,
     SITE_STEP_KERNEL,
     SITE_WIRE_RECV,
@@ -84,6 +82,7 @@ from repro.serve import (
     SnapshotStore,
 )
 from repro.serve import replica as replica_module
+from repro.serve.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
 
 from test_exec_parallel import _multi_block
 
@@ -431,19 +430,6 @@ class TestInProcessFaults:
             # draws == executed nodes: five computed plus the one that faulted.
             assert plan.calls[SITE_STEP_KERNEL] == 5 + 1
 
-    def test_shm_attach_fault_makes_adoption_a_noop(self):
-        store = SharedCacheStore.publish({"queries": {"k": "v"}})
-        try:
-            with injected_faults(
-                FaultPlan(schedule={SITE_SHM_ATTACH: {1: ACTION_ERROR}})
-            ):
-                assert SharedCacheStore.adopt(store.name) == {}
-            adopted = SharedCacheStore.adopt(store.name)
-            assert adopted.get("queries") == {"k": "v"}
-        finally:
-            store.close()
-            store.close()  # idempotent
-
 
 # ---------------------------------------------------------------------- #
 # the wire: deadlines, desync, kills, pings, close
@@ -551,6 +537,32 @@ class TestReplicaWireFaults:
 # ---------------------------------------------------------------------- #
 # warm restarts from snapshot spill
 # ---------------------------------------------------------------------- #
+def _spilled_sections(tmp_path, name):
+    """The sections a server spills after one answer and one view update."""
+    store = SnapshotStore(tmp_path)
+    server = PlanServer(snapshot_store=store, cache_results=True)
+    request = ServeRequest(query=_chain_query(name=name))
+    server.execute_request(request)
+    server.update_factor(request, 0, FactorDelta(("v0", "v1"), {(0, 0): 9}))
+    server.shutdown()
+    raw = store.path_for("server").read_bytes()
+    sections = unseal(raw, kind=SNAPSHOT_KIND, version=SNAPSHOT_VERSION)
+    assert sections["views"] and sections["results"]["entries"]
+    return sections
+
+
+def _restores(tmp_path, sections, version):
+    """``snapshot_restores`` of a server revived over ``sections`` sealed at
+    ``version``."""
+    path = SnapshotStore(tmp_path).path_for("server")
+    write_atomic(path, seal(sections, kind=SNAPSHOT_KIND, version=version))
+    revived = PlanServer(snapshot_store=SnapshotStore(tmp_path), cache_results=True)
+    try:
+        return revived.stats()["snapshot_restores"]
+    finally:
+        revived.shutdown()
+
+
 class TestWarmRestart:
     def test_server_restart_resumes_incremental_from_snapshot(self, tmp_path):
         """The in-process acceptance path: spill on update, restore warm."""
@@ -587,56 +599,28 @@ class TestWarmRestart:
         """A spill names factors and steps by content digest, and its
         factors carry their digest memos: one sealed under the previous
         content-key version must restore no view and no result."""
-        from repro.caching import seal, unseal, write_atomic
-        from repro.exec.shm import SHARED_CACHE_VERSION
         from repro.planner.signature import CONTENT_KEY_VERSION, sealed_version
         from repro.serve.server import _RESULT_SNAPSHOT_VERSION
-        from repro.serve.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
 
-        for tag in (SNAPSHOT_VERSION, _RESULT_SNAPSHOT_VERSION, SHARED_CACHE_VERSION):
+        for tag in (SNAPSHOT_VERSION, _RESULT_SNAPSHOT_VERSION):
             assert tag == sealed_version(tag[0])  # each follows the content key
-        store = SnapshotStore(tmp_path)
-        query = _chain_query(name="stale-spill")
-        server = PlanServer(snapshot_store=store, cache_results=True)
-        request = ServeRequest(query=query)
-        server.execute_request(request)
-        server.update_factor(request, 0, FactorDelta(("v0", "v1"), {(0, 0): 9}))
-        server.shutdown()
-        path = store.path_for("server")
-        sections = unseal(path.read_bytes(), kind=SNAPSHOT_KIND, version=SNAPSHOT_VERSION)
-        assert sections["views"] and sections["results"]["entries"]
-
-        def restores(sections, version):
-            write_atomic(path, seal(sections, kind=SNAPSHOT_KIND, version=version))
-            revived = PlanServer(snapshot_store=SnapshotStore(tmp_path), cache_results=True)
-            try:
-                return revived.stats()["snapshot_restores"]
-            finally:
-                revived.shutdown()
-
+        sections = _spilled_sections(tmp_path, "stale-spill")
         stale = (1, CONTENT_KEY_VERSION - 1)
-        assert restores(sections, SNAPSHOT_VERSION) >= 2  # views and results
-        assert restores(sections, stale) == 0
+        assert _restores(tmp_path, sections, SNAPSHOT_VERSION) >= 2  # views and results
+        assert _restores(tmp_path, sections, stale) == 0
         assert SnapshotStore(tmp_path).load("server") is None
         # the result section inside a current envelope carries its own tag
         sections = dict(sections, views=[], results=dict(sections["results"], version=stale))
-        assert restores(sections, SNAPSHOT_VERSION) == 0
+        assert _restores(tmp_path, sections, SNAPSHOT_VERSION) == 0
 
-    def test_shared_caches_under_another_content_key_version_adopt_nothing(self):
-        from repro.caching import seal
-        from repro.exec import shm
-        from repro.planner.signature import CONTENT_KEY_VERSION
+    def test_spill_of_the_previous_layout_adopts_nothing(self, tmp_path):
+        """A view's spilled state is its step cache's entries from layout 2
+        on: a spill sealed at layout 1 restores no view and no result."""
+        from repro.planner.signature import sealed_version
 
-        stale = (1, CONTENT_KEY_VERSION - 1)
-        sections = {"plans": {"kind": "k", "version": 1, "entries": []}}
-        for version, adopted in ((stale, {}), (shm.SHARED_CACHE_VERSION, sections)):
-            store = shm.SharedCacheStore(shm._publish(
-                seal(sections, kind=shm.SHARED_CACHE_KIND, version=version)
-            ))
-            try:
-                assert SharedCacheStore.adopt(store.name) == adopted
-            finally:
-                store.close()
+        assert SNAPSHOT_VERSION == sealed_version(2)
+        sections = _spilled_sections(tmp_path, "old-layout")
+        assert _restores(tmp_path, sections, sealed_version(1)) == 0
 
     def test_restored_result_cache_serves_without_recompute(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -896,7 +880,7 @@ def test_chaos_short_profile():
 @pytest.mark.slow
 def test_chaos_soak_covers_every_fault_site(tmp_path):
     """The long soak: >=200 requests under seeded random fault schedules
-    covering all six sites, in two phases (fleet wire faults, then
+    covering all five sites, in two phases (fleet wire faults, then
     in-process execution/snapshot faults).  The invariant throughout:
     every request terminates with a bit-correct answer or a typed
     ServeError — never a hang, never a wrong answer."""
@@ -940,17 +924,7 @@ def test_chaos_soak_covers_every_fault_site(tmp_path):
     assert served + failed == 150
     assert served >= 100
 
-    # -- phase 2a: shared-memory attach failure ------------------------- #
-    plan_shm = FaultPlan(schedule={SITE_SHM_ATTACH: {1: ACTION_ERROR}})
-    shm_store = SharedCacheStore.publish({"queries": {}})
-    try:
-        with injected_faults(plan_shm):
-            assert SharedCacheStore.adopt(shm_store.name) == {}
-    finally:
-        shm_store.close()
-    covered.update(plan_shm.injected)
-
-    # -- phase 2b: serving under kernel + snapshot I/O chaos ------------ #
+    # -- phase 2: serving under kernel + snapshot I/O chaos ------------- #
     plan_serve = FaultPlan(
         seed=7919,
         rates={SITE_STEP_KERNEL: 0.12, SITE_SNAPSHOT_IO: 0.3},

@@ -10,8 +10,8 @@ Covers, in order:
 * the :class:`~repro.incremental.IncrementalView` regimes: delta
   propagation, monotone append, dirty-subgraph replay, and the selection
   logic between them;
-* a :class:`~repro.exec.RunSnapshot` as a run's step source: node-reuse
-  accounting and the growth bound;
+* a :class:`~repro.exec.StepResultCache` as a run's step source: node-reuse
+  accounting and the LRU growth bound;
 * the :class:`~repro.exec.StepResultCache` claim lifecycle under a dying
   claimant (the satellite-2 wedge regression);
 * :meth:`~repro.serve.PlanServer.update_factor` — warm-view hits, stale
@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.insideout import apply_output_delta, inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
-from repro.exec import DagExecutor, RunInfo, RunSnapshot, RunSpec, StepResultCache
+from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, lower_insideout
 from repro.factors import Factor, FactorDelta, FactorError, as_dense, as_sparse
 from repro.incremental import (
     REGIME_APPEND,
@@ -485,7 +485,7 @@ def test_apply_output_delta_combines_and_prunes():
 
 
 # --------------------------------------------------------------------- #
-# a RunSnapshot step source: dirty-subgraph reuse accounting
+# a StepResultCache step source: dirty-subgraph reuse accounting
 # --------------------------------------------------------------------- #
 def test_snapshot_step_source_reuses_clean_nodes():
     # Two disjoint chains a-b and c-d joined only at the output: updating
@@ -501,11 +501,11 @@ def test_snapshot_step_source_reuses_clean_nodes():
         semiring=COUNTING,
     )
     executor = DagExecutor(workers=1)
-    snapshot = RunSnapshot()
+    cache = StepResultCache()
     cold = RunInfo()
-    executor.run_many([RunSpec(query)], step_cache=snapshot, info=cold)
+    executor.run_many([RunSpec(query)], step_cache=cache, info=cold)
     assert cold.replayed_nodes == 0 and cold.executed_nodes == cold.total_nodes
-    assert len(snapshot) == cold.total_nodes
+    assert len(cache) == cold.total_nodes
 
     updated = FAQQuery(
         variables=variables,
@@ -515,7 +515,7 @@ def test_snapshot_step_source_reuses_clean_nodes():
         semiring=COUNTING,
     )
     info = RunInfo()
-    [result2] = executor.run_many([RunSpec(updated)], step_cache=snapshot, info=info)
+    [result2] = executor.run_many([RunSpec(updated)], step_cache=cache, info=info)
     assert info.replayed_nodes > 0  # the untouched c-d subgraph replayed
     assert info.executed_nodes > 0  # the dirty a-b subgraph re-ran
     assert info.replayed_nodes + info.executed_nodes == info.total_nodes
@@ -528,20 +528,21 @@ def test_snapshot_step_source_reuses_clean_nodes():
     ]
     assert result2.stats.join_stats == fresh.stats.join_stats
 
-    # identical query + warm snapshot: everything replays
+    # identical query + warm cache: everything replays
     info3 = RunInfo()
-    [result3] = executor.run_many([RunSpec(updated)], step_cache=snapshot, info=info3)
+    [result3] = executor.run_many([RunSpec(updated)], step_cache=cache, info=info3)
     assert info3.executed_nodes == 0
     assert info3.replayed_nodes == info3.total_nodes
     assert result3.factor.table == result2.factor.table
 
-    # The growth bound keeps exactly the latest run's entries (the tail).
-    latest = set(list(snapshot.entries)[-info3.total_nodes:])
-    snapshot.entries.update({("stale", i): None for i in range(600)})
-    for key in latest:  # touch, as a replaying run would
-        snapshot.lookup_or_claim(key)
-    snapshot.trim(info3.total_nodes)
-    assert set(snapshot.entries) == latest
+    # The growth bound is the LRU: after maxsize unrelated entries, a re-run
+    # of the updated query holds every key of that run.
+    for i in range(cache._entries.maxsize):
+        cache.fulfil(("stale", i), None)
+    executor.run_many([RunSpec(updated)], step_cache=cache)
+    dag = lower_insideout(updated, list(updated.order), content_digests=True)
+    held = {key for key, _ in cache._entries.items()}
+    assert {(node.digest, "sparse") for node in dag.nodes} <= held
 
 
 # --------------------------------------------------------------------- #

@@ -509,7 +509,7 @@ def _reference_step_digests(dag, query, order, uip):
 def test_step_digests_are_the_canonical_bytes_of_their_payload(strategy):
     """``annotate_digests`` encodes each domain once per run and splices the
     bytes in; the digests must be what encoding every payload whole gives —
-    persisted ``RunSnapshot`` entries are keyed by them."""
+    a spilled view's step-cache entries are keyed by them."""
     from repro.exec import lower_insideout
 
     query = _step_digest_query()
