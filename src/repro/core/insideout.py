@@ -28,10 +28,11 @@ This module holds the per-step kernels — :func:`eliminate_semiring_step`,
 of its input factors.  The loop over the elimination order lives in exactly
 one place, the step-DAG executor (:mod:`repro.exec`): :func:`inside_out`
 lowers the run to its step DAG and hands it to that one driver, of which a
-serial run is simply ``workers=1``.  Textbook variable elimination
-(:mod:`repro.core.variable_elimination`) is the same kernels with twists 1
-and 2 off: no projections, and the pairwise join of
-:func:`_pairwise_eliminate` as a semiring step's sparse path.
+serial run is simply ``workers=1``.  A semiring step leaves out each
+indicator projection that is 1 everywhere (Section 5.2.1: it filters
+nothing), so where no projection filters a step costs what textbook
+variable elimination's does.  That baseline
+(:mod:`repro.core.variable_elimination`) is the same run with twist 2 off.
 """
 
 from __future__ import annotations
@@ -124,20 +125,17 @@ class InsideOutResult:
         return self.factor.table.get((), semiring.zero)
 
 
-def _validated_ordering(
-    query: FAQQuery, ordering: Sequence[str] | None, strategy: str | None = None
-) -> List[str]:
+def _validated_ordering(query: FAQQuery, ordering: Sequence[str] | None) -> List[str]:
     """Resolve and validate the variable ordering of an elimination run."""
     if ordering is None:
         return list(query.order)
     if isinstance(ordering, str):
         if ordering == "plan":
-            # Ask the cost-based planner for its best ordering under the
-            # run's strategy (InsideOut unless told otherwise; cached by
+            # Ask the cost-based planner for its best ordering (cached by
             # query signature, see :mod:`repro.planner`).
-            from repro.planner import STRATEGY_INSIDEOUT, plan
+            from repro.planner import plan
 
-            return list(plan(query, strategy=strategy or STRATEGY_INSIDEOUT).ordering)
+            return list(plan(query).ordering)
         if ordering != "auto":
             raise QueryError(f"unknown ordering specification {ordering!r}")
         from repro.core.faqw import approximate_faqw_ordering
@@ -181,7 +179,6 @@ def eliminate_semiring_step(
     tries: TrieCache,
     backend: str = BACKEND_SPARSE,
     policy: BackendPolicy = DEFAULT_POLICY,
-    pairwise: bool = False,
 ) -> Tuple[Optional[Factor], EliminationRecord]:
     """One semiring-aggregate elimination step (lines 5-11 of Algorithm 1).
 
@@ -199,10 +196,6 @@ def eliminate_semiring_step(
     path over its encodings, so surviving factors and repeated indicator
     projections keep their index across steps instead of being re-hashed
     tuple-by-tuple at every elimination.
-
-    ``pairwise`` (the variable-elimination lowering) swaps the sparse path
-    for textbook pairwise products (:func:`_pairwise_eliminate`): no trie,
-    no flat kernel.
     """
     semiring = query.semiring
     aggregate = query.aggregates[variable]
@@ -233,37 +226,53 @@ def eliminate_semiring_step(
     for factor in incident:
         induced |= set(factor.scope)
 
+    # Indicator projections (Definition 4.2) of the factors outside the
+    # step.  One that is 1 everywhere filters nothing and is left out: it
+    # never mentions ``variable`` and multiplying by the semiring's one is
+    # exact, so the result is bit-identical.  Its cells still count in the
+    # representation choice, which therefore stays what it was with it.
     participants: List[Factor] = list(incident)
     projections: List[Tuple[Factor, frozenset]] = []  # (sparse source, overlap)
     dense_projections: List[Factor] = []
-    projection_count = 0
+    ones_cells = 0
+    domains = query.domains()
     if use_indicator_projections:
         for factor in others:
             overlap = frozenset(factor.scope) & induced
-            if overlap:
-                if not isinstance(factor, DenseFactor):
-                    # Cached per (factor, overlap); the trie is built lazily
-                    # on the sparse branch only (dense steps never need one).
-                    projected = tries.projection_factor(factor, overlap)
-                    projections.append((factor, overlap))
-                else:
-                    # Dense sources keep their vectorized projection (and
-                    # stay dense for the backend heuristic below).
-                    projected = factor.indicator_projection(overlap, semiring)
-                    dense_projections.append(projected)
-                participants.append(projected)
-                projection_count += 1
+            if not overlap:
+                continue
+            cells = 1
+            for v in overlap:
+                cells *= len(domains[v])
+            if tries.lists_whole_box(factor, domains):
+                ones_cells += cells
+                continue
+            if isinstance(factor, DenseFactor):
+                # Dense sources keep their vectorized projection (and stay
+                # dense for the backend heuristic below).
+                projected = factor.indicator_projection(overlap, semiring)
+                dense_projections.append(projected)
+            else:
+                # Cached per (factor, overlap); the trie is built lazily on
+                # the sparse branch only (dense steps never need one).
+                projected = tries.projection_factor(factor, overlap)
+                if len(projected) == cells:
+                    ones_cells += cells
+                    continue
+                projections.append((factor, overlap))
+            participants.append(projected)
 
     output_scope = tuple(v for v in query.order if v in induced and v != variable)
     use_dense = choose_dense(
-        backend, participants, induced, query.domains(), semiring, (aggregate.tag,), policy
+        backend, participants, induced, domains, semiring, (aggregate.tag,), policy,
+        ones_cells,
     )
     step_backend = BACKEND_DENSE if use_dense else BACKEND_SPARSE
     new_factor = None
-    if not use_dense and policy.flat_enabled and not pairwise:
+    if not use_dense and policy.flat_enabled:
         new_factor = _try_flat_eliminate(
             query, incident, participants, projections, dense_projections,
-            variable, output_scope, induced, aggregate.tag, policy, tries,
+            variable, output_scope, induced, aggregate.tag, policy, tries, ones_cells,
         )
         if new_factor is not None:
             step_backend = BACKEND_FLAT
@@ -274,19 +283,17 @@ def eliminate_semiring_step(
             flat = tries.stored_flat(factor)
             if flat is not None:
                 participants[position] = DenseFactor.from_flat(
-                    flat, query.domains(), semiring, name=factor.name
+                    flat, domains, semiring, name=factor.name
                 )
         new_factor = dense_join_reduce(
             participants,
             semiring,
-            query.domains(),
+            domains,
             output_scope,
             (variable,),
             aggregate.tag,
             name=f"psi_elim({variable})",
         )
-    elif pairwise:
-        new_factor = _pairwise_eliminate(incident, variable, aggregate.combine, semiring)
     elif new_factor is None:  # else the flat kernel already produced the result
         participant_tries = [tries.trie(f) for f in incident]
         participant_tries.extend(
@@ -316,32 +323,12 @@ def eliminate_semiring_step(
         kind="semiring",
         induced_set=frozenset(induced),
         incident_count=len(incident),
-        projection_count=projection_count,
+        projection_count=len(projections) + len(dense_projections),
         result_size=len(new_factor),
         seconds=time.perf_counter() - start,
         backend=step_backend,
     )
     return new_factor, record
-
-
-def _pairwise_eliminate(
-    incident: List[Factor], variable: str, combine, semiring: Semiring
-) -> Factor:
-    """Textbook variable elimination's join: pairwise products, then ``⊕``.
-
-    The partial products grow with the treewidth of the incident factors
-    rather than the fractional hypertree width — the gap Table 1 attributes
-    to prior PGM algorithms.  Only the *last* multiply is fused with the
-    marginalisation, so the full induced-set product is never materialised.
-    """
-    product = as_sparse(incident[0], semiring)
-    if len(incident) == 1:
-        return product.aggregate_marginalize(variable, combine, semiring)
-    for factor in incident[1:-1]:
-        product = product.multiply(as_sparse(factor, semiring), semiring)
-    return product.multiply_marginalize(
-        as_sparse(incident[-1], semiring), variable, combine, semiring
-    )
 
 
 def _try_flat_eliminate(
@@ -356,6 +343,7 @@ def _try_flat_eliminate(
     tag: str,
     policy: BackendPolicy,
     tries: TrieCache,
+    ones_cells: int,
 ) -> Optional[Factor]:
     """Attempt the vectorized flat-table kernel for one sparse step.
 
@@ -365,13 +353,16 @@ def _try_flat_eliminate(
     which stays the universal fallback.  The participants are folded in
     the trie kernel's exact order — indicator projections (its base
     tries) first, then the incident factors — so the surviving rows and
-    their partial products match the trie path's row for row.
+    their partial products match the trie path's row for row.  The rows of
+    the projections the step left out (``ones_cells``) count toward the
+    row threshold, so leaving them out does not change the kernel.
     """
     from repro.factors.flat import encode_flat, flat_eliminate, flat_step_eligible
 
     semiring = query.semiring
     if not flat_step_eligible(
-        semiring, tag, query.domains(), induced, participants, policy.flat_min_rows
+        semiring, tag, query.domains(), induced, participants,
+        policy.flat_min_rows - ones_cells,
     ):
         return None
     ctx = tries.flat_context(query.domains())
@@ -646,8 +637,8 @@ def inside_out(
         :func:`repro.core.faqw.approximate_faqw_ordering` to stay safe.
     use_indicator_projections:
         Disable to fall back to plain variable elimination intermediates
-        (used by the ablation benchmark; the variable-elimination lowering
-        of :func:`repro.exec.dag.lower_insideout` turns them off itself).
+        (:func:`repro.core.variable_elimination.variable_elimination` and
+        the ablation benchmark).
     output_mode:
         ``"listing"`` (default) materialises the output factor;
         ``"factorized"`` skips the final join and returns a

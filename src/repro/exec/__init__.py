@@ -1,7 +1,7 @@
 """Execution of elimination runs as explicit step DAGs — the one driver.
 
-InsideOut and textbook variable elimination are two lowerings of the same
-loop (``lower_insideout(..., strategy=...)``), so both run here.
+InsideOut and textbook variable elimination are one lowering of the same
+loop, with the indicator projections on or off, so both run here.
 The planner's chosen ordering fixes *what* each elimination step computes;
 this package makes the dependency structure between those steps explicit
 (:func:`lower_insideout` → :class:`StepDag`) and executes them

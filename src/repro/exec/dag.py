@@ -1,9 +1,9 @@
 """Lowering an elimination run to an explicit step DAG.
 
-Both elimination strategies lower here — InsideOut (Algorithm 1) and textbook
+Every elimination run lowers here — InsideOut (Algorithm 1), and textbook
 variable elimination (Section 5.1.2), which is the same loop with the
-indicator projections off and its semiring steps marked for the pairwise
-join — and run on the one driver (:mod:`repro.exec.executor`).
+indicator projections off — and runs on the one driver
+(:mod:`repro.exec.executor`).
 
 Algorithm 1's loop over the elimination order hides a dependency structure:
 every factor's scope is known *statically* (an elimination step over induced set ``U_k``
@@ -37,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.query import FAQQuery, QueryError
-from repro.planner.cost import STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION
+from repro.core.query import FAQQuery
 
 KIND_SEMIRING = "semiring"
 KIND_PRODUCT = "product"
@@ -57,7 +56,6 @@ class StepNode:
     outputs: Tuple[int, ...] = ()   # slots produced
     depends_on: Tuple[int, ...] = ()  # indices of producer nodes
     digest: Optional[str] = None    # content address (see annotate_digests)
-    pairwise: bool = False          # semiring step joined pairwise (the VE lowering)
 
 
 @dataclass
@@ -119,9 +117,8 @@ class StepDag:
         for node in self.nodes:
             target = node.variable if node.variable is not None else "<output>"
             deps = ",".join(map(str, node.depends_on)) or "-"
-            kind = "pairwise" if node.pairwise else node.kind
             lines.append(
-                f"  [{node.index:>3}] {kind:<8} {target:<12} "
+                f"  [{node.index:>3}] {node.kind:<8} {target:<12} "
                 f"in={list(node.incident)} reads={list(node.reads)} "
                 f"out={list(node.outputs)} deps={deps}"
             )
@@ -134,7 +131,6 @@ def lower_insideout(
     use_indicator_projections: bool = True,
     output_mode: str = "listing",
     content_digests: bool = False,
-    strategy: str = STRATEGY_INSIDEOUT,
 ) -> StepDag:
     """Lower one elimination run over ``order`` to a :class:`StepDag`.
 
@@ -143,23 +139,14 @@ def lower_insideout(
     forms first).  The simulation walks Algorithm 1's loop over scopes
     only: the live list evolves as ``others + [new]``, which fixes node
     input orders (and therefore factor orders inside each step) — they are
-    part of a step's content digest.
-
-    ``strategy`` names the lowering: ``"insideout"``, or
-    ``"variable-elimination"`` — no indicator projections (so no ``reads``)
-    and every semiring node marked ``pairwise``, which is the whole of what
-    textbook variable elimination does differently.
+    part of a step's content digest.  With ``use_indicator_projections``
+    off — textbook variable elimination — a semiring node reads nothing.
 
     With ``content_digests=True`` every node (and slot) additionally gets a
     content address via :func:`annotate_digests`, turning the DAG into the
     content-addressed step IR: structurally identical steps from different
     queries over the same factor content collide by construction.
     """
-    if strategy not in (STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION):
-        raise QueryError(f"strategy {strategy!r} does not lower to elimination steps")
-    pairwise = strategy == STRATEGY_VARIABLE_ELIMINATION
-    use_indicator_projections = use_indicator_projections and not pairwise
-
     scopes: List[FrozenSet[str]] = [frozenset(f.scope) for f in query.factors]
     if not scopes:
         scopes = [frozenset()]  # the synthetic unit factor of an empty product
@@ -219,7 +206,6 @@ def lower_insideout(
             reads=reads,
             outputs=(out,),
             depends_on=deps_of(tuple(incident) + reads),
-            pairwise=pairwise,
         ))
         live = others + [out]
 
@@ -266,10 +252,7 @@ def annotate_digests(
     fix enumeration and scope order inside the step kernels, and — ordered,
     because semiring combines need not be associative in float arithmetic —
     the digests of its input slots (leaves reuse
-    :func:`repro.planner.signature.factor_digest`) — and, for a semiring
-    step, which join computes it: a ``pairwise`` step folds its floats in
-    another order than the trie or flat kernel over the same inputs, so the
-    two never share an entry.  Equal digests therefore
+    :func:`repro.planner.signature.factor_digest`).  Equal digests therefore
     certify bit-identical step results *under the same backend selection*,
     which is why executor-side caches key on ``(digest, backend)`` and only
     engage under the default backend policy.
@@ -337,7 +320,7 @@ def annotate_digests(
                 continue
             payload = encode(
                 (
-                    "pairwise" if node.pairwise else "semiring",
+                    "semiring",
                     sem,
                     variable,
                     query.tag(variable),

@@ -1,8 +1,8 @@
 """The one elimination driver: a step-DAG executor over the content-addressed step IR.
 
 :class:`DagExecutor` is where every elimination run executes — InsideOut and
-textbook variable elimination alike; the strategy picks the *lowering*
-(:func:`~repro.exec.dag.lower_insideout`), never another loop.  A run is
+textbook variable elimination (InsideOut without its indicator projections)
+alike.  A run is
 lowered to its :class:`~repro.exec.dag.StepDag` and the steps are scheduled
 inline on the calling thread (``workers=1`` — the serial run) or on a
 thread pool.  Independent elimination steps — steps over disjoint factor
@@ -86,7 +86,6 @@ from repro.factors.backend import (
 from repro.factors.factor import Factor
 from repro.factors.index import SharedTrieCache, TrieCache
 from repro.faults import SITE_STEP_KERNEL, maybe_raise
-from repro.planner.cost import STRATEGY_INSIDEOUT
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,7 @@ class StepResultCache:
 
 @dataclass
 class RunSpec:
-    """One query's execution parameters.
-
-    The arguments of ``inside_out``, plus ``strategy``: which elimination
-    lowering the run takes (a planner ``STRATEGY_*`` value — InsideOut, or
-    variable elimination's pairwise join without projections).  It comes
-    from the plan or the entry point called, never from a user option.
-    """
+    """One query's execution parameters: the arguments of ``inside_out``."""
 
     query: FAQQuery
     ordering: Sequence[str] | str | None = None
@@ -208,7 +201,6 @@ class RunSpec:
     backend: str = BACKEND_SPARSE
     backend_policy: BackendPolicy | None = None
     shared_tries: SharedTrieCache | None = None
-    strategy: str = STRATEGY_INSIDEOUT
 
 
 @dataclass
@@ -251,7 +243,7 @@ class _RunState:
             spec.backend_policy if spec.backend_policy is not None else DEFAULT_POLICY
         )
         self.uip = spec.use_indicator_projections
-        self.order = order = _validated_ordering(query, spec.ordering, spec.strategy)
+        self.order = order = _validated_ordering(query, spec.ordering)
         self.started = time.perf_counter()
         # Digests do not encode bespoke policy thresholds, so a run under a
         # non-default policy gets none and shares nothing.
@@ -260,7 +252,6 @@ class _RunState:
             use_indicator_projections=self.uip,
             output_mode=self.output_mode,
             content_digests=content_digests and self.policy is DEFAULT_POLICY,
-            strategy=spec.strategy,
         )
 
         semiring = query.semiring
@@ -303,7 +294,6 @@ class _RunState:
                 self.query, incident, [slots[s] for s in node.reads], node.variable,
                 self.uip, join_stats,
                 backend=self.backend, policy=self.policy, tries=self.tries,
-                pairwise=node.pairwise,
             )
         elif node.kind == KIND_PRODUCT:
             new_factors, self.records[index] = eliminate_product_step(

@@ -190,6 +190,7 @@ def prefer_dense(
     semiring: Semiring,
     tags: Iterable[str] = (),
     policy: BackendPolicy = DEFAULT_POLICY,
+    ones_cells: int = 0,
 ) -> bool:
     """The cost-based representation choice for one elimination step.
 
@@ -197,13 +198,15 @@ def prefer_dense(
     domain box fits under ``policy.cell_cap`` and (c) the participants are
     dense enough: their total listed-tuple count is at least
     ``1/policy.density_ratio`` of their combined per-factor cell count.
+    ``ones_cells`` are the cells of all-ones participants the caller left
+    out of ``participants``; each is listed.
     """
     if not participants or not supports_dense(semiring, tags):
         return False
     if dense_cell_count(induced, domains, policy.cell_cap) is None:
         return False
-    listed = 0.0
-    box_cells = 0.0
+    listed = float(ones_cells)
+    box_cells = float(ones_cells)
     for factor in participants:
         if isinstance(factor, DenseFactor):
             # Already materialised: count it as fully dense so that chains of
@@ -240,19 +243,20 @@ def choose_dense(
     semiring: Semiring,
     tags: Iterable[str] = (),
     policy: BackendPolicy = DEFAULT_POLICY,
+    ones_cells: int = 0,
 ) -> bool:
     """Per-step representation choice under a requested backend mode.
 
     ``"sparse"`` never goes dense, ``"dense"`` goes dense whenever the
     algebra is mappable and the induced box fits under the cell cap, and
     ``"auto"`` additionally applies the density test of
-    :func:`prefer_dense`.  Shared by InsideOut and variable elimination.
+    :func:`prefer_dense`.
     """
     if backend == BACKEND_SPARSE:
         return False
     if backend == BACKEND_DENSE:
         return force_dense_ok(induced, domains, semiring, tags, policy)
-    return prefer_dense(participants, induced, domains, semiring, tags, policy)
+    return prefer_dense(participants, induced, domains, semiring, tags, policy, ones_cells)
 
 
 # ---------------------------------------------------------------------- #

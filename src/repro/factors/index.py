@@ -41,6 +41,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
 from repro.factors.flat import encode_flat, flat_context, stored_encoding
 from repro.semiring.base import Semiring
@@ -196,17 +197,20 @@ class _FactorIndex:
 
     ``trie`` and ``flat`` fill in lazily (``None`` = not looked up yet;
     ``flat`` is ``False`` once an encode was refused, so an ineligible
-    table is probed once).  ``projections`` maps an overlap set to the
-    entry of the factor's indicator projection onto it — itself an entry,
-    whose ``factor`` is filled in by its first lookup.
+    table is probed once).  ``zero_free`` is whether a dense factor has no
+    zero cell (``None`` until a full-box check asked).  ``projections``
+    maps an overlap set to the entry of the factor's indicator projection
+    onto it — itself an entry, whose ``factor`` is filled in by its first
+    lookup.
     """
 
-    __slots__ = ("factor", "trie", "flat", "projections")
+    __slots__ = ("factor", "trie", "flat", "zero_free", "projections")
 
     def __init__(self, factor=None) -> None:
         self.factor = factor
         self.trie: Optional[FactorTrie] = None
         self.flat: Any = None
+        self.zero_free: Optional[bool] = None
         self.projections: Dict[frozenset, "_FactorIndex"] = {}
 
 
@@ -230,6 +234,8 @@ class TrieCache:
       projection recurs whenever later steps induce the same overlap),
     * :meth:`flat` / :meth:`projection_flat` — their flat encodings for the
       vectorized kernel, under the run's :meth:`flat_context`,
+    * :meth:`lists_whole_box` — whether every indicator projection of a
+      factor is 1 everywhere, without building one,
 
     each built once per factor object.  Entries are keyed by object
     identity; an entry holds its factor, so the identity cannot be recycled
@@ -351,6 +357,35 @@ class TrieCache:
         overlap = frozenset(overlap)
         projected = self._lookup(factor, overlap, "factor")
         return projected, self._lookup(factor, overlap, "trie")
+
+    def lists_whole_box(self, factor, domains) -> bool:
+        """Whether ``factor`` lists every cell of its box, none of them zero.
+
+        Each of its indicator projections is then 1 everywhere.  A sparse
+        factor of a run lists no zero (a query holds pruned factors and
+        every kernel drops the zeros it computes), so its length decides.
+        A dense factor holds every cell: whether none is zero is computed
+        once per entry, or in the parent's entry for a factor the parent
+        covers.  Not counted as a hit or a miss.
+        """
+        cells = 1
+        for v in factor.scope:
+            cells *= len(domains[v])
+        if not isinstance(factor, DenseFactor):
+            return len(factor.table) == cells
+        if factor.cells != cells:
+            return False
+        with self._lock:
+            entry = self._entry(factor)
+            known = entry.zero_free
+        if known is None:
+            parent = self._parent
+            if parent is not None and parent.covers(factor):
+                known = parent.lists_whole_box(factor, domains)
+            else:
+                known = bool(factor.nonzero_mask(self.semiring).all())
+            entry.zero_free = known  # a racing thread stores the same bit
+        return known
 
     def flat(self, factor, ctx):
         """The flat encoding of ``factor`` under ``ctx`` (``None`` if it has none).

@@ -1,4 +1,4 @@
-"""The cost-based query planner (ordering × backend × strategy + caching).
+"""The cost-based query planner (ordering × backend + caching).
 
 Public surface::
 
@@ -8,8 +8,7 @@ Public surface::
     print(result.plan.explain())            # why this plan was chosen
 
 ``plan()`` scores candidate variable orderings with a FAQ-width/AGM cost
-model, picks an execution strategy (InsideOut, or textbook variable
-elimination where the query shape allows) and a factor backend (sparse
+model for InsideOut (the one strategy), picks a factor backend (sparse
 listing vs dense ndarray), and caches the winning plan under a structural
 query signature so repeated or isomorphic queries skip planning entirely.
 """
@@ -27,7 +26,6 @@ from repro.planner.cost import (
     QueryStatistics,
     STRATEGIES,
     STRATEGY_INSIDEOUT,
-    STRATEGY_VARIABLE_ELIMINATION,
     StepEstimate,
     observed_step_errors,
 )
@@ -35,7 +33,6 @@ from repro.planner.plan import Plan, PlanResult
 from repro.planner.planner import (
     DEFAULT_COST_MODEL,
     PlanFeedback,
-    applicable_strategies,
     candidate_orderings,
     execute,
     plan,
@@ -64,12 +61,10 @@ __all__ = [
     "StepEstimate",
     "STRATEGIES",
     "STRATEGY_INSIDEOUT",
-    "STRATEGY_VARIABLE_ELIMINATION",
     "PlanHealth",
     "PlanFeedback",
     "record_plan_feedback",
     "observed_step_errors",
-    "applicable_strategies",
     "candidate_orderings",
     "query_signature",
     "signature_digest",

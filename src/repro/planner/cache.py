@@ -7,9 +7,8 @@ any query with the same signature — the same query re-issued, the same
 query over drifted data (factor sizes only enter the signature through log
 buckets), or an isomorphic rename.  The cache is a bounded LRU (backed by
 the thread-safe :class:`repro.caching.LruCache`, shared with the
-process-wide ``ρ*`` memo) keyed also by the caller's forced
-strategy/backend so overridden plans do not shadow the planner's free
-choice.
+process-wide ``ρ*`` memo) keyed also by the caller's forced backend so
+overridden plans do not shadow the planner's free choice.
 
 Two capabilities beyond the plain LRU:
 
@@ -51,7 +50,6 @@ _RHO_STAR_FILE = "rho_star.pkl"
 class CachedPlan:
     """The transferable part of a plan (ordering stored by canonical index)."""
 
-    strategy: str
     backend: str
     ordering_indices: Tuple[int, ...]
     estimated_cost: float
@@ -73,7 +71,6 @@ class DigestPlan:
     lookup skips the WL signature computation entirely.
     """
 
-    strategy: str
     backend: str
     ordering: Tuple[str, ...]
     estimated_cost: float
@@ -106,16 +103,16 @@ _HEALTH_ALPHA = 0.5
 
 
 def _choice(plan) -> tuple:
-    """What a re-search decides: (strategy, backend, ordering) of a
+    """What a re-search decides: (backend, ordering) of a
     :class:`CachedPlan` or a :class:`DigestPlan`."""
     ordering = plan.ordering if isinstance(plan, DigestPlan) else plan.ordering_indices
-    return plan.strategy, plan.backend, ordering
+    return plan.backend, ordering
 
 
 def _shape_key(key: tuple) -> Optional[Tuple[tuple, Tuple[int, ...]]]:
     """Split a plan-cache key into its shape key and buckets.
 
-    Keys are ``(signature, mode, strategy, backend)``; the shape key zeroes
+    Keys are ``(signature, mode, backend)``; the shape key zeroes
     the signature's size buckets and keeps the rest.  Returns ``None`` for
     keys that do not carry a signature (defensive).
     """
@@ -225,8 +222,8 @@ class PlanCache:
         """The plan stored under a stable content digest, if any.
 
         Content digests (:func:`repro.planner.signature.query_content_key`)
-        certify value equality, so a hit transfers verbatim — strategy,
-        backend and the ordering by variable name — without recomputing the
+        certify value equality, so a hit transfers verbatim — backend and
+        the ordering by variable name — without recomputing the
         query signature.  Counted in the ordinary hit/miss counters.
         """
         return self._digests.get(digest)

@@ -1,18 +1,14 @@
 """The planner's cost model: FAQ-width plus data-aware statistics.
 
-A candidate ``(ordering, strategy)`` pair is scored by simulating the
-elimination it would perform:
+A candidate ordering is scored by simulating the elimination InsideOut
+would perform along it:
 
 * the induced sets ``U_k`` come from the FAQ elimination sequence
   (product variables drop out of edges, Definition 5.4);
-* each InsideOut step is estimated by the *data-dependent AGM bound*
+* each step is estimated by the *data-dependent AGM bound*
   ``AGM_H(U_k)`` of the original hypergraph (the quantity Theorem 4.6 bounds
   the intermediates by, thanks to the indicator projections), capped by the
   dense domain box ``∏_{v ∈ U_k} |Dom(v)|``;
-* each textbook variable-elimination step is estimated by the *pairwise
-  product* of the estimated sizes of the incident factors (no projections —
-  exactly the gap Table 1 attributes to the prior PGM algorithms), capped by
-  the same box;
 * a step additionally gets a vectorised (dense) estimate — the box cell
   count weighted by :data:`DENSE_CELL_WEIGHT` — whenever the semiring and
   aggregate map to NumPy ufuncs and the box fits under the
@@ -52,12 +48,11 @@ from repro.hypergraph.covers import agm_bound, fractional_edge_cover_number
 from repro.hypergraph.elimination import induced_unions
 from repro.hypergraph.hypergraph import Hypergraph
 
-# Strategy names understood by the planner: the two lowerings the step-DAG
-# executor runs.  Joins are not a strategy of their own — an all-free join
-# has no elimination step, and its answer is InsideOut's output phase.
+# The one strategy the planner knows: InsideOut, whose lowering the step-DAG
+# executor runs.  Textbook variable elimination is InsideOut with its
+# indicator projections off, and a join is its output phase.
 STRATEGY_INSIDEOUT = "insideout"
-STRATEGY_VARIABLE_ELIMINATION = "variable-elimination"
-STRATEGIES = (STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION)
+STRATEGIES = (STRATEGY_INSIDEOUT,)
 
 # Per-estimated-tuple work factors.  A dense (vectorised) cell is far cheaper
 # than a sparse per-tuple dict operation.
@@ -67,12 +62,6 @@ DENSE_CELL_WEIGHT = 0.05
 # future estimates by more than e^±2 ≈ 7.4x in either direction.
 CALIBRATION_ALPHA = 0.5
 CALIBRATION_CLAMP = 2.0
-# Multiplier on each lowering's estimated total: where both apply, a near tie
-# goes to variable elimination.
-STRATEGY_WEIGHT = {
-    STRATEGY_INSIDEOUT: 1.0,
-    STRATEGY_VARIABLE_ELIMINATION: 0.95,
-}
 
 
 @dataclass(frozen=True)
@@ -120,10 +109,9 @@ class StepEstimate:
 
 @dataclass
 class OrderingEstimate:
-    """The scored result of one ``(ordering, strategy)`` candidate."""
+    """The scored result of one candidate ordering."""
 
     ordering: Tuple[str, ...]
-    strategy: str
     backend: str  # "sparse" | "dense" | "auto" suggestion for the whole run
     total_cost: float
     faq_width: float
@@ -131,7 +119,7 @@ class OrderingEstimate:
 
 
 class CostModel:
-    """Scores candidate orderings/strategies against query statistics."""
+    """Scores candidate orderings against query statistics."""
 
     def __init__(self, policy: BackendPolicy = DEFAULT_POLICY) -> None:
         self.policy = policy
@@ -139,12 +127,10 @@ class CostModel:
         self.observations = 0
         self._rho_cache: Dict[tuple, float] = {}
         self._agm_cache: Dict[tuple, float] = {}
-        # strategy -> EWMA of the signed mean log(observed/estimated) step
-        # size error reported through observe().  Applied in estimate() as a
-        # multiplicative correction: a strategy whose intermediates keep
-        # coming in above the model's sizes gets its future totals scaled up
-        # (and vice versa), shifting strategy/ordering choices accordingly.
-        self._calibration_log: Dict[str, float] = {}
+        # EWMA of the signed mean log(observed/estimated) step size error
+        # reported through observe(), applied in estimate() as a
+        # multiplicative correction of every total.
+        self._calibration_log = 0.0
         # Objects (hypergraphs, statistics) pinned while their id() keys
         # entries in the caches — without the pin a recycled id could
         # resolve to a stale quantity.
@@ -233,33 +219,35 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # calibration — the observation half of the planner feedback loop
     # ------------------------------------------------------------------ #
-    def observe(self, strategy: str, errors: Sequence[float]) -> float:
+    def observe(self, errors: Sequence[float]) -> float:
         """Fold observed-vs-estimated step-size errors into the calibration.
 
         ``errors`` are signed per-step log errors
         ``log((observed_size + 1) / (estimated_size + 1))`` (see
-        :func:`observed_step_errors`).  Their mean updates a per-strategy
-        EWMA (``alpha`` = :data:`CALIBRATION_ALPHA`) clamped to
+        :func:`observed_step_errors`).  Their mean updates an EWMA
+        (``alpha`` = :data:`CALIBRATION_ALPHA`) clamped to
         ±:data:`CALIBRATION_CLAMP` log units; :meth:`estimate` multiplies
-        future totals for the strategy by ``exp`` of the EWMA.  Returns the
-        updated multiplier (1.0 when ``errors`` is empty).
+        future totals by ``exp`` of the EWMA.  Returns the updated
+        multiplier (unchanged when ``errors`` is empty).
         """
         finite = [e for e in errors if math.isfinite(e)]
         if not finite:
-            return self.calibration(strategy)
+            return self.calibration()
         signal = sum(finite) / len(finite)
         signal = max(-CALIBRATION_CLAMP, min(CALIBRATION_CLAMP, signal))
         with self._lock:
             self.observations += 1
-            previous = self._calibration_log.get(strategy, 0.0)
-            updated = (1.0 - CALIBRATION_ALPHA) * previous + CALIBRATION_ALPHA * signal
-            self._calibration_log[strategy] = updated
+            updated = (
+                (1.0 - CALIBRATION_ALPHA) * self._calibration_log
+                + CALIBRATION_ALPHA * signal
+            )
+            self._calibration_log = updated
         return math.exp(updated)
 
-    def calibration(self, strategy: str) -> float:
-        """The current multiplicative correction for ``strategy`` (1.0 = none)."""
+    def calibration(self) -> float:
+        """The current multiplicative correction (1.0 = none)."""
         with self._lock:
-            return math.exp(self._calibration_log.get(strategy, 0.0))
+            return math.exp(self._calibration_log)
 
     # ------------------------------------------------------------------ #
     def _box_cells(self, variables: FrozenSet[str], stats: QueryStatistics) -> float:
@@ -291,10 +279,9 @@ class CostModel:
         query: FAQQuery,
         stats: QueryStatistics,
         ordering: Sequence[str],
-        strategy: str = STRATEGY_INSIDEOUT,
         hypergraph: Hypergraph | None = None,
     ) -> OrderingEstimate:
-        """Score one candidate ``(ordering, strategy)`` pair.
+        """Score one candidate ordering.
 
         Pass the query's ``hypergraph`` explicitly when scoring several
         candidates so the LP memos are shared between them.  Increments
@@ -367,27 +354,17 @@ class CostModel:
                 live = rest
                 continue
 
-            if strategy == STRATEGY_VARIABLE_ELIMINATION:
-                # Pairwise products of exactly the incident factors.
-                sparse = incident[0][1]
-                for _, size in incident[1:]:
-                    sparse = min(box, sparse * max(size, 1.0))
-            else:
-                # InsideOut: a single worst-case-optimal join bounded by the
-                # data-dependent AGM bound of the induced set.
-                sparse = min(box, self.agm(hypergraph, stats, union))
-                sparse += sum(size for _, size in incident)
+            # A single worst-case-optimal join bounded by the data-dependent
+            # AGM bound of the induced set.
+            agm = self.agm(hypergraph, stats, union)
+            sparse = min(box, agm) + sum(size for _, size in incident)
 
             dense = self._dense_cost(query, box, aggregate.tag)
             backend = (
                 BACKEND_DENSE if dense is not None and dense < sparse else BACKEND_SPARSE
             )
             result_scope = union - {variable}
-            result_size = min(
-                self._box_cells(result_scope, stats),
-                sparse if strategy == STRATEGY_VARIABLE_ELIMINATION
-                else self.agm(hypergraph, stats, union),
-            )
+            result_size = min(self._box_cells(result_scope, stats), agm)
             step = StepEstimate(
                 variable=variable,
                 kind="semiring",
@@ -411,13 +388,8 @@ class CostModel:
                 rho = self.rho_star(hypergraph, unions[variable])
                 faq_width = max(faq_width, rho)
             out_box = self._box_cells(free_set, stats)
-            if strategy == STRATEGY_VARIABLE_ELIMINATION:
-                out_sparse = live[0][1] if live else 1.0
-                for _, size in live[1:]:
-                    out_sparse = min(out_box, out_sparse * max(size, 1.0))
-            else:
-                out_sparse = min(out_box, self.agm(hypergraph, stats, free_set))
-                out_sparse += sum(size for _, size in live)
+            out_agm = self.agm(hypergraph, stats, free_set)
+            out_sparse = min(out_box, out_agm) + sum(size for _, size in live)
             out_dense = self._dense_cost(query, out_box, None)
             out_backend = (
                 BACKEND_DENSE
@@ -433,16 +405,15 @@ class CostModel:
                 sparse_cost=out_sparse,
                 dense_cost=out_dense,
                 backend=out_backend,
-                est_size=min(out_box, self.agm(hypergraph, stats, free_set)),
+                est_size=min(out_box, out_agm),
             )
             estimates.append(out_step)
             total += out_step.cost
 
         backend = self._suggest_backend(estimates)
-        total *= STRATEGY_WEIGHT[strategy] * self.calibration(strategy)
+        total *= self.calibration()
         return OrderingEstimate(
             ordering=order,
-            strategy=strategy,
             backend=backend,
             total_cost=total,
             faq_width=faq_width,

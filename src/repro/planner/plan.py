@@ -1,14 +1,9 @@
-"""The :class:`Plan` value object: a chosen strategy, ordering and backend.
+"""The :class:`Plan` value object: a chosen ordering and backend.
 
 A plan is produced by :func:`repro.planner.planner.plan` and executed with
-:meth:`Plan.execute`.  Both strategies are lowerings run by the one step-DAG
-executor (:class:`repro.exec.DagExecutor`), reached through the one
-:meth:`Plan.run_spec`:
-
-* ``"insideout"`` — the general FAQ algorithm (Algorithm 1), any query;
-* ``"variable-elimination"`` — the textbook baseline: the same loop with no
-  indicator projections and the pairwise join as a semiring step's sparse
-  path (FAQ-SS queries plus product aggregates).
+:meth:`Plan.execute`: an InsideOut run (Algorithm 1, the one strategy) on
+the step-DAG executor (:class:`repro.exec.DagExecutor`), reached through
+the one :meth:`Plan.run_spec`.
 
 A natural join (every variable free) is an ordinary plan with no
 elimination step: its answer is the output phase
@@ -27,7 +22,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.core.query import FAQQuery, QueryError
 from repro.factors.factor import Factor
-from repro.planner.cost import OrderingEstimate
+from repro.planner.cost import STRATEGY_INSIDEOUT, OrderingEstimate
 from repro.semiring.base import Semiring
 
 
@@ -36,7 +31,7 @@ class PlanResult:
     """The result of executing a plan — the surface of ``InsideOutResult``.
 
     ``raw`` keeps the underlying engine result (with its native stats) for
-    callers that want strategy-specific detail.
+    callers that want its detail.
     """
 
     plan: "Plan"
@@ -71,7 +66,6 @@ class Plan:
     """An executable query plan chosen by the cost-based planner."""
 
     query: FAQQuery
-    strategy: str
     ordering: Tuple[str, ...]
     backend: str
     estimated_cost: float
@@ -88,6 +82,11 @@ class Plan:
     step_sizes: Tuple[float, ...] = ()
     cache_key: Optional[tuple] = None
     drifted: bool = False
+
+    @property
+    def strategy(self) -> str:
+        """The planned strategy: always ``"insideout"``."""
+        return STRATEGY_INSIDEOUT
 
     # ------------------------------------------------------------------ #
     # execution
@@ -139,7 +138,6 @@ class Plan:
             output_mode=output_mode,
             backend=self.backend,
             shared_tries=shared_tries,
-            strategy=self.strategy,
         )
 
     # ------------------------------------------------------------------ #
@@ -174,12 +172,9 @@ class Plan:
         if self.candidates:
             lines.append("  candidates considered:")
             for candidate in sorted(self.candidates, key=lambda c: c.total_cost):
-                marker = "*" if (
-                    candidate.strategy == self.strategy
-                    and candidate.ordering == self.ordering
-                ) else " "
+                marker = "*" if candidate.ordering == self.ordering else " "
                 lines.append(
-                    f"   {marker} {candidate.strategy:<20} cost={candidate.total_cost:<12.1f} "
+                    f"   {marker} cost={candidate.total_cost:<12.1f} "
                     f"faqw={candidate.faq_width:.2f} backend={candidate.backend:<6} "
                     f"ordering={','.join(candidate.ordering)}"
                 )

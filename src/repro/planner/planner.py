@@ -9,22 +9,22 @@ tested decision:
    heuristics re-arranged to a free-prefix and filtered through the EVO
    membership test of Section 6, plus a few linear extensions of the
    precedence poset for small queries;
-2. **scoring** — every ``(ordering, strategy)`` pair is scored by the
+2. **scoring** — every candidate is scored by the
    :class:`~repro.planner.cost.CostModel` (FAQ-width LPs + data-aware AGM
-   estimates + the dense-box heuristic);
-3. **strategy choice** — InsideOut always applies; textbook variable
-   elimination for FAQ-SS queries.  A natural join (every variable free)
-   is no separate strategy: it plans as either lowering with no
-   elimination step, and its answer comes from the output phase, which
-   carries Yannakakis' semijoin reduction for α-acyclic joins and generic
-   join's worst-case-optimal search for the rest;
-4. **caching** — the winning plan is stored in a
+   estimates + the dense-box heuristic) as an InsideOut run, the one
+   strategy.  Where no indicator projection filters, InsideOut's steps are
+   textbook variable elimination's.  A natural join (every variable free)
+   plans with no elimination step, and its answer comes from the output
+   phase, which carries Yannakakis' semijoin reduction for α-acyclic joins
+   and generic join's worst-case-optimal search for the rest;
+3. **caching** — the winning plan is stored in a
    :class:`~repro.planner.cache.PlanCache` under the structural signature
    of :mod:`repro.planner.signature`, so repeated or isomorphic queries
    skip the search entirely.
 
-Explicit ``ordering=``/``backend=``/``strategy=`` arguments are honoured as
-overrides, preserving every pre-planner call signature in the repo.
+Explicit ``ordering=``/``backend=`` arguments are honoured as overrides,
+preserving every pre-planner call signature in the repo; ``strategy=``
+accepts ``"insideout"`` only.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from repro.planner.cost import (
     OrderingEstimate,
     QueryStatistics,
     STRATEGIES,
-    STRATEGY_INSIDEOUT,
-    STRATEGY_VARIABLE_ELIMINATION,
     observed_step_errors,
 )
 from repro.planner.plan import Plan, PlanResult
@@ -62,25 +60,10 @@ from repro.semiring.aggregates import PRODUCT_TAG
 DEFAULT_COST_MODEL = CostModel()
 """The process-wide cost model (its ``invocations`` counter is observable)."""
 
-# Deterministic preference order used to break exact cost ties.
-_STRATEGY_RANK = {name: rank for rank, name in enumerate(STRATEGIES)}
-
 _MAX_LINEAR_EXTENSIONS = 4
 _LINEAR_EXTENSION_VARS = 8
 _GREEDY_COVER_VARS = 10
 _EXACT_SEARCH_VARS = 9
-
-
-# ---------------------------------------------------------------------- #
-# strategy applicability
-# ---------------------------------------------------------------------- #
-def applicable_strategies(query: FAQQuery) -> List[str]:
-    """The strategies the plan space allows for this query."""
-    strategies = [STRATEGY_INSIDEOUT]
-    tags = {query.aggregates[v].tag for v in query.semiring_variables}
-    if len(tags) <= 1:
-        strategies.append(STRATEGY_VARIABLE_ELIMINATION)
-    return strategies
 
 
 # ---------------------------------------------------------------------- #
@@ -206,13 +189,12 @@ def plan(
         restricts the search to the Section 7 FAQ-width approximation (the
         pre-planner behaviour); an explicit sequence pins the ordering.
     backend / strategy:
-        Optional overrides.  While the strategy (or the ordering) is left
-        open the planner scores the alternatives so ``explain()`` stays
-        meaningful; once *both* ordering and strategy are pinned, scoring
-        is skipped entirely and an open backend defers to the engines'
-        per-step runtime heuristic (``"auto"``).  A forced strategy the
-        query shape does not allow raises
-        :class:`~repro.core.query.QueryError`.
+        Optional overrides.  ``strategy`` must be ``"insideout"`` (any
+        other raises :class:`~repro.core.query.QueryError`).  A pinned
+        ordering is still scored, so ``explain()`` stays meaningful,
+        unless the strategy is pinned too: scoring is then skipped
+        entirely and an open backend defers to the engines' per-step
+        runtime heuristic (``"auto"``).
     cache / use_cache:
         The :class:`~repro.planner.cache.PlanCache` to consult (defaults to
         the process-wide cache).  Explicitly pinned orderings are never
@@ -273,17 +255,6 @@ def _plan_search(
             raise QueryError(f"unknown ordering specification {ordering!r}")
         ordering = None
 
-    def _validated_strategies() -> List[str]:
-        strategies = applicable_strategies(query)
-        if strategy is None:
-            return strategies
-        if strategy not in strategies:
-            raise QueryError(
-                f"strategy {strategy!r} is not applicable to this query "
-                f"(allowed: {strategies})"
-            )
-        return [strategy]
-
     # ------------------------------------------------------------------ #
     # pinned ordering: no search, no cache
     # ------------------------------------------------------------------ #
@@ -296,7 +267,6 @@ def _plan_search(
             # behaviour of the solver wrappers.
             return Plan(
                 query=query,
-                strategy=strategy,
                 ordering=order,
                 backend=backend if backend is not None else "auto",
                 estimated_cost=float("nan"),
@@ -304,27 +274,21 @@ def _plan_search(
             )
         if stats is None:
             stats = QueryStatistics.from_query(query)
-        hypergraph = query.hypergraph()
-        estimates = [
-            model.estimate(query, stats, order, candidate_strategy, hypergraph)
-            for candidate_strategy in _validated_strategies()
-        ]
-        winner = _pick(estimates)
+        winner = model.estimate(query, stats, order, query.hypergraph())
         return Plan(
             query=query,
-            strategy=winner.strategy,
             ordering=order,
             backend=backend if backend is not None else winner.backend,
             estimated_cost=winner.total_cost,
             faq_width=winner.faq_width,
             estimate=winner,
-            candidates=estimates,
-            step_sizes=_plan_step_sizes(winner),
+            candidates=[winner],
+            step_sizes=tuple(s.est_size for s in winner.steps),
         )
 
     # ------------------------------------------------------------------ #
-    # cache lookup — before any stats collection or applicability scan, so
-    # a hit on repeated query traffic costs only the signature itself.
+    # cache lookup — before any stats collection, so a hit on repeated
+    # query traffic costs only the signature itself.
     # Caller-supplied statistics or cost models make the plan bespoke: the
     # cache key encodes neither, so such plans neither read nor populate
     # the cache (which also keeps throwaway CostModel instances, and the
@@ -332,7 +296,7 @@ def _plan_search(
     # ------------------------------------------------------------------ #
     use_cache = use_cache and stats is None and cost_model is None
     signature, canon = query_signature(query)
-    key = (signature, mode, strategy, backend)
+    key = (signature, mode, backend)
     if use_cache:
         cached = plan_cache.lookup(key)
         drifted = False
@@ -344,11 +308,11 @@ def _plan_search(
             drifted = cached is not None
         if cached is not None and len(cached.ordering_indices) == query.num_variables:
             # An exact signature hit certifies isomorphism, so the cached
-            # strategy and ordering transfer without re-validation.  A
-            # *drifted* transfer is only shape-certified: the bucket change
-            # can perturb the canonical labelling, so the transferred
-            # ordering is checked for EVO membership before it is trusted
-            # (an invalid one falls through to the ordinary search).
+            # ordering transfers without re-validation.  A *drifted*
+            # transfer is only shape-certified: the bucket change can
+            # perturb the canonical labelling, so the transferred ordering
+            # is checked for EVO membership before it is trusted (an
+            # invalid one falls through to the ordinary search).
             order = ordering_from_indices(cached.ordering_indices, canon)
             valid = True
             if drifted:
@@ -365,7 +329,6 @@ def _plan_search(
             if valid:
                 return Plan(
                     query=query,
-                    strategy=cached.strategy,
                     ordering=order,
                     backend=cached.backend,
                     estimated_cost=cached.estimated_cost,
@@ -383,7 +346,6 @@ def _plan_search(
     if stats is None:
         stats = QueryStatistics.from_query(query)
     hypergraph = query.hypergraph()
-    strategies = _validated_strategies()
     if mode == "auto":
         try:
             candidates = [tuple(approximate_faqw_ordering(query))]
@@ -394,19 +356,15 @@ def _plan_search(
     if not candidates:
         candidates = [tuple(query.order)]
 
-    estimates: List[OrderingEstimate] = []
-    for candidate_strategy in strategies:
-        for candidate in candidates:
-            estimates.append(
-                model.estimate(query, stats, candidate, candidate_strategy, hypergraph)
-            )
+    estimates = [
+        model.estimate(query, stats, candidate, hypergraph) for candidate in candidates
+    ]
     winner = _pick(estimates)
     resolved_backend = backend if backend is not None else winner.backend
-    step_sizes = _plan_step_sizes(winner)
+    step_sizes = tuple(s.est_size for s in winner.steps)
 
     result = Plan(
         query=query,
-        strategy=winner.strategy,
         ordering=winner.ordering,
         backend=resolved_backend,
         estimated_cost=winner.total_cost,
@@ -421,7 +379,6 @@ def _plan_search(
         plan_cache.store(
             key,
             CachedPlan(
-                strategy=result.strategy,
                 backend=resolved_backend,
                 ordering_indices=ordering_to_indices(result.ordering, canon),
                 estimated_cost=result.estimated_cost,
@@ -436,21 +393,8 @@ def _pick(estimates: List[OrderingEstimate]) -> OrderingEstimate:
     """The cheapest estimate, with a deterministic tie-break."""
     return min(
         estimates,
-        key=lambda e: (e.total_cost, _STRATEGY_RANK[e.strategy], e.ordering),
+        key=lambda e: (e.total_cost, e.ordering),
     )
-
-
-def _plan_step_sizes(winner: OrderingEstimate) -> Tuple[float, ...]:
-    """The per-step size estimates worth comparing against a run's stats.
-
-    Only InsideOut plans carry sizes into the feedback loop.  A
-    variable-elimination plan runs on the same driver and reports the same
-    ``InsideOutStats.steps``, but its estimates have never been calibrated
-    against them; bringing it in is a planner change of its own.
-    """
-    if winner.strategy != STRATEGY_INSIDEOUT:
-        return ()
-    return tuple(s.est_size for s in winner.steps)
 
 
 # ---------------------------------------------------------------------- #
@@ -500,7 +444,7 @@ def record_plan_feedback(
         model = getattr(plan_cache, "cost_model", None)
     if model is None:
         model = DEFAULT_COST_MODEL
-    model.observe(executed_plan.strategy, errors)
+    model.observe(errors)
     replanned = False
     if executed_plan.cache_key is not None:
         replanned = plan_cache.record_feedback(

@@ -32,7 +32,7 @@ from repro.core.query import FAQQuery
 
 _REFINEMENT_ROUNDS = 3
 
-SIGNATURE_VERSION = 3
+SIGNATURE_VERSION = 4
 """Format version of :func:`query_signature` tuples and cached-plan payloads.
 
 Bump whenever the signature layout — or the :class:`~repro.planner.cache.CachedPlan`
@@ -42,7 +42,8 @@ and silently discarded on mismatch, so stale on-disk plans can never be
 deserialised against a new signature scheme.  Version 2: ``CachedPlan``
 gained ``step_sizes`` (the planner feedback loop).  Version 3: the
 signature lost its indicator-join field (joins are no strategy of their
-own, so no cached plan depends on the factor values).
+own, so no cached plan depends on the factor values).  Version 4: the
+strategy left ``CachedPlan`` and the cache key (InsideOut is the only one).
 """
 
 

@@ -106,11 +106,11 @@ class PlanServer:
     """A long-lived serving loop over the planner and the engines.
 
     Every request is served as part of a batch — a single request is a
-    batch of one — and every elimination plan it executes (InsideOut or
-    variable elimination), like every incremental update, runs on the one
-    step-DAG driver (:class:`repro.exec.DagExecutor`); what differs is only
-    the batch size and the step source attached (the server's step-result
-    cache, a view's private one, or none for a ``coalesce=False`` request).
+    batch of one — and every plan it executes, like every incremental
+    update, runs on the one step-DAG driver
+    (:class:`repro.exec.DagExecutor`); what differs is only the batch size
+    and the step source attached (the server's step-result cache, a view's
+    private one, or none for a ``coalesce=False`` request).
 
     Parameters
     ----------
@@ -127,7 +127,7 @@ class PlanServer:
         The :class:`~repro.planner.cache.PlanCache` to plan against.
         Defaults to a server-private cache *paired with a server-private
         cost model* (``PlanCache(cost_model=CostModel())``), closing the
-        planning loop: every InsideOut execution feeds its observed step
+        planning loop: every execution feeds its observed step
         sizes back through :func:`repro.planner.record_plan_feedback`, so
         mis-estimated plans are invalidated and re-searched against the
         calibrated model without perturbing the process-wide default model.
@@ -301,13 +301,8 @@ class PlanServer:
         if view is None:
             try:
                 chosen = self._plan_for(request)
-                ordering = (
-                    list(chosen.ordering)
-                    if chosen.strategy == STRATEGY_INSIDEOUT
-                    else None
-                )
                 view = IncrementalView(
-                    request.query, ordering=ordering, workers=self.workers
+                    request.query, ordering=list(chosen.ordering), workers=self.workers
                 )
                 view.result()  # baseline answer + its steps
             except Exception as exc:  # noqa: BLE001 - typed, e.g. a kernel fault
@@ -575,8 +570,7 @@ class PlanServer:
         # Observed-vs-estimated step sizes calibrate the cache's paired cost
         # model and accumulate into the cached plan's health (a plan past
         # the error threshold is invalidated — the next occurrence re-plans
-        # against the calibrated model).  A variable-elimination plan
-        # carries no step sizes, so it observes nothing.
+        # against the calibrated model).
         record_plan_feedback(chosen, executed.stats, cache=self.cache)
         result = ServeResult(
             factor=executed.factor,
@@ -602,15 +596,12 @@ class PlanServer:
     def _prepare(self, request: ServeRequest) -> Tuple[Plan, Optional[SharedTrieCache]]:
         """The front half of every execution: plan, fetch warm tries.
 
-        Returns the plan and, for the InsideOut strategy, the cross-run
-        trie store to execute against (``None`` for a query with no
-        content key — it already forgoes coalescing, digest plans and
-        step sharing, and forgoes warm tries too — and for every other
-        strategy: neither of variable elimination's kernels reads a trie).
+        Returns the plan and the cross-run trie store to execute against
+        (``None`` for a query with no content key — it already forgoes
+        coalescing, digest plans and step sharing, and forgoes warm tries
+        too).
         """
         chosen = self._plan_for(request)
-        if chosen.strategy != STRATEGY_INSIDEOUT:
-            return chosen, None
         try:
             key = (query_content_key(request.query), tuple(chosen.ordering))
         except TypeError:
@@ -635,13 +626,12 @@ class PlanServer:
             hit = self.cache.lookup_digest(digest)
             if hit is not None and set(hit.ordering) == set(query.order):
                 # Equal content digests certify value equality, so the
-                # stored ordering/strategy/backend transfer verbatim — no
+                # stored ordering/backend transfer verbatim — no
                 # signature computation, no canonical-index translation.
                 # The digest string doubles as the feedback key: a plan
                 # whose health degrades invalidates this very entry.
                 return Plan(
                     query=query,
-                    strategy=hit.strategy,
                     ordering=hit.ordering,
                     backend=hit.backend,
                     estimated_cost=hit.estimated_cost,
@@ -655,7 +645,6 @@ class PlanServer:
             self.cache.store_digest(
                 digest,
                 DigestPlan(
-                    strategy=chosen.strategy,
                     backend=chosen.backend,
                     ordering=tuple(chosen.ordering),
                     estimated_cost=chosen.estimated_cost,

@@ -76,14 +76,14 @@ def marginal_variable_elimination(
     ordering: Sequence[str] | str | None = None,
     backend: str = "sparse",
 ) -> Dict[Tuple[Any, ...], float]:
-    """Marginals via textbook (pairwise, projection-free) variable elimination.
+    """Marginals via textbook (projection-free) variable elimination.
 
     The baseline keeps the written ordering and the listing representation
     by default so that its cost profile stays comparable with the paper's
     prior-work bounds; pass ``ordering="plan"`` to let the planner search,
     or ``backend="auto"`` / ``"dense"`` to vectorize it as well.  It runs
-    on the same step-DAG driver as the InsideOut wrappers above (as the
-    variable-elimination lowering), serially.
+    on the same step-DAG driver as the InsideOut wrappers above (InsideOut
+    without indicator projections), serially.
     """
     query = model.marginal_query(list(variables))
     result = variable_elimination(query, ordering=ordering, backend=backend)

@@ -18,11 +18,13 @@ from repro.hypergraph.covers import (
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.planner import PlanCache, plan
 from repro.planner.cache import (
+    _PLAN_CACHE_KIND,
     CachedPlan,
     load_planner_caches,
     save_planner_caches,
 )
 from repro.planner.signature import (
+    SIGNATURE_VERSION,
     bucket_drift,
     query_signature,
     signature_shape,
@@ -227,14 +229,32 @@ def test_cached_plan_buckets_backfilled_on_store():
     cache = PlanCache()
     query = _chain_query()
     signature, canon = query_signature(query)
-    key = (signature, "search", None, None)
+    key = (signature, "search", None)
     cache.store(key, CachedPlan(
-        strategy="insideout", backend="sparse",
+        backend="sparse",
         ordering_indices=tuple(range(len(canon))),
         estimated_cost=1.0, faq_width=1.0,
     ))
     entry = cache.lookup(key)
     assert entry.buckets == signature_shape(signature)[1]
+
+
+def test_version_3_plan_spill_adopts_nothing(tmp_path):
+    """A spill from before the strategy left the plan-cache key (version 3)
+    can hold variable-elimination plans: neither its file nor its warm-cache
+    section is adopted, while the same entries at the current version are."""
+    assert SIGNATURE_VERSION == 4
+    signature, _ = query_signature(_chain_query())
+    stale = LruCache(maxsize=4)
+    stale.put((signature, "search", "variable-elimination", None), "variable-elimination")
+    path = tmp_path / "plans.pkl"
+    stale.save(path, kind=_PLAN_CACHE_KIND, version=3)
+    fresh = PlanCache()
+    assert fresh.load(path) == 0
+    assert fresh.adopt_section(stale.dump_entries(kind=_PLAN_CACHE_KIND, version=3)) == 0
+    assert len(fresh) == 0
+    current = stale.dump_entries(kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION)
+    assert fresh.adopt_section(current) == 1
 
 
 # ---------------------------------------------------------------------- #

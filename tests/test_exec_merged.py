@@ -38,7 +38,7 @@ from repro.planner import (
     record_plan_feedback,
 )
 from repro.planner.cache import REPLAN_ERROR_THRESHOLD
-from repro.serve import PlanServer, ServeRequest
+from repro.serve import PlanFailure, PlanServer, ServeRequest
 
 from test_exec_parallel import _brute_force_by_block, _multi_block
 from test_planner_differential import SEMIRINGS
@@ -242,12 +242,12 @@ def test_plan_server_coalesce_opt_out_skips_sharing():
 
 
 # ---------------------------------------------------------------------- #
-# a variable-elimination plan is a run of the same driver
+# the plans variable elimination used to win are InsideOut's
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("options", ({"strategy": "variable-elimination"}, {}))
-def test_plan_server_merges_variable_elimination_plans(options):
-    """Being planned as VE — which the default options do to this family —
-    no longer opts a request out of the merged batch."""
+@pytest.mark.parametrize("options", ({"strategy": "insideout"}, {}))
+def test_plan_server_merges_freely_planned_requests(options):
+    """The family the planner used to hand variable elimination plans as
+    InsideOut, pinned or not, and merges into one batch."""
     queries = _chain_family("counting")[:-1]  # the distinct variants
     with PlanServer() as server:
         results = server.execute_batch(
@@ -256,61 +256,48 @@ def test_plan_server_merges_variable_elimination_plans(options):
         stats = server.stats()
     for query, got in zip(queries, results):
         assert query.evaluate_brute_force().equals(got.factor, query.semiring)
-        assert got.strategy == "variable-elimination"
+        assert got.strategy == "insideout"
     assert stats["merged_queries"] == len(queries)
     assert 0 < stats["merged_executed_steps"] < stats["merged_total_steps"]
 
 
+def test_plan_server_refuses_a_variable_elimination_request():
+    """Variable elimination is no strategy: naming it is a typed failure."""
+    query = _chain_family("counting")[0]
+    request = ServeRequest(query=query, options={"strategy": "variable-elimination"})
+    with PlanServer() as server:
+        with pytest.raises(PlanFailure, match="variable-elimination"):
+            server.execute_request(request)
+
+
 def test_variable_elimination_plan_honours_workers_and_step_cache():
+    """The dense plan variable elimination used to win runs as InsideOut:
+    no indicator projection of its steps filters, so none is drawn — the
+    steps are variable elimination's — and the plan honours workers and
+    the step cache."""
     query = _multi_block("max-product", 1, domain=4, density=0.9)
-    chosen = plan(
-        query, strategy="variable-elimination", backend="dense", cache=PlanCache()
-    )
-    dag = lower_insideout(query, list(chosen.ordering), strategy=chosen.strategy)
+    chosen = plan(query, backend="dense", cache=PlanCache())
+    assert chosen.strategy == "insideout"
+    dag = lower_insideout(query, list(chosen.ordering))
     assert dag.max_parallelism > 1
-    assert all(node.pairwise for node in dag.nodes if node.kind == "semiring")
+    assert any(node.reads for node in dag.nodes)
 
     serial = chosen.execute(workers=1)
     assert query.semiring.values_equal(serial.scalar, _brute_force_by_block(query))
     assert {step.backend for step in serial.stats.steps} == {"dense"}
-    _assert_identical(serial.raw, chosen.execute(workers=2).raw, "VE plan/threads")
+    assert all(step.projection_count == 0 for step in serial.stats.steps)
+    _assert_identical(serial.raw, chosen.execute(workers=2).raw, "dense plan/threads")
 
     cache = StepResultCache()
     cold = chosen.execute(step_cache=cache)
     computed = cache.stats()["computed"]
     assert computed == len(dag.nodes)
     warm = chosen.execute(step_cache=cache)
-    _assert_identical(serial.raw, cold.raw, "VE plan/cold step cache")
-    _assert_identical(serial.raw, warm.raw, "VE plan/warm step cache")
+    _assert_identical(serial.raw, cold.raw, "dense plan/cold step cache")
+    _assert_identical(serial.raw, warm.raw, "dense plan/warm step cache")
     assert cache.stats() == {
         "entries": computed, "computed": computed, "replayed": len(dag.nodes)
     }
-
-
-def test_pairwise_steps_never_share_a_digest_with_trie_or_flat_steps():
-    """Same inputs, same variable, other join: the float reduction order
-    differs, so the content addresses must."""
-    query = _chain_family("max-product")[0]
-    lowered = {
-        strategy: lower_insideout(
-            query, list(_ORDER), use_indicator_projections=False,
-            content_digests=True, strategy=strategy,
-        )
-        for strategy in ("insideout", "variable-elimination")
-    }
-    marked, unmarked = lowered["variable-elimination"], lowered["insideout"]
-    assert marked.slot_digests[: marked.num_base] == unmarked.slot_digests[: unmarked.num_base]
-    for a, b in zip(marked.nodes, unmarked.nodes):
-        assert (a.kind, a.variable, a.incident, a.reads) == (b.kind, b.variable, b.incident, b.reads)
-        assert a.digest is not None and b.digest is not None
-        assert a.digest != b.digest
-    # ... and through the cache: a VE run after an InsideOut run replays nothing.
-    cache = StepResultCache()
-    inside_out(query, ordering=list(_ORDER), use_indicator_projections=False, step_cache=cache)
-    DagExecutor(workers=1).run_many(
-        [RunSpec(query, list(_ORDER), strategy="variable-elimination")], step_cache=cache
-    )
-    assert cache.stats()["replayed"] == 0
 
 
 def test_lone_unshared_runs_never_compute_digests(monkeypatch):
@@ -480,16 +467,61 @@ def test_observed_errors_are_signed_logs():
 
 def test_feedback_calibrates_the_cost_model():
     model = CostModel()
-    assert model.calibration("insideout") == 1.0
-    multiplier = model.observe("insideout", [1.0, 1.0, 1.0])
+    assert model.calibration() == 1.0
+    multiplier = model.observe([1.0, 1.0, 1.0])
     assert multiplier > 1.0
-    assert model.calibration("insideout") == multiplier
+    assert model.calibration() == multiplier
     # Consistent overestimates pull the multiplier below one.
     shrink = CostModel()
-    shrink.observe("insideout", [-1.0, -1.0])
-    assert shrink.calibration("insideout") < 1.0
-    # Calibration is per strategy.
-    assert model.calibration("variable-elimination") == 1.0
+    shrink.observe([-1.0, -1.0])
+    assert shrink.calibration() < 1.0
+
+
+def _grid_marginal():
+    """A dense grid-MRF marginal: the plan variable elimination used to win."""
+    from repro.datasets.pgm_models import grid_model
+
+    return grid_model(3, 3, domain_size=3, seed=1).marginal_query(["X0_0"])
+
+
+def test_grid_plan_feeds_back_into_the_calibration():
+    """Every plan carries step sizes into the feedback loop, the dense grid
+    plan included (it skipped the loop while it was variable elimination)."""
+    query = _grid_marginal()
+    model = CostModel()
+    cache = PlanCache(cost_model=model)
+    chosen = plan(query, cache=cache)
+    assert chosen.backend == "dense" and chosen.step_sizes
+    executed = chosen.execute()
+    wrong = replace(chosen, step_sizes=tuple(1e6 for _ in chosen.step_sizes))
+    feedback = record_plan_feedback(wrong, executed.stats, cache=cache)
+    assert feedback.errors
+    assert model.observations == 1
+    assert model.calibration() < 1.0
+
+
+def test_served_view_runs_in_its_plan_ordering():
+    """An incremental view lowers in the ordering its plan chose, not the
+    written one."""
+    from repro.factors.delta import FactorDelta
+
+    query = _grid_marginal()
+    factor = query.factors[0]
+    cell = next(iter(factor.table))
+    delta = FactorDelta(factor.scope, {cell: factor.table[cell] * 2})
+    with PlanServer() as server:
+        ordering = plan(query, cache=server.cache).ordering
+        assert ordering != tuple(query.order)
+        result = server.update_factor(ServeRequest(query=query), 0, delta)
+    assert result.ordering == ordering
+    updated = FAQQuery(
+        variables=[query.variables[v] for v in query.order],
+        free=list(query.free),
+        aggregates=dict(query.aggregates),
+        factors=[factor.apply_delta(delta, query.semiring)] + list(query.factors[1:]),
+        semiring=query.semiring,
+    )
+    assert updated.evaluate_brute_force().equals(result.factor, query.semiring)
 
 
 def test_plan_server_feeds_execution_back_into_its_cache():

@@ -45,8 +45,9 @@ from test_planner_differential import SEMIRINGS, _random_query
 
 WORKER_COUNTS = (1, 2, 8)
 BACKENDS = ("sparse", "dense", "auto")
-# strategy (the lowering) -> the public entry point that is a thin call into it
-ENTRY_POINTS = {"insideout": inside_out, "variable-elimination": variable_elimination}
+# indicator projections on / off -> the public entry point that is a thin
+# call into that run
+ENTRY_POINTS = {True: inside_out, False: variable_elimination}
 
 
 def _assert_correct(query, result, context):
@@ -97,12 +98,12 @@ def test_dag_executor_is_correct_and_worker_invariant(name, seed):
     """Right against brute force; identical across workers and entry points.
 
     Every query of the family has one semiring aggregate tag (plus product
-    aggregates), so both lowerings apply to all of them.
+    aggregates), so variable elimination applies to all of them.
     """
     query = _random_query(name, seed)
-    for (strategy, entry_point), backend in itertools.product(ENTRY_POINTS.items(), BACKENDS):
-        context = f"{name}/seed={seed}/{strategy}/backend={backend}"
-        spec = RunSpec(query, backend=backend, strategy=strategy)
+    for (uip, entry_point), backend in itertools.product(ENTRY_POINTS.items(), BACKENDS):
+        context = f"{name}/seed={seed}/projections={uip}/backend={backend}"
+        spec = RunSpec(query, backend=backend, use_indicator_projections=uip)
         [serial] = DagExecutor(workers=1).run_many([spec])
         _assert_correct(query, serial, context)
         runs = {
@@ -123,11 +124,6 @@ def test_dag_executor_matches_planned_ordering(name):
     _assert_correct(query, serial, f"{name}/planned")
     for workers in WORKER_COUNTS:
         parallel = chosen.execute(workers=workers)
-        if chosen.strategy not in ENTRY_POINTS:
-            # Only the elimination strategies parallelise; the joins must
-            # still return the same result with workers set.
-            assert parallel.factor.table == serial.factor.table
-            continue
         _assert_identical(
             serial.raw, parallel.raw, f"{name}/planned/workers={workers}"
         )

@@ -406,14 +406,20 @@ class TestInProcessFaults:
             assert not result.coalesced
         assert stats["merged_queries"] == stats["merged_batches"] == 0
 
-    def test_variable_elimination_request_draws_the_same_site(self):
-        """The strategy the planner picks on dense PGMs is a run of the same
-        driver: a ``step.kernel`` fault is a typed failure, the step-cache
-        claims are abandoned, and the site is drawn once per executed node."""
-        query = _chain_query(length=5)  # four pairwise steps, then the output
-        request = ServeRequest(query=query, options={"strategy": "variable-elimination"})
+    def test_freely_planned_request_draws_the_same_site(self):
+        """A request naming variable elimination is a typed failure before
+        any step draws the site; the same query planned freely (the plan
+        variable elimination used to win) is a run of the one driver: a
+        ``step.kernel`` fault is a typed failure, the step-cache claims are
+        abandoned, and the site is drawn once per executed node."""
+        query = _chain_query(length=5)  # four elimination steps, then the output
+        refused = ServeRequest(query=query, options={"strategy": "variable-elimination"})
+        request = ServeRequest(query=query)
         schedule = {SITE_STEP_KERNEL: {3: ACTION_ERROR}}
         with PlanServer() as server, injected_faults(FaultPlan(schedule=schedule)) as plan:
+            with pytest.raises(PlanFailure, match="variable-elimination"):
+                server.execute_request(refused)
+            assert plan.calls.get(SITE_STEP_KERNEL, 0) == 0
             with pytest.raises(PlanFailure) as info:
                 server.execute_request(request)
             assert "InjectedFault" in str(info.value)
@@ -423,7 +429,7 @@ class TestInProcessFaults:
             # An identical request replays the two finished steps and computes
             # the rest; a wedged claim would block it forever.
             result = server.submit(request).result(timeout=30)
-            assert result.strategy == "variable-elimination"
+            assert result.strategy == "insideout"
             _assert_answer(query, result.factor, "served after injected kernel fault")
             stats = server.stats()
             assert (stats["step_cache_computed"], stats["step_cache_replayed"]) == (5, 2)

@@ -291,6 +291,14 @@ def _chain_query(seed=0, domain=20, density=0.7, domains=None, tables=None, free
     )
 
 
+def _filtering_chain_query(seed=0):
+    """:func:`_chain_query` with no ``x0 - x1`` row at ``x1 = 0``, so the
+    indicator projection of that factor onto ``x1`` filters; one listing
+    every value of ``x1`` is 1 everywhere and is left out of the step."""
+    first, second = (f.table for f in _chain_query(seed).factors)
+    return _chain_query(tables=[{k: v for k, v in first.items() if k[1] != 0}, second])
+
+
 def _check_answer(query, result, flat_steps=2, backend="sparse"):
     """Against brute force, and ``==`` the trie-only run; kernels as expected."""
     assert result.factor.equals(query.evaluate_brute_force(), query.semiring)
@@ -306,13 +314,13 @@ def _store_for(query):
 
 
 def test_warm_store_run_encodes_nothing(encode_counts):
-    query = _chain_query()
+    query = _filtering_chain_query()
     store = _store_for(query)
     cold = inside_out(query, shared_tries=store)
     _check_answer(query, cold)
     # 2 base tables + the one indicator projection, under one context.
     assert encode_counts == {"encodes": 3, "contexts": 1}
-    twin = _chain_query()  # value-equal, all-new objects
+    twin = _filtering_chain_query()  # value-equal, all-new objects
     query_content_key(twin)
     warm = inside_out(twin, shared_tries=store)
     _check_answer(twin, warm)
@@ -349,7 +357,7 @@ def test_stored_empty_encoding_is_an_encoding():
 
 
 def test_store_is_ignored_for_encodings_when_domains_differ(encode_counts):
-    query = _chain_query()
+    query = _filtering_chain_query()
     store = _store_for(query)
     inside_out(query, shared_tries=store)
     before = dict(encode_counts)
@@ -518,7 +526,8 @@ def test_join_rows_edge_probes(direct):
 
 
 def test_row_cap_bails_out_to_the_trie_kernel():
-    query = _chain_query(seed=5)
+    # Both steps join two encodings (x2's the filtering projection onto x1).
+    query = _filtering_chain_query(seed=5)
     capped = inside_out(
         query, backend="sparse", backend_policy=BackendPolicy(flat_row_cap=10)
     )

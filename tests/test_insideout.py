@@ -299,3 +299,110 @@ class TestAgainstBruteForceAtScale:
         expected = query.evaluate_brute_force()
         got = inside_out(query).factor
         assert expected.equals(got, query.semiring)
+
+
+class TestIdentityProjections:
+    """An indicator projection that is 1 everywhere filters nothing: the
+    step leaves it out (bit-identically), and only one that filters is drawn."""
+
+    @staticmethod
+    def _blocks_query(dense):
+        """Two blocks sharing ``A``; every factor lists its whole box with
+        non-zero values, so no projection of any step filters."""
+        import itertools
+
+        from repro.factors.dense import DenseFactor
+
+        domains = {v: tuple(range(3)) for v in "ABCE"}
+        factors = []
+        for index, scope in enumerate([("A", "B"), ("B", "C"), ("A", "E"), ("E",)]):
+            table = {
+                cell: 1 + (index + sum(cell)) % 4
+                for cell in itertools.product(*(domains[v] for v in scope))
+            }
+            factor = make_factor(scope, table)
+            if dense:
+                factor = DenseFactor.from_factor(factor, domains, COUNTING)
+            factors.append(factor)
+        return FAQQuery(
+            variables=[Variable(v, domains[v]) for v in "ABCE"],
+            free=[],
+            aggregates={v: SemiringAggregate.sum() for v in "ABCE"},
+            factors=factors,
+            semiring=COUNTING,
+        )
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["listing", "ndarray"])
+    def test_zero_free_dense_step_draws_no_projection(self, dense, monkeypatch):
+        from repro.factors.dense import DenseFactor
+
+        query = self._blocks_query(dense)
+        drawn = []
+        for cls in (Factor, DenseFactor):
+            original = cls.indicator_projection
+
+            def counting(self, *args, _original=original, **kwargs):
+                drawn.append(self)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "indicator_projection", counting)
+        result = inside_out(query, backend="dense")
+        assert {s.backend for s in result.stats.steps} == {"dense"}
+        assert [s.projection_count for s in result.stats.steps] == [0, 0, 0, 0]
+        assert drawn == []  # none was even built to be tested
+        assert result.factor.table == query.evaluate_brute_force().table
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_filtering_projection_is_still_drawn(self, backend):
+        # S(B,C) lists 6 of its 36 cells: its projection onto {B,C} filters
+        # the step that eliminates A.
+        r = make_factor(("A", "B"), {(i, j): 1 for i in range(6) for j in range(6)})
+        s = make_factor(("B", "C"), {(i, i): 1 for i in range(6)})
+        t = make_factor(("A", "C"), {(i, i): 1 for i in range(6)})
+        query = FAQQuery(
+            variables=[Variable(v, tuple(range(6))) for v in "ABC"],
+            free=[],
+            aggregates={v: SemiringAggregate.sum() for v in "ABC"},
+            factors=[r, s, t],
+            semiring=COUNTING,
+        )
+        result = inside_out(query, ordering=["C", "B", "A"], backend=backend)
+        first = result.stats.steps[0]
+        assert (first.variable, first.projection_count) == ("A", 1)
+        assert first.result_size == 6  # only the diagonal of (B, C) survives
+        assert result.scalar == query.evaluate_brute_force().table[()]
+
+    def test_fully_listed_sparse_factor_is_skipped_without_a_projection(self, monkeypatch):
+        query = self._blocks_query(dense=False)
+        built = []
+        original = Factor.indicator_projection
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Factor, "indicator_projection", counting)
+        result = inside_out(query, backend="sparse")
+        assert all(s.projection_count == 0 for s in result.stats.steps)
+        assert built == []
+        assert result.factor.table == query.evaluate_brute_force().table
+
+    def test_left_out_projection_still_counts_in_the_auto_choice(self):
+        """R(A,B) lists its whole box, so its projection onto B is left out
+        of C's step; counted as the listed cells it is, it keeps that step
+        dense under ``"auto"`` (S alone lists 4 of 36 cells: too sparse)."""
+        from repro.semiring.standard import SUM_PRODUCT
+
+        r = make_factor(("A", "B"), {(i, j): 0.5 + i + j for i in range(6) for j in range(6)})
+        s = make_factor(("B", "C"), {(i, i): 1.5 + i for i in range(4)})
+        query = FAQQuery(
+            variables=[Variable(v, tuple(range(6))) for v in "ABC"],
+            free=["A"],
+            aggregates={v: SemiringAggregate.sum() for v in "BC"},
+            factors=[r, s],
+            semiring=SUM_PRODUCT,
+        )
+        result = inside_out(query, ["A", "B", "C"], backend="auto")
+        first = result.stats.steps[0]
+        assert (first.variable, first.projection_count, first.backend) == ("C", 0, "dense")
+        assert result.factor.equals(query.evaluate_brute_force(), SUM_PRODUCT)

@@ -18,8 +18,6 @@ from repro.planner import (
     PlanCache,
     STRATEGIES,
     STRATEGY_INSIDEOUT,
-    STRATEGY_VARIABLE_ELIMINATION,
-    applicable_strategies,
     candidate_orderings,
     execute,
     plan,
@@ -232,10 +230,24 @@ class TestPlanning:
 
 class TestStrategySpace:
     def test_insideout_always_applicable(self, triangle_query):
-        assert STRATEGY_INSIDEOUT in applicable_strategies(triangle_query)
+        pinned = plan(triangle_query, strategy=STRATEGY_INSIDEOUT, use_cache=False)
+        assert pinned.strategy == STRATEGY_INSIDEOUT
+        assert plan(triangle_query, use_cache=False).strategy == STRATEGY_INSIDEOUT
 
     def test_single_tag_allows_variable_elimination(self, triangle_query):
-        assert STRATEGY_VARIABLE_ELIMINATION in applicable_strategies(triangle_query)
+        """A single-aggregate query runs the variable-elimination baseline,
+        which is InsideOut without projections — not a plan: naming it as
+        a strategy is a typed error, pinned ordering or not."""
+        baseline = variable_elimination(triangle_query)
+        unprojected = inside_out(triangle_query, use_indicator_projections=False)
+        assert baseline.factor.table == unprojected.factor.table
+        with pytest.raises(QueryError):
+            plan(triangle_query, strategy="variable-elimination", use_cache=False)
+        with pytest.raises(QueryError):
+            plan(
+                triangle_query, strategy="variable-elimination",
+                ordering=list(triangle_query.order), use_cache=False,
+            )
 
     def test_mixed_tags_exclude_variable_elimination(self):
         names = ["A", "B", "C"]
@@ -246,19 +258,17 @@ class TestStrategySpace:
             factors=[Factor(("A", "B", "C"), {(0, 0, 0): 1})],
             semiring=COUNTING,
         )
-        strategies = applicable_strategies(query)
-        assert STRATEGY_VARIABLE_ELIMINATION not in strategies
+        assert plan(query, use_cache=False).strategy == STRATEGY_INSIDEOUT
         with pytest.raises(QueryError):
-            plan(query, strategy=STRATEGY_VARIABLE_ELIMINATION, use_cache=False)
+            variable_elimination(query)
 
     def test_acyclic_indicator_join_is_semijoin_reduced(self):
         """Yannakakis is the output phase's reduction, not a strategy: an
         acyclic join plans like any query, and the reduction leaves every
         factor exactly the rows that take part in the join — wherever the
         dangling rows sit in the join tree."""
-        assert applicable_strategies(_indicator_join_query(cyclic=False)) == [
-            STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION,
-        ]
+        query = _indicator_join_query(cyclic=False)
+        assert plan(query, use_cache=False).strategy == STRATEGY_INSIDEOUT
         rows = {
             ("A", "B"): [(0, 0), (1, 1)],
             ("B", "C"): [(0, 0), (2, 2)],
@@ -275,9 +285,7 @@ class TestStrategySpace:
         """A cyclic join has no join tree: the output phase searches it
         worst-case optimally in the plan's ordering, as generic join does."""
         query = _indicator_join_query(cyclic=True)
-        assert applicable_strategies(query) == [
-            STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION,
-        ]
+        assert plan(query, use_cache=False).strategy == STRATEGY_INSIDEOUT
         assert insideout_module._semijoin_reduce(
             list(query.factors), BOOLEAN, query.order
         ) is None
@@ -285,10 +293,12 @@ class TestStrategySpace:
     def test_bound_variables_exclude_join_strategies(self, triangle_query):
         """Being all-free adds no strategy: a join and a count plan in the
         same space."""
-        strategies = applicable_strategies(triangle_query)
-        assert strategies == applicable_strategies(_indicator_join_query(cyclic=False))
-        assert strategies == applicable_strategies(_indicator_join_query(cyclic=True))
-        assert set(strategies) == set(STRATEGIES)
+        queries = [
+            triangle_query,
+            _indicator_join_query(cyclic=False),
+            _indicator_join_query(cyclic=True),
+        ]
+        assert {plan(q, use_cache=False).strategy for q in queries} == set(STRATEGIES)
 
     @pytest.mark.parametrize("name", ["yannakakis", "generic-join"])
     def test_join_strategy_names_are_refused(self, name):
@@ -339,7 +349,7 @@ class TestStrategySpace:
     def test_every_join_strategy_agrees(self, cyclic):
         query = _indicator_join_query(cyclic)
         brute = query.evaluate_brute_force()
-        for strategy in applicable_strategies(query):
+        for strategy in STRATEGIES:
             result = plan(query, strategy=strategy, use_cache=False).execute()
             assert brute.equals(result.factor, BOOLEAN), strategy
 
@@ -573,8 +583,9 @@ class TestEngineIntegration:
         assert DEFAULT_COST_MODEL.invocations == before
 
     def test_planner_strategies_constant(self):
-        """The two lowerings of the one executor; joins are neither."""
-        assert STRATEGIES == (STRATEGY_INSIDEOUT, STRATEGY_VARIABLE_ELIMINATION)
+        """One lowering of the one executor; joins and textbook variable
+        elimination are no strategies of their own."""
+        assert STRATEGIES == (STRATEGY_INSIDEOUT,)
 
 
 def test_single_block_query_runs_the_exact_ordering_search_once(monkeypatch):

@@ -1,8 +1,10 @@
 """Randomized differential testing of the planner against brute force.
 
-Every plan the planner can emit — each applicable strategy (InsideOut,
-textbook variable elimination), each factor backend (sparse / dense /
-auto) and a spread of EVO-valid candidate orderings — is executed on small
+Every plan the planner can emit — each factor backend (sparse / dense /
+auto) over a spread of EVO-valid candidate orderings, with InsideOut's
+indicator projections on and off (off is textbook variable elimination,
+which must also be exactly what :func:`variable_elimination` returns on an
+FAQ-SS query) — is executed on small
 random FAQ queries over five semirings (sum-product counting, max-product,
 min-plus, Boolean, set) with random free-variable sets, and the output is
 compared against the exhaustive reference semantics of
@@ -12,7 +14,7 @@ indicator values), acyclic and cyclic, which exercise the output phase's
 semijoin reduction and its worst-case-optimal search.
 
 Runs are fully seeded; on failure the assertion message prints the
-semiring/seed pair (and the exact strategy/backend/ordering) needed to
+semiring/seed pair (and the exact projections/backend/ordering) needed to
 reproduce:
 
     query = _random_query("<semiring>", <seed>)
@@ -28,15 +30,12 @@ import random
 
 import pytest
 
+from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, Variable
+from repro.core.variable_elimination import variable_elimination
 from repro.factors.factor import Factor
 from repro.hypergraph.acyclicity import join_tree
-from repro.planner import (
-    PlanCache,
-    applicable_strategies,
-    candidate_orderings,
-    plan,
-)
+from repro.planner import PlanCache, candidate_orderings, plan
 from repro.semiring.aggregates import ProductAggregate, SemiringAggregate, semiring_aggregate
 from repro.semiring.standard import BOOLEAN, COUNTING, MAX_PRODUCT, MIN_PLUS, set_semiring
 
@@ -140,31 +139,27 @@ def _run_differential(name: str, seed: int) -> None:
     # step-DAG executor (which must agree with brute force too; exact
     # serial/parallel equality is asserted in test_exec_parallel.py).
     chosen = plan(query, cache=cache)
-    check(chosen.execute(), f"free choice: {chosen.strategy}/{chosen.backend}")
-    check(
-        chosen.execute(workers=2),
-        f"free choice (workers=2): {chosen.strategy}/{chosen.backend}",
-    )
+    check(chosen.execute(), f"free choice: {chosen.backend}")
+    check(chosen.execute(workers=2), f"free choice (workers=2): {chosen.backend}")
 
-    # 2. every strategy x backend over a spread of valid orderings
+    # 2. projections on / off x every backend over a spread of valid
+    # orderings; off on an FAQ-SS query is variable_elimination, exactly.
     orderings = [chosen.ordering]
     for candidate in candidate_orderings(query):
         if candidate not in orderings:
             orderings.append(candidate)
-    strategies = applicable_strategies(query)
+    faq_ss = len({query.tag(v) for v in query.semiring_variables}) <= 1
     for ordering in orderings[:4]:
-        for strategy in strategies:
-            for backend in BACKENDS:
-                pinned = plan(
-                    query,
-                    ordering=list(ordering),
-                    strategy=strategy,
-                    backend=backend,
-                )
-                check(
-                    pinned.execute(),
-                    f"strategy={strategy} backend={backend} ordering={ordering}",
-                )
+        for backend in BACKENDS:
+            pinned = plan(query, ordering=list(ordering), backend=backend)
+            check(pinned.execute(), f"projections=on backend={backend} ordering={ordering}")
+            off = inside_out(
+                query, list(ordering), use_indicator_projections=False, backend=backend
+            )
+            check(off, f"projections=off backend={backend} ordering={ordering}")
+            if faq_ss:
+                baseline = variable_elimination(query, list(ordering), backend=backend)
+                assert baseline.factor.table == off.factor.table
 
     # 3. the repeated query hits the plan cache and still agrees
     repeated = plan(query, cache=cache)

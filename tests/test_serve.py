@@ -15,7 +15,7 @@ from repro.factors.backend import BACKEND_FLAT, BackendPolicy
 from repro.planner import PlanCache, STRATEGY_INSIDEOUT, plan
 from repro.serve import PlanServer, ServeRequest, ServeResult, execute_batch
 
-from test_flat_kernel import _chain_query, _check_answer
+from test_flat_kernel import _chain_query, _check_answer, _filtering_chain_query
 from test_planner import _path_query, _reference_join
 from test_planner_differential import _random_query
 from test_signature_digest import _unencodable_query
@@ -221,10 +221,10 @@ def test_warm_engine_query_encodes_nothing(encode_counts):
     from repro.engine import Engine
 
     with Engine() as engine:
-        first = engine.query(_flat_request(_chain_query()))
+        first = engine.query(_flat_request(_filtering_chain_query()))
         cold = dict(encode_counts)
         assert cold == {"encodes": 3, "contexts": 1}
-        twin = _chain_query()
+        twin = _filtering_chain_query()
         second = engine.query(_flat_request(twin))
     assert encode_counts == cold
     _check_answer(twin, second)
@@ -265,7 +265,7 @@ def test_ineligible_table_is_probed_once_per_content(encode_counts):
     import math
 
     def poisoned():
-        query = _chain_query(seed=6)
+        query = _filtering_chain_query(seed=6)
         table = dict(query.factors[1].table)
         table[next(iter(table))] = math.nan
         return _chain_query(tables=[query.factors[0].table, table])

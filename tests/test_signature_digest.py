@@ -420,7 +420,7 @@ def test_signature_digest_is_deterministic_hex():
 def test_plan_cache_digest_entries_are_isolated_and_counted():
     cache = PlanCache(maxsize=8)
     stored = DigestPlan(
-        strategy="insideout", backend="sparse", ordering=("A", "B"),
+        backend="sparse", ordering=("A", "B"),
         estimated_cost=1.0, faq_width=1.0,
     )
     assert cache.lookup_digest("k1") is None  # miss
@@ -475,7 +475,7 @@ def _reference_step_digests(dag, query, order, uip):
                 (slots[s], tuple(sorted(scopes[s] & induced))) for s in node.reads
             )
             digest = _digest(b"step", canonical_bytes((
-                "pairwise" if node.pairwise else "semiring", sem, node.variable,
+                "semiring", sem, node.variable,
                 query.tag(node.variable), bool(uip),
                 tuple(v for v in order if v in induced),
                 tuple(v for v in query.order if v in induced),
@@ -505,19 +505,20 @@ def _reference_step_digests(dag, query, order, uip):
     return digests, slots
 
 
-@pytest.mark.parametrize("strategy", ["insideout", "variable-elimination"])
-def test_step_digests_are_the_canonical_bytes_of_their_payload(strategy):
+@pytest.mark.parametrize(
+    "uip", [True, False], ids=["insideout", "variable-elimination"]
+)
+def test_step_digests_are_the_canonical_bytes_of_their_payload(uip):
     """``annotate_digests`` encodes each domain once per run and splices the
     bytes in; the digests must be what encoding every payload whole gives —
-    a spilled view's step-cache entries are keyed by them."""
+    a spilled view's step-cache entries are keyed by them.  Indicator
+    projections off is textbook variable elimination's run."""
     from repro.exec import lower_insideout
 
     query = _step_digest_query()
     order = list(query.order)
-    uip = strategy == "insideout"
     dag = lower_insideout(
-        query, order, use_indicator_projections=uip,
-        content_digests=True, strategy=strategy,
+        query, order, use_indicator_projections=uip, content_digests=True,
     )
     assert {node.kind for node in dag.nodes} == {"semiring", "product", "output"}
     digests, slots = _reference_step_digests(dag, query, order, uip)
