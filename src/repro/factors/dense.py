@@ -29,6 +29,7 @@ keep Python's arbitrary precision instead of silently overflowing ``int64``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,14 @@ from repro.factors.factor import Factor, FactorError
 from repro.semiring.base import Semiring
 
 ValueTuple = Tuple[Any, ...]
+
+# :meth:`DenseFactor.from_factor` stores a listing's cells one by one below
+# this many tuples and with one ``np.fromiter`` pass per axis from it on:
+# the pass's fixed cost is a dozen or so per-cell stores.  Per-cell vs
+# vectorised, arity 2-3 on a 2-core x86 host: 9 tuples 18.0 vs 22.8 µs,
+# 16 tuples 25.2 vs 25.9 µs, 27 tuples 39.7 vs 38.5 µs, 64 tuples 67.6 vs
+# 47.1 µs.
+_FROMITER_MIN_TUPLES = 20
 
 
 @dataclass(frozen=True)
@@ -284,19 +293,26 @@ class DenseFactor:
         doms = {v: tuple(domains[v]) for v in scope}
         shape = tuple(len(doms[v]) for v in scope)
         array = np.full(shape, ops.zero, dtype=ops.dtype)
-        if factor.table:
-            index = tuple({val: i for i, val in enumerate(doms[v])} for v in scope)
-            is_zero = semiring.zero_test()
-            for key, value in factor.table.items():
-                if is_zero(value):
-                    continue
-                try:
-                    cell = tuple(index[d][key[d]] for d in range(len(scope)))
-                except KeyError as exc:
-                    raise FactorError(
-                        f"tuple {key!r} of {factor.name} lies outside the given domains ({exc})"
-                    ) from exc
-                array[cell] = value
+        is_zero = semiring.zero_test()
+        kept = [(key, value) for key, value in factor.table.items() if not is_zero(value)]
+        index = tuple({val: i for i, val in enumerate(doms[v])} for v in scope)
+        try:
+            if len(kept) < _FROMITER_MIN_TUPLES:
+                for key, value in kept:
+                    array[tuple(map(getitem, index, key))] = value
+            else:
+                keys, values = zip(*kept)
+                codes = tuple(
+                    np.fromiter(map(axis.__getitem__, column), dtype=np.intp, count=len(keys))
+                    for axis, column in zip(index, zip(*keys))
+                )
+                # ``object`` dtype keeps counting's Python ints exact.
+                array[codes] = np.fromiter(values, dtype=ops.dtype, count=len(values))
+        except KeyError as exc:
+            key = next(k for k, _ in kept if any(k[d] not in axis for d, axis in enumerate(index)))
+            raise FactorError(
+                f"tuple {key!r} of {factor.name} lies outside the given domains ({exc})"
+            ) from exc
         return cls(scope, doms, array, name=name or factor.name, zero=ops.zero)
 
     @classmethod

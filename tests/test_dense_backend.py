@@ -1,10 +1,13 @@
 """Sparse/dense backend equivalence (the pluggable factor-backend layer).
 
 Property-style tests asserting that the dense (ndarray) representation and
-the sparse listing representation compute identical results: per-operation
+the sparse listing representation compute the same results: per-operation
 on random factors across the standard semirings, and per-query through
 InsideOut / variable elimination against the brute-force evaluator —
-including empty-table and zero-annihilation edge cases.
+including empty-table and zero-annihilation edge cases.  A (+, ×) step over
+floats is an ``einsum`` contraction that sums in its own order, so it is
+held to the float contract of ``dense_join_reduce`` (``values_equal``; ``==``
+on small integers); every other step to the broadcast fold, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _helpers import random_factor, small_random_query
@@ -28,7 +32,8 @@ from repro.factors.backend import (
     prefer_dense,
     supports_dense,
 )
-from repro.factors.factor import Factor
+from repro.factors.dense import DenseFactor, aggregate_ufunc, aligned_array, dense_ops_for
+from repro.factors.factor import Factor, FactorError
 from repro.semiring.aggregates import SemiringAggregate, semiring_aggregate
 from repro.semiring.standard import (
     BOOLEAN,
@@ -40,6 +45,8 @@ from repro.semiring.standard import (
     SUM_PRODUCT,
     set_semiring,
 )
+from repro.semiring.base import TOLERANCE
+from repro.solvers.matrix import COMPLEX_SUM_PRODUCT
 
 # (semiring, matching aggregate combine, aggregate tag, value sampler)
 SEMIRING_CASES = [
@@ -49,17 +56,26 @@ SEMIRING_CASES = [
     (MAX_PRODUCT, SemiringAggregate.max(), lambda rng: round(rng.uniform(0.1, 2.0), 3)),
     (MIN_PLUS, SemiringAggregate.min(), lambda rng: round(rng.uniform(-1.0, 3.0), 3)),
     (MAX_SUM, SemiringAggregate.max(), lambda rng: round(rng.uniform(-2.0, 2.0), 3)),
+    (
+        COMPLEX_SUM_PRODUCT,
+        SemiringAggregate.sum(),
+        lambda rng: complex(round(rng.uniform(-1.0, 2.0), 3), round(rng.uniform(-1.0, 1.0), 3)),
+    ),
 ]
 
 DOMAINS = {"A": (0, 1, 2), "B": (0, 1), "C": (0, 1, 2, 3)}
 
 
-def sampled_factor(scope, semiring, sampler, rng, density=0.7):
+def sampled_factor_over(scope, domains, sampler, rng, density=0.7):
     table = {}
-    for values in itertools.product(*(DOMAINS[v] for v in scope)):
+    for values in itertools.product(*(domains[v] for v in scope)):
         if rng.random() < density:
             table[values] = sampler(rng)
     return Factor(tuple(scope), table)
+
+
+def sampled_factor(scope, semiring, sampler, rng, density=0.7):
+    return sampled_factor_over(scope, DOMAINS, sampler, rng, density)
 
 
 @pytest.mark.parametrize(
@@ -327,3 +343,220 @@ class TestQueryEquivalence:
         query = small_random_query(77)
         with pytest.raises((ValueError, QueryError)):
             inside_out(query, backend="gpu")
+
+
+WIDE = {"A": (0, 1, 2), "W": tuple(range(24))}
+
+
+def padded(extra, many, one=1.0):
+    """``extra`` over ``(A, W)``, plus ``one`` on all of ``A = 0`` when
+    ``many``: a few listed tuples take the per-cell store, 24 more the
+    vectorised one."""
+    table = {(0, w): one for w in WIDE["W"]} if many else {}
+    table.update(extra)
+    return Factor(("A", "W"), table)
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["per-cell", "vectorised"])
+class TestFromFactor:
+    """Densifying a listing stores the same cells whichever way it runs."""
+
+    def test_value_within_tolerance_of_zero_is_an_exact_zero_cell(self, many):
+        factor = padded({(1, 0): TOLERANCE / 2, (1, 1): 2.0, (2, 0): -TOLERANCE}, many)
+        dense = DenseFactor.from_factor(factor, WIDE, SUM_PRODUCT)
+        assert dense.array[1, 0] == 0.0 and dense.array[2, 0] == 0.0
+        assert dense.array[1, 1] == 2.0
+        assert len(dense) == len(factor) - 2
+
+    def test_out_of_domain_tuple_raises(self, many):
+        with pytest.raises(FactorError, match=r"\(7, 1\)"):
+            DenseFactor.from_factor(padded({(7, 1): 2.0}, many), WIDE, SUM_PRODUCT)
+        # A zero is never placed, so it is never looked up either.
+        factor = padded({(1, 1): 3.0, (7, 1): 0.0}, many)
+        assert len(DenseFactor.from_factor(factor, WIDE, SUM_PRODUCT)) == len(factor) - 1
+
+    def test_counting_keeps_exact_python_ints(self, many):
+        factor = padded({(1, 1): 10**30 + 1}, many, one=1)
+        dense = DenseFactor.from_factor(factor, WIDE, COUNTING)
+        assert dense.array.dtype == object
+        assert as_sparse(dense, COUNTING).table == factor.table
+
+
+@pytest.mark.parametrize("semiring,value", [(SUM_PRODUCT, 2.5), (COUNTING, 10**30)])
+def test_from_factor_empty_scope_round_trips(semiring, value):
+    dense = DenseFactor.from_factor(Factor((), {(): value}), WIDE, semiring)
+    assert dense.array.shape == ()
+    assert as_sparse(dense, semiring).table == {(): value}
+    empty = DenseFactor.from_factor(Factor((), {}), WIDE, semiring)
+    assert as_sparse(empty, semiring).table == {}
+
+
+# Four variables, so every case's step box is ``size ** 4`` cells: at 81 and
+# 10 000 einsum runs its plain loop, at 38 416 (>= 2**15) its path search
+# unless there is one operand to contract.
+BOX = ("A", "B", "C", "D")
+
+# (id, participant scopes, output scope, reduced variables)
+CONTRACTION_CASES = [
+    ("one-operand", [("A", "B", "C", "D")], ("A",), ("B", "C", "D")),
+    ("two-operands", [("A", "B", "C"), ("C", "D")], ("A", "D"), ("B", "C")),
+    ("four-operands", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")], ("A", "C"), ("B", "D")),
+    ("outer-product", [("A", "B"), ("C", "D")], ("A", "B", "C", "D"), ()),
+]
+
+
+def broadcast_reference(participants, semiring, domains, output_scope, reduce_variables, tag):
+    """The broadcast-then-fold step, written out: every participant aligned
+    to the full box, ``⊗`` by broadcasting, the trailing axes ufunc-folded."""
+    ops = dense_ops_for(semiring)
+    target = tuple(output_scope) + tuple(reduce_variables)
+    product = None
+    for factor in participants:
+        aligned = aligned_array(as_dense(factor, domains, semiring), target)
+        product = aligned if product is None else ops.mul(product, aligned)
+    product = np.broadcast_to(np.asarray(product), tuple(len(domains[v]) for v in target))
+    for _ in reduce_variables:
+        product = aggregate_ufunc(tag).reduce(product, axis=-1)
+    return np.array(product, dtype=ops.dtype)
+
+
+def sparse_pipeline(participants, semiring, aggregate, reduce_variables):
+    product = participants[0]
+    for factor in participants[1:]:
+        product = product.multiply(factor, semiring)
+    for variable in reduce_variables:
+        product = product.aggregate_marginalize(variable, aggregate.combine, semiring)
+    return product
+
+
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """Every ``np.einsum`` call's ``optimize`` flag, in order."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("optimize", False))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+class TestContraction:
+    """Sum-product steps are one ``einsum``; the float contract holds."""
+
+    @pytest.mark.parametrize("size", [3, 10, 14])
+    @pytest.mark.parametrize(
+        "case", CONTRACTION_CASES, ids=[case[0] for case in CONTRACTION_CASES]
+    )
+    def test_small_integer_floats_are_exact(self, case, size, einsum_calls):
+        _, scopes, output, reduced = case
+        domains = {v: tuple(range(size)) for v in BOX}
+        rng = random.Random(size)
+        participants = [
+            sampled_factor_over(scope, domains, lambda r: float(r.randint(1, 4)), rng)
+            for scope in scopes
+        ]
+        got = dense_join_reduce(participants, SUM_PRODUCT, domains, output, reduced, "sum")
+        expected = sparse_pipeline(participants, SUM_PRODUCT, SemiringAggregate.sum(), reduced)
+        assert as_sparse(got, SUM_PRODUCT).table == expected.table
+        assert einsum_calls == [len(scopes) > 1 and size**4 >= 1 << 15]
+
+    @pytest.mark.parametrize("size", [3, 14])
+    @pytest.mark.parametrize(
+        "case", CONTRACTION_CASES, ids=[case[0] for case in CONTRACTION_CASES]
+    )
+    @pytest.mark.parametrize(
+        "semiring,sampler",
+        [
+            (SUM_PRODUCT, lambda r: r.uniform(0.1, 2.0)),
+            (COMPLEX_SUM_PRODUCT, lambda r: complex(r.uniform(-1.0, 2.0), r.uniform(-1.0, 1.0))),
+        ],
+        ids=["sum-product", "complex-sum-product"],
+    )
+    def test_random_floats_agree_within_values_equal(self, semiring, sampler, case, size):
+        _, scopes, output, reduced = case
+        domains = {v: tuple(range(size)) for v in BOX}
+        rng = random.Random(size + 1)
+        participants = [sampled_factor_over(scope, domains, sampler, rng) for scope in scopes]
+        got = dense_join_reduce(participants, semiring, domains, output, reduced, "sum")
+        expected = sparse_pipeline(participants, semiring, SemiringAggregate.sum(), reduced)
+        assert got.equals(expected, semiring)
+
+    def test_unmentioned_output_and_reduced_variables(self, einsum_calls):
+        domains = dict(DOMAINS, D=(0, 1, 2, 3, 4), E=("x", "y", "z"))
+        rng = random.Random(14)
+        participant = sampled_factor_over(
+            ("A", "B"), domains, lambda r: float(r.randint(1, 4)), rng
+        )
+        got = dense_join_reduce(
+            [participant], SUM_PRODUCT, domains, ("A", "D"), ("B", "E"), "sum"
+        )
+        assert einsum_calls == [False]
+        assert got.scope == ("A", "D")
+        marginal = participant.aggregate_marginalize("B", SemiringAggregate.sum().combine, SUM_PRODUCT)
+        for a in domains["A"]:
+            for d in domains["D"]:
+                # D is a constant direction; E folds |Dom(E)| = 3 copies.
+                assert got.value({"A": a, "D": d}, SUM_PRODUCT) == 3 * marginal.value(
+                    {"A": a}, SUM_PRODUCT
+                )
+        assert np.array_equal(
+            got.array,
+            broadcast_reference(
+                [participant], SUM_PRODUCT, domains, ("A", "D"), ("B", "E"), "sum"
+            ),
+        )
+
+    @pytest.mark.parametrize("count", [52, 53])
+    def test_more_than_52_variables_take_the_broadcast_path(self, count, einsum_calls):
+        names = [f"V{i}" for i in range(count)]
+        # Two-valued ends, one-valued middle: a small box over many axes.
+        domains = {v: (0,) for v in names}
+        for v in (names[0], names[1], names[-1]):
+            domains[v] = (0, 1)
+        half = count // 2
+        rng = random.Random(count)
+        participants = [
+            sampled_factor_over(names[: half + 1], domains, lambda r: float(r.randint(1, 4)), rng, 1.0),
+            sampled_factor_over(names[half:], domains, lambda r: float(r.randint(1, 4)), rng, 1.0),
+        ]
+        reduced = tuple(names[half:])
+        got = dense_join_reduce(
+            participants, SUM_PRODUCT, domains, tuple(names[:half]), reduced, "sum"
+        )
+        expected = sparse_pipeline(participants, SUM_PRODUCT, SemiringAggregate.sum(), reduced)
+        assert as_sparse(got, SUM_PRODUCT).table == expected.table
+        assert einsum_calls == ([False] if count <= 52 else [])
+
+    @pytest.mark.parametrize(
+        "case", CONTRACTION_CASES, ids=[case[0] for case in CONTRACTION_CASES]
+    )
+    @pytest.mark.parametrize(
+        "semiring,tag,sampler",
+        [
+            (BOOLEAN, "or", lambda r: True),
+            (COUNTING, "sum", lambda r: r.randint(1, 4) * 10**20),
+            (MAX_PRODUCT, "max", lambda r: r.uniform(0.1, 2.0)),
+            (MIN_PLUS, "min", lambda r: r.uniform(-1.0, 3.0)),
+            (MAX_SUM, "max", lambda r: r.uniform(-2.0, 2.0)),
+            (SUM_PRODUCT, "max", lambda r: r.uniform(0.1, 2.0)),
+        ],
+        ids=["boolean", "counting", "max-product", "min-plus", "max-sum", "sum-product-max"],
+    )
+    def test_other_steps_are_the_broadcast_bit_for_bit(
+        self, semiring, tag, sampler, case, einsum_calls
+    ):
+        _, scopes, output, reduced = case
+        domains = {v: tuple(range(4)) for v in BOX}
+        rng = random.Random(15)
+        participants = [sampled_factor_over(scope, domains, sampler, rng) for scope in scopes]
+        got = dense_join_reduce(participants, semiring, domains, output, reduced, tag)
+        expected = broadcast_reference(participants, semiring, domains, output, reduced, tag)
+        assert got.array.dtype == expected.dtype
+        assert np.array_equal(got.array, expected)
+        # A sum-product step that reduces nothing is a contraction whatever
+        # its tag; every other step here never reaches einsum.
+        assert einsum_calls == ([False] if semiring is SUM_PRODUCT and not reduced else [])
+
