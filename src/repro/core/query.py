@@ -13,6 +13,7 @@ evaluator used throughout the test-suite to validate InsideOut.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
@@ -141,7 +142,7 @@ class FAQQuery:
             self.factors.append(
                 factor if factor.is_pruned(semiring) else factor.pruned(semiring)
             )
-        self._hypergraph: Hypergraph | None = None
+        self._hypergraph: "weakref.ref[Hypergraph] | None" = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -195,21 +196,29 @@ class FAQQuery:
     def hypergraph(self) -> Hypergraph:
         """The query hypergraph ``H`` (vertices = variables, edges = scopes).
 
-        The hypergraph is built lazily and memoised (queries are treated as
-        immutable after construction), so repeated planner calls share one
-        instance — and with it the planner's per-hypergraph LP memos.
+        The hypergraph is built lazily and memoised weakly (queries are
+        treated as immutable after construction): everything planning the
+        query at once shares one instance — and with it the planner's
+        per-hypergraph LP memos and vertex numbering — and a query that
+        nobody is planning does not keep its edge sets alive.
         """
-        if self._hypergraph is None:
-            self._hypergraph = Hypergraph(self.order, [f.variables for f in self.factors])
-        return self._hypergraph
+        hypergraph = self._hypergraph() if self._hypergraph is not None else None
+        if hypergraph is None:
+            hypergraph = Hypergraph(self.order, [f.scope for f in self.factors])
+            self._hypergraph = weakref.ref(hypergraph)
+        return hypergraph
 
     def factor_sizes(self) -> Dict[frozenset, int]:
         """Map each distinct hyperedge to the largest factor size on it."""
         sizes: Dict[frozenset, int] = {}
-        for factor in self.factors:
-            key = factor.variables
-            sizes[key] = max(sizes.get(key, 0), len(factor))
+        for edge, factor in zip(self.hypergraph().edges, self.factors):
+            sizes[edge] = max(sizes.get(edge, 0), len(factor))
         return sizes
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The hypergraph memo is a weak reference: it does not pickle, and a
+        # copy rebuilds the hypergraph when it needs one.
+        return {**self.__dict__, "_hypergraph": None}
 
     @property
     def input_size(self) -> int:

@@ -5,9 +5,14 @@
   (``log |ψ_S|`` for the AGM bound).
 * :func:`fractional_edge_cover_number` — ``ρ*_H(B)``, memoised process-wide
   by the *restricted edge structure* ``{S ∩ B : S ∈ E, S ∩ B ≠ ∅}``: the LP
-  depends on the hypergraph only through which (deduplicated) edge
+  depends on the hypergraph only through which (deduplicated, maximal) edge
   restrictions cover ``B``, and the same structures recur thousands of times
-  across ordering-search candidates, planner invocations and queries.
+  across ordering-search candidates, planner invocations and queries.  It
+  works on int bitmasks (one bit per vertex, fixed once per hypergraph in
+  repr order), and its memo key is the structure relabelled to the covered
+  vertices' relative order — a short tuple of ints with no names in it, so
+  structures equal up to an order-preserving renaming share one entry.
+  That is sound because ρ* is invariant under renaming vertices.
 * :func:`integral_edge_cover_number` — ``ρ_H(B)`` (exact for small edge
   counts via branch-and-bound over distinct edges, otherwise greedy with a
   logarithmic guarantee — the paper only needs ``ρ*`` for its main results).
@@ -52,7 +57,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.caching import LruCache
-from repro.hypergraph.hypergraph import Hypergraph, HypergraphError
+from repro.hypergraph.hypergraph import Hypergraph, HypergraphError, bit_indices
 
 # Feasibility / optimality tolerance of the kernel's pivots and certificate.
 _EPS = 1e-9
@@ -233,25 +238,35 @@ def fractional_edge_cover(
         for vertex in edge & target:
             matrix[row_of[vertex], j] = 1.0
 
-    solved = None
-    if (num_edges + 1) * (len(row_of) + num_edges + 1) <= _TABLEAU_CELLS:
-        solved = _tableau_cover(matrix, costs)
-    if solved is None:
-        solved = _reference_cover(matrix, costs)
-    objective, cover = solved
+    objective, cover = _solve_cover(matrix, costs)
     return objective, {edge: float(cover[j]) for j, edge in enumerate(edges)}
 
 
-# The restricted-edge-structure memo for ρ*.  Keys are frozensets of the
-# non-empty edge restrictions ``S ∩ B`` — the target itself is implied (it is
-# the union of the restrictions once uncovered vertices are handled), so one
-# entry serves every (hypergraph, subset) pair inducing the same structure.
+def _solve_cover(matrix: np.ndarray, costs: np.ndarray) -> Tuple[float, np.ndarray]:
+    """The cover LP's proved optimum: the kernel when the tableau is small
+    enough and it certifies its answer, the reference otherwise."""
+    rows, columns = matrix.shape
+    solved = None
+    if (columns + 1) * (rows + columns + 1) <= _TABLEAU_CELLS:
+        solved = _tableau_cover(matrix, costs)
+    if solved is None:
+        solved = _reference_cover(matrix, costs)
+    return solved
+
+
+# The restricted-edge-structure memo for ρ*.  A key is a tuple of small ints:
+# the maximal non-empty edge restrictions ``S ∩ B``, relabelled to the covered
+# vertices' relative order (_structure_key).  The target is implied (it is the
+# union of the restrictions once uncovered vertices are handled) and names are
+# not in it, so one entry serves every (hypergraph, subset) pair inducing the
+# same structure up to an order-preserving renaming.
 # A real (thread-safe) LRU: full caches evict the least recently used
 # structure instead of dropping everything at once, and concurrent planner
 # threads (repro.serve) share it safely.
 _RHO_STAR_CACHE = LruCache(maxsize=100_000)
 _RHO_STAR_KIND = "repro-rho-star"
-_RHO_STAR_VERSION = 1
+# Version 2: keys are relabelled int masks, not frozensets of named edges.
+_RHO_STAR_VERSION = 2
 
 
 def rho_star_cache_info() -> Dict[str, int]:
@@ -275,9 +290,10 @@ def clear_rho_star_cache() -> None:
 def save_rho_star_cache(path) -> int:
     """Persist the ρ* memo to ``path``; returns the number of entries written.
 
-    The memo is keyed purely by restricted edge structure (no data sizes,
-    no variable names), so persisted values stay exact forever; the format
-    version only guards against layout changes of the key itself.
+    The memo is keyed purely by relabelled restricted edge structure (no
+    data sizes, no variable names), so persisted values stay exact forever;
+    the format version only guards against layout changes of the key
+    itself, and a file of another version adopts nothing.
     """
     return _RHO_STAR_CACHE.save(path, kind=_RHO_STAR_KIND, version=_RHO_STAR_VERSION)
 
@@ -313,27 +329,34 @@ def fractional_edge_cover_number(
 ) -> float:
     """``ρ*_H(B)``: the optimal value of the fractional edge cover LP.
 
+    Works on the hypergraph's vertex bits (:meth:`Hypergraph.numbering`).
     Pairwise-disjoint maximal restrictions (closed form (ii): a one-vertex
     target, one edge holding the whole target, a matching) are counted, not
-    solved.  Everything else is memoised process-wide on the restricted edge
-    structure (see the module docstring): the LP is solved at most once per
-    distinct structure, over a canonically sorted restricted hypergraph so
-    the cached value is bit-identical no matter which caller populated it.
+    solved.  Everything else goes through the process-wide memo, keyed by
+    the restricted structure relabelled to the covered vertices' relative
+    order (see :func:`_structure_key`): the LP is solved at most once per
+    key, from the key alone, so the cached value is bit-identical no matter
+    which caller populated it.
     """
-    vertices = hypergraph.vertices
-    target = vertices if subset is None else frozenset(subset) & vertices
+    numbering = hypergraph.numbering()
+    if subset is None:
+        target = (1 << len(numbering.order)) - 1
+    else:
+        target = numbering.mask(subset)
     if not target:
         return 0.0
 
-    distinct = {e & target for e in hypergraph.edges if e & target}
-    covered: set = set()
+    distinct = {edge & target for edge in numbering.edges}
+    distinct.discard(0)
+    covered = 0
     for edge in distinct:
         covered |= edge
-    missing = target - covered
+    missing = target & ~covered
     if missing:
         if not ignore_uncovered:
             raise HypergraphError(
-                f"vertices {sorted(map(repr, missing))} are not covered by any hyperedge"
+                f"vertices {sorted(map(repr, numbering.members(missing)))} "
+                "are not covered by any hyperedge"
             )
         if not covered:
             return 0.0
@@ -342,22 +365,55 @@ def fractional_edge_cover_number(
 
     # A restriction contained in another never helps the LP (its weight can
     # always be shifted to the superset at equal cost), so dominated
-    # restrictions are dropped from the canonical structure.
-    restricted = frozenset(
-        e for e in distinct if not any(e < other for other in distinct)
-    )
-    if sum(map(len, restricted)) == len(covered):
+    # restrictions are dropped from the structure.  Largest first, a
+    # restriction is dominated iff it lies in one already kept.
+    restricted: list = []
+    for edge in sorted(distinct, key=int.bit_count, reverse=True):
+        for other in restricted:
+            if edge & other == edge:
+                break
+        else:
+            restricted.append(edge)
+    if sum(map(int.bit_count, restricted)) == covered.bit_count():
         # Pairwise disjoint: each needs weight 1 and helps no other.
         return float(len(restricted))
 
-    cached = _RHO_STAR_CACHE.get(restricted)
+    key = _structure_key(restricted, covered)
+    cached = _RHO_STAR_CACHE.get(key)
     if cached is not None:
         return cached
-    canonical = Hypergraph(
-        covered, sorted(restricted, key=lambda e: sorted(map(repr, e)))
-    )
-    objective, _ = fractional_edge_cover(canonical)
-    _RHO_STAR_CACHE.put(restricted, objective)
+    objective = _unit_cover_of_key(key, covered.bit_count())
+    _RHO_STAR_CACHE.put(key, objective)
+    return objective
+
+
+def _structure_key(restricted: Iterable[int], covered: int) -> Tuple[int, ...]:
+    """The memo key of a restricted structure: each restriction relabelled
+    to the covered vertices' relative (repr) order, bit ``j`` standing for
+    the ``j``-th covered vertex, and the restrictions sorted by their member
+    lists.  Two structures equal up to an order-preserving renaming share
+    the key, and the key fixes the LP's rows and columns (ρ* is invariant
+    under renaming vertices)."""
+    relabel = {i: j for j, i in enumerate(bit_indices(covered))}
+    columns = sorted([relabel[i] for i in bit_indices(edge)] for edge in restricted)
+    key = []
+    for members in columns:
+        mask = 0
+        for j in members:
+            mask |= 1 << j
+        key.append(mask)
+    return tuple(key)
+
+
+def _unit_cover_of_key(key: Tuple[int, ...], rows: int) -> float:
+    """ρ* of a memo key's structure: row ``j`` is relabelled vertex ``j``,
+    column ``c`` the restriction ``key[c]`` (the rows and columns of the
+    canonically sorted restricted hypergraph)."""
+    matrix = np.zeros((rows, len(key)))
+    for column, edge in enumerate(key):
+        for row in bit_indices(edge):
+            matrix[row, column] = 1.0
+    objective, _ = _solve_cover(matrix, np.ones(len(key)))
     return objective
 
 

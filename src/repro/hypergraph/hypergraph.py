@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+import itertools
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Set, Tuple
 
 import networkx as nx
 
@@ -11,28 +12,70 @@ class HypergraphError(ValueError):
     """Raised on malformed hypergraph operations."""
 
 
+class Numbering(NamedTuple):
+    """A hypergraph's vertices as bits: vertex ``order[i]`` is bit ``1 << i``.
+
+    ``order`` is repr order, so a mask's members in bit order are in repr
+    order too.  ``edges[j]`` is the mask of edge ``j``; ``neighbours[i]``
+    the mask of vertex ``order[i]``'s Gaifman neighbours (itself excluded).
+    """
+
+    order: Tuple
+    bit: Dict
+    edges: Tuple[int, ...]
+    neighbours: Tuple[int, ...]
+
+    def mask(self, vertices: Iterable) -> int:
+        """The mask of ``vertices`` (those outside the hypergraph ignored)."""
+        bit = self.bit
+        mask = 0
+        for v in vertices:
+            mask |= bit.get(v, 0)
+        return mask
+
+    def members(self, mask: int) -> FrozenSet:
+        """The vertices of ``mask``."""
+        order = self.order
+        return frozenset(order[i] for i in bit_indices(mask))
+
+
+def bit_indices(mask: int) -> List[int]:
+    """The indices of ``mask``'s set bits, ascending."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 class Hypergraph:
     """A multi-hypergraph ``H = (V, E)`` over hashable vertex names.
 
-    Edges are stored as a list of frozensets so that repeated hyperedges
+    Edges are stored as a tuple of frozensets so that repeated hyperedges
     (multi-edges, which arise naturally from repeated factors) are preserved.
     Isolated vertices (vertices in ``V`` that belong to no edge) are allowed
-    and tracked explicitly.
+    and tracked explicitly.  A hypergraph is immutable: ``vertices`` and
+    ``edges`` hand out the stored frozenset and tuple themselves.
+
+    The first caller of :meth:`numbering` fixes a bit per vertex, in repr
+    order, with one int mask per edge and per vertex's Gaifman neighbourhood:
+    the cover LPs and the ordering search work on those ints.
     """
 
-    __slots__ = ("_vertices", "_edges", "_gaifman")
+    __slots__ = ("_vertices", "_edges", "_numbering", "__weakref__")
 
     def __init__(
         self,
         vertices: Iterable | None = None,
         edges: Iterable[Iterable] | None = None,
     ) -> None:
-        self._edges: List[FrozenSet] = [frozenset(e) for e in (edges or [])]
+        self._edges: Tuple[FrozenSet, ...] = tuple(frozenset(e) for e in (edges or ()))
         vertex_set: Set = set(vertices) if vertices is not None else set()
         for edge in self._edges:
             vertex_set |= edge
-        self._vertices: Set = vertex_set
-        self._gaifman: nx.Graph | None = None
+        self._vertices: FrozenSet = frozenset(vertex_set)
+        self._numbering: Numbering | None = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -40,12 +83,12 @@ class Hypergraph:
     @property
     def vertices(self) -> FrozenSet:
         """The vertex set ``V``."""
-        return frozenset(self._vertices)
+        return self._vertices
 
     @property
     def edges(self) -> Tuple[FrozenSet, ...]:
         """The hyperedge multiset ``E`` (order preserved, duplicates kept)."""
-        return tuple(self._edges)
+        return self._edges
 
     @property
     def num_vertices(self) -> int:
@@ -72,7 +115,7 @@ class Hypergraph:
         ) == sorted(map(sorted, map(list, other._edges)))
 
     def __hash__(self):  # pragma: no cover - rarely used
-        return hash((frozenset(self._vertices), frozenset(self._edges)))
+        return hash((self._vertices, frozenset(self._edges)))
 
     # ------------------------------------------------------------------ #
     # mutation-free derived hypergraphs
@@ -128,39 +171,63 @@ class Hypergraph:
     # ------------------------------------------------------------------ #
     # graph views
     # ------------------------------------------------------------------ #
-    def _gaifman_cached(self) -> nx.Graph:
-        """The lazily built, shared Gaifman graph.  Never mutate the result."""
-        if self._gaifman is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(self._vertices)
+    def numbering(self) -> "Numbering":
+        """The vertices' bits and the edge and neighbourhood masks (cached)."""
+        if self._numbering is None:
+            order = tuple(sorted(self._vertices, key=repr))
+            bit = {v: 1 << i for i, v in enumerate(order)}
+            edge_masks = []
+            neighbours = dict.fromkeys(bit, 0)
             for edge in self._edges:
-                members = sorted(edge, key=repr)
-                for i, u in enumerate(members):
-                    for v in members[i + 1:]:
-                        graph.add_edge(u, v)
-            self._gaifman = graph
-        return self._gaifman
+                mask = 0
+                for v in edge:
+                    mask |= bit[v]
+                edge_masks.append(mask)
+                for v in edge:
+                    neighbours[v] |= mask
+            self._numbering = Numbering(
+                order,
+                bit,
+                tuple(edge_masks),
+                tuple(neighbours[v] & ~bit[v] for v in order),
+            )
+        return self._numbering
 
     def gaifman_graph(self) -> nx.Graph:
         """The Gaifman (primal) graph: vertices adjacent iff co-occurring.
 
-        Built once per hypergraph and cached (hypergraphs are immutable);
-        each call returns a fresh copy so callers remain free to mutate the
-        graph, as the elimination heuristics do.
+        A fresh graph on every call, for the elimination heuristics that
+        mutate one; the cover LPs and the ordering search read
+        :meth:`numbering`'s neighbourhood masks instead.
         """
-        return self._gaifman_cached().copy()
-
-    def gaifman_adjacency(self) -> Dict:
-        """``{vertex: frozenset(neighbors)}`` of the (cached) Gaifman graph."""
-        graph = self._gaifman_cached()
-        return {v: frozenset(graph.neighbors(v)) for v in graph.nodes}
+        graph = nx.Graph()
+        graph.add_nodes_from(self._vertices)
+        for edge in self._edges:
+            graph.add_edges_from(itertools.combinations(edge, 2))
+        return graph
 
     def connected_components(self) -> List[FrozenSet]:
         """Connected components of the Gaifman graph (isolated vertices are
         singleton components).  Deterministic order: sorted by repr of the
         smallest member."""
-        graph = self._gaifman_cached()
-        components = [frozenset(c) for c in nx.connected_components(graph)]
+        incident: Dict = {}
+        for edge in self._edges:
+            for vertex in edge:
+                incident.setdefault(vertex, []).append(edge)
+        remaining = set(self._vertices)
+        components = []
+        while remaining:
+            start = remaining.pop()
+            component = {start}
+            stack = [start]
+            while stack:
+                for edge in incident.get(stack.pop(), ()):
+                    new = edge - component
+                    if new:
+                        component |= new
+                        stack.extend(new)
+            remaining -= component
+            components.append(frozenset(component))
         return sorted(components, key=lambda c: min(repr(v) for v in c))
 
     def is_connected(self) -> bool:

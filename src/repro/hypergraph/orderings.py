@@ -14,7 +14,7 @@ from typing import Callable, FrozenSet, List, Sequence, Tuple
 import networkx as nx
 
 from repro.hypergraph.covers import fractional_edge_cover_number
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.hypergraph import Hypergraph, bit_indices
 
 # Fractional-cover costs come out of an LP solver, so two vertices whose
 # neighbourhoods have the *same* cover number can differ in the last float
@@ -147,118 +147,126 @@ def best_ordering_search(
     * a prefix is pruned as soon as its running maximum step width reaches
       the incumbent (step widths only accumulate along a prefix, so no
       completion can improve on it);
+    * children are visited best first, in (step width, repr index) order,
+      so the first descent is greedy and its incumbent prunes early — which
+      changes how many widths are computed, never the result;
     * the induced set ``U(v, S)`` of eliminating ``v`` after the set ``S``
       depends only on the *set* ``S`` (not on the order it was eliminated
       in — the classic elimination-graph property), so per-step widths are
       memoised by ``(S, v)`` and every prefix that permutes the same suffix
-      shares them;
+      shares them; ``width_fn`` is asked once per distinct induced set;
     * a dominance memo per eliminated set ``S`` cuts any prefix reaching
       ``S`` with a running maximum no better than an earlier visit,
       bounding the search by the subset lattice instead of the factorial.
+
+    Sets of vertices are int masks over the hypergraph's
+    :meth:`~repro.hypergraph.hypergraph.Hypergraph.numbering`; ``width_fn``
+    still receives a frozenset of vertices.
 
     Returns ``(ordering, width)`` where ``ordering`` is the lexicographically
     smallest (over the repr-sorted vertex list, i.e. the first the
     permutation scan would have found) ordering attaining the optimal
     quantised width.
     """
-    vertices = sorted(hypergraph.vertices, key=repr)
+    numbering = hypergraph.numbering()
+    vertices = numbering.order
     n = len(vertices)
     if n == 0:
         return [], 0.0
-    free_set = frozenset(free) & frozenset(vertices)
-    bound_count = n - len(free_set)
+    full = (1 << n) - 1
+    free_mask = numbering.mask(free)
+    bound_count = n - free_mask.bit_count()
+    neighbours = numbering.neighbours
 
-    adjacency = hypergraph.gaifman_adjacency()
-
-    def union_after(vertex, eliminated: frozenset) -> FrozenSet:
+    def union_after(index: int, eliminated: int) -> int:
         """``U(v, S)``: closed neighbourhood of ``v`` reachable through ``S``."""
-        seen = {vertex}
-        stack = [vertex]
-        union = {vertex}
-        while stack:
-            for neighbor in adjacency[stack.pop()]:
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                if neighbor in eliminated:
-                    stack.append(neighbor)
-                else:
-                    union.add(neighbor)
-        return frozenset(union)
+        seen = union = frontier = 1 << index
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached = neighbours[low.bit_length() - 1] & ~seen
+            seen |= reached
+            union |= reached & ~eliminated
+            frontier |= reached & eliminated
+        return union
 
+    width_memo: dict = {}
     step_memo: dict = {}
 
-    def step_width(eliminated: frozenset, vertex) -> float:
-        key = (eliminated, vertex)
+    def step_width(eliminated: int, index: int) -> float:
+        key = (eliminated, index)
         width = step_memo.get(key)
         if width is None:
-            width = _quantized(width_fn(union_after(vertex, eliminated)))
+            union = union_after(index, eliminated)
+            width = width_memo.get(union)
+            if width is None:
+                width = _quantized(width_fn(numbering.members(union)))
+                width_memo[union] = width
             step_memo[key] = width
         return width
 
     best = [float("inf")]
     visited: dict = {}
 
-    def search(eliminated: frozenset, running: float) -> None:
+    def search(eliminated: int, running: float) -> None:
         if running >= best[0]:
             return
         previous = visited.get(eliminated)
         if previous is not None and previous <= running:
             return
         visited[eliminated] = running
-        if len(eliminated) == n:
+        if eliminated == full:
             best[0] = running
             return
         # Free vertices sit in the ordering prefix, i.e. they are only
         # eliminated once every bound vertex has been.
-        bound_done = len(eliminated) >= bound_count
-        for vertex in vertices:
-            if vertex in eliminated:
-                continue
-            if vertex in free_set and not bound_done:
-                continue
-            width = step_width(eliminated, vertex)
-            search(eliminated | {vertex}, max(running, width))
+        allowed = full & ~eliminated
+        if eliminated.bit_count() < bound_count:
+            allowed &= ~free_mask
+        # Best first: the cheapest step is tried first, so a good incumbent
+        # prunes early; the children after the first one the incumbent
+        # prunes are pruned too.
+        children = sorted((step_width(eliminated, i), i) for i in bit_indices(allowed))
+        for width, index in children:
+            if max(running, width) >= best[0]:
+                break
+            search(eliminated | (1 << index), max(running, width))
 
-    search(frozenset(), float("-inf"))
+    search(0, float("-inf"))
     best_width = best[0]
 
     # Reconstruct the lexicographically smallest optimal ordering from the
     # front (the front vertex is the one eliminated *last*): a remaining set
     # is feasible iff some vertex of it can be eliminated last within budget
     # and the rest remains feasible.
-    feasible_memo: dict = {frozenset(): True}
+    feasible_memo: dict = {0: True}
 
-    def front_candidates(remaining: frozenset) -> FrozenSet:
+    def front_candidates(remaining: int) -> int:
         """Vertices allowed at the front (eliminated last) of ``remaining``."""
-        remaining_free = remaining & free_set
-        return remaining_free if remaining_free else remaining
+        return (remaining & free_mask) or remaining
 
-    def feasible(remaining: frozenset) -> bool:
+    def feasible(remaining: int) -> bool:
         result = feasible_memo.get(remaining)
         if result is None:
             result = any(
-                step_width(remaining - {v}, v) <= best_width
-                and feasible(remaining - {v})
-                for v in front_candidates(remaining)
+                step_width(remaining & ~(1 << i), i) <= best_width
+                and feasible(remaining & ~(1 << i))
+                for i in bit_indices(front_candidates(remaining))
             )
             feasible_memo[remaining] = result
         return result
 
     ordering: List = []
-    remaining = frozenset(vertices)
+    remaining = full
     while remaining:
-        allowed = front_candidates(remaining)
-        for vertex in vertices:
-            if vertex not in allowed:
-                continue
-            rest = remaining - {vertex}
-            if step_width(rest, vertex) <= best_width and feasible(rest):
-                ordering.append(vertex)
+        for index in bit_indices(front_candidates(remaining)):
+            rest = remaining & ~(1 << index)
+            if step_width(rest, index) <= best_width and feasible(rest):
+                ordering.append(vertices[index])
                 remaining = rest
                 break
         else:  # pragma: no cover - the optimum is always attainable
-            ordering.extend(sorted(remaining, key=repr))
+            ordering.extend(vertices[i] for i in bit_indices(remaining))
             break
     return ordering, best_width
 

@@ -6,9 +6,12 @@ tested decision:
 
 1. **candidate orderings** — the written order, the Section 7
    FAQ-width approximation, the min-fill / min-degree / greedy-cover
-   heuristics re-arranged to a free-prefix and filtered through the EVO
-   membership test of Section 6, plus a few linear extensions of the
-   precedence poset for small queries;
+   heuristics re-arranged to a free-prefix, plus a few linear extensions
+   of the precedence poset for small queries.  Each must be in EVO
+   (Section 6): a linear extension of the precedence poset is one by
+   Theorems 6.8 / 6.23 and is accepted by a pass over its predecessor
+   sets; only the rest — heuristic arrangements that break the poset of a
+   multi-block query — go through the recursive membership test;
 2. **scoring** — every candidate is scored by the
    :class:`~repro.planner.cost.CostModel` (FAQ-width LPs + data-aware AGM
    estimates + the dense-box heuristic) as an InsideOut run, the one
@@ -20,7 +23,8 @@ tested decision:
 3. **caching** — the winning plan is stored in a
    :class:`~repro.planner.cache.PlanCache` under the structural signature
    of :mod:`repro.planner.signature`, so repeated or isomorphic queries
-   skip the search entirely.
+   skip the search entirely.  The signature is computed once per query
+   instance and shared with the query's content key.
 
 Explicit ``ordering=``/``backend=`` arguments are honoured as overrides,
 preserving every pre-planner call signature in the repo; ``strategy=``
@@ -140,13 +144,21 @@ def candidate_orderings(
         except Exception:  # pragma: no cover - defensive
             pass
 
+    # A linear extension of the precedence poset is an EVO member by
+    # Theorems 6.8 / 6.23, so it needs no membership test.  The recursive
+    # test runs only for the rest: heuristic arrangements that break the
+    # poset of a multi-block query, some of which are still equivalent.
+    try:
+        predecessors = tree.precedence_predecessors()
+    except Exception:  # pragma: no cover - defensive
+        predecessors = None
     candidates: List[Tuple[str, ...]] = []
     seen = set()
     for order in raw:
         if order in seen or len(order) != query.num_variables:
             continue
         seen.add(order)
-        if order == tuple(query.order):
+        if order == tuple(query.order) or _is_linear_extension(order, predecessors):
             candidates.append(order)
             continue
         try:
@@ -155,6 +167,20 @@ def candidate_orderings(
         except Exception:  # pragma: no cover - defensive
             continue
     return candidates
+
+
+def _is_linear_extension(order: Sequence[str], predecessors) -> bool:
+    """Whether ``order`` lists every variable once, each after all its
+    predecessors."""
+    if predecessors is None or len(order) != len(predecessors):
+        return False
+    placed: set = set()
+    for variable in order:
+        before = predecessors.get(variable)
+        if before is None or variable in placed or not before <= placed:
+            return False
+        placed.add(variable)
+    return True
 
 
 # ---------------------------------------------------------------------- #
@@ -343,9 +369,9 @@ def _plan_search(
     # ------------------------------------------------------------------ #
     # candidate search
     # ------------------------------------------------------------------ #
+    hypergraph = query.hypergraph()
     if stats is None:
         stats = QueryStatistics.from_query(query)
-    hypergraph = query.hypergraph()
     if mode == "auto":
         try:
             candidates = [tuple(approximate_faqw_ordering(query))]

@@ -71,37 +71,76 @@ def _aggregate_blocks(query: FAQQuery) -> Dict[str, int]:
     return blocks
 
 
+def _ranks(values: Sequence) -> List[int]:
+    """Each value's rank among the distinct values (dense, from 0)."""
+    rank = {value: r for r, value in enumerate(sorted(set(values)))}
+    return [rank[value] for value in values]
+
+
 def canonical_order(query: FAQQuery) -> List[str]:
     """The query's variables in canonical (colour-refined) order.
+
+    Each round's colours are relabelled to dense integer ranks, so a round
+    compares small tuples of ints instead of colours nested one level deeper
+    per round.  A rank relabelling preserves the order of colours, hence of
+    the sorted incidence tuples built from them, so the canonical order is
+    the one the nested colours give.
 
     Ties that survive refinement break on the written position, which keeps
     the labelling deterministic; a tie between genuinely asymmetric
     variables merely yields a different serialisation (a cache miss), never
     an unsound match.
     """
+    order = query.order
+    position = {v: i for i, v in enumerate(order)}
     blocks = _aggregate_blocks(query)
-    colors: Dict[str, tuple] = {
-        v: (query.tag(v), blocks[v], query.domain_size(v)) for v in query.order
-    }
-    edges = [(tuple(f.scope), size_bucket(len(f))) for f in query.factors]
+    colors = _ranks([(query.tag(v), blocks[v], query.domain_size(v)) for v in order])
+    edges = [
+        (tuple(position[v] for v in f.scope), size_bucket(len(f))) for f in query.factors
+    ]
+    incidence: List[List[int]] = [[] for _ in order]
+    for e, (scope, _) in enumerate(edges):
+        for i in set(scope):
+            incidence[i].append(e)
 
-    for _ in range(min(_REFINEMENT_ROUNDS, len(query.order))):
-        edge_colors = [
-            (tuple(sorted(colors[v] for v in scope)), bucket) for scope, bucket in edges
-        ]
-        new_colors: Dict[str, tuple] = {}
-        for variable in query.order:
-            incident = sorted(
-                color for (scope, _), color in zip(edges, edge_colors) if variable in scope
-            )
-            new_colors[variable] = (colors[variable], tuple(incident))
-        if len(set(new_colors.values())) == len(set(colors.values())):
-            colors = new_colors
+    classes = len(set(colors))
+    for _ in range(min(_REFINEMENT_ROUNDS, len(order))):
+        edge_colors = _ranks([
+            (tuple(sorted(colors[i] for i in scope)), bucket) for scope, bucket in edges
+        ])
+        colors = _ranks([
+            (colors[i], tuple(sorted(edge_colors[e] for e in incident)))
+            for i, incident in enumerate(incidence)
+        ])
+        refined = max(colors, default=-1) + 1
+        if refined == classes:
             break
-        colors = new_colors
+        classes = refined
 
-    position = {v: i for i, v in enumerate(query.order)}
-    return sorted(query.order, key=lambda v: (colors[v], position[v]))
+    return sorted(order, key=lambda v: (colors[position[v]], position[v]))
+
+
+class _QueryKeys:
+    """What the per-query memo keeps: the signature, the canonical order,
+    and the content key once something asks for it."""
+
+    __slots__ = ("signature", "canon", "content_key")
+
+    def __init__(self, signature: tuple, canon: List[str]) -> None:
+        self.signature = signature
+        self.canon = canon
+        self.content_key: Optional[str] = None
+
+
+_QUERY_MEMO: "weakref.WeakKeyDictionary[FAQQuery, _QueryKeys]" = weakref.WeakKeyDictionary()
+
+
+def _keys_of(query: FAQQuery) -> _QueryKeys:
+    """The query's memo entry, its signature computed on first use."""
+    memo = _QUERY_MEMO.get(query)
+    if memo is None:
+        memo = _QUERY_MEMO[query] = _QueryKeys(*_compute_signature(query))
+    return memo
 
 
 def query_signature(query: FAQQuery) -> Tuple[tuple, List[str]]:
@@ -111,7 +150,15 @@ def query_signature(query: FAQQuery) -> Tuple[tuple, List[str]]:
     serialisation of the query structure under the canonical labelling and
     ``canon`` lists the variables in canonical order (``canon[i]`` is the
     variable behind canonical index ``i``).
+
+    Computed once per query instance and kept in the same per-query memo as
+    :func:`query_content_key`, which reads the signature from there.
     """
+    memo = _keys_of(query)
+    return memo.signature, memo.canon
+
+
+def _compute_signature(query: FAQQuery) -> Tuple[tuple, List[str]]:
     canon = canonical_order(query)
     index = {v: i for i, v in enumerate(canon)}
     blocks = _aggregate_blocks(query)
@@ -473,9 +520,6 @@ class BucketDelta:
         return BucketTable(bytes(digests), keys)
 
 
-_CONTENT_KEY_MEMO: "weakref.WeakKeyDictionary[FAQQuery, str]" = weakref.WeakKeyDictionary()
-
-
 def query_content_key(query: FAQQuery) -> str:
     """The stable content digest of a query — equal iff queries are value-equal.
 
@@ -487,14 +531,15 @@ def query_content_key(query: FAQQuery) -> str:
     tier: two requests with equal keys are certifiably answerable by one
     execution.
 
-    Memoised per query instance (queries are immutable after construction);
-    raises ``TypeError`` for queries whose domains or factor values have no
-    canonical encoding — callers fall back to not coalescing.
+    Memoised per query instance (queries are immutable after construction),
+    beside the signature :func:`query_signature` keeps, so a query's WL pass
+    runs once whichever of the two asks first; raises ``TypeError`` for
+    queries whose domains or factor values have no canonical encoding —
+    callers fall back to not coalescing.
     """
-    cached = _CONTENT_KEY_MEMO.get(query)
-    if cached is not None:
-        return cached
-    signature, _ = query_signature(query)
+    memo = _keys_of(query)
+    if memo.content_key is not None:
+        return memo.content_key
     # canonical_bytes of (semiring, order, free, tags, ((v, Dom(v)) ...)),
     # the domains spliced from each variable's memoised encoding
     spelling = canonical_sequence([
@@ -505,14 +550,13 @@ def query_content_key(query: FAQQuery) -> str:
         canonical_sequence(query.variables[v].content_bytes() for v in query.order),
     ])
     factor_part = ";".join(sorted(factor_digest(f) for f in query.factors))
-    key = _digest(
+    memo.content_key = _digest(
         b"query",
-        signature_digest(signature).encode("ascii"),
+        signature_digest(memo.signature).encode("ascii"),
         spelling,
         factor_part.encode("ascii"),
     )
-    _CONTENT_KEY_MEMO[query] = key
-    return key
+    return memo.content_key
 
 
 _SHARING_KEY_MEMO: "weakref.WeakKeyDictionary[FAQQuery, str]" = weakref.WeakKeyDictionary()

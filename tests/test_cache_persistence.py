@@ -116,6 +116,25 @@ def test_rho_star_memo_is_lru_and_persists(tmp_path):
     assert rho_star_cache_info()["misses"] == before  # served from the memo
 
 
+def test_rho_star_spill_of_version_1_adopts_nothing(tmp_path):
+    """Version 1 keyed the memo by frozensets of named edges; version 2 keys
+    it by relabelled int masks, so a version-1 file or warm section — whose
+    keys no lookup could hit — is adopted by nothing."""
+    from repro.hypergraph import covers
+
+    assert covers._RHO_STAR_VERSION == 2
+    legacy = LruCache(maxsize=4)
+    legacy.put(frozenset({frozenset("ab"), frozenset("bc"), frozenset("ac")}), 1.5)
+    path = tmp_path / "rho-v1.pkl"
+    legacy.save(path, kind=covers._RHO_STAR_KIND, version=1)
+    section = legacy.dump_entries(kind=covers._RHO_STAR_KIND, version=1)
+
+    clear_rho_star_cache()
+    assert load_rho_star_cache(path) == 0
+    assert covers.adopt_rho_star_section(section) == 0
+    assert rho_star_cache_info()["size"] == 0
+
+
 # ---------------------------------------------------------------------- #
 # plan-cache persistence
 # ---------------------------------------------------------------------- #

@@ -112,6 +112,27 @@ class TestRhoStarMemo:
         assert info["misses"] == misses
         assert info["hits"] >= 1
 
+    def test_renamed_isomorphic_structure_hits_with_a_fresh_lp_value(self):
+        """The memo key forgets names: renaming the vertices in a way that
+        keeps their repr order hits the entry another hypergraph made, and
+        the value is the one a fresh LP on the renamed hypergraph gives."""
+        from repro.hypergraph import covers
+        from repro.hypergraph.covers import fractional_edge_cover
+
+        clear_rho_star_cache()
+        scopes = [("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")]
+        first = fractional_edge_cover_number(Hypergraph.from_scopes(scopes))
+        assert rho_star_cache_info()["misses"] == 1
+        rename = dict(zip("ABCD", ("p", "q", "r", "s")))
+        renamed = Hypergraph.from_scopes([[rename[v] for v in s] for s in scopes])
+        value = fractional_edge_cover_number(renamed)
+        info = rho_star_cache_info()
+        assert (info["misses"], info["hits"]) == (1, 1)
+        assert value == first
+        assert value == pytest.approx(fractional_edge_cover(renamed)[0], abs=1e-12)
+        # Keys hold small ints, no names.
+        assert [key for key, _ in covers._RHO_STAR_CACHE.items()] == [(0b11, 0b101, 0b110, 0b1100)]
+
     def test_uncovered_still_raises(self):
         h = Hypergraph(["A", "B", "X"], [("A", "B")])
         from repro.hypergraph.hypergraph import HypergraphError
