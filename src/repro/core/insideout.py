@@ -210,7 +210,7 @@ def eliminate_semiring_step(
             value = aggregate.combine(value, semiring.one)
         new_factor = None
         if not semiring.is_one(value):
-            new_factor = Factor((), {(): value}, name=f"const({variable})")
+            new_factor = Factor._adopt((), {(): value}, f"const({variable})")
         record = EliminationRecord(
             variable=variable,
             kind="semiring",
@@ -454,7 +454,7 @@ def _expand_isolated_free(
         for key, value in result.table.items():
             for dom_value in domain:
                 table[key + (dom_value,)] = value
-        result = Factor(tuple(result.scope) + (variable,), table, name=result.name)
+        result = Factor._adopt(result.scope + (variable,), table, result.name)
     return result.normalize_scope(query.free)
 
 
@@ -520,7 +520,7 @@ def _semijoin_reduce(
             key = projection(factor.scope, columns[node])
             table = {k: v for k, v in factor.table.items() if key(k) in support[node]}
             if len(table) < len(factor.table):
-                factor = Factor(factor.scope, table, name=factor.name)
+                factor = Factor._adopt(factor.scope, table, factor.name)
         reduced.append(factor)
     binding = list(dict.fromkeys(v for node in preorder for v in columns[node]))
     return reduced, binding
@@ -547,7 +547,7 @@ def output_phase(
         for factor in factors:
             value = semiring.mul(value, factor.value({}, semiring))
         table = {} if semiring.is_zero(value) else {(): value}
-        return Factor((), table, name=f"{query.name}(out)")
+        return Factor._adopt((), table, f"{query.name}(out)")
 
     output_scope = tuple(v for v in query.free if any(v in f.scope for f in factors))
     if factors and choose_dense(
@@ -605,7 +605,7 @@ def apply_output_delta(
                 table[key] = combined
         elif not semiring.is_zero(value):
             table[key] = value
-    return Factor(base.scope, table, name=name or base.name)
+    return Factor._adopt(base.scope, table, name or base.name)
 
 
 def inside_out(

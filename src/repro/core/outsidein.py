@@ -21,18 +21,25 @@ The module exposes three entry points:
   by InsideOut's hot loop: a hash join over pre-built tries that groups by
   the surviving variables directly and folds the eliminated variable's
   aggregate in place, never materialising the full induced-set factor nor a
-  per-tuple assignment dict.
+  per-tuple assignment dict.  Its (+, ×) steps — ``sum`` over COUNTING or
+  SUM_PRODUCT — fold with inline ``*``, ``+`` and zero tests instead of a
+  Python call per tuple; every other (⊕, ⊗) pair calls the semiring's
+  operators.  Both folds multiply, test and add in the same order, so they
+  give ``==`` tables and the same counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.factors.backend import as_sparse
 from repro.factors.factor import Factor
 from repro.factors.index import FactorTrie
-from repro.semiring.base import Semiring
+from repro.semiring.aggregates import _op_sum
+from repro.semiring.base import TOLERANCE, Semiring
+from repro.semiring.standard import _mul
 
 
 @dataclass
@@ -232,6 +239,18 @@ def eliminate_join(
     reproducible per input but compare by ``Factor.equals``, not ``==``,
     across versions.
 
+    The plain (+, ×) steps (:func:`_folds_inline`: ``semiring.mul`` is the
+    standard ``×``, ``combine`` the ``sum`` aggregate's ``+``, no custom
+    ``eq``, an ``int`` 0 or ``float`` 0.0 zero — COUNTING and SUM_PRODUCT)
+    run the same search with ``*``, ``+`` and the zero test written inline,
+    and the last survivor level folds its bindings' leaves in one loop
+    instead of a call per binding.  The ⊗ order (base tries by index, then
+    the tries holding ``variable`` by index), the candidate order, the
+    early-out after every ⊗, the dropped zero sums and every counter are
+    the generic fold's, so the two give ``==`` tables with the same key
+    order.  Max/min/or, a custom ``eq``, sets and any semiring whose
+    operators are not the standard functions call them as above.
+
     Falls back to the general :func:`join_factors` when ``variable`` is not
     last in the join order (never the case when called from InsideOut).
     """
@@ -284,6 +303,12 @@ def eliminate_join(
     participating: List[List[int]] = [
         [i for i, t in enumerate(tries) if v in t.variables] for v in survivors
     ]
+
+    if _folds_inline(semiring, combine):
+        table = _plus_times_fold(
+            tries, participating, base_tries, var_tries, key_perm, semiring, counters
+        )
+        return Factor._adopt(out_scope, table, name or f"elim({variable})")
 
     nodes: List[Any] = [t.root for t in tries]
     values: List[Any] = [None] * len(survivors)
@@ -349,4 +374,160 @@ def eliminate_join(
             nodes[i] = node
 
     descend(0)
-    return Factor(out_scope, table, name=name or f"elim({variable})")
+    return Factor._adopt(out_scope, table, name or f"elim({variable})")
+
+
+def _folds_inline(semiring: Semiring, combine: Callable[[Any, Any], Any]) -> bool:
+    """Whether :func:`eliminate_join` folds this step's (⊕, ⊗) inline.
+
+    True for exactly the plain (+, ×) steps: the standard ``×``
+    (``semiring.mul is standard._mul``), the ``sum`` aggregate's ``+``
+    (``combine is aggregates._op_sum``), no custom ``eq`` and an ``int`` 0
+    or ``float`` 0.0 zero — ``sum`` steps of COUNTING and SUM_PRODUCT.
+    """
+    zero = semiring.zero
+    return (
+        semiring.mul is _mul
+        and combine is _op_sum
+        and semiring.eq is None
+        and type(zero) in (int, float)
+        and zero == 0
+    )
+
+
+def _plus_times_fold(
+    tries: Sequence[FactorTrie],
+    participating: List[List[int]],
+    base_tries: List[int],
+    var_tries: List[int],
+    key_perm: List[int] | None,
+    semiring: Semiring,
+    counters: OutsideInStats,
+) -> Dict[Tuple[Any, ...], Any]:
+    """:func:`eliminate_join`'s search with the (+, ×) fold written inline.
+
+    The same search and the same fold as the generic ``descend`` / ``emit``
+    pair — the ⊗ order, the candidate order, the zero test after every ⊗,
+    the dropped zero sums and every counter — with ``*``, ``+`` and
+    :meth:`Semiring.zero_test`'s predicate spelled out instead of called,
+    and the last survivor level folding its bindings' leaves in one loop.
+    Returns the result table.
+    """
+    nodes: List[Any] = [t.root for t in tries]
+    values: List[Any] = [None] * len(participating)
+    table: Dict[Tuple[Any, ...], Any] = {}
+    one = semiring.one
+    float_zero = type(semiring.zero) is float
+    tol = TOLERANCE
+    floats = (float, complex)
+    last = len(participating) - 1
+    first_var = var_tries[0]
+    # the tries holding the eliminated variable, as one tuple (two or more)
+    var_levels = itemgetter(*var_tries) if len(var_tries) > 1 else None
+
+    def leaves(active: List[int], saved: List[Any], candidates: Any) -> None:
+        """Bind each of the last level's candidates and fold its leaf."""
+        steps = emitted = intersections = 0
+        only = active[0] if len(active) == 1 else None
+        level = saved[0] if only is not None else None
+        for candidate in candidates:
+            if only is not None:
+                nodes[only] = level[candidate]
+            else:
+                for i, node in zip(active, saved):
+                    nodes[i] = node[candidate]
+            value = one
+            for i in base_tries:
+                value = value * nodes[i]
+                # zero_test(): abs(a) <= TOLERANCE for a float zero, for an
+                # int zero a == 0 or a float / complex with abs(a) <= TOLERANCE
+                if abs(value) <= tol if float_zero else value == 0 or (
+                    value.__class__ is not int
+                    and isinstance(value, floats)
+                    and abs(value) <= tol
+                ):
+                    break
+            else:
+                accumulated = None
+                if var_levels is None:
+                    first = nodes[first_var]
+                    intersections += 1
+                    if not first:
+                        continue
+                    steps += len(first)
+                    for x in first.values():
+                        product = value * x
+                        if abs(product) <= tol if float_zero else product == 0 or (
+                            product.__class__ is not int
+                            and isinstance(product, floats)
+                            and abs(product) <= tol
+                        ):
+                            continue
+                        emitted += 1
+                        accumulated = product if accumulated is None else accumulated + product
+                else:
+                    levels = var_levels(nodes)
+                    intersections += len(levels)
+                    common = levels[0].keys()
+                    for child in levels[1:]:
+                        common = common & child.keys()
+                    if not common:
+                        continue
+                    steps += len(common)
+                    for x in common:
+                        product = value
+                        for child in levels:
+                            product = product * child[x]
+                            if abs(product) <= tol if float_zero else product == 0 or (
+                                product.__class__ is not int
+                                and isinstance(product, floats)
+                                and abs(product) <= tol
+                            ):
+                                break
+                        else:
+                            emitted += 1
+                            accumulated = (
+                                product if accumulated is None else accumulated + product
+                            )
+                if accumulated is None or (
+                    abs(accumulated) <= tol if float_zero else accumulated == 0 or (
+                        accumulated.__class__ is not int
+                        and isinstance(accumulated, floats)
+                        and abs(accumulated) <= tol
+                    )
+                ):
+                    continue
+                if last >= 0:
+                    values[last] = candidate
+                key = tuple(values) if key_perm is None else tuple(values[i] for i in key_perm)
+                table[key] = accumulated
+        counters.search_steps += steps
+        counters.emitted_tuples += emitted
+        counters.intersections += intersections
+
+    def descend(depth: int) -> None:
+        active = participating[depth]
+        counters.intersections += len(active)
+        saved = [nodes[i] for i in active]
+        candidates = saved[0].keys()
+        for node in saved[1:]:
+            candidates = candidates & node.keys()
+        if not candidates:
+            return
+        counters.search_steps += len(candidates)
+        if depth == last:
+            leaves(active, saved, candidates)
+        else:
+            for candidate in candidates:
+                values[depth] = candidate
+                for i, node in zip(active, saved):
+                    nodes[i] = node[candidate]
+                descend(depth + 1)
+        for i, node in zip(active, saved):
+            nodes[i] = node
+
+    if last < 0:  # no survivors: a single leaf, keyed by ()
+        leaves([], [], (None,))
+    else:
+        descend(0)
+    return table

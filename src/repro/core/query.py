@@ -305,7 +305,7 @@ class FAQQuery:
             value = self._evaluate_bound(assignment, self.num_free)
             if not semiring.is_zero(value):
                 table[tuple(free_values)] = value
-        return Factor(self.free, table, name=f"{self.name}(brute)")
+        return Factor._adopt(self.free, table, f"{self.name}(brute)")
 
     def evaluate_scalar_brute_force(self) -> Any:
         """Brute-force evaluation of a query with no free variables."""

@@ -258,7 +258,7 @@ class _RunState:
         self.slots: List[Optional[Factor]] = [None] * dag.num_slots
         # An empty product is the constant 1 over all free assignments.
         self.slots[: dag.num_base] = list(query.factors) or [
-            Factor((), {(): semiring.one}, name="unit")
+            Factor._adopt((), {(): semiring.one}, "unit")
         ]
 
         # One trie index per run, shared across elimination steps: surviving

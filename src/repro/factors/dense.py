@@ -351,7 +351,7 @@ class DenseFactor:
             key = tuple(domains[d][i] for d, i in enumerate(cell))
             raw = self.array[tuple(cell)]
             table[key] = raw if self.array.dtype == object else raw.item()
-        return Factor(self.scope, table, name=name or self.name)
+        return Factor._adopt(self.scope, table, name or self.name)
 
     # ------------------------------------------------------------------ #
     # projections

@@ -116,6 +116,25 @@ class Factor:
         # or what apply_delta handed over to derive it (BucketDelta)
         self._buckets = None
 
+    @classmethod
+    def _adopt(cls, scope: Tuple[str, ...], table: Dict[ValueTuple, Any], name: str) -> "Factor":
+        """A factor that takes ``table`` over as its own, unchecked.
+
+        For internal callers that have just built ``table`` as a fresh
+        ``dict`` keyed by value tuples aligned with ``scope``, a tuple of
+        distinct names: the public constructor would copy it, re-tupling
+        and arity-checking every key.  The caller hands the dict over and
+        keeps no other use of it.
+        """
+        factor = cls.__new__(cls)
+        factor.scope = scope
+        factor.table = table
+        factor.name = name
+        factor._variables = None
+        factor._digest = None
+        factor._buckets = None
+        return factor
+
     def __getstate__(self):
         # The bucket key sets index this process's rows: at most the bucket
         # digests cross a process boundary.
@@ -153,7 +172,7 @@ class Factor:
         The copy's table is a fresh mutable dict even when this factor is
         frozen, and the copy carries no digest memo.
         """
-        return Factor(self.scope, dict(self.table), name=name or self.name)
+        return Factor._adopt(self.scope, dict(self.table), name or self.name)
 
     # ------------------------------------------------------------------ #
     # immutability & updates
@@ -211,8 +230,7 @@ class Factor:
             else:
                 table[cell] = value
         # this table's keys and the delta's are validated already
-        updated = Factor(self.scope, (), name=name or self.name)
-        updated.table = table
+        updated = Factor._adopt(self.scope, table, name or self.name)
         if self._buckets is not None and self._digest is not None and self.frozen:
             updated._buckets = self._buckets.child(self.table, changes, len(table))
             if updated._buckets is not None:
@@ -257,7 +275,7 @@ class Factor:
         """
         is_zero = semiring.zero_test()
         table = {k: v for k, v in self.table.items() if not is_zero(v)}
-        return Factor(self.scope, table, name=self.name)
+        return Factor._adopt(self.scope, table, self.name)
 
     def is_pruned(self, semiring: Semiring) -> bool:
         """Whether a query over ``semiring`` may hold this factor as it is.
@@ -303,7 +321,7 @@ class Factor:
             if all(key[i] == want for i, want in positions)
             and not semiring.is_zero(value)
         }
-        return Factor(self.scope, table, name=self.name + "|cond")
+        return Factor._adopt(self.scope, table, self.name + "|cond")
 
     def restrict(self, partial: Assignment, semiring: Semiring) -> "Factor":
         """Condition on ``partial`` and drop the conditioned variables.
@@ -324,7 +342,7 @@ class Factor:
                 continue
             if all(key[i] == want for i, want in check_idx):
                 table[tuple(key[i] for i in keep_idx)] = value
-        return Factor(new_scope, table, name=self.name + "|restr")
+        return Factor._adopt(new_scope, table, self.name + "|restr")
 
     # ------------------------------------------------------------------ #
     # projections
@@ -350,7 +368,7 @@ class Factor:
             if is_zero(value):
                 continue
             table[tuple(key[i] for i in keep_idx)] = one
-        return Factor(new_scope, table, name=self.name + f"/{{{','.join(new_scope)}}}")
+        return Factor._adopt(new_scope, table, self.name + f"/{{{','.join(new_scope)}}}")
 
     def support_projection(self, target: Iterable[str]) -> set:
         """Return the set of projected tuples (no values) onto ``target``."""
@@ -385,7 +403,7 @@ class Factor:
             else:
                 table[reduced] = value
         table = {k: v for k, v in table.items() if not is_zero(v)}
-        return Factor(new_scope, table, name=self.name + f"-agg({variable})")
+        return Factor._adopt(new_scope, table, self.name + f"-agg({variable})")
 
     def product_marginalize(
         self, variable: str, domain_size: int, semiring: Semiring
@@ -420,7 +438,7 @@ class Factor:
             for k, v in partial.items()
             if counts[k] == domain_size and not semiring.is_zero(v)
         }
-        return Factor(new_scope, table, name=self.name + f"-prod({variable})")
+        return Factor._adopt(new_scope, table, self.name + f"-prod({variable})")
 
     # ------------------------------------------------------------------ #
     # pointwise operations
@@ -429,11 +447,13 @@ class Factor:
         """Raise all listed values to ``exponent`` under ``⊗`` (pointwise)."""
         table = {k: semiring.power(v, exponent) for k, v in self.table.items()}
         table = {k: v for k, v in table.items() if not semiring.is_zero(v)}
-        return Factor(self.scope, table, name=self.name + f"^{exponent}")
+        return Factor._adopt(self.scope, table, self.name + f"^{exponent}")
 
     def map_values(self, fn: Callable[[Any], Any], name: str | None = None) -> "Factor":
         """Apply ``fn`` to every listed value (scope preserved)."""
-        return Factor(self.scope, {k: fn(v) for k, v in self.table.items()}, name=name or self.name)
+        return Factor._adopt(
+            self.scope, {k: fn(v) for k, v in self.table.items()}, name or self.name
+        )
 
     def has_idempotent_range(self, semiring: Semiring) -> bool:
         """``True`` iff every listed value is ⊗-idempotent (Definition 5.2)."""
@@ -487,7 +507,7 @@ class Factor:
         other_only = [v for v in other.scope if v not in self.scope]
         new_scope = self.scope + tuple(other_only)
         table: Dict[ValueTuple, Any] = dict(self._joined_items(other, semiring))
-        return Factor(new_scope, table, name=f"({self.name}*{other.name})")
+        return Factor._adopt(new_scope, table, f"({self.name}*{other.name})")
 
     def multiply_marginalize(
         self,
@@ -518,7 +538,7 @@ class Factor:
                 table[reduced] = prod
         is_zero = semiring.zero_test()
         table = {k: v for k, v in table.items() if not is_zero(v)}
-        return Factor(new_scope, table, name=f"({self.name}*{other.name})-agg({variable})")
+        return Factor._adopt(new_scope, table, f"({self.name}*{other.name})-agg({variable})")
 
     def normalize_scope(self, order: Sequence[str]) -> "Factor":
         """Return an equivalent factor whose scope follows ``order``.
@@ -533,7 +553,7 @@ class Factor:
             return self.copy()
         perm = [self.scope.index(v) for v in new_scope]
         table = {tuple(key[i] for i in perm): value for key, value in self.table.items()}
-        return Factor(new_scope, table, name=self.name)
+        return Factor._adopt(new_scope, table, self.name)
 
     # ------------------------------------------------------------------ #
     # comparisons (used heavily in tests)

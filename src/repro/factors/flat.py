@@ -2,7 +2,10 @@
 
 The trie kernel (:func:`repro.core.outsidein.eliminate_join`) is pure
 Python: every survivor tuple costs dict probes, set intersections and a
-per-candidate fold, all under the GIL.  For the semirings whose operators
+per-candidate fold, all under the GIL.  Its (+, ×) ``sum`` steps fold
+with inline ``*``, ``+`` and zero tests; every other pair, the
+``max``/``min``/``or`` steps this kernel takes over among them, pays a
+Python call per ``⊗``, ``⊕`` and zero test.  For the semirings whose operators
 map to NumPy ufuncs *and* whose aggregates are fold-order independent
 (``max``/``min``/``or`` — never float ``sum``, whose re-association changes
 the bits), the same fused multiply-then-marginalize step can run as a
@@ -361,9 +364,9 @@ class _LazyFactor(Factor):
 
     Flat and dense consumers read the encoding (:func:`stored_encoding`,
     :meth:`DenseFactor.from_flat`) and ``len()`` counts its rows, so a
-    table nobody reads is never built.  The first read decodes through the
-    ordinary :class:`Factor` constructor and fills the slot only if it is
-    still empty, so two threads racing it leave one table — and never undo
+    table nobody reads is never built.  The first read decodes the rows
+    (whose keys are value tuples of the scope's arity already) into a plain
+    ``dict`` and fills the slot only if it is still empty, so two threads racing it leave one table — and never undo
     a :meth:`freeze` the other applied.  Pickles as a plain :class:`Factor`.
     """
 
@@ -381,7 +384,7 @@ class _LazyFactor(Factor):
             return _TABLE.__get__(self)
         except AttributeError:
             pass
-        decoded = Factor(self.scope, _decoded_items(self._flat, self._ctx)).table
+        decoded = dict(_decoded_items(self._flat, self._ctx))
         with _DECODE_LOCK:
             try:
                 return _TABLE.__get__(self)

@@ -33,6 +33,20 @@ class TestConstruction:
         factor = Factor(("A", "B"), {})
         assert "A" in factor.name and "B" in factor.name
 
+    def test_an_adopted_table_makes_the_factor_the_constructor_makes(self, psi_ab):
+        import pickle
+
+        from repro.planner.signature import factor_digest
+
+        table = dict(psi_ab.table)
+        adopted = Factor._adopt(psi_ab.scope, table, psi_ab.name)
+        assert adopted.table is table  # handed over, not copied
+        assert (adopted.scope, adopted.name, len(adopted)) == (psi_ab.scope, psi_ab.name, 3)
+        assert adopted.table == psi_ab.table and list(adopted.table) == list(psi_ab.table)
+        assert adopted.equals(psi_ab, COUNTING)
+        assert factor_digest(adopted) == factor_digest(Factor(psi_ab.scope, psi_ab.table))
+        assert pickle.loads(pickle.dumps(adopted)).table == psi_ab.table
+
     def test_copy_is_independent(self, psi_ab):
         clone = psi_ab.copy()
         clone.table[(9, 9)] = 1

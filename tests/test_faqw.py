@@ -134,6 +134,25 @@ class TestApproximation:
             # inner solver used for small nodes, g(opt) <= opt.
             assert approx <= 2 * optimal + 1e-9
 
+    @pytest.mark.parametrize("shape", ["faq-ss", "multi-aggregate"])
+    def test_approx_width_within_theorem_7_2_on_random_queries(self, shape):
+        # Theorem 7.2: approx <= opt + g(opt), and g(opt) <= opt with the
+        # exact inner solver this size of node gets.
+        for seed in range(64):
+            query = small_random_query(
+                seed + 8100, allow_products=shape != "faq-ss", max_variables=6
+            )
+            if shape == "faq-ss":
+                query = FAQQuery(
+                    list(query.variables.values()), query.free,
+                    {v: SemiringAggregate.sum() for v in query.aggregates},
+                    query.factors, query.semiring, name=query.name,
+                )
+            optimal = faq_width_of_query(query, extension_limit=None)
+            approx = faq_width_of_ordering(query, approximate_faqw_ordering(query))
+            # the approximation is itself a linear extension: never below the optimum
+            assert optimal - 1e-9 <= approx <= 2 * optimal + 1e-9, (shape, seed, approx, optimal)
+
     def test_approx_ordering_keeps_free_variables_first(self):
         for seed in range(15):
             query = small_random_query(seed + 6000, allow_free=True)

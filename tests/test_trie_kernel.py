@@ -1,10 +1,14 @@
 """The trie kernel's contract (:func:`repro.core.outsidein.eliminate_join`).
 
 The kernel is the universal fallback — every semiring the flat and dense
-kernels refuse runs here — so what it computes is pinned from four sides:
+kernels refuse runs here — so what it computes is pinned from five sides:
 
 * the zero predicate a loop binds (:meth:`Semiring.zero_test`) has
   :meth:`Semiring.is_zero`'s truth table;
+* the (+, ×) fold the kernel writes inline for ``sum`` steps of COUNTING
+  and SUM_PRODUCT is the generic fold: ``==`` tables with the same key
+  order and value types, the same counters, and ``zero_test()``'s truth
+  table on every product it tests;
 * the work counters of fixed joins are the ones recorded before the inner
   loops were rewritten (the algorithm did not change);
 * the fused kernel agrees with a brute-force fold on semirings only it can
@@ -23,19 +27,22 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.insideout import inside_out
-from repro.core.outsidein import OutsideInStats, eliminate_join
+from repro.core.outsidein import OutsideInStats, _folds_inline, eliminate_join
 from repro.core.query import FAQQuery, Variable
 from repro.factors.factor import Factor
 from repro.factors.index import TrieCache
-from repro.semiring.aggregates import SemiringAggregate
+from repro.semiring import standard
+from repro.semiring.aggregates import SemiringAggregate, _op_max, _op_sum
 from repro.semiring.base import Semiring
 from repro.semiring.standard import (
     BOOLEAN,
     COUNTING,
     MAX_PRODUCT,
+    MAX_SUM,
     MIN_PLUS,
     STANDARD_SEMIRINGS,
     SUM_PRODUCT,
@@ -68,6 +75,9 @@ TRUTH_VALUES = [
     0, 1, -3, True, False, 0.0, -0.0, 1e-10, -1e-10, 1e-9, 2e-9, 1.0,
     math.inf, -math.inf, math.nan, Fraction(0), Fraction(1, 3), 1e-12j, 1 + 0j,
     frozenset(), frozenset({1}),
+    # what the inline (+, ×) leaf meets
+    1e-8, -1e-8, 0j, np.float64(0.0), np.float64(1e-10), np.float64(0.5),
+    np.int64(0), np.int64(2), Fraction(1, 10**12),
 ]
 TRUTH_SEMIRINGS = list(STANDARD_SEMIRINGS.values()) + [SETS, MOD5]
 
@@ -102,6 +112,147 @@ def test_zero_test_reduces_only_the_carriers_it_knows():
     assert odd_zero.zero_test() == odd_zero.is_zero
     for semiring in (COUNTING, SUM_PRODUCT, MIN_PLUS):
         assert semiring.zero_test() != semiring.is_zero
+
+
+# ---------------------------------------------------------------------- #
+# (f) the inline (+, ×) fold is the generic fold
+# ---------------------------------------------------------------------- #
+def _generic_twin(semiring):
+    """The same arithmetic behind a ``mul`` the kernel does not recognise,
+    so every step of it takes the generic leaf."""
+    return Semiring(name=semiring.name + "-generic", add=semiring.add, mul=_mul,
+                    zero=semiring.zero, one=semiring.one)
+
+
+def test_only_plain_plus_times_steps_fold_inline():
+    assert _folds_inline(COUNTING, _op_sum)
+    assert _folds_inline(SUM_PRODUCT, _op_sum)
+    fraction = Semiring(name="fraction", add=standard._add, mul=standard._mul,
+                        zero=Fraction(0), one=Fraction(1))
+    custom_eq = Semiring(name="mod5", add=standard._add, mul=standard._mul,
+                         zero=0, one=1, eq=_mod5_equal)
+    for semiring, combine in [
+        (MOD5, _op_sum), (custom_eq, _op_sum), (fraction, _op_sum), (SETS, _op_sum),
+        (SETS, SETS.add), (BOOLEAN, _op_sum), (MAX_PRODUCT, _op_max), (COUNTING, _op_max),
+        (COUNTING, _add), (_generic_twin(COUNTING), _op_sum),
+        (_generic_twin(SUM_PRODUCT), _op_sum),
+    ]:
+        assert not _folds_inline(semiring, combine), semiring.name
+
+
+def _eliminated_both_ways(factors, semiring, variable, out_scope, order, screen=None):
+    """``(table, stats)`` of the inline leaf and of the generic one, over the
+    same tries (built under ``screen``, the step's semiring by default)."""
+    cache = TrieCache(order, screen or semiring)
+    tries = [cache.trie(f) for f in factors]
+    runs = []
+    for run_semiring in (semiring, _generic_twin(semiring)):
+        stats = OutsideInStats()
+        result = eliminate_join(tries, run_semiring, variable, out_scope, _op_sum,
+                                variable_order=order, stats=stats)
+        runs.append((result.table, stats))
+    return runs
+
+
+def _assert_same_fold(inline, generic):
+    (table, stats), (want, want_stats) = inline, generic
+    assert list(table) == list(want)  # the same keys, inserted in the same order
+    # ``==`` values, where a nan is its own equal
+    assert all(table[k] == want[k] or table[k] != table[k] and want[k] != want[k] for k in want)
+    assert [type(v) for v in table.values()] == [type(v) for v in want.values()]
+    assert stats == want_stats
+
+
+FOLD_CARRIERS = {
+    "int": (COUNTING, lambda rng: rng.randint(-2, 3)),
+    "float": (SUM_PRODUCT, lambda rng: rng.choice((-0.5, 0.5, 1.0, rng.uniform(-2.0, 2.0)))),
+    "bool": (COUNTING, lambda rng: rng.random() < 0.8),
+    "complex": (SUM_PRODUCT, lambda rng: complex(rng.choice((-1, 0, 1)), rng.choice((-1, 1)))),
+    "np.float64": (SUM_PRODUCT, lambda rng: np.float64(rng.choice((-0.5, 0.5, 1.5)))),
+    "np.int64": (COUNTING, lambda rng: np.int64(rng.randint(-2, 3))),
+}
+
+
+@pytest.mark.parametrize("holders", [1, 2, 3])
+@pytest.mark.parametrize("bases", [0, 2])
+@pytest.mark.parametrize("permuted", [False, True], ids=["scope", "key_perm"])
+@pytest.mark.parametrize("carrier", FOLD_CARRIERS)
+def test_inline_fold_is_the_generic_fold(carrier, holders, bases, permuted):
+    semiring, draw = FOLD_CARRIERS[carrier]
+    rng = random.Random(f"{carrier}/{holders}/{bases}/{permuted}")
+    order = ("A", "B", "C", "D")
+    rows = 0
+    for _ in range(12):
+        factors = [
+            _listed(rng, tuple(rng.sample(order[:3], rng.randint(0, 2))) + ("D",), 3, 0.8, draw)
+            for _ in range(holders)
+        ]
+        factors += [
+            _listed(rng, tuple(rng.sample(order[:3], rng.randint(0, 2))), 3, 0.9, draw)
+            for _ in range(bases)
+        ]
+        survivors = tuple(v for v in order[:3] if any(v in f.scope for f in factors))
+        out_scope = survivors[::-1] if permuted else survivors
+        inline, generic = _eliminated_both_ways(factors, semiring, "D", out_scope, order)
+        _assert_same_fold(inline, generic)
+        rows += len(inline[0])
+    assert rows > 0
+
+
+def test_inline_fold_keeps_the_early_out_after_every_product():
+    # 1e-6 * 1e-5 is a zero; times 1e6 it would be 1e-5, which is not: the
+    # early-out after the first ⊗ must drop the candidate all the same.
+    order = ("A", "D")
+    base = Factor(("A",), {(0,): 1e-6, (1,): 1.0})
+    tiny = Factor(("A", "D"), {(0, 0): 1e-5, (0, 1): 2.0, (1, 0): 1e-5})
+    large = Factor(("D",), {(0,): 1e6, (1,): 3.0})
+    inline, generic = _eliminated_both_ways([tiny, large, base], SUM_PRODUCT, "D", ("A",), order)
+    _assert_same_fold(inline, generic)
+    assert inline[0] == {(0,): 1e-6 * 2.0 * 3.0, (1,): 1e-5 * 1e6}
+
+
+@pytest.mark.parametrize("semiring, plus, minus", [(COUNTING, 2, -2), (SUM_PRODUCT, 0.5, -0.5)],
+                         ids=["int", "float"])
+def test_inline_fold_drops_sums_that_are_exactly_zero(semiring, plus, minus):
+    order = ("A", "D")
+    pair = Factor(("A", "D"), {(0, 0): plus, (0, 1): minus, (1, 0): plus, (1, 1): plus})
+    unary = Factor(("D",), {(0,): 1, (1,): 1})
+    for factors in ([pair], [pair, unary]):
+        inline, generic = _eliminated_both_ways(factors, semiring, "D", ("A",), order)
+        _assert_same_fold(inline, generic)
+        assert inline[0] == {(1,): plus + plus}
+        assert inline[1].emitted_tuples == 4
+
+
+@pytest.mark.parametrize("semiring", [COUNTING, SUM_PRODUCT], ids=lambda s: s.name)
+def test_inline_zero_test_has_the_truth_table_of_zero_test(semiring):
+    # Tries built under max-sum (zero -inf) keep every value but -inf, so the
+    # leaf itself has to tell the zeros apart: on the product, in a base trie
+    # and on the folded sum.
+    is_zero = semiring.zero_test()
+    order = ("A", "D")
+    for value in TRUTH_VALUES:
+        if isinstance(value, frozenset) or value == -math.inf:
+            continue
+        product = semiring.one * value
+        want = {} if is_zero(product) else {(0,): product}
+        shapes = [
+            [Factor(("A", "D"), {(0, 0): value})],
+            [Factor(("A",), {(0,): value}), Factor(("A", "D"), {(0, 0): 1})],
+            [Factor(("A", "D"), {(0, 0): value}), Factor(("D",), {(0,): 1})],
+        ]
+        for factors in shapes:
+            inline, generic = _eliminated_both_ways(
+                factors, semiring, "D", ("A",), order, screen=MAX_SUM
+            )
+            _assert_same_fold(inline, generic)
+            assert set(inline[0]) == set(want), (semiring.name, value)
+    if semiring is COUNTING:
+        # An int zero is exact: a tiny Fraction is no zero, so a bare
+        # ``abs(a) <= 1e-9`` would be the wrong test.
+        tiny = Fraction(1, 10**12)
+        inline, _ = _eliminated_both_ways([Factor(("D",), {(0,): tiny})], semiring, "D", (), order)
+        assert inline[0] == {(): tiny}
 
 
 # ---------------------------------------------------------------------- #
