@@ -134,8 +134,8 @@ class Engine:
 
         ``options`` are the planner overrides a :class:`ServeRequest`
         accepts (``strategy=``/``backend=``/``ordering=``/``use_cache=``).
-        Repeated calls reuse the engine's plan cache, digest-addressed
-        plans and digest-keyed shared tries.
+        Repeated calls reuse the engine's plan cache and digest-keyed
+        shared tries.
         """
         request = self._as_request(query, output_mode=output_mode, options=options)
         return self.server.execute_request(request)

@@ -16,7 +16,6 @@ query signature so repeated or isomorphic queries skip planning entirely.
 from repro.planner.cache import (
     DEFAULT_PLAN_CACHE,
     CachedPlan,
-    DigestPlan,
     PlanCache,
     PlanHealth,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PlanResult",
     "PlanCache",
     "CachedPlan",
-    "DigestPlan",
     "DEFAULT_PLAN_CACHE",
     "CostModel",
     "DEFAULT_COST_MODEL",

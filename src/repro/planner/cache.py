@@ -10,7 +10,8 @@ the thread-safe :class:`repro.caching.LruCache`, shared with the
 process-wide ``ρ*`` memo) keyed also by the caller's forced backend so
 overridden plans do not shadow the planner's free choice.
 
-Two capabilities beyond the plain LRU:
+Every plan has one key and one :class:`PlanHealth` record.  Three
+capabilities beyond the plain LRU:
 
 * **drift-tolerant lookup** — when the exact signature misses, the cache
   consults a secondary *shape* index (the signature with the per-factor
@@ -22,6 +23,10 @@ Two capabilities beyond the plain LRU:
   keyed for its own signature (which may have live traffic — alternating
   same-shape workloads must not thrash each other out), and retires by
   ordinary LRU aging or a signature-version bump.
+* **plan health** — :meth:`PlanCache.record_feedback` folds the observed
+  step-size errors of each run of a cached plan into its record; a plan
+  whose error passes the replan threshold is dropped, so the next lookup
+  of its key misses and the planner searches again.
 * **persistence** — :meth:`PlanCache.save` / :meth:`PlanCache.load` move
   the entries to/from disk (tagged with
   :data:`repro.planner.signature.SIGNATURE_VERSION`, so a signature-format
@@ -61,23 +66,6 @@ class CachedPlan:
     step_sizes: Tuple[float, ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class DigestPlan:
-    """A plan addressed by content digest (ordering stored by variable name).
-
-    Digest-addressed entries answer *value-identical* repeats (the serving
-    tier's content-hash keys certify value equality), so — unlike
-    :class:`CachedPlan` — no canonical-index translation is needed and the
-    lookup skips the WL signature computation entirely.
-    """
-
-    backend: str
-    ordering: Tuple[str, ...]
-    estimated_cost: float
-    faq_width: float
-    step_sizes: Tuple[float, ...] = field(default=())
-
-
 @dataclass
 class PlanHealth:
     """Accumulated observed-vs-estimated error of one cached plan."""
@@ -102,11 +90,9 @@ DRIFT_REPLAN_ERROR_THRESHOLD = 0.75
 _HEALTH_ALPHA = 0.5
 
 
-def _choice(plan) -> tuple:
-    """What a re-search decides: (backend, ordering) of a
-    :class:`CachedPlan` or a :class:`DigestPlan`."""
-    ordering = plan.ordering if isinstance(plan, DigestPlan) else plan.ordering_indices
-    return plan.backend, ordering
+def _choice(plan: CachedPlan) -> tuple:
+    """What a re-search decides: the plan's (backend, ordering)."""
+    return plan.backend, plan.ordering_indices
 
 
 def _shape_key(key: tuple) -> Optional[Tuple[tuple, Tuple[int, ...]]]:
@@ -127,26 +113,16 @@ def _shape_key(key: tuple) -> Optional[Tuple[tuple, Tuple[int, ...]]]:
 class PlanCache:
     """A bounded LRU of :class:`CachedPlan` entries keyed by query signature."""
 
-    def __init__(self, maxsize: int = 1024, cost_model=None) -> None:
+    def __init__(self, maxsize: int = 1024) -> None:
         self.maxsize = maxsize
-        # The cost model this cache is *paired* with for the feedback loop:
-        # when the planner is handed this cache (and no explicit model), it
-        # scores with the paired model, so calibration observations recorded
-        # against the cache's plans shape exactly the searches that refill
-        # it.  None pairs the cache with the process-wide default model.
-        self.cost_model = cost_model
         self._entries = LruCache(maxsize=maxsize)
         # shape key -> exact key of the most recently stored entry with that
         # shape.  Pointers may go stale after eviction; resolved lazily.
         self._shapes: Dict[tuple, tuple] = {}
-        # content digest (hex string) -> DigestPlan; a separate LRU so the
-        # digest-addressed path of the serving tier cannot evict (or be
-        # evicted by) signature-keyed traffic.
-        self._digests = LruCache(maxsize=maxsize)
-        # plan key (tuple or digest string) -> PlanHealth, written by
-        # record_feedback.  Dropped on invalidation; bounded opportunistically
-        # (stale keys of evicted entries age out when the map overgrows).
-        self._health: Dict[object, PlanHealth] = {}
+        # plan key -> PlanHealth, written by record_feedback.  Dropped on
+        # invalidation; bounded opportunistically (stale keys of evicted
+        # entries age out when the map overgrows).
+        self._health: Dict[tuple, PlanHealth] = {}
         self.replans = 0
         self._lock = threading.Lock()
 
@@ -155,11 +131,11 @@ class PlanCache:
 
     @property
     def hits(self) -> int:
-        return self._entries.hits + self._digests.hits
+        return self._entries.hits
 
     @property
     def misses(self) -> int:
-        return self._entries.misses + self._digests.misses
+        return self._entries.misses
 
     def lookup(self, key: tuple) -> Optional[CachedPlan]:
         """The cached plan for ``key``, updating LRU order and hit counters."""
@@ -216,45 +192,24 @@ class PlanCache:
                     del self._shapes[evicted_split[0]]
 
     # ------------------------------------------------------------------ #
-    # digest-addressed lookup (the serving tier's cross-process keys)
-    # ------------------------------------------------------------------ #
-    def lookup_digest(self, digest: str) -> Optional[DigestPlan]:
-        """The plan stored under a stable content digest, if any.
-
-        Content digests (:func:`repro.planner.signature.query_content_key`)
-        certify value equality, so a hit transfers verbatim — backend and
-        the ordering by variable name — without recomputing the
-        query signature.  Counted in the ordinary hit/miss counters.
-        """
-        return self._digests.get(digest)
-
-    def store_digest(self, digest: str, plan: DigestPlan) -> None:
-        """Insert (or refresh) a digest-addressed plan."""
-        self._digests.put(digest, plan)
-        with self._lock:
-            self._settle_replan(digest, plan)
-
-    # ------------------------------------------------------------------ #
     # the feedback loop — observed error accumulation and invalidation
     # ------------------------------------------------------------------ #
-    def health(self, key) -> Optional[PlanHealth]:
+    def health(self, key: tuple) -> Optional[PlanHealth]:
         """The accumulated error state of the plan stored under ``key``."""
         with self._lock:
             return self._health.get(key)
 
-    def record_feedback(self, key, errors, *, drifted: bool = False) -> bool:
+    def record_feedback(self, key: tuple, errors, *, drifted: bool = False) -> bool:
         """Fold one run's observed step errors into the plan's health.
 
-        ``key`` is either the exact tuple key of a signature-cached plan or
-        the hex string of a digest-addressed one; ``errors`` the signed
-        per-step log errors of
+        ``key`` is the exact key of a cached plan (:attr:`Plan.cache_key`);
+        ``errors`` the signed per-step log errors of
         :func:`repro.planner.cost.observed_step_errors`.  The run's *worst*
         absolute error updates an EWMA; once the EWMA exceeds
         :data:`REPLAN_ERROR_THRESHOLD` (:data:`DRIFT_REPLAN_ERROR_THRESHOLD`
         for plans that only transferred across a data drift) the entry is
-        invalidated — the next lookup misses and the planner re-searches
-        with freshly calibrated estimates.  Returns ``True`` when the plan
-        was invalidated.
+        invalidated — the next lookup misses and the planner searches
+        again.  Returns ``True`` when the plan was invalidated.
 
         A plan that such a re-search already returned unchanged is not
         invalidated again at or below the error that sent it there
@@ -291,7 +246,7 @@ class PlanCache:
                     )
         return replan
 
-    def _settle_replan(self, key, plan) -> None:
+    def _settle_replan(self, key: tuple, plan: CachedPlan) -> None:
         """``plan`` is being stored under ``key``: if it answers a re-search
         that feedback forced, keep the tolerated level when it is the plan
         that was dropped, and forget it when the search chose otherwise.
@@ -303,21 +258,19 @@ class PlanCache:
             else:
                 del self._health[key]
 
-    def invalidate(self, key) -> bool:
-        """Drop the plan stored under ``key`` (tuple or digest string).
+    def invalidate(self, key: tuple) -> bool:
+        """Drop the plan stored under ``key``.
 
-        Returns ``True`` when an entry was actually removed.  The shape
-        pointer of a signature-keyed entry is cleaned up so a drifted
-        lookup cannot resurrect the invalidated plan.
+        Returns ``True`` when an entry was actually removed.  The entry's
+        shape pointer is cleaned up so a drifted lookup cannot resurrect
+        the invalidated plan.
         """
         with self._lock:
             self._health.pop(key, None)
         return self._remove(key) is not None
 
-    def _remove(self, key):
+    def _remove(self, key: tuple) -> Optional[CachedPlan]:
         """Pop and return the plan stored under ``key`` (``None`` if none)."""
-        if isinstance(key, str):
-            return self._digests.pop(key, None)
         removed = self._entries.pop(key, None)
         split = _shape_key(key)
         if split is not None:
@@ -329,7 +282,6 @@ class PlanCache:
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
         self._entries.clear()
-        self._digests.clear()
         with self._lock:
             self._shapes.clear()
             self._health.clear()

@@ -15,17 +15,17 @@ would perform along it:
   :class:`~repro.factors.backend.BackendPolicy` cell cap, mirroring the
   dense-vs-sparse heuristic of :mod:`repro.factors.backend`.
 
-``ρ*`` and AGM evaluations are memoised per cost-model instance: candidate
-orderings of the same query share most of their induced sets, and each
-evaluation is at worst a small LP.  ``ρ*`` is additionally backed by the
-process-wide restricted-edge-structure memo of
-:func:`repro.hypergraph.covers.fractional_edge_cover_number`, so even a
-fresh cost model rarely pays for an LP the process has seen before — and
-so does the AGM bound whenever the factors meeting an induced set all have
+``ρ*`` and AGM evaluations are memoised for one search: candidate orderings
+of the same query share most of their induced sets, and each evaluation is
+at worst a small LP.  ``ρ*`` is additionally backed by the process-wide
+restricted-edge-structure memo of
+:func:`repro.hypergraph.covers.fractional_edge_cover_number`, so a search
+rarely pays for an LP the process has seen before — and so does the AGM
+bound whenever the factors meeting an induced set all have
 one size ``N`` (#SAT clauses, one relation joined with itself): it is then
 ``N^ρ*`` and :func:`~repro.hypergraph.covers.agm_bound` asks that memo
 instead of solving the weighted LP.  :attr:`CostModel.invocations` counts
-top-level :meth:`CostModel.estimate` calls so tests can verify that a
+scored candidates so tests can verify that a
 :class:`~repro.planner.cache.PlanCache` hit skips the ordering search.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.query import FAQQuery
 from repro.factors.backend import (
@@ -57,11 +57,6 @@ STRATEGIES = (STRATEGY_INSIDEOUT,)
 # Per-estimated-tuple work factors.  A dense (vectorised) cell is far cheaper
 # than a sparse per-tuple dict operation.
 DENSE_CELL_WEIGHT = 0.05
-# Calibration loop (CostModel.observe): EWMA smoothing of the observed
-# log-size errors, and the clamp keeping one pathological run from swinging
-# future estimates by more than e^±2 ≈ 7.4x in either direction.
-CALIBRATION_ALPHA = 0.5
-CALIBRATION_CLAMP = 2.0
 
 
 @dataclass(frozen=True)
@@ -124,130 +119,10 @@ class CostModel:
     def __init__(self, policy: BackendPolicy = DEFAULT_POLICY) -> None:
         self.policy = policy
         self.invocations = 0
-        self.observations = 0
-        self._rho_cache: Dict[tuple, float] = {}
-        self._agm_cache: Dict[tuple, float] = {}
-        # EWMA of the signed mean log(observed/estimated) step size error
-        # reported through observe(), applied in estimate() as a
-        # multiplicative correction of every total.
-        self._calibration_log = 0.0
-        # Objects (hypergraphs, statistics) pinned while their id() keys
-        # entries in the caches — without the pin a recycled id could
-        # resolve to a stale quantity.
-        self._pinned: Dict[int, object] = {}
         # The process-wide model is shared by concurrent planner calls
-        # (repro.serve plans queries on a pool): the counter and the memo
-        # maps are guarded so stats stay exact under the workers.  LPs are
-        # solved outside the lock — a duplicate solve is benign (equal
-        # results), a serialized solve is not.
+        # (repro.serve plans queries on a pool): the counter is guarded so
+        # it stays exact under the workers.
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # memoised hypergraph quantities
-    # ------------------------------------------------------------------ #
-    def _pin_key(self, obj: object) -> int:
-        """A stable id() key for an unhashable object, pinned against reuse."""
-        key = id(obj)
-        with self._lock:
-            if key not in self._pinned:
-                if len(self._pinned) >= 256:
-                    self._pinned.clear()
-                    self._rho_cache.clear()
-                    self._agm_cache.clear()
-                self._pinned[key] = obj
-        return key
-
-    def _hypergraph_key(self, hypergraph: Hypergraph) -> int:
-        return self._pin_key(hypergraph)
-
-    def rho_star(self, hypergraph: Hypergraph, subset: FrozenSet[str]) -> float:
-        """Memoised ``ρ*_H(subset)`` (one LP per distinct subset)."""
-        key = (self._hypergraph_key(hypergraph), subset)
-        with self._lock:
-            cached = self._rho_cache.get(key)
-        if cached is None:
-            if len(subset) <= 1:
-                cached = float(bool(subset))
-            else:
-                cached = fractional_edge_cover_number(
-                    hypergraph, subset, ignore_uncovered=True
-                )
-            with self._lock:
-                # A concurrent _pin_key may have cleared the pins (and the
-                # id may even have been re-pinned by a different object)
-                # while the LP ran; storing under such a key could later
-                # serve a stale value.  Store only while the id still pins
-                # this very object (the result itself is still returned).
-                if self._pinned.get(key[0]) is hypergraph:
-                    self._rho_cache[key] = cached
-        return cached
-
-    def agm(
-        self,
-        hypergraph: Hypergraph,
-        stats: QueryStatistics,
-        subset: FrozenSet[str],
-    ) -> float:
-        """Memoised data-dependent AGM bound ``∏ |ψ_S|^{λ*_S}`` on ``subset``.
-
-        Unlike ``ρ*`` the AGM bound depends on the factor sizes, so the
-        statistics object is part of the memo key — the same model instance
-        scoring the same hypergraph under different statistics must not see
-        stale bounds.
-        """
-        key = (self._hypergraph_key(hypergraph), self._pin_key(stats), subset)
-        with self._lock:
-            cached = self._agm_cache.get(key)
-        if cached is None:
-            covered = frozenset(
-                v for v in subset if any(v in e for e in hypergraph.edges)
-            )
-            if not covered:
-                cached = 1.0
-            else:
-                cached = agm_bound(hypergraph, stats.factor_sizes, covered)
-            with self._lock:
-                # Same stale-id guard as rho_star: both ids must still pin
-                # these very objects for the store to be safe.
-                if (
-                    self._pinned.get(key[0]) is hypergraph
-                    and self._pinned.get(key[1]) is stats
-                ):
-                    self._agm_cache[key] = cached
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # calibration — the observation half of the planner feedback loop
-    # ------------------------------------------------------------------ #
-    def observe(self, errors: Sequence[float]) -> float:
-        """Fold observed-vs-estimated step-size errors into the calibration.
-
-        ``errors`` are signed per-step log errors
-        ``log((observed_size + 1) / (estimated_size + 1))`` (see
-        :func:`observed_step_errors`).  Their mean updates an EWMA
-        (``alpha`` = :data:`CALIBRATION_ALPHA`) clamped to
-        ±:data:`CALIBRATION_CLAMP` log units; :meth:`estimate` multiplies
-        future totals by ``exp`` of the EWMA.  Returns the updated
-        multiplier (unchanged when ``errors`` is empty).
-        """
-        finite = [e for e in errors if math.isfinite(e)]
-        if not finite:
-            return self.calibration()
-        signal = sum(finite) / len(finite)
-        signal = max(-CALIBRATION_CLAMP, min(CALIBRATION_CLAMP, signal))
-        with self._lock:
-            self.observations += 1
-            updated = (
-                (1.0 - CALIBRATION_ALPHA) * self._calibration_log
-                + CALIBRATION_ALPHA * signal
-            )
-            self._calibration_log = updated
-        return math.exp(updated)
-
-    def calibration(self) -> float:
-        """The current multiplicative correction (1.0 = none)."""
-        with self._lock:
-            return math.exp(self._calibration_log)
 
     # ------------------------------------------------------------------ #
     def _box_cells(self, variables: FrozenSet[str], stats: QueryStatistics) -> float:
@@ -281,19 +156,69 @@ class CostModel:
         ordering: Sequence[str],
         hypergraph: Hypergraph | None = None,
     ) -> OrderingEstimate:
-        """Score one candidate ordering.
+        """Score one candidate ordering (a search of one candidate)."""
+        return self._score(query, stats, [ordering], hypergraph)[0]
 
-        Pass the query's ``hypergraph`` explicitly when scoring several
-        candidates so the LP memos are shared between them.  Increments
-        :attr:`invocations` — the counter plan-cache tests use to prove that
-        a cache hit skips the ordering search entirely.
+    def _score(
+        self,
+        query: FAQQuery,
+        stats: QueryStatistics,
+        orderings: Sequence[Sequence[str]],
+        hypergraph: Hypergraph | None = None,
+    ) -> List[OrderingEstimate]:
+        """Score the candidate orderings of one search.
+
+        The ``ρ*`` and AGM memos last for this call: candidate orderings of
+        one query share most of their induced sets, and with the hypergraph
+        and statistics fixed for the call a memo key is the subset alone.
+        Adds one to :attr:`invocations` per candidate — the counter
+        plan-cache tests use to prove that a cache hit skips the search.
         """
-        with self._lock:
-            self.invocations += 1
-        order = tuple(ordering)
         if hypergraph is None:
             hypergraph = query.hypergraph()
+        with self._lock:
+            self.invocations += len(orderings)
+        rho_memo: Dict[FrozenSet[str], float] = {}
+        agm_memo: Dict[FrozenSet[str], float] = {}
 
+        def rho_star(subset: FrozenSet[str]) -> float:
+            value = rho_memo.get(subset)
+            if value is None:
+                if len(subset) <= 1:
+                    value = float(bool(subset))
+                else:
+                    value = fractional_edge_cover_number(
+                        hypergraph, subset, ignore_uncovered=True
+                    )
+                rho_memo[subset] = value
+            return value
+
+        def agm(subset: FrozenSet[str]) -> float:
+            """The data-dependent AGM bound ``∏ |ψ_S|^{λ*_S}`` on ``subset``."""
+            value = agm_memo.get(subset)
+            if value is None:
+                covered = frozenset(
+                    v for v in subset if any(v in e for e in hypergraph.edges)
+                )
+                value = agm_bound(hypergraph, stats.factor_sizes, covered) if covered else 1.0
+                agm_memo[subset] = value
+            return value
+
+        return [
+            self._estimate(query, stats, tuple(ordering), hypergraph, rho_star, agm)
+            for ordering in orderings
+        ]
+
+    def _estimate(
+        self,
+        query: FAQQuery,
+        stats: QueryStatistics,
+        order: Tuple[str, ...],
+        hypergraph: Hypergraph,
+        rho_star: Callable[[FrozenSet[str]], float],
+        agm: Callable[[FrozenSet[str]], float],
+    ) -> OrderingEstimate:
+        """Score ``order`` with the search's memoised ``rho_star`` and ``agm``."""
         unions = induced_unions(hypergraph, order, query.product_variables)
         k_set = query.k_set
 
@@ -329,7 +254,7 @@ class CostModel:
                 continue
 
             union = unions[variable]
-            rho = self.rho_star(hypergraph, union)
+            rho = rho_star(union)
             faq_width = max(faq_width, rho) if variable in k_set else faq_width
             box = self._box_cells(union, stats)
 
@@ -356,15 +281,15 @@ class CostModel:
 
             # A single worst-case-optimal join bounded by the data-dependent
             # AGM bound of the induced set.
-            agm = self.agm(hypergraph, stats, union)
-            sparse = min(box, agm) + sum(size for _, size in incident)
+            bound = agm(union)
+            sparse = min(box, bound) + sum(size for _, size in incident)
 
             dense = self._dense_cost(query, box, aggregate.tag)
             backend = (
                 BACKEND_DENSE if dense is not None and dense < sparse else BACKEND_SPARSE
             )
             result_scope = union - {variable}
-            result_size = min(self._box_cells(result_scope, stats), agm)
+            result_size = min(self._box_cells(result_scope, stats), bound)
             step = StepEstimate(
                 variable=variable,
                 kind="semiring",
@@ -385,10 +310,10 @@ class CostModel:
         if query.num_free:
             free_set = frozenset(query.free)
             for variable in query.free:
-                rho = self.rho_star(hypergraph, unions[variable])
+                rho = rho_star(unions[variable])
                 faq_width = max(faq_width, rho)
             out_box = self._box_cells(free_set, stats)
-            out_agm = self.agm(hypergraph, stats, free_set)
+            out_agm = agm(free_set)
             out_sparse = min(out_box, out_agm) + sum(size for _, size in live)
             out_dense = self._dense_cost(query, out_box, None)
             out_backend = (
@@ -400,7 +325,7 @@ class CostModel:
                 variable="<output>",
                 kind="output",
                 induced=free_set,
-                rho_star=self.rho_star(hypergraph, free_set),
+                rho_star=rho_star(free_set),
                 box_cells=out_box,
                 sparse_cost=out_sparse,
                 dense_cost=out_dense,
@@ -411,7 +336,6 @@ class CostModel:
             total += out_step.cost
 
         backend = self._suggest_backend(estimates)
-        total *= self.calibration()
         return OrderingEstimate(
             ordering=order,
             backend=backend,

@@ -259,15 +259,7 @@ def _plan_search(
 ) -> Plan:
     """The body of :func:`plan` (split out so the wrapper can time it)."""
     plan_cache = cache if cache is not None else DEFAULT_PLAN_CACHE
-    # Score with, in order of preference: the caller's explicit model, the
-    # model *paired* with the plan cache (PlanCache(cost_model=...) — the
-    # feedback loop's arrangement, where calibration observations shape the
-    # searches that refill the same cache), or the process-wide default.
-    model = cost_model
-    if model is None:
-        model = getattr(plan_cache, "cost_model", None)
-    if model is None:
-        model = DEFAULT_COST_MODEL
+    model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     if backend is not None:
         validate_backend(backend)
     if strategy is not None and strategy not in STRATEGIES:
@@ -317,8 +309,7 @@ def _plan_search(
     # query traffic costs only the signature itself.
     # Caller-supplied statistics or cost models make the plan bespoke: the
     # cache key encodes neither, so such plans neither read nor populate
-    # the cache (which also keeps throwaway CostModel instances, and the
-    # hypergraphs/LP memos they pin, from being retained by cache entries).
+    # the cache.
     # ------------------------------------------------------------------ #
     use_cache = use_cache and stats is None and cost_model is None
     signature, canon = query_signature(query)
@@ -382,9 +373,7 @@ def _plan_search(
     if not candidates:
         candidates = [tuple(query.order)]
 
-    estimates = [
-        model.estimate(query, stats, candidate, hypergraph) for candidate in candidates
-    ]
+    estimates = model._score(query, stats, candidates, hypergraph)
     winner = _pick(estimates)
     resolved_backend = backend if backend is not None else winner.backend
     step_sizes = tuple(s.est_size for s in winner.steps)
@@ -440,39 +429,27 @@ def record_plan_feedback(
     stats,
     *,
     cache: Optional[PlanCache] = None,
-    cost_model: Optional[CostModel] = None,
 ) -> PlanFeedback:
     """Close the planning loop with the statistics of an executed plan.
 
     ``stats`` is the ``InsideOutStats`` of the run that executed
     ``executed_plan`` (``PlanResult.stats``).  The observed per-step result
     sizes are compared against the plan's estimates
-    (:func:`repro.planner.cost.observed_step_errors`); the signed errors
+    (:func:`repro.planner.cost.observed_step_errors`), and the signed errors
+    accumulate into the cached plan's :class:`~repro.planner.cache.PlanHealth`
+    (:meth:`PlanCache.record_feedback`) in ``cache`` (the process-wide cache
+    by default).  A plan whose error EWMA crosses the replan threshold is
+    invalidated, and the next occurrence of the query searches again.
 
-    * calibrate the cost model (:meth:`CostModel.observe`) — the same
-      effective model :func:`plan` would score with for this ``cache`` /
-      ``cost_model`` pair, so future searches see corrected estimates; and
-    * accumulate into the cached plan's :class:`~repro.planner.cache.PlanHealth`
-      (:meth:`PlanCache.record_feedback`) when the plan came from (or was
-      stored into) the cache — a plan whose error EWMA crosses the replan
-      threshold is invalidated, and the next occurrence of the query
-      re-plans against the calibrated model.
-
-    Plans that bypassed the cache (pinned orderings, bespoke stats/models)
-    still calibrate the model; they just have no entry to invalidate.
+    Plans that bypassed the cache (pinned orderings, bespoke stats or
+    models) have no entry to invalidate: their errors are only reported.
     """
     errors = tuple(observed_step_errors(executed_plan.step_sizes, stats))
     if not errors:
         return PlanFeedback(errors=(), worst=0.0, replanned=False)
-    plan_cache = cache if cache is not None else DEFAULT_PLAN_CACHE
-    model = cost_model
-    if model is None:
-        model = getattr(plan_cache, "cost_model", None)
-    if model is None:
-        model = DEFAULT_COST_MODEL
-    model.observe(errors)
     replanned = False
     if executed_plan.cache_key is not None:
+        plan_cache = cache if cache is not None else DEFAULT_PLAN_CACHE
         replanned = plan_cache.record_feedback(
             executed_plan.cache_key, errors, drifted=executed_plan.drifted
         )

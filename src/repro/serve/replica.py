@@ -8,8 +8,8 @@ over one pipe, speaking :mod:`repro.serve.protocol`.  Each replica keeps
 * a **query memo** (content key → rebuilt :class:`FAQQuery`), so repeated
   traffic reuses one query object and with it every per-object memo
   downstream (hypergraph, content and sharing keys);
-* its own :class:`~repro.serve.server.PlanServer` for digest-addressed
-  plans and trie reuse.
+* its own :class:`~repro.serve.server.PlanServer` for plan and trie
+  reuse.
 
 The parent side is :class:`ReplicaHandle` (spawn, locked request/response
 call, known-digest tracking, restart) and :class:`ReplicaSet` (a fixed

@@ -7,7 +7,7 @@ surface speaks :class:`~repro.serve.api.ServeRequest` /
 :class:`~repro.serve.api.ServeResult` only; a bare ``FAQQuery`` is refused
 with a typed :class:`~repro.core.query.QueryError`.
 
-Three reuse effects stack on repeated traffic, all keyed by *content* —
+Two reuse effects stack on repeated traffic, both keyed by *content* —
 stable cross-process digests from :func:`repro.planner.signature.query_content_key`
 and :func:`~repro.planner.signature.factor_digest` — never by object
 identity, so nothing is pinned and nothing is invalidated in place (new
@@ -16,12 +16,14 @@ content makes new keys; old entries age out of their LRUs):
 1. **content-hash coalescing** — value-equal in-flight requests (even
    distinct objects from different clients) execute once; duplicates get
    the same result flagged ``coalesced=True``.
-2. **digest-addressed plans** — a content-key hit in the plan cache skips
-   even the WL signature computation; the stored ordering transfers by
-   variable name because equal digests certify value equality.
-3. **digest-keyed warm tries** — the store for a (query content,
+2. **digest-keyed warm tries** — the store for a (query content,
    ordering) indexes base factors by their content digest, so value-equal
    queries rebuilt as fresh objects skip re-indexing their inputs.
+
+Plans come from the plan cache under the query's structural signature,
+which the content key has already computed and memoised: a value-equal
+repeat is a plan-cache hit that scores nothing, and every plan has one key
+and one health record for the feedback loop.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from repro.factors.delta import FactorDelta
 from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
 from repro.planner import (
-    CostModel,
-    DigestPlan,
     Plan,
     PlanCache,
     PlanResult,
@@ -84,24 +84,6 @@ def _plan_failure(exc: Exception) -> PlanFailure:
     return failure
 
 
-def _plan_digest(request: ServeRequest) -> Optional[str]:
-    """The plan-cache digest of a request, or ``None`` when not cacheable.
-
-    Pinned orderings are never cached (matching the planner), and
-    ``use_cache=False`` opts out entirely.  The digest excludes the output
-    mode — plans are execution-mode agnostic.
-    """
-    options = dict(request.options)
-    if options.get("ordering") is not None or options.get("use_cache") is False:
-        return None
-    try:
-        query_key = query_content_key(request.query)
-    except TypeError:
-        return None
-    option_tag = ",".join(f"{k}={v!r}" for k, v in sorted(options.items()))
-    return f"{query_key}|{option_tag}"
-
-
 class PlanServer:
     """A long-lived serving loop over the planner and the engines.
 
@@ -124,13 +106,11 @@ class PlanServer:
         Thread-pool size for concurrent query execution (defaults to the
         CPU count).
     cache:
-        The :class:`~repro.planner.cache.PlanCache` to plan against.
-        Defaults to a server-private cache *paired with a server-private
-        cost model* (``PlanCache(cost_model=CostModel())``), closing the
-        planning loop: every execution feeds its observed step
-        sizes back through :func:`repro.planner.record_plan_feedback`, so
-        mis-estimated plans are invalidated and re-searched against the
-        calibrated model without perturbing the process-wide default model.
+        The :class:`~repro.planner.cache.PlanCache` to plan against
+        (defaults to a server-private one).  Every execution feeds its
+        observed step sizes back through
+        :func:`repro.planner.record_plan_feedback` into this cache, so a
+        mis-estimated plan is invalidated and searched again.
     coalesce:
         Server-wide default for content-hash coalescing of value-equal
         requests, in flight or in one batch (individual requests opt out
@@ -158,7 +138,7 @@ class PlanServer:
     ) -> None:
         self.workers = validate_workers(workers)
         self.pool_size = validate_workers(pool_size) or (os.cpu_count() or 1)
-        self.cache = cache if cache is not None else PlanCache(cost_model=CostModel())
+        self.cache = cache if cache is not None else PlanCache()
         self.coalesce = coalesce
         self._pool = ThreadPoolExecutor(
             max_workers=self.pool_size, thread_name_prefix="repro-serve"
@@ -231,9 +211,8 @@ class PlanServer:
         """Execute one request synchronously on the calling thread.
 
         A batch of one on the calling thread: bypasses the pool and the
-        in-flight coalescing map but shares the plan cache, digest plans,
-        trie stores and step-result cache.  A failure raises
-        :class:`PlanFailure`.
+        in-flight coalescing map but shares the plan cache, trie stores
+        and step-result cache.  A failure raises :class:`PlanFailure`.
         """
         [outcome] = self._serve([request])
         if isinstance(outcome, PlanFailure):
@@ -567,10 +546,9 @@ class PlanServer:
         started: float,
     ) -> ServeResult:
         """Build the typed result, close the feedback loop, fill caches."""
-        # Observed-vs-estimated step sizes calibrate the cache's paired cost
-        # model and accumulate into the cached plan's health (a plan past
-        # the error threshold is invalidated — the next occurrence re-plans
-        # against the calibrated model).
+        # Observed-vs-estimated step sizes accumulate into the cached plan's
+        # health (a plan past the error threshold is invalidated — the next
+        # occurrence searches again).
         record_plan_feedback(chosen, executed.stats, cache=self.cache)
         result = ServeResult(
             factor=executed.factor,
@@ -598,8 +576,7 @@ class PlanServer:
 
         Returns the plan and the cross-run trie store to execute against
         (``None`` for a query with no content key — it already forgoes
-        coalescing, digest plans and step sharing, and forgoes warm tries
-        too).
+        coalescing and step sharing, and forgoes warm tries too).
         """
         chosen = self._plan_for(request)
         try:
@@ -620,39 +597,7 @@ class PlanServer:
         return chosen, shared
 
     def _plan_for(self, request: ServeRequest) -> Plan:
-        query = request.query
-        digest = _plan_digest(request)
-        if digest is not None:
-            hit = self.cache.lookup_digest(digest)
-            if hit is not None and set(hit.ordering) == set(query.order):
-                # Equal content digests certify value equality, so the
-                # stored ordering/backend transfer verbatim — no
-                # signature computation, no canonical-index translation.
-                # The digest string doubles as the feedback key: a plan
-                # whose health degrades invalidates this very entry.
-                return Plan(
-                    query=query,
-                    ordering=hit.ordering,
-                    backend=hit.backend,
-                    estimated_cost=hit.estimated_cost,
-                    faq_width=hit.faq_width,
-                    cache_hit=True,
-                    step_sizes=hit.step_sizes,
-                    cache_key=digest,
-                )
-        chosen = plan(query, cache=self.cache, **request.plan_kwargs())
-        if digest is not None:
-            self.cache.store_digest(
-                digest,
-                DigestPlan(
-                    backend=chosen.backend,
-                    ordering=tuple(chosen.ordering),
-                    estimated_cost=chosen.estimated_cost,
-                    faq_width=chosen.faq_width,
-                    step_sizes=chosen.step_sizes,
-                ),
-            )
-        return chosen
+        return plan(request.query, cache=self.cache, **request.plan_kwargs())
 
     # ------------------------------------------------------------------ #
     # observability + lifecycle

@@ -25,9 +25,8 @@ The queries are:
   variables: free variables, several aggregate blocks and product
   aggregates, the shapes whose candidates are not all linear extensions.
 
-Each is planned with a fresh :class:`~repro.planner.cost.CostModel` (so no
-calibration leaks between queries and nothing is read from a plan cache)
-after one :func:`~repro.hypergraph.covers.clear_rho_star_cache`.  The
+Each is planned with a fresh :class:`~repro.planner.cost.CostModel` (so
+nothing is read from a plan cache) after one :func:`~repro.hypergraph.covers.clear_rho_star_cache`.  The
 fixture also records how many ρ* LPs a whole pass solves: the fewest over
 ``PYTHONHASHSEED`` 0-4, since the count moves with set iteration order
 (which memoised ρ* values a search happens to ask for) while the plans do

@@ -9,9 +9,10 @@ The contracts under test:
   force and returns the same factor tables *and* the same
   :class:`~repro.core.insideout.InsideOutStats` (wall-clock seconds aside)
   as independent unshared runs, across semirings and worker counts;
-* **closed loop** — :func:`~repro.planner.record_plan_feedback` turns
-  observed-vs-estimated step sizes into cost-model calibration and, past
-  the error threshold, plan-cache invalidation;
+* **closed loop** — :func:`~repro.planner.record_plan_feedback` folds
+  observed-vs-estimated step sizes into the cached plan's health and, past
+  the error threshold, invalidates the plan so the next request searches
+  again;
 * **free-prefix search** — the branch-and-bound ordering search honours a
   free-variable prefix constraint and still finds the constrained optimum.
 """
@@ -31,7 +32,6 @@ from repro.hypergraph.elimination import elimination_sequence
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.orderings import best_ordering_exhaustive, best_ordering_search
 from repro.planner import (
-    CostModel,
     PlanCache,
     observed_step_errors,
     plan,
@@ -385,7 +385,7 @@ def _insideout_only_query():
 
 def test_accurate_estimates_produce_zero_error_and_no_replan():
     query = _insideout_only_query()
-    cache = PlanCache(cost_model=CostModel())
+    cache = PlanCache()
     chosen = plan(query, cache=cache)
     assert chosen.strategy == "insideout"
     assert chosen.cache_key is not None
@@ -405,7 +405,7 @@ def test_accurate_estimates_produce_zero_error_and_no_replan():
 
 def test_wild_estimates_trigger_replanning():
     query = _insideout_only_query()
-    cache = PlanCache(cost_model=CostModel())
+    cache = PlanCache()
     chosen = plan(query, cache=cache)
     executed = chosen.execute()
     hits_before = cache.hits
@@ -425,7 +425,7 @@ def test_a_replan_that_changes_nothing_is_not_repeated():
     """Re-plan hysteresis: the same wild error, re-searched to the same
     plan, does not invalidate it again; a larger error still does."""
     query = _insideout_only_query()
-    cache = PlanCache(cost_model=CostModel())
+    cache = PlanCache()
     chosen = plan(query, cache=cache)
     executed = chosen.execute()
 
@@ -465,18 +465,6 @@ def test_observed_errors_are_signed_logs():
     assert observed_step_errors(chosen.step_sizes[:-2], executed.stats) in ([],)
 
 
-def test_feedback_calibrates_the_cost_model():
-    model = CostModel()
-    assert model.calibration() == 1.0
-    multiplier = model.observe([1.0, 1.0, 1.0])
-    assert multiplier > 1.0
-    assert model.calibration() == multiplier
-    # Consistent overestimates pull the multiplier below one.
-    shrink = CostModel()
-    shrink.observe([-1.0, -1.0])
-    assert shrink.calibration() < 1.0
-
-
 def _grid_marginal():
     """A dense grid-MRF marginal: the plan variable elimination used to win."""
     from repro.datasets.pgm_models import grid_model
@@ -488,16 +476,13 @@ def test_grid_plan_feeds_back_into_the_calibration():
     """Every plan carries step sizes into the feedback loop, the dense grid
     plan included (it skipped the loop while it was variable elimination)."""
     query = _grid_marginal()
-    model = CostModel()
-    cache = PlanCache(cost_model=model)
+    cache = PlanCache()
     chosen = plan(query, cache=cache)
     assert chosen.backend == "dense" and chosen.step_sizes
     executed = chosen.execute()
     wrong = replace(chosen, step_sizes=tuple(1e6 for _ in chosen.step_sizes))
     feedback = record_plan_feedback(wrong, executed.stats, cache=cache)
     assert feedback.errors
-    assert model.observations == 1
-    assert model.calibration() < 1.0
 
 
 def test_served_view_runs_in_its_plan_ordering():
@@ -525,15 +510,37 @@ def test_served_view_runs_in_its_plan_ordering():
 
 
 def test_plan_server_feeds_execution_back_into_its_cache():
-    queries = _chain_family("counting")[:2]
+    requests = [
+        ServeRequest(query=query, options={"strategy": "insideout"})
+        for query in _chain_family("counting")[:2]
+    ]
     with PlanServer() as server:
-        for query in queries:
-            server.execute_request(ServeRequest(query=query, options={"strategy": "insideout"}))
+        for request in requests:
+            server.execute_request(request)
         stats = server.stats()
-    # The server's paired cost model saw at least one observation.
-    assert server.cache.cost_model is not None
-    assert server.cache.cost_model.observations >= 1
+        key = server._plan_for(requests[0]).cache_key
+    # The served plan's health record saw its executions.
+    assert server.cache.health(key).observations >= 1
     assert "plan_replans" in stats
+
+
+def test_a_served_replan_searches_again():
+    """Feedback that invalidates a served plan makes the next request search
+    again: the plan has one key, so no second entry answers the re-plan."""
+    from repro.planner import DEFAULT_COST_MODEL
+
+    request = ServeRequest(query=_insideout_only_query())
+    with PlanServer() as server:
+        server.execute_request(request)
+        result = server.execute_request(request)
+        served = server._plan_for(request)
+        assert served.cache_hit
+        wrong = replace(served, step_sizes=tuple(1e9 for _ in served.step_sizes))
+        assert record_plan_feedback(wrong, result.stats, cache=server.cache).replanned
+        scored = DEFAULT_COST_MODEL.invocations
+        again = server._plan_for(request)
+    assert not again.cache_hit
+    assert DEFAULT_COST_MODEL.invocations > scored
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,8 @@
 """Unit tests for the cost-based query planner (:mod:`repro.planner`)."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import BOOLEAN, COUNTING
 
 from _helpers import small_random_query
+from test_planner_differential import SEMIRINGS, _random_query
 
 
 def _rename(query: FAQQuery, mapping):
@@ -629,3 +632,52 @@ def test_single_block_query_runs_the_exact_ordering_search_once(monkeypatch):
     )
     candidate_orderings(split)
     assert searches == [2, 2, 4]
+
+
+def _scored_candidates(model, case):
+    """What ``model`` makes of every candidate of a fresh query object."""
+    return [
+        (
+            estimate.ordering,
+            estimate.total_cost,
+            estimate.backend,
+            tuple(None if math.isnan(s.est_size) else s.est_size for s in estimate.steps),
+        )
+        for estimate in plan(_random_query(*case), cost_model=model).candidates
+    ]
+
+
+def test_a_shared_cost_model_scores_like_a_fresh_one():
+    """The ρ*/AGM memos last one search, so a model scoring many queries —
+    in turn, or from 4 threads at once — gives every candidate the estimate
+    a fresh model gives.  Each query is a new object: a memo that outlived
+    its search would hand one query another's ρ* or AGM bound."""
+    names = list(SEMIRINGS)
+    cases = [(names[i % len(names)], i // len(names)) for i in range(64)]
+    want = {case: _scored_candidates(CostModel(), case) for case in cases}
+
+    shared = CostModel()
+    assert {case: _scored_candidates(shared, case) for case in cases} == want
+
+    got, errors = {}, []
+
+    def worker(part):
+        try:
+            for case in part:
+                got[case] = _scored_candidates(shared, case)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(cases[i::4],)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert got == want

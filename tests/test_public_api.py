@@ -5,10 +5,10 @@ compatibility contract: removing or renaming one is a breaking change that
 must be made deliberately (deprecate first, then update this snapshot in
 the same change).  Adding names is fine — add them here too.
 
-The *options* of the serving entry points are snapshotted the same way:
-every independently settable value multiplies the configurations tests and
-benchmarks must cover, so a new knob has to show up as a one-line diff
-here.
+The *options* of the serving and planner entry points are snapshotted the
+same way: every independently settable value multiplies the configurations
+tests and benchmarks must cover, so a new knob has to show up as a
+one-line diff here.
 """
 
 import ast
@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import repro
+import repro.planner
 import repro.serve
 
 REPRO_EXPORTS = {
@@ -118,11 +119,13 @@ OPTIONS = {
         "workers", "pool_size", "replicas", "coalesce", "plan_cache_size",
         "start_method", "max_pending", "tenant_limit", "health_interval",
     ),
+    "PlanCache": ("maxsize",),
+    "record_plan_feedback": ("cache",),
 }
 
 
-def _parameters(function, skip):
-    return tuple(p for p in inspect.signature(function).parameters if p != skip)
+def _parameters(function, *skip):
+    return tuple(p for p in inspect.signature(function).parameters if p not in skip)
 
 
 def test_options_census_matches_snapshot():
@@ -132,6 +135,11 @@ def test_options_census_matches_snapshot():
     assert (
         tuple(f.name for f in dataclasses.fields(repro.EngineConfig))
         == OPTIONS["EngineConfig"]
+    )
+    assert _parameters(repro.PlanCache.__init__, "self") == OPTIONS["PlanCache"]
+    assert (
+        _parameters(repro.planner.record_plan_feedback, "executed_plan", "stats")
+        == OPTIONS["record_plan_feedback"]
     )
 
 
@@ -235,6 +243,17 @@ def test_workers_mode_is_gone_not_shimmed():
         DagExecutor(workers_mode="process")
     with pytest.raises(TypeError):
         repro.EngineConfig(workers_mode="process")
+
+
+def test_idle_planner_state_is_gone_not_shimmed():
+    """The cache–model pairing, the cost model's calibration and the
+    digest-addressed plan store were removed without a deprecation path."""
+    with pytest.raises(TypeError):
+        repro.PlanCache(cost_model=repro.planner.CostModel())
+    assert not hasattr(repro.planner.CostModel, "observe")
+    assert not hasattr(repro.planner.CostModel, "calibration")
+    assert "DigestPlan" not in repro.planner.__all__
+    assert not hasattr(repro.planner, "DigestPlan")
 
 
 def test_one_elimination_loop():

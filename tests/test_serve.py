@@ -143,16 +143,19 @@ def test_no_coalescing_still_correct_and_reuses_plans():
         assert result.factor.table == expected[id(query)].table
 
 
-def test_digest_plans_skip_signature_recomputation():
-    """A value-equal repeat plans from the digest entry: the signature-keyed
-    LRU sees no second lookup."""
+def test_value_equal_repeat_is_a_plan_cache_hit_with_no_new_scoring():
+    """A value-equal repeat, rebuilt as a fresh object, plans from the one
+    signature-keyed entry: one lookup, a hit, and no candidate scored."""
+    from repro.planner import DEFAULT_COST_MODEL
+
     cache = PlanCache()
     with PlanServer(cache=cache) as server:
         server.execute_request(ServeRequest(query=_random_query("counting", 1)))
-        sig_lookups_after_first = cache._entries.hits + cache._entries.misses
+        hits, misses = cache.hits, cache.misses
+        scored = DEFAULT_COST_MODEL.invocations
         server.execute_request(ServeRequest(query=_random_query("counting", 1)))
-        assert cache._entries.hits + cache._entries.misses == sig_lookups_after_first
-        assert cache._digests.hits == 1
+        assert (cache.hits, cache.misses) == (hits + 1, misses)
+        assert DEFAULT_COST_MODEL.invocations == scored
 
 
 def test_shared_tries_reused_across_value_equal_objects():

@@ -25,8 +25,7 @@ from repro.core.query import FAQQuery, Variable
 from repro.factors.delta import FactorDelta
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
-from repro.planner import PlanCache, factor_digest, query_content_key, signature_digest
-from repro.planner.cache import DigestPlan
+from repro.planner import factor_digest, query_content_key, signature_digest
 from repro.planner.signature import (
     BUCKET_MIN_ROWS,
     BucketDelta,
@@ -415,21 +414,6 @@ def test_signature_digest_is_deterministic_hex():
     digest = signature_digest(signature)
     assert digest == signature_digest(signature)
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
-
-
-def test_plan_cache_digest_entries_are_isolated_and_counted():
-    cache = PlanCache(maxsize=8)
-    stored = DigestPlan(
-        backend="sparse", ordering=("A", "B"),
-        estimated_cost=1.0, faq_width=1.0,
-    )
-    assert cache.lookup_digest("k1") is None  # miss
-    cache.store_digest("k1", stored)
-    assert cache.lookup_digest("k1") == stored  # hit
-    assert cache.hits == 1 and cache.misses == 1
-    assert len(cache) == 0  # digest entries do not occupy signature slots
-    cache.clear()
-    assert cache.lookup_digest("k1") is None
 
 
 # ---------------------------------------------------------------------- #
