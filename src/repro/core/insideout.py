@@ -244,7 +244,7 @@ def eliminate_semiring_step(
             cells = 1
             for v in overlap:
                 cells *= len(domains[v])
-            if tries.lists_whole_box(factor, domains):
+            if _lists_whole_box(factor, domains, semiring):
                 ones_cells += cells
                 continue
             if isinstance(factor, DenseFactor):
@@ -277,14 +277,18 @@ def eliminate_semiring_step(
         if new_factor is not None:
             step_backend = BACKEND_FLAT
     if use_dense:
-        # A flat step's result carries its encoding: scatter the columns
-        # into the box instead of decoding and looping over the listing.
+        # Listing participants are read from the holder, which builds each
+        # array once per content; the sparse projections follow the
+        # incident factors, in ``projections``' order.
+        sources = iter(projections)
         for position, factor in enumerate(participants):
-            flat = tries.stored_flat(factor)
-            if flat is not None:
-                participants[position] = DenseFactor.from_flat(
-                    flat, domains, semiring, name=factor.name
-                )
+            if isinstance(factor, DenseFactor):
+                continue
+            if position < len(incident):
+                participants[position] = tries.dense(factor, domains)
+            else:
+                source, overlap = next(sources)
+                participants[position] = tries.dense(source, domains, overlap)
         new_factor = dense_join_reduce(
             participants,
             semiring,
@@ -329,6 +333,23 @@ def eliminate_semiring_step(
         backend=step_backend,
     )
     return new_factor, record
+
+
+def _lists_whole_box(factor, domains, semiring: Semiring) -> bool:
+    """Whether ``factor`` lists every cell of its box, none of them zero.
+
+    Each of its indicator projections is then 1 everywhere.  A sparse
+    factor of a run lists no zero (a query holds pruned factors and every
+    kernel drops the zeros it computes), so its length decides.  A dense
+    factor holds every cell and counts its zeros once
+    (:meth:`DenseFactor.lists_every_cell`).
+    """
+    cells = 1
+    for v in factor.scope:
+        cells *= len(domains[v])
+    if isinstance(factor, DenseFactor):
+        return factor.cells == cells and factor.lists_every_cell(semiring)
+    return len(factor.table) == cells
 
 
 def _try_flat_eliminate(
@@ -533,13 +554,15 @@ def output_phase(
     backend: str,
     policy: BackendPolicy,
     join_stats: OutsideInStats,
+    tries: TrieCache,
 ) -> Factor:
     """The output phase over the free variables (listing mode, equation (9)).
 
     The listing branch is one multiway join of ``factors``, all of whose
     variables are free.  An α-acyclic join is semijoin-reduced and searched
     along its join tree first (:func:`_semijoin_reduce`); any other binds
-    the variables in ``order``, worst-case optimally.
+    the variables in ``order``, worst-case optimally.  The dense branch
+    reads listing factors' arrays from the run's holder ``tries``.
     """
     semiring = query.semiring
     if query.num_free == 0:
@@ -550,13 +573,12 @@ def output_phase(
         return Factor._adopt((), table, f"{query.name}(out)")
 
     output_scope = tuple(v for v in query.free if any(v in f.scope for f in factors))
-    if factors and choose_dense(
-        backend, factors, output_scope, query.domains(), semiring, (), policy
-    ):
+    domains = query.domains()
+    if factors and choose_dense(backend, factors, output_scope, domains, semiring, (), policy):
         output = dense_join_reduce(
-            factors,
+            [f if isinstance(f, DenseFactor) else tries.dense(f, domains) for f in factors],
             semiring,
-            query.domains(),
+            domains,
             output_scope,
             name=f"{query.name}(out)",
         ).to_factor(semiring, name=f"{query.name}(out)")

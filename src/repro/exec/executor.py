@@ -310,7 +310,7 @@ class _RunState:
         elif node.kind == KIND_OUTPUT:
             slots[node.outputs[0]] = output_phase(
                 self.query, [f for f in incident if f is not None], self.order,
-                self.backend, self.policy, join_stats,
+                self.backend, self.policy, join_stats, self.tries,
             )
         else:  # pragma: no cover - defensive
             raise QueryError(f"no elimination kernel for step kind {node.kind!r}")

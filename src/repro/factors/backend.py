@@ -27,6 +27,7 @@ This module provides the glue:
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -268,16 +269,28 @@ def choose_dense(
 # the vectorized elimination kernel
 # ---------------------------------------------------------------------- #
 # ``einsum``'s path search (``optimize=True``, opt_einsum inside NumPy) costs
-# 20-70 µs a step before it contracts anything, so it runs only where it
-# pays: two or more operands and a box of at least 2**15 cells.  Measured on
-# a 2-core x86 host (plain C loop vs path): two operands at 2**12 cells
-# 10.9 vs 23.3 µs, at 2**14 46.2 vs 41.8 µs, at 2**15 52.9 vs 38.6 µs;
-# three operands at 2**14 74.6 vs 97.7 µs, at 2**15 122 vs 98 µs; four at
-# 2**15 334 vs 114 µs.  One operand has nothing to order: the C loop always
-# wins.  The contractions of eight grid-MRF marginal and partition queries
-# (5x8 grid, domain 8) took 106.5 ms in C and 51.7 ms with the path.
+# 20-70 µs a step before it contracts anything, so a contraction follows a
+# path only where one pays: two or more operands and a box of at least
+# 2**15 cells.  Measured on a 2-core x86 host (plain C loop vs searched
+# path): two operands at 2**12 cells 10.9 vs 23.3 µs, at 2**14 46.2 vs
+# 41.8 µs, at 2**15 52.9 vs 38.6 µs; three operands at 2**14 74.6 vs
+# 97.7 µs, at 2**15 122 vs 98 µs; four at 2**15 334 vs 114 µs.  One operand
+# has nothing to order: the C loop always wins.  The contractions of eight
+# grid-MRF marginal and partition queries (5x8 grid, domain 8) took
+# 106.5 ms in C and 51.7 ms with the path.  The path is a function of the
+# subscripts and the operand shapes alone, so it is searched once per such
+# pair (:func:`_einsum_path`) and handed to ``einsum`` as ``optimize=path``:
+# the same contractions in the same order, hence the same bits.
 _EINSUM_PATH_MIN_CELLS = 1 << 15
 _EINSUM_LABELS = string.ascii_letters
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, shapes: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """``np.einsum_path(..., optimize=True)``'s path for operands of ``shapes``
+    (a tuple: every caller is handed the same one)."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize=True)[0])
 
 
 def _contracts(ops: DenseOps, target: Sequence[str], reduce_tag: str | None, reducing: bool) -> bool:
@@ -307,14 +320,12 @@ def _contract(
         raise FactorError(f"target scope {target} misses factor variable {exc}") from exc
     mentioned = set(inputs)
     present = [v for v in output_scope if label[v] in mentioned]
-    optimize = len(denses) > 1 and (
-        math.prod(len(domains[v]) for v in target) >= _EINSUM_PATH_MIN_CELLS
-    )
-    result = np.einsum(
-        inputs + "->" + "".join([label[v] for v in present]),
-        *[dense.array for dense in denses],
-        optimize=optimize,
-    )
+    subscripts = inputs + "->" + "".join([label[v] for v in present])
+    arrays = [dense.array for dense in denses]
+    optimize = False
+    if len(arrays) > 1 and math.prod(len(domains[v]) for v in target) >= _EINSUM_PATH_MIN_CELLS:
+        optimize = list(_einsum_path(subscripts, tuple(array.shape for array in arrays)))
+    result = np.einsum(subscripts, *arrays, optimize=optimize)
     for v in reduce_variables:
         if label[v] not in mentioned:
             # Summing a variable no participant mentions folds |Dom| copies.

@@ -127,7 +127,7 @@ class DenseFactor:
         Optional human-readable name.
     """
 
-    __slots__ = ("scope", "domains", "array", "name", "zero", "_digest")
+    __slots__ = ("scope", "domains", "array", "name", "zero", "_digest", "_nonzero")
 
     def __init__(
         self,
@@ -155,13 +155,33 @@ class DenseFactor:
             zero = False if self.array.dtype == np.bool_ else 0
         self.zero = zero
         self._digest = None  # content-digest memo; factors are immutable
+        self._nonzero = None  # ``len`` memo, for the same reason
 
     # ------------------------------------------------------------------ #
     # basic protocol (mirrors Factor where the semantics carry over)
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        """The number of non-zero cells (the listing size ``‖ψ_S‖``)."""
-        return int(np.count_nonzero(self.nonzero_mask()))
+        """The number of non-zero cells (the listing size ``‖ψ_S‖``).
+
+        Counted once: a step's result is measured for its record and then
+        asked by the next step whether it lists its whole box.
+        """
+        count = self._nonzero
+        if count is None:
+            count = self._nonzero = int(np.count_nonzero(self.nonzero_mask()))
+        return count
+
+    def lists_every_cell(self, semiring: Semiring) -> bool:
+        """Whether no cell holds ``semiring``'s zero.
+
+        Read off the memoised :meth:`__len__` when the factor's own zero
+        tests like the semiring's (every kernel result's does); otherwise
+        one scan.
+        """
+        zero = semiring.zero
+        if self.zero == zero and (self.zero is False) == (zero is False):
+            return len(self) == self.cells
+        return bool(self.nonzero_mask(semiring).all())
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DenseFactor({self.name}, scope={self.scope}, shape={self.array.shape})"

@@ -9,9 +9,10 @@ to the factor's scope — the classic structure behind worst-case-optimal join
 algorithms such as LeapFrog TrieJoin and Generic Join.
 
 What has been derived from one factor's content — its trie, its flat code
-columns for the vectorized kernel (:mod:`repro.factors.flat`) and the same
-two for each of its indicator projections (Definition 4.2) — lives in one
-entry record per factor, and every kernel reads it through one holder:
+columns for the vectorized kernel (:mod:`repro.factors.flat`), its dense
+array for the ndarray kernel (:mod:`repro.factors.dense`) and the same
+three for each of its indicator projections (Definition 4.2) — lives in
+one entry record per factor, and every kernel reads it through one holder:
 
 * :class:`FactorTrie` — one factor's trie.  Builds from the listing
   representation or (via :meth:`FactorTrie.from_dense`) directly from a
@@ -24,13 +25,13 @@ entry record per factor, and every kernel reads it through one holder:
 * :class:`SharedTrieCache` — the same holder keyed by factor content
   digest, which :mod:`repro.serve` and each incremental view keep across
   runs as each run's parent so repeated value-equal queries, and updates
-  of a standing one, stop re-indexing and re-encoding the *base* factors
-  that did not change.
+  of a standing one, stop re-indexing, re-encoding and re-densifying the
+  *base* factors that did not change.
 
-A holder's ``hits``/``misses`` count lookups: a hit is a trie, projection
-or encoding (including a cached "this table has no encoding") that was
-already in its entry; a lookup the parent serves is a miss here and a hit
-or miss there.
+A holder's ``hits``/``misses`` count lookups: a hit is a trie, projection,
+encoding (including a cached "this table has no encoding") or dense array
+that was already in its entry; a lookup the parent serves is a miss here
+and a hit or miss there.
 """
 
 from __future__ import annotations
@@ -195,22 +196,22 @@ def build_tries(
 class _FactorIndex:
     """Everything a holder has derived from one factor's content.
 
-    ``trie`` and ``flat`` fill in lazily (``None`` = not looked up yet;
-    ``flat`` is ``False`` once an encode was refused, so an ineligible
-    table is probed once).  ``zero_free`` is whether a dense factor has no
-    zero cell (``None`` until a full-box check asked).  ``projections``
-    maps an overlap set to the entry of the factor's indicator projection
-    onto it — itself an entry, whose ``factor`` is filled in by its first
-    lookup.
+    ``trie``, ``flat`` and ``dense`` fill in lazily (``None`` = not looked
+    up yet; ``flat`` is ``False`` once an encode was refused, so an
+    ineligible table is probed once; ``dense`` is a frozen
+    :class:`~repro.factors.dense.DenseFactor` over the holder's domains).
+    ``projections`` maps an overlap set to the entry of the factor's
+    indicator projection onto it — itself an entry, whose ``factor`` is
+    filled in by its first lookup.
     """
 
-    __slots__ = ("factor", "trie", "flat", "zero_free", "projections")
+    __slots__ = ("factor", "trie", "flat", "dense", "projections")
 
     def __init__(self, factor=None) -> None:
         self.factor = factor
         self.trie: Optional[FactorTrie] = None
         self.flat: Any = None
-        self.zero_free: Optional[bool] = None
+        self.dense: Optional[DenseFactor] = None
         self.projections: Dict[frozenset, "_FactorIndex"] = {}
 
 
@@ -234,8 +235,8 @@ class TrieCache:
       projection recurs whenever later steps induce the same overlap),
     * :meth:`flat` / :meth:`projection_flat` — their flat encodings for the
       vectorized kernel, under the run's :meth:`flat_context`,
-    * :meth:`lists_whole_box` — whether every indicator projection of a
-      factor is 1 everywhere, without building one,
+    * :meth:`dense` — the dense array of a factor or of one of its
+      projections for the ndarray kernel, over the run's domains,
 
     each built once per factor object.  Entries are keyed by object
     identity; an entry holds its factor, so the identity cannot be recycled
@@ -247,11 +248,12 @@ class TrieCache:
     exact under the worker pool.  ``adopt_parent`` plugs in a
     :class:`SharedTrieCache`, which is asked first for everything derived
     from a factor it covers — its encodings only when the run also adopted
-    its context (:meth:`flat_context`).
+    its context (:meth:`flat_context`), its dense arrays only when the run's
+    domains are the ones they are laid out over.
     """
 
     __slots__ = ("order", "semiring", "hits", "misses", "_entries", "_lock",
-                 "_parent", "_flat_ctx")
+                 "_parent", "_flat_ctx", "_domains")
 
     def __init__(
         self, order: Sequence[str], semiring: Semiring, thread_safe: bool = False
@@ -264,6 +266,7 @@ class TrieCache:
         self._lock = threading.Lock() if thread_safe else nullcontext()
         self._parent: Optional[SharedTrieCache] = None
         self._flat_ctx: Any = None  # FlatContext | False once built
+        self._domains: Optional[Dict[str, Tuple[Any, ...]]] = None  # see _layout
 
     def adopt_parent(self, parent: Optional["SharedTrieCache"]) -> None:
         """Consult ``parent`` for base-factor entries before building locally.
@@ -300,11 +303,12 @@ class TrieCache:
     def _lookup(self, factor, overlap: Optional[frozenset], slot: str, ctx=None):
         """``slot`` of ``factor``'s entry, or of its ``overlap`` projection's.
 
-        Local entry, then the parent if it covers ``factor`` (and, for an
-        encoding, ``ctx`` is its context), else built here — outside the
+        Local entry, then the parent if it covers ``factor`` (and ``ctx``,
+        the run's encoding context for an encoding or its :meth:`_layout`
+        for a dense array, is the parent's), else built here — outside the
         lock: two threads may build the same thing, the first store wins
         and the results are equal.  A projection's ``factor`` slot must be
-        looked up before its trie or encoding.
+        looked up before its trie, encoding or dense array.
         """
         with self._lock:
             entry = self._entry(factor, overlap)
@@ -317,7 +321,7 @@ class TrieCache:
         if (
             parent is not None
             and parent.covers(factor)
-            and (ctx is None or ctx is parent._flat_ctx)
+            and (ctx is None or ctx is parent._flat_ctx or ctx is parent._domains)
         ):
             found = parent._lookup(factor, overlap, slot, ctx)
         elif slot == "factor":
@@ -327,6 +331,8 @@ class TrieCache:
             found = sparse.indicator_projection(overlap, self.semiring)
         elif slot == "trie":
             found = build_trie(entry.factor, self.order, self.semiring)
+        elif slot == "dense":
+            found = self._densify(entry, ctx)
         else:
             found = self._encode(entry.factor, ctx)
         with self._lock:
@@ -338,6 +344,41 @@ class TrieCache:
         """A fresh flat encoding of ``factor``, or ``False`` if it has none."""
         flat = encode_flat(factor, ctx)
         return False if flat is None else flat
+
+    def _densify(self, entry: _FactorIndex, domains) -> DenseFactor:
+        """A fresh read-only dense array of ``entry``'s factor over ``domains``.
+
+        Scattered from the factor's encoding when one is stored (its codes
+        index this holder's domains) instead of looping over the listing.
+        """
+        factor = entry.factor
+        flat = entry.flat
+        if flat is None or flat is False:
+            flat = stored_encoding(factor, self._flat_ctx)
+        if flat is None:
+            dense = DenseFactor.from_factor(factor, domains, self.semiring)
+        else:
+            dense = DenseFactor.from_flat(flat, domains, self.semiring, name=factor.name)
+        return dense.freeze()
+
+    def _layout(self, domains):
+        """The one ``domains`` mapping the holder's dense arrays are over.
+
+        A run evaluates a single query, so the first mapping asked for wins;
+        it is the parent's own when the parent lays out equal domains, which
+        is what lets the parent serve this run its arrays.
+        """
+        layout = self._domains  # set once and never changed: read unlocked
+        if layout is None:
+            parent = self._parent
+            layout = None if parent is None else parent._layout(domains)
+            if layout is None or layout != domains:
+                layout = dict(domains)
+            with self._lock:
+                if self._domains is None:
+                    self._domains = layout
+                layout = self._domains
+        return layout
 
     # ------------------------------------------------------------------ #
     def trie(self, factor) -> FactorTrie:
@@ -358,35 +399,6 @@ class TrieCache:
         projected = self._lookup(factor, overlap, "factor")
         return projected, self._lookup(factor, overlap, "trie")
 
-    def lists_whole_box(self, factor, domains) -> bool:
-        """Whether ``factor`` lists every cell of its box, none of them zero.
-
-        Each of its indicator projections is then 1 everywhere.  A sparse
-        factor of a run lists no zero (a query holds pruned factors and
-        every kernel drops the zeros it computes), so its length decides.
-        A dense factor holds every cell: whether none is zero is computed
-        once per entry, or in the parent's entry for a factor the parent
-        covers.  Not counted as a hit or a miss.
-        """
-        cells = 1
-        for v in factor.scope:
-            cells *= len(domains[v])
-        if not isinstance(factor, DenseFactor):
-            return len(factor.table) == cells
-        if factor.cells != cells:
-            return False
-        with self._lock:
-            entry = self._entry(factor)
-            known = entry.zero_free
-        if known is None:
-            parent = self._parent
-            if parent is not None and parent.covers(factor):
-                known = parent.lists_whole_box(factor, domains)
-            else:
-                known = bool(factor.nonzero_mask(self.semiring).all())
-            entry.zero_free = known  # a racing thread stores the same bit
-        return known
-
     def flat(self, factor, ctx):
         """The flat encoding of ``factor`` under ``ctx`` (``None`` if it has none).
 
@@ -399,6 +411,17 @@ class TrieCache:
         overlap = frozenset(overlap)
         self._lookup(factor, overlap, "factor")
         return _encoding(self._lookup(factor, overlap, "flat", ctx))
+
+    def dense(self, factor, domains, overlap: Optional[Iterable[str]] = None) -> DenseFactor:
+        """The read-only dense array of listing ``factor`` over ``domains``.
+
+        With ``overlap``, of ``factor``'s indicator projection onto it.
+        ``domains`` are the run's: the first call's win (:meth:`_layout`).
+        """
+        if overlap is not None:
+            overlap = frozenset(overlap)
+            self._lookup(factor, overlap, "factor")
+        return self._lookup(factor, overlap, "dense", self._layout(domains))
 
     def flat_context(self, domains):
         """The holder's flat-encoding context, built once (``None`` if unmapped).
@@ -418,13 +441,6 @@ class TrieCache:
                     self._flat_ctx = ctx
                 ctx = self._flat_ctx
         return ctx or None
-
-    def stored_flat(self, factor):
-        """The encoding a flat step's result carries under the holder's
-        context, if any (never encodes)."""
-        with self._lock:
-            ctx = self._flat_ctx
-        return stored_encoding(factor, ctx)
 
     def discard(self, factor) -> None:
         """Drop the entry of a factor consumed by an elimination step."""
@@ -461,11 +477,13 @@ class SharedTrieCache(TrieCache):
     * it is always locked: concurrent runs of the same query may populate
       it simultaneously;
     * stored encodings are read-only (:meth:`FlatFactor.freeze
-      <repro.factors.flat.FlatFactor.freeze>`);
-    * encodings are codes into one context's domain tuples, so
-      :meth:`flat_context` hands its context (and with it the stored
-      encodings) only to a run over equal ``domains`` — any other run
-      encodes privately;
+      <repro.factors.flat.FlatFactor.freeze>`), like every holder's dense
+      arrays;
+    * encodings are codes into one context's domain tuples and dense
+      arrays are laid out over the same domains, so both — through
+      :meth:`flat_context` and :meth:`_layout` — are handed only to a run
+      over the ``domains`` of the store's first run; any other run encodes
+      and densifies privately;
     * :meth:`discard` keeps the entry: it exists to survive into the next
       run of the query.
     """
@@ -502,14 +520,15 @@ class SharedTrieCache(TrieCache):
         return flat if flat is False else flat.freeze()
 
     def flat_context(self, domains):
-        """The store's encoding context, if ``domains`` are the ones it encodes.
+        """The store's encoding context, if ``domains`` are the ones it lays out.
 
         Built from the first run's ``domains``; ``None`` for a run whose
         domains differ (its codes would mean other values) or a semiring
         without ufuncs.
         """
-        ctx = super().flat_context(domains)
-        return ctx if ctx is not None and ctx.domains == domains else None
+        if self._layout(domains) != domains:
+            return None
+        return super().flat_context(domains)
 
     def discard(self, factor) -> None:
         """Keep the entry (see the class docstring)."""

@@ -13,9 +13,10 @@ paying a cold full run.
 
 Each file is one :func:`repro.caching.seal` envelope (magic | length |
 SHA-256 | pickle tagged kind + version) holding the sections.  The
-layout number of :data:`SNAPSHOT_VERSION` (2: a view spills its step
-cache's bound and entries) changes with the sections' shape, so an older
-spill loads as ``None``.
+layout number of :data:`SNAPSHOT_VERSION` changes with the sections' shape
+and with the slots of the factors they pickle, so an older spill loads as
+``None`` (2: a view spills its step cache's bound and entries; 3: a dense
+factor carries its non-zero count memo).
 
 Durability rules:
 
@@ -39,7 +40,7 @@ from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
 from repro.planner.signature import sealed_version
 
 SNAPSHOT_KIND = "repro-serve-snapshot"
-SNAPSHOT_VERSION = sealed_version(2)
+SNAPSHOT_VERSION = sealed_version(3)
 
 
 class SnapshotStore:

@@ -26,6 +26,7 @@ from repro.core.query import FAQQuery, QueryError, Variable
 from repro.core.variable_elimination import variable_elimination
 from repro.factors.backend import (
     BackendPolicy,
+    _einsum_path,
     as_dense,
     as_sparse,
     dense_join_reduce,
@@ -431,12 +432,18 @@ def sparse_pipeline(participants, semiring, aggregate, reduce_variables):
 
 @pytest.fixture
 def einsum_calls(monkeypatch):
-    """Every ``np.einsum`` call's ``optimize`` flag, in order."""
+    """Per ``np.einsum`` call, in order: whether it was handed a path.
+
+    A path handed over must be the one ``optimize=True`` would search.
+    """
     calls = []
     einsum = np.einsum
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("optimize", False))
+        path = kwargs.get("optimize", False)
+        if path is not False:
+            assert path == np.einsum_path(*args, optimize=True)[0]
+        calls.append(path is not False)
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
@@ -560,3 +567,128 @@ class TestContraction:
         # its tag; every other step here never reaches einsum.
         assert einsum_calls == ([False] if semiring is SUM_PRODUCT and not reduced else [])
 
+    @pytest.mark.parametrize(
+        "case", CONTRACTION_CASES, ids=[case[0] for case in CONTRACTION_CASES]
+    )
+    @pytest.mark.parametrize(
+        "semiring,sampler",
+        [
+            (SUM_PRODUCT, lambda r: r.uniform(0.1, 2.0)),
+            (COMPLEX_SUM_PRODUCT, lambda r: complex(r.uniform(-1.0, 2.0), r.uniform(-1.0, 1.0))),
+        ],
+        ids=["sum-product", "complex-sum-product"],
+    )
+    def test_a_memoised_path_contracts_bit_for_bit(self, semiring, sampler, case, monkeypatch):
+        _, scopes, output, reduced = case
+        domains = {v: tuple(range(14)) for v in BOX}
+        rng = random.Random(16)
+        participants = [sampled_factor_over(scope, domains, sampler, rng) for scope in scopes]
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args) or einsum(*args, **kwargs))
+        for _ in range(2):  # the second contraction's path is a memo hit
+            got = dense_join_reduce(participants, semiring, domains, output, reduced, "sum")
+            searched = einsum(*calls[-1], optimize=True)
+            assert np.array_equal(got.array, searched)
+
+    def test_the_path_memo_is_keyed_by_shape_and_bounded(self):
+        subscripts = "ab,bc,cd->ad"
+        paths = []
+        for shapes in (((2, 50), (50, 50), (50, 50)), ((50, 50), (50, 50), (50, 2))):
+            path = _einsum_path(subscripts, shapes)
+            operands = [np.ones(shape) for shape in shapes]
+            assert list(path) == np.einsum_path(subscripts, *operands, optimize=True)[0]
+            assert _einsum_path(subscripts, shapes) is path
+            paths.append(path)
+        assert paths[0] != paths[1]  # equal subscripts, other shapes: own path
+        bound = _einsum_path.cache_info().maxsize
+        for n in range(1, bound + 10):
+            _einsum_path("ab,bc->ac", ((n, 2), (2, 3)))
+        assert _einsum_path.cache_info().currsize == bound
+
+
+class TestFrozenInputs:
+    """Every dense kernel reads frozen arrays and returns a writeable array
+    of its own: holders keep their arrays frozen, and a result that aliased
+    one would be a stored array handed on."""
+
+    @staticmethod
+    def frozen(scope, semiring, sampler, seed=0):
+        factor = sampled_factor(scope, semiring, sampler, random.Random(seed))
+        return as_dense(factor, DOMAINS, semiring).freeze()
+
+    @staticmethod
+    def assert_fresh(result, inputs):
+        assert result.array.flags.writeable
+        assert not any(np.shares_memory(result.array, dense.array) for dense in inputs)
+
+    @pytest.mark.parametrize(
+        "semiring,tag,sampler",
+        [
+            (SUM_PRODUCT, "sum", lambda r: r.uniform(0.1, 2.0)),
+            (MAX_PRODUCT, "max", lambda r: r.uniform(0.1, 2.0)),
+            (COUNTING, "sum", lambda r: r.randint(1, 4)),
+        ],
+        ids=["contraction", "broadcast", "broadcast-object"],
+    )
+    @pytest.mark.parametrize(
+        "scopes,output,reduced",
+        [
+            ([("A", "B")], ("A", "B"), ()),  # einsum returns a view of its operand
+            ([("A", "B")], ("B", "A"), ()),
+            ([("A", "B")], ("A",), ("B",)),
+            ([("A", "B"), ("B", "C")], ("A", "C"), ("B",)),
+            ([("A", "B"), ("B", "C")], ("A", "B", "C"), ()),
+        ],
+        ids=["identity", "transpose", "one-reduced", "join-reduced", "join"],
+    )
+    def test_dense_join_reduce(self, semiring, tag, sampler, scopes, output, reduced):
+        inputs = [self.frozen(scope, semiring, sampler, seed) for seed, scope in enumerate(scopes)]
+        result = dense_join_reduce(inputs, semiring, DOMAINS, output, reduced, tag)
+        self.assert_fresh(result, inputs)
+
+    @pytest.mark.parametrize("scope", [("A", "B"), ("B",)], ids=["pair", "unary"])
+    @pytest.mark.parametrize(
+        "semiring,aggregate,sampler", SEMIRING_CASES, ids=[case[0].name for case in SEMIRING_CASES]
+    )
+    def test_unary_kernels(self, semiring, aggregate, sampler, scope):
+        source = self.frozen(scope, semiring, sampler)
+        results = [source.product_marginalize("B", len(DOMAINS["B"]), semiring)]
+        results += [source.power(exponent, semiring) for exponent in (0, 1, 3)]
+        results += [source.indicator_projection(scope, semiring)]
+        results += [source.indicator_projection(scope[:1], semiring)]
+        for result in results:
+            self.assert_fresh(result, [source])
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["one-operand", "with-listing"])
+    def test_output_phase_dense_join(self, listed, monkeypatch):
+        from repro.core import insideout
+        from repro.core.outsidein import OutsideInStats
+        from repro.factors.backend import DEFAULT_POLICY
+        from repro.factors.index import TrieCache
+
+        joined = []
+
+        def spy(*args, **kwargs):
+            joined.append(dense_join_reduce(*args, **kwargs))
+            return joined[-1]
+
+        monkeypatch.setattr(insideout, "dense_join_reduce", spy)
+        sampler = lambda r: r.uniform(0.1, 2.0)
+        factors = [self.frozen(("A", "B"), SUM_PRODUCT, sampler)]
+        if listed:
+            factors.append(sampled_factor(("B", "C"), SUM_PRODUCT, sampler, random.Random(1)))
+        free = sorted({v for factor in factors for v in factor.scope})
+        query = FAQQuery(
+            [Variable(v, DOMAINS[v]) for v in free], free, {}, factors, SUM_PRODUCT
+        )
+        tries = TrieCache(query.order, SUM_PRODUCT)
+        output = insideout.output_phase(
+            query, list(query.factors), query.order, "dense", DEFAULT_POLICY,
+            OutsideInStats(), tries,
+        )
+        [result] = joined
+        inputs = [f if isinstance(f, DenseFactor) else tries.dense(f, query.domains()) for f in factors]
+        assert all(dense.frozen for dense in inputs)
+        self.assert_fresh(result, inputs)
+        assert output.equals(query.evaluate_brute_force(), SUM_PRODUCT)

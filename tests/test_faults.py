@@ -621,12 +621,15 @@ class TestWarmRestart:
 
     def test_spill_of_the_previous_layout_adopts_nothing(self, tmp_path):
         """A view's spilled state is its step cache's entries from layout 2
-        on: a spill sealed at layout 1 restores no view and no result."""
+        on, and a dense factor pickles its non-zero count memo from layout
+        3 on: a spill sealed at an earlier layout restores no view and no
+        result."""
         from repro.planner.signature import sealed_version
 
-        assert SNAPSHOT_VERSION == sealed_version(2)
+        assert SNAPSHOT_VERSION == sealed_version(3)
         sections = _spilled_sections(tmp_path, "old-layout")
-        assert _restores(tmp_path, sections, sealed_version(1)) == 0
+        for layout in (1, 2):
+            assert _restores(tmp_path, sections, sealed_version(layout)) == 0
 
     def test_restored_result_cache_serves_without_recompute(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -148,7 +148,7 @@ def test_options_census_matches_snapshot():
 CACHE_CLASS_CEILING = 7
 
 # The lookups of the two trie holders; each is written once between them.
-HOLDER_LOOKUPS = ("trie", "projection", "projection_factor", "flat", "projection_flat")
+HOLDER_LOOKUPS = ("trie", "projection", "projection_factor", "flat", "projection_flat", "dense")
 
 
 def _source_lines(pattern):
