@@ -12,14 +12,10 @@ Five questions, answered with numbers a future PR can diff:
    warm cache) faster end-to-end than the unplanned written-order InsideOut
    baseline on Table-1 workloads?
 3. **Cache behaviour** — what hit rate does repeated query traffic see?
-4. **Step-DAG parallelism** — on a multi-block dense workload, what does
-   the parallel executor (``workers=4``) buy over its own serial fallback
-   (``workers=1``), and what does the DAG machinery itself cost over the
-   plain sequential loop?  (Thread speedup requires multiple cores — the
-   row records ``cpu_count`` so the number is interpretable.)  On the
-   *sparse* side (``exec:sparse-parallel``), what does the vectorized
-   flat-table kernel buy over the pure-Python trie kernel on one thread?
-   And (``exec:flat-warm-store``) what does keeping the flat encodings per
+4. **Sparse kernels** — on a multi-block sparse workload
+   (``exec:sparse-parallel``), what does the vectorized flat-table kernel
+   buy over the pure-Python trie kernel on one thread?  And
+   (``exec:flat-warm-store``) what does keeping the flat encodings per
    content, in a warm ``SharedTrieCache``, buy over encoding per run?
 5. **Batched serving throughput** — on repeated Table-1 traffic, what do
    request coalescing + shared base-factor tries + pooled execution
@@ -50,10 +46,8 @@ from repro.core.query import FAQQuery, Variable
 from repro.datasets.cnf import random_k_cnf
 from repro.datasets.pgm_models import grid_model
 from repro.datasets.queries import example_5_6_query
-from repro.exec import DagExecutor, lower_insideout
 from repro.factors.backend import BackendPolicy
 from repro.factors.delta import FactorDelta
-from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
 from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
@@ -66,9 +60,6 @@ from repro.solvers.sat import sharp_sat_query
 
 REPEAT_TRAFFIC = pick(50, 5)
 BATCH_TRAFFIC = pick(60, 9)
-DAG_BLOCKS = pick(4, 2)
-DAG_CHAIN = pick(5, 3)
-DAG_DOMAIN = pick(64, 4)
 SPARSE_BLOCKS = pick(4, 2)
 SPARSE_CHAIN = pick(4, 3)
 SPARSE_DOMAIN = pick(64, 6)
@@ -89,32 +80,6 @@ def _workloads():
         "table1-map-grid": GRID.map_query([GRID.variables[0]]),
         "fig1-example-5.6": example_5_6_query(domain_size=pick(12, 3), seed=5),
     }
-
-
-def _multiblock_query(blocks=DAG_BLOCKS, chain=DAG_CHAIN, domain=DAG_DOMAIN, seed=19):
-    """``blocks`` disjoint dense chains — the canonical DAG-parallel workload.
-
-    Each block is a chain of ``chain`` variables with overlapping ternary
-    dense factors, so every elimination step is one big ufunc reduction
-    (``domain**3`` cells) that releases the GIL; blocks share no variables,
-    so their step chains carry no DAG edges between them.
-    """
-    rng = np.random.default_rng(seed)
-    domain_values = tuple(range(domain))
-    variables, aggregates, factors = [], {}, []
-    for block in range(blocks):
-        names = [f"b{block}x{i}" for i in range(chain)]
-        domains = {name: domain_values for name in names}
-        for name in names:
-            variables.append(Variable(name, domain_values))
-            aggregates[name] = SemiringAggregate.sum()
-        for i in range(chain - 2):
-            scope = (names[i], names[i + 1], names[i + 2])
-            array = rng.uniform(0.1, 1.0, size=(domain,) * 3)
-            factors.append(DenseFactor(scope, domains, array, name=f"b{block}f{i}"))
-    return FAQQuery(
-        variables, [], aggregates, factors, SUM_PRODUCT, name="dag-multiblock"
-    )
 
 
 def _best_of(fn, repeat=3):
@@ -240,60 +205,6 @@ def test_shape_sat_planning_budget():
     print(f"\n[planner] #SAT ordering search: {elapsed * 1e3:.1f}ms (seed ~64000ms)")
     assert sorted(ordering) == sorted(query.order)
     assert elapsed < 10.0
-
-
-@pytest.mark.shape
-def test_shape_dag_parallel_multiblock():
-    """The step-DAG executor on disjoint dense blocks (exec:dag-parallel-*).
-
-    Asserts correctness (bit-identical results for every worker count)
-    unconditionally; the ≥2× wall-clock speedup assertion only applies
-    where it is physically possible (≥4 cores — threads cannot beat one
-    core), with the measured numbers and the host's ``cpu_count`` recorded
-    either way.  (There is one driver, so there is no loop-vs-DAG overhead
-    ratio to record; driver cost shows as perf/'s ``core.output_phase_ms``.)
-    """
-    query = _multiblock_query()
-    dag = lower_insideout(query, list(query.order))
-    assert dag.max_parallelism >= DAG_BLOCKS
-
-    w1_s, w1_result = _best_of(
-        lambda: DagExecutor(workers=1).run(query, backend="dense")
-    )
-    w4_s, w4_result = _best_of(
-        lambda: DagExecutor(workers=4).run(query, backend="dense")
-    )
-    assert w4_result.factor.table == w1_result.factor.table
-
-    cpus = os.cpu_count() or 1
-    speedup = w1_s / w4_s if w4_s else float("inf")
-    record = record_result(
-        "exec:dag-parallel-multiblock",
-        workers1_s=w1_s,
-        workers4_s=w4_s,
-        speedup_w4=speedup,
-        cpu_count=cpus,
-        blocks=DAG_BLOCKS,
-        max_parallelism=dag.max_parallelism,
-    )
-    print(
-        f"\n[exec] dag-parallel multiblock: "
-        f"w1={w1_s * 1e3:.1f}ms w4={w4_s * 1e3:.1f}ms "
-        f"speedup(w4/w1)={speedup:.2f}x (cpus={cpus})"
-    )
-    if not quick_mode():
-        # Wall-clock ratios of *this* workload are hardware- and
-        # noise-sensitive (shared CI runners, neighbour load), so the hard
-        # thresholds only gate when FAQ_BENCH_STRICT=1 — set it on
-        # dedicated hardware when validating a perf change.  The recorded
-        # rows always land in BENCH_planner.json, and the CI trend gate is
-        # benchmarks/compare_bench.py (ratio drift vs the checked-in
-        # baseline, with CPU-sensitive metrics skipped on smaller hosts).
-        if os.environ.get("FAQ_BENCH_STRICT", "") not in ("", "0") and cpus >= 4:
-            assert speedup >= 2.0, (
-                f"expected ≥2x at workers=4 on {cpus} cores, got {speedup:.2f}x"
-            )
-        publish([record])
 
 
 def _sparse_multiblock_query(
@@ -605,8 +516,6 @@ def test_shape_batched_serving_throughput():
     serial_s, serial_results = _best_of(
         lambda: [plan(q, cache=cache).execute() for q in traffic]
     )
-    # pool_size=4 is what PlanServer(workers=4) meant before the serving
-    # API redesign (workers= is now per-query step-DAG parallelism).
     requests = [ServeRequest(query=q) for q in traffic]
     with PlanServer(pool_size=4, cache=cache) as server:
         server.execute_batch(requests)  # warm the shared tries

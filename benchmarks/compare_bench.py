@@ -34,7 +34,6 @@ from pathlib import Path
 RATIO_FIELDS = {
     "end_to_end_speedup": False,
     "cache_hit_rate": False,
-    "speedup_w4": True,
     "throughput_x": True,
     "throughput_nocoalesce_x": True,
     # serve:* — fleet wall-clock over a single replica on identical
@@ -74,8 +73,6 @@ TIMING_FIELDS = (
     "plan_execute_s",
     "written_order_insideout_s",
     "seconds",
-    "workers1_s",
-    "workers4_s",
     "trie_w1_s",
     "flat_w1_s",
     "flat_cold_s",

@@ -27,8 +27,8 @@ This module holds the per-step kernels — :func:`eliminate_semiring_step`,
 :func:`eliminate_product_step` and :func:`output_phase`, each a pure function
 of its input factors.  The loop over the elimination order lives in exactly
 one place, the step-DAG executor (:mod:`repro.exec`): :func:`inside_out`
-lowers the run to its step DAG and hands it to that one driver, of which a
-serial run is simply ``workers=1``.  A semiring step leaves out each
+lowers the run to its step DAG and hands it to that one driver, which runs
+the steps inline on the calling thread.  A semiring step leaves out each
 indicator projection that is 1 everywhere (Section 5.2.1: it filters
 nothing), so where no projection filters a step costs what textbook
 variable elimination's does.  That baseline
@@ -144,31 +144,6 @@ def _validated_ordering(query: FAQQuery, ordering: Sequence[str] | None) -> List
     return query.checked_ordering(ordering)
 
 
-# Cap for workers="auto": realistic step DAGs rarely have the topological
-# width to keep more workers busy.
-AUTO_WORKERS_CAP = 8
-
-
-def _validated_workers(workers: int | str | None) -> int | None:
-    """Validate a ``workers=`` argument (``None`` means serial).
-
-    ``"auto"`` resolves to the machine's CPU count capped at
-    :data:`AUTO_WORKERS_CAP`, so callers can opt into parallelism without
-    hard-coding a pool size.
-    """
-    if workers is None:
-        return None
-    if workers == "auto":
-        import os
-
-        return max(1, min(os.cpu_count() or 1, AUTO_WORKERS_CAP))
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise QueryError(
-            f'workers must be a positive integer, "auto", or None, got {workers!r}'
-        )
-    return workers
-
-
 def eliminate_semiring_step(
     query: FAQQuery,
     incident: List[Factor],
@@ -187,8 +162,8 @@ def eliminate_semiring_step(
     projections).  Returns the step's new factor (``None`` when the step
     produces nothing — a constant fold to the semiring one) plus its
     :class:`EliminationRecord`.  The step is a pure function of its factor
-    inputs, which is what lets the DAG executor run independent steps
-    concurrently and still compute the same factors for every worker count.
+    inputs, which is what lets a merged batch share it across runs and a
+    step source replay it.
 
     ``tries`` is the run's :class:`~repro.factors.index.TrieCache`: the
     sparse path runs the fused hash-join-and-aggregate kernel
@@ -637,7 +612,6 @@ def inside_out(
     output_mode: str = "listing",
     backend: str = BACKEND_SPARSE,
     backend_policy: BackendPolicy | None = None,
-    workers: int | str | None = None,
     shared_tries: SharedTrieCache | None = None,
     step_cache=None,
 ) -> InsideOutResult:
@@ -678,14 +652,6 @@ def inside_out(
     backend_policy:
         Thresholds for the heuristic (defaults to
         :data:`repro.factors.backend.DEFAULT_POLICY`).
-    workers:
-        Opt-in parallelism.  Every run is lowered to an explicit step DAG
-        and executed by the one driver (:class:`repro.exec.DagExecutor`):
-        ``None`` or ``1`` runs the steps inline on the calling thread, in
-        elimination order; any larger value executes independent
-        elimination steps on a thread pool (only the NumPy kernels escape
-        the GIL).  ``"auto"`` resolves to the machine's CPU count (capped).
-        Results and stats totals are identical for every worker count.
     shared_tries:
         A :class:`~repro.factors.index.SharedTrieCache` holding this
         query's base-factor tries across runs (supplied by the serving
@@ -703,7 +669,7 @@ def inside_out(
     """
     from repro.exec.executor import DagExecutor
 
-    return DagExecutor(workers=workers).run(
+    return DagExecutor().run(
         query,
         ordering=ordering,
         use_indicator_projections=use_indicator_projections,

@@ -14,7 +14,7 @@ from repro.db.yannakakis import semijoin, yannakakis
 from repro.db.generic_join import generic_join
 
 
-def join(relations, output_attributes=None, workers=None):
+def join(relations, output_attributes=None):
     """Natural join routed through the cost-based planner.
 
     The join runs as an FAQ query on the planner's one execution path
@@ -30,9 +30,9 @@ def join(relations, output_attributes=None, workers=None):
     from repro.solvers.joins import natural_join_insideout, projected_join_query
 
     if output_attributes is None:
-        return natural_join_insideout(relations, workers=workers)
+        return natural_join_insideout(relations)
     query = projected_join_query(relations, output_attributes)
-    result = execute(query, workers=workers)
+    result = execute(query)
     rows = [key for key, value in result.factor.table.items() if value]
     return Relation("join", result.factor.scope, rows)
 

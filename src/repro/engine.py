@@ -8,7 +8,7 @@ serving contract of :mod:`repro.serve.api`::
 
     from repro import Engine
 
-    engine = Engine(workers=2)
+    engine = Engine(pool_size=2)
     result = engine.query(q)                   # ServeResult, warm caches
     results = engine.batch([q1, q2, q2])       # coalesced batch
     with engine.serve(replicas=4) as tier:     # the horizontal tier
@@ -17,6 +17,8 @@ serving contract of :mod:`repro.serve.api`::
 Configuration is one frozen :class:`EngineConfig` value (or keyword
 overrides); the same config drives the in-process path and the replica
 fleet, so moving a workload up the scaling ladder changes no call sites.
+A query's steps run on the thread that serves it; concurrency is across
+requests — the server's pool in-process, the replicas in a fleet.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ class EngineConfig:
 
     Attributes
     ----------
-    workers:
-        Per-query step-DAG parallelism — the unified ``workers=`` meaning
-        shared with every other entry point (``None``/1 = serial per
-        query, ``"auto"`` = capped CPU count).
     pool_size:
         In-process concurrency of the engine's :class:`PlanServer`
         (defaults to the CPU count).
@@ -61,7 +59,6 @@ class EngineConfig:
         :class:`~repro.serve.frontend.Frontend`.
     """
 
-    workers: Optional[int | str] = None
     pool_size: Optional[int] = None
     replicas: Optional[int] = None
     coalesce: bool = True
@@ -79,8 +76,8 @@ class Engine:
     (overrides win)::
 
         Engine()                               # defaults
-        Engine(EngineConfig(workers=2))
-        Engine(workers=2, plan_cache_size=256)
+        Engine(EngineConfig(pool_size=2))
+        Engine(pool_size=2, plan_cache_size=256)
 
     The engine owns a private plan cache shared by every path through it,
     and lazily starts one in-process :class:`PlanServer` for
@@ -116,7 +113,6 @@ class Engine:
         """The server, built on first need (the caller holds the lock)."""
         if self._server is None:
             self._server = PlanServer(
-                workers=self.config.workers,
                 pool_size=self.config.pool_size,
                 cache=self.cache,
                 coalesce=self.config.coalesce,
@@ -171,7 +167,6 @@ class Engine:
         and the ρ* memo as they stand at this call.
         """
         kwargs = {
-            "workers": self.config.workers,
             "start_method": self.config.start_method,
             "max_pending": self.config.max_pending,
             "tenant_limit": self.config.tenant_limit,

@@ -9,8 +9,7 @@ Algorithm 1's loop over the elimination order hides a dependency structure:
 every factor's scope is known *statically* (an elimination step over induced set ``U_k``
 always produces a factor on ``U_k \\ {X_k}``), so the dataflow between
 elimination steps can be computed before anything executes.  Steps touching
-disjoint factor groups share no slots and get no edge — the paper's own
-hypergraph structure exposes the parallel schedule for free.
+disjoint factor groups share no slots and get no edge.
 
 ``lower_insideout`` simulates the elimination over scopes only and emits a
 :class:`StepDag`:
@@ -26,8 +25,8 @@ hypergraph structure exposes the parallel schedule for free.
 * **edges** (``depends_on``) connect a node to the producers of every slot
   it consumes or reads.
 
-Executing the nodes in any topological order — in particular, concurrently
-where the DAG allows — reproduces the in-order run exactly, because each
+Executing the nodes in any topological order reproduces the in-order run
+exactly — a merged batch relies on it — because each
 step kernel (:func:`repro.core.insideout.eliminate_semiring_step` etc.) is a
 pure function of its input factors.
 """
@@ -84,8 +83,8 @@ class StepDag:
         """Topological levels: nodes in one level have no mutual edges.
 
         Level ``k`` holds the nodes whose longest dependency chain has
-        length ``k`` — the width of a level is the parallelism available at
-        that depth of the run.
+        length ``k`` — the width of a level counts the mutually independent
+        steps at that depth of the run.
         """
         depth: Dict[int, int] = {}
         for node in self.nodes:  # nodes are already topologically sorted
@@ -99,7 +98,7 @@ class StepDag:
 
     @property
     def max_parallelism(self) -> int:
-        """The widest topological level (upper bound on useful workers)."""
+        """The widest topological level: how many steps are mutually independent."""
         return max((len(level) for level in self.levels()), default=0)
 
     @property

@@ -2,19 +2,13 @@
 
 :class:`DagExecutor` is where every elimination run executes — InsideOut and
 textbook variable elimination (InsideOut without its indicator projections)
-alike.  A run is
-lowered to its :class:`~repro.exec.dag.StepDag` and the steps are scheduled
-inline on the calling thread (``workers=1`` — the serial run) or on a
-thread pool.  Independent elimination steps — steps over disjoint factor
-groups, whose DAG nodes share no slots — execute concurrently; the
-dense/NumPy kernels release the GIL inside their ufunc reductions, so
-multi-block dense workloads scale with cores.  The sparse kernels are pure
-Python and gain nothing from threads, but remain *correct* under the pool:
-every step kernel is a pure function of its input factors.  A scheduled
-step computes in exactly one place: the thread that was handed it.
+alike.  A run is lowered to its :class:`~repro.exec.dag.StepDag` and its
+steps execute inline on the calling thread, in elimination order.
+Concurrency lives one level up, across requests (the serving tier's pool);
+the step sources a run shares with other requests are thread-safe.
 
 There is one implementation, :meth:`DagExecutor.run_many`: lower each run,
-merge the runs' nodes by content digest, schedule, finish.  A single query
+merge the runs' nodes by content digest, execute, finish.  A single query
 (:meth:`DagExecutor.run`) is a batch of one.  The content addresses of
 :func:`~repro.exec.dag.annotate_digests` enable sharing along two axes:
 
@@ -41,8 +35,8 @@ Guarantees (enforced by ``tests/test_exec_parallel.py`` and
 ``tests/test_exec_merged.py``):
 
 * the output factor agrees with brute-force evaluation and is
-  **bit-identical** for every worker count, with or without a step
-  source and inside or outside a merged batch, and
+  **bit-identical** with or without a step source and inside or outside a
+  merged batch, and
 * the :class:`~repro.core.insideout.InsideOutStats` totals (per-step
   records, join counters, max intermediate size) are identical too —
   per-node counters are accumulated privately and merged in elimination
@@ -62,7 +56,6 @@ from repro.core.insideout import (
     InsideOutResult,
     InsideOutStats,
     _validated_ordering,
-    _validated_workers,
     eliminate_product_step,
     eliminate_semiring_step,
     output_phase,
@@ -233,7 +226,7 @@ class _RunState:
         "slots", "tries", "records", "node_join_stats", "started",
     )
 
-    def __init__(self, spec: RunSpec, content_digests: bool, thread_safe: bool) -> None:
+    def __init__(self, spec: RunSpec, content_digests: bool) -> None:
         if spec.output_mode not in ("listing", "factorized"):
             raise QueryError(f"unknown output mode {spec.output_mode!r}")
         self.query = query = spec.query
@@ -265,7 +258,7 @@ class _RunState:
         # factors keep their per-variable buckets instead of being re-hashed
         # at every step (the ordering is the global trie order, so the
         # variable being eliminated is always the deepest remaining level).
-        self.tries = TrieCache(order, semiring, thread_safe=thread_safe)
+        self.tries = TrieCache(order, semiring)
         self.tries.adopt_parent(spec.shared_tries)
         self.records: List[Optional[EliminationRecord]] = [None] * len(dag.nodes)
         self.node_join_stats = [OutsideInStats() for _ in dag.nodes]
@@ -282,7 +275,7 @@ class _RunState:
         The one ``node.kind`` → kernel dispatch, and the ``step.kernel``
         fault site: drawn once per *executed* step (a replayed step never
         gets here), so the n-th call of a :class:`~repro.faults.FaultPlan`
-        schedule names the same step for every worker count.
+        schedule names the n-th executed step.
         """
         maybe_raise(SITE_STEP_KERNEL)
         node = self.dag.nodes[index]
@@ -351,9 +344,9 @@ class _RunState:
     def finish(self) -> InsideOutResult:
         """Assemble the run's result and stats in elimination order.
 
-        Totals are accumulated independently of the order the scheduler
-        happened to complete (or replay) nodes in, so they are the same for
-        every worker count.
+        Totals are accumulated independently of the order nodes were
+        executed or replayed in (a merged batch replays a run's nodes out of
+        its own order), so they match an independent run's.
         """
         query, dag = self.query, self.dag
         stats = InsideOutStats()
@@ -406,18 +399,21 @@ class _MergedNode:
 class DagExecutor:
     """Executes lowered elimination step DAGs — the one driver.
 
+    Every step runs inline on the calling thread, in elimination order.
+
     Parameters
     ----------
     workers:
-        Pool size.  ``1`` is the serial run: the steps execute inline on
-        the calling thread, in elimination order (no pool, no locks);
-        larger values run independent steps concurrently on a thread
-        pool.  ``"auto"`` resolves to the CPU count (capped); ``None`` means
-        serial, like ``1``.
+        Only ``1`` is accepted.  The parameter exists for the benchmark's
+        executor probe, which builds ``DagExecutor(workers=1)``, and leaves
+        with that probe (ROADMAP 1(b)'s ``exec.dag_overhead_x``).
     """
 
-    def __init__(self, workers: Optional[int | str] = None) -> None:
-        self.workers = _validated_workers(workers) or 1
+    def __init__(self, workers: int = 1) -> None:
+        if workers != 1 or isinstance(workers, bool):
+            raise QueryError(
+                f"DagExecutor runs every step on the calling thread; got workers={workers!r}"
+            )
 
     # ------------------------------------------------------------------ #
     def run(
@@ -449,7 +445,7 @@ class DagExecutor:
         step_cache=None,
         info: RunInfo | None = None,
     ) -> List[InsideOutResult]:
-        """Lower, merge by digest, schedule and finish a batch of runs.
+        """Lower, merge by digest, execute and finish a batch of runs.
 
         The runs' step DAGs are merged by content address: nodes with equal
         ``(digest, backend)`` keys collapse into one merged node, owned by
@@ -478,14 +474,11 @@ class DagExecutor:
         # Content digests hash every base factor, so only runs that can
         # share steps — with a step source, or with each other — pay for them.
         digests = step_cache is not None or len(specs) > 1
-        states = [
-            _RunState(spec, digests, thread_safe=self.workers > 1) for spec in specs
-        ]
+        states = [_RunState(spec, digests) for spec in specs]
 
         # Merge by content address: the first (run, node) with a key owns it.
         merged: List[_MergedNode] = []
         owner_of: Dict[tuple, int] = {}
-        mid_of: Dict[Tuple[int, int], int] = {}
         for r, state in enumerate(states):
             for index in range(len(state.dag.nodes)):
                 key = state.cache_key(index)
@@ -497,22 +490,20 @@ class DagExecutor:
                         owner_of[key] = mid
                 else:
                     merged[mid].subscribers.append((r, index))
-                mid_of[(r, index)] = mid
 
-        parallel = self.workers > 1 and (
-            len(states) > 1 or states[0].dag.max_parallelism > 1
-        )
-        replayed = [False] * len(merged)
-
-        def execute(mid: int) -> None:
-            node = merged[mid]
+        # Merged-id order is a topological order of the owner edges (every
+        # owner dependency maps to an earlier merged id) — for a lone run,
+        # plain elimination order.  Replays are input-independent, so a
+        # subscriber's own producers need not have run before its replay.
+        replayed = 0
+        for node in merged:
             r, index = node.owner
             state = states[r]
             shared = node.key is not None and step_cache is not None
             entry = step_cache.lookup_or_claim(node.key) if shared else None
             if entry is not None:
                 state.replay(index, entry)
-                replayed[mid] = True
+                replayed += 1
             elif shared or node.subscribers:
                 # The claim must be resolved on *every* exit path between
                 # here and fulfil — capture included — or later claimants of
@@ -531,80 +522,9 @@ class DagExecutor:
             for sub_run, sub_index in node.subscribers:
                 states[sub_run].replay(sub_index, entry)
 
-        if parallel:
-            # Edges come from the owners only: replays are input-independent,
-            # so a subscriber's own producers need not have run before its
-            # replay.
-            indegree: Dict[int, int] = {}
-            dependents: Dict[int, List[int]] = {mid: [] for mid in range(len(merged))}
-            for mid, node in enumerate(merged):
-                r, index = node.owner
-                producers = states[r].dag.nodes[index].depends_on
-                deps = {mid_of[(r, dep)] for dep in producers}
-                indegree[mid] = len(deps)
-                for dep in sorted(deps):
-                    dependents[dep].append(mid)
-            self._run_scheduler(indegree, dependents, execute)
-        else:
-            # Merged-id order is a topological order of the owner edges
-            # (every owner dependency maps to an earlier merged id) —
-            # for a lone run, plain elimination order.
-            for mid in range(len(merged)):
-                execute(mid)
-        executed = len(merged) - sum(replayed)
-
         if info is not None:
             info.total_nodes += sum(len(state.dag.nodes) for state in states)
             info.merged_nodes += len(merged)
-            info.executed_nodes += executed
-            info.replayed_nodes += len(merged) - executed
+            info.executed_nodes += len(merged) - replayed
+            info.replayed_nodes += replayed
         return [state.finish() for state in states]
-
-    # ------------------------------------------------------------------ #
-    def _run_scheduler(self, indegree: Dict[int, int], dependents, execute) -> None:
-        """Run the nodes of a dependency graph as their producers complete.
-
-        The calling thread schedules: it submits every dependency-free node,
-        then wakes on each completion to release the node's dependents.
-        Worker exceptions are re-raised here after the pool drains.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        lock = threading.Lock()
-        ready_cv = threading.Condition(lock)
-        finished: List[int] = []
-        errors: List[BaseException] = []
-        total = len(indegree)
-
-        def work(index: int) -> None:
-            try:
-                execute(index)
-            except BaseException as exc:  # noqa: BLE001 - re-raised by scheduler
-                with ready_cv:
-                    errors.append(exc)
-                    ready_cv.notify()
-                return
-            with ready_cv:
-                finished.append(index)
-                ready_cv.notify()
-
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-dag"
-        ) as pool:
-            with ready_cv:
-                for index, degree in indegree.items():
-                    if degree == 0:
-                        pool.submit(work, index)
-                processed = 0
-                while processed < total and not errors:
-                    while not finished and not errors:
-                        ready_cv.wait()
-                    while finished:
-                        completed = finished.pop()
-                        processed += 1
-                        for dependent in dependents[completed]:
-                            indegree[dependent] -= 1
-                            if indegree[dependent] == 0:
-                                pool.submit(work, dependent)
-        if errors:
-            raise errors[0]

@@ -20,8 +20,8 @@ one entry record per factor, and every kernel reads it through one holder:
 * :class:`TrieCache` — the holder: a map from factor to entry with one
   lookup path (local entry, then the parent holder if it covers the
   factor, else build outside the lock, first store wins).  One per
-  InsideOut run, keyed by factor identity, optionally thread-safe for the
-  parallel executor.
+  InsideOut run, keyed by factor identity; a run is one thread, so it
+  never locks.
 * :class:`SharedTrieCache` — the same holder keyed by factor content
   digest, which :mod:`repro.serve` and each incremental view keep across
   runs as each run's parent so repeated value-equal queries, and updates
@@ -243,9 +243,9 @@ class TrieCache:
     while the entry lives.  :meth:`discard` drops the entry of a factor
     consumed by a step.
 
-    ``thread_safe=True`` (used by the parallel DAG executor) guards the
-    entries and the ``hits``/``misses`` counters with a lock so stats stay
-    exact under the worker pool.  ``adopt_parent`` plugs in a
+    A per-run holder is read by one thread and never locks; the
+    :class:`SharedTrieCache` subclass, which concurrent requests share,
+    guards its entries and counters with a lock.  ``adopt_parent`` plugs in a
     :class:`SharedTrieCache`, which is asked first for everything derived
     from a factor it covers — its encodings only when the run also adopted
     its context (:meth:`flat_context`), its dense arrays only when the run's
@@ -255,15 +255,13 @@ class TrieCache:
     __slots__ = ("order", "semiring", "hits", "misses", "_entries", "_lock",
                  "_parent", "_flat_ctx", "_domains")
 
-    def __init__(
-        self, order: Sequence[str], semiring: Semiring, thread_safe: bool = False
-    ) -> None:
+    def __init__(self, order: Sequence[str], semiring: Semiring) -> None:
         self.order: Tuple[str, ...] = tuple(order)
         self.semiring = semiring
         self.hits = 0
         self.misses = 0
         self._entries: Dict[Any, _FactorIndex] = {}
-        self._lock = threading.Lock() if thread_safe else nullcontext()
+        self._lock = nullcontext()
         self._parent: Optional[SharedTrieCache] = None
         self._flat_ctx: Any = None  # FlatContext | False once built
         self._domains: Optional[Dict[str, Tuple[Any, ...]]] = None  # see _layout
@@ -448,7 +446,7 @@ class TrieCache:
             self._entries.pop(self._key(factor), None)
 
     def counters(self) -> Dict[str, int]:
-        """A snapshot of the hit/miss counters (exact under the pool)."""
+        """A snapshot of the hit/miss counters."""
         with self._lock:
             return {"hits": self.hits, "misses": self.misses}
 
@@ -474,7 +472,7 @@ class SharedTrieCache(TrieCache):
       distinct objects, and :meth:`covers` only the digests it was last
       told to :meth:`cover` (a factor that was never digested is simply
       not covered);
-    * it is always locked: concurrent runs of the same query may populate
+    * it is locked: concurrent requests for the same query may populate
       it simultaneously;
     * stored encodings are read-only (:meth:`FlatFactor.freeze
       <repro.factors.flat.FlatFactor.freeze>`), like every holder's dense
@@ -491,7 +489,8 @@ class SharedTrieCache(TrieCache):
     __slots__ = ("_digests",)
 
     def __init__(self, order: Sequence[str], semiring: Semiring, factors: Sequence[Any]) -> None:
-        super().__init__(order, semiring, thread_safe=True)
+        super().__init__(order, semiring)
+        self._lock = threading.Lock()
         self.cover(factors)
 
     def cover(self, factors: Sequence[Any]) -> None:

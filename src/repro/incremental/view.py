@@ -24,8 +24,8 @@ chosen per update from the semiring and the shape of the delta:
   downstream of the touched base factor recomputes.
 
 All three regimes produce answers bit-identical to a full recomputation
-(the differential tests enforce this cell-for-cell across backends and
-worker counts).  Updates never mutate factors in place — factor tables
+(the differential tests enforce this cell-for-cell across backends).
+Updates never mutate factors in place — factor tables
 freeze when digested, and the supported update path is
 ``Factor.apply_delta`` producing a new factor with a new digest, which is
 what keeps every digest-keyed cache in the engine honest.
@@ -150,7 +150,7 @@ class IncrementalView:
         Variable ordering pinned for the view's lifetime (every regime
         must eliminate in the same order for digests and deltas to line
         up).  ``None`` keeps the query's own order.
-    use_indicator_projections / backend / workers:
+    use_indicator_projections / backend:
         Execution knobs, same meaning as in
         :func:`repro.core.insideout.inside_out`.
     add_tag:
@@ -163,14 +163,12 @@ class IncrementalView:
         ordering: Sequence[str] | str | None = None,
         use_indicator_projections: bool = True,
         backend: str = BACKEND_SPARSE,
-        workers: Optional[int] = None,
         add_tag: Optional[str] = None,
     ) -> None:
         self.query = query
         self._order: Tuple[str, ...] = tuple(_validated_ordering(query, ordering))
         self._uip = use_indicator_projections
         self._backend = validate_backend(backend)
-        self._executor = DagExecutor(workers=workers)
         self._add_tag = additive_tag(query.semiring, add_tag)
         self._steps = StepResultCache()
         self._tries = SharedTrieCache(self._order, query.semiring, query.factors)
@@ -186,7 +184,7 @@ class IncrementalView:
         Everything a restarted server needs to resume *warm*: the current
         query (frozen factors), the pinned ordering/backend knobs, the
         digest-keyed step cache's entries and the current answer.  Runtime-only
-        machinery (the executor, the index store) and the accounting stats
+        machinery (the index store) and the accounting stats
         are excluded — a restored view starts with fresh stats, which is
         what lets tests assert "no full recompute after restore" as
         ``full_runs == 0``.
@@ -202,7 +200,7 @@ class IncrementalView:
         }
 
     @classmethod
-    def restore(cls, state: Dict[str, Any], workers: Optional[int] = None) -> "IncrementalView":
+    def restore(cls, state: Dict[str, Any]) -> "IncrementalView":
         """Rebuild a view from :meth:`dump_state` output.
 
         The restored view answers :meth:`result` from the saved output
@@ -219,7 +217,6 @@ class IncrementalView:
         view._uip = state["uip"]
         view._backend = state["backend"]
         view._add_tag = state["add_tag"]
-        view._executor = DagExecutor(workers=workers)
         view._steps = state["steps"]
         view._tries = SharedTrieCache(view._order, view.query.semiring, ())
         view._cover()
@@ -422,7 +419,7 @@ class IncrementalView:
         from pinning every intermediate ever computed.
         """
         info = RunInfo()
-        [result] = self._executor.run_many(
+        [result] = DagExecutor().run_many(
             [RunSpec(
                 query,
                 ordering=list(self._order),

@@ -121,7 +121,7 @@ class CostModel:
         self.invocations = 0
         # The process-wide model is shared by concurrent planner calls
         # (repro.serve plans queries on a pool): the counter is guarded so
-        # it stays exact under the workers.
+        # it stays exact under concurrent requests.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #

@@ -94,15 +94,13 @@ class Plan:
     def execute(
         self,
         output_mode: str = "listing",
-        workers: int | str | None = None,
         shared_tries: Any = None,
         step_cache: Any = None,
     ) -> PlanResult:
         """Run the plan and return the output over the free variables.
 
-        The plan runs on the step-DAG executor (:mod:`repro.exec`):
-        ``workers`` > 1 runs its independent steps on a thread pool.
-        ``shared_tries`` passes a
+        The plan runs on the step-DAG executor (:mod:`repro.exec`), on
+        the calling thread.  ``shared_tries`` passes a
         :class:`~repro.factors.index.SharedTrieCache` of this query's
         base-factor tries (the serving layer reuses one across repeated
         identical queries); ``step_cache`` a
@@ -112,7 +110,7 @@ class Plan:
         """
         from repro.exec.executor import DagExecutor
 
-        result = DagExecutor(workers=workers).run_many(
+        result = DagExecutor().run_many(
             [self.run_spec(output_mode, shared_tries)], step_cache=step_cache
         )[0]
         return PlanResult(

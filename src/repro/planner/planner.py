@@ -463,13 +463,7 @@ def execute(
     stats: Optional[QueryStatistics] = None,
     *,
     output_mode: str = "listing",
-    workers: Optional[int] = None,
     **kwargs,
 ) -> PlanResult:
-    """Plan and execute ``query`` in one call (see :func:`plan` for kwargs).
-
-    ``workers`` is an execution argument, not a planning one: it opts the
-    chosen plan into the parallel step-DAG executor (see
-    :meth:`~repro.planner.plan.Plan.execute`).
-    """
-    return plan(query, stats, **kwargs).execute(output_mode=output_mode, workers=workers)
+    """Plan and execute ``query`` in one call (see :func:`plan` for kwargs)."""
+    return plan(query, stats, **kwargs).execute(output_mode=output_mode)

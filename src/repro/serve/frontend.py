@@ -38,6 +38,9 @@ accepts the ping but misses its RPC deadline is wedged and gets
 restarted.  Synchronous callers (tests, benchmarks) use
 :meth:`Frontend.serve_batch`, which runs the submissions in a private
 event loop.
+
+The tier's parallelism is its processes: each replica runs one request at
+a time (``pool_size=1``), and a request's steps run on that one thread.
 """
 
 from __future__ import annotations
@@ -91,11 +94,6 @@ class Frontend:
     ----------
     replicas:
         Fleet size (defaults to the CPU count).
-    workers:
-        Per-query step-DAG parallelism *inside* each replica — the unified
-        ``workers=`` meaning (``None``/1 = serial per query, ``"auto"`` =
-        capped CPU count; the fleet still overlaps distinct queries across
-        processes).
     start_method:
         ``multiprocessing`` start method (platform default when ``None``).
     plan_cache:
@@ -137,7 +135,6 @@ class Frontend:
         self,
         replicas: Optional[int] = None,
         *,
-        workers: Optional[int | str] = None,
         start_method: Optional[str] = None,
         max_pending: int = 1024,
         tenant_limit: Optional[int] = None,
@@ -156,7 +153,6 @@ class Frontend:
         self.retry = retry if retry is not None else RetryPolicy()
         self._set = ReplicaSet(
             size,
-            workers=workers,
             warm_caches=_warm_caches(plan_cache),
             start_method=start_method,
             rpc_timeout=self.retry.rpc_timeout,

@@ -143,7 +143,6 @@ def _wire_error(exc: BaseException) -> tuple:
 def _replica_main(
     conn,
     replica_id: int,
-    workers: Optional[int] = None,
     warm_caches: Optional[bytes] = None,
     snapshot_dir: Optional[str] = None,
     fault_config: Optional[Dict[str, Any]] = None,
@@ -161,9 +160,7 @@ def _replica_main(
     # cache_results=True is the replica-side completed-result cache: repeat
     # traffic that opted into sharing (coalesce=True on the wire) is answered
     # by content digest without re-executing.
-    server = PlanServer(
-        workers=workers, pool_size=1, cache_results=True, snapshot_store=snapshots,
-    )
+    server = PlanServer(pool_size=1, cache_results=True, snapshot_store=snapshots)
     # Adopt the warm caches the parent pickled into our arguments so a cold
     # replica starts with the warm ρ* memo and plan cache instead of
     # warming private copies.  Best-effort: each section is checked against
@@ -281,7 +278,6 @@ class ReplicaHandle:
         self,
         index: int,
         *,
-        workers: Optional[int | str] = None,
         warm_caches: Optional[bytes] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
         snapshot_dir: Optional[str] = None,
@@ -289,7 +285,6 @@ class ReplicaHandle:
         context=None,
     ) -> None:
         self.index = index
-        self.workers = workers
         self.warm_caches = warm_caches
         self.rpc_timeout = rpc_timeout
         self.snapshot_dir = snapshot_dir
@@ -309,7 +304,7 @@ class ReplicaHandle:
             self.process = self._ctx.Process(
                 target=_replica_main,
                 args=(
-                    child, self.index, self.workers, self.warm_caches,
+                    child, self.index, self.warm_caches,
                     self.snapshot_dir, self.fault_config,
                 ),
                 name=f"repro-replica-{self.index}",
@@ -609,7 +604,6 @@ class ReplicaSet:
         self,
         size: int,
         *,
-        workers: Optional[int | str] = None,
         warm_caches: Optional[bytes] = None,
         start_method: Optional[str] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
@@ -622,7 +616,7 @@ class ReplicaSet:
         self._closed = False
         self.replicas: List[ReplicaHandle] = [
             ReplicaHandle(
-                i, workers=workers, warm_caches=warm_caches,
+                i, warm_caches=warm_caches,
                 context=context, rpc_timeout=rpc_timeout,
                 # Per-replica spill directories: a restarted replica i
                 # resumes from replica i's own snapshot, warm.

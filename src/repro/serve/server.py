@@ -2,8 +2,11 @@
 
 :class:`PlanServer` owns a thread pool, a shared
 :class:`~repro.planner.cache.PlanCache` and a bounded store of
-:class:`~repro.factors.index.SharedTrieCache` instances.  The redesigned
-surface speaks :class:`~repro.serve.api.ServeRequest` /
+:class:`~repro.factors.index.SharedTrieCache` instances.  The pool is the
+server's only source of threads: a request's elimination steps run on the
+pool thread that serves it, and concurrent requests meet only in the
+locked shared stores and the step-result cache's claim protocol.  The
+redesigned surface speaks :class:`~repro.serve.api.ServeRequest` /
 :class:`~repro.serve.api.ServeResult` only; a bare ``FAQQuery`` is refused
 with a typed :class:`~repro.core.query.QueryError`.
 
@@ -37,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.caching import LruCache
 from repro.core.query import QueryError
-from repro.exec import DagExecutor, RunInfo, StepResultCache, validate_workers
+from repro.exec import DagExecutor, RunInfo, StepResultCache
 from repro.factors.delta import FactorDelta
 from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
@@ -92,19 +95,14 @@ class PlanServer:
     update, runs on the one step-DAG driver
     (:class:`repro.exec.DagExecutor`); what differs is only the batch size
     and the step source attached (the server's step-result cache, a view's
-    private one, or none for a ``coalesce=False`` request).
+    private one, or none for a ``coalesce=False`` request).  A request's
+    steps run on the thread that serves it; concurrency is across requests.
 
     Parameters
     ----------
-    workers:
-        Per-query step-DAG parallelism forwarded to
-        :meth:`~repro.planner.plan.Plan.execute` — the *unified* ``workers=``
-        meaning shared with every other entry point (``None``/1 = serial
-        per query, ``"auto"`` = capped CPU count; the pool still overlaps
-        distinct queries).
     pool_size:
-        Thread-pool size for concurrent query execution (defaults to the
-        CPU count).
+        Thread-pool size for concurrent request execution: a positive
+        integer, or ``None`` for the CPU count.
     cache:
         The :class:`~repro.planner.cache.PlanCache` to plan against
         (defaults to a server-private one).  Every execution feeds its
@@ -128,7 +126,6 @@ class PlanServer:
 
     def __init__(
         self,
-        workers: Optional[int | str] = None,
         *,
         pool_size: Optional[int] = None,
         cache: Optional[PlanCache] = None,
@@ -136,8 +133,11 @@ class PlanServer:
         cache_results: bool = False,
         snapshot_store: Optional[SnapshotStore] = None,
     ) -> None:
-        self.workers = validate_workers(workers)
-        self.pool_size = validate_workers(pool_size) or (os.cpu_count() or 1)
+        if pool_size is not None and (
+            isinstance(pool_size, bool) or not isinstance(pool_size, int) or pool_size < 1
+        ):
+            raise QueryError(f"pool_size must be a positive integer or None, got {pool_size!r}")
+        self.pool_size = pool_size or os.cpu_count() or 1
         self.cache = cache if cache is not None else PlanCache()
         self.coalesce = coalesce
         self._pool = ThreadPoolExecutor(
@@ -280,9 +280,7 @@ class PlanServer:
         if view is None:
             try:
                 chosen = self._plan_for(request)
-                view = IncrementalView(
-                    request.query, ordering=list(chosen.ordering), workers=self.workers
-                )
+                view = IncrementalView(request.query, ordering=list(chosen.ordering))
                 view.result()  # baseline answer + its steps
             except Exception as exc:  # noqa: BLE001 - typed, e.g. a kernel fault
                 raise _plan_failure(exc)
@@ -330,7 +328,7 @@ class PlanServer:
         restored = 0
         for key, state in sections.get("views") or []:
             try:
-                view = IncrementalView.restore(state, workers=self.workers)
+                view = IncrementalView.restore(state)
             except Exception:  # noqa: BLE001 - a stale entry, not a failure
                 continue
             self._incremental.put(key, view)
@@ -452,7 +450,7 @@ class PlanServer:
 
         jobs = [([p for p in planned if reps[p[0]].coalesce], self._step_results)]
         jobs += [([p], None) for p in planned if not reps[p[0]].coalesce]
-        executor = DagExecutor(workers=self.workers)
+        executor = DagExecutor()
         while jobs:
             runs, step_cache = jobs.pop(0)
             if not runs:
@@ -701,7 +699,6 @@ def _chain_coalesced(primary: "Future[ServeResult]") -> "Future[ServeResult]":
 def execute_batch(
     requests: Sequence[ServeRequest],
     *,
-    workers: Optional[int | str] = None,
     pool_size: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     coalesce: bool = True,
@@ -713,5 +710,5 @@ def execute_batch(
     instead — its plan cache, shared tries and step-result cache stay warm
     across batches.
     """
-    with PlanServer(workers=workers, pool_size=pool_size, cache=cache) as server:
+    with PlanServer(pool_size=pool_size, cache=cache) as server:
         return server.execute_batch(requests, coalesce=coalesce)

@@ -59,7 +59,7 @@ def permanent_query(matrix: np.ndarray) -> FAQQuery:
     )
 
 
-def permanent(matrix: np.ndarray, workers: int | None = None) -> float:
+def permanent(matrix: np.ndarray) -> float:
     """The permanent of a square matrix via InsideOut (exponential in n).
 
     The permanent's hypergraph is the complete graph of pairwise ``≠``
@@ -71,7 +71,6 @@ def permanent(matrix: np.ndarray, workers: int | None = None) -> float:
     query = permanent_query(matrix)
     result = execute(
         query, ordering=list(query.order), strategy=STRATEGY_INSIDEOUT, backend="sparse",
-        workers=workers,
     )
     return float(result.scalar_or_zero(SUM_PRODUCT))
 
@@ -94,7 +93,6 @@ def count_weighted_homomorphisms(
     pattern: nx.Graph,
     graph: nx.Graph,
     weights: Dict[Tuple, float] | None = None,
-    workers: int | None = None,
 ) -> float:
     """Weighted homomorphism count (partition-function form of #CSP).
 
@@ -122,4 +120,4 @@ def count_weighted_homomorphisms(
         semiring=SUM_PRODUCT,
         name="weighted-hom",
     )
-    return float(execute(query, workers=workers).scalar_or_zero(SUM_PRODUCT))
+    return float(execute(query).scalar_or_zero(SUM_PRODUCT))

@@ -87,19 +87,19 @@ class CSP:
         return FAQQuery(variables, list(self.variables), {}, self._factors(BOOLEAN), BOOLEAN, name="csp-all")
 
     # ------------------------------------------------------------------ #
-    def is_satisfiable(self, ordering="plan", workers: int | None = None) -> bool:
+    def is_satisfiable(self, ordering="plan") -> bool:
         """Decide satisfiability via the cost-based planner (default)."""
-        result = execute(self.satisfiability_query(), ordering=ordering, workers=workers)
+        result = execute(self.satisfiability_query(), ordering=ordering)
         return bool(result.scalar_or_zero(BOOLEAN))
 
-    def count_solutions(self, ordering="plan", workers: int | None = None) -> int:
+    def count_solutions(self, ordering="plan") -> int:
         """Count satisfying assignments via the cost-based planner."""
-        result = execute(self.counting_query(), ordering=ordering, workers=workers)
+        result = execute(self.counting_query(), ordering=ordering)
         return int(result.scalar_or_zero(COUNTING))
 
-    def solutions(self, ordering="plan", workers: int | None = None) -> List[Dict[str, Any]]:
+    def solutions(self, ordering="plan") -> List[Dict[str, Any]]:
         """Enumerate all satisfying assignments via the cost-based planner."""
-        result = execute(self.enumeration_query(), ordering=ordering, workers=workers)
+        result = execute(self.enumeration_query(), ordering=ordering)
         scope = result.factor.scope
         return [dict(zip(scope, key)) for key in result.factor.table]
 

@@ -49,7 +49,6 @@ def natural_join_query(relations: Sequence[Relation]) -> FAQQuery:
 def natural_join_insideout(
     relations: Sequence[Relation],
     ordering: Sequence[str] | str | None = "plan",
-    workers: int | None = None,
 ) -> Relation:
     """Evaluate a natural join via the cost-based planner.
 
@@ -60,7 +59,7 @@ def natural_join_insideout(
     (generic join's).  Pass an explicit ``ordering`` to pin that ordering.
     """
     query = natural_join_query(relations)
-    result = execute(query, ordering=ordering, workers=workers)
+    result = execute(query, ordering=ordering)
     return Relation("join", result.factor.scope, result.factor.table.keys())
 
 
@@ -112,10 +111,10 @@ def join_size_query(relations: Sequence[Relation]) -> FAQQuery:
     )
 
 
-def count_join_results(relations: Sequence[Relation], workers: int | None = None) -> int:
+def count_join_results(relations: Sequence[Relation]) -> int:
     """``|R_1 ⋈ ... ⋈ R_m|`` computed via the planner (counting semiring)."""
     query = join_size_query(relations)
-    result = execute(query, workers=workers)
+    result = execute(query)
     return int(result.scalar_or_zero(COUNTING))
 
 
@@ -155,12 +154,10 @@ def homomorphism_count_query(pattern: nx.Graph, graph: nx.Graph) -> FAQQuery:
     )
 
 
-def count_homomorphisms(
-    pattern: nx.Graph, graph: nx.Graph, workers: int | None = None
-) -> int:
+def count_homomorphisms(pattern: nx.Graph, graph: nx.Graph) -> int:
     """Number of homomorphisms from ``pattern`` to ``graph`` via the planner."""
     query = homomorphism_count_query(pattern, graph)
-    return int(execute(query, workers=workers).scalar_or_zero(COUNTING))
+    return int(execute(query).scalar_or_zero(COUNTING))
 
 
 def count_triangles(graph: nx.Graph) -> int:

@@ -182,18 +182,18 @@ class QuantifiedConjunctiveQuery:
     # solvers
     # ------------------------------------------------------------------ #
     def solve(
-        self, ordering: Sequence[str] | str | None = "plan", workers: int | None = None
+        self, ordering: Sequence[str] | str | None = "plan"
     ) -> Relation:
         """Evaluate the QCQ via the planner; returns the satisfying free tuples."""
-        result = execute(self.decision_query(), ordering=ordering, workers=workers)
+        result = execute(self.decision_query(), ordering=ordering)
         rows = [key for key, value in result.factor.table.items() if value]
         return Relation("qcq-answers", self.free, rows)
 
     def count(
-        self, ordering: Sequence[str] | str | None = "plan", workers: int | None = None
+        self, ordering: Sequence[str] | str | None = "plan"
     ) -> int:
         """Evaluate the #QCQ via the planner; returns the number of answers."""
-        result = execute(self.counting_query(), ordering=ordering, workers=workers)
+        result = execute(self.counting_query(), ordering=ordering)
         return int(result.scalar_or_zero(COUNTING))
 
     # ------------------------------------------------------------------ #

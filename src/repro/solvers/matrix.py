@@ -76,7 +76,6 @@ def matrix_chain_insideout(
     matrices: Sequence[np.ndarray],
     ordering: Sequence[str] | str | None = None,
     backend: str = "auto",
-    workers: int | None = None,
 ) -> np.ndarray:
     """Multiply a matrix chain through the FAQ encoding and InsideOut.
 
@@ -96,7 +95,7 @@ def matrix_chain_insideout(
         dims = [arrays[0].shape[0]] + [a.shape[1] for a in arrays]
         ordering = mcm_dp_ordering(dims)
     result = execute(
-        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT, workers=workers
+        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT
     )
     rows, cols = arrays[0].shape[0], arrays[-1].shape[1]
     output = np.zeros((rows, cols), dtype=float)
@@ -237,7 +236,6 @@ def dft_query(vector: Sequence[complex], base: int) -> FAQQuery:
 
 def dft_insideout(
     vector: Sequence[complex], base: int = 2, backend: str = "auto",
-    workers: int | None = None,
 ) -> np.ndarray:
     """Compute the DFT through the FAQ encoding (an FFT in disguise).
 
@@ -252,7 +250,6 @@ def dft_insideout(
     query = dft_query(values, base)
     result = execute(
         query, ordering=list(query.order), backend=backend, strategy=STRATEGY_INSIDEOUT,
-        workers=workers,
     )
     output = np.zeros(size, dtype=complex)
     for key, value in result.factor.table.items():

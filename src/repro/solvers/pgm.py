@@ -25,7 +25,6 @@ def marginal_insideout(
     variables: Sequence[str],
     ordering: Sequence[str] | str | None = "plan",
     backend: str | None = None,
-    workers: int | None = None,
 ) -> Dict[Tuple[Any, ...], float]:
     """Unnormalised marginal over ``variables`` via the planner + InsideOut.
 
@@ -36,7 +35,7 @@ def marginal_insideout(
     """
     query = model.marginal_query(list(variables))
     result = execute(
-        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT, workers=workers
+        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT
     )
     return dict(result.factor.table)
 
@@ -46,12 +45,11 @@ def map_insideout(
     variables: Sequence[str],
     ordering: Sequence[str] | str | None = "plan",
     backend: str | None = None,
-    workers: int | None = None,
 ) -> Dict[Tuple[Any, ...], float]:
     """Unnormalised max-marginals over ``variables`` via the planner."""
     query = model.map_query(list(variables))
     result = execute(
-        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT, workers=workers
+        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT
     )
     return dict(result.factor.table)
 
@@ -60,12 +58,11 @@ def partition_function_insideout(
     model: DiscreteGraphicalModel,
     ordering: Sequence[str] | str | None = "plan",
     backend: str | None = None,
-    workers: int | None = None,
 ) -> float:
     """The partition function ``Z`` via the planner + InsideOut."""
     query = model.partition_function_query()
     result = execute(
-        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT, workers=workers
+        query, ordering=ordering, backend=backend, strategy=STRATEGY_INSIDEOUT
     )
     return float(result.scalar_or_zero(query.semiring))
 

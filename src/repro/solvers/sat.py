@@ -168,7 +168,6 @@ def sharp_sat_query(formula: CNFFormula) -> FAQQuery:
 def count_models(
     formula: CNFFormula,
     ordering: Sequence[str] | str | None = None,
-    workers: int | None = None,
 ) -> int:
     """Exact model counting via the planner.
 
@@ -187,11 +186,10 @@ def count_models(
         neo = nested_elimination_order(formula.hypergraph())
         ordering = list(neo) if neo is not None else "plan"
     if isinstance(ordering, str):
-        result = execute(query, ordering=ordering, workers=workers)
+        result = execute(query, ordering=ordering)
     else:
         result = execute(
             query, ordering=ordering, strategy=STRATEGY_INSIDEOUT, backend="sparse",
-            workers=workers,
         )
     return int(result.scalar_or_zero(COUNTING))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 
 from repro.core.query import FAQQuery, Variable
 from repro.factors.factor import Factor
@@ -77,3 +79,39 @@ def small_random_query(
         semiring=semiring,
         name=f"rand{seed}",
     )
+
+
+def on_threads(count, target, switch_interval=None):
+    """Run ``target(i)`` for ``i`` in ``range(count)``, each on its own plain
+    thread, and return the results in that order.
+
+    The threads start ``target`` together, behind a barrier.  The first
+    exception a thread raised is re-raised here.  A ``switch_interval``
+    (seconds) shortens the interpreter's thread switch interval while the
+    threads run, to provoke races.
+    """
+    results, errors = [None] * count, []
+    start = threading.Barrier(count)
+
+    def run(slot):
+        try:
+            start.wait(timeout=60)
+            results[slot] = target(slot)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    if switch_interval is not None:
+        sys.setswitchinterval(switch_interval)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads), "a thread never finished"
+    if errors:
+        raise errors[0]
+    return results

@@ -23,9 +23,9 @@ def test_engine_query_returns_typed_result():
 
 
 def test_engine_config_and_overrides():
-    config = EngineConfig(workers=2, plan_cache_size=16)
+    config = EngineConfig(pool_size=2, plan_cache_size=16)
     engine = Engine(config, plan_cache_size=32)
-    assert engine.config.workers == 2
+    assert engine.config.pool_size == 2
     assert engine.config.plan_cache_size == 32  # override wins
     assert engine.cache.maxsize == 32
     engine.close()

@@ -8,7 +8,8 @@ The contracts under test:
 * **correct and bit-identical** — merged execution agrees with brute
   force and returns the same factor tables *and* the same
   :class:`~repro.core.insideout.InsideOutStats` (wall-clock seconds aside)
-  as independent unshared runs, across semirings and worker counts;
+  as independent unshared runs, across semirings, also when concurrent
+  requests merge the same batch on one step source;
 * **closed loop** — :func:`~repro.planner.record_plan_feedback` folds
   observed-vs-estimated step sizes into the cached plan's health and, past
   the error threshold, invalidates the plan so the next request searches
@@ -40,11 +41,12 @@ from repro.planner import (
 from repro.planner.cache import REPLAN_ERROR_THRESHOLD
 from repro.serve import PlanFailure, PlanServer, ServeRequest
 
+from _helpers import on_threads
 from test_exec_parallel import _brute_force_by_block, _multi_block
 from test_planner_differential import SEMIRINGS
 
 MERGED_SEMIRINGS = ("counting", "max-product", "boolean")
-WORKER_COUNTS = (1, 4)
+REQUEST_THREADS = (1, 4)
 _CHAIN_VARS = 6
 _ORDER = tuple(f"x{i}" for i in range(1, _CHAIN_VARS + 1))
 
@@ -128,37 +130,48 @@ def _assert_identical(serial, merged, context):
 # ---------------------------------------------------------------------- #
 # merged batches: bit-identical and exactly-once
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("threads", REQUEST_THREADS)
 @pytest.mark.parametrize("name", MERGED_SEMIRINGS)
-def test_merged_batch_matches_independent_runs(name, workers):
+def test_merged_batch_matches_independent_runs(name, threads):
+    """One merged batch, or the same batch from ``threads`` concurrent
+    requests on one step source."""
     queries = _chain_family(name)
     independent = [inside_out(q, ordering=list(_ORDER)) for q in queries]
     for query, run in zip(queries, independent):
         assert query.evaluate_brute_force().equals(run.factor, query.semiring)
 
     cache = StepResultCache()
-    info = RunInfo()
-    merged = DagExecutor(workers=workers).run_many(
-        [RunSpec(query=q, ordering=list(_ORDER)) for q in queries],
-        step_cache=cache,
-        info=info,
-    )
-    for serial, shared, query in zip(independent, merged, queries):
-        _assert_identical(serial, shared, f"{name}/workers={workers}/{query.name}")
 
-    # Exactly once: every distinct digest executed a single time, and the
-    # overlap (shared chain + the duplicate query) actually deduplicated.
-    assert info.executed_nodes == info.merged_nodes
-    assert info.replayed_nodes == 0
-    assert info.merged_nodes < info.total_nodes
-    assert cache.stats()["computed"] == info.executed_nodes
+    def run(_):
+        info = RunInfo()
+        merged = DagExecutor().run_many(
+            [RunSpec(query=q, ordering=list(_ORDER)) for q in queries],
+            step_cache=cache,
+            info=info,
+        )
+        return merged, info
+
+    outcomes = on_threads(threads, run, switch_interval=1e-5)
+    for merged, _ in outcomes:
+        for serial, shared, query in zip(independent, merged, queries):
+            _assert_identical(serial, shared, f"{name}/threads={threads}/{query.name}")
+
+    # Exactly once: every distinct digest executed a single time, in
+    # whichever request claimed it first, and the overlap (shared chain +
+    # the duplicate query) actually deduplicated.
+    infos = [info for _, info in outcomes]
+    merged_nodes = infos[0].merged_nodes
+    assert sum(info.executed_nodes for info in infos) == merged_nodes
+    assert sum(info.replayed_nodes for info in infos) == (threads - 1) * merged_nodes
+    assert merged_nodes < infos[0].total_nodes
+    assert cache.stats()["computed"] == merged_nodes
 
 
 @pytest.mark.parametrize("name", MERGED_SEMIRINGS)
 def test_warm_step_cache_replays_the_whole_batch(name):
     queries = _chain_family(name)
     cache = StepResultCache()
-    executor = DagExecutor(workers=1)
+    executor = DagExecutor()
     specs = [RunSpec(query=q, ordering=list(_ORDER)) for q in queries]
 
     first = RunInfo()
@@ -270,11 +283,11 @@ def test_plan_server_refuses_a_variable_elimination_request():
             server.execute_request(request)
 
 
-def test_variable_elimination_plan_honours_workers_and_step_cache():
+def test_variable_elimination_plan_honours_the_step_cache():
     """The dense plan variable elimination used to win runs as InsideOut:
     no indicator projection of its steps filters, so none is drawn — the
-    steps are variable elimination's — and the plan honours workers and
-    the step cache."""
+    steps are variable elimination's — and the plan honours the step
+    cache."""
     query = _multi_block("max-product", 1, domain=4, density=0.9)
     chosen = plan(query, backend="dense", cache=PlanCache())
     assert chosen.strategy == "insideout"
@@ -282,11 +295,10 @@ def test_variable_elimination_plan_honours_workers_and_step_cache():
     assert dag.max_parallelism > 1
     assert any(node.reads for node in dag.nodes)
 
-    serial = chosen.execute(workers=1)
+    serial = chosen.execute()
     assert query.semiring.values_equal(serial.scalar, _brute_force_by_block(query))
     assert {step.backend for step in serial.stats.steps} == {"dense"}
     assert all(step.projection_count == 0 for step in serial.stats.steps)
-    _assert_identical(serial.raw, chosen.execute(workers=2).raw, "dense plan/threads")
 
     cache = StepResultCache()
     cold = chosen.execute(step_cache=cache)
@@ -327,7 +339,7 @@ def test_lone_unshared_runs_never_compute_digests(monkeypatch):
         lambda *args, **kwargs: (calls.append(1), real(*args, **kwargs))[1],
     )
     cache = StepResultCache()
-    DagExecutor(workers=1).run_many(
+    DagExecutor().run_many(
         [RunSpec(query=query, ordering=list(_ORDER))], step_cache=cache
     )
     assert calls == [1] and cache.computed > 0

@@ -1,4 +1,4 @@
-"""Correctness and parallel determinism of the step-DAG executor.
+"""Correctness of the step-DAG executor and the shape of its lowering.
 
 :class:`~repro.exec.DagExecutor` is the one elimination driver
 (:func:`~repro.core.insideout.inside_out` and
@@ -8,33 +8,31 @@ against two references instead:
 
 * **values** against the brute-force oracle
   (:meth:`FAQQuery.evaluate_brute_force`), and
-* **determinism** against ``workers=1`` of the same scheduler: for *any*
-  worker count the output factor (values included, not just up to semiring
-  equality) *and* the :class:`~repro.core.insideout.InsideOutStats` totals
-  must be identical.
+* **determinism** against a direct :meth:`DagExecutor.run_many` call: every
+  entry point's output factor (values included, not just up to semiring
+  equality) *and* :class:`~repro.core.insideout.InsideOutStats` totals
+  must be identical to it.
 
 The seeded property test below checks both across semirings, both
-elimination lowerings, factor backends and ``workers ∈ {1, 2, 8}``, on the
-same randomized query family the planner differential harness uses.
+elimination lowerings and factor backends, on the same randomized query
+family the planner differential harness uses.  The module's name predates
+the removal of per-query step parallelism; every run here is serial.
 """
 
 import itertools
-import os
 import random
 
 import pytest
 
 from repro.core.insideout import inside_out
-from repro.core.query import FAQQuery, QueryError, Variable
+from repro.core.query import FAQQuery, Variable
 from repro.core.variable_elimination import variable_elimination
 from repro.exec import (
-    AUTO_WORKERS_CAP,
     KIND_OUTPUT,
     KIND_SEMIRING,
     DagExecutor,
     RunSpec,
     lower_insideout,
-    validate_workers,
 )
 from repro.factors.factor import Factor
 from repro.planner import plan
@@ -43,7 +41,6 @@ from repro.semiring.standard import BOOLEAN, COUNTING, MAX_PRODUCT, MIN_PLUS
 
 from test_planner_differential import SEMIRINGS, _random_query
 
-WORKER_COUNTS = (1, 2, 8)
 BACKENDS = ("sparse", "dense", "auto")
 # indicator projections on / off -> the public entry point that is a thin
 # call into that run
@@ -60,16 +57,16 @@ def _assert_correct(query, result, context):
     )
 
 
-def _assert_identical(serial, parallel, context):
-    """Outputs and stats totals must match the ``workers=1`` run exactly."""
-    assert parallel.ordering == serial.ordering, context
-    assert parallel.factor.scope == serial.factor.scope, context
-    assert parallel.factor.table == serial.factor.table, (
-        f"{context}: parallel table diverged\n"
-        f"  serial  : {sorted(serial.factor.table.items(), key=repr)}\n"
-        f"  parallel: {sorted(parallel.factor.table.items(), key=repr)}"
+def _assert_identical(serial, other, context):
+    """Outputs and stats totals must match the direct executor run exactly."""
+    assert other.ordering == serial.ordering, context
+    assert other.factor.scope == serial.factor.scope, context
+    assert other.factor.table == serial.factor.table, (
+        f"{context}: table diverged\n"
+        f"  executor: {sorted(serial.factor.table.items(), key=repr)}\n"
+        f"  other   : {sorted(other.factor.table.items(), key=repr)}"
     )
-    s, p = serial.stats, parallel.stats
+    s, p = serial.stats, other.stats
     assert len(p.steps) == len(s.steps), context
     for a, b in zip(s.steps, p.steps):
         assert (
@@ -95,7 +92,7 @@ def _assert_identical(serial, parallel, context):
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
 @pytest.mark.parametrize("seed", range(6))
 def test_dag_executor_is_correct_and_worker_invariant(name, seed):
-    """Right against brute force; identical across workers and entry points.
+    """Right against brute force; identical across entry points.
 
     Every query of the family has one semiring aggregate tag (plus product
     aggregates), so variable elimination applies to all of them.
@@ -104,46 +101,38 @@ def test_dag_executor_is_correct_and_worker_invariant(name, seed):
     for (uip, entry_point), backend in itertools.product(ENTRY_POINTS.items(), BACKENDS):
         context = f"{name}/seed={seed}/projections={uip}/backend={backend}"
         spec = RunSpec(query, backend=backend, use_indicator_projections=uip)
-        [serial] = DagExecutor(workers=1).run_many([spec])
+        [serial] = DagExecutor().run_many([spec])
         _assert_correct(query, serial, context)
-        runs = {
-            f"workers={workers}": DagExecutor(workers=workers).run_many([spec])[0]
-            for workers in WORKER_COUNTS[1:]
-        }
-        runs[entry_point.__name__] = entry_point(query, ordering=None, backend=backend)
-        for label, run in runs.items():
-            _assert_identical(serial, run, f"{context}/{label}")
+        run = entry_point(query, ordering=None, backend=backend)
+        _assert_identical(serial, run, f"{context}/{entry_point.__name__}")
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
 def test_dag_executor_matches_planned_ordering(name):
-    """The planner's chosen ordering parallelises identically too."""
+    """The planner's chosen ordering runs identically on the executor."""
     query = _random_query(name, 7)
     chosen = plan(query)
-    serial = chosen.execute()
-    _assert_correct(query, serial, f"{name}/planned")
-    for workers in WORKER_COUNTS:
-        parallel = chosen.execute(workers=workers)
-        _assert_identical(
-            serial.raw, parallel.raw, f"{name}/planned/workers={workers}"
-        )
+    planned = chosen.execute()
+    _assert_correct(query, planned, f"{name}/planned")
+    direct = DagExecutor().run(query, ordering=list(chosen.ordering), backend=chosen.backend)
+    _assert_identical(direct, planned.raw, f"{name}/planned")
 
 
 def test_dag_executor_factorized_mode():
     query = _random_query("counting", 2)
     serial = inside_out(query, output_mode="factorized")
-    parallel = DagExecutor(workers=4).run(query, output_mode="factorized")
-    assert serial.factor is None and parallel.factor is None
+    direct = DagExecutor().run(query, output_mode="factorized")
+    assert serial.factor is None and direct.factor is None
     assert query.evaluate_brute_force().equals(
         serial.factorized.to_factor(), query.semiring
     )
-    assert len(parallel.factorized.factors) == len(serial.factorized.factors)
-    for a, b in zip(serial.factorized.factors, parallel.factorized.factors):
+    assert len(direct.factorized.factors) == len(serial.factorized.factors)
+    for a, b in zip(serial.factorized.factors, direct.factorized.factors):
         assert a.scope == b.scope and a.table == b.table
 
 
 def _multi_block_query(blocks=3, chain=3, domain=3):
-    """Disjoint chain blocks: the canonical parallelisable workload."""
+    """Disjoint chain blocks: steps with no DAG edge between them."""
     variables, aggregates, factors = [], {}, []
     for block in range(blocks):
         names = [f"b{block}v{i}" for i in range(chain)]
@@ -166,7 +155,7 @@ ELIGIBLE = {
 
 
 def _multi_block(name, seed, blocks=3, chain=3, domain=6, density=0.5):
-    """Disjoint sparse chain blocks: real step-DAG parallelism."""
+    """Disjoint sparse chain blocks: a wide step DAG."""
     semiring, value_of, aggregate_factory = ELIGIBLE[name]
     rng = random.Random(104_729 * seed + sum(ord(c) for c in name))
     variables, factors, aggregates = [], [], {}
@@ -206,23 +195,18 @@ def _brute_force_by_block(query):
 
 
 def test_disjoint_blocks_expose_parallelism():
-    """Steps over disjoint factor groups get no DAG edge (the tentpole claim)."""
+    """Steps over disjoint factor groups get no DAG edge."""
     query = _multi_block_query(blocks=4)
     dag = lower_insideout(query, list(query.order))
     assert dag.max_parallelism >= 4
     # Only the final output node joins the blocks together.
     output_nodes = [n for n in dag.nodes if n.kind == KIND_OUTPUT]
     assert len(output_nodes) == 1
-    serial = inside_out(query)
-    _assert_correct(query, serial, "blocks")
-    for workers in WORKER_COUNTS:
-        _assert_identical(
-            serial, inside_out(query, workers=workers), f"blocks/workers={workers}"
-        )
+    _assert_correct(query, inside_out(query), "blocks")
 
 
 def test_single_chain_is_sequential():
-    """A single chain has no step-level parallelism — the DAG shows it."""
+    """A single chain's steps all depend on each other — the DAG shows it."""
     query = _multi_block_query(blocks=1, chain=4)
     dag = lower_insideout(query, list(query.order))
     semiring_nodes = [n for n in dag.nodes if n.kind == KIND_SEMIRING]
@@ -262,9 +246,7 @@ def test_lowering_exposes_projection_reads():
     assert first.kind == KIND_SEMIRING and first.variable == "c"
     assert set(first.incident) == {1, 2}  # bc, ac
     assert set(first.reads) == {0}        # ab participates as a projection
-    serial = inside_out(query)
-    _assert_correct(query, serial, "triangle")
-    _assert_identical(serial, inside_out(query, workers=4), "triangle")
+    _assert_correct(query, inside_out(query), "triangle")
 
 
 def test_empty_query_and_isolated_variables():
@@ -272,56 +254,4 @@ def test_empty_query_and_isolated_variables():
         [Variable("x", (0, 1, 2))], [], {"x": SemiringAggregate.sum()}, [], COUNTING,
         name="no-factors",
     )
-    serial = inside_out(query)
-    for workers in WORKER_COUNTS:
-        _assert_identical(serial, inside_out(query, workers=workers), "empty")
-    assert serial.factor.table == {(): 3}
-
-
-def test_workers_validation():
-    query = _random_query("counting", 0)
-    with pytest.raises(QueryError):
-        inside_out(query, workers=0)
-    with pytest.raises(QueryError):
-        inside_out(query, workers=-2)
-    with pytest.raises(QueryError):
-        inside_out(query, workers=True)
-    with pytest.raises(QueryError):
-        DagExecutor(workers=0)
-
-
-def test_workers_auto_resolution():
-    resolved = validate_workers("auto")
-    assert isinstance(resolved, int)
-    assert 1 <= resolved <= AUTO_WORKERS_CAP
-    assert resolved <= max(os.cpu_count() or 1, 1)
-    query = _random_query("counting", 3)
-    serial = inside_out(query)
-    auto = inside_out(query, workers="auto")
-    assert auto.factor.table == serial.factor.table
-    executor = DagExecutor(workers="auto")
-    assert executor.workers == resolved
-
-
-def test_workers_validation_still_rejects_junk():
-    query = _random_query("counting", 0)
-    for bad in (0, -2, True, "automatic", 1.5):
-        with pytest.raises(QueryError):
-            inside_out(query, workers=bad)
-
-
-def test_solver_entry_points_accept_workers():
-    """The opt-in ``workers=`` kwarg reaches the engines from the solvers."""
-    import networkx as nx
-
-    from repro.solvers.joins import count_homomorphisms
-    from repro.solvers.sat import count_models
-    from repro.datasets.cnf import random_k_cnf
-
-    triangle = nx.cycle_graph(3)
-    host = nx.complete_graph(4)
-    assert count_homomorphisms(triangle, host, workers=2) == count_homomorphisms(
-        triangle, host
-    )
-    formula = random_k_cnf(num_variables=5, num_clauses=8, clause_width=3, seed=11)
-    assert count_models(formula, workers=2) == count_models(formula)
+    assert inside_out(query).factor.table == {(): 3}

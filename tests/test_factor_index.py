@@ -2,8 +2,6 @@
 
 import gc
 import random
-import sys
-import threading
 import weakref
 from collections import Counter
 
@@ -22,6 +20,8 @@ from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.base import Semiring
 from repro.semiring.standard import COUNTING, MAX_PRODUCT, MIN_PLUS, SUM_PRODUCT
 from repro.serve import ServeRequest
+
+from _helpers import on_threads
 
 
 @pytest.fixture
@@ -243,29 +243,14 @@ def test_a_store_over_other_domains_is_not_served(densified):
 
 
 def test_concurrent_runs_on_a_cold_store_agree_on_one_array_per_content():
+    """Three concurrent requests, each a serial run, race to fill one store."""
     query = _grid_query("partition", _grid_tables(seed=4))
     query_content_key(query)
     store = SharedTrieCache(query.order, query.semiring, query.factors)
-    results, errors = [None] * 3, []
-
-    def run(slot):
-        try:
-            results[slot] = inside_out(query, backend="dense", workers=4, shared_tries=store)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
+    results = on_threads(
+        3, lambda _: inside_out(query, backend="dense", shared_tries=store),
+        switch_interval=1e-5,
+    )
     alone = inside_out(query, backend="dense")
     assert all(result.factor.table == alone.factor.table for result in results)
     # First store wins: whatever the race, each content keeps one array.

@@ -30,7 +30,6 @@ The short chaos profile runs in tier-1 (``chaos`` marker); the long soak
 is additionally marked ``slow``.
 """
 
-import sys
 import threading
 import time
 
@@ -46,6 +45,7 @@ from repro.exec import (
     StepResultCache,
 )
 from repro.factors import Factor, FactorDelta
+from repro.factors.index import SharedTrieCache
 from repro.faults import (
     ACTION_CORRUPT,
     ACTION_DELAY,
@@ -65,6 +65,7 @@ from repro.faults import (
     injected_faults,
     install_plan,
 )
+from repro.planner import query_content_key
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import COUNTING
 from repro.serve import (
@@ -84,6 +85,7 @@ from repro.serve import (
 from repro.serve import replica as replica_module
 from repro.serve.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
 
+from _helpers import on_threads
 from test_exec_parallel import _multi_block
 
 
@@ -321,7 +323,7 @@ class TestInProcessFaults:
         """A kernel fault must release the step-cache claim (no wedge)."""
         query = _chain_query()
         cache = StepResultCache(maxsize=64)
-        executor = DagExecutor(workers=1)
+        executor = DagExecutor()
         with injected_faults(FaultPlan(schedule={SITE_STEP_KERNEL: {1: ACTION_ERROR}})):
             with pytest.raises(InjectedFault):
                 executor.run(query, step_cache=cache)
@@ -338,47 +340,59 @@ class TestInProcessFaults:
         plan = FaultPlan(schedule={SITE_STEP_KERNEL: {3: ACTION_ERROR}})
         with injected_faults(plan):
             with pytest.raises(InjectedFault):
-                DagExecutor(workers=1).run(query, step_cache=cache)
+                DagExecutor().run(query, step_cache=cache)
         assert plan.calls[SITE_STEP_KERNEL] == 3
         assert cache.computed == 2, "the fault must land on the third step"
         assert not cache._inflight
 
-    @pytest.mark.parametrize("workers", [1, 4], ids=["1-thread", "4-thread"])
-    def test_step_kernel_draws_equal_executed_nodes(self, workers):
-        """Inline and thread-pool execution both draw exactly once per
-        executed node; a replayed node draws nothing."""
+    @pytest.mark.parametrize("threads", [1, 4], ids=["1-thread", "4-thread"])
+    def test_step_kernel_draws_equal_executed_nodes(self, threads):
+        """Requests run alone or concurrently on one step source draw
+        exactly once per executed node; a replayed node draws nothing."""
         query = _multi_block("max-product", 1)
         spec = RunSpec(query, backend="sparse")
         cache = StepResultCache()
-        executor = DagExecutor(workers=workers)
+
+        def run(_):
+            info = RunInfo()
+            DagExecutor().run_many([spec], step_cache=cache, info=info)
+            return info
+
         with injected_faults(FaultPlan()) as plan:
-            cold = RunInfo()
-            executor.run_many([spec], step_cache=cache, info=cold)
-            assert cold.executed_nodes == cold.total_nodes
-            assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
-            warm = RunInfo()
-            executor.run_many([spec], step_cache=cache, info=warm)
-            assert warm.executed_nodes == 0
-            assert plan.calls[SITE_STEP_KERNEL] == cold.executed_nodes
+            cold = on_threads(threads, run, switch_interval=1e-5)
+            executed = sum(info.executed_nodes for info in cold)
+            assert executed == cold[0].total_nodes
+            assert plan.calls[SITE_STEP_KERNEL] == executed
+            warm = on_threads(threads, run)
+            assert sum(info.executed_nodes for info in warm) == 0
+            assert plan.calls[SITE_STEP_KERNEL] == executed
 
     def test_pool_shared_state_survives_thread_contention(self):
-        """The scheduler's threads share the ready queue and the per-run
-        trie cache.  More threads than cores, switching every 10 µs: a lost
-        update breaks the step accounting or the answer."""
+        """Concurrent requests share one trie store and one step source.
+        More threads than cores, switching every 10 µs: a lost update breaks
+        the step accounting or the answer."""
         query = _multi_block("max-product", 3, blocks=6)
         serial = inside_out(query, backend="sparse")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in range(3):
+        query_content_key(query)  # leaves the digest memo the store keys by
+        for _ in range(3):
+            store = SharedTrieCache(query.order, query.semiring, query.factors)
+            cache = StepResultCache()
+
+            def run(_):
                 info = RunInfo()
-                [result] = DagExecutor(workers=6).run_many(
-                    [RunSpec(query, backend="sparse")], info=info
+                [result] = DagExecutor().run_many(
+                    [RunSpec(query, backend="sparse", shared_tries=store)],
+                    step_cache=cache, info=info,
                 )
+                return result, info
+
+            outcomes = on_threads(6, run, switch_interval=1e-5)
+            for result, _ in outcomes:
                 assert result.factor.table == serial.factor.table
-                assert info.executed_nodes == info.total_nodes
-        finally:
-            sys.setswitchinterval(interval)
+            infos = [info for _, info in outcomes]
+            assert sum(info.executed_nodes for info in infos) == infos[0].total_nodes
+            assert cache.computed == infos[0].total_nodes
+            assert sum(info.replayed_nodes for info in infos) == 5 * infos[0].total_nodes
 
     def test_server_converts_kernel_fault_to_typed_plan_failure(self):
         server = PlanServer()

@@ -30,6 +30,7 @@ from repro.planner.signature import query_content_key
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import BOOLEAN, MAX_PRODUCT, MAX_SUM, MIN_PLUS
 
+from _helpers import on_threads
 from test_planner_differential import _random_query
 
 FORCE_FLAT = BackendPolicy(flat_min_rows=0)
@@ -248,17 +249,17 @@ def test_scalar_and_empty_outputs():
 
 @pytest.mark.parametrize("name", sorted(ELIGIBLE))
 def test_flat_runs_are_worker_invariant(name):
-    """DAG runs with the flat kernel match the serial run at any workers."""
+    """Flat-kernel runs on 2 or 4 concurrent request threads match the lone run."""
     query = _sparse_query(name, 2)
     serial = inside_out(query, backend="sparse", backend_policy=FORCE_FLAT)
-    for workers in (2, 4):
-        parallel = inside_out(
-            query, backend="sparse", backend_policy=FORCE_FLAT, workers=workers
-        )
-        assert parallel.factor.table == serial.factor.table, (name, workers)
-        assert [s.backend for s in parallel.stats.steps] == [
-            s.backend for s in serial.stats.steps
-        ], (name, workers)
+    for threads in (2, 4):
+        for run in on_threads(threads, lambda _: inside_out(
+            query, backend="sparse", backend_policy=FORCE_FLAT
+        )):
+            assert run.factor.table == serial.factor.table, (name, threads)
+            assert [s.backend for s in run.stats.steps] == [
+                s.backend for s in serial.stats.steps
+            ], (name, threads)
 
 
 # ---------------------------------------------------------------------- #
@@ -379,31 +380,12 @@ def test_store_is_ignored_for_encodings_when_domains_differ(encode_counts):
 
 
 def test_concurrent_runs_on_a_cold_store_agree():
-    import sys
-    import threading
-
+    """Two concurrent requests, each a serial run, race to fill one store."""
     query = _chain_query(seed=4)
     store = _store_for(query)
-    results, errors = [None, None], []
-
-    def run(slot):
-        try:
-            results[slot] = inside_out(query, workers=4, shared_tries=store)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
+    results = on_threads(
+        2, lambda _: inside_out(query, shared_tries=store), switch_interval=1e-5
+    )
     for result in results:
         _check_answer(query, result)
     # First store wins: whatever the race, one encoding per content remains.

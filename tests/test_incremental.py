@@ -500,7 +500,7 @@ def test_snapshot_step_source_reuses_clean_nodes():
         factors=[f_ab, f_cd],
         semiring=COUNTING,
     )
-    executor = DagExecutor(workers=1)
+    executor = DagExecutor()
     cache = StepResultCache()
     cold = RunInfo()
     executor.run_many([RunSpec(query)], step_cache=cache, info=cold)
@@ -556,7 +556,7 @@ def test_step_cache_recovers_after_claimant_dies(monkeypatch):
 
     query = _chain_query(COUNTING, SemiringAggregate.sum)
     cache = StepResultCache(maxsize=64)
-    executor = DagExecutor(workers=1)
+    executor = DagExecutor()
 
     real_kernel = executor_module.eliminate_semiring_step
     calls = {"n": 0}
@@ -595,7 +595,7 @@ def test_step_cache_capture_failure_releases_claim(monkeypatch):
 
     query = _chain_query(COUNTING, SemiringAggregate.sum)
     cache = StepResultCache(maxsize=64)
-    executor = DagExecutor(workers=1)
+    executor = DagExecutor()
 
     real_capture = executor_module._RunState.capture
     calls = {"n": 0}

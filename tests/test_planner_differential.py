@@ -135,12 +135,9 @@ def _run_differential(name: str, seed: int) -> None:
             f"  got      : {sorted(result.factor.table.items(), key=repr)}"
         )
 
-    # 1. the planner's own free choice — serial, then through the parallel
-    # step-DAG executor (which must agree with brute force too; exact
-    # serial/parallel equality is asserted in test_exec_parallel.py).
+    # 1. the planner's own free choice.
     chosen = plan(query, cache=cache)
     check(chosen.execute(), f"free choice: {chosen.backend}")
-    check(chosen.execute(workers=2), f"free choice (workers=2): {chosen.backend}")
 
     # 2. projections on / off x every backend over a spread of valid
     # orderings; off on an FAQ-SS query is variable_elimination, exactly.
@@ -192,6 +189,7 @@ def test_differential_full(name, seed):
 from repro.factors.backend import as_sparse, supports_dense  # noqa: E402
 from repro.factors.delta import FactorDelta  # noqa: E402
 from repro.incremental import IncrementalView  # noqa: E402
+from _helpers import on_threads  # noqa: E402
 
 # Integer-valued generators: products/sums of small ints are exact in
 # every backend (Python ints, float64 within 2**53), so the incremental
@@ -244,61 +242,67 @@ def _random_update_query(name: str, seed: int) -> FAQQuery:
     )
 
 
-def _run_update_stream(name: str, seed: int, backend: str, workers: int) -> None:
+def _run_update_stream(name: str, seed: int, backend: str, threads: int) -> None:
+    """One seeded update stream, run by ``threads`` concurrent views of the
+    same query (they share its frozen factors and the process-wide memos)."""
     semiring, value_of, _, offset = UPDATE_SEMIRINGS[name]
     if backend == "dense" and not supports_dense(semiring):
         pytest.skip(f"{name} has no dense ops")
     query = _random_update_query(name, seed)
-    rng = random.Random(700_001 * offset + seed)
-    view = IncrementalView(query, backend=backend, workers=workers)
-    out = view.result()
 
-    def check(step):
-        expected = as_sparse(
-            view.query.evaluate_brute_force(), semiring
-        ).normalize_scope(view.query.free)
-        assert out.scope == expected.scope
-        assert out.table == expected.table, (
-            f"incremental answer diverged from full recompute!\n"
-            f"  reproduce: _random_update_query({name!r}, {seed}) "
-            f"backend={backend} workers={workers} step={step}\n"
-            f"  regimes  : {view.stats.regimes}\n"
-            f"  expected : {sorted(expected.table.items(), key=repr)}\n"
-            f"  got      : {sorted(out.table.items(), key=repr)}"
-        )
+    def stream(thread):
+        rng = random.Random(700_001 * offset + seed)
+        view = IncrementalView(query, backend=backend)
+        out = view.result()
 
-    check("baseline")
-    for step in range(4):
-        index = rng.randrange(len(view.query.factors))
-        factor = view.query.factors[index]
-        cell_domains = [view.query.domain(v) for v in factor.scope]
-        changes = {}
-        for _ in range(rng.randint(1, 3)):
-            cell = tuple(rng.choice(domain) for domain in cell_domains)
-            if rng.random() < 0.2:
-                changes[cell] = semiring.zero  # deletion
-            else:
-                changes[cell] = value_of(rng)
-        out = view.update_factor(index, FactorDelta(factor.scope, changes))
-        check(step)
+        def check(step):
+            expected = as_sparse(
+                view.query.evaluate_brute_force(), semiring
+            ).normalize_scope(view.query.free)
+            assert out.scope == expected.scope
+            assert out.table == expected.table, (
+                f"incremental answer diverged from full recompute!\n"
+                f"  reproduce: _random_update_query({name!r}, {seed}) "
+                f"backend={backend} thread={thread}/{threads} step={step}\n"
+                f"  regimes  : {view.stats.regimes}\n"
+                f"  expected : {sorted(expected.table.items(), key=repr)}\n"
+                f"  got      : {sorted(out.table.items(), key=repr)}"
+            )
+
+        check("baseline")
+        for step in range(4):
+            index = rng.randrange(len(view.query.factors))
+            factor = view.query.factors[index]
+            cell_domains = [view.query.domain(v) for v in factor.scope]
+            changes = {}
+            for _ in range(rng.randint(1, 3)):
+                cell = tuple(rng.choice(domain) for domain in cell_domains)
+                if rng.random() < 0.2:
+                    changes[cell] = semiring.zero  # deletion
+                else:
+                    changes[cell] = value_of(rng)
+            out = view.update_factor(index, FactorDelta(factor.scope, changes))
+            check(step)
+
+    on_threads(threads, stream)
 
 
-@pytest.mark.parametrize("workers", (1, 4))
+@pytest.mark.parametrize("threads", (1, 4))
 @pytest.mark.parametrize("backend", ("sparse", "dense"))
 @pytest.mark.parametrize("name", sorted(UPDATE_SEMIRINGS))
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_update_stream_quick(name, seed, backend, workers):
+def test_update_stream_quick(name, seed, backend, threads):
     """Tier-1 update-stream profile: random cell deltas, bit-identical."""
-    _run_update_stream(name, seed, backend, workers)
+    _run_update_stream(name, seed, backend, threads)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", (1, 4))
+@pytest.mark.parametrize("threads", (1, 4))
 @pytest.mark.parametrize("backend", ("sparse", "dense"))
 @pytest.mark.parametrize("name", sorted(UPDATE_SEMIRINGS))
 @pytest.mark.parametrize("seed", tuple(range(3, 12)))
-def test_update_stream_full(name, seed, backend, workers):
-    _run_update_stream(name, seed, backend, workers)
+def test_update_stream_full(name, seed, backend, threads):
+    _run_update_stream(name, seed, backend, threads)
 
 
 def test_update_stream_reaches_all_regimes():

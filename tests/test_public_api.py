@@ -100,23 +100,21 @@ EXEC_EXPORTS = {
     "KIND_SEMIRING",
     "KIND_PRODUCT",
     "KIND_OUTPUT",
-    "validate_workers",
-    "AUTO_WORKERS_CAP",
 }
 
 # Every option (parameter or config field) of the serving entry points.
 OPTIONS = {
     "PlanServer": (
-        "workers", "pool_size", "cache", "coalesce", "cache_results", "snapshot_store",
+        "pool_size", "cache", "coalesce", "cache_results", "snapshot_store",
     ),
     "Frontend": (
-        "replicas", "workers", "start_method", "max_pending", "tenant_limit",
+        "replicas", "start_method", "max_pending", "tenant_limit",
         "health_interval", "coalesce", "plan_cache", "retry",
         "snapshot_dir", "fault_plan",
     ),
-    "execute_batch": ("workers", "pool_size", "cache", "coalesce"),
+    "execute_batch": ("pool_size", "cache", "coalesce"),
     "EngineConfig": (
-        "workers", "pool_size", "replicas", "coalesce", "plan_cache_size",
+        "pool_size", "replicas", "coalesce", "plan_cache_size",
         "start_method", "max_pending", "tenant_limit", "health_interval",
     ),
     "PlanCache": ("maxsize",),
@@ -228,10 +226,17 @@ def test_a_request_is_a_batch_of_one():
 
 
 def test_workers_mode_is_gone_not_shimmed():
-    """Process mode was removed in PR 24 without a deprecation path: the
-    option is Python's own ``TypeError`` at every entry point."""
+    """Process mode (``workers_mode=``) and per-query step threads
+    (``workers=``) were removed without a deprecation path: either option
+    is Python's own ``TypeError`` at every entry point.  The executor keeps
+    ``workers=1`` alone, for the benchmark's executor probe."""
+    from repro import db
     from repro.exec import DagExecutor
+    from repro.planner import execute
     from repro.semiring.standard import COUNTING
+    from repro.serve import Frontend, PlanServer, execute_batch
+    from repro.serve.replica import ReplicaHandle, ReplicaSet, _replica_main
+    from repro.solvers import counting, csp, joins, logic, matrix, pgm, sat
 
     query = repro.FAQQuery(
         [repro.Variable("a", (0, 1))], [], {"a": repro.SemiringAggregate.sum()},
@@ -243,6 +248,48 @@ def test_workers_mode_is_gone_not_shimmed():
         DagExecutor(workers_mode="process")
     with pytest.raises(TypeError):
         repro.EngineConfig(workers_mode="process")
+
+    view = repro.IncrementalView(query)
+    entry_points = [
+        lambda: repro.inside_out(query, workers=2),
+        lambda: repro.plan_query(query).execute(workers=2),
+        lambda: execute(query, workers=2),
+        lambda: repro.IncrementalView(query, workers=2),
+        lambda: repro.IncrementalView.restore(view.dump_state(), workers=2),
+        lambda: PlanServer(workers=2),
+        lambda: execute_batch([], workers=2),
+        lambda: Frontend(replicas=1, workers=2),
+        lambda: ReplicaSet(1, workers=2),
+        lambda: ReplicaHandle(0, workers=2),
+        lambda: _replica_main(None, 0, workers=2),
+        lambda: repro.EngineConfig(workers=2),
+        lambda: repro.Engine(workers=2),
+        lambda: db.join([], workers=2),
+        lambda: pgm.marginal_insideout(None, [], workers=2),
+        lambda: pgm.map_insideout(None, [], workers=2),
+        lambda: pgm.partition_function_insideout(None, workers=2),
+        lambda: sat.count_models(None, workers=2),
+        lambda: logic.QuantifiedConjunctiveQuery.solve(None, workers=2),
+        lambda: logic.QuantifiedConjunctiveQuery.count(None, workers=2),
+        lambda: csp.CSP.is_satisfiable(None, workers=2),
+        lambda: csp.CSP.count_solutions(None, workers=2),
+        lambda: csp.CSP.solutions(None, workers=2),
+        lambda: counting.permanent(None, workers=2),
+        lambda: counting.count_weighted_homomorphisms(None, None, workers=2),
+        lambda: matrix.matrix_chain_insideout([], workers=2),
+        lambda: matrix.dft_insideout([], workers=2),
+        lambda: joins.natural_join_insideout([], workers=2),
+        lambda: joins.count_join_results([], workers=2),
+        lambda: joins.count_homomorphisms(None, None, workers=2),
+    ]
+    for index, call in enumerate(entry_points):
+        with pytest.raises(TypeError, match="workers"):
+            call()
+            pytest.fail(f"entry point #{index} accepted workers=")
+    assert DagExecutor(workers=1).run(query).factor.table == {(): 2}
+    for bad in (2, 0, None, "auto", True):
+        with pytest.raises(repro.QueryError):
+            DagExecutor(workers=bad)
 
 
 def test_idle_planner_state_is_gone_not_shimmed():

@@ -15,6 +15,7 @@ from repro.factors.backend import BACKEND_FLAT, BackendPolicy
 from repro.planner import PlanCache, STRATEGY_INSIDEOUT, plan
 from repro.serve import PlanServer, ServeRequest, ServeResult, execute_batch
 
+from _helpers import on_threads
 from test_flat_kernel import _chain_query, _check_answer, _filtering_chain_query
 from test_planner import _path_query, _reference_join
 from test_planner_differential import _random_query
@@ -342,16 +343,12 @@ def test_request_validation_is_typed():
 
 
 def test_server_workers_validation_matches_engines():
-    for bad in (0, -1, True):
-        with pytest.raises(QueryError):
-            PlanServer(workers=bad)
+    """``pool_size`` is a positive integer or ``None`` (the CPU count)."""
+    for bad in (0, -1, True, "auto", 1.5):
         with pytest.raises(QueryError):
             PlanServer(pool_size=bad)
-
-
-def test_plan_server_accepts_auto_and_validates_mode():
-    with PlanServer(workers="auto") as server:
-        assert isinstance(server.workers, int) and server.workers >= 1
+    with PlanServer(pool_size=None) as server:
+        assert server.pool_size >= 1
 
 
 def test_trie_counters_survive_lru_eviction(monkeypatch):
@@ -382,10 +379,10 @@ def test_trie_counters_survive_lru_eviction(monkeypatch):
     assert total_second >= total_first
 
 
-def test_per_query_workers_compose_with_the_pool():
+def test_a_two_thread_pool_serves_a_batch():
     unique, traffic = _traffic(num_unique=2, repeats=2)
     expected = {id(q): _reference(q) for q in unique}
-    results = execute_batch(_requests(traffic), workers=2, pool_size=2)
+    results = execute_batch(_requests(traffic), pool_size=2)
     for query, result in zip(traffic, results):
         assert result.factor.table == expected[id(query)].table
 
@@ -439,42 +436,40 @@ def test_cost_model_invocations_exact_under_concurrency():
 
 @pytest.mark.parametrize("holder", ["per-run", "shared"])
 def test_trie_cache_counters_exact_under_concurrency(holder):
-    """Either trie holder's hit/miss counters stay exact under the pool."""
+    """Concurrent requests read one shared store — directly, or each through
+    its own per-run holder — and every holder's hit/miss counters stay exact."""
     from repro.factors.index import SharedTrieCache, TrieCache
     from repro.planner.signature import query_content_key
 
     query = _random_query("counting", 2)
-    if holder == "per-run":
-        tries = TrieCache(tuple(query.order), query.semiring, thread_safe=True)
-    else:
-        query_content_key(query)  # leaves the digest memos the store keys by
-        tries = SharedTrieCache(tuple(query.order), query.semiring, query.factors)
+    query_content_key(query)  # leaves the digest memos the store keys by
+    store = SharedTrieCache(tuple(query.order), query.semiring, query.factors)
     factors = list(query.factors)
     threads_n, per_thread = 4, 40
-    barrier = threading.Barrier(threads_n)
-    errors = []
 
-    def worker():
-        try:
-            barrier.wait(timeout=10)
-            for _ in range(per_thread):
-                for factor in factors:
-                    tries.trie(factor)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
+    def request(_):
+        tries = store
+        if holder == "per-run":
+            tries = TrieCache(tuple(query.order), query.semiring)
+            tries.adopt_parent(store)
+        for _ in range(per_thread):
+            for factor in factors:
+                tries.trie(factor)
+        return tries.counters()
 
-    threads = [threading.Thread(target=worker) for _ in range(threads_n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not errors
-    counters = tries.counters()
-    assert counters["hits"] + counters["misses"] == threads_n * per_thread * len(factors)
+    runs = on_threads(threads_n, request, switch_interval=1e-5)
+    counters = store.counters()
+    if holder == "per-run":
+        # One local miss per factor, served by the store; the rest hit.
+        for run in runs:
+            assert run == {"hits": (per_thread - 1) * len(factors), "misses": len(factors)}
+        assert counters["hits"] + counters["misses"] == threads_n * len(factors)
+    else:
+        assert counters["hits"] + counters["misses"] == threads_n * per_thread * len(factors)
+        assert counters["hits"] >= (threads_n * per_thread - threads_n) * len(factors)
     # Each factor misses at least once (first build) but the store-once
     # discipline keeps the miss count tiny relative to the traffic.
     assert counters["misses"] >= len(factors)
-    assert counters["hits"] >= (threads_n * per_thread - threads_n) * len(factors)
 
 
 # ---------------------------------------------------------------------- #
