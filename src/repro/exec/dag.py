@@ -29,13 +29,38 @@ Executing the nodes in any topological order reproduces the in-order run
 exactly — a merged batch relies on it — because each
 step kernel (:func:`repro.core.insideout.eliminate_semiring_step` etc.) is a
 pure function of its input factors.
+
+**Step templates.**  The DAG and, per node, the structural half of its
+content digest depend only on the query's *shape*, so a run that names
+its steps (``content_digests=True``) lowers nothing once its shape has
+run: it copies the shape's *step template* — the lowered skeleton plus
+one ``sha256`` per node already fed ``repro-content-v2|step|(``, the
+encoded head and domain spec (a product node: its head, and per output
+slot its out-payload) — and finishes a ``copy()`` of each header with the
+node's input and read digests.  One hash per node, no recursive encode.
+
+* *Key* (:func:`_template_key`): the factor scopes in factor order, the
+  elimination order, ``query.order`` and ``query.free``, each aggregate's
+  tag and kind, the semiring name, ``use_indicator_projections``, the
+  output mode and every variable's memoised ``content_bytes()`` — never
+  the ``Variable`` objects, whose hash re-hashes the domain.
+* *Scope*: only runs with ``content_digests=True`` build a key or touch
+  the store (one :class:`~repro.caching.LruCache`, ``_STEP_TEMPLATES``).
+  A lone unnamed run lowers afresh.  A shape whose domains have no
+  canonical encoding has no key: its template is built and not stored.
+* *Byte identity*: a spliced digest is ``sha256`` of exactly the bytes
+  :func:`annotate_digests` has always hashed, so step-cache keys, spilled
+  views and ``CONTENT_KEY_VERSION`` are unchanged.  Runs never write into
+  a template; they get node copies.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.caching import LruCache
 from repro.core.query import FAQQuery
 
 KIND_SEMIRING = "semiring"
@@ -144,8 +169,16 @@ def lower_insideout(
     With ``content_digests=True`` every node (and slot) additionally gets a
     content address via :func:`annotate_digests`, turning the DAG into the
     content-addressed step IR: structurally identical steps from different
-    queries over the same factor content collide by construction.
+    queries over the same factor content collide by construction.  Such a
+    run does not simulate anything: it copies its shape's step template
+    (lowered on the shape's first run) and splices its content in.  A run
+    without digests lowers afresh and never touches the template store.
     """
+    if content_digests:
+        dag = _template(query, order, use_indicator_projections, output_mode).instantiate()
+        annotate_digests(dag, query, order, use_indicator_projections)
+        return dag
+
     scopes: List[FrozenSet[str]] = [frozenset(f.scope) for f in query.factors]
     if not scopes:
         scopes = [frozenset()]  # the synthetic unit factor of an empty product
@@ -222,21 +255,250 @@ def lower_insideout(
         ))
         live = [out]
 
-    dag = StepDag(
+    return StepDag(
         nodes=nodes,
         num_slots=len(scopes),
         num_base=num_base,
         slot_scope=scopes,
         final_live=list(live),
     )
-    if content_digests:
-        annotate_digests(dag, query, order, use_indicator_projections)
-    return dag
 
 
 # ---------------------------------------------------------------------- #
 # content addressing — the step IR
 # ---------------------------------------------------------------------- #
+# Step templates of the query shapes seen lately (see _template).  Bounded
+# like the process-wide rho* memo; a template holds about 1 KB a node
+# (12 KB for an 11-node chain), so a full store is a few MB.
+_STEP_TEMPLATES = LruCache(maxsize=256)
+
+
+def _template_key(
+    query: FAQQuery, order: Sequence[str], use_indicator_projections: bool,
+    output_mode: str,
+) -> tuple:
+    """Everything the lowering and the step headers read — the query's *shape*.
+
+    Domains enter as each variable's memoised
+    :meth:`~repro.core.query.Variable.content_bytes` (a ``bytes`` object
+    caches its hash; a ``Variable`` would re-hash its domain at every
+    lookup).  Raises ``TypeError`` for a domain without a canonical encoding.
+    """
+    variables = query.variables
+    return (
+        tuple(f.scope for f in query.factors),
+        tuple(order),
+        query.order,
+        query.free,
+        tuple((a.tag, a.kind) for a in query.aggregates.values()),
+        query.semiring.name,
+        bool(use_indicator_projections),
+        output_mode,
+        tuple(variables[v].content_bytes() for v in query.order),
+    )
+
+
+def _template(
+    query: FAQQuery, order: Sequence[str], use_indicator_projections: bool,
+    output_mode: str,
+) -> "_StepTemplate":
+    """The step template of ``query``'s shape, built on the first run of it.
+
+    A shape whose domains have no canonical encoding gets a template that
+    is not stored: its nodes over those domains carry no digest.
+    """
+    try:
+        key = _template_key(query, order, use_indicator_projections, output_mode)
+    except TypeError:
+        return _StepTemplate(query, order, use_indicator_projections, output_mode)
+    template = _STEP_TEMPLATES.get(key)
+    if template is None:
+        template = _StepTemplate(query, order, use_indicator_projections, output_mode)
+        _STEP_TEMPLATES.put(key, template)
+    return template
+
+
+class _StepTemplate:
+    """A query shape's lowered skeleton plus one pre-hashed header per node.
+
+    A node's digest is ``sha256`` of a payload whose structural half — op
+    kind, semiring, variable, aggregate tag, ordering restrictions, domain
+    spec, the scopes of its projection reads — depends on the shape alone;
+    only the digests of its input and read slots vary with content.  The
+    template feeds each structural half to a hash once (``headers``), and
+    :meth:`splice` finishes a ``copy()`` of it with the input digests, so
+    a run over a known shape pays one SHA per node.  Per node kind,
+    ``extra`` holds:
+
+    * semiring — per read, the bytes that follow its digest: ``,`` + its
+      encoded scope restricted to the induced set + ``)``;
+    * product — per incident slot, the header of its output slot's digest;
+    * output — nothing.
+
+    ``None`` headers mark nodes over a domain without a canonical encoding.
+    Templates are shared between threads and never mutated after
+    construction; runs get node copies (:meth:`instantiate`).
+    """
+
+    __slots__ = ("skeleton", "unit", "headers", "extra")
+
+    def __init__(
+        self, query: FAQQuery, order: Sequence[str], use_indicator_projections: bool,
+        output_mode: str,
+    ) -> None:
+        from repro.planner.signature import (
+            _digest, _hasher, canonical_bytes, canonical_sequence,
+        )
+
+        self.skeleton = skeleton = lower_insideout(
+            query, order, use_indicator_projections, output_mode
+        )
+        sem = query.semiring.name
+        # The synthetic unit factor of an empty product.
+        self.unit = None if query.factors else _digest(b"unit", canonical_bytes(sem))
+        variables = query.variables
+        scopes = skeleton.slot_scope
+
+        def header(head: tuple, domains) -> Optional["hashlib._Hash"]:
+            """The hash fed ``step|(`` + ``head``'s elements + the domain spec
+            ``((v, Dom(v)) for v in sorted(domains))`` + ``,``."""
+            try:
+                spec = canonical_sequence(
+                    variables[v].content_bytes() for v in sorted(domains)
+                )
+            except TypeError:
+                return None
+            parts = [canonical_bytes(v) for v in head]
+            parts.append(spec)
+            return _hasher(b"step", b"(" + b",".join(parts) + b",")
+
+        headers: List[Optional["hashlib._Hash"]] = []
+        extra: List[tuple] = []
+        for node in skeleton.nodes:
+            variable = node.variable
+            if node.kind == KIND_SEMIRING:
+                induced = (
+                    frozenset().union(*(scopes[s] for s in node.incident))
+                    if node.incident
+                    else frozenset({variable})
+                )
+                headers.append(header(
+                    (
+                        "semiring",
+                        sem,
+                        variable,
+                        query.tag(variable),
+                        bool(use_indicator_projections),
+                        tuple(v for v in order if v in induced),
+                        tuple(v for v in query.order if v in induced),
+                    ),
+                    induced,
+                ))
+                extra.append(tuple(
+                    b"," + canonical_bytes(tuple(sorted(scopes[s] & induced))) + b")"
+                    for s in node.reads
+                ))
+            elif node.kind == KIND_PRODUCT:
+                head = canonical_bytes(
+                    ("product", sem, variable, query.domain_size(variable))
+                )
+                headers.append(_hasher(b"step", head))
+                extra.append(tuple(
+                    _hasher(b"step", head, canonical_bytes((variable in scopes[s],)))
+                    for s in node.incident
+                ))
+            else:  # KIND_OUTPUT
+                free = set(query.free)
+                headers.append(header(
+                    (
+                        "output",
+                        sem,
+                        tuple(query.free),
+                        tuple(v for v in order if v in free),
+                        tuple(v for v in query.order if v in free),
+                    ),
+                    query.free,
+                ))
+                extra.append(())
+        self.headers = headers
+        self.extra = extra
+
+    def instantiate(self) -> StepDag:
+        """A run's own copy of the skeleton, digests unset.
+
+        The copy's ``template`` attribute names this template, for
+        :func:`annotate_digests`.  It is deliberately not a ``StepDag``
+        field: a seventh field made lone unnamed runs slower although they
+        never set it (``sparse-max`` p50 +9 %, slower in 10 of 11
+        alternating ``perf/run.py`` pairs on a 2-core host).
+        """
+        skeleton = self.skeleton
+        dag = StepDag(
+            nodes=[
+                StepNode(n.index, n.kind, n.variable, n.incident, n.reads,
+                         n.outputs, n.depends_on)
+                for n in skeleton.nodes
+            ],
+            num_slots=skeleton.num_slots,
+            num_base=skeleton.num_base,
+            slot_scope=list(skeleton.slot_scope),
+            final_live=list(skeleton.final_live),
+        )
+        dag.template = self
+        return dag
+
+    def splice(self, dag: StepDag, query: FAQQuery) -> None:
+        """Write the digests of ``query``'s content into ``dag``'s nodes and slots.
+
+        ``dag`` is this shape's lowering; its nodes align with the skeleton's.
+        """
+        from repro.planner.signature import factor_digest
+
+        digests: List[Optional[str]] = [None] * dag.num_slots
+        # canonical_bytes of each slot digest: a 64-character hex string.
+        encoded: List[Optional[bytes]] = [None] * dag.num_slots
+
+        def assign(slot: int, digest: str) -> None:
+            digests[slot] = digest
+            encoded[slot] = b"s64:" + digest.encode("ascii")
+
+        if self.unit is not None:
+            assign(0, self.unit)
+        for i, factor in enumerate(query.factors):
+            try:
+                assign(i, factor_digest(factor))
+            except TypeError:
+                pass
+
+        for node, header, extra in zip(dag.nodes, self.headers, self.extra):
+            inputs = [encoded[s] for s in node.incident]
+            if header is None or None in inputs:
+                continue
+            inputs_bytes = b"(" + b",".join(inputs) + b")"
+            h = header.copy()
+            if node.kind == KIND_PRODUCT:
+                h.update(b"|" + inputs_bytes)
+                for out, source, slot_header in zip(node.outputs, node.incident, extra):
+                    slot_hash = slot_header.copy()
+                    slot_hash.update(b"|" + digests[source].encode("ascii"))
+                    assign(out, slot_hash.hexdigest())
+                node.digest = h.hexdigest()
+                continue
+            if node.kind == KIND_SEMIRING:
+                reads = [encoded[s] for s in node.reads]
+                if None in reads:
+                    continue
+                h.update(inputs_bytes + b",(" + b",".join(
+                    [b"(" + read + tail for read, tail in zip(reads, extra)]
+                ) + b"))")
+            else:  # KIND_OUTPUT
+                h.update(inputs_bytes + b")")
+            node.digest = h.hexdigest()
+            assign(node.outputs[0], node.digest)
+
+        dag.slot_digests = digests
+
+
 def annotate_digests(
     dag: StepDag,
     query: FAQQuery,
@@ -260,110 +522,15 @@ def annotate_digests(
     unencodable content (exotic domain or table values) yields ``None``
     digests, which propagate and simply disable sharing for the affected
     subgraph.
+
+    Everything but the input digests is fixed by the query's shape, so the
+    work is a splice into the shape's step template: the one ``dag`` was
+    instantiated from, or the one its lowering arguments name.
     """
-    from repro.planner.signature import (
-        _digest, canonical_bytes, canonical_sequence, factor_digest,
-    )
-
-    variables = query.variables
-
-    def encode(head: tuple, domains=None, tail: tuple = ()) -> Optional[bytes]:
-        """``canonical_bytes`` of the tuple ``head + (domain spec,) + tail``.
-
-        The domain spec is ``((v, Dom(v)) for v in sorted(domains))``,
-        spliced from each variable's memoised encoding
-        (:meth:`~repro.core.query.Variable.content_bytes`); a payload
-        without one passes ``head`` alone.
-        """
-        try:
-            parts = [canonical_bytes(v) for v in head]
-            if domains is not None:
-                parts.append(canonical_sequence(
-                    variables[v].content_bytes() for v in sorted(domains)
-                ))
-            parts.extend(canonical_bytes(v) for v in tail)
-        except TypeError:
-            return None
-        return canonical_sequence(parts)
-
-    slot_digests: List[Optional[str]] = [None] * dag.num_slots
-    if query.factors:
-        for i, factor in enumerate(query.factors):
-            try:
-                slot_digests[i] = factor_digest(factor)
-            except TypeError:
-                slot_digests[i] = None
-    else:
-        # the synthetic unit factor of an empty product
-        slot_digests[0] = _digest(b"unit", canonical_bytes(query.semiring.name))
-
-    sem = query.semiring.name
-    scopes = dag.slot_scope
-
-    for node in dag.nodes:
-        inputs = tuple(slot_digests[s] for s in node.incident)
-        if any(d is None for d in inputs):
-            continue
-        if node.kind == KIND_SEMIRING:
-            variable = node.variable
-            induced = (
-                frozenset().union(*(scopes[s] for s in node.incident))
-                if node.incident
-                else frozenset({variable})
-            )
-            reads = tuple(
-                (slot_digests[s], tuple(sorted(scopes[s] & induced)))
-                for s in node.reads
-            )
-            if any(d is None for d, _ in reads):
-                continue
-            payload = encode(
-                (
-                    "semiring",
-                    sem,
-                    variable,
-                    query.tag(variable),
-                    bool(use_indicator_projections),
-                    tuple(v for v in order if v in induced),
-                    tuple(v for v in query.order if v in induced),
-                ),
-                induced,
-                (inputs, reads),
-            )
-            if payload is None:
-                continue
-            node.digest = _digest(b"step", payload)
-            slot_digests[node.outputs[0]] = node.digest
-        elif node.kind == KIND_PRODUCT:
-            variable = node.variable
-            size = query.domain_size(variable)
-            head = encode(("product", sem, variable, size))
-            if head is None:
-                continue
-            for slot, out, digest in zip(node.incident, node.outputs, inputs):
-                out_payload = encode((variable in scopes[slot],))
-                slot_digests[out] = _digest(
-                    b"step", head, out_payload, digest.encode("ascii")
-                )
-            node.digest = _digest(
-                b"step", head, canonical_bytes(inputs)
-            )
-        else:  # KIND_OUTPUT
-            free = set(query.free)
-            payload = encode(
-                (
-                    "output",
-                    sem,
-                    tuple(query.free),
-                    tuple(v for v in order if v in free),
-                    tuple(v for v in query.order if v in free),
-                ),
-                query.free,
-                (inputs,),
-            )
-            if payload is None:
-                continue
-            node.digest = _digest(b"step", payload)
-            slot_digests[node.outputs[0]] = node.digest
-
-    dag.slot_digests = slot_digests
+    template = getattr(dag, "template", None)
+    if template is None:
+        output_mode = (
+            "listing" if dag.nodes and dag.nodes[-1].kind == KIND_OUTPUT else "factorized"
+        )
+        template = _template(query, order, use_indicator_projections, output_mode)
+    template.splice(dag, query)

@@ -25,7 +25,13 @@ merge the runs' nodes by content digest, execute, finish.  A single query
 
 Digests cost a hash of every base factor, so they are computed only when
 there is something to share with: a step source is attached, or more than
-one run is merged.  A lone run with neither skips them.
+one run is merged.  A lone run with neither skips them, and lowers its
+query afresh.  A run that names its steps instead instantiates its query
+shape's step template (:mod:`repro.exec.dag`): the shape is lowered and
+its per-node headers hashed once per process (the key covers scopes,
+orders, free variables, aggregates, semiring, projection switch, output
+mode and domains), and each run pays one hash per node for digests
+byte-identical to encoding every payload whole.
 
 Replaying an entry merges the *original* step record and join-counter
 delta, so per-run stats describe the logical execution and stay identical

@@ -277,13 +277,23 @@ def canonical_sequence(parts: Iterable[bytes]) -> bytes:
     return b"(" + b",".join(parts) + b")"
 
 
-def _digest(*chunks: bytes) -> str:
+def _hasher(*chunks: bytes) -> "hashlib._Hash":
+    """The hash :func:`_digest` finalises, left open for more bytes.
+
+    A caller that hashes many payloads sharing a prefix feeds the prefix
+    once and ``copy()``s the hash; bytes it ``update``s afterwards continue
+    the last chunk (no ``|`` is inserted).
+    """
     h = hashlib.sha256()
     h.update(b"repro-content-v%d" % CONTENT_KEY_VERSION)
     for chunk in chunks:
         h.update(b"|")
         h.update(chunk)
-    return h.hexdigest()
+    return h
+
+
+def _digest(*chunks: bytes) -> str:
+    return _hasher(*chunks).hexdigest()
 
 
 def signature_digest(signature: tuple) -> str:

@@ -54,16 +54,17 @@ _ORDER = tuple(f"x{i}" for i in range(1, _CHAIN_VARS + 1))
 # ---------------------------------------------------------------------- #
 # an overlapping query family: shared chain, per-variant unary head
 # ---------------------------------------------------------------------- #
-def _chain_family(semiring_name, variants=3):
+def _chain_family(semiring_name, variants=3, seed=0):
     """Queries sharing every pair factor, differing in a unary on ``x1``.
 
     ``x1`` is first in the ordering, so it is eliminated *last* — the whole
     shared chain suffix collides in the step IR and only the head steps
     differ per variant.  The returned list ends with an exact duplicate of
-    the first variant (same content, distinct object).
+    the first variant (same content, distinct object).  Every ``seed``
+    gives the same shape with other content.
     """
     semiring, value_of, aggregate_factory, offset = SEMIRINGS[semiring_name]
-    rng = random.Random(9_117 + offset)
+    rng = random.Random(9_117 + offset + 1_000 * seed)
     domain = (0, 1, 2)
     pair_tables = []
     for _ in range(_CHAIN_VARS - 1):
@@ -343,6 +344,87 @@ def test_lone_unshared_runs_never_compute_digests(monkeypatch):
         [RunSpec(query=query, ordering=list(_ORDER))], step_cache=cache
     )
     assert calls == [1] and cache.computed > 0
+
+
+# ---------------------------------------------------------------------- #
+# step templates: a query shape is lowered once
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def template_store(monkeypatch):
+    """A fresh, private step-template store."""
+    import repro.exec.dag as dag_module
+    from repro.caching import LruCache
+
+    store = LruCache(maxsize=64)
+    monkeypatch.setattr(dag_module, "_STEP_TEMPLATES", store)
+    return store
+
+
+def _specs(queries):
+    return [RunSpec(query=q, ordering=list(_ORDER)) for q in queries]
+
+
+def test_merged_batch_lowers_its_shape_once(template_store):
+    """Eight same-shape queries in one merged batch: the first run builds
+    the shape's template, the other seven reuse it."""
+    queries = _chain_family("counting", variants=7)
+    assert len(queries) == 8
+    results = DagExecutor().run_many(_specs(queries))
+    assert (template_store.misses, template_store.hits, len(template_store)) == (1, 7, 1)
+    for query, result in zip(queries, results):
+        assert result.factor.table == query.evaluate_brute_force().table
+
+
+def test_lone_unshared_runs_never_touch_the_template_store(template_store):
+    from repro.engine import Engine
+
+    query = _chain_family("counting")[0]
+    inside_out(query, ordering=list(_ORDER))
+    plan(query, cache=PlanCache(), **_serve_options()).execute()
+    with Engine() as engine:
+        engine.query(ServeRequest(query=query, coalesce=False, options=_serve_options()))
+    assert (template_store.hits, template_store.misses, len(template_store)) == (0, 0, 0)
+
+
+def test_concurrent_batches_share_a_template_and_never_write_it(template_store):
+    """Four plain threads, one step source, one shape, four contents: every
+    answer is brute force's, every batch's step accounting is what it is
+    alone, and the shared template's nodes still carry no digest."""
+    families = [_chain_family("counting", seed=t) for t in range(4)]
+    wants = [[q.evaluate_brute_force().table for q in family] for family in families]
+    named = [
+        {node.digest for q in family
+         for node in lower_insideout(q, list(_ORDER), content_digests=True).nodes}
+        for family in families
+    ]
+    # Disjoint contents: no batch can replay another's steps, so each
+    # batch's counts are exact whatever the interleaving.
+    assert all(not a & b for a, b in itertools.combinations(named, 2))
+    alone = []
+    for family in families:
+        info = RunInfo()
+        DagExecutor().run_many(_specs(family), step_cache=StepResultCache(), info=info)
+        alone.append(info)
+    cache = StepResultCache()
+
+    def request(t):
+        infos = []
+        for _ in range(2):  # cold, then warm
+            info = RunInfo()
+            results = DagExecutor().run_many(_specs(families[t]), step_cache=cache, info=info)
+            assert [r.factor.table for r in results] == wants[t]
+            infos.append(info)
+        return infos
+
+    for t, (cold, warm) in enumerate(on_threads(4, request, switch_interval=1e-5)):
+        assert cold == alone[t]
+        assert warm == RunInfo(
+            total_nodes=cold.total_nodes, merged_nodes=cold.merged_nodes,
+            executed_nodes=0, replayed_nodes=cold.merged_nodes,
+        )
+    assert len(template_store) == 1
+    [(_, template)] = template_store.items()
+    assert all(node.digest is None for node in template.skeleton.nodes)
 
 
 def test_plan_server_result_cache_answers_repeat_traffic():

@@ -472,6 +472,29 @@ def test_trie_cache_counters_exact_under_concurrency(holder):
     assert counters["misses"] >= len(factors)
 
 
+def test_shared_trie_store_lookup_waits_for_the_lock():
+    """A lookup on the shared store must wait while another thread holds
+    the store's lock — deterministically, where the counter test above
+    only fails if a race happens to interleave badly."""
+    from repro.factors.index import SharedTrieCache, build_trie
+    from repro.planner.signature import query_content_key
+
+    query = _random_query("counting", 2)
+    query_content_key(query)
+    store = SharedTrieCache(tuple(query.order), query.semiring, query.factors)
+    factor = query.factors[0]
+    found = []
+    thread = threading.Thread(target=lambda: found.append(store.trie(factor)))
+    with store._lock:
+        thread.start()
+        thread.join(timeout=0.05)
+        assert thread.is_alive() and not found, "the lookup ran past a held lock"
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert found[0].root == build_trie(factor, store.order, store.semiring).root
+    assert store.counters() == {"hits": 0, "misses": 1}
+
+
 # ---------------------------------------------------------------------- #
 # the removed PR 5 surface
 # ---------------------------------------------------------------------- #

@@ -33,7 +33,11 @@ from repro.planner.signature import (
     canonical_bytes,
     query_signature,
 )
-from repro.semiring.aggregates import SemiringAggregate
+from repro.semiring.aggregates import (
+    ProductAggregate,
+    SemiringAggregate,
+    semiring_aggregate,
+)
 from repro.semiring.standard import COUNTING, STANDARD_SEMIRINGS
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -441,30 +445,48 @@ def _step_digest_query():
 
 def _reference_step_digests(dag, query, order, uip):
     """Node digests recomputed the plain way: every payload, domains
-    included, goes through ``canonical_bytes`` whole."""
+    included, goes through ``canonical_bytes`` whole.  Content without an
+    encoding gives ``None``, and so does everything that consumes it."""
     from repro.planner.signature import _digest
 
-    slots = [None] * dag.num_slots
-    slots[: dag.num_base] = [factor_digest(f) for f in query.factors]
     sem, scopes, digests = query.semiring.name, dag.slot_scope, []
+    slots = [None] * dag.num_slots
+    if not query.factors:
+        slots[0] = _digest(b"unit", canonical_bytes(sem))
+    for i, factor in enumerate(query.factors):
+        try:
+            slots[i] = factor_digest(factor)
+        except TypeError:
+            pass
 
     def domain_spec(variables):
         return tuple((v, tuple(query.domain(v))) for v in sorted(variables))
 
+    def step(payload):
+        try:
+            return _digest(b"step", canonical_bytes(payload))
+        except TypeError:
+            return None
+
     for node in dag.nodes:
         inputs = tuple(slots[s] for s in node.incident)
-        if node.kind == "semiring":
-            induced = frozenset().union(*(scopes[s] for s in node.incident))
+        digest = None
+        if None in inputs:
+            pass
+        elif node.kind == "semiring":
+            induced = frozenset().union(*(scopes[s] for s in node.incident)) \
+                if node.incident else frozenset({node.variable})
             reads = tuple(
                 (slots[s], tuple(sorted(scopes[s] & induced))) for s in node.reads
             )
-            digest = _digest(b"step", canonical_bytes((
-                "semiring", sem, node.variable,
-                query.tag(node.variable), bool(uip),
-                tuple(v for v in order if v in induced),
-                tuple(v for v in query.order if v in induced),
-                domain_spec(induced), inputs, reads,
-            )))
+            if None not in (d for d, _ in reads):
+                digest = step((
+                    "semiring", sem, node.variable,
+                    query.tag(node.variable), bool(uip),
+                    tuple(v for v in order if v in induced),
+                    tuple(v for v in query.order if v in induced),
+                    domain_spec(induced), inputs, reads,
+                ))
             slots[node.outputs[0]] = digest
         elif node.kind == "product":
             head = canonical_bytes(
@@ -478,12 +500,12 @@ def _reference_step_digests(dag, query, order, uip):
             digest = _digest(b"step", head, canonical_bytes(inputs))
         else:
             free = set(query.free)
-            digest = _digest(b"step", canonical_bytes((
+            digest = step((
                 "output", sem, tuple(query.free),
                 tuple(v for v in order if v in free),
                 tuple(v for v in query.order if v in free),
                 domain_spec(query.free), inputs,
-            )))
+            ))
             slots[node.outputs[0]] = digest
         digests.append(digest)
     return digests, slots
@@ -524,3 +546,219 @@ def test_step_digest_of_a_fixed_query_is_pinned():
     assert dag.nodes[-1].digest == (
         "71f693503f6d441e8ba9ae2ae3b5f52b66bdc9dc7edcc63ed36bc83b7eac1908"
     )
+
+
+# ---------------------------------------------------------------------- #
+# step templates: spliced digests are the from-scratch reference's
+# ---------------------------------------------------------------------- #
+_SHAPE_DOMAIN = (0, 1, 2)
+
+
+def _shape_query(
+    written="ABCD", free=("A",), aggregates=None,
+    scopes=(("A", "B"), ("B", "C"), ("C", "D")),
+    semiring=COUNTING, domains=None, values=None,
+):
+    """``_step_digest_query`` with every part of its shape a knob.
+
+    ``values`` maps a factor position to a ``{key: value}`` patch of its
+    table, to vary content within one shape.
+    """
+    if aggregates is None:
+        aggregates = {
+            "B": SemiringAggregate.sum(),
+            "C": ProductAggregate.product(),
+            "D": SemiringAggregate.sum(),
+        }
+    domains, values = domains or {}, values or {}
+    factors = []
+    for k, scope in enumerate(scopes):
+        table = {
+            (i, j): 1 + i + 2 * j + k
+            for i in _SHAPE_DOMAIN for j in _SHAPE_DOMAIN if (i + j + k) % 3
+        }
+        table.update(values.get(k, {}))
+        factors.append(Factor(scope, table))
+    return FAQQuery(
+        variables=[Variable(v, domains.get(v, _SHAPE_DOMAIN)) for v in written],
+        free=list(free),
+        aggregates=aggregates,
+        factors=factors,
+        semiring=semiring,
+    )
+
+
+def _structure(dag):
+    return (
+        [
+            (n.index, n.kind, n.variable, n.incident, n.reads, n.outputs, n.depends_on)
+            for n in dag.nodes
+        ],
+        dag.num_slots, dag.num_base, dag.slot_scope, dag.final_live,
+    )
+
+
+def _plain(query, order, uip, output_mode):
+    """A fresh lowering, no digests."""
+    from repro.exec import lower_insideout
+
+    return lower_insideout(query, order, uip, output_mode)
+
+
+def _check_against_reference(query, order, uip=True, output_mode="listing"):
+    """Lower with digests (spliced into the shape's template), check the
+    skeleton against a fresh lowering and every digest against the
+    reference; then annotate that fresh lowering, which finds the template
+    by its key, and check it too.  Returns the node digests."""
+    from repro.exec import annotate_digests, lower_insideout
+
+    dag = lower_insideout(query, order, uip, output_mode, content_digests=True)
+    plain = _plain(query, order, uip, output_mode)
+    assert _structure(dag) == _structure(plain)
+    digests, slots = _reference_step_digests(dag, query, order, uip)
+    assert [node.digest for node in dag.nodes] == digests
+    assert dag.slot_digests == slots
+    annotate_digests(plain, query, order, uip)
+    assert [node.digest for node in plain.nodes] == digests
+    assert plain.slot_digests == slots
+    return digests
+
+
+@pytest.fixture
+def template_store(monkeypatch):
+    """A fresh, private step-template store."""
+    import repro.exec.dag as dag_module
+    from repro.caching import LruCache
+
+    store = LruCache(maxsize=64)
+    monkeypatch.setattr(dag_module, "_STEP_TEMPLATES", store)
+    return store
+
+
+def _opaque_value_query():
+    """The first factor holds a value without a canonical encoding; the
+    step eliminating ``D`` never reads it."""
+    return _shape_query(values={0: {(0, 1): _Opaque(7)}})
+
+
+def _opaque_domain_query():
+    """Free ``A``'s domain has no canonical encoding (and no factor mentions
+    ``A``, so every factor has one); only the output step induces ``A``."""
+    return FAQQuery(
+        variables=[
+            Variable("A", (_Opaque(0), _Opaque(1))), Variable("B", (0, 1)),
+            Variable("C", (0, 1)),
+        ],
+        free=["A"],
+        aggregates={"B": SemiringAggregate.sum(), "C": SemiringAggregate.sum()},
+        factors=[Factor(("B", "C"), {(0, 1): 3.0, (1, 1): 4.0})],
+        semiring=STANDARD_SEMIRINGS["sum-product"],
+    )
+
+
+def _no_factor_query():
+    """An empty product: the run's one base slot is the unit factor."""
+    return FAQQuery(
+        variables=[Variable("A", _SHAPE_DOMAIN), Variable("B", (0, 1))],
+        free=["A"],
+        aggregates={"B": SemiringAggregate.sum()},
+        factors=[],
+        semiring=COUNTING,
+    )
+
+
+_MATRIX = {
+    "all-kinds": _shape_query,
+    "free-variables": lambda: _shape_query(
+        free=("A", "B"),
+        aggregates={"C": SemiringAggregate.sum(), "D": ProductAggregate.product()},
+    ),
+    "no-factors": _no_factor_query,
+    "unencodable-factor": _opaque_value_query,
+    "unencodable-domain": _opaque_domain_query,
+}
+
+
+@pytest.mark.parametrize("output_mode", ["listing", "factorized"])
+@pytest.mark.parametrize("uip", [True, False], ids=["insideout", "variable-elimination"])
+@pytest.mark.parametrize("case", sorted(_MATRIX))
+def test_template_digests_match_the_reference(case, uip, output_mode, template_store):
+    """Byte identity across node kinds, both lowerings, both output modes,
+    free variables, the unit slot and ``None`` propagation — on the run
+    that builds the template and on the one that reuses it."""
+    query = _MATRIX[case]()
+    order = list(query.order)
+    first = _check_against_reference(query, order, uip, output_mode)
+    again = _check_against_reference(query, order, uip, output_mode)
+    assert again == first
+    if case == "all-kinds":
+        assert {"semiring", "product"} <= {
+            node.kind for node in _plain(query, order, uip, output_mode).nodes
+        }
+    if case == "unencodable-factor":
+        # Only what the unencodable content reaches goes unnamed.
+        assert None in first and any(d is not None for d in first)
+        assert len(template_store) == 1
+    elif case == "unencodable-domain":
+        # Only the output step induces the domain; a factorized run has
+        # none.  The shape has no key, so its template is never stored.
+        assert (None in first) == (output_mode == "listing")
+        assert first[0] is not None
+        assert len(template_store) == 0
+    else:
+        assert None not in first
+        assert len(template_store) == 1
+
+
+@pytest.mark.parametrize("uip", [True, False], ids=["insideout", "variable-elimination"])
+def test_one_shape_two_contents_differ_downstream_of_the_change(uip, template_store):
+    """Two contents of one shape share a template; their digests differ at
+    exactly the nodes that consume the changed factor, directly or not."""
+    base, changed = _shape_query(), _shape_query(values={0: {(0, 1): 99}})
+    order = list(base.order)
+    left = _check_against_reference(base, order, uip)
+    right = _check_against_reference(changed, order, uip)
+    assert len(template_store) == 1 and template_store.hits >= 1
+
+    dag = _plain(base, order, uip, "listing")
+    tainted = {0}
+    downstream = []
+    for node in dag.nodes:
+        sources = node.incident + node.reads
+        downstream.append(any(s in tainted for s in sources))
+        if node.kind == "product":  # each output slot follows its own input
+            tainted |= {o for s, o in zip(node.incident, node.outputs) if s in tainted}
+        elif downstream[-1]:
+            tainted |= set(node.outputs)
+    assert [a != b for a, b in zip(left, right)] == downstream
+    assert any(downstream) and not all(downstream)
+
+
+def test_every_key_component_names_its_own_template(template_store):
+    """Perturb one component of the template key at a time, after the base
+    shape's template is stored: each perturbation must get its own
+    template, and its digests the reference's — a key missing a dependency
+    would hand it the base's."""
+    base = _shape_query()
+    order = list(base.order)
+    _check_against_reference(base, order)
+    sum_, product = SemiringAggregate.sum(), ProductAggregate.product()
+    variants = {
+        "factor scopes": (_shape_query(scopes=(("A", "C"), ("B", "C"), ("C", "D"))), order),
+        "elimination order": (base, ["A", "B", "D", "C"]),
+        "written order": (_shape_query(written="ABDC"), order),
+        "free variables": (_shape_query(
+            free=("A", "B"), aggregates={"C": product, "D": sum_}), order),
+        "aggregate tag": (_shape_query(
+            aggregates={"B": SemiringAggregate.max(), "C": product, "D": sum_}), order),
+        "aggregate kind": (_shape_query(aggregates={
+            "B": sum_, "C": semiring_aggregate("product", max), "D": sum_}), order),
+        "semiring": (_shape_query(semiring=STANDARD_SEMIRINGS["sum-product"]), order),
+        "domain": (_shape_query(domains={"D": (0, 1, 2, 3)}), order),
+    }
+    for query, variant_order in variants.values():
+        _check_against_reference(query, variant_order)
+    _check_against_reference(base, order, uip=False)
+    _check_against_reference(base, order, output_mode="factorized")
+    assert len(template_store) == 1 + len(variants) + 2
+    assert template_store.misses == len(template_store)
