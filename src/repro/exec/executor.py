@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
@@ -155,6 +155,12 @@ class StepResultCache:
             with self._lock:
                 event = self._inflight.get(key)
                 if event is None:
+                    # fulfil stores before it drops the claim: a claim
+                    # resolved since the read above left its entry here.
+                    entry = self._entries.get(key)
+                    if entry is not None:
+                        self.replayed += 1
+                        return entry
                     self._inflight[key] = threading.Event()
                     return None
             event.wait()
@@ -214,6 +220,14 @@ class RunInfo:
     merged_nodes: int = 0    # distinct nodes after digest merging
     executed_nodes: int = 0  # merged nodes actually computed
     replayed_nodes: int = 0  # merged nodes served from the step source
+
+
+def _copied(record):
+    """A shallow copy of a stats dataclass (no ``__init__``, unlike
+    ``dataclasses.replace``, which walks the fields)."""
+    copied = object.__new__(type(record))
+    copied.__dict__.update(record.__dict__)
+    return copied
 
 
 class _RunState:
@@ -319,7 +333,7 @@ class _RunState:
         return _StepEntry(
             outputs=tuple(self.slots[s] for s in self.dag.nodes[index].outputs),
             record=self.records[index],
-            join_delta=replace(self.node_join_stats[index]),
+            join_delta=_copied(self.node_join_stats[index]),
         )
 
     def replay(self, index: int, entry: _StepEntry) -> None:
@@ -334,7 +348,7 @@ class _RunState:
         for slot, factor in zip(node.outputs, entry.outputs):
             self.slots[slot] = factor
         if entry.record is not None:
-            self.records[index] = replace(entry.record)
+            self.records[index] = _copied(entry.record)
         self.node_join_stats[index].merge(entry.join_delta)
         if node.kind == KIND_PRODUCT:
             for slot, new in zip(node.incident, entry.outputs):

@@ -12,6 +12,8 @@ argument: a factor is just data, the algebra lives in the query.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.semiring.base import Semiring
@@ -353,6 +355,11 @@ class Factor:
         ``ψ_{S/T}(x_T) = 1`` iff some extension of ``x_T`` to ``S`` has a
         non-zero value, else ``0``.  The result's scope is ``S ∩ T`` in the
         order of this factor's scope.
+
+        Keys come out in order of first appearance in the table.  The build
+        runs in C (``dict.fromkeys``); values are tested for zero only
+        when the table is not known to list none under ``semiring``
+        (:meth:`is_pruned`).
         """
         target_set = set(target)
         keep_idx = [i for i, v in enumerate(self.scope) if v in target_set]
@@ -361,14 +368,16 @@ class Factor:
                 f"indicator projection of {self.name} onto a disjoint set {sorted(target_set)}"
             )
         new_scope = tuple(self.scope[i] for i in keep_idx)
-        is_zero = semiring.zero_test()
-        one = semiring.one
-        table: Dict[ValueTuple, Any] = {}
-        for key, value in self.table.items():
-            if is_zero(value):
-                continue
-            table[tuple(key[i] for i in keep_idx)] = one
-        return Factor._adopt(new_scope, table, self.name + f"/{{{','.join(new_scope)}}}")
+        table = self.table
+        keys: Iterable[ValueTuple] = table
+        if getattr(table, "zero_free", None) is not semiring:
+            keys = compress(table, map(not_, map(semiring.zero_test(), table.values())))
+        if len(keep_idx) == 1:
+            keys = zip(map(itemgetter(keep_idx[0]), keys))
+        elif len(keep_idx) < len(self.scope):
+            keys = map(itemgetter(*keep_idx), keys)
+        return Factor._adopt(new_scope, dict.fromkeys(keys, semiring.one),
+                             self.name + f"/{{{','.join(new_scope)}}}")
 
     def support_projection(self, target: Iterable[str]) -> set:
         """Return the set of projected tuples (no values) onto ``target``."""

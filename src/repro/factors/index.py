@@ -26,7 +26,10 @@ one entry record per factor, and every kernel reads it through one holder:
   digest, which :mod:`repro.serve` and each incremental view keep across
   runs as each run's parent so repeated value-equal queries, and updates
   of a standing one, stop re-indexing, re-encoding and re-densifying the
-  *base* factors that did not change.
+  *base* factors that did not change.  Content an update replaces hands
+  its entry on (:meth:`SharedTrieCache.derive`): a trie path-copied along
+  the delta (Driscoll, Sarnak, Sleator and Tarjan's persistent structures),
+  in a fresh build's order, and the projections while the support stays.
 
 A holder's ``hits``/``misses`` count lookups: a hit is a trie, projection,
 encoding (including a cached "this table has no encoding") or dense array
@@ -144,6 +147,39 @@ class FactorTrie:
             node[key[last]] = value
         self.root = root
         self.empty = not root
+
+    def derive(self, factor: Factor, changes: Dict[ValueTuple, Any]) -> "FactorTrie":
+        """The trie of ``factor``, this trie's factor with ``changes`` written.
+
+        ``changes`` map scope-aligned keys to non-zero values, in the order
+        :meth:`Factor.apply_delta <repro.factors.factor.Factor.apply_delta>`
+        wrote them, and both tables list no zero.  Path copying: only the
+        level dicts on a changed key's path are copied, every other level
+        is shared with this trie.  A rewritten key keeps its place in each
+        level and a new key goes last, as in the table, so iteration order
+        equals a fresh build's.
+        """
+        derived = FactorTrie.__new__(FactorTrie)
+        derived.factor = factor
+        derived.variables = variables = self.variables
+        *inner, last = [factor.scope.index(v) for v in variables]
+        root = dict(self.root)
+        copied = {id(root)}
+        for key, value in changes.items():
+            node = root
+            for idx in inner:
+                child = node.get(key[idx])
+                if child is None:
+                    child = node[key[idx]] = {}
+                    copied.add(id(child))
+                elif id(child) not in copied:
+                    child = node[key[idx]] = dict(child)
+                    copied.add(id(child))
+                node = child
+            node[key[last]] = value
+        derived.root = root
+        derived.empty = not root
+        return derived
 
     # ------------------------------------------------------------------ #
     @property
@@ -463,7 +499,7 @@ class SharedTrieCache(TrieCache):
     content and gets another store — while an
     :class:`~repro.incremental.IncrementalView` keeps one for its lifetime
     and moves it along with its standing query (:meth:`cover`), so an
-    update re-indexes the one factor it replaced.  It is the same holder
+    update indexes only its delta (:meth:`derive`).  It is the same holder
     with five differences:
 
     * entries are keyed by the factor's *content digest* — the memo
@@ -510,6 +546,39 @@ class SharedTrieCache(TrieCache):
     def covers(self, factor) -> bool:
         """Whether ``factor``'s content digest is one this store serves."""
         return getattr(factor, "_digest", None) in self._digests
+
+    def derive(self, old: Factor, new: Factor, changes: Dict[ValueTuple, Any]) -> None:
+        """Give ``new`` = ``old`` with the aligned ``changes`` applied an
+        entry derived from ``old``'s, before :meth:`cover` drops that one.
+
+        Both must be named listing factors whose tables list no zero of
+        the store's semiring (:meth:`Factor.is_pruned`, a memo hit once a
+        lineage is swept); otherwise nothing is derived.  The trie is
+        path-copied (:meth:`FactorTrie.derive`) unless a change deletes a
+        cell: a delete that empties a prefix would move keys, so that trie
+        builds fresh.  The projections are shared when the support is
+        unchanged — every changed key was listed and none is deleted.
+        Encodings and dense arrays build lazily, as for any new content.
+        """
+        if not (
+            isinstance(old, Factor) and isinstance(new, Factor)
+            and new._digest is not None
+            and old.is_pruned(self.semiring) and new.is_pruned(self.semiring)
+        ):
+            return
+        with self._lock:
+            entry = self._entries.get(old._digest)
+            if entry is None or new._digest in self._entries:
+                return
+            trie, projections = entry.trie, dict(entry.projections)
+        derived = _FactorIndex(new)
+        if all(map(new.table.__contains__, changes)):  # no change deleted a cell
+            if trie is not None and old.scope:
+                derived.trie = trie.derive(new, changes)
+            if all(map(old.table.__contains__, changes)):
+                derived.projections = projections
+        with self._lock:
+            self._entries.setdefault(new._digest, derived)
 
     def _key(self, factor):
         return factor._digest

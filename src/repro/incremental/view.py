@@ -45,11 +45,16 @@ held by reference from then on.  The view keeps one
 hands it to every run, so tries, indicator projections and flat encodings
 of the untouched factors stay warm; it covers exactly the standing
 query's factor contents (the replaced content's entry is dropped with the
-update, a delta factor is never in it).  What is still O(|factor|) per
-update is copying the table and the new factor's own index; what is
-still O(|query|) is re-lowering and re-annotating the step DAG — the
-latter splices each variable's memoised domain encoding, so it is
-O(nodes) once every factor is named.
+update, a delta factor is never in it).  The new content's index is
+*derived* from the replaced one's (:meth:`~repro.factors.index.SharedTrieCache.derive`):
+a path-copied trie, and the old projections while the support stays, so
+it costs O(|delta|).  Every held factor is swept for zeros once
+(:meth:`Factor.is_pruned`), a memo children inherit.  What is still
+O(|factor|) per update is copying the table, and a fresh trie (projections)
+when a change deletes (adds or deletes) a cell; what is still O(|query|)
+is re-lowering and re-annotating the step DAG — the latter splices each
+variable's memoised domain encoding, so it is O(nodes) once every factor
+is named.
 """
 
 from __future__ import annotations
@@ -278,12 +283,12 @@ class IncrementalView:
             output = self._apply_cells(index, old_factor, cells, "+append", base)
         else:
             self.stats.dirty_updates += 1
-            self._install(index, new_factor)
+            self._install(index, new_factor, changes)
             output = self._update_run(self.query)
             self._output = output
             return output
 
-        self._install(index, new_factor)
+        self._install(index, new_factor, changes)
         # The step cache stays: its entries are *content-addressed*, so a
         # stale entry can never replay wrongly — it either matches a future
         # node's digest (and is then valid by construction) or is ignored.
@@ -361,14 +366,15 @@ class IncrementalView:
             name=self.query.name,
         )
 
-    def _install(self, index: int, factor: Factor) -> None:
-        """Make ``factor`` factor ``index`` of the standing query.
-
-        New content is named here, once, before the query takes it: the
-        digest freezes it, so this and every later query of the view hold
-        it by reference, memo included.
-        """
+    def _install(self, index: int, factor: Factor, changes: Dict[Tuple[Any, ...], Any]) -> None:
+        """Make ``factor`` (factor ``index`` with ``changes`` applied) factor
+        ``index`` of the standing query.  New content is named here, once,
+        before the query takes it: the digest freezes it, so this and every
+        later query of the view hold it by reference, memo included.  Its
+        index entry is derived from the replaced factor's before
+        :meth:`_cover` drops that one."""
         self._digest(factor)
+        self._tries.derive(self.query.factors[index], factor, changes)
         self.query = self._with_factor(index, factor)
         self._cover()
 
@@ -381,9 +387,12 @@ class IncrementalView:
 
     def _cover(self) -> None:
         """Name every factor of the standing query (a memo hit for all but
-        new content) and point the index store at exactly those contents."""
+        new content), sweep each for zeros once (:meth:`Factor.is_pruned`; index
+        builds then skip the zero test, and children inherit the memo) and
+        point the index store at exactly those contents."""
         for factor in self.query.factors:
             self._digest(factor)
+            factor.is_pruned(self.query.semiring)
         self._tries.cover(self.query.factors)
 
     def _run_with_factor(self, index: int, factor: Factor) -> Factor:

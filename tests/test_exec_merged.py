@@ -730,3 +730,47 @@ def test_planner_prefers_free_prefix_orderings_for_free_queries():
     )
     chosen = plan(query, cache=PlanCache())
     assert set(chosen.ordering[:2]) == {"x0", "x1"}
+
+
+def test_replayed_step_records_are_copies_of_the_entry():
+    """A replay hands each run its own record and join counters: a caller
+    that edits a replayed run's stats changes neither the step entry nor
+    what the next replay reports."""
+    [query] = _chain_family("counting", variants=1)[:1]
+    cache = StepResultCache()
+    spec = RunSpec(query, ordering=list(_ORDER))
+    [cold] = DagExecutor().run_many([spec], step_cache=cache)
+    [warm] = DagExecutor().run_many([spec], step_cache=cache)
+    want = [(r.variable, r.result_size, r.backend) for r in cold.stats.steps]
+    assert [(r.variable, r.result_size, r.backend) for r in warm.stats.steps] == want
+    for record in warm.stats.steps:
+        record.result_size = -1
+    warm.stats.join_stats.search_steps = -1
+    [again] = DagExecutor().run_many([spec], step_cache=cache)
+    assert [(r.variable, r.result_size, r.backend) for r in again.stats.steps] == want
+    assert again.stats.join_stats == cold.stats.join_stats
+
+
+def test_a_claim_resolved_between_read_and_claim_is_replayed(monkeypatch):
+    """The exactly-once race, made deterministic: a second caller reads no
+    entry, the claimant fulfils before that caller takes the lock, and the
+    caller must replay the stored entry instead of claiming the key again
+    (which recomputed the step: 14 executed nodes for 13 merged, now and
+    then, in the four-thread merged-batch test)."""
+    cache = StepResultCache()
+    assert cache.lookup_or_claim("k") is None  # the claimant
+    entry = object()
+    real_get = cache._entries.get
+    raced = []
+
+    def get_then_fulfil(key, default=None):
+        value = real_get(key, default)
+        if not raced:
+            raced.append(key)
+            cache.fulfil(key, entry)  # the claimant finishes right after the read
+        return value
+
+    monkeypatch.setattr(cache._entries, "get", get_then_fulfil)
+    assert cache.lookup_or_claim("k") is entry
+    assert not cache._inflight
+    assert cache.stats() == {"entries": 1, "computed": 1, "replayed": 1}

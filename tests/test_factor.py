@@ -1,9 +1,12 @@
 """Unit tests for :class:`repro.factors.factor.Factor`."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.factors.factor import Factor, FactorError
-from repro.semiring.standard import COUNTING
+from repro.semiring.standard import BOOLEAN, COUNTING, MIN_PLUS, SUM_PRODUCT
 
 
 @pytest.fixture
@@ -124,6 +127,66 @@ class TestProjections:
 
     def test_support_projection(self, psi_ab):
         assert psi_ab.support_projection(["A"]) == {(0,), (1,)}
+
+
+def _projection_loop(factor, target, semiring):
+    """The per-row loop the projection kernel replaced: the reference."""
+    keep = [i for i, v in enumerate(factor.scope) if v in set(target)]
+    table = {}
+    for key, value in factor.table.items():
+        if semiring.is_zero(value):
+            continue
+        table[tuple(key[i] for i in keep)] = semiring.one
+    return tuple(factor.scope[i] for i in keep), table
+
+
+#: A 3-variable table per semiring, listing that semiring's zero in a few
+#: cells (0, 0.0, inf, False) among non-zero values, rows out of key order.
+_ZEROS = [
+    (COUNTING, [3, 0, 1, 2, 0, 7]),
+    (SUM_PRODUCT, [0.5, 0.0, 1e-300, 2.0, 0.0, 1.5]),
+    (MIN_PLUS, [0.0, math.inf, 1.0, 2.5, math.inf, -1.0]),
+    (BOOLEAN, [True, False, True, True, False, True]),
+]
+
+
+def _listing_with_zeros(values):
+    keys = [(2, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2), (2, 1, 1), (1, 1, 0),
+            (2, 0, 0), (0, 1, 0), (1, 0, 0)]
+    return Factor(("C", "A", "B"), {k: values[i % len(values)] for i, k in enumerate(keys)})
+
+
+class TestProjectionKernel:
+    """``indicator_projection`` gives the loop's keys, values and order."""
+
+    @pytest.mark.parametrize("semiring, values", _ZEROS, ids=lambda x: getattr(x, "name", ""))
+    @pytest.mark.parametrize("target", [["A"], ["B", "C"], ["A", "B", "C"]])
+    def test_matches_the_loop(self, semiring, values, target):
+        factor = _listing_with_zeros(values)
+        scope, table = _projection_loop(factor, target, semiring)
+        projected = factor.indicator_projection(target, semiring)
+        assert projected.scope == scope
+        assert list(projected.table.items()) == list(table.items())
+
+    @pytest.mark.parametrize("semiring, values", _ZEROS, ids=lambda x: getattr(x, "name", ""))
+    def test_memo_of_another_semiring_object_is_not_trusted(self, semiring, values):
+        factor = _listing_with_zeros(values).freeze()
+        other = dataclasses.replace(semiring)
+        factor.table.zero_free = other  # a memo that does not answer for `semiring`
+        for target in (["A"], ["B", "C"], ["A", "B", "C"]):
+            scope, table = _projection_loop(factor, target, semiring)
+            assert list(factor.indicator_projection(target, semiring).table.items()) == list(
+                table.items())
+
+    @pytest.mark.parametrize("semiring, values", _ZEROS, ids=lambda x: getattr(x, "name", ""))
+    def test_zero_free_table_skips_the_test(self, semiring, values):
+        factor = _listing_with_zeros(values).pruned(semiring).freeze()
+        assert factor.is_pruned(semiring)
+        for target in (["C"], ["C", "B"], ["A", "B", "C"]):
+            scope, table = _projection_loop(factor, target, semiring)
+            projected = factor.indicator_projection(target, semiring)
+            assert projected.scope == scope
+            assert list(projected.table.items()) == list(table.items())
 
 
 class TestMarginalisation:

@@ -12,6 +12,8 @@ pin the two properties everything else relies on:
   produces a different key.
 """
 
+import enum
+import hashlib
 import os
 import pickle
 import random
@@ -20,12 +22,13 @@ import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.query import FAQQuery, Variable
 from repro.factors.delta import FactorDelta
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
-from repro.planner import factor_digest, query_content_key, signature_digest
+from repro.planner import factor_digest, query_content_key, signature, signature_digest
 from repro.planner.signature import (
     BUCKET_MIN_ROWS,
     BucketDelta,
@@ -762,3 +765,80 @@ def test_every_key_component_names_its_own_template(template_store):
     _check_against_reference(base, order, output_mode="factorized")
     assert len(template_store) == 1 + len(variants) + 2
     assert template_store.misses == len(template_store)
+
+
+# --------------------------------------------------------------------- #
+# the row encoder: byte-identical to canonical_bytes
+# --------------------------------------------------------------------- #
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_ATOMS = [
+    True, False, 1, 0, -1, 2 ** 80, -(2 ** 70), _Level.LOW, _Level.HIGH,
+    0.0, -0.0, 1.5, -2.25e-300, float("nan"), float("inf"), float("-inf"),
+    "", "x", "ünï", None, b"raw", 1 + 2j, frozenset({1, "a"}),
+]
+
+_atoms = st.one_of(
+    st.sampled_from(_ATOMS),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+_rows = st.recursive(_atoms, lambda inner: st.tuples(inner, inner) | st.tuples(inner), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.tuples(_rows, _rows) | _rows, value=_rows)
+def test_row_encoder_is_canonical_bytes(key, value):
+    assert signature._key_bytes(key) == canonical_bytes(key)
+    assert signature._atom_bytes(value) == canonical_bytes(value)
+
+
+def test_row_encoder_atoms_one_by_one():
+    """Each listed atom, alone and in a key, encodes as canonical_bytes does:
+    ``True`` is not ``1`` and an ``IntEnum`` member is its integer."""
+    for atom in _ATOMS:
+        assert signature._atom_bytes(atom) == canonical_bytes(atom)
+        for key in ((atom,), (atom, 1), (1.5, atom), ((atom, 2), None)):
+            assert signature._key_bytes(key) == canonical_bytes(key)
+    assert signature._atom_bytes(True) != signature._atom_bytes(1)
+    assert signature._atom_bytes(_Level.LOW) == signature._atom_bytes(1)
+    assert signature._atom_bytes(-0.0) != signature._atom_bytes(0.0)
+
+
+@pytest.mark.parametrize("bad", [object(), {"a": 1}, [object()]])
+def test_row_encoder_refuses_what_canonical_bytes_refuses(bad):
+    with pytest.raises(TypeError):
+        canonical_bytes((1, bad))
+    with pytest.raises(TypeError):
+        signature._key_bytes((1, bad))
+    with pytest.raises(TypeError):
+        signature._atom_bytes(bad)
+
+
+@pytest.mark.parametrize("rows", [40, 600])
+def test_bucket_digests_match_a_canonical_bytes_reference(rows):
+    """The three row-hashing sites, against the encoding done by hand."""
+    rng = random.Random(rows)
+    atoms = [0, -3, 2 ** 65, 1.25, -0.0, "s", None, True, _Level.HIGH, (1, 2.5)]
+    table = {}
+    while len(table) < rows:
+        table[(rng.choice(atoms), rng.randrange(1000))] = rng.choice(atoms)
+    count = bucket_count(rows)
+    buckets = [[] for _ in range(count)]
+    for key, value in table.items():
+        raw = canonical_bytes(key)
+        buckets[zlib.crc32(raw) & (count - 1)].append(raw + b"=" + canonical_bytes(value))
+    want = b"".join(hashlib.sha256(b";".join(sorted(b))).digest() for b in buckets)
+    assert signature._bucket_digests(table, count) == want
+    # A derived digest (BucketTable.child, BucketDelta.apply) agrees too.
+    parent = Factor(("x", "y"), table)
+    factor_digest(parent)
+    cell = next(iter(table))
+    child = parent.apply_delta(FactorDelta(("x", "y"), {cell: 7, ("new", 1): 2.5}), COUNTING)
+    assert factor_digest(child) == factor_digest(child.copy())
