@@ -48,8 +48,10 @@ query's factor contents (the replaced content's entry is dropped with the
 update, a delta factor is never in it).  The new content's index is
 *derived* from the replaced one's (:meth:`~repro.factors.index.SharedTrieCache.derive`):
 a path-copied trie, and the old projections while the support stays, so
-it costs O(|delta|).  Every held factor is swept for zeros once
-(:meth:`Factor.is_pruned`), a memo children inherit.  What is still
+it costs O(|delta|).  Each query the view builds sweeps a frozen factor
+for zeros once (:meth:`Factor.is_pruned`), so from the first update on
+every held factor carries the zero-free memo, children inherit it, and
+index builds skip the per-value zero test.  What is still
 O(|factor|) per update is copying the table, and a fresh trie (projections)
 when a change deletes (adds or deletes) a cell; what is still O(|query|)
 is re-lowering and re-annotating the step DAG — the latter splices each
@@ -387,12 +389,9 @@ class IncrementalView:
 
     def _cover(self) -> None:
         """Name every factor of the standing query (a memo hit for all but
-        new content), sweep each for zeros once (:meth:`Factor.is_pruned`; index
-        builds then skip the zero test, and children inherit the memo) and
-        point the index store at exactly those contents."""
+        new content) and point the index store at exactly those contents."""
         for factor in self.query.factors:
             self._digest(factor)
-            factor.is_pruned(self.query.semiring)
         self._tries.cover(self.query.factors)
 
     def _run_with_factor(self, index: int, factor: Factor) -> Factor:

@@ -241,8 +241,20 @@ def canonical_bytes(value: Any) -> bytes:
     encode equally in every process.  Unsupported types raise ``TypeError``
     — callers (the serving tier) degrade gracefully.
     """
-    # Ordered by how often each shape occurs: this runs once per key (a
-    # tuple) and value of every digested row.
+    # This runs once per key (a tuple) and value of every digested row.
+    # Exact tuples, ints and floats, the shapes of nearly every row, go
+    # first on one type lookup; subclasses (``bool``, ``IntEnum``, named
+    # tuples) and the rarer shapes take the isinstance chain, ordered by
+    # how often each occurs.
+    kind = type(value)
+    if kind is tuple:
+        return b"(" + b",".join(map(canonical_bytes, value)) + b")"
+    if kind is int:
+        raw = b"%d" % value
+        return b"i%d:%s" % (len(raw), raw)
+    if kind is float:
+        raw = repr(value).encode("ascii")  # repr is shortest-roundtrip, stable
+        return b"f%d:%s" % (len(raw), raw)
     if isinstance(value, (tuple, list)):
         return b"(" + b",".join([canonical_bytes(v) for v in value]) + b")"
     if isinstance(value, bool):  # before int: bool subclasses int
@@ -411,26 +423,6 @@ def bucket_count(rows: int) -> int:
     return 1 << (rows.bit_length() // 2)
 
 
-def _atom_bytes(value: Any) -> bytes:
-    """:func:`canonical_bytes` of a row atom, exact ``int`` and ``float``
-    encoded inline (a subclass such as ``bool`` takes the general path)."""
-    kind = type(value)
-    if kind is int:
-        raw = b"%d" % value
-        return b"i%d:%s" % (len(raw), raw)
-    if kind is float:
-        raw = repr(value).encode("ascii")
-        return b"f%d:%s" % (len(raw), raw)
-    return canonical_bytes(value)
-
-
-def _key_bytes(key: Any) -> bytes:
-    """:func:`canonical_bytes` of a row key, a tuple of atoms as a rule."""
-    if type(key) is tuple:
-        return b"(" + b",".join(map(_atom_bytes, key)) + b")"
-    return canonical_bytes(key)
-
-
 def _bucket_digest(rows: Iterable[bytes]) -> bytes:
     return hashlib.sha256(b";".join(sorted(rows))).digest()
 
@@ -439,14 +431,15 @@ def _bucket_digests(table: Dict[Any, Any], count: int) -> bytes:
     """The ``count`` bucket digests of ``table``, concatenated in bucket order."""
     if count == 1:
         return _bucket_digest(
-            _key_bytes(key) + b"=" + _atom_bytes(value) for key, value in table.items()
+            canonical_bytes(key) + b"=" + canonical_bytes(value)
+            for key, value in table.items()
         )
     rows: List[List[bytes]] = [[] for _ in range(count)]
     mask = count - 1
     crc32 = zlib.crc32
     for key, value in table.items():
-        raw = _key_bytes(key)
-        rows[crc32(raw) & mask].append(raw + b"=" + _atom_bytes(value))
+        raw = canonical_bytes(key)
+        rows[crc32(raw) & mask].append(raw + b"=" + canonical_bytes(value))
     return b"".join(map(_bucket_digest, rows))
 
 
@@ -495,11 +488,11 @@ class BucketTable:
         if keys is None:
             keys = [set() for _ in range(count)]
             for key in table:
-                keys[zlib.crc32(_key_bytes(key)) & mask].add(key)
+                keys[zlib.crc32(canonical_bytes(key)) & mask].add(key)
             self.keys = keys
         located = []
         for key in changed:
-            index = zlib.crc32(_key_bytes(key)) & mask
+            index = zlib.crc32(canonical_bytes(key)) & mask
             if key in table and key not in keys[index]:
                 return None
             located.append((key, index))
@@ -543,7 +536,8 @@ class BucketDelta:
         for index, bucket in touched.items():
             keys[index] = bucket
             digests[32 * index:32 * (index + 1)] = _bucket_digest(
-                _key_bytes(key) + b"=" + _atom_bytes(table[key]) for key in bucket
+                canonical_bytes(key) + b"=" + canonical_bytes(table[key])
+                for key in bucket
             )
         return BucketTable(bytes(digests), keys)
 

@@ -12,8 +12,8 @@ pin the two properties everything else relies on:
   produces a different key.
 """
 
+import collections
 import enum
-import hashlib
 import os
 import pickle
 import random
@@ -28,7 +28,7 @@ from repro.core.query import FAQQuery, Variable
 from repro.factors.delta import FactorDelta
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
-from repro.planner import factor_digest, query_content_key, signature, signature_digest
+from repro.planner import factor_digest, query_content_key, signature_digest
 from repro.planner.signature import (
     BUCKET_MIN_ROWS,
     BucketDelta,
@@ -768,75 +768,90 @@ def test_every_key_component_names_its_own_template(template_store):
 
 
 # --------------------------------------------------------------------- #
-# the row encoder: byte-identical to canonical_bytes
+# canonical_bytes: the exact-type fast path writes the general path's bytes
 # --------------------------------------------------------------------- #
 class _Level(enum.IntEnum):
     LOW = 1
-    HIGH = 2
 
 
-_ATOMS = [
-    True, False, 1, 0, -1, 2 ** 80, -(2 ** 70), _Level.LOW, _Level.HIGH,
-    0.0, -0.0, 1.5, -2.25e-300, float("nan"), float("inf"), float("-inf"),
-    "", "x", "ünï", None, b"raw", 1 + 2j, frozenset({1, "a"}),
-]
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, encoded",
+    [
+        (True, b"T"), (False, b"F"), (1, b"i1:1"), (0, b"i1:0"), (-1, b"i2:-1"),
+        (2 ** 80, b"i25:1208925819614629174706176"),
+        (-(2 ** 70), b"i23:-1180591620717411303424"),
+        (0.0, b"f3:0.0"), (-0.0, b"f4:-0.0"), (1.5, b"f3:1.5"),
+        (-2.25e-300, b"f10:-2.25e-300"), (float("nan"), b"f3:nan"),
+        (float("inf"), b"f3:inf"), (float("-inf"), b"f4:-inf"),
+        ("", b"s0:"), ("x", b"s1:x"), ("ünï", b"s5:\xc3\xbcn\xc3\xaf"), (None, b"N"),
+        ((), b"()"), ((True, 1), b"(T,i1:1)"),
+        ((1, (2.5, None), "s"), b"(i1:1,(f3:2.5,N),s1:s)"), ([1, 2.5], b"(i1:1,f3:2.5)"),
+    ],
+)
+def test_canonical_bytes_literals(value, encoded):
+    """CONTENT_KEY_VERSION 2's bytes, of each value alone and in a row key:
+    ``True`` is not ``1``, ``-0.0`` is not ``0.0``."""
+    assert canonical_bytes(value) == encoded
+    assert canonical_bytes((value, 7)) == b"(" + encoded + b",i1:7)"
+
+
+def test_canonical_bytes_of_subclasses_take_the_general_path():
+    raw = str(_Level.LOW).encode("ascii")  # an int subclass encodes its own str
+    assert canonical_bytes(_Level.LOW) == b"i%d:%s" % (len(raw), raw)
+    point = collections.namedtuple("Point", "x y")(1, True)
+    assert canonical_bytes(point) == b"(i1:1,T)"
+
+
+def _general(value):
+    """``value`` with every exact tuple, int and float swapped for a list or
+    a subclass of equal value, so it misses the fast path at every level."""
+    kind = type(value)
+    if kind is tuple:
+        return [_general(v) for v in value]
+    if kind is int:
+        return _Int(value)
+    if kind is float:
+        return _Float(value)
+    return value
+
 
 _atoms = st.one_of(
-    st.sampled_from(_ATOMS),
-    st.integers(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=4),
-    st.booleans(),
-    st.none(),
+    st.integers(), st.integers(min_value=2 ** 64), st.floats(), st.booleans(),
+    st.none(), st.text(max_size=4), st.sampled_from([-0.0, float("nan"), _Level.LOW]),
 )
-_rows = st.recursive(_atoms, lambda inner: st.tuples(inner, inner) | st.tuples(inner), max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=st.tuples(_rows, _rows) | _rows, value=_rows)
-def test_row_encoder_is_canonical_bytes(key, value):
-    assert signature._key_bytes(key) == canonical_bytes(key)
-    assert signature._atom_bytes(value) == canonical_bytes(value)
+@given(st.recursive(_atoms, lambda inner: st.tuples(inner, inner) | st.tuples(inner), max_leaves=6))
+def test_fast_path_matches_the_general_path(value):
+    assert canonical_bytes(value) == canonical_bytes(_general(value))
 
 
-def test_row_encoder_atoms_one_by_one():
-    """Each listed atom, alone and in a key, encodes as canonical_bytes does:
-    ``True`` is not ``1`` and an ``IntEnum`` member is its integer."""
-    for atom in _ATOMS:
-        assert signature._atom_bytes(atom) == canonical_bytes(atom)
-        for key in ((atom,), (atom, 1), (1.5, atom), ((atom, 2), None)):
-            assert signature._key_bytes(key) == canonical_bytes(key)
-    assert signature._atom_bytes(True) != signature._atom_bytes(1)
-    assert signature._atom_bytes(_Level.LOW) == signature._atom_bytes(1)
-    assert signature._atom_bytes(-0.0) != signature._atom_bytes(0.0)
-
-
-@pytest.mark.parametrize("bad", [object(), {"a": 1}, [object()]])
-def test_row_encoder_refuses_what_canonical_bytes_refuses(bad):
+@pytest.mark.parametrize("bad", [object(), {"a": 1}, [object()], (1, object()), ((2, {"a": 1}),)])
+def test_canonical_bytes_refuses_unsupported_inside_rows(bad):
+    with pytest.raises(TypeError):
+        canonical_bytes(bad)
     with pytest.raises(TypeError):
         canonical_bytes((1, bad))
-    with pytest.raises(TypeError):
-        signature._key_bytes((1, bad))
-    with pytest.raises(TypeError):
-        signature._atom_bytes(bad)
 
 
 @pytest.mark.parametrize("rows", [40, 600])
-def test_bucket_digests_match_a_canonical_bytes_reference(rows):
-    """The three row-hashing sites, against the encoding done by hand."""
+def test_mixed_type_rows_digest_alike_fresh_and_derived(rows):
+    """Rows of every atom shape, bucketed (600) or not (40): a derived
+    digest (``BucketTable.child``, ``BucketDelta.apply``) equals a fresh one."""
     rng = random.Random(rows)
-    atoms = [0, -3, 2 ** 65, 1.25, -0.0, "s", None, True, _Level.HIGH, (1, 2.5)]
+    atoms = [0, -3, 2 ** 65, 1.25, -0.0, "s", None, True, _Level.LOW, (1, 2.5)]
     table = {}
     while len(table) < rows:
         table[(rng.choice(atoms), rng.randrange(1000))] = rng.choice(atoms)
-    count = bucket_count(rows)
-    buckets = [[] for _ in range(count)]
-    for key, value in table.items():
-        raw = canonical_bytes(key)
-        buckets[zlib.crc32(raw) & (count - 1)].append(raw + b"=" + canonical_bytes(value))
-    want = b"".join(hashlib.sha256(b";".join(sorted(b))).digest() for b in buckets)
-    assert signature._bucket_digests(table, count) == want
-    # A derived digest (BucketTable.child, BucketDelta.apply) agrees too.
     parent = Factor(("x", "y"), table)
     factor_digest(parent)
     cell = next(iter(table))
