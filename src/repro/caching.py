@@ -128,15 +128,9 @@ class LruCache:
             self.hits += 1
             return value
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """``get`` without touching LRU order or the counters."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            return default if value is _MISSING else value
-
     def put(self, key: Hashable, value: Any) -> List[Tuple[Hashable, Any]]:
         """Insert (or refresh) an entry; returns the evicted ``(key, value)``
-        pairs so callers keeping secondary indexes can clean them up."""
+        pairs so callers can account for what was dropped."""
         evicted: List[Tuple[Hashable, Any]] = []
         with self._lock:
             self._entries[key] = value

@@ -17,7 +17,6 @@ from repro.planner.cache import (
     DEFAULT_PLAN_CACHE,
     CachedPlan,
     PlanCache,
-    PlanHealth,
 )
 from repro.planner.cost import (
     CostModel,
@@ -31,11 +30,9 @@ from repro.planner.cost import (
 from repro.planner.plan import Plan, PlanResult
 from repro.planner.planner import (
     DEFAULT_COST_MODEL,
-    PlanFeedback,
     candidate_orderings,
     execute,
     plan,
-    record_plan_feedback,
 )
 from repro.planner.signature import (
     factor_digest,
@@ -59,9 +56,6 @@ __all__ = [
     "StepEstimate",
     "STRATEGIES",
     "STRATEGY_INSIDEOUT",
-    "PlanHealth",
-    "PlanFeedback",
-    "record_plan_feedback",
     "observed_step_errors",
     "candidate_orderings",
     "query_signature",

@@ -359,7 +359,7 @@ class CostModel:
 
 
 # ---------------------------------------------------------------------- #
-# observed-vs-estimated comparison (the feedback half of the loop)
+# observed-vs-estimated comparison
 # ---------------------------------------------------------------------- #
 def observed_step_errors(step_sizes: Sequence[float], stats) -> List[float]:
     """Signed per-step log errors of a plan against an execution's stats.

@@ -75,13 +75,10 @@ class Plan:
     estimate: Optional[OrderingEstimate] = None
     candidates: List[OrderingEstimate] = field(default_factory=list)
     planning_seconds: float = 0.0
-    # Closed-loop planning (see repro.planner.planner.record_plan_feedback):
-    # the per-step estimated result sizes stored with the cached plan entry,
-    # the cache key the plan was served/stored under, and whether it was
-    # transferred across a shape drift (drifted plans demote first).
+    # The per-step estimated result sizes (stored with the cached plan
+    # entry); repro.planner.cost.observed_step_errors compares them with a
+    # run's observed sizes.
     step_sizes: Tuple[float, ...] = ()
-    cache_key: Optional[tuple] = None
-    drifted: bool = False
 
     @property
     def strategy(self) -> str:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.evo import is_equivalent_ordering, linear_extensions
@@ -51,7 +50,6 @@ from repro.planner.cost import (
     OrderingEstimate,
     QueryStatistics,
     STRATEGIES,
-    observed_step_errors,
 )
 from repro.planner.plan import Plan, PlanResult
 from repro.planner.signature import (
@@ -316,46 +314,19 @@ def _plan_search(
     key = (signature, mode, backend)
     if use_cache:
         cached = plan_cache.lookup(key)
-        drifted = False
-        if cached is None:
-            # Same structure, drifted data: transfer the plan when the
-            # per-factor size buckets moved at most one step; beyond that
-            # the stored entry is invalidated (its cost choices are stale).
-            cached = plan_cache.lookup_drifted(key)
-            drifted = cached is not None
         if cached is not None and len(cached.ordering_indices) == query.num_variables:
             # An exact signature hit certifies isomorphism, so the cached
-            # ordering transfers without re-validation.  A *drifted*
-            # transfer is only shape-certified: the bucket change can
-            # perturb the canonical labelling, so the transferred ordering
-            # is checked for EVO membership before it is trusted (an
-            # invalid one falls through to the ordinary search).
-            order = ordering_from_indices(cached.ordering_indices, canon)
-            valid = True
-            if drifted:
-                valid = set(order[: query.num_free]) == set(query.free)
-                if valid and order != tuple(query.order):
-                    try:
-                        valid = is_equivalent_ordering(query, order)
-                    except Exception:  # pragma: no cover - defensive
-                        valid = False
-                if valid:
-                    # Re-store under the new exact key; buckets=() makes
-                    # store() backfill this signature's own buckets.
-                    plan_cache.store(key, replace(cached, buckets=()))
-            if valid:
-                return Plan(
-                    query=query,
-                    ordering=order,
-                    backend=cached.backend,
-                    estimated_cost=cached.estimated_cost,
-                    faq_width=cached.faq_width,
-                    signature=signature,
-                    cache_hit=True,
-                    step_sizes=cached.step_sizes,
-                    cache_key=key,
-                    drifted=drifted,
-                )
+            # ordering transfers without re-validation.
+            return Plan(
+                query=query,
+                ordering=ordering_from_indices(cached.ordering_indices, canon),
+                backend=cached.backend,
+                estimated_cost=cached.estimated_cost,
+                faq_width=cached.faq_width,
+                signature=signature,
+                cache_hit=True,
+                step_sizes=cached.step_sizes,
+            )
 
     # ------------------------------------------------------------------ #
     # candidate search
@@ -388,7 +359,6 @@ def _plan_search(
         estimate=winner,
         candidates=estimates,
         step_sizes=step_sizes,
-        cache_key=key if use_cache else None,
     )
     if use_cache:
         plan_cache.store(
@@ -409,52 +379,6 @@ def _pick(estimates: List[OrderingEstimate]) -> OrderingEstimate:
     return min(
         estimates,
         key=lambda e: (e.total_cost, e.ordering),
-    )
-
-
-# ---------------------------------------------------------------------- #
-# the feedback loop — closing plan → execute → observe → re-plan
-# ---------------------------------------------------------------------- #
-@dataclass
-class PlanFeedback:
-    """What one run's statistics did to the planner state."""
-
-    errors: Tuple[float, ...]  # signed per-step log(observed/estimated)
-    worst: float               # max |error| of the run (0.0 when no errors)
-    replanned: bool            # True when the cached plan was invalidated
-
-
-def record_plan_feedback(
-    executed_plan: Plan,
-    stats,
-    *,
-    cache: Optional[PlanCache] = None,
-) -> PlanFeedback:
-    """Close the planning loop with the statistics of an executed plan.
-
-    ``stats`` is the ``InsideOutStats`` of the run that executed
-    ``executed_plan`` (``PlanResult.stats``).  The observed per-step result
-    sizes are compared against the plan's estimates
-    (:func:`repro.planner.cost.observed_step_errors`), and the signed errors
-    accumulate into the cached plan's :class:`~repro.planner.cache.PlanHealth`
-    (:meth:`PlanCache.record_feedback`) in ``cache`` (the process-wide cache
-    by default).  A plan whose error EWMA crosses the replan threshold is
-    invalidated, and the next occurrence of the query searches again.
-
-    Plans that bypassed the cache (pinned orderings, bespoke stats or
-    models) have no entry to invalidate: their errors are only reported.
-    """
-    errors = tuple(observed_step_errors(executed_plan.step_sizes, stats))
-    if not errors:
-        return PlanFeedback(errors=(), worst=0.0, replanned=False)
-    replanned = False
-    if executed_plan.cache_key is not None:
-        plan_cache = cache if cache is not None else DEFAULT_PLAN_CACHE
-        replanned = plan_cache.record_feedback(
-            executed_plan.cache_key, errors, drifted=executed_plan.drifted
-        )
-    return PlanFeedback(
-        errors=errors, worst=max(abs(e) for e in errors), replanned=replanned
     )
 
 

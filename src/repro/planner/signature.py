@@ -12,7 +12,7 @@ This module computes a canonical labelling of the query's structure:
   commute; distinct blocks do not);
 * colours are refined Weisfeiler–Leman style against the multiset of
   incident factor-edge signatures (member colours plus a log-bucketed factor
-  size, so mild data drift still hits the cache);
+  size, so data drift within one log2 bucket still hits the cache);
 * the final signature serialises the *entire* structure under the canonical
   labelling.  Two queries with equal signatures are therefore certifiably
   isomorphic via their canonical labellings — colour-refinement
@@ -32,7 +32,7 @@ from repro.core.query import FAQQuery
 
 _REFINEMENT_ROUNDS = 3
 
-SIGNATURE_VERSION = 4
+SIGNATURE_VERSION = 5
 """Format version of :func:`query_signature` tuples and cached-plan payloads.
 
 Bump whenever the signature layout — or the :class:`~repro.planner.cache.CachedPlan`
@@ -40,10 +40,11 @@ payload stored under it — changes: persisted plan caches
 (:meth:`repro.planner.cache.PlanCache.save`) are tagged with this version
 and silently discarded on mismatch, so stale on-disk plans can never be
 deserialised against a new signature scheme.  Version 2: ``CachedPlan``
-gained ``step_sizes`` (the planner feedback loop).  Version 3: the
+gained ``step_sizes`` (per-step size estimates).  Version 3: the
 signature lost its indicator-join field (joins are no strategy of their
 own, so no cached plan depends on the factor values).  Version 4: the
 strategy left ``CachedPlan`` and the cache key (InsideOut is the only one).
+Version 5: ``CachedPlan`` lost ``buckets`` (the cache is exact-key only).
 """
 
 
@@ -173,29 +174,6 @@ def _compute_signature(query: FAQQuery) -> Tuple[tuple, List[str]]:
     )
     signature = (query.semiring.name, query.num_free, variables, factors)
     return signature, canon
-
-
-def signature_shape(signature: tuple) -> Tuple[tuple, Tuple[int, ...]]:
-    """Split a signature into its data-free *shape* and the size buckets.
-
-    The shape is the signature with every factor's log2 size bucket zeroed
-    out; the buckets are returned in the factors' canonical order.  Two
-    queries with equal shapes are structurally identical up to data volume
-    — exactly the situation "the same query over drifted relations"
-    produces — so the plan cache can transfer a plan between them when the
-    per-factor drift stays within :func:`bucket_drift`'s tolerance.
-    """
-    semiring, num_free, variables, factors = signature
-    shape = (semiring, num_free, variables, tuple(s for s, _ in factors))
-    buckets = tuple(b for _, b in factors)
-    return shape, buckets
-
-
-def bucket_drift(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
-    """The largest per-factor bucket distance (``None`` if incomparable)."""
-    if len(a) != len(b):
-        return None
-    return max((abs(x - y) for x, y in zip(a, b)), default=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -25,8 +25,7 @@ content makes new keys; old entries age out of their LRUs):
 
 Plans come from the plan cache under the query's structural signature,
 which the content key has already computed and memoised: a value-equal
-repeat is a plan-cache hit that scores nothing, and every plan has one key
-and one health record for the feedback loop.
+repeat is a plan-cache hit that scores nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.planner import (
     STRATEGY_INSIDEOUT,
     plan,
     query_content_key,
-    record_plan_feedback,
 )
 from repro.planner.signature import sealed_version
 from repro.serve.api import PlanFailure, ServeRequest, ServeResult
@@ -105,10 +103,9 @@ class PlanServer:
         integer, or ``None`` for the CPU count.
     cache:
         The :class:`~repro.planner.cache.PlanCache` to plan against
-        (defaults to a server-private one).  Every execution feeds its
-        observed step sizes back through
-        :func:`repro.planner.record_plan_feedback` into this cache, so a
-        mis-estimated plan is invalidated and searched again.
+        (defaults to a server-private one).  A query is planned once per
+        exact signature: its later requests, and those of isomorphic
+        queries whose factor sizes share its log2 buckets, reuse the plan.
     coalesce:
         Server-wide default for content-hash coalescing of value-equal
         requests, in flight or in one batch (individual requests opt out
@@ -543,11 +540,7 @@ class PlanServer:
         executed: PlanResult,
         started: float,
     ) -> ServeResult:
-        """Build the typed result, close the feedback loop, fill caches."""
-        # Observed-vs-estimated step sizes accumulate into the cached plan's
-        # health (a plan past the error threshold is invalidated — the next
-        # occurrence searches again).
-        record_plan_feedback(chosen, executed.stats, cache=self.cache)
+        """Build the typed result and fill caches."""
         result = ServeResult(
             factor=executed.factor,
             factorized=executed.factorized,
@@ -649,7 +642,6 @@ class PlanServer:
             "inflight": inflight,
             "plan_cache_hits": self.cache.hits,
             "plan_cache_misses": self.cache.misses,
-            "plan_replans": self.cache.replans,
             "shared_trie_stores": len(shared),
             "shared_trie_hits": evicted_hits + sum(s.hits for s in shared),
             "shared_trie_misses": evicted_misses + sum(s.misses for s in shared),

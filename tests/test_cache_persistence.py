@@ -1,5 +1,5 @@
 """LRU caches, disk persistence, a replica fleet's warm start, and
-size-bucket drift invalidation."""
+exact plan-cache keys across size buckets."""
 
 import pickle
 
@@ -23,13 +23,7 @@ from repro.planner.cache import (
     load_planner_caches,
     save_planner_caches,
 )
-from repro.planner.signature import (
-    SIGNATURE_VERSION,
-    bucket_drift,
-    query_signature,
-    signature_shape,
-    size_bucket,
-)
+from repro.planner.signature import SIGNATURE_VERSION, query_signature
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import COUNTING
 
@@ -58,8 +52,6 @@ def test_lru_cache_counters_and_clear():
     assert cache.get("x") == 1
     assert cache.get("y") is None
     assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.peek("x") == 1            # peek does not count
-    assert (cache.hits, cache.misses) == (1, 1)
     cache.clear()
     assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
@@ -72,7 +64,7 @@ def test_lru_cache_save_load_roundtrip(tmp_path):
     assert cache.save(path, kind="t", version=1) == 2
     fresh = LruCache(maxsize=8)
     assert fresh.load(path, kind="t", version=1) == 2
-    assert fresh.peek(("k", 2)) == 2.5
+    assert fresh.get(("k", 2)) == 2.5
     # Mismatched kind or version discards the file wholesale.
     assert LruCache(4).load(path, kind="other", version=1) == 0
     assert LruCache(4).load(path, kind="t", version=2) == 0
@@ -176,35 +168,8 @@ def test_plan_cache_save_load_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# size-bucket drift
+# size buckets: one exact key per signature
 # ---------------------------------------------------------------------- #
-def test_signature_shape_splits_buckets():
-    small = _chain_query(size=4)
-    large = _chain_query(size=8)
-    sig_small, _ = query_signature(small)
-    sig_large, _ = query_signature(large)
-    assert sig_small != sig_large
-    shape_small, buckets_small = signature_shape(sig_small)
-    shape_large, buckets_large = signature_shape(sig_large)
-    assert shape_small == shape_large
-    assert bucket_drift(buckets_small, buckets_large) == abs(
-        size_bucket(4) - size_bucket(8)
-    ) == 1
-
-
-def test_plan_transfers_within_one_bucket_of_drift():
-    cache = PlanCache()
-    cold = plan(_chain_query(size=4), cache=cache)
-    assert not cold.cache_hit
-    # Sizes 4 -> 8 move exactly one bucket: the plan transfers.
-    drifted = plan(_chain_query(size=8), cache=cache)
-    assert drifted.cache_hit
-    assert drifted.strategy == cold.strategy
-    # The transfer re-stored under the new signature: now an exact hit.
-    again = plan(_chain_query(size=8), cache=cache)
-    assert again.cache_hit
-
-
 def test_plan_does_not_transfer_beyond_one_bucket_of_drift():
     cache = PlanCache()
     plan(_chain_query(size=2), cache=cache)       # bucket 2
@@ -244,25 +209,11 @@ def test_persisted_plans_invalidate_on_version_mismatch(tmp_path, monkeypatch):
     assert fresh.load(path) == 0
 
 
-def test_cached_plan_buckets_backfilled_on_store():
-    cache = PlanCache()
-    query = _chain_query()
-    signature, canon = query_signature(query)
-    key = (signature, "search", None)
-    cache.store(key, CachedPlan(
-        backend="sparse",
-        ordering_indices=tuple(range(len(canon))),
-        estimated_cost=1.0, faq_width=1.0,
-    ))
-    entry = cache.lookup(key)
-    assert entry.buckets == signature_shape(signature)[1]
-
-
 def test_version_3_plan_spill_adopts_nothing(tmp_path):
     """A spill from before the strategy left the plan-cache key (version 3)
     can hold variable-elimination plans: neither its file nor its warm-cache
     section is adopted, while the same entries at the current version are."""
-    assert SIGNATURE_VERSION == 4
+    assert SIGNATURE_VERSION == 5
     signature, _ = query_signature(_chain_query())
     stale = LruCache(maxsize=4)
     stale.put((signature, "search", "variable-elimination", None), "variable-elimination")
@@ -274,6 +225,27 @@ def test_version_3_plan_spill_adopts_nothing(tmp_path):
     assert len(fresh) == 0
     current = stale.dump_entries(kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION)
     assert fresh.adopt_section(current) == 1
+
+
+def test_version_4_plan_spill_adopts_nothing(tmp_path):
+    """A version-4 ``CachedPlan`` carried its size buckets for the drift
+    lookup; neither a version-4 file nor its warm-cache section is adopted,
+    so the query it planned is searched again."""
+    query = _chain_query()
+    signature, canon = query_signature(query)
+    stale = LruCache(maxsize=4)
+    stale.put((signature, "search", None), CachedPlan(
+        backend="sparse",
+        ordering_indices=tuple(range(len(canon))),
+        estimated_cost=1.0, faq_width=1.0,
+    ))
+    path = tmp_path / "plans.pkl"
+    stale.save(path, kind=_PLAN_CACHE_KIND, version=4)
+    fresh = PlanCache()
+    assert fresh.load(path) == 0
+    assert fresh.adopt_section(stale.dump_entries(kind=_PLAN_CACHE_KIND, version=4)) == 0
+    assert len(fresh) == 0
+    assert not plan(query, cache=fresh).cache_hit
 
 
 # ---------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ def test_engine_config_and_overrides():
     engine = Engine(config, plan_cache_size=32)
     assert engine.config.pool_size == 2
     assert engine.config.plan_cache_size == 32  # override wins
-    assert engine.cache.maxsize == 32
+    assert engine.cache._entries.maxsize == 32
     engine.close()
     with pytest.raises(TypeError):
         Engine(no_such_option=1)

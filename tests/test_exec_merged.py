@@ -1,4 +1,4 @@
-"""The content-addressed step IR: merged batches and the feedback loop.
+"""The content-addressed step IR: merged batches and plan estimates.
 
 The contracts under test:
 
@@ -10,17 +10,16 @@ The contracts under test:
   :class:`~repro.core.insideout.InsideOutStats` (wall-clock seconds aside)
   as independent unshared runs, across semirings, also when concurrent
   requests merge the same batch on one step source;
-* **closed loop** — :func:`~repro.planner.record_plan_feedback` folds
-  observed-vs-estimated step sizes into the cached plan's health and, past
-  the error threshold, invalidates the plan so the next request searches
-  again;
+* **estimate vs actual** — every plan carries its per-step size
+  estimates, and :func:`~repro.planner.observed_step_errors` compares them
+  with a run's observed sizes; an exact-key plan cache plans a query
+  once, however loose those estimates are;
 * **free-prefix search** — the branch-and-bound ordering search honours a
   free-variable prefix constraint and still finds the constrained optimum.
 """
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -32,13 +31,7 @@ from repro.hypergraph.covers import fractional_edge_cover_number
 from repro.hypergraph.elimination import elimination_sequence
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.orderings import best_ordering_exhaustive, best_ordering_search
-from repro.planner import (
-    PlanCache,
-    observed_step_errors,
-    plan,
-    record_plan_feedback,
-)
-from repro.planner.cache import REPLAN_ERROR_THRESHOLD
+from repro.planner import PlanCache, observed_step_errors, plan
 from repro.serve import PlanFailure, PlanServer, ServeRequest
 
 from _helpers import on_threads
@@ -443,7 +436,7 @@ def test_plan_server_result_cache_answers_repeat_traffic():
 
 
 # ---------------------------------------------------------------------- #
-# the closed planner feedback loop
+# plan estimates vs observed sizes
 # ---------------------------------------------------------------------- #
 def _insideout_only_query():
     """Mixed aggregate tags force the insideout strategy (no VE, no joins)."""
@@ -477,77 +470,6 @@ def _insideout_only_query():
     )
 
 
-def test_accurate_estimates_produce_zero_error_and_no_replan():
-    query = _insideout_only_query()
-    cache = PlanCache()
-    chosen = plan(query, cache=cache)
-    assert chosen.strategy == "insideout"
-    assert chosen.cache_key is not None
-    assert chosen.step_sizes
-    executed = chosen.execute()
-
-    sizes = [float(rec.result_size) for rec in executed.stats.steps]
-    if len(chosen.step_sizes) == len(executed.stats.steps) + 1:
-        sizes.append(float(executed.stats.output_size))
-    perfect = replace(chosen, step_sizes=tuple(sizes))
-    feedback = record_plan_feedback(perfect, executed.stats, cache=cache)
-    assert feedback.errors
-    assert feedback.worst == 0.0
-    assert not feedback.replanned
-    assert cache.replans == 0
-
-
-def test_wild_estimates_trigger_replanning():
-    query = _insideout_only_query()
-    cache = PlanCache()
-    chosen = plan(query, cache=cache)
-    executed = chosen.execute()
-    hits_before = cache.hits
-
-    wrong = replace(chosen, step_sizes=tuple(1e9 for _ in chosen.step_sizes))
-    feedback = record_plan_feedback(wrong, executed.stats, cache=cache)
-    assert feedback.worst > REPLAN_ERROR_THRESHOLD
-    assert feedback.replanned
-    assert cache.replans == 1
-    # The entry is gone: replanning the same query misses the cache.
-    replanned = plan(query, cache=cache)
-    assert cache.hits == hits_before
-    assert replanned.cache_key is not None
-
-
-def test_a_replan_that_changes_nothing_is_not_repeated():
-    """Re-plan hysteresis: the same wild error, re-searched to the same
-    plan, does not invalidate it again; a larger error still does."""
-    query = _insideout_only_query()
-    cache = PlanCache()
-    chosen = plan(query, cache=cache)
-    executed = chosen.execute()
-
-    def wrong(by):
-        again = plan(query, cache=cache)
-        assert (again.strategy, again.backend, again.ordering) == (
-            chosen.strategy, chosen.backend, chosen.ordering)
-        skewed = tuple(float(rec.result_size) * by for rec in executed.stats.steps)
-        skewed += (float(executed.stats.output_size) * by,) * (
-            len(again.step_sizes) - len(skewed))
-        return again, replace(again, step_sizes=skewed)
-
-    _, skewed = wrong(1e3)
-    assert record_plan_feedback(skewed, executed.stats, cache=cache).replanned
-    assert cache.replans == 1
-    for attempt in range(3):  # the re-search stored the same plan: tolerated now
-        again, skewed = wrong(1e3)
-        assert again.cache_hit == (attempt > 0)
-        feedback = record_plan_feedback(skewed, executed.stats, cache=cache)
-        assert feedback.worst > REPLAN_ERROR_THRESHOLD and not feedback.replanned
-    assert cache.replans == 1
-    for _ in range(3):  # the EWMA climbs towards the larger error and crosses
-        _, skewed = wrong(1e6)
-        if record_plan_feedback(skewed, executed.stats, cache=cache).replanned:
-            break
-    assert cache.replans == 2
-
-
 def test_observed_errors_are_signed_logs():
     query = _insideout_only_query()
     chosen = plan(query, cache=PlanCache())
@@ -555,6 +477,11 @@ def test_observed_errors_are_signed_logs():
     errors = observed_step_errors(chosen.step_sizes, executed.stats)
     assert errors
     assert all(abs(e) < 50 for e in errors)
+    # Estimates equal to the observed sizes read zero error at every step.
+    observed = [float(rec.result_size) for rec in executed.stats.steps]
+    if len(chosen.step_sizes) == len(observed) + 1:
+        observed.append(float(executed.stats.output_size))
+    assert observed_step_errors(observed, executed.stats) == [0.0] * len(errors)
     # Shape mismatches are refused rather than misattributed.
     assert observed_step_errors(chosen.step_sizes[:-2], executed.stats) in ([],)
 
@@ -566,17 +493,14 @@ def _grid_marginal():
     return grid_model(3, 3, domain_size=3, seed=1).marginal_query(["X0_0"])
 
 
-def test_grid_plan_feeds_back_into_the_calibration():
-    """Every plan carries step sizes into the feedback loop, the dense grid
-    plan included (it skipped the loop while it was variable elimination)."""
+def test_grid_plan_reports_its_step_errors():
+    """Every plan carries its step-size estimates, the dense grid plan
+    included (it carried none while it was variable elimination)."""
     query = _grid_marginal()
-    cache = PlanCache()
-    chosen = plan(query, cache=cache)
+    chosen = plan(query, cache=PlanCache())
     assert chosen.backend == "dense" and chosen.step_sizes
     executed = chosen.execute()
-    wrong = replace(chosen, step_sizes=tuple(1e6 for _ in chosen.step_sizes))
-    feedback = record_plan_feedback(wrong, executed.stats, cache=cache)
-    assert feedback.errors
+    assert observed_step_errors(chosen.step_sizes, executed.stats)
 
 
 def test_served_view_runs_in_its_plan_ordering():
@@ -603,38 +527,46 @@ def test_served_view_runs_in_its_plan_ordering():
     assert updated.evaluate_brute_force().equals(result.factor, query.semiring)
 
 
-def test_plan_server_feeds_execution_back_into_its_cache():
-    requests = [
-        ServeRequest(query=query, options={"strategy": "insideout"})
-        for query in _chain_family("counting")[:2]
-    ]
-    with PlanServer() as server:
-        for request in requests:
-            server.execute_request(request)
-        stats = server.stats()
-        key = server._plan_for(requests[0]).cache_key
-    # The served plan's health record saw its executions.
-    assert server.cache.health(key).observations >= 1
-    assert "plan_replans" in stats
+def _sparse_triangle_count():
+    """A triangle count over a sparse random graph: AGM bounds its steps
+    loosely, so the observed sizes sit far from the estimates."""
+    from repro.semiring.aggregates import SemiringAggregate
+    from repro.semiring.standard import COUNTING
+
+    rng = random.Random(4711)
+    vertices = range(40)
+    edges = {(a, b) for a in vertices for b in vertices if a != b and rng.random() < 0.08}
+    table = {edge: 1 for edge in edges}
+    names = ("a", "b", "c")
+    return FAQQuery(
+        variables=[Variable(v, tuple(vertices)) for v in names],
+        free=[],
+        aggregates={v: SemiringAggregate.sum() for v in names},
+        factors=[Factor(scope, dict(table)) for scope in (("a", "b"), ("b", "c"), ("a", "c"))],
+        semiring=COUNTING,
+        name="sparse-triangles",
+    )
 
 
-def test_a_served_replan_searches_again():
-    """Feedback that invalidates a served plan makes the next request search
-    again: the plan has one key, so no second entry answers the re-plan."""
+def test_a_loosely_estimated_query_is_planned_once():
+    """An exact-key plan cache plans a served query once, however far its
+    estimates sit from the observed sizes: a re-search would run the same
+    cost model on the same statistics."""
     from repro.planner import DEFAULT_COST_MODEL
 
-    request = ServeRequest(query=_insideout_only_query())
+    request = ServeRequest(query=_sparse_triangle_count())
     with PlanServer() as server:
-        server.execute_request(request)
-        result = server.execute_request(request)
-        served = server._plan_for(request)
-        assert served.cache_hit
-        wrong = replace(served, step_sizes=tuple(1e9 for _ in served.step_sizes))
-        assert record_plan_feedback(wrong, result.stats, cache=server.cache).replanned
+        first = server.execute_request(request)
         scored = DEFAULT_COST_MODEL.invocations
-        again = server._plan_for(request)
-    assert not again.cache_hit
-    assert DEFAULT_COST_MODEL.invocations > scored
+        for _ in range(4):
+            server.execute_request(request)
+        stats = server.stats()
+        served = server._plan_for(request)
+    assert stats["plan_cache_misses"] == 1
+    assert DEFAULT_COST_MODEL.invocations == scored
+    assert served.cache_hit
+    errors = observed_step_errors(served.step_sizes, first.stats)
+    assert max(abs(e) for e in errors) > 1.5
 
 
 # ---------------------------------------------------------------------- #

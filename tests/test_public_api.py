@@ -118,7 +118,6 @@ OPTIONS = {
         "start_method", "max_pending", "tenant_limit", "health_interval",
     ),
     "PlanCache": ("maxsize",),
-    "record_plan_feedback": ("cache",),
 }
 
 
@@ -135,10 +134,6 @@ def test_options_census_matches_snapshot():
         == OPTIONS["EngineConfig"]
     )
     assert _parameters(repro.PlanCache.__init__, "self") == OPTIONS["PlanCache"]
-    assert (
-        _parameters(repro.planner.record_plan_feedback, "executed_plan", "stats")
-        == OPTIONS["record_plan_feedback"]
-    )
 
 
 # Upper bound on ``^class .*(Cache|Store|Snapshot)`` under src/repro/
@@ -293,14 +288,23 @@ def test_workers_mode_is_gone_not_shimmed():
 
 
 def test_idle_planner_state_is_gone_not_shimmed():
-    """The cache–model pairing, the cost model's calibration and the
-    digest-addressed plan store were removed without a deprecation path."""
+    """The cache–model pairing, the cost model's calibration, the
+    digest-addressed plan store, the plan-feedback loop and the
+    drift-tolerant lookup were removed without a deprecation path."""
     with pytest.raises(TypeError):
         repro.PlanCache(cost_model=repro.planner.CostModel())
     assert not hasattr(repro.planner.CostModel, "observe")
     assert not hasattr(repro.planner.CostModel, "calibration")
     assert "DigestPlan" not in repro.planner.__all__
     assert not hasattr(repro.planner, "DigestPlan")
+    for name in ("PlanHealth", "PlanFeedback", "record_plan_feedback"):
+        assert name not in repro.planner.__all__
+        assert not hasattr(repro.planner, name)
+    assert not hasattr(repro.PlanCache, "lookup_drifted")
+    assert not hasattr(repro.PlanCache(), "maxsize")
+    assert not {"drifted", "cache_key"} & {f.name for f in dataclasses.fields(repro.Plan)}
+    with repro.serve.PlanServer() as server:
+        assert "plan_replans" not in server.stats()
 
 
 def test_one_elimination_loop():
