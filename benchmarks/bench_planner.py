@@ -50,7 +50,7 @@ from repro.factors.backend import BackendPolicy
 from repro.factors.delta import FactorDelta
 from repro.factors.factor import Factor
 from repro.factors.index import SharedTrieCache
-from repro.incremental import IncrementalView
+from repro.incremental import REGIME_DELTA, IncrementalView
 from repro.planner import PlanCache, plan
 from repro.planner.signature import query_content_key
 from repro.semiring.aggregates import SemiringAggregate
@@ -478,7 +478,7 @@ def test_shape_incremental_delta_vs_full():
     assert reference.factor.normalize_scope(view.query.free).equals(
         updated, query.semiring
     )
-    assert view.stats.delta_updates > 0  # the ⊕-invertible regime engaged
+    assert view.stats.regimes.get(REGIME_DELTA, 0) > 0  # the ⊕-invertible regime engaged
     assert view.stats.nodes_reused > 0  # untouched steps replayed
 
     speedup = full_s / incr_s if incr_s else float("inf")

@@ -65,9 +65,10 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.semiring.base import Semiring
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EliminationRecord:
-    """Bookkeeping for one variable elimination step."""
+    """Bookkeeping for one variable elimination step: a value, which every
+    replay of the step reports as the computing run made it."""
 
     variable: str
     kind: str  # "semiring" or "product"
@@ -79,11 +80,23 @@ class EliminationRecord:
     backend: str = BACKEND_SPARSE  # representation used for this step
 
 
-@dataclass
-class InsideOutStats:
-    """Counters and per-step records for one InsideOut run."""
+#: The provenance tags of :attr:`InsideOutStats.provenance`.
+STEP_COMPUTED, STEP_REPLAYED, STEP_SHARED = "computed", "replayed", "shared"
 
-    steps: List[EliminationRecord] = field(default_factory=list)
+
+@dataclass(frozen=True, slots=True)
+class InsideOutStats:
+    """Counters and per-step records for one InsideOut run.
+
+    ``provenance`` tags each node of the run's step DAG, the output node
+    included: ``"computed"`` (this run executed it), ``"replayed"`` (from
+    the step source) or ``"shared"`` (another run of the same merged
+    batch).  A replayed or shared step reports the computing run's record
+    and join counters, so the totals match an uncached run's.
+    """
+
+    steps: Tuple[EliminationRecord, ...] = ()
+    provenance: Tuple[str, ...] = ()
     join_stats: OutsideInStats = field(default_factory=OutsideInStats)
     max_intermediate_size: int = 0
     output_size: int = 0

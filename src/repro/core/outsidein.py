@@ -50,12 +50,6 @@ class OutsideInStats:
     emitted_tuples: int = 0
     intersections: int = 0
 
-    def merge(self, other: "OutsideInStats") -> None:
-        """Accumulate another invocation's counters into this one."""
-        self.search_steps += other.search_steps
-        self.emitted_tuples += other.emitted_tuples
-        self.intersections += other.intersections
-
 
 def _join_order(
     factors: Sequence[Factor], variable_order: Sequence[str] | None

@@ -24,7 +24,6 @@ from repro.exec.dag import (
 )
 from repro.exec.executor import (
     DagExecutor,
-    RunInfo,
     RunSpec,
     StepResultCache,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "DagExecutor",
     "StepResultCache",
     "RunSpec",
-    "RunInfo",
     "StepDag",
     "StepNode",
     "lower_insideout",

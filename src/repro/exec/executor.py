@@ -33,9 +33,11 @@ orders, free variables, aggregates, semiring, projection switch, output
 mode and domains), and each run pays one hash per node for digests
 byte-identical to encoding every payload whole.
 
-Replaying an entry merges the *original* step record and join-counter
-delta, so per-run stats describe the logical execution and stay identical
-to an uncached run (wall-clock ``seconds`` aside).
+A step entry's outputs, record and join counters never change, so a
+replay stores references to them and tags the node ``replayed`` or
+``shared`` (``computed`` if the run executed it); the run's stats are read
+from those references, identical to an uncached run's (wall-clock
+``seconds`` aside), and their ``provenance`` says what the run paid for.
 
 Guarantees (enforced by ``tests/test_exec_parallel.py`` and
 ``tests/test_exec_merged.py``):
@@ -45,8 +47,7 @@ Guarantees (enforced by ``tests/test_exec_parallel.py`` and
   merged batch, and
 * the :class:`~repro.core.insideout.InsideOutStats` totals (per-step
   records, join counters, max intermediate size) are identical too —
-  per-node counters are accumulated privately and merged in elimination
-  order once the run completes.
+  per-node counters are held per node and summed once the run completes.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
 from repro.core.insideout import (
+    STEP_COMPUTED,
+    STEP_REPLAYED,
+    STEP_SHARED,
     EliminationRecord,
     InsideOutResult,
     InsideOutStats,
@@ -89,11 +93,11 @@ from repro.faults import SITE_STEP_KERNEL, maybe_raise
 
 @dataclass(frozen=True)
 class _StepEntry:
-    """A finished step: its outputs plus the stats it logically performed."""
+    """A finished step: its outputs, its record and its join counters."""
 
     outputs: Tuple[Optional[Factor], ...]
     record: Optional[EliminationRecord]
-    join_delta: OutsideInStats
+    join: OutsideInStats
 
 
 class StepResultCache:
@@ -208,42 +212,20 @@ class RunSpec:
     shared_tries: SharedTrieCache | None = None
 
 
-@dataclass
-class RunInfo:
-    """Step accounting of one :meth:`DagExecutor.run_many` call.
-
-    Pass one as ``info`` to receive the counts (they accumulate, so one
-    object can total several calls).
-    """
-
-    total_nodes: int = 0     # sum of per-run DAG nodes
-    merged_nodes: int = 0    # distinct nodes after digest merging
-    executed_nodes: int = 0  # merged nodes actually computed
-    replayed_nodes: int = 0  # merged nodes served from the step source
-
-
-def _copied(record):
-    """A shallow copy of a stats dataclass (no ``__init__``, unlike
-    ``dataclasses.replace``, which walks the fields)."""
-    copied = object.__new__(type(record))
-    copied.__dict__.update(record.__dict__)
-    return copied
-
-
 class _RunState:
     """The mutable execution context of one lowered run.
 
     Validates and lowers its :class:`RunSpec`, then owns the slots, the
-    per-run :class:`~repro.factors.index.TrieCache`, and the per-node
-    records/join counters.  ``execute_node`` runs a node's kernel;
-    ``capture``/``replay`` move a node's outputs *and* its logical stats in
-    and out of step entries, so a replayed run's stats match an uncached
-    run's.
+    per-run :class:`~repro.factors.index.TrieCache`, and per node its
+    record, its join counters and its provenance tag.  ``execute_node``
+    runs a node's kernel; ``capture``/``replay`` move a node's outputs,
+    record and join counters in and out of step entries by reference, so a
+    replayed run's stats match an uncached run's.
     """
 
     __slots__ = (
         "query", "order", "dag", "output_mode", "backend", "policy", "uip",
-        "slots", "tries", "records", "node_join_stats", "started",
+        "slots", "tries", "records", "joins", "provenance", "started",
     )
 
     def __init__(self, spec: RunSpec, content_digests: bool) -> None:
@@ -281,7 +263,8 @@ class _RunState:
         self.tries = TrieCache(order, semiring)
         self.tries.adopt_parent(spec.shared_tries)
         self.records: List[Optional[EliminationRecord]] = [None] * len(dag.nodes)
-        self.node_join_stats = [OutsideInStats() for _ in dag.nodes]
+        self.joins: List[Optional[OutsideInStats]] = [None] * len(dag.nodes)
+        self.provenance: List[Optional[str]] = [None] * len(dag.nodes)
 
     # ------------------------------------------------------------------ #
     def cache_key(self, index: int):
@@ -290,7 +273,7 @@ class _RunState:
         return None if digest is None else (digest, self.backend)
 
     def execute_node(self, index: int) -> None:
-        """Run a node's kernel, writing its output slots and its record.
+        """Run a node's kernel, writing its output slots, record and counters.
 
         The one ``node.kind`` → kernel dispatch, and the ``step.kernel``
         fault site: drawn once per *executed* step (a replayed step never
@@ -300,7 +283,8 @@ class _RunState:
         maybe_raise(SITE_STEP_KERNEL)
         node = self.dag.nodes[index]
         slots = self.slots
-        join_stats = self.node_join_stats[index]
+        self.joins[index] = join_stats = OutsideInStats()
+        self.provenance[index] = STEP_COMPUTED
         incident = [slots[s] for s in node.incident]
         if node.kind == KIND_SEMIRING:
             slots[node.outputs[0]], self.records[index] = eliminate_semiring_step(
@@ -333,11 +317,14 @@ class _RunState:
         return _StepEntry(
             outputs=tuple(self.slots[s] for s in self.dag.nodes[index].outputs),
             record=self.records[index],
-            join_delta=_copied(self.node_join_stats[index]),
+            join=self.joins[index],
         )
 
-    def replay(self, index: int, entry: _StepEntry) -> None:
+    def replay(self, index: int, entry: _StepEntry, tag: str) -> None:
         """Apply a finished entry as if this run had executed the node.
+
+        The node takes the entry's outputs, record and join counters by
+        reference, and ``tag`` as its provenance.
 
         Input-independent by design (consumed input slots are only touched
         to drop their now-dead tries, guarded for not-yet-filled slots), so
@@ -347,9 +334,9 @@ class _RunState:
         node = self.dag.nodes[index]
         for slot, factor in zip(node.outputs, entry.outputs):
             self.slots[slot] = factor
-        if entry.record is not None:
-            self.records[index] = _copied(entry.record)
-        self.node_join_stats[index].merge(entry.join_delta)
+        self.records[index] = entry.record
+        self.joins[index] = entry.join
+        self.provenance[index] = tag
         if node.kind == KIND_PRODUCT:
             for slot, new in zip(node.incident, entry.outputs):
                 old = self.slots[slot]
@@ -364,23 +351,14 @@ class _RunState:
     def finish(self) -> InsideOutResult:
         """Assemble the run's result and stats in elimination order.
 
-        Totals are accumulated independently of the order nodes were
-        executed or replayed in (a merged batch replays a run's nodes out of
-        its own order), so they match an independent run's.
+        Totals are read from the per-node references, independently of the
+        order nodes were executed or replayed in (a merged batch replays a
+        run's nodes out of its own order), so they match an independent
+        run's.
         """
         query, dag = self.query, self.dag
-        stats = InsideOutStats()
-        for index in range(len(dag.nodes)):
-            record = self.records[index]
-            if record is not None:
-                stats.steps.append(record)
-                if record.kind == KIND_PRODUCT or record.incident_count > 0:
-                    stats.max_intermediate_size = max(
-                        stats.max_intermediate_size, record.result_size
-                    )
-            stats.join_stats.merge(self.node_join_stats[index])
-
         semiring = query.semiring
+        factor = factorized = None
         if self.output_mode == "factorized":
             factorized = FactorizedOutput(
                 free=tuple(self.order[: query.num_free]),
@@ -392,18 +370,29 @@ class _RunState:
                 semiring=semiring,
                 domains={v: query.domain(v) for v in query.free},
             )
-            stats.output_size = -1
-            stats.total_seconds = time.perf_counter() - self.started
-            return InsideOutResult(
-                factor=None, factorized=factorized,
-                ordering=tuple(self.order), stats=stats,
-            )
+        else:
+            factor = self.slots[dag.final_live[0]]
 
-        output = self.slots[dag.final_live[0]]
-        stats.output_size = len(output)
-        stats.total_seconds = time.perf_counter() - self.started
+        records = tuple(r for r in self.records if r is not None)
+        joins = self.joins
+        stats = InsideOutStats(
+            steps=records,
+            provenance=tuple(self.provenance),
+            join_stats=OutsideInStats(
+                sum(j.search_steps for j in joins),
+                sum(j.emitted_tuples for j in joins),
+                sum(j.intersections for j in joins),
+            ),
+            max_intermediate_size=max(
+                (r.result_size for r in records
+                 if r.kind == KIND_PRODUCT or r.incident_count > 0),
+                default=0,
+            ),
+            output_size=-1 if factor is None else len(factor),
+            total_seconds=time.perf_counter() - self.started,
+        )
         return InsideOutResult(
-            factor=output, factorized=None, ordering=tuple(self.order), stats=stats
+            factor=factor, factorized=factorized, ordering=tuple(self.order), stats=stats
         )
 
 
@@ -463,7 +452,6 @@ class DagExecutor:
         self,
         specs: Sequence[RunSpec],
         step_cache=None,
-        info: RunInfo | None = None,
     ) -> List[InsideOutResult]:
         """Lower, merge by digest, execute and finish a batch of runs.
 
@@ -485,8 +473,10 @@ class DagExecutor:
 
         Results and per-run stats are bit-identical to independent
         :meth:`run` calls without a step source (wall-clock ``seconds``
-        fields aside; they reflect where the work actually happened).
-        Pass a :class:`RunInfo` as ``info`` to receive the step accounting.
+        fields aside; they reflect where the work actually happened).  Each
+        result's ``stats.provenance`` tags its nodes ``computed``,
+        ``replayed`` or ``shared``: the batch executed its ``computed``
+        nodes, one per distinct key it did not find in ``step_cache``.
         """
         specs = list(specs)
         if not specs:
@@ -515,15 +505,13 @@ class DagExecutor:
         # owner dependency maps to an earlier merged id) — for a lone run,
         # plain elimination order.  Replays are input-independent, so a
         # subscriber's own producers need not have run before its replay.
-        replayed = 0
         for node in merged:
             r, index = node.owner
             state = states[r]
             shared = node.key is not None and step_cache is not None
             entry = step_cache.lookup_or_claim(node.key) if shared else None
             if entry is not None:
-                state.replay(index, entry)
-                replayed += 1
+                state.replay(index, entry, STEP_REPLAYED)
             elif shared or node.subscribers:
                 # The claim must be resolved on *every* exit path between
                 # here and fulfil — capture included — or later claimants of
@@ -540,11 +528,5 @@ class DagExecutor:
             else:
                 state.execute_node(index)
             for sub_run, sub_index in node.subscribers:
-                states[sub_run].replay(sub_index, entry)
-
-        if info is not None:
-            info.total_nodes += sum(len(state.dag.nodes) for state in states)
-            info.merged_nodes += len(merged)
-            info.executed_nodes += len(merged) - replayed
-            info.replayed_nodes += replayed
+                states[sub_run].replay(sub_index, entry, STEP_SHARED)
         return [state.finish() for state in states]

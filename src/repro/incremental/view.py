@@ -65,9 +65,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.core.insideout import InsideOutResult, apply_output_delta, _validated_ordering
+from repro.core.insideout import STEP_COMPUTED, STEP_REPLAYED, InsideOutStats, apply_output_delta, _validated_ordering
 from repro.core.query import FAQQuery, QueryError
-from repro.exec.executor import DagExecutor, RunInfo, RunSpec, StepResultCache
+from repro.exec.executor import DagExecutor, RunSpec, StepResultCache
 from repro.factors.backend import BACKEND_SPARSE, as_sparse, validate_backend
 from repro.factors.delta import FactorDelta
 from repro.factors.factor import Factor
@@ -134,9 +134,6 @@ class IncrementalStats:
     """Per-view accounting of how updates were answered."""
 
     full_runs: int = 0
-    delta_updates: int = 0
-    append_updates: int = 0
-    dirty_updates: int = 0
     nodes_reused: int = 0
     nodes_executed: int = 0
     regimes: Dict[str, int] = field(default_factory=dict)
@@ -276,15 +273,12 @@ class IncrementalView:
         regime = self._choose_regime(old_factor, changes)
         self.stats.record(regime)
         if regime == REGIME_DELTA:
-            self.stats.delta_updates += 1
             cells = self._signed_differences(old_factor, changes)
             output = self._apply_cells(index, old_factor, cells, "+delta", base)
         elif regime == REGIME_APPEND:
-            self.stats.append_updates += 1
             cells = {c: v for c, v in changes.items() if not semiring.is_zero(v)}
             output = self._apply_cells(index, old_factor, cells, "+append", base)
         else:
-            self.stats.dirty_updates += 1
             self._install(index, new_factor, changes)
             output = self._update_run(self.query)
             self._output = output
@@ -413,12 +407,12 @@ class IncrementalView:
         return output
 
     def _update_run(self, query: FAQQuery) -> Factor:
-        output, info = self._execute(query)
-        self.stats.nodes_reused += info.replayed_nodes
-        self.stats.nodes_executed += info.executed_nodes
+        output, stats = self._execute(query)
+        self.stats.nodes_reused += stats.provenance.count(STEP_REPLAYED)
+        self.stats.nodes_executed += stats.provenance.count(STEP_COMPUTED)
         return output
 
-    def _execute(self, query: FAQQuery) -> Tuple[Factor, RunInfo]:
+    def _execute(self, query: FAQQuery) -> Tuple[Factor, InsideOutStats]:
         """Evaluate ``query`` against the view's step cache.
 
         An ordinary executor run whose step source is the cache: nodes
@@ -426,7 +420,6 @@ class IncrementalView:
         recorded into it.  Its LRU bound keeps an unbounded update stream
         from pinning every intermediate ever computed.
         """
-        info = RunInfo()
         [result] = DagExecutor().run_many(
             [RunSpec(
                 query,
@@ -436,10 +429,6 @@ class IncrementalView:
                 shared_tries=self._tries,
             )],
             step_cache=self._steps,
-            info=info,
         )
-        return self._normalize(result), info
-
-    def _normalize(self, result: InsideOutResult) -> Factor:
         factor = as_sparse(result.factor, self.query.semiring)
-        return factor.normalize_scope(self.query.free)
+        return factor.normalize_scope(self.query.free), result.stats

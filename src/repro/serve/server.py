@@ -38,8 +38,9 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.caching import LruCache
+from repro.core.insideout import STEP_COMPUTED, STEP_REPLAYED
 from repro.core.query import QueryError
-from repro.exec import DagExecutor, RunInfo, StepResultCache
+from repro.exec import DagExecutor, StepResultCache
 from repro.factors.delta import FactorDelta
 from repro.factors.index import SharedTrieCache
 from repro.incremental import IncrementalView
@@ -60,9 +61,10 @@ _MAX_INCREMENTAL_VIEWS = 32
 _RESULT_CACHE_SIZE = 256
 _STEP_CACHE_SIZE = 512
 
-# kind/version tags of the completed-result section inside a snapshot.
+# kind/version tags of the completed-result section inside a snapshot
+# (layout 2: a result's stats and step records are frozen, slotted values).
 _RESULT_SNAPSHOT_KIND = "repro-serve-results"
-_RESULT_SNAPSHOT_VERSION = sealed_version(1)
+_RESULT_SNAPSHOT_VERSION = sealed_version(2)
 
 
 def _require_request(request: Any) -> None:
@@ -169,7 +171,6 @@ class PlanServer:
         self._merged_batches = 0
         self._merged_queries = 0
         self._merged_total_nodes = 0
-        self._merged_unique_nodes = 0
         self._merged_executed_nodes = 0
         self._merged_replayed_nodes = 0
         self._submitted = 0
@@ -303,7 +304,7 @@ class PlanServer:
             coalesced=False,
             replica=None,
             seconds=time.perf_counter() - started,
-            stats=view.stats,
+            stats=replace(view.stats, regimes=dict(view.stats.regimes)),
         )
 
     # ------------------------------------------------------------------ #
@@ -452,10 +453,9 @@ class PlanServer:
             runs, step_cache = jobs.pop(0)
             if not runs:
                 continue
-            info = RunInfo()
             try:
                 results = executor.run_many(
-                    [spec for _, _, spec, _ in runs], step_cache=step_cache, info=info
+                    [spec for _, _, spec, _ in runs], step_cache=step_cache
                 )
             except Exception as exc:  # noqa: BLE001 - typed per request
                 if len(runs) == 1:
@@ -464,13 +464,13 @@ class PlanServer:
                     jobs[:0] = [([run], step_cache) for run in runs]
                 continue
             if len(runs) > 1:
+                tags = [tag for result in results for tag in result.stats.provenance]
                 with self._lock:
                     self._merged_batches += 1
                     self._merged_queries += len(runs)
-                    self._merged_total_nodes += info.total_nodes
-                    self._merged_unique_nodes += info.merged_nodes
-                    self._merged_executed_nodes += info.executed_nodes
-                    self._merged_replayed_nodes += info.replayed_nodes
+                    self._merged_total_nodes += len(tags)
+                    self._merged_executed_nodes += tags.count(STEP_COMPUTED)
+                    self._merged_replayed_nodes += tags.count(STEP_REPLAYED)
             for (i, chosen, _, started), result in zip(runs, results):
                 executed = PlanResult(
                     plan=chosen,
@@ -613,7 +613,7 @@ class PlanServer:
                 "merged_batches": self._merged_batches,
                 "merged_queries": self._merged_queries,
                 "merged_total_steps": self._merged_total_nodes,
-                "merged_unique_steps": self._merged_unique_nodes,
+                "merged_unique_steps": self._merged_executed_nodes + self._merged_replayed_nodes,
                 "merged_executed_steps": self._merged_executed_nodes,
                 "merged_replayed_steps": self._merged_replayed_nodes,
             }

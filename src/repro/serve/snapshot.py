@@ -16,7 +16,8 @@ SHA-256 | pickle tagged kind + version) holding the sections.  The
 layout number of :data:`SNAPSHOT_VERSION` changes with the sections' shape
 and with the slots of the factors they pickle, so an older spill loads as
 ``None`` (2: a view spills its step cache's bound and entries; 3: a dense
-factor carries its non-zero count memo).
+factor carries its non-zero count memo; 4: step records are frozen,
+slotted values and a step entry holds its join counters as ``join``).
 
 Durability rules:
 
@@ -40,7 +41,7 @@ from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
 from repro.planner.signature import sealed_version
 
 SNAPSHOT_KIND = "repro-serve-snapshot"
-SNAPSHOT_VERSION = sealed_version(3)
+SNAPSHOT_VERSION = sealed_version(4)
 
 
 class SnapshotStore:

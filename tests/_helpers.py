@@ -13,11 +13,27 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter, namedtuple
 
+from repro.core.insideout import STEP_COMPUTED, STEP_REPLAYED
 from repro.core.query import FAQQuery, Variable
 from repro.factors.factor import Factor
 from repro.semiring.aggregates import ProductAggregate, SemiringAggregate
 from repro.semiring.standard import COUNTING
+
+
+#: Step accounting of one executor batch: every (run, node) pair, the
+#: distinct nodes, those the batch computed and those its step source
+#: replayed.
+Accounting = namedtuple("Accounting", "total unique executed replayed")
+
+
+def step_accounting(results):
+    """The :class:`Accounting` of one ``run_many`` batch, read from its
+    runs' provenance tags."""
+    tags = Counter(tag for result in results for tag in result.stats.provenance)
+    executed, replayed = tags[STEP_COMPUTED], tags[STEP_REPLAYED]
+    return Accounting(sum(tags.values()), executed + replayed, executed, replayed)
 
 
 def make_factor(scope, entries):

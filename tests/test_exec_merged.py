@@ -20,12 +20,14 @@ The contracts under test:
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.core.insideout import inside_out
+from repro.core.insideout import STEP_COMPUTED, STEP_REPLAYED, STEP_SHARED, inside_out
 from repro.core.query import FAQQuery, Variable
-from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, lower_insideout
+from repro.exec import DagExecutor, RunSpec, StepResultCache, lower_insideout
 from repro.factors.factor import Factor
 from repro.hypergraph.covers import fractional_edge_cover_number
 from repro.hypergraph.elimination import elimination_sequence
@@ -34,7 +36,7 @@ from repro.hypergraph.orderings import best_ordering_exhaustive, best_ordering_s
 from repro.planner import PlanCache, observed_step_errors, plan
 from repro.serve import PlanFailure, PlanServer, ServeRequest
 
-from _helpers import on_threads
+from _helpers import Accounting, on_threads, step_accounting
 from test_exec_parallel import _brute_force_by_block, _multi_block
 from test_planner_differential import SEMIRINGS
 
@@ -137,27 +139,24 @@ def test_merged_batch_matches_independent_runs(name, threads):
     cache = StepResultCache()
 
     def run(_):
-        info = RunInfo()
-        merged = DagExecutor().run_many(
+        return DagExecutor().run_many(
             [RunSpec(query=q, ordering=list(_ORDER)) for q in queries],
             step_cache=cache,
-            info=info,
         )
-        return merged, info
 
     outcomes = on_threads(threads, run, switch_interval=1e-5)
-    for merged, _ in outcomes:
+    for merged in outcomes:
         for serial, shared, query in zip(independent, merged, queries):
             _assert_identical(serial, shared, f"{name}/threads={threads}/{query.name}")
 
     # Exactly once: every distinct digest executed a single time, in
     # whichever request claimed it first, and the overlap (shared chain +
     # the duplicate query) actually deduplicated.
-    infos = [info for _, info in outcomes]
-    merged_nodes = infos[0].merged_nodes
-    assert sum(info.executed_nodes for info in infos) == merged_nodes
-    assert sum(info.replayed_nodes for info in infos) == (threads - 1) * merged_nodes
-    assert merged_nodes < infos[0].total_nodes
+    counts = [step_accounting(merged) for merged in outcomes]
+    merged_nodes = counts[0].unique
+    assert sum(c.executed for c in counts) == merged_nodes
+    assert sum(c.replayed for c in counts) == (threads - 1) * merged_nodes
+    assert merged_nodes < counts[0].total
     assert cache.stats()["computed"] == merged_nodes
 
 
@@ -168,16 +167,15 @@ def test_warm_step_cache_replays_the_whole_batch(name):
     executor = DagExecutor()
     specs = [RunSpec(query=q, ordering=list(_ORDER)) for q in queries]
 
-    first = RunInfo()
-    cold = executor.run_many(specs, step_cache=cache, info=first)
-    second = RunInfo()
-    warm = executor.run_many(specs, step_cache=cache, info=second)
+    cold = executor.run_many(specs, step_cache=cache)
+    warm = executor.run_many(specs, step_cache=cache)
 
     for a, b in zip(cold, warm):
         _assert_identical(a, b, f"{name}: warm replay diverged")
-    assert second.executed_nodes == 0
-    assert second.replayed_nodes == second.merged_nodes
-    assert cache.stats()["replayed"] >= second.merged_nodes
+    second = step_accounting(warm)
+    assert second.executed == 0
+    assert second.replayed == second.unique
+    assert cache.stats()["replayed"] >= second.unique
 
 
 def test_sequential_traffic_replays_shared_prefixes():
@@ -393,27 +391,24 @@ def test_concurrent_batches_share_a_template_and_never_write_it(template_store):
     # Disjoint contents: no batch can replay another's steps, so each
     # batch's counts are exact whatever the interleaving.
     assert all(not a & b for a, b in itertools.combinations(named, 2))
-    alone = []
-    for family in families:
-        info = RunInfo()
-        DagExecutor().run_many(_specs(family), step_cache=StepResultCache(), info=info)
-        alone.append(info)
+    alone = [
+        step_accounting(DagExecutor().run_many(_specs(family), step_cache=StepResultCache()))
+        for family in families
+    ]
     cache = StepResultCache()
 
     def request(t):
-        infos = []
+        counts = []
         for _ in range(2):  # cold, then warm
-            info = RunInfo()
-            results = DagExecutor().run_many(_specs(families[t]), step_cache=cache, info=info)
+            results = DagExecutor().run_many(_specs(families[t]), step_cache=cache)
             assert [r.factor.table for r in results] == wants[t]
-            infos.append(info)
-        return infos
+            counts.append(step_accounting(results))
+        return counts
 
     for t, (cold, warm) in enumerate(on_threads(4, request, switch_interval=1e-5)):
         assert cold == alone[t]
-        assert warm == RunInfo(
-            total_nodes=cold.total_nodes, merged_nodes=cold.merged_nodes,
-            executed_nodes=0, replayed_nodes=cold.merged_nodes,
+        assert warm == Accounting(
+            total=cold.total, unique=cold.unique, executed=0, replayed=cold.unique,
         )
     assert len(template_store) == 1
     [(_, template)] = template_store.items()
@@ -664,23 +659,69 @@ def test_planner_prefers_free_prefix_orderings_for_free_queries():
     assert set(chosen.ordering[:2]) == {"x0", "x1"}
 
 
-def test_replayed_step_records_are_copies_of_the_entry():
-    """A replay hands each run its own record and join counters: a caller
-    that edits a replayed run's stats changes neither the step entry nor
-    what the next replay reports."""
+def test_replayed_step_records_are_the_cached_values():
+    """A replay reports the very record the computing run made, and records
+    and stats are frozen, so no caller can change what the next replay
+    reports.  Each run sums its own join counters: a caller that edits a
+    replayed run's counters changes neither the step entry nor what the
+    next replay reports."""
     [query] = _chain_family("counting", variants=1)[:1]
     cache = StepResultCache()
     spec = RunSpec(query, ordering=list(_ORDER))
     [cold] = DagExecutor().run_many([spec], step_cache=cache)
     [warm] = DagExecutor().run_many([spec], step_cache=cache)
+    assert warm.stats.steps and len(warm.stats.steps) == len(cold.stats.steps)
+    assert all(w is c for w, c in zip(warm.stats.steps, cold.stats.steps))
+    with pytest.raises(FrozenInstanceError):
+        warm.stats.steps[0].result_size = -1
+    with pytest.raises(FrozenInstanceError):
+        warm.stats.max_intermediate_size = -1
     want = [(r.variable, r.result_size, r.backend) for r in cold.stats.steps]
-    assert [(r.variable, r.result_size, r.backend) for r in warm.stats.steps] == want
-    for record in warm.stats.steps:
-        record.result_size = -1
     warm.stats.join_stats.search_steps = -1
     [again] = DagExecutor().run_many([spec], step_cache=cache)
     assert [(r.variable, r.result_size, r.backend) for r in again.stats.steps] == want
     assert again.stats.join_stats == cold.stats.join_stats
+
+
+def test_provenance_tags_account_for_a_merged_batch():
+    """Cold, a merged batch tags one node per distinct digest ``computed``
+    and every other (run, node) pair ``shared``; warm on the same step
+    source, every owner is ``replayed`` instead.  Served through
+    ``Engine.batch``, the ``merged_*`` keys are the provenance sums."""
+    from repro.engine import Engine
+
+    queries = _chain_family("counting")
+    dags = [lower_insideout(q, list(_ORDER), content_digests=True) for q in queries]
+    total = sum(len(dag.nodes) for dag in dags)
+    distinct = len({node.digest for dag in dags for node in dag.nodes})
+    assert distinct < total
+    cache = StepResultCache()
+
+    def tags(results):
+        return Counter(tag for result in results for tag in result.stats.provenance)
+
+    cold = DagExecutor().run_many(_specs(queries), step_cache=cache)
+    assert [len(r.stats.provenance) for r in cold] == [len(dag.nodes) for dag in dags]
+    assert tags(cold) == {STEP_COMPUTED: distinct, STEP_SHARED: total - distinct}
+    warm = DagExecutor().run_many(_specs(queries), step_cache=cache)
+    assert tags(warm) == {STEP_REPLAYED: distinct, STEP_SHARED: total - distinct}
+    for a, b in zip(cold, warm):
+        _assert_identical(a, b, "warm provenance run diverged")
+
+    with Engine() as engine:
+        served = []
+        for _ in range(2):  # cold, then warm on the engine's step cache
+            results = engine.batch(
+                [ServeRequest(query=q, options=_serve_options()) for q in queries]
+            )
+            served += [r for r in results if not r.coalesced]
+        stats = engine.stats()
+    counted = tags(served)
+    assert counted[STEP_REPLAYED] > 0
+    assert stats["merged_total_steps"] == sum(counted.values())
+    assert stats["merged_executed_steps"] == counted[STEP_COMPUTED]
+    assert stats["merged_replayed_steps"] == counted[STEP_REPLAYED]
+    assert stats["merged_unique_steps"] == counted[STEP_COMPUTED] + counted[STEP_REPLAYED]
 
 
 def test_a_claim_resolved_between_read_and_claim_is_replayed(monkeypatch):

@@ -40,7 +40,6 @@ from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
 from repro.exec import (
     DagExecutor,
-    RunInfo,
     RunSpec,
     StepResultCache,
 )
@@ -85,7 +84,7 @@ from repro.serve import (
 from repro.serve import replica as replica_module
 from repro.serve.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
 
-from _helpers import on_threads
+from _helpers import on_threads, step_accounting
 from test_exec_parallel import _multi_block
 
 
@@ -354,17 +353,15 @@ class TestInProcessFaults:
         cache = StepResultCache()
 
         def run(_):
-            info = RunInfo()
-            DagExecutor().run_many([spec], step_cache=cache, info=info)
-            return info
+            return step_accounting(DagExecutor().run_many([spec], step_cache=cache))
 
         with injected_faults(FaultPlan()) as plan:
             cold = on_threads(threads, run, switch_interval=1e-5)
-            executed = sum(info.executed_nodes for info in cold)
-            assert executed == cold[0].total_nodes
+            executed = sum(info.executed for info in cold)
+            assert executed == cold[0].total
             assert plan.calls[SITE_STEP_KERNEL] == executed
             warm = on_threads(threads, run)
-            assert sum(info.executed_nodes for info in warm) == 0
+            assert sum(info.executed for info in warm) == 0
             assert plan.calls[SITE_STEP_KERNEL] == executed
 
     def test_pool_shared_state_survives_thread_contention(self):
@@ -379,20 +376,19 @@ class TestInProcessFaults:
             cache = StepResultCache()
 
             def run(_):
-                info = RunInfo()
                 [result] = DagExecutor().run_many(
                     [RunSpec(query, backend="sparse", shared_tries=store)],
-                    step_cache=cache, info=info,
+                    step_cache=cache,
                 )
-                return result, info
+                return result
 
             outcomes = on_threads(6, run, switch_interval=1e-5)
-            for result, _ in outcomes:
+            for result in outcomes:
                 assert result.factor.table == serial.factor.table
-            infos = [info for _, info in outcomes]
-            assert sum(info.executed_nodes for info in infos) == infos[0].total_nodes
-            assert cache.computed == infos[0].total_nodes
-            assert sum(info.replayed_nodes for info in infos) == 5 * infos[0].total_nodes
+            infos = [step_accounting([result]) for result in outcomes]
+            assert sum(info.executed for info in infos) == infos[0].total
+            assert cache.computed == infos[0].total
+            assert sum(info.replayed for info in infos) == 5 * infos[0].total
 
     def test_server_converts_kernel_fault_to_typed_plan_failure(self):
         server = PlanServer()
@@ -635,14 +631,14 @@ class TestWarmRestart:
 
     def test_spill_of_the_previous_layout_adopts_nothing(self, tmp_path):
         """A view's spilled state is its step cache's entries from layout 2
-        on, and a dense factor pickles its non-zero count memo from layout
-        3 on: a spill sealed at an earlier layout restores no view and no
-        result."""
+        on, a dense factor pickles its non-zero count memo from layout 3
+        on, and step records are frozen, slotted values from layout 4 on: a
+        spill sealed at an earlier layout restores no view and no result."""
         from repro.planner.signature import sealed_version
 
-        assert SNAPSHOT_VERSION == sealed_version(3)
+        assert SNAPSHOT_VERSION == sealed_version(4)
         sections = _spilled_sections(tmp_path, "old-layout")
-        for layout in (1, 2):
+        for layout in (1, 2, 3):
             assert _restores(tmp_path, sections, sealed_version(layout)) == 0
 
     def test_restored_result_cache_serves_without_recompute(self, tmp_path):

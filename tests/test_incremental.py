@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.insideout import apply_output_delta, inside_out
 from repro.core.query import FAQQuery, QueryError, Variable
-from repro.exec import DagExecutor, RunInfo, RunSpec, StepResultCache, lower_insideout
+from repro.exec import DagExecutor, RunSpec, StepResultCache, lower_insideout
 from repro.factors import Factor, FactorDelta, FactorError, as_dense, as_sparse
 from repro.incremental import (
     REGIME_APPEND,
@@ -37,6 +37,8 @@ from repro.incremental import (
 from repro.planner.signature import factor_digest
 from repro.semiring.aggregates import ProductAggregate, SemiringAggregate
 from repro.semiring.standard import BOOLEAN, COUNTING, MAX_PRODUCT, MIN_PLUS, SUM_PRODUCT
+
+from _helpers import step_accounting
 
 
 def _chain_query(semiring, aggregate_factory, free=("a",)):
@@ -502,10 +504,9 @@ def test_snapshot_step_source_reuses_clean_nodes():
     )
     executor = DagExecutor()
     cache = StepResultCache()
-    cold = RunInfo()
-    executor.run_many([RunSpec(query)], step_cache=cache, info=cold)
-    assert cold.replayed_nodes == 0 and cold.executed_nodes == cold.total_nodes
-    assert len(cache) == cold.total_nodes
+    cold = step_accounting(executor.run_many([RunSpec(query)], step_cache=cache))
+    assert cold.replayed == 0 and cold.executed == cold.total
+    assert len(cache) == cold.total
 
     updated = FAQQuery(
         variables=variables,
@@ -514,11 +515,11 @@ def test_snapshot_step_source_reuses_clean_nodes():
         factors=[f_ab.apply_delta(FactorDelta(("a", "b"), {(0, 0): 50}), COUNTING), f_cd],
         semiring=COUNTING,
     )
-    info = RunInfo()
-    [result2] = executor.run_many([RunSpec(updated)], step_cache=cache, info=info)
-    assert info.replayed_nodes > 0  # the untouched c-d subgraph replayed
-    assert info.executed_nodes > 0  # the dirty a-b subgraph re-ran
-    assert info.replayed_nodes + info.executed_nodes == info.total_nodes
+    [result2] = executor.run_many([RunSpec(updated)], step_cache=cache)
+    info = step_accounting([result2])
+    assert info.replayed > 0  # the untouched c-d subgraph replayed
+    assert info.executed > 0  # the dirty a-b subgraph re-ran
+    assert info.replayed + info.executed == info.total
     expected = updated.evaluate_brute_force()
     assert expected.equals(result2.factor, COUNTING)
     # Stats of the partly replayed run match an unshared run's.
@@ -529,10 +530,10 @@ def test_snapshot_step_source_reuses_clean_nodes():
     assert result2.stats.join_stats == fresh.stats.join_stats
 
     # identical query + warm cache: everything replays
-    info3 = RunInfo()
-    [result3] = executor.run_many([RunSpec(updated)], step_cache=cache, info=info3)
-    assert info3.executed_nodes == 0
-    assert info3.replayed_nodes == info3.total_nodes
+    [result3] = executor.run_many([RunSpec(updated)], step_cache=cache)
+    info3 = step_accounting([result3])
+    assert info3.executed == 0
+    assert info3.replayed == info3.total
     assert result3.factor.table == result2.factor.table
 
     # The growth bound is the LRU: after maxsize unrelated entries, a re-run
@@ -643,6 +644,29 @@ def test_server_update_factor_warm_view_and_stats():
         assert second.factor.table == _expected(
             _updated_chain(query, {(0, 0): 9, (1, 1): 7})
         ).table
+
+
+def test_server_update_results_keep_their_own_stats():
+    """Each update's result holds the view's stats as they stood after that
+    update: a later update through the same warm view leaves an earlier
+    result's counts alone."""
+    from repro.serve import PlanServer, ServeRequest
+
+    query = _chain_query(COUNTING, SemiringAggregate.sum)
+    with PlanServer() as server:
+        first = server.update_factor(
+            ServeRequest(query=query), 0, FactorDelta(("a", "b"), {(0, 0): 9})
+        )
+        regimes = dict(first.stats.regimes)
+        assert sum(regimes.values()) == 1
+        second = server.update_factor(
+            ServeRequest(query=_updated_chain(query, {(0, 0): 9})),
+            0, FactorDelta(("a", "b"), {(1, 1): 7}),
+        )
+        assert server.stats()["incremental_hits"] == 1
+    assert first.stats is not second.stats
+    assert first.stats.regimes == regimes
+    assert sum(second.stats.regimes.values()) == 2
 
 
 def test_server_update_factor_keeps_old_content_answerable():

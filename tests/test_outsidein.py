@@ -92,12 +92,6 @@ class TestEnumerateJoin:
         assert len(results) == 20
         assert visits[0] <= 4 * (len(small) + len(results))
 
-    def test_stats_merge(self):
-        a = OutsideInStats(search_steps=1, emitted_tuples=2, intersections=3)
-        b = OutsideInStats(search_steps=10, emitted_tuples=20, intersections=30)
-        a.merge(b)
-        assert (a.search_steps, a.emitted_tuples, a.intersections) == (11, 22, 33)
-
     def test_matches_nested_loop_join_on_random_inputs(self):
         rng = random.Random(3)
         domains = {v: tuple(range(3)) for v in "ABCD"}

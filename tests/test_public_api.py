@@ -92,7 +92,6 @@ EXEC_EXPORTS = {
     "DagExecutor",
     "StepResultCache",
     "RunSpec",
-    "RunInfo",
     "StepDag",
     "StepNode",
     "lower_insideout",
@@ -224,7 +223,9 @@ def test_workers_mode_is_gone_not_shimmed():
     """Process mode (``workers_mode=``) and per-query step threads
     (``workers=``) were removed without a deprecation path: either option
     is Python's own ``TypeError`` at every entry point.  The executor keeps
-    ``workers=1`` alone, for the benchmark's executor probe."""
+    ``workers=1`` alone, for the benchmark's executor probe.  Its batch
+    tally (``RunInfo`` and ``run_many(info=)``) and the join-counter merge
+    went the same way: run accounting is each result's provenance."""
     from repro import db
     from repro.exec import DagExecutor
     from repro.planner import execute
@@ -285,6 +286,12 @@ def test_workers_mode_is_gone_not_shimmed():
     for bad in (2, 0, None, "auto", True):
         with pytest.raises(repro.QueryError):
             DagExecutor(workers=bad)
+
+    assert not hasattr(repro.exec, "RunInfo")
+    assert "info" not in inspect.signature(DagExecutor.run_many).parameters
+    with pytest.raises(TypeError):
+        DagExecutor().run_many([], info=None)
+    assert not hasattr(repro.core.OutsideInStats, "merge")
 
 
 def test_idle_planner_state_is_gone_not_shimmed():
