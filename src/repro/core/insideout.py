@@ -33,6 +33,10 @@ indicator projection that is 1 everywhere (Section 5.2.1: it filters
 nothing), so where no projection filters a step costs what textbook
 variable elimination's does.  That baseline
 (:mod:`repro.core.variable_elimination`) is the same run with twist 2 off.
+A step's result therefore does not depend on the content of a factor it
+reads whole-box (:func:`_lists_whole_box`), and its content digest
+(:mod:`repro.exec.dag`) leaves that content out too, so a merged batch or
+a step source shares the step between queries that differ only there.
 """
 
 from __future__ import annotations
@@ -232,7 +236,10 @@ def eliminate_semiring_step(
             cells = 1
             for v in overlap:
                 cells *= len(domains[v])
-            if _lists_whole_box(factor, domains, semiring):
+            box = 1
+            for v in factor.scope:
+                box *= len(domains[v])
+            if _lists_whole_box(factor, box, semiring):
                 ones_cells += cells
                 continue
             if isinstance(factor, DenseFactor):
@@ -323,21 +330,21 @@ def eliminate_semiring_step(
     return new_factor, record
 
 
-def _lists_whole_box(factor, domains, semiring: Semiring) -> bool:
-    """Whether ``factor`` lists every cell of its box, none of them zero.
+def _lists_whole_box(factor, box: int, semiring: Semiring) -> bool:
+    """Whether ``factor`` lists every one of the ``box`` cells of its box,
+    none of them zero (``box``: the product of its domain sizes).
 
     Each of its indicator projections is then 1 everywhere.  A sparse
     factor of a run lists no zero (a query holds pruned factors and every
     kernel drops the zeros it computes), so its length decides.  A dense
     factor holds every cell and counts its zeros once
-    (:meth:`DenseFactor.lists_every_cell`).
+    (:meth:`DenseFactor.lists_every_cell`).  The step DAG names a read by
+    this same predicate (:mod:`repro.exec.dag`), so a read the step leaves
+    out is exactly a read its digest leaves out.
     """
-    cells = 1
-    for v in factor.scope:
-        cells *= len(domains[v])
     if isinstance(factor, DenseFactor):
-        return factor.cells == cells and factor.lists_every_cell(semiring)
-    return len(factor.table) == cells
+        return factor.cells == box and factor.lists_every_cell(semiring)
+    return len(factor.table) == box
 
 
 def _try_flat_eliminate(

@@ -48,10 +48,16 @@ node's input and read digests.  One hash per node, no recursive encode.
   the store (one :class:`~repro.caching.LruCache`, ``_STEP_TEMPLATES``).
   A lone unnamed run lowers afresh.  A shape whose domains have no
   canonical encoding has no key: its template is built and not stored.
-* *Byte identity*: a spliced digest is ``sha256`` of exactly the bytes
-  :func:`annotate_digests` has always hashed, so step-cache keys, spilled
-  views and ``CONTENT_KEY_VERSION`` are unchanged.  Runs never write into
-  a template; they get node copies.
+* *Byte identity, except whole-box reads*: a spliced digest is ``sha256``
+  of exactly the bytes :func:`annotate_digests` has always hashed, so
+  step-cache keys, spilled views and ``CONTENT_KEY_VERSION`` are
+  unchanged — except at a semiring node that reads a base factor listing
+  its whole box.  The step leaves that indicator projection out (it is 1
+  everywhere), so the read is named by the marker ``W`` and its scope, not
+  by the factor's digest: requests that differ only in such a factor share
+  the step.  ``W`` starts no canonical encoding, so no marked payload
+  equals an unmarked one.  Runs never write into a template; they get
+  node copies.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
+from repro.core.insideout import _lists_whole_box
 from repro.core.query import FAQQuery
 
 KIND_SEMIRING = "semiring"
@@ -267,6 +274,12 @@ def lower_insideout(
 # ---------------------------------------------------------------------- #
 # content addressing — the step IR
 # ---------------------------------------------------------------------- #
+# What a step digest holds in place of a read's slot digest when the read's
+# base factor lists its whole box: the step leaves that projection out, so
+# its result does not depend on the factor's content.  No canonical_bytes
+# encoding starts with ``W``, so a marked payload is no unmarked one's.
+_WHOLE_BOX = b"W"
+
 # Step templates of the query shapes seen lately (see _template).  Bounded
 # like the process-wide rho* memo; a template holds about 1 KB a node
 # (12 KB for an 11-node chain), so a full store is a few MB.
@@ -335,12 +348,17 @@ class _StepTemplate:
     * product — per incident slot, the header of its output slot's digest;
     * output — nothing.
 
+    ``boxes`` pairs each base slot some semiring node reads with the number
+    of cells of its factor's box (fixed by the shape: the key holds every
+    domain).  :meth:`splice` names such a read by :data:`_WHOLE_BOX` when
+    the factor lists that many cells.
+
     ``None`` headers mark nodes over a domain without a canonical encoding.
     Templates are shared between threads and never mutated after
     construction; runs get node copies (:meth:`instantiate`).
     """
 
-    __slots__ = ("skeleton", "unit", "headers", "extra")
+    __slots__ = ("skeleton", "unit", "headers", "extra", "boxes")
 
     def __init__(
         self, query: FAQQuery, order: Sequence[str], use_indicator_projections: bool,
@@ -422,6 +440,16 @@ class _StepTemplate:
                 extra.append(())
         self.headers = headers
         self.extra = extra
+        read = sorted({
+            s for node in skeleton.nodes for s in node.reads if s < skeleton.num_base
+        })
+        boxes = []
+        for s in read:
+            box = 1
+            for v in scopes[s]:
+                box *= query.domain_size(v)
+            boxes.append((s, box))
+        self.boxes = tuple(boxes)
 
     def instantiate(self) -> StepDag:
         """A run's own copy of the skeleton, digests unset.
@@ -451,6 +479,8 @@ class _StepTemplate:
         """Write the digests of ``query``'s content into ``dag``'s nodes and slots.
 
         ``dag`` is this shape's lowering; its nodes align with the skeleton's.
+        A read of a base factor that lists its whole box is named by
+        :data:`_WHOLE_BOX`, by the kernel's own test (``_lists_whole_box``).
         """
         from repro.planner.signature import factor_digest
 
@@ -469,6 +499,11 @@ class _StepTemplate:
                 assign(i, factor_digest(factor))
             except TypeError:
                 pass
+        semiring = query.semiring
+        whole = {
+            slot: _WHOLE_BOX for slot, box in self.boxes
+            if _lists_whole_box(query.factors[slot], box, semiring)
+        }
 
         for node, header, extra in zip(dag.nodes, self.headers, self.extra):
             inputs = [encoded[s] for s in node.incident]
@@ -485,7 +520,7 @@ class _StepTemplate:
                 node.digest = h.hexdigest()
                 continue
             if node.kind == KIND_SEMIRING:
-                reads = [encoded[s] for s in node.reads]
+                reads = [whole.get(s) or encoded[s] for s in node.reads]
                 if None in reads:
                     continue
                 h.update(inputs_bytes + b",(" + b",".join(
@@ -521,7 +556,11 @@ def annotate_digests(
     Factor names are deliberately excluded (they never influence values);
     unencodable content (exotic domain or table values) yields ``None``
     digests, which propagate and simply disable sharing for the affected
-    subgraph.
+    subgraph.  A key covers only what the step reads: a base factor that
+    lists its whole box (``_lists_whole_box``, the predicate the step
+    kernel applies) has indicator projections that are 1 everywhere, so the
+    step leaves them out, and its digest names such a read by a fixed marker
+    plus the read's scope — whatever the factor's content, encodable or not.
 
     Everything but the input digests is fixed by the query's shape, so the
     work is a splice into the shape's step template: the one ``dag`` was

@@ -235,7 +235,13 @@ def _zero_mask(values: np.ndarray, zero: Any) -> np.ndarray:
     infinite zeros (min-plus ``+inf``, max-sum ``-inf``), and the relative
     ``1e-9 * max(1, |a|, |b|)`` tolerance with the ``|a-b| == inf`` escape
     for finite zeros.  NaN values are never zero (as in the scalar code).
+
+    A ``float64`` column against the zero ``0.0`` takes one comparison:
+    there the tolerance test reduces exactly to ``|a| <= 1e-9`` (for
+    ``|a| >= 1`` both sides fail; infinities and NaN fail both).
     """
+    if values.dtype == np.float64 and type(zero) is float and zero == 0.0:
+        return np.abs(values) <= 1e-9
     if values.dtype == np.bool_:
         return values == zero
     if np.isinf(zero):

@@ -204,13 +204,23 @@ class ServeRequest:
         tables) plus the output mode and planner overrides.  ``None`` when
         the query's values have no canonical encoding (exotic semiring
         domains) — such requests are never coalesced, only executed.
+
+        Memoised on the request, outside its fields, so ``==``, ``hash``
+        and ``replace()`` do not see it: every field is immutable, so the
+        key never changes.
         """
+        try:
+            return self.__dict__["_content_key"]
+        except KeyError:
+            pass
         try:
             query_key = query_content_key(self.query)
             option_part = canonical_bytes((self.output_mode, self.options))
+            key = f"{query_key}:{option_part.hex()}"
         except TypeError:
-            return None
-        return f"{query_key}:{option_part.hex()}"
+            key = None
+        object.__setattr__(self, "_content_key", key)
+        return key
 
     def plan_kwargs(self) -> dict:
         """The request's planner overrides as ``plan()`` keyword arguments."""

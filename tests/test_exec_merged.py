@@ -724,6 +724,82 @@ def test_provenance_tags_account_for_a_merged_batch():
     assert stats["merged_unique_steps"] == counted[STEP_COMPUTED] + counted[STEP_REPLAYED]
 
 
+# ---------------------------------------------------------------------- #
+# a read the step leaves out is not in its name
+# ---------------------------------------------------------------------- #
+def _with_heads(name, heads):
+    """``_chain_family``'s first query once per head table (a unary on
+    ``x1``, sparse ``dict`` or a ready factor), and the index of the step
+    that reads the head as an indicator projection."""
+    [query] = _chain_family(name, variants=1)[:1]
+    queries = []
+    for j, head in enumerate(heads):
+        if isinstance(head, dict):
+            head = Factor(("x1",), head, name="head")
+        queries.append(FAQQuery(
+            variables=[query.variables[v] for v in _ORDER], free=[],
+            aggregates=dict(query.aggregates),
+            factors=list(query.factors[:-1]) + [head],
+            semiring=query.semiring, name=f"h{j}",
+        ))
+    head_slot = len(query.factors) - 1
+    [reader] = [
+        node.index for node in lower_insideout(queries[0], list(_ORDER)).nodes
+        if head_slot in node.reads
+    ]
+    return queries, reader
+
+
+def _merged_against_independent(queries):
+    """One merged batch: ``==`` independent runs, which agree with brute
+    force (exactly on integer semirings, to float tolerance otherwise)."""
+    merged = DagExecutor().run_many(_specs(queries))
+    for query, result in zip(queries, merged):
+        alone = inside_out(query, ordering=list(_ORDER))
+        assert query.evaluate_brute_force().equals(alone.factor, query.semiring)
+        _assert_identical(alone, result, query.name)
+    return merged
+
+
+@pytest.mark.parametrize("name", ("counting", "max-product"))
+def test_requests_differing_in_a_whole_box_factor_compute_its_reader_once(name):
+    """Every head lists its whole box, so the step reading it leaves its
+    projection out and names the read by its scope: the batch computes
+    that step once, sparse heads and a dense one alike."""
+    from repro.factors.dense import DenseFactor
+
+    semiring = SEMIRINGS[name][0]
+    heads = [{(a,): 1 + a + 2 * j for a in range(3)} for j in range(3)]
+    dense = Factor(("x1",), {(a,): 7 + a for a in range(3)})
+    heads.append(DenseFactor.from_factor(dense, {"x1": (0, 1, 2)}, semiring))
+    queries, reader = _with_heads(name, heads)
+    merged = _merged_against_independent(queries)
+    assert [r.stats.provenance[reader] for r in merged] == (
+        [STEP_COMPUTED] + [STEP_SHARED] * (len(queries) - 1)
+    )
+    # Only the steps that consume a head remain per request.
+    assert step_accounting(merged).executed == reader + 1 + 2 * len(queries)
+
+
+@pytest.mark.parametrize("gap", ("missing-cell", "dense-zero"))
+def test_a_factor_short_of_its_box_is_read_by_content(gap):
+    """A head missing one cell, or dense with one zero cell, filters: the
+    step reading it is named by the head's content, computed per head."""
+    from repro.factors.dense import DenseFactor
+
+    semiring = SEMIRINGS["counting"][0]
+    heads = []
+    for j in range(3):
+        head = Factor(("x1",), {(a,): 1 + a + 2 * j for a in range(3) if a != 1})
+        if gap == "dense-zero":
+            head = DenseFactor.from_factor(head, {"x1": (0, 1, 2)}, semiring)
+            assert head.cells == 3 and not head.lists_every_cell(semiring)
+        heads.append(head)
+    queries, reader = _with_heads("counting", heads)
+    merged = _merged_against_independent(queries)
+    assert [r.stats.provenance[reader] for r in merged] == [STEP_COMPUTED] * len(queries)
+
+
 def test_a_claim_resolved_between_read_and_claim_is_replayed(monkeypatch):
     """The exactly-once race, made deterministic: a second caller reads no
     entry, the claimant fulfils before that caller takes the lock, and the

@@ -17,6 +17,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, Variable
@@ -28,7 +29,7 @@ from repro.factors.flat import flat_step_eligible
 from repro.factors.index import SharedTrieCache
 from repro.planner.signature import query_content_key
 from repro.semiring.aggregates import SemiringAggregate
-from repro.semiring.standard import BOOLEAN, MAX_PRODUCT, MAX_SUM, MIN_PLUS
+from repro.semiring.standard import BOOLEAN, MAX_PRODUCT, MAX_SUM, MIN_PLUS, SUM_PRODUCT
 
 from _helpers import on_threads
 from test_planner_differential import _random_query
@@ -216,6 +217,52 @@ def test_sum_aggregates_are_never_flat():
     assert not flat_step_eligible(
         MAX_PRODUCT, "sum", {"x": (0, 1)}, {"x"}, [factor], 0
     )
+
+
+def _general_zero_mask(values, zero):
+    """The tolerance predicate ``_zero_mask`` takes for every finite zero."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(values - zero)
+        scale = np.maximum(np.abs(values), abs(zero))
+        tolerance = 1e-9 * np.maximum(scale, 1.0)
+        return (diff <= tolerance) & (diff != np.inf)
+
+
+_EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-9, -1e-9, math.nextafter(1e-9, 1.0), math.nextafter(1e-9, 0.0), 0.5, 1.0,
+    math.nextafter(1.0, 0.0), 1e300, -1e300,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES)), min_size=0, max_size=40,
+))
+def test_float_zero_mask_fast_path_is_the_tolerance_predicate(values):
+    """Against the zero ``0.0`` the mask is one comparison; it must be the
+    general formula's and the scalar ``Semiring.values_equal``'s, NaN,
+    infinities, signed zeros, subnormals and the ``1e-9`` boundary included."""
+    column = np.array(values, dtype=np.float64)
+    mask = flat_module._zero_mask(column, 0.0)
+    assert mask.dtype == np.bool_ and mask.shape == column.shape
+    assert mask.tolist() == _general_zero_mask(column, 0.0).tolist()
+    for semiring in (MAX_PRODUCT, SUM_PRODUCT):
+        assert mask.tolist() == [semiring.values_equal(v, semiring.zero) for v in values]
+
+
+def test_other_zeros_keep_the_general_mask():
+    """Any other zero (an ``int`` zero, a non-zero, an infinity, ``False``)
+    or dtype keeps the general predicate."""
+    column = np.array(_EDGE_VALUES + [2.0, 3.0 + 1e-12], dtype=np.float64)
+    for zero in (0, 3.0, 1e-12):
+        assert flat_module._zero_mask(column, zero).tolist() == (
+            _general_zero_mask(column, zero).tolist()
+        )
+    for zero in (math.inf, -math.inf):
+        assert flat_module._zero_mask(column, zero).tolist() == (column == zero).tolist()
+    flags = np.array([True, False])
+    assert flat_module._zero_mask(flags, False).tolist() == [False, True]
 
 
 def test_scalar_and_empty_outputs():

@@ -264,6 +264,28 @@ def test_dirty_regime_for_worsening_and_product_queries():
     assert out2.table == _expected(view2.query).table
 
 
+def test_dirty_update_of_a_whole_box_factor_replays_its_readers():
+    """The step eliminating ``c`` only reads ``f1``, which lists its whole
+    box: a dirty value update of ``f1`` leaves that step's name alone, so it
+    replays and only the steps consuming ``f1`` re-run.  A deletion leaves
+    ``f1`` short of its box, and the reader re-runs too."""
+    view = IncrementalView(_chain_query(MAX_PRODUCT, SemiringAggregate.max))
+    view.result()
+    dag = lower_insideout(view.query, list(view.query.order))
+    assert [(n.variable, n.incident, n.reads) for n in dag.nodes[:2]] == [
+        ("c", (1,), (0,)), ("b", (0, 2), ()),
+    ]
+    out = view.update_factor(0, FactorDelta(("a", "b"), {(2, 2): 1}))
+    assert view.stats.regimes == {REGIME_DIRTY: 1}
+    assert (view.stats.nodes_reused, view.stats.nodes_executed) == (1, 2)
+    assert out.table == _expected(view.query).table
+
+    out = view.update_factor(0, FactorDelta(("a", "b"), {(2, 1): 0}))
+    assert view.stats.regimes == {REGIME_DIRTY: 2}
+    assert (view.stats.nodes_reused, view.stats.nodes_executed) == (1, 5)
+    assert out.table == _expected(view.query).table
+
+
 def test_deletions_are_exact_in_every_regime():
     for semiring, factory in (
         (COUNTING, SemiringAggregate.sum),

@@ -295,6 +295,32 @@ def test_ineligible_table_is_probed_once_per_content(encode_counts):
     )
 
 
+def test_content_key_is_encoded_once_per_request(monkeypatch):
+    """Serving reads a request's key several times (coalescing, the result
+    cache, the finished result): the options are encoded once.  The memo is
+    no field, so ``==``, ``hash`` and ``replace()`` do not see it."""
+    from dataclasses import replace
+
+    import repro.serve.api as api
+    from repro.planner import query_content_key
+
+    query = _chain_query(seed=3)
+    query_content_key(query)  # the query's own memo, out of the count
+    request = ServeRequest(query=query, options={"strategy": STRATEGY_INSIDEOUT})
+    twin = ServeRequest(query=query, options={"strategy": STRATEGY_INSIDEOUT})
+    calls = []
+    real = api.canonical_bytes
+    monkeypatch.setattr(
+        api, "canonical_bytes", lambda value: (calls.append(value), real(value))[1]
+    )
+    keys = [request.content_key for _ in range(3)]
+    assert len(calls) == 1 and keys[0] is not None and len(set(keys)) == 1
+    assert request == twin and hash(request) == hash(twin)
+    factorized = replace(request, output_mode="factorized")
+    assert factorized.content_key != keys[0] and len(calls) == 2
+    assert replace(factorized, output_mode="listing").content_key == keys[0]
+
+
 def test_query_without_content_key_answers_without_warm_tries():
     """No content key: no coalescing, no digest plan, no step sharing — and
     no trie store either; the answer is still right."""

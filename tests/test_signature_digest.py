@@ -446,10 +446,39 @@ def _step_digest_query():
     )
 
 
+class _WholeBox:
+    """Stands, in a reference payload, for a read the step leaves out."""
+
+
+_WHOLE_BOX = _WholeBox()
+
+
+def _payload_bytes(value):
+    """``canonical_bytes``, except that :data:`_WHOLE_BOX` encodes as ``W``."""
+    if value is _WHOLE_BOX:
+        return b"W"
+    if type(value) is tuple:
+        return b"(" + b",".join(map(_payload_bytes, value)) + b")"
+    return canonical_bytes(value)
+
+
+def _lists_its_box(factor, query):
+    """Counted cell by cell: every cell of the factor's box listed non-zero."""
+    box = 1
+    for v in factor.scope:
+        box *= len(query.domain(v))
+    table = factor.to_factor(query.semiring).table if isinstance(factor, DenseFactor) \
+        else factor.table
+    is_zero = query.semiring.is_zero
+    return len(table) == box and not any(is_zero(value) for value in table.values())
+
+
 def _reference_step_digests(dag, query, order, uip):
     """Node digests recomputed the plain way: every payload, domains
     included, goes through ``canonical_bytes`` whole.  Content without an
-    encoding gives ``None``, and so does everything that consumes it."""
+    encoding gives ``None``, and so does everything that consumes it.  A
+    read of a base factor that lists its whole box is the marker ``W``
+    (with its scope), whatever the factor's content, encodable or not."""
     from repro.planner.signature import _digest
 
     sem, scopes, digests = query.semiring.name, dag.slot_scope, []
@@ -461,13 +490,17 @@ def _reference_step_digests(dag, query, order, uip):
             slots[i] = factor_digest(factor)
         except TypeError:
             pass
+    read_as = {
+        i: _WHOLE_BOX for i, factor in enumerate(query.factors)
+        if _lists_its_box(factor, query)
+    }
 
     def domain_spec(variables):
         return tuple((v, tuple(query.domain(v))) for v in sorted(variables))
 
     def step(payload):
         try:
-            return _digest(b"step", canonical_bytes(payload))
+            return _digest(b"step", _payload_bytes(payload))
         except TypeError:
             return None
 
@@ -480,7 +513,8 @@ def _reference_step_digests(dag, query, order, uip):
             induced = frozenset().union(*(scopes[s] for s in node.incident)) \
                 if node.incident else frozenset({node.variable})
             reads = tuple(
-                (slots[s], tuple(sorted(scopes[s] & induced))) for s in node.reads
+                (read_as.get(s, slots[s]), tuple(sorted(scopes[s] & induced)))
+                for s in node.reads
             )
             if None not in (d for d, _ in reads):
                 digest = step((
@@ -549,6 +583,22 @@ def test_step_digest_of_a_fixed_query_is_pinned():
     assert dag.nodes[-1].digest == (
         "71f693503f6d441e8ba9ae2ae3b5f52b66bdc9dc7edcc63ed36bc83b7eac1908"
     )
+
+
+def test_step_digest_of_a_whole_box_read_is_pinned():
+    """The literals of a query whose ``(B, C)`` factor lists its whole box:
+    the step eliminating ``D`` reads it as ``W`` plus the scope ``(B,)``,
+    and every later digest folds that in."""
+    from repro.exec import lower_insideout
+
+    full = Factor(("B", "C"), {(i, j): 1 + i + 2 * j for i in range(3) for j in range(3)})
+    query = _with_factor(_step_digest_query(), 1, full)
+    dag = lower_insideout(query, list(query.order), content_digests=True)
+    assert dag.nodes[0].variable == "D" and dag.nodes[0].reads == (1,)
+    assert [dag.nodes[0].digest, dag.nodes[-1].digest] == [
+        "1448029bc232c7fcaf76fc7bf6ad02c6562d1add1249cf9bfaf4a792ff63f39e",
+        "fb468d32c53b9aad483f9be3407055dc22b267c2bf9ba09fb28023c8e87ce96b",
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -670,6 +720,44 @@ def _no_factor_query():
     )
 
 
+def _full_table(k, **cells):
+    """Factor ``k``'s table in ``_shape_query`` with no cell left out,
+    ``cells`` (``"ij"`` → value) overriding some."""
+    table = {(i, j): 1 + i + 2 * j + k for i in _SHAPE_DOMAIN for j in _SHAPE_DOMAIN}
+    table.update({(int(key[0]), int(key[1])): value for key, value in cells.items()})
+    return table
+
+
+def _with_factor(query, k, factor):
+    """``query`` with its factor ``k`` replaced."""
+    factors = list(query.factors)
+    factors[k] = factor
+    return FAQQuery(
+        variables=[query.variables[v] for v in query.order], free=list(query.free),
+        aggregates=dict(query.aggregates), factors=factors, semiring=query.semiring,
+    )
+
+
+def _whole_box_query(**cells):
+    """Factor 1, ``(B, C)`` — the one the step eliminating ``D`` reads —
+    lists its whole box."""
+    return _shape_query(values={1: _full_table(1, **cells)})
+
+
+def _dense_whole_box_query(**cells):
+    """The same, factor 1 held dense."""
+    query = _whole_box_query(**cells)
+    dense = DenseFactor.from_factor(query.factors[1], query.domains(), query.semiring)
+    return _with_factor(query, 1, dense)
+
+
+def _opaque_whole_box_query():
+    """Factor 1 lists its whole box, one value without a canonical
+    encoding: nothing can name the factor, but the step that only reads it
+    is named all the same."""
+    return _whole_box_query(**{"00": _Opaque(7)})
+
+
 _MATRIX = {
     "all-kinds": _shape_query,
     "free-variables": lambda: _shape_query(
@@ -679,6 +767,9 @@ _MATRIX = {
     "no-factors": _no_factor_query,
     "unencodable-factor": _opaque_value_query,
     "unencodable-domain": _opaque_domain_query,
+    "whole-box-sparse": _whole_box_query,
+    "whole-box-dense": _dense_whole_box_query,
+    "whole-box-unencodable": _opaque_whole_box_query,
 }
 
 
@@ -701,6 +792,11 @@ def test_template_digests_match_the_reference(case, uip, output_mode, template_s
     if case == "unencodable-factor":
         # Only what the unencodable content reaches goes unnamed.
         assert None in first and any(d is not None for d in first)
+        assert len(template_store) == 1
+    elif case == "whole-box-unencodable":
+        # The product step consumes the factor and goes unnamed; the step
+        # eliminating D only reads it, and is named.
+        assert None in first and first[0] is not None
         assert len(template_store) == 1
     elif case == "unencodable-domain":
         # Only the output step induces the domain; a factorized run has
@@ -735,6 +831,33 @@ def test_one_shape_two_contents_differ_downstream_of_the_change(uip, template_st
             tainted |= set(node.outputs)
     assert [a != b for a, b in zip(left, right)] == downstream
     assert any(downstream) and not all(downstream)
+
+
+@pytest.mark.parametrize("build", [_whole_box_query, _dense_whole_box_query],
+                         ids=["sparse", "dense"])
+def test_a_whole_box_read_is_named_by_its_scope_alone(build, template_store):
+    """Contents that differ only in a factor the step eliminating ``D``
+    reads whole-box, sparse or dense, name that step alike, and differ
+    downstream of where the factor is consumed.  A factor missing one cell,
+    or dense with one zero cell, is named by its content."""
+    order = list(_shape_query().order)
+    whole = _check_against_reference(build(), order)
+    other = _check_against_reference(build(**{"11": 50}), order)
+    assert whole[0] == other[0]
+    assert whole[1:] != other[1:]
+    if build is _whole_box_query:
+        gap = _shape_query(values={1: {
+            key: value for key, value in _full_table(1).items() if key != (1, 1)
+        }})
+    else:
+        gap = _dense_whole_box_query(**{"11": 0})
+        assert not gap.factors[1].lists_every_cell(gap.semiring)
+    named = _check_against_reference(gap, order)
+    assert len({whole[0], named[0]}) == 2
+    # Without indicator projections nothing is read: the step never
+    # depended on the factor.
+    plain = _check_against_reference(build(), order, uip=False)
+    assert plain[0] == _check_against_reference(gap, order, uip=False)[0]
 
 
 def test_every_key_component_names_its_own_template(template_store):
