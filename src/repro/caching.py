@@ -9,9 +9,10 @@ counters, and safety under the worker pools introduced by
 concurrently against the shared caches).  This module is deliberately
 dependency-free so that both layers can import it without cycles.
 
-Everything persisted — :meth:`LruCache.save` files and the serving tier's
-:class:`~repro.serve.snapshot.SnapshotStore` files — is one :func:`seal`
-envelope::
+Everything persisted — the serving tier's
+:class:`~repro.serve.snapshot.SnapshotStore` files and the warm planner
+caches of :func:`repro.planner.cache.save_planner_caches` — is one
+:func:`seal` envelope::
 
     bytes 0..7    magic  b"REPROSL1"  (envelope layout version)
     bytes 8..15   payload length, little-endian u64
@@ -156,25 +157,24 @@ class LruCache:
             return iter(list(self._entries.items()))
 
     # ------------------------------------------------------------------ #
-    # persistence
+    # sections
     # ------------------------------------------------------------------ #
     def dump_entries(self, *, kind: str, version: int) -> dict:
         """The entries under their kind/version tags, as a plain dict.
 
-        One section of the warm caches a replica fleet's parent hands every
-        replica it starts, without touching disk; the same kind/version
-        tags as :meth:`save` gate adoption.
+        One section of a larger bundle (the warm planner caches, a server
+        snapshot); :meth:`adopt_entries` checks the tags on the way back.
         """
         with self._lock:
             entries = list(self._entries.items())
         return {"kind": kind, "version": version, "entries": entries}
 
     def adopt_entries(self, payload, *, kind: str, version: int) -> int:
-        """Best-effort merge of a :meth:`dump_entries` envelope.
+        """Best-effort merge of a :meth:`dump_entries` section.
 
-        Mirrors :meth:`load`'s contract: a payload of the wrong shape,
-        kind or version adopts nothing; returns the number of entries
-        merged.
+        A payload of the wrong shape, kind or version adopts nothing (it
+        is simply stale); returns the number of entries merged.  Existing
+        entries for the same keys are refreshed.
         """
         try:
             if (
@@ -185,41 +185,6 @@ class LruCache:
                 return 0
             count = 0
             for key, value in list(payload.get("entries", [])):
-                self.put(key, value)
-                count += 1
-            return count
-        except Exception:
-            return 0
-
-    def save(self, path, *, kind: str, version: int) -> int:
-        """Persist the entries to ``path`` tagged with a kind + format version.
-
-        Returns the number of entries written.  The file is one
-        :func:`seal` envelope, written with :func:`write_atomic`:
-        bumping ``version`` invalidates every persisted file of that kind
-        at once, and :meth:`load` rejects a torn or bit-rotted file instead
-        of adopting garbage.
-        """
-        entries = list(self.items())
-        write_atomic(path, seal(entries, kind=kind, version=version))
-        return len(entries)
-
-    def load(self, path, *, kind: str, version: int) -> int:
-        """Merge entries persisted by :meth:`save` into this cache.
-
-        Entries with a mismatched kind or format version are ignored (the
-        file is simply stale); returns the number of entries merged.
-        Existing entries for the same keys are refreshed.
-        """
-        # Best-effort by contract: a missing, truncated, corrupt or
-        # stale-format file (including unpicklable entries whose classes
-        # moved between releases) must never crash the loading process; it
-        # is simply ignored.
-        try:
-            with open(path, "rb") as handle:
-                entries = unseal(handle.read(), kind=kind, version=version)
-            count = 0
-            for key, value in entries or ():
                 self.put(key, value)
                 count += 1
             return count

@@ -46,9 +46,6 @@ class EngineConfig:
     replicas:
         Default fleet size for :meth:`Engine.serve` (CPU count when
         ``None``).
-    coalesce:
-        Default for content-hash coalescing of value-equal in-flight
-        requests.
     plan_cache_size:
         Capacity of the engine's private plan cache.
     start_method:
@@ -61,7 +58,6 @@ class EngineConfig:
 
     pool_size: Optional[int] = None
     replicas: Optional[int] = None
-    coalesce: bool = True
     plan_cache_size: int = 1024
     start_method: Optional[str] = None
     max_pending: int = 1024
@@ -115,7 +111,6 @@ class Engine:
             self._server = PlanServer(
                 pool_size=self.config.pool_size,
                 cache=self.cache,
-                coalesce=self.config.coalesce,
             )
         return self._server
 
@@ -171,7 +166,6 @@ class Engine:
             "max_pending": self.config.max_pending,
             "tenant_limit": self.config.tenant_limit,
             "health_interval": self.config.health_interval,
-            "coalesce": self.config.coalesce,
             # Cold replicas adopt the engine's warm plan cache (plus the
             # process-wide rho* memo) from their process arguments.
             "plan_cache": self.cache,
@@ -232,6 +226,5 @@ class Engine:
         return ServeRequest(
             query=query,
             output_mode=output_mode,
-            coalesce=self.config.coalesce,
             options=tuple((options or {}).items()),
         )

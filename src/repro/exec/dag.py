@@ -100,14 +100,6 @@ class StepDag:
     final_live: List[int] = field(default_factory=list)  # slots alive at the end
     slot_digests: List[Optional[str]] = field(default_factory=list)  # per-slot content address
 
-    def dependents(self) -> Dict[int, List[int]]:
-        """Node index → indices of the nodes that depend on it."""
-        result: Dict[int, List[int]] = {node.index: [] for node in self.nodes}
-        for node in self.nodes:
-            for producer in node.depends_on:
-                result[producer].append(node.index)
-        return result
-
     # ------------------------------------------------------------------ #
     # introspection (benchmarks / explain)
     # ------------------------------------------------------------------ #

@@ -287,29 +287,10 @@ def clear_rho_star_cache() -> None:
     _RHO_STAR_CACHE.clear()
 
 
-def save_rho_star_cache(path) -> int:
-    """Persist the ρ* memo to ``path``; returns the number of entries written.
-
-    The memo is keyed purely by relabelled restricted edge structure (no
-    data sizes, no variable names), so persisted values stay exact forever;
-    the format version only guards against layout changes of the key
-    itself, and a file of another version adopts nothing.
-    """
-    return _RHO_STAR_CACHE.save(path, kind=_RHO_STAR_KIND, version=_RHO_STAR_VERSION)
-
-
-def load_rho_star_cache(path) -> int:
-    """Warm the ρ* memo from :func:`save_rho_star_cache` output."""
-    return _RHO_STAR_CACHE.load(path, kind=_RHO_STAR_KIND, version=_RHO_STAR_VERSION)
-
-
 def dump_rho_star_section() -> dict:
-    """Snapshot the ρ* memo as a warm-cache section.
-
-    The serving tier's fleet parent pickles this into the arguments of
-    every replica process it starts, so cold replicas adopt the warm memo
-    instead of re-solving the LPs.
-    """
+    """The ρ* memo as the ``rho_star`` section of
+    :func:`repro.planner.cache.warm_sections`: its keys hold no sizes and
+    no names, so its values stay exact in any process of the same version."""
     return _RHO_STAR_CACHE.dump_entries(
         kind=_RHO_STAR_KIND, version=_RHO_STAR_VERSION
     )

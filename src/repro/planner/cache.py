@@ -12,27 +12,29 @@ bounded LRU (the thread-safe :class:`repro.caching.LruCache`, shared with
 the process-wide ``ρ*`` memo) keyed also by the caller's forced backend so
 overridden plans do not shadow the planner's free choice.
 
-Persistence: :meth:`PlanCache.save` / :meth:`PlanCache.load` move the
-entries to/from disk (tagged with
+Warm caches move between processes in one format, the
+:func:`warm_sections` bundle: the plan cache (tagged with
 :data:`repro.planner.signature.SIGNATURE_VERSION`, so a signature-format
-change silently discards stale files), letting repeated traffic hit warm
-plans across processes.  :func:`save_planner_caches` /
-:func:`load_planner_caches` bundle the plan cache with the ``ρ*`` memo of
-:mod:`repro.hypergraph.covers`.
+change discards stale plans) and the ``ρ*`` memo of
+:mod:`repro.hypergraph.covers`, each a section adopted only under its own
+kind/version tags.  A replica fleet's parent pickles it into every
+replica's arguments; :func:`save_planner_caches` seals it to one file.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.caching import LruCache
+from repro.caching import LruCache, seal, unseal, write_atomic
 from repro.planner.signature import SIGNATURE_VERSION
 
 _PLAN_CACHE_KIND = "repro-plan-cache"
-_PLAN_CACHE_FILE = "plan_cache.pkl"
-_RHO_STAR_FILE = "rho_star.pkl"
+# save_planner_caches' one file: a sealed warm_sections bundle (each
+# section carries its own version, so the envelope's stays 1).
+_WARM_CACHES_FILE = "planner_caches.pkl"
+_WARM_CACHES_TAGS = {"kind": "repro-planner-caches", "version": 1}
 
 
 @dataclass(frozen=True)
@@ -79,68 +81,63 @@ class PlanCache:
         """Drop all entries and reset the hit/miss counters."""
         self._entries.clear()
 
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def save(self, path) -> int:
-        """Persist the entries to ``path``; returns the number written."""
-        return self._entries.save(path, kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION)
-
-    def load(self, path) -> int:
-        """Merge entries persisted by :meth:`save`; returns the number merged.
-
-        Files written under a different :data:`SIGNATURE_VERSION` are
-        ignored wholesale — persisted signatures from an older format must
-        never match a new-format lookup.
-        """
-        return self._entries.load(path, kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION)
-
-    def dump_section(self) -> dict:
-        """Snapshot the entries as a warm-cache section.
-
-        The serving tier's fleet parent pickles this into the arguments of
-        every replica process it starts, so cold replicas start with the
-        warm plan cache instead of re-planning.
-        """
-        return self._entries.dump_entries(
-            kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION
-        )
-
-    def adopt_section(self, payload) -> int:
-        """Merge a :meth:`dump_section` payload (best-effort)."""
-        return self._entries.adopt_entries(
-            payload, kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION
-        )
-
 
 DEFAULT_PLAN_CACHE = PlanCache()
 """The process-wide cache used when callers do not supply their own."""
 
 
-def save_planner_caches(directory, plan_cache: Optional[PlanCache] = None) -> Dict[str, int]:
-    """Persist the plan cache *and* the process-wide ``ρ*`` memo to a directory.
+def warm_sections(plan_cache: Optional[PlanCache]) -> Dict[str, dict]:
+    """The warm planner caches as kind/version-tagged sections: the ``ρ*``
+    memo and, when given, ``plan_cache``."""
+    from repro.hypergraph import covers
 
-    Returns ``{"plans": n, "rho_star": m}`` entry counts.  Load them back
-    with :func:`load_planner_caches` at process start to serve repeated
-    traffic warm across processes (the ROADMAP's "plan cache persistence"
-    item).
+    sections = {"rho_star": covers.dump_rho_star_section()}
+    if plan_cache is not None:
+        sections["plans"] = plan_cache._entries.dump_entries(
+            kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION
+        )
+    return sections
+
+
+def adopt_warm_sections(sections: Any, plan_cache: PlanCache) -> Dict[str, int]:
+    """Merge a :func:`warm_sections` bundle; returns the entries adopted per section.
+
+    Best-effort: a section of the wrong shape, kind or version — a plan
+    section of another :data:`SIGNATURE_VERSION` included — adopts nothing.
     """
-    from repro.hypergraph.covers import save_rho_star_cache
+    from repro.hypergraph import covers
 
-    os.makedirs(directory, exist_ok=True)
-    cache = plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
+    sections = sections if isinstance(sections, dict) else {}
     return {
-        "plans": cache.save(os.path.join(directory, _PLAN_CACHE_FILE)),
-        "rho_star": save_rho_star_cache(os.path.join(directory, _RHO_STAR_FILE)),
+        "plans": plan_cache._entries.adopt_entries(
+            sections.get("plans"), kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION
+        ),
+        "rho_star": covers.adopt_rho_star_section(sections.get("rho_star")),
     }
+
+
+def save_planner_caches(directory, plan_cache: Optional[PlanCache] = None) -> Dict[str, int]:
+    """Seal the :func:`warm_sections` bundle of ``plan_cache`` (default: the
+    process-wide one) to a file in ``directory``, atomically.
+
+    Returns ``{"plans": n, "rho_star": m}`` entry counts; a later process
+    adopts them with :func:`load_planner_caches`.
+    """
+    sections = warm_sections(plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE)
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, _WARM_CACHES_FILE)
+    write_atomic(path, seal(sections, **_WARM_CACHES_TAGS))
+    return {name: len(section["entries"]) for name, section in sections.items()}
 
 
 def load_planner_caches(directory, plan_cache: Optional[PlanCache] = None) -> Dict[str, int]:
-    """Warm the plan cache and the ``ρ*`` memo from :func:`save_planner_caches`."""
-    from repro.hypergraph.covers import load_rho_star_cache
-
-    cache = plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
-    return {
-        "plans": cache.load(os.path.join(directory, _PLAN_CACHE_FILE)),
-        "rho_star": load_rho_star_cache(os.path.join(directory, _RHO_STAR_FILE)),
-    }
+    """Adopt what :func:`save_planner_caches` wrote (best-effort: a missing,
+    torn, corrupt or foreign file adopts nothing, as does a stale section)."""
+    try:
+        with open(os.path.join(directory, _WARM_CACHES_FILE), "rb") as handle:
+            sections = unseal(handle.read(), **_WARM_CACHES_TAGS)
+    except Exception:  # noqa: BLE001 - e.g. a payload class that moved
+        sections = None
+    return adopt_warm_sections(
+        sections, plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
+    )

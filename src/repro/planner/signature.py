@@ -36,10 +36,10 @@ SIGNATURE_VERSION = 5
 """Format version of :func:`query_signature` tuples and cached-plan payloads.
 
 Bump whenever the signature layout — or the :class:`~repro.planner.cache.CachedPlan`
-payload stored under it — changes: persisted plan caches
-(:meth:`repro.planner.cache.PlanCache.save`) are tagged with this version
-and silently discarded on mismatch, so stale on-disk plans can never be
-deserialised against a new signature scheme.  Version 2: ``CachedPlan``
+payload stored under it — changes: warm plan-cache sections
+(:func:`repro.planner.cache.warm_sections`, in replica arguments or on
+disk) are tagged with this version and adopt nothing on mismatch, so
+stale plans can never be read against a new signature scheme.  Version 2: ``CachedPlan``
 gained ``step_sizes`` (per-step size estimates).  Version 3: the
 signature lost its indicator-join field (joins are no strategy of their
 own, so no cached plan depends on the factor values).  Version 4: the

@@ -24,13 +24,14 @@ is the horizontal tier on top, behind one stable contract:
   point: per-tenant quotas, deadline-aware load shedding, tier-wide
   coalescing, rendezvous-hash routing and replica health/restart.
 
-Scaling ladder — all three speak the same request/result types::
+Scaling ladder — every rung speaks the same request/result types::
 
     PlanServer().execute_request(req)          # one thread, warm caches
     PlanServer().submit(req)                   # thread pool, Future out
     await Frontend(replicas=4).submit(req)     # process fleet, coalesced
 
-A request is a batch of one on every rung: the server has one execute
+``ServeRequest(coalesce=False)`` is the one opt-out of sharing; no rung
+has a switch of its own.  A request is a batch of one on every rung: the server has one execute
 path (``PlanServer._serve``), the wire one execute message (``exec``)
 and the front-end one retry loop (``Frontend._dispatch``).  Every
 elimination plan on any rung — single request, merged batch,
@@ -49,7 +50,7 @@ from repro.serve.api import (
 )
 from repro.serve.frontend import Frontend
 from repro.serve.replica import ReplicaHandle, ReplicaSet
-from repro.serve.server import PlanServer, execute_batch
+from repro.serve.server import PlanServer
 from repro.serve.snapshot import SnapshotStore
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "RetryPolicy",
     "SnapshotStore",
     "PlanServer",
-    "execute_batch",
     "Frontend",
     "ReplicaSet",
     "ReplicaHandle",

@@ -168,8 +168,8 @@ class ServeRequest:
         sheds the request (:class:`Overloaded`) rather than dispatch it
         once the budget cannot be met.
     coalesce:
-        Opt out of content-hash coalescing with ``False`` (e.g. when the
-        run is being timed and must not share another request's execution).
+        The one sharing switch: ``False`` opts out of coalescing, merged
+        step sharing and result caches on every rung (e.g. for a timed run).
     options:
         Planner overrides forwarded to :func:`repro.planner.plan` —
         ``strategy=``/``backend=``/``ordering=``/``use_cache=`` only,

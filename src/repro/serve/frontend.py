@@ -53,6 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import FAQQuery
 from repro.faults import FaultPlan, current_plan
+from repro.planner.cache import warm_sections
 from repro.planner.signature import query_sharing_key
 from repro.serve.api import (
     Overloaded,
@@ -71,24 +72,22 @@ _EWMA_ALPHA = 0.2
 def _warm_caches(plan_cache) -> Optional[bytes]:
     """The parent's warm read-only caches, pickled once for every replica.
 
-    The process-wide ρ* LP memo and, when given, ``plan_cache``, as
-    kind/version-tagged sections.  ``None`` when they cannot be pickled:
-    replicas then start cold — warm caches are an optimisation, never a
-    startup requirement.
+    The :func:`~repro.planner.cache.warm_sections` bundle — the bytes
+    :func:`~repro.planner.cache.save_planner_caches` seals to disk.
+    ``None`` when it cannot be pickled: replicas then start cold — warm
+    caches are an optimisation, never a startup requirement.
     """
-    from repro.hypergraph.covers import dump_rho_star_section
-
     try:
-        sections = {"rho_star": dump_rho_star_section()}
-        if plan_cache is not None:
-            sections["plans"] = plan_cache.dump_section()
-        return pickle.dumps(sections, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(warm_sections(plan_cache), protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:  # noqa: BLE001 - e.g. unpicklable cache entries
         return None
 
 
 class Frontend:
     """Admit, coalesce and route requests across a replica fleet.
+
+    Sharing is per request (:attr:`ServeRequest.coalesce`); the tier has
+    no switch of its own.
 
     Parameters
     ----------
@@ -113,9 +112,6 @@ class Frontend:
     health_interval:
         Seconds between dead-replica sweeps (``None`` disables the loop;
         crashes are then only repaired on the dispatch retry path).
-    coalesce:
-        Tier-wide default for content-hash coalescing (requests opt out
-        individually with ``ServeRequest(coalesce=False)``).
     retry:
         The tier's :class:`~repro.serve.api.RetryPolicy` — attempt budget,
         backoff shape and per-RPC deadline for every replica round trip.
@@ -139,7 +135,6 @@ class Frontend:
         max_pending: int = 1024,
         tenant_limit: Optional[int] = None,
         health_interval: Optional[float] = 1.0,
-        coalesce: bool = True,
         plan_cache: Any = None,
         retry: Optional[RetryPolicy] = None,
         snapshot_dir: Optional[str] = None,
@@ -149,7 +144,6 @@ class Frontend:
         self.max_pending = max_pending
         self.tenant_limit = tenant_limit
         self.health_interval = health_interval
-        self.coalesce = coalesce
         self.retry = retry if retry is not None else RetryPolicy()
         self._set = ReplicaSet(
             size,
@@ -218,7 +212,7 @@ class Frontend:
             deadline_at = loop.time() + request.deadline
 
         # ------------------------- coalescing -------------------------- #
-        key = request.content_key if (self.coalesce and request.coalesce) else None
+        key = request.content_key if request.coalesce else None
         if key is not None:
             primary = self._inflight.get(key)
             if primary is not None:
@@ -616,7 +610,7 @@ class Frontend:
         ]
 
         groups: Dict[str, List[int]] = {}
-        if merge and self.coalesce:
+        if merge:
             for i, request in enumerate(wrapped):
                 if (
                     not request.coalesce

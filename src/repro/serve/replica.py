@@ -148,7 +148,7 @@ def _replica_main(
     fault_config: Optional[Dict[str, Any]] = None,
 ) -> None:
     """The replica loop (module-level so the spawn start method can pickle it)."""
-    from repro.hypergraph.covers import adopt_rho_star_section
+    from repro.planner.cache import adopt_warm_sections
     from repro.serve.server import PlanServer
     from repro.serve.snapshot import SnapshotStore
 
@@ -165,9 +165,8 @@ def _replica_main(
     # replica starts with the warm ρ* memo and plan cache instead of
     # warming private copies.  Best-effort: each section is checked against
     # its kind/version tags, and a stale or absent one adopts nothing.
-    sections = pickle.loads(warm_caches) if warm_caches else {}
-    shared_cache_adopted = adopt_rho_star_section(sections.get("rho_star"))
-    shared_cache_adopted += server.cache.adopt_section(sections.get("plans"))
+    sections = pickle.loads(warm_caches) if warm_caches else None
+    shared_cache_adopted = sum(adopt_warm_sections(sections, server.cache).values())
     store: Dict[str, Any] = {}
     queries = LruCache(maxsize=_MAX_REPLICA_QUERIES)
     served = 0

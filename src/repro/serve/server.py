@@ -98,6 +98,10 @@ class PlanServer:
     private one, or none for a ``coalesce=False`` request).  A request's
     steps run on the thread that serves it; concurrency is across requests.
 
+    Sharing is per request (:attr:`ServeRequest.coalesce`): the coalescible
+    requests of a batch run as one merged multi-sink step DAG in which
+    each distinct step digest executes once.
+
     Parameters
     ----------
     pool_size:
@@ -108,13 +112,6 @@ class PlanServer:
         (defaults to a server-private one).  A query is planned once per
         exact signature: its later requests, and those of isomorphic
         queries whose factor sizes share its log2 buckets, reuse the plan.
-    coalesce:
-        Server-wide default for content-hash coalescing of value-equal
-        requests, in flight or in one batch (individual requests opt out
-        via ``ServeRequest(coalesce=False)``).  The coalescible requests of
-        a batch also share elimination steps: their plans run as one merged
-        multi-sink step DAG in which each distinct step digest executes
-        exactly once.
     cache_results:
         Keep a bounded LRU of *completed* :class:`ServeResult` objects
         keyed by content digest, answering value-identical repeats without
@@ -128,7 +125,6 @@ class PlanServer:
         *,
         pool_size: Optional[int] = None,
         cache: Optional[PlanCache] = None,
-        coalesce: bool = True,
         cache_results: bool = False,
         snapshot_store: Optional[SnapshotStore] = None,
     ) -> None:
@@ -138,7 +134,6 @@ class PlanServer:
             raise QueryError(f"pool_size must be a positive integer or None, got {pool_size!r}")
         self.pool_size = pool_size or os.cpu_count() or 1
         self.cache = cache if cache is not None else PlanCache()
-        self.coalesce = coalesce
         self._pool = ThreadPoolExecutor(
             max_workers=self.pool_size, thread_name_prefix="repro-serve"
         )
@@ -191,7 +186,7 @@ class PlanServer:
         if self._closed:
             raise RuntimeError("PlanServer is shut down")
         _require_request(request)
-        key = request.content_key if (self.coalesce and request.coalesce) else None
+        key = request.content_key if request.coalesce else None
         with self._lock:
             self._submitted += 1
             if key is not None:
@@ -379,9 +374,7 @@ class PlanServer:
         for request in requests:
             _require_request(request)
         if not coalesce:
-            requests = [replace(r, coalesce=False) for r in requests]
-        if not (coalesce and self.coalesce):
-            futures = [self.submit(request) for request in requests]
+            futures = [self.submit(replace(r, coalesce=False)) for r in requests]
             return [future.result() for future in futures]
         if self._closed:
             raise RuntimeError("PlanServer is shut down")
@@ -421,7 +414,7 @@ class PlanServer:
         rep_of: List[int] = []
         first_of: Dict[str, int] = {}
         for request in requests:
-            key = request.content_key if (self.coalesce and request.coalesce) else None
+            key = request.content_key if request.coalesce else None
             rep = first_of.get(key) if key is not None else None
             if rep is None:
                 rep = len(reps)
@@ -687,20 +680,3 @@ def _chain_coalesced(primary: "Future[ServeResult]") -> "Future[ServeResult]":
     primary.add_done_callback(_copy)
     return chained
 
-
-def execute_batch(
-    requests: Sequence[ServeRequest],
-    *,
-    pool_size: Optional[int] = None,
-    cache: Optional[PlanCache] = None,
-    coalesce: bool = True,
-) -> List[ServeResult]:
-    """Run a batch of requests against a transient :class:`PlanServer`.
-
-    Results come back in input order.  For long-lived traffic keep a
-    :class:`PlanServer` (or a replicated :class:`~repro.serve.frontend.Frontend`)
-    instead — its plan cache, shared tries and step-result cache stay warm
-    across batches.
-    """
-    with PlanServer(pool_size=pool_size, cache=cache) as server:
-        return server.execute_batch(requests, coalesce=coalesce)

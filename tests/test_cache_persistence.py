@@ -1,27 +1,29 @@
-"""LRU caches, disk persistence, a replica fleet's warm start, and
-exact plan-cache keys across size buckets."""
+"""LRU caches, the one warm-cache bundle (on disk and in a replica
+fleet's process arguments), and exact plan-cache keys across size buckets."""
 
 import pickle
 
 import pytest
 
-from repro.caching import LruCache
+import repro.planner.cache as cache_module
+from repro.caching import LruCache, seal, unseal
 from repro.core.query import FAQQuery, Variable
 from repro.factors.factor import Factor
+from repro.hypergraph import covers
 from repro.hypergraph.covers import (
     clear_rho_star_cache,
     fractional_edge_cover_number,
-    load_rho_star_cache,
     rho_star_cache_info,
-    save_rho_star_cache,
 )
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.planner import PlanCache, plan
 from repro.planner.cache import (
     _PLAN_CACHE_KIND,
     CachedPlan,
+    adopt_warm_sections,
     load_planner_caches,
     save_planner_caches,
+    warm_sections,
 )
 from repro.planner.signature import SIGNATURE_VERSION, query_signature
 from repro.semiring.aggregates import SemiringAggregate
@@ -56,35 +58,51 @@ def test_lru_cache_counters_and_clear():
     assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
-def test_lru_cache_save_load_roundtrip(tmp_path):
-    cache = LruCache(maxsize=8)
-    cache.put(("k", 1), 1.5)
-    cache.put(("k", 2), 2.5)
-    path = tmp_path / "cache.pkl"
-    assert cache.save(path, kind="t", version=1) == 2
-    fresh = LruCache(maxsize=8)
-    assert fresh.load(path, kind="t", version=1) == 2
-    assert fresh.get(("k", 2)) == 2.5
-    # Mismatched kind or version discards the file wholesale.
-    assert LruCache(4).load(path, kind="other", version=1) == 0
-    assert LruCache(4).load(path, kind="t", version=2) == 0
-    assert LruCache(4).load(tmp_path / "missing.pkl", kind="t", version=1) == 0
+def _saved_bundle(directory):
+    """The sections the file of :func:`save_planner_caches` holds."""
+    with open(directory / cache_module._WARM_CACHES_FILE, "rb") as handle:
+        return unseal(handle.read(), **cache_module._WARM_CACHES_TAGS)
 
 
-def test_lru_cache_load_rejects_unchecksummed_legacy_file(tmp_path):
-    """Entries inline, no SHA-256: nothing certifies the file is not torn or
-    bit-rotted, so right kind + version or not, it adopts nothing."""
-    path = tmp_path / "legacy.pkl"
-    with open(path, "wb") as handle:
-        pickle.dump({"kind": "t", "version": 1, "entries": [("k", 1.5)]}, handle)
-    cache = LruCache(maxsize=4)
-    cache.put("mine", 7)
-    assert cache.load(path, kind="t", version=1) == 0
-    assert list(cache.items()) == [("mine", 7)]
+def test_load_planner_caches_is_best_effort(tmp_path):
+    """A torn, foreign, missing or stale-format file adopts nothing and
+    leaves the caches as they were; a sound one adopts everything."""
+    cache = PlanCache()
+    plan(_chain_query(), cache=cache)
+    good = tmp_path / "good"
+    counts = save_planner_caches(good, plan_cache=cache)
+    assert counts["plans"] == 1 and counts["rho_star"] == len(_saved_bundle(good)["rho_star"]["entries"])
+    raw = (good / cache_module._WARM_CACHES_FILE).read_bytes()
+    sections = _saved_bundle(good)
+
+    def write(name, data):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / cache_module._WARM_CACHES_FILE).write_bytes(data)
+        return directory
+
+    cases = {
+        "torn": write("torn", raw[: len(raw) // 2]),
+        "bit-rot": write("bit-rot", raw[:-1] + bytes([raw[-1] ^ 0xFF])),
+        "foreign": write("foreign", seal(sections, kind="repro-serve-snapshot", version=1)),
+        # the envelope's own version moves only with the bundle's layout
+        "stale": write("stale", seal(sections, kind="repro-planner-caches", version=0)),
+        # entries inline, no SHA-256: nothing certifies the file is whole
+        "legacy": write("legacy", pickle.dumps(sections)),
+        "missing": tmp_path / "never-saved",
+    }
+    for name, directory in cases.items():
+        fresh = PlanCache()
+        fresh.store(("mine",), "kept")
+        assert load_planner_caches(directory, plan_cache=fresh) == {"plans": 0, "rho_star": 0}, name
+        assert len(fresh) == 1 and fresh.lookup(("mine",)) == "kept", name
+    fresh = PlanCache()
+    assert load_planner_caches(good, plan_cache=fresh) == counts
+    assert plan(_chain_query(), cache=fresh).cache_hit
 
 
 # ---------------------------------------------------------------------- #
-# the ρ* memo is now a real LRU and persists
+# the ρ* memo is a real LRU and persists
 # ---------------------------------------------------------------------- #
 def test_rho_star_memo_is_lru_and_persists(tmp_path):
     clear_rho_star_cache()
@@ -97,12 +115,11 @@ def test_rho_star_memo_is_lru_and_persists(tmp_path):
     assert fractional_edge_cover_number(hypergraph) == pytest.approx(1.5)
     assert rho_star_cache_info()["hits"] >= 1
 
-    path = tmp_path / "rho.pkl"
-    written = save_rho_star_cache(path)
+    written = save_planner_caches(tmp_path, plan_cache=PlanCache())["rho_star"]
     assert written == rho_star_cache_info()["size"]
     clear_rho_star_cache()
     assert rho_star_cache_info()["size"] == 0
-    assert load_rho_star_cache(path) == written
+    assert load_planner_caches(tmp_path, plan_cache=PlanCache())["rho_star"] == written
     before = rho_star_cache_info()["misses"]
     assert fractional_edge_cover_number(hypergraph) == pytest.approx(1.5)
     assert rho_star_cache_info()["misses"] == before  # served from the memo
@@ -110,20 +127,19 @@ def test_rho_star_memo_is_lru_and_persists(tmp_path):
 
 def test_rho_star_spill_of_version_1_adopts_nothing(tmp_path):
     """Version 1 keyed the memo by frozensets of named edges; version 2 keys
-    it by relabelled int masks, so a version-1 file or warm section — whose
-    keys no lookup could hit — is adopted by nothing."""
-    from repro.hypergraph import covers
-
+    it by relabelled int masks, so a version-1 section — whose keys no
+    lookup could hit — is adopted by nothing, from a file or in memory."""
     assert covers._RHO_STAR_VERSION == 2
-    legacy = LruCache(maxsize=4)
-    legacy.put(frozenset({frozenset("ab"), frozenset("bc"), frozenset("ac")}), 1.5)
-    path = tmp_path / "rho-v1.pkl"
-    legacy.save(path, kind=covers._RHO_STAR_KIND, version=1)
-    section = legacy.dump_entries(kind=covers._RHO_STAR_KIND, version=1)
+    clear_rho_star_cache()
+    covers._RHO_STAR_CACHE.put(frozenset({frozenset("ab"), frozenset("bc"), frozenset("ac")}), 1.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(covers, "_RHO_STAR_VERSION", 1)
+        section = warm_sections(None)
+        assert save_planner_caches(tmp_path, plan_cache=PlanCache())["rho_star"] == 1
 
     clear_rho_star_cache()
-    assert load_rho_star_cache(path) == 0
-    assert covers.adopt_rho_star_section(section) == 0
+    assert load_planner_caches(tmp_path, plan_cache=PlanCache())["rho_star"] == 0
+    assert adopt_warm_sections(section, PlanCache())["rho_star"] == 0
     assert rho_star_cache_info()["size"] == 0
 
 
@@ -200,13 +216,12 @@ def test_alternating_far_drift_workloads_do_not_thrash():
 def test_persisted_plans_invalidate_on_version_mismatch(tmp_path, monkeypatch):
     cache = PlanCache()
     plan(_chain_query(), cache=cache)
-    path = tmp_path / "plans.pkl"
-    assert cache.save(path) >= 1
-    import repro.planner.cache as cache_module
+    assert save_planner_caches(tmp_path, plan_cache=cache)["plans"] >= 1
 
     monkeypatch.setattr(cache_module, "SIGNATURE_VERSION", 999)
     fresh = PlanCache()
-    assert fresh.load(path) == 0
+    assert load_planner_caches(tmp_path, plan_cache=fresh)["plans"] == 0
+    assert len(fresh) == 0
 
 
 def test_version_3_plan_spill_adopts_nothing(tmp_path):
@@ -215,16 +230,17 @@ def test_version_3_plan_spill_adopts_nothing(tmp_path):
     section is adopted, while the same entries at the current version are."""
     assert SIGNATURE_VERSION == 5
     signature, _ = query_signature(_chain_query())
-    stale = LruCache(maxsize=4)
-    stale.put((signature, "search", "variable-elimination", None), "variable-elimination")
-    path = tmp_path / "plans.pkl"
-    stale.save(path, kind=_PLAN_CACHE_KIND, version=3)
+    stale = PlanCache()
+    stale.store((signature, "search", "variable-elimination", None), "variable-elimination")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_module, "SIGNATURE_VERSION", 3)
+        section = warm_sections(stale)
+        save_planner_caches(tmp_path, plan_cache=stale)
     fresh = PlanCache()
-    assert fresh.load(path) == 0
-    assert fresh.adopt_section(stale.dump_entries(kind=_PLAN_CACHE_KIND, version=3)) == 0
+    assert load_planner_caches(tmp_path, plan_cache=fresh)["plans"] == 0
+    assert adopt_warm_sections(section, fresh)["plans"] == 0
     assert len(fresh) == 0
-    current = stale.dump_entries(kind=_PLAN_CACHE_KIND, version=SIGNATURE_VERSION)
-    assert fresh.adopt_section(current) == 1
+    assert adopt_warm_sections(warm_sections(stale), fresh)["plans"] == 1
 
 
 def test_version_4_plan_spill_adopts_nothing(tmp_path):
@@ -239,11 +255,9 @@ def test_version_4_plan_spill_adopts_nothing(tmp_path):
         ordering_indices=tuple(range(len(canon))),
         estimated_cost=1.0, faq_width=1.0,
     ))
-    path = tmp_path / "plans.pkl"
-    stale.save(path, kind=_PLAN_CACHE_KIND, version=4)
+    section = {"plans": stale.dump_entries(kind=_PLAN_CACHE_KIND, version=4)}
     fresh = PlanCache()
-    assert fresh.load(path) == 0
-    assert fresh.adopt_section(stale.dump_entries(kind=_PLAN_CACHE_KIND, version=4)) == 0
+    assert adopt_warm_sections(section, fresh)["plans"] == 0
     assert len(fresh) == 0
     assert not plan(query, cache=fresh).cache_hit
 
@@ -252,22 +266,61 @@ def test_version_4_plan_spill_adopts_nothing(tmp_path):
 # a replica fleet's warm start
 # ---------------------------------------------------------------------- #
 def test_cache_section_dump_and_adopt():
-    from repro.hypergraph.covers import (
-        adopt_rho_star_section,
-        dump_rho_star_section,
-    )
-
     query = _random_query("max-product", 9)
     cache = PlanCache()
     plan(query, cache=cache)  # warms both the plan cache and the rho* memo
-    plans = cache.dump_section()
-    assert plans["entries"], "planning should have cached a plan"
+    sections = warm_sections(cache)
+    plans, rho = len(sections["plans"]["entries"]), len(sections["rho_star"]["entries"])
+    assert plans, "planning should have cached a plan"
     other = PlanCache()
-    assert other.adopt_section(plans) == len(plans["entries"])
-    assert other.adopt_section({"kind": "wrong", "version": 0, "entries": []}) == 0
-    rho = dump_rho_star_section()
-    assert adopt_rho_star_section(rho) == len(rho["entries"])
-    assert adopt_rho_star_section(None) == 0
+    assert adopt_warm_sections(sections, other) == {"plans": plans, "rho_star": rho}
+    wrong = {"plans": {"kind": "wrong", "version": 0, "entries": []}}
+    assert adopt_warm_sections(wrong, other) == {"plans": 0, "rho_star": 0}
+    assert adopt_warm_sections(None, other) == {"plans": 0, "rho_star": 0}
+    assert "plans" not in warm_sections(None)
+
+
+def test_replica_arguments_and_saved_file_hold_one_bundle(tmp_path):
+    """The bytes a Frontend hands its replicas and the file
+    save_planner_caches writes are the same bundle, and a stale section — a
+    SIGNATURE_VERSION-4 plan section, a version-1 ρ* section — adopts
+    nothing from either while its sound sibling still does."""
+    from repro.serve.frontend import _warm_caches
+    from repro.serve.replica import ReplicaHandle
+
+    cache = PlanCache()
+    plan(_random_query("max-product", 9), cache=cache)
+
+    def bundles(name):
+        directory = tmp_path / name
+        save_planner_caches(directory, plan_cache=cache)
+        arguments = _warm_caches(cache)
+        assert repr(pickle.loads(arguments)) == repr(_saved_bundle(directory))
+        return directory, arguments
+
+    current = bundles("current")
+    counts = {name: len(section["entries"]) for name, section in _saved_bundle(current[0]).items()}
+    assert counts["plans"] and counts["rho_star"]
+    stale = {}
+    for name, owner, attribute, version in (
+        ("plans", cache_module, "SIGNATURE_VERSION", 4),
+        ("rho_star", covers, "_RHO_STAR_VERSION", 1),
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, attribute, version)
+            stale[name] = bundles(name)
+
+    replica = ReplicaHandle(0, warm_caches=current[1])
+    try:
+        assert replica.ping()["shared_cache_adopted"] == sum(counts.values())
+        for name, (directory, arguments) in stale.items():
+            expected = dict(counts, **{name: 0})
+            assert load_planner_caches(directory, plan_cache=PlanCache()) == expected
+            replica.warm_caches = arguments
+            replica.restart()
+            assert replica.ping()["shared_cache_adopted"] == sum(expected.values())
+    finally:
+        replica.close()
 
 
 def test_cold_replica_adopts_fleet_warm_caches():

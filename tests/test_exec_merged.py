@@ -430,6 +430,29 @@ def test_plan_server_result_cache_answers_repeat_traffic():
     assert stats["result_cache_hits"] == 1
 
 
+def test_an_opted_out_repeat_shares_nothing_with_a_result_cache():
+    """The one sharing switch is the request's: after a shared run filled
+    the caches, a ``coalesce=False`` repeat through a result-caching server
+    is executed again, privately — no result-cache answer, no step-cache
+    lookup, nothing counted as coalesced."""
+    query = _chain_family("counting")[0]
+    want = inside_out(query, ordering=list(_ORDER))
+    with PlanServer(cache_results=True) as server:
+        server.execute_request(ServeRequest(query=query, options=_serve_options()))
+        before = server.stats()
+        private = [
+            server.execute_request(
+                ServeRequest(query=query, coalesce=False, options=_serve_options())
+            )
+            for _ in range(2)
+        ]
+        after = server.stats()
+    assert all(r.factor.table == want.factor.table and not r.coalesced for r in private)
+    assert after["result_cache_hits"] == after["coalesced"] == 0
+    for counter in ("step_cache_entries", "step_cache_computed", "step_cache_replayed"):
+        assert after[counter] == before[counter], counter
+
+
 # ---------------------------------------------------------------------- #
 # plan estimates vs observed sizes
 # ---------------------------------------------------------------------- #

@@ -82,7 +82,6 @@ SERVE_EXPORTS = {
     "RetryPolicy",
     "SnapshotStore",
     "PlanServer",
-    "execute_batch",
     "Frontend",
     "ReplicaSet",
     "ReplicaHandle",
@@ -103,17 +102,13 @@ EXEC_EXPORTS = {
 
 # Every option (parameter or config field) of the serving entry points.
 OPTIONS = {
-    "PlanServer": (
-        "pool_size", "cache", "coalesce", "cache_results", "snapshot_store",
-    ),
+    "PlanServer": ("pool_size", "cache", "cache_results", "snapshot_store"),
     "Frontend": (
         "replicas", "start_method", "max_pending", "tenant_limit",
-        "health_interval", "coalesce", "plan_cache", "retry",
-        "snapshot_dir", "fault_plan",
+        "health_interval", "plan_cache", "retry", "snapshot_dir", "fault_plan",
     ),
-    "execute_batch": ("pool_size", "cache", "coalesce"),
     "EngineConfig": (
-        "pool_size", "replicas", "coalesce", "plan_cache_size",
+        "pool_size", "replicas", "plan_cache_size",
         "start_method", "max_pending", "tenant_limit", "health_interval",
     ),
     "PlanCache": ("maxsize",),
@@ -127,7 +122,6 @@ def _parameters(function, *skip):
 def test_options_census_matches_snapshot():
     assert _parameters(repro.serve.PlanServer.__init__, "self") == OPTIONS["PlanServer"]
     assert _parameters(repro.serve.Frontend.__init__, "self") == OPTIONS["Frontend"]
-    assert _parameters(repro.serve.execute_batch, "requests") == OPTIONS["execute_batch"]
     assert (
         tuple(f.name for f in dataclasses.fields(repro.EngineConfig))
         == OPTIONS["EngineConfig"]
@@ -230,7 +224,7 @@ def test_workers_mode_is_gone_not_shimmed():
     from repro.exec import DagExecutor
     from repro.planner import execute
     from repro.semiring.standard import COUNTING
-    from repro.serve import Frontend, PlanServer, execute_batch
+    from repro.serve import Frontend, PlanServer
     from repro.serve.replica import ReplicaHandle, ReplicaSet, _replica_main
     from repro.solvers import counting, csp, joins, logic, matrix, pgm, sat
 
@@ -253,7 +247,6 @@ def test_workers_mode_is_gone_not_shimmed():
         lambda: repro.IncrementalView(query, workers=2),
         lambda: repro.IncrementalView.restore(view.dump_state(), workers=2),
         lambda: PlanServer(workers=2),
-        lambda: execute_batch([], workers=2),
         lambda: Frontend(replicas=1, workers=2),
         lambda: ReplicaSet(1, workers=2),
         lambda: ReplicaHandle(0, workers=2),
@@ -312,6 +305,44 @@ def test_idle_planner_state_is_gone_not_shimmed():
     assert not {"drifted", "cache_key"} & {f.name for f in dataclasses.fields(repro.Plan)}
     with repro.serve.PlanServer() as server:
         assert "plan_replans" not in server.stats()
+
+
+def test_tier_wide_sharing_defaults_and_disk_cache_path_are_gone_not_shimmed():
+    """``ServeRequest.coalesce`` is the only sharing switch, and the warm
+    planner caches have one format (``warm_sections``) whether they travel
+    to a replica or to disk; the second ways were removed without a
+    deprecation path."""
+    import repro.exec
+    from repro.caching import LruCache
+    from repro.hypergraph import covers
+    from repro.planner import cache
+
+    with pytest.raises(TypeError):
+        repro.serve.PlanServer(coalesce=False)
+    with pytest.raises(TypeError):
+        repro.serve.Frontend(replicas=1, coalesce=False)
+    with pytest.raises(TypeError):
+        repro.EngineConfig(coalesce=False)
+    assert not hasattr(repro.serve, "execute_batch")
+    assert not hasattr(repro.serve.server, "execute_batch")
+    for owner in (LruCache, repro.PlanCache):
+        assert not hasattr(owner, "save") and not hasattr(owner, "load")
+    assert not hasattr(repro.PlanCache, "dump_section")
+    assert not hasattr(repro.PlanCache, "adopt_section")
+    assert not hasattr(covers, "save_rho_star_cache")
+    assert not hasattr(covers, "load_rho_star_cache")
+    assert not hasattr(cache, "_PLAN_CACHE_FILE") and not hasattr(cache, "_RHO_STAR_FILE")
+    assert not hasattr(repro.exec.StepDag, "dependents")
+
+
+def test_one_warm_cache_bundle():
+    """Only ``planner/cache.py`` knows the warm-cache bundle, and it is the
+    one writer of a sealed file outside the envelope's own module and the
+    serving tier's snapshot store."""
+    makers = {line.split(":")[0] for line in _source_lines(r"warm_sections\(")}
+    assert makers == {"planner/cache.py", "serve/frontend.py", "serve/replica.py"}, makers
+    writers = {line.split(":")[0] for line in _source_lines(r"\b(seal|write_atomic)\(")}
+    assert writers == {"caching.py", "planner/cache.py", "serve/snapshot.py"}, writers
 
 
 def test_one_elimination_loop():

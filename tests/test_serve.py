@@ -13,7 +13,7 @@ from repro.core.insideout import inside_out
 from repro.core.query import QueryError
 from repro.factors.backend import BACKEND_FLAT, BackendPolicy
 from repro.planner import PlanCache, STRATEGY_INSIDEOUT, plan
-from repro.serve import PlanServer, ServeRequest, ServeResult, execute_batch
+from repro.serve import PlanServer, ServeRequest, ServeResult
 
 from _helpers import on_threads
 from test_flat_kernel import _chain_query, _check_answer, _filtering_chain_query
@@ -38,7 +38,8 @@ def _requests(queries, **kwargs):
 def test_execute_batch_preserves_input_order():
     unique, traffic = _traffic()
     expected = {id(q): _reference(q) for q in unique}
-    results = execute_batch(_requests(traffic), pool_size=3)
+    with PlanServer(pool_size=3) as server:
+        results = server.execute_batch(_requests(traffic))
     assert len(results) == len(traffic)
     for query, result in zip(traffic, results):
         assert isinstance(result, ServeResult)
@@ -408,7 +409,8 @@ def test_trie_counters_survive_lru_eviction(monkeypatch):
 def test_a_two_thread_pool_serves_a_batch():
     unique, traffic = _traffic(num_unique=2, repeats=2)
     expected = {id(q): _reference(q) for q in unique}
-    results = execute_batch(_requests(traffic), pool_size=2)
+    with PlanServer(pool_size=2) as server:
+        results = server.execute_batch(_requests(traffic))
     for query, result in zip(traffic, results):
         assert result.factor.table == expected[id(query)].table
 
@@ -418,7 +420,8 @@ def test_batch_with_factorized_output_mode():
     requests = _requests(
         unique, output_mode="factorized", options={"strategy": STRATEGY_INSIDEOUT}
     )
-    results = execute_batch(requests, pool_size=2)
+    with PlanServer(pool_size=2) as server:
+        results = server.execute_batch(requests)
     for result in results:
         assert result.factor is None
         assert result.factorized is not None
@@ -532,5 +535,3 @@ def test_bare_query_is_refused_with_typed_error():
         with pytest.raises(QueryError, match="ServeRequest"):
             server.execute_batch([query, query])
         assert server.stats()["submitted"] == 0
-    with pytest.raises(QueryError, match="ServeRequest"):
-        execute_batch([query])
