@@ -114,10 +114,6 @@ class LruCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The value for ``key`` (counted + marked most recently used)."""
         with self._lock:

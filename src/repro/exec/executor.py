@@ -185,12 +185,6 @@ class StepResultCache:
         if event is not None:
             event.set()
 
-    def clear(self) -> None:
-        self._entries.clear()
-        with self._lock:
-            self.computed = 0
-            self.replayed = 0
-
     def stats(self) -> Dict[str, int]:
         return {
             "entries": len(self._entries),

@@ -138,8 +138,8 @@ class Factor:
         return factor
 
     def __getstate__(self):
-        # The bucket key sets index this process's rows: at most the bucket
-        # digests cross a process boundary.
+        # The buckets' encoded rows are this process's cache: at most the
+        # bucket digests cross a process boundary.
         state = {slot: getattr(self, slot, None) for slot in self.__slots__}
         if self._buckets is not None:
             state["_buckets"] = self._buckets.portable()
@@ -215,8 +215,8 @@ class Factor:
         bucket table and the changed keys — no reference to ``self`` — and
         naming it re-hashes only the buckets those keys fall in.  Such a
         result comes back frozen, since the derivation certifies exactly
-        the table built here.  The first child of a lineage builds the
-        parent's per-bucket key sets, one pass over its keys.
+        the table built here.  The first child of a lineage encodes the
+        parent's keys into their buckets, one pass over its table.
 
         A result cell is either one of ``self``'s or a non-zero change, so
         when ``self`` is known to list no zero of ``semiring``

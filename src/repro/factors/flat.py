@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -356,6 +356,26 @@ def _encode_dense(dense: DenseFactor, ctx: FlatContext) -> Optional[FlatFactor]:
     if values is None:
         return None
     return FlatFactor(scope, columns, values)
+
+
+def patch_values(flat: FlatFactor, rows: List[int], values: List[Any],
+                 ctx: FlatContext) -> Optional[FlatFactor]:
+    """``flat`` with ``values`` written at ``rows``, frozen, or ``None``.
+
+    The encoding of a table that differs from ``flat``'s in those rows'
+    values alone: the code columns and the memoised join indexes, which
+    depend on codes alone, are shared with ``flat``; the value column is
+    copied.  ``None`` when the new values fail :func:`_value_column`'s
+    exactness rules on their own (a NaN, an int above ``2**53`` for a
+    float column); the caller then encodes the table afresh.
+    """
+    column = _value_column(np.asarray(values), ctx.ops)
+    if column is None:
+        return None
+    patched = FlatFactor(flat.scope, flat.columns, flat.values.copy())
+    patched.values[rows] = column
+    patched._joins = flat._joins
+    return patched.freeze()
 
 
 # ---------------------------------------------------------------------- #

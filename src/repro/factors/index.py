@@ -29,7 +29,8 @@ one entry record per factor, and every kernel reads it through one holder:
   *base* factors that did not change.  Content an update replaces hands
   its entry on (:meth:`SharedTrieCache.derive`): a trie path-copied along
   the delta (Driscoll, Sarnak, Sleator and Tarjan's persistent structures),
-  in a fresh build's order, and the projections while the support stays.
+  in a fresh build's order, and, while the support stays, the projections
+  and the encoding with its changed values patched.
 
 A holder's ``hits``/``misses`` count lookups: a hit is a trie, projection,
 encoding (including a cached "this table has no encoding") or dense array
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.factors.dense import DenseFactor
 from repro.factors.factor import Factor
-from repro.factors.flat import encode_flat, flat_context, stored_encoding
+from repro.factors.flat import FlatFactor, encode_flat, flat_context, patch_values, stored_encoding
 from repro.semiring.base import Semiring
 
 ValueTuple = Tuple[Any, ...]
@@ -238,10 +239,12 @@ class _FactorIndex:
     :class:`~repro.factors.dense.DenseFactor` over the holder's domains).
     ``projections`` maps an overlap set to the entry of the factor's
     indicator projection onto it — itself an entry, whose ``factor`` is
-    filled in by its first lookup.
+    filled in by its first lookup.  ``positions`` maps each key of the
+    factor's table to its row of ``flat``; :meth:`SharedTrieCache.derive`
+    builds it once and hands it on while the support stays.
     """
 
-    __slots__ = ("factor", "trie", "flat", "dense", "projections")
+    __slots__ = ("factor", "trie", "flat", "dense", "projections", "positions")
 
     def __init__(self, factor=None) -> None:
         self.factor = factor
@@ -249,6 +252,7 @@ class _FactorIndex:
         self.flat: Any = None
         self.dense: Optional[DenseFactor] = None
         self.projections: Dict[frozenset, "_FactorIndex"] = {}
+        self.positions: Optional[Dict[ValueTuple, int]] = None
 
 
 def _encoding(cached):
@@ -556,9 +560,14 @@ class SharedTrieCache(TrieCache):
         lineage is swept); otherwise nothing is derived.  The trie is
         path-copied (:meth:`FactorTrie.derive`) unless a change deletes a
         cell: a delete that empties a prefix would move keys, so that trie
-        builds fresh.  The projections are shared when the support is
-        unchanged — every changed key was listed and none is deleted.
-        Encodings and dense arrays build lazily, as for any new content.
+        builds fresh.  While the support is unchanged — every changed key
+        was listed and none is deleted — the projections are shared, and so
+        are the encoding's code columns and join indexes: its value column
+        is copied with the changed rows patched
+        (:func:`~repro.factors.flat.patch_values`), found through a key →
+        row map built on the first such update of a lineage.  An encoding
+        whose new values fail the encoder's exactness rules, and every
+        dense array, build lazily, as for any new content.
         """
         if not (
             isinstance(old, Factor) and isinstance(new, Factor)
@@ -571,12 +580,20 @@ class SharedTrieCache(TrieCache):
             if entry is None or new._digest in self._entries:
                 return
             trie, projections = entry.trie, dict(entry.projections)
+            flat, positions = entry.flat, entry.positions
         derived = _FactorIndex(new)
         if all(map(new.table.__contains__, changes)):  # no change deleted a cell
             if trie is not None and old.scope:
                 derived.trie = trie.derive(new, changes)
             if all(map(old.table.__contains__, changes)):
                 derived.projections = projections
+                # rows follow the table's order: no zero row was dropped
+                if isinstance(flat, FlatFactor) and len(flat) == len(old.table):
+                    if positions is None:
+                        positions = dict(zip(old.table, range(len(flat))))
+                    rows = [positions[key] for key in changes]
+                    derived.flat = patch_values(flat, rows, list(changes.values()), self._flat_ctx)
+                    derived.positions = positions
         with self._lock:
             self._entries.setdefault(new._digest, derived)
 

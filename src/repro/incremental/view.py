@@ -23,12 +23,19 @@ chosen per update from the semiring and the shape of the delta:
   private :class:`~repro.exec.StepResultCache`); only the subgraph
   downstream of the touched base factor recomputes.
 
-All three regimes produce answers bit-identical to a full recomputation
-(the differential tests enforce this cell-for-cell across backends).
-Updates never mutate factors in place — factor tables
-freeze when digested, and the supported update path is
-``Factor.apply_delta`` producing a new factor with a new digest, which is
-what keeps every digest-keyed cache in the engine honest.
+**What "equal to a full recomputation" means.**  For int, boolean and
+idempotent (max, min, or) carriers every regime's answer is ``==`` a full
+recomputation, cell for cell (the differential tests enforce this across
+backends).  A float ⊕-invertible view (sum-product) answers by delta
+propagation, which re-associates the float sums: its answers agree with a
+full recomputation within :meth:`Semiring.values_equal` tolerance
+(:meth:`Factor.equals`), not bit for bit — ROADMAP item 2(b) is where float
+equality gets one definition.
+
+Updates never mutate factors in place — factor tables freeze when
+digested, and the supported update path is ``Factor.apply_delta``
+producing a new factor with a new digest, which is what keeps every
+digest-keyed cache in the engine honest.
 
 **What an update pays for.**  The content that changed, and the steps
 downstream of it.  The standing query holds its (frozen) factors by
@@ -36,27 +43,31 @@ reference, so the n−1 factors an update does not touch are neither copied
 nor swept for zeros nor digested again.  The new factor is zero-free by
 construction (``Factor.apply_delta``) and is named once, by a *derived*
 digest: it carries its parent's bucket table and the changed keys, so
-naming it re-hashes the ≈ √|factor| rows of each bucket a changed cell
-falls in — O(|delta|·√|factor|), not a hash of the whole table (see
+naming it encodes the changed rows alone and re-hashes each bucket one
+falls in from the encoded rows the lineage keeps — O(|delta|) encodings,
+and O(|delta|·√|factor|) bytes hashed in C (see
 :func:`~repro.planner.signature.factor_digest`; the first update of a
-lineage also sorts the parent's keys into their buckets, once).  It is
-held by reference from then on.  The view keeps one
+lineage encodes the parent's keys into their buckets, once, and the first
+update to touch a bucket encodes its values).  It is held by reference
+from then on.  The view keeps one
 :class:`~repro.factors.index.SharedTrieCache` for its pinned ordering and
 hands it to every run, so tries, indicator projections and flat encodings
 of the untouched factors stay warm; it covers exactly the standing
 query's factor contents (the replaced content's entry is dropped with the
 update, a delta factor is never in it).  The new content's index is
-*derived* from the replaced one's (:meth:`~repro.factors.index.SharedTrieCache.derive`):
-a path-copied trie, and the old projections while the support stays, so
-it costs O(|delta|).  Each query the view builds sweeps a frozen factor
-for zeros once (:meth:`Factor.is_pruned`), so from the first update on
-every held factor carries the zero-free memo, children inherit it, and
-index builds skip the per-value zero test.  What is still
-O(|factor|) per update is copying the table, and a fresh trie (projections)
-when a change deletes (adds or deletes) a cell; what is still O(|query|)
-is re-lowering and re-annotating the step DAG — the latter splices each
-variable's memoised domain encoding, so it is O(nodes) once every factor
-is named.
+*derived* from the replaced one's
+(:meth:`~repro.factors.index.SharedTrieCache.derive`): a path-copied trie
+and, while the support stays, the old projections and the old flat
+encoding with the changed values patched into a copy of its value column,
+so its Python work is O(|delta|).  Each query the view builds sweeps a
+frozen factor for zeros once (:meth:`Factor.is_pruned`), so from the
+first update on every held factor carries the zero-free memo, children
+inherit it, and index builds skip the per-value zero test.  What is still
+O(|factor|) per update is copying the table (and, in NumPy, the value
+column), and a fresh trie (projections, encoding) when a change deletes
+(adds or deletes) a cell; what is still O(|query|) is re-lowering and
+re-annotating the step DAG — the latter splices each variable's memoised
+domain encoding, so it is O(nodes) once every factor is named.
 """
 
 from __future__ import annotations
@@ -252,8 +263,8 @@ class IncrementalView:
         """Apply ``delta`` to factor ``index`` and return the fresh answer.
 
         Picks the cheapest sound regime for this update (see the module
-        docstring); the returned factor is bit-identical to a full
-        recomputation of the updated query.
+        docstring); the returned factor equals a full recomputation of the
+        updated query as the module docstring defines it.
         """
         if not 0 <= index < len(self.query.factors):
             raise QueryError(

@@ -318,11 +318,16 @@ def factor_digest(factor: Any) -> str:
     **Derived digests.**  A factor that :meth:`Factor.apply_delta
     <repro.factors.factor.Factor.apply_delta>` built from a digested parent
     with the same B carries the parent's :class:`BucketTable` and the keys
-    the delta changed, not the parent: its digest re-hashes only the
-    buckets those keys fall in — O(|delta|·√n) rows instead of n — and is
-    byte-identical to a fresh digest of the same table.  A delta that
-    writes a key equal to a stored one of another encoding (``True`` for
-    ``1``) gets no derivation, and its child is digested in full.
+    the delta changed (with their encodings), not the parent.  A lineage's
+    bucket tables keep each row's encoding — its key from the lineage's
+    first child on, one pass as sorting the keys into buckets was, and its
+    value from the first child that touches its bucket — so a digest
+    encodes only the changed rows, O(|delta|) encodings instead of n, and
+    re-hashes each bucket they fall in from its stored rows (≈ √n rows of
+    bytes, hashed in C).  It is byte-identical to a fresh digest of the
+    same table.  A delta that writes a key equal to a stored one of another
+    encoding (``True`` for ``1``) gets no derivation, and its child is
+    digested in full.
 
     Digesting **freezes** the factor: every digest-keyed cache (step
     results, shared tries, completed serve results) relies on the digest
@@ -426,60 +431,74 @@ class BucketTable:
 
     ``digests`` holds the B bucket digests, 32 bytes each in bucket order:
     all a fresh digest keeps, and all that crosses a process boundary.
-    ``keys`` — one set of row keys per bucket — stays ``None`` until the
-    first :meth:`child` of a lineage builds it from the table; a derived
-    table shares the sets of the buckets it did not touch with its parent
-    (copy-on-write), so a chain of updates holds one key set per row plus
-    the touched buckets' copies still alive.
+    ``rows`` holds one dict per bucket, from each row key to the bytes
+    :func:`_bucket_digest` hashes for it: its ``key=value`` encoding once
+    ``encoded`` flags the bucket, its ``key=`` prefix before.  Both stay
+    ``None`` until the first :meth:`child` of a lineage builds them from
+    the table in one pass that encodes the keys alone — no more than
+    sorting them into buckets costs — and a child appends the values of a
+    bucket it is the first to touch.  A derived table shares the dicts of
+    the buckets it did not touch with its parent (copy-on-write), so a
+    chain of updates holds one encoding per row plus the touched buckets'
+    copies still alive, and re-hashing an encoded bucket encodes nothing.
     """
 
-    __slots__ = ("digests", "keys")
+    __slots__ = ("digests", "rows", "encoded")
 
-    def __init__(self, digests: bytes, keys: Optional[List[set]] = None) -> None:
+    def __init__(self, digests: bytes, rows: Optional[List[Dict[Any, bytes]]] = None,
+                 encoded: Optional[bytes] = None) -> None:
         self.digests = digests
-        self.keys = keys
+        self.rows = rows
+        self.encoded = encoded
 
     @property
     def count(self) -> int:
         return len(self.digests) // 32
 
     def portable(self) -> "BucketTable":
-        """This table without its key sets (they index this process's rows)."""
-        return self if self.keys is None else BucketTable(self.digests)
+        """This table without its rows (they are this process's cache)."""
+        return self if self.rows is None else BucketTable(self.digests)
 
     def child(self, table: Dict[Any, Any], changed: Iterable[Any], rows: int
               ) -> Optional["BucketDelta"]:
         """What a child of ``table`` — the content this bucket table
         digests — needs to derive its own digest: ``None`` unless the
-        child's ``rows`` keep B.  Builds the key sets on first use.
+        child's ``rows`` keep B.  Builds the keys' encodings on first use.
 
         Also ``None`` when a changed key equals a stored key that encodes
         differently (``True`` and ``1``, ``1.0`` and ``1``, ``-0.0`` and
-        ``0.0``) and so lives in another bucket: the child's table keeps
-        the stored key object, so that other bucket is the one to re-hash.
+        ``0.0``): the child's table keeps the stored key object, whose row
+        — in this bucket or another — is the one to rewrite.  Encodings are
+        prefix-free, so a stored row starts with ``raw=`` exactly when its
+        key encodes as ``raw``.
         """
         count = self.count
         if bucket_count(rows) != count:
             return None
         mask = count - 1
-        keys = self.keys
-        if keys is None:
-            keys = [set() for _ in range(count)]
+        crc32 = zlib.crc32
+        stored = self.rows
+        if stored is None:
+            stored = [{} for _ in range(count)]
             for key in table:
-                keys[zlib.crc32(canonical_bytes(key)) & mask].add(key)
-            self.keys = keys
+                raw = canonical_bytes(key)
+                stored[crc32(raw) & mask][key] = raw + b"="
+            self.encoded = bytes(count)  # before ``rows``: a reader of ``rows`` finds it
+            self.rows = stored
         located = []
         for key in changed:
-            index = zlib.crc32(canonical_bytes(key)) & mask
-            if key in table and key not in keys[index]:
+            raw = canonical_bytes(key)
+            index = crc32(raw) & mask
+            prefix = raw + b"="
+            if key in table and not stored[index].get(key, b"").startswith(prefix):
                 return None
-            located.append((key, index))
+            located.append((key, index, prefix))
         return BucketDelta(self, tuple(located))
 
 
 class BucketDelta:
     """A parent's :class:`BucketTable` and the keys its child changed,
-    each paired with its bucket index.
+    each paired with its bucket index and its ``key=`` encoding.
 
     Held by a factor from :meth:`Factor.apply_delta
     <repro.factors.factor.Factor.apply_delta>` until it is digested; it
@@ -488,7 +507,7 @@ class BucketDelta:
 
     __slots__ = ("parent", "changed")
 
-    def __init__(self, parent: BucketTable, changed: Tuple[Tuple[Any, int], ...]) -> None:
+    def __init__(self, parent: BucketTable, changed: Tuple[Tuple[Any, int, bytes], ...]) -> None:
         self.parent = parent
         self.changed = changed
 
@@ -497,27 +516,33 @@ class BucketDelta:
         return None
 
     def apply(self, table: Dict[Any, Any]) -> BucketTable:
-        """The child's bucket table: the parent's, with every bucket a
-        changed key falls in re-hashed from ``table``."""
+        """The child's bucket table: the parent's, with each changed key's
+        row encoded from ``table`` (or dropped) and every bucket one falls
+        in re-hashed from its stored rows — whose values are encoded first
+        if no earlier child touched that bucket."""
         parent = self.parent
-        keys = list(parent.keys)
+        rows = list(parent.rows)
+        encoded = bytearray(parent.encoded)
         digests = bytearray(parent.digests)
-        touched: Dict[int, set] = {}
-        for key, index in self.changed:
+        touched: Dict[int, Dict[Any, bytes]] = {}
+        for key, index, prefix in self.changed:
             bucket = touched.get(index)
             if bucket is None:
-                bucket = touched[index] = set(keys[index])
+                if encoded[index]:
+                    bucket = dict(rows[index])
+                else:
+                    bucket = {k: p + canonical_bytes(table[k])
+                              for k, p in rows[index].items() if k in table}
+                    encoded[index] = 1
+                touched[index] = bucket
             if key in table:
-                bucket.add(key)
+                bucket[key] = prefix + canonical_bytes(table[key])
             else:
-                bucket.discard(key)
+                bucket.pop(key, None)
         for index, bucket in touched.items():
-            keys[index] = bucket
-            digests[32 * index:32 * (index + 1)] = _bucket_digest(
-                canonical_bytes(key) + b"=" + canonical_bytes(table[key])
-                for key in bucket
-            )
-        return BucketTable(bytes(digests), keys)
+            rows[index] = bucket
+            digests[32 * index:32 * (index + 1)] = _bucket_digest(bucket.values())
+        return BucketTable(bytes(digests), rows, bytes(encoded))
 
 
 def query_content_key(query: FAQQuery) -> str:

@@ -12,21 +12,31 @@ Covers, in order:
   included, and the answer is ``==`` a full recompute;
 * a view that derives answers ``==`` one that builds every entry fresh,
   on floats that do not sum exactly (iteration order decides the folds);
-* a single-cell value update after warm-up builds no base trie and no
-  base projection, neither in its own run nor in the next run that reads
-  the new content;
+* a derived flat encoding equals a fresh ``encode_flat`` of the new
+  content — columns, values, dtypes and every join index it shares — and
+  the store encodes afresh instead when the support moves or a new value
+  fails the encoder's exactness rules;
+* a single-cell value update after warm-up builds no base trie, no base
+  projection and (on the flat kernel) no base encoding, neither in its own
+  run nor in the next run that reads the new content;
 * the soak: 2 000 updates over three views (marked ``slow``).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.insideout import inside_out
 from repro.core.query import FAQQuery, Variable
+from repro.exec import executor as executor_module
 from repro.factors import Factor, FactorDelta, as_sparse
+from repro.factors import flat as flat_module
 from repro.factors import index as index_module
+from repro.factors.backend import BackendPolicy
+from repro.factors.flat import FlatFactor, encode_flat
 from repro.factors.index import SharedTrieCache, build_trie
+from repro.planner.signature import factor_digest
 from repro.incremental import IncrementalView
 from repro.semiring.aggregates import SemiringAggregate
 from repro.semiring.standard import COUNTING, MAX_PRODUCT, SUM_PRODUCT
@@ -101,12 +111,39 @@ def _recomputed(view):
     return as_sparse(result.factor, view.query.semiring).normalize_scope(view.query.free)
 
 
+def _assert_same_encoding(stored, fresh, ctx):
+    """``stored`` equals the fresh encoding bit for bit, join indexes too."""
+    assert stored.scope == fresh.scope and list(stored.columns) == list(fresh.columns)
+    for variable, column in fresh.columns.items():
+        assert stored.columns[variable].dtype == column.dtype
+        assert np.array_equal(stored.columns[variable], column)
+    assert stored.values.dtype == fresh.values.dtype
+    assert stored.values.tobytes() == fresh.values.tobytes()
+    assert not stored.values.flags.writeable
+    for shared, index in list(stored._joins.items()):
+        for built, rebuilt in zip(index, fresh.join_index(shared, ctx)):
+            assert (built is None) == (rebuilt is None)
+            assert built is None or np.array_equal(built, rebuilt)
+
+
 def _check_entries(view):
-    """Every stored trie and projection equals a fresh build, in order.
-    Returns how many were compared."""
+    """Every stored trie, projection and encoding equals a fresh build, in
+    order.  Returns how many were compared.
+
+    Then leaves each standing factor an encoding with a join index (when
+    the semiring has one): these views are too small for the flat kernel
+    to encode anything, and the next update derives from what is stored.
+    """
     semiring = view.query.semiring
+    ctx = view._tries.flat_context(view.query.domains())
     compared = 0
     for factor in view.query.factors:
+        if ctx is not None:
+            entry = view._tries._entries.get(factor._digest)
+            if entry is not None and isinstance(entry.flat, FlatFactor):
+                _assert_same_encoding(entry.flat, encode_flat(factor, ctx), ctx)
+                compared += 1
+            view._tries.flat(factor, ctx).join_index(factor.scope[:1], ctx)
         entry = view._tries._entries.get(factor._digest)
         if entry is None:
             continue
@@ -143,9 +180,25 @@ def _count_derivations(monkeypatch):
     return derived
 
 
+def _count_patches(monkeypatch):
+    """Count the encodings :func:`repro.factors.flat.patch_values` derives."""
+    patched = []
+    original = index_module.patch_values
+
+    def spy(*args):
+        flat = original(*args)
+        if flat is not None:
+            patched.append(flat)
+        return flat
+
+    monkeypatch.setattr(index_module, "patch_values", spy)
+    return patched
+
+
 @pytest.mark.parametrize("kind", sorted(VIEWS))
 def test_derived_entries_equal_a_fresh_build(monkeypatch, kind):
     derived = _count_derivations(monkeypatch)
+    patched = _count_patches(monkeypatch)
     rng = random.Random(41)
     draw = VIEWS[kind][2]
     view = IncrementalView(_view_query(kind, seed=7))
@@ -159,6 +212,9 @@ def test_derived_entries_equal_a_fresh_build(monkeypatch, kind):
     assert view.stats.full_runs == 1
     assert compared > 100
     assert len(derived) > 20  # the stream did exercise the derivation
+    # the float views encode (counting has no flat encoding); most of the
+    # stream's updates keep the support, so their encodings are patched
+    assert (len(patched) > 30) if kind != "counting" else not patched
 
 
 def test_deriving_view_answers_equal_a_fresh_building_view(monkeypatch):
@@ -201,8 +257,12 @@ def test_deriving_view_answers_equal_a_fresh_building_view(monkeypatch):
 def test_single_cell_value_update_builds_no_base_index(monkeypatch, kind):
     """Counted with spies: neither the update's own run nor the next runs,
     which read the new content, build a trie or a projection of a base
-    factor (a delta factor's own index is built, as before)."""
+    factor (a delta factor's own index is built, as before).  The
+    max-product view runs its steps on the flat kernel (its row threshold
+    lowered to one) and encodes no base factor either."""
     rng = random.Random(3)
+    if kind == "max-product":
+        monkeypatch.setattr(executor_module, "DEFAULT_POLICY", BackendPolicy(flat_min_rows=1))
     view = IncrementalView(_view_query(kind, seed=11))
     view.result()
     # Warm-up: one value update of each factor, so every trie and projection
@@ -212,8 +272,9 @@ def test_single_cell_value_update_builds_no_base_index(monkeypatch, kind):
             cell = next(iter(factor.table))
             view.update_factor(index, FactorDelta(factor.scope, {cell: factor.table[cell] * 2}))
 
-    bases, built, projected = [], [], []  # bases holds the factors: ids stay unique
+    bases, built, projected, encoded = [], [], [], []  # bases holds the factors: ids stay unique
     original_build, original_project = index_module.build_trie, Factor.indicator_projection
+    original_encode = flat_module._encode_listing
 
     def build_spy(factor, order, semiring):
         built.append(factor)
@@ -223,8 +284,13 @@ def test_single_cell_value_update_builds_no_base_index(monkeypatch, kind):
         projected.append(factor)
         return original_project(factor, target, semiring)
 
+    def encode_spy(factor, ctx):
+        encoded.append(factor)
+        return original_encode(factor, ctx)
+
     monkeypatch.setattr(index_module, "build_trie", build_spy)
     monkeypatch.setattr(Factor, "indicator_projection", project_spy)
+    monkeypatch.setattr(flat_module, "_encode_listing", encode_spy)
     for index in (0, 1, 2, 0):
         factor = view.query.factors[index]
         cell = rng.choice(list(factor.table))
@@ -234,9 +300,48 @@ def test_single_cell_value_update_builds_no_base_index(monkeypatch, kind):
     base_ids = {id(f) for f in bases}
     assert not [f for f in built if id(f) in base_ids]
     assert not [f for f in projected if id(f) in base_ids]
+    assert not [f for f in encoded if id(f) in base_ids]
+    assert bool(encoded) == (kind == "max-product")  # a delta factor's, on the flat kernel
     monkeypatch.undo()
     assert view.result().table == _recomputed(view).table
     _check_entries(view)
+
+
+@pytest.mark.parametrize("change", ["value", "insert", "delete", "nan", "int-above-2**53"])
+def test_an_encoding_is_patched_only_while_the_support_and_exactness_hold(change):
+    """A value change gets a patched encoding that shares the codes and the
+    join indexes; an insert, a delete, a NaN and an int a float column
+    cannot hold exactly get none, and their first lookup encodes afresh."""
+    semiring = SUM_PRODUCT
+    cells = [(a, b) for a in range(DOMAIN) for b in range(DOMAIN) if (a + b) % 3]
+    old = Factor(("a", "b"), {cell: 0.5 + sum(cell) for cell in cells})
+    factor_digest(old)
+    assert old.is_pruned(semiring)
+    store = SharedTrieCache(("a", "b"), semiring, [old])
+    ctx = store.flat_context({v: tuple(range(DOMAIN)) for v in "ab"})
+    encoding = store.flat(old, ctx)
+    encoding.join_index(("a",), ctx)
+    listed, unlisted = (0, 1), (0, 0)
+    changes = {
+        "value": {listed: 7.25}, "insert": {unlisted: 2.0}, "delete": {listed: 0.0},
+        "nan": {listed: float("nan")}, "int-above-2**53": {listed: 2**53 + 1},
+    }[change]
+    new = old.apply_delta(FactorDelta(old.scope, changes), semiring)
+    factor_digest(new)
+    store.derive(old, new, changes)
+    store.cover([new])
+    entry = store._entries[new._digest]
+    fresh = encode_flat(new, ctx)
+    if change == "value":
+        assert entry.flat.columns is encoding.columns and entry.flat._joins is encoding._joins
+        _assert_same_encoding(entry.flat, fresh, ctx)
+        return
+    assert entry.flat is None
+    stored = store.flat(new, ctx)
+    if change == "nan":
+        assert stored is fresh is None  # the encoder refuses a NaN too
+    else:
+        _assert_same_encoding(stored, fresh, ctx)
 
 
 @pytest.mark.parametrize("kind", sorted(VIEWS))

@@ -459,6 +459,45 @@ def test_update_stream_stays_exact_and_store_stays_live(semiring, factory):
     assert len(view.stats.regimes) == (1 if semiring is COUNTING else 2)
 
 
+def test_a_float_delta_stream_stays_within_value_tolerance():
+    """The float contract: 200 seeded sum-product updates of a 3-factor
+    chain with non-dyadic weights, answered by delta propagation.  The
+    corrected answer re-associates the float sums, so it need not equal a
+    full recomputation bit for bit; it must stay within
+    ``Semiring.values_equal`` of one (``Factor.equals``) after every update."""
+    import random
+
+    rng = random.Random(200)
+    names = "abcd"
+    factors = [
+        Factor((x, y), {
+            (i, j): rng.uniform(0.1, 3.0)
+            for i in range(4) for j in range(4) if rng.random() < 0.7
+        })
+        for x, y in zip(names, names[1:])
+    ]
+    view = IncrementalView(FAQQuery(
+        variables=[Variable(v, tuple(range(4))) for v in names],
+        free=["a"],
+        aggregates={v: SemiringAggregate.sum() for v in names[1:]},
+        factors=factors,
+        semiring=SUM_PRODUCT,
+    ))
+    view.result()
+    for _ in range(200):
+        index = rng.randrange(len(view.query.factors))
+        changes = {
+            (rng.randrange(4), rng.randrange(4)):
+                0.0 if rng.random() < 0.15 else rng.uniform(0.1, 3.0)
+            for _ in range(rng.randint(1, 3))
+        }
+        out = view.update_factor(index, FactorDelta(view.query.factors[index].scope, changes))
+        recomputed = as_sparse(inside_out(view.query).factor, SUM_PRODUCT)
+        assert out.equals(recomputed.normalize_scope(view.query.free), SUM_PRODUCT)
+    assert view.stats.regimes.get(REGIME_DELTA, 0) > 150
+    assert view.stats.full_runs == 1
+
+
 def test_restored_view_resumes_without_a_full_run():
     """The index store is runtime-only: a restored view starts with an empty
     one, refills it as updates run, and never recomputes from scratch.  Its

@@ -335,6 +335,16 @@ def test_tier_wide_sharing_defaults_and_disk_cache_path_are_gone_not_shimmed():
     assert not hasattr(repro.exec.StepDag, "dependents")
 
 
+def test_unreached_cache_methods_are_gone_not_shimmed():
+    """``StepResultCache.clear`` and ``LruCache.__contains__`` had no caller
+    in the tree; they were removed without a deprecation path."""
+    import repro.exec
+    from repro.caching import LruCache
+
+    assert not hasattr(repro.exec.StepResultCache, "clear")
+    assert "__contains__" not in vars(LruCache)
+
+
 def test_one_warm_cache_bundle():
     """Only ``planner/cache.py`` knows the warm-cache bundle, and it is the
     one writer of a sealed file outside the envelope's own module and the

@@ -227,7 +227,7 @@ def test_bucketed_digest_is_order_free_and_cell_sensitive(kind):
             assert factor._buckets is None  # one bucket, no bucket state
         else:
             assert factor._buckets.count == bucket_count(rows) > 1
-            assert factor._buckets.keys is None  # built by the first child only
+            assert factor._buckets.rows is None  # built by the first child only
         if not rows:
             continue
         key, value = items[0]
@@ -304,32 +304,100 @@ def test_derived_digest_of_an_equal_key_with_another_encoding(stored, written, v
     assert moved  # some bucket count puts the two encodings apart
 
 
-def test_one_cell_update_rehashes_a_bucket_not_the_factor(monkeypatch):
-    """O(|delta|·√n) pinned with a count, not a clock: naming a one-cell
-    update of a 4 096-row factor encodes at most 4·√n row keys."""
+@pytest.mark.parametrize("stored, written", [
+    (1, True), (True, 1), (1, 1.0), (1.0, 1), (0.0, -0.0), (-0.0, 0.0),
+])
+def test_derived_digest_of_an_equal_key_with_another_encoding_in_its_bucket(stored, written):
+    """The same, when both encodings fall in one bucket: the bucket holds
+    the stored key's row, which the delta key's encoding must not replace."""
+    count = bucket_count(300)
+    # CRC-32 is affine, so the two keys' bucket offset depends on what
+    # precedes the differing element: vary the first one
+    first = next(
+        x for x in range(100, 10_000)
+        if not (zlib.crc32(canonical_bytes((x, stored))) ^
+                zlib.crc32(canonical_bytes((x, written)))) & (count - 1)
+    )
+    table = {(i, j): 2 for i in range(15) for j in range(2, 22)}
+    table[(first, stored)] = 5
+    parent = Factor(("A", "B"), table)
+    factor_digest(parent)
+    assert parent._buckets.count == count
+    child = parent.apply_delta(FactorDelta(("A", "B"), {(first, written): 7}), COUNTING)
+    assert factor_digest(child) == factor_digest(child.copy())
+
+
+def _spy_on_encodings(monkeypatch):
+    """The values :func:`canonical_bytes` is asked to encode from now on,
+    top-level calls only (a tuple's elements are not listed)."""
     from repro.planner import signature
 
-    rng = random.Random(4096)
-    factor = _random_factor(rng, 4096, "int")
-    factor_digest(factor)
-    # The first child of a lineage builds the parent's key sets: one pass.
-    factor = factor.apply_delta(FactorDelta(factor.scope, {next(iter(factor.table)): 99}), COUNTING)
-    factor_digest(factor)
-    cell = next(iter(factor.table))
-    encoded = []
+    encoded, depth = [], [0]
     original = signature.canonical_bytes
 
     def counting(value):
-        if type(value) is tuple:  # a row key (or, once, the scope)
+        if not depth[0]:
             encoded.append(value)
-        return original(value)
+        depth[0] += 1
+        try:
+            return original(value)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(signature, "canonical_bytes", counting)
-    child = factor.apply_delta(FactorDelta(factor.scope, {cell: 42}), COUNTING)
+    return encoded
+
+
+def _encodings_naming_an_update(monkeypatch, cells):
+    """What is encoded while a ``cells``-cell value update of a 4 096-row
+    factor is built and named, once its buckets' rows are stored: the
+    lineage's first child wrote the same cells.  Returns that, and the
+    changed keys, their values and the scope."""
+    rng = random.Random(4096)
+    factor = _random_factor(rng, 4096, "int")
+    factor_digest(factor)
+    cells = rng.sample(list(factor.table), cells)
+    factor = factor.apply_delta(FactorDelta(factor.scope, dict.fromkeys(cells, 99)), COUNTING)
+    factor_digest(factor)
+    changes = {cell: 42 + i for i, cell in enumerate(cells)}
+    encoded = _spy_on_encodings(monkeypatch)
+    child = factor.apply_delta(FactorDelta(factor.scope, changes), COUNTING)
     digest = factor_digest(child)
     monkeypatch.undo()
-    assert 0 < len(encoded) <= 4 * 64
     assert digest == factor_digest(child.copy())
+    return encoded, list(changes) + list(changes.values()) + [child.scope]
+
+
+def test_one_cell_update_rehashes_a_bucket_not_the_factor(monkeypatch):
+    """O(|delta|) pinned with a count, not a clock: naming a one-cell update
+    of a 4 096-row factor encodes the changed row's key and value and the
+    scope, and re-hashes its bucket from the stored rows."""
+    encoded, row_and_scope = _encodings_naming_an_update(monkeypatch, 1)
+    assert encoded == row_and_scope
+
+
+def test_fifty_cell_update_encodes_fifty_rows(monkeypatch):
+    encoded, rows_and_scope = _encodings_naming_an_update(monkeypatch, 50)
+    assert len(rows_and_scope) == 2 * 50 + 1 and encoded == rows_and_scope
+
+
+def test_a_lineage_first_child_encodes_each_key_once(monkeypatch):
+    """The first child of a lineage encodes every parent key once (to sort
+    it into its bucket) and the values of the one bucket its change falls
+    in — not every row."""
+    rng = random.Random(1024)
+    parent = _random_factor(rng, 4096, "int")
+    factor_digest(parent)
+    cell = next(iter(parent.table))
+    encoded = _spy_on_encodings(monkeypatch)
+    child = parent.apply_delta(FactorDelta(parent.scope, {cell: 42}), COUNTING)
+    factor_digest(child)
+    monkeypatch.undo()
+    keys = [value for value in encoded if type(value) is tuple]
+    index = zlib.crc32(canonical_bytes(cell)) & (child._buckets.count - 1)
+    assert keys == list(parent.table) + [cell, child.scope]
+    assert len(encoded) - len(keys) == len(child._buckets.rows[index]) + 1
+    assert child._buckets.encoded.count(1) == 1
 
 
 def test_pickled_factor_carries_bucket_digests_not_key_sets():
@@ -338,7 +406,7 @@ def test_pickled_factor_carries_bucket_digests_not_key_sets():
     factor_digest(parent)
     child = parent.apply_delta(FactorDelta(parent.scope, {next(iter(parent.table)): 0}), COUNTING)
     digest = factor_digest(child)
-    assert child._buckets.keys is not None
+    assert child._buckets.rows is not None
     count = child._buckets.count
     fresh = Factor(child.scope, dict(child.table), name=child.name)
     factor_digest(fresh)
@@ -349,7 +417,7 @@ def test_pickled_factor_carries_bucket_digests_not_key_sets():
     # 64-character digest memo and a little framing
     assert size - len(pickle.dumps(plain)) <= count * 32 + 256
     revived = pickle.loads(pickle.dumps(child))
-    assert revived._digest == digest and revived._buckets.keys is None
+    assert revived._digest == digest and revived._buckets.rows is None
     assert revived._buckets.digests == child._buckets.digests
     # a pending derivation does not travel at all
     pending = child.apply_delta(FactorDelta(child.scope, {next(iter(child.table)): 7}), COUNTING)
