@@ -106,11 +106,6 @@ class InsideOutStats:
     output_size: int = 0
     total_seconds: float = 0.0
 
-    @property
-    def largest_induced_set(self) -> int:
-        """The largest ``|U_k|`` encountered (proxy for the induced width)."""
-        return max((len(s.induced_set) for s in self.steps), default=0)
-
 
 @dataclass
 class InsideOutResult:
@@ -315,8 +310,6 @@ def eliminate_semiring_step(
             stats=join_stats,
             name=f"psi_elim({variable})",
         )
-    for factor in incident:
-        tries.discard(factor)
     record = EliminationRecord(
         variable=variable,
         kind="semiring",
@@ -613,14 +606,15 @@ def apply_output_delta(
         )
     aligned = delta.normalize_scope(base.scope)
     table: Dict[Tuple[Any, ...], Any] = dict(base.table)
+    add, is_zero = semiring.add, semiring.zero_test()
     for key, value in aligned.table.items():
         if key in table:
-            combined = semiring.add(table[key], value)
-            if semiring.is_zero(combined):
+            combined = add(table[key], value)
+            if is_zero(combined):
                 del table[key]
             else:
                 table[key] = combined
-        elif not semiring.is_zero(value):
+        elif not is_zero(value):
             table[key] = value
     return Factor._adopt(base.scope, table, name or base.name)
 

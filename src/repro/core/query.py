@@ -12,6 +12,7 @@ evaluator used throughout the test-suite to validate InsideOut.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -249,6 +250,24 @@ class FAQQuery:
         if set(order[: self.num_free]) != set(self.free):
             raise QueryError("ordering must list the free variables first")
         return order
+
+    def with_factor(self, index: int, factor: Factor) -> "FAQQuery":
+        """The query with factor ``index`` replaced by ``factor``, over its scope.
+
+        Nothing else is rebuilt or checked again: the variables, the
+        aggregates and the other (already pruned) factors are shared.
+        """
+        if tuple(factor.scope) != tuple(self.factors[index].scope):
+            raise QueryError(
+                f"factor {factor.name} has scope {factor.scope}, not "
+                f"{self.factors[index].scope}"
+            )
+        query = copy.copy(self)
+        query.factors = list(self.factors)
+        query.factors[index] = (
+            factor if factor.is_pruned(self.semiring) else factor.pruned(self.semiring)
+        )
+        return query
 
     def with_ordering(self, ordering: Sequence[str]) -> "FAQQuery":
         """Re-write the query along a new variable ordering.

@@ -57,11 +57,6 @@ class Relation:
         return frozenset(self.schema)
 
     # ------------------------------------------------------------------ #
-    def rows_as_dicts(self) -> Iterator[Dict[str, Any]]:
-        """Iterate rows as attribute → value dicts."""
-        for row in self.tuples:
-            yield dict(zip(self.schema, row))
-
     def project(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
         """Projection ``π_A(R)`` (duplicates eliminated, set semantics)."""
         missing = [a for a in attributes if a not in self.schema]

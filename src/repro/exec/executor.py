@@ -19,9 +19,12 @@ merge the runs' nodes by content digest, execute, finish.  A single query
 * **across batches**, through a *step source*: a
   :class:`StepResultCache`, a digest-keyed LRU of finished step results.
   A server holds one shared across its traffic, so sequential repeated
-  requests replay shared elimination prefixes; an incremental view holds
-  a private one, so a re-run after a factor update executes only the
-  dirty subgraph.
+  requests replay shared elimination prefixes.
+
+An incremental view needs neither: it keeps one lowered run of its
+standing query (a *kept* :class:`_RunState`, no digests), and after a
+factor update re-runs only the nodes downstream of the changed base slot
+(:meth:`_RunState.rerun_cone`).
 
 Digests cost a hash of every base factor, so they are computed only when
 there is something to share with: a step source is attached, or more than
@@ -55,7 +58,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LruCache
 from repro.core.insideout import (
@@ -66,6 +69,7 @@ from repro.core.insideout import (
     InsideOutResult,
     InsideOutStats,
     _validated_ordering,
+    apply_output_delta,
     eliminate_product_step,
     eliminate_semiring_step,
     output_phase,
@@ -100,6 +104,16 @@ class _StepEntry:
     join: OutsideInStats
 
 
+def _support_moved(was, now, change: Optional[Factor], semiring) -> bool:
+    """Whether ``now`` lists other cells than ``was`` (``change``: the Δ
+    between them, whose keys are the only cells that can differ, or
+    ``None``)."""
+    was, now = as_sparse(was, semiring).table, as_sparse(now, semiring).table
+    if change is None:
+        return was.keys() != now.keys()
+    return any((key in was) != (key in now) for key in change.table)
+
+
 class StepResultCache:
     """Digest-keyed LRU of completed elimination-step results.
 
@@ -110,10 +124,6 @@ class StepResultCache:
     bit-identical result.  The serving tier holds one per
     :class:`~repro.serve.PlanServer`, shared across queries, which is what
     makes *sequential* repeated traffic skip shared elimination prefixes.
-    An :class:`~repro.incremental.IncrementalView` holds a private one:
-    a node's digest folds in its input digests down to the base factors,
-    so after a factor update exactly the subgraph downstream of the
-    touched factor misses, and the clean nodes replay.
 
     Thread-safe, with an in-flight claim map so concurrent executions of
     the same digest compute it exactly once: the first caller *claims* the
@@ -215,6 +225,13 @@ class _RunState:
     runs a node's kernel; ``capture``/``replay`` move a node's outputs,
     record and join counters in and out of step entries by reference, so a
     replayed run's stats match an uncached run's.
+
+    A *kept* run outlives its first execution: an
+    :class:`~repro.incremental.IncrementalView` holds one for its standing
+    query (:meth:`execute_all`), and :meth:`rerun_cone` re-runs the nodes
+    downstream of a changed base slot against every other slot's factor
+    and index.  It never releases a node's inputs (:meth:`release`); it
+    drops the index of a factor an update replaced.
     """
 
     __slots__ = (
@@ -266,45 +283,154 @@ class _RunState:
         digest = self.dag.nodes[index].digest
         return None if digest is None else (digest, self.backend)
 
-    def execute_node(self, index: int) -> None:
-        """Run a node's kernel, writing its output slots, record and counters.
+    def _kernel(self, node, incident: List[Optional[Factor]], join_stats: OutsideInStats):
+        """A node's outputs over ``incident``, in its incident slots' place,
+        and its record (``None`` for the output node).
 
         The one ``node.kind`` → kernel dispatch, and the ``step.kernel``
-        fault site: drawn once per *executed* step (a replayed step never
-        gets here), so the n-th call of a :class:`~repro.faults.FaultPlan`
-        schedule names the n-th executed step.
+        fault site: drawn once per kernel call (a replayed step never gets
+        here), so the n-th call of a :class:`~repro.faults.FaultPlan`
+        schedule names the n-th kernel run.
         """
         maybe_raise(SITE_STEP_KERNEL)
-        node = self.dag.nodes[index]
-        slots = self.slots
-        self.joins[index] = join_stats = OutsideInStats()
-        self.provenance[index] = STEP_COMPUTED
-        incident = [slots[s] for s in node.incident]
         if node.kind == KIND_SEMIRING:
-            slots[node.outputs[0]], self.records[index] = eliminate_semiring_step(
-                self.query, incident, [slots[s] for s in node.reads], node.variable,
+            new, record = eliminate_semiring_step(
+                self.query, incident, [self.slots[s] for s in node.reads], node.variable,
                 self.uip, join_stats,
                 backend=self.backend, policy=self.policy, tries=self.tries,
             )
-        elif node.kind == KIND_PRODUCT:
-            new_factors, self.records[index] = eliminate_product_step(
+            return (new,), record
+        if node.kind == KIND_PRODUCT:
+            new_factors, record = eliminate_product_step(
                 self.query, [f for f in incident if f is not None], node.variable
             )
-            # Outputs align positionally with the incident slots (a None input
-            # keeps a None output).  Product steps replace marginalised/powered
-            # factors with new objects; drop the dead factors' cached tries.
+            # Outputs align positionally with the incident slots (a None
+            # input keeps a None output).
             fresh = iter(new_factors)
-            for old, out in zip(incident, node.outputs):
-                slots[out] = new = None if old is None else next(fresh)
-                if new is not old:
-                    self.tries.discard(old)
-        elif node.kind == KIND_OUTPUT:
-            slots[node.outputs[0]] = output_phase(
+            return tuple(None if old is None else next(fresh) for old in incident), record
+        if node.kind == KIND_OUTPUT:
+            return (output_phase(
                 self.query, [f for f in incident if f is not None], self.order,
                 self.backend, self.policy, join_stats, self.tries,
-            )
-        else:  # pragma: no cover - defensive
-            raise QueryError(f"no elimination kernel for step kind {node.kind!r}")
+            ),), None
+        raise QueryError(f"no elimination kernel for step kind {node.kind!r}")  # pragma: no cover
+
+    def execute_node(self, index: int) -> None:
+        """Run a node's kernel, writing its output slots, record and counters."""
+        node = self.dag.nodes[index]
+        self.joins[index] = join_stats = OutsideInStats()
+        self.provenance[index] = STEP_COMPUTED
+        incident = [self.slots[s] for s in node.incident]
+        outputs, self.records[index] = self._kernel(node, incident, join_stats)
+        for slot, factor in zip(node.outputs, outputs):
+            self.slots[slot] = factor
+
+    def execute_all(self) -> None:
+        """Run every node, in elimination order, keeping every slot's index."""
+        for index in range(len(self.dag.nodes)):
+            self.execute_node(index)
+
+    def rerun_cone(self, query: FAQQuery, slot: int, delta: Optional[Factor],
+                   difference: Callable) -> Tuple[int, int]:
+        """Install ``query``, whose factor ``slot`` changed, in this kept run
+        and re-run the nodes downstream of that base slot.
+
+        ``delta`` is the change as a factor Δ with ``old ⊕ Δ = new``, or
+        ``None`` when ``⊕`` cannot express it; ``difference(old, new,
+        keys)`` gives the same for a slot a node rewrote (``keys``: the
+        cells that may differ, ``None`` for all), and an empty factor when
+        nothing differs.
+
+        A node is clean, and keeps its result, when none of its incident
+        slots changed and no slot it reads for a projection changed its
+        support.  A dirty semiring or output node whose changed incident
+        slots all carry a Δ, and whose projections stand, is *corrected*:
+        with its projections fixed the step is multilinear in its incident
+        factors, so its new result is the kept one ``⊕`` one step per
+        changed slot — that slot's Δ, the new factors of the changed slots
+        before it, the old ones of those after it.  Every other dirty node
+        recomputes over the current slots.  A slot that comes out unchanged
+        keeps its old factor, which ends the cone there.  Returns the
+        ``(reused, executed)`` node counts; on an exception the run is
+        left as it was.
+        """
+        semiring = query.semiring
+        slots = self.slots
+        previous = self.query
+        read = {s for node in self.dag.nodes for s in node.reads}
+        old: Dict[int, Optional[Factor]] = {slot: slots[slot]}  # each slot written: before
+        deltas: Dict[int, Optional[Factor]] = {}  # each changed slot: its Δ, or None
+        moved = set()  # changed slots read for a projection, whose support moved
+
+        def changed(out: int, was: Factor, change: Optional[Factor]) -> None:
+            deltas[out] = change
+            if out in read and _support_moved(was, slots[out], change, semiring):
+                moved.add(out)
+
+        reused = executed = 0
+        try:
+            self.query = query
+            slots[slot] = query.factors[slot]
+            changed(slot, old[slot], delta)
+            for node in self.dag.nodes:
+                touched = [s for s in node.incident if s in deltas]
+                stands = moved.isdisjoint(node.reads)
+                if not touched and stands:
+                    reused += 1
+                    continue
+                executed += 1
+                before = [slots[s] for s in node.outputs]
+                for out, was in zip(node.outputs, before):
+                    old.setdefault(out, was)
+                if (stands and node.kind != KIND_PRODUCT
+                        and all(deltas[s] is not None for s in touched)):
+                    correction = self._correction(node, touched, old, deltas)
+                    kept = as_sparse(before[0], semiring)
+                    slots[node.outputs[0]] = apply_output_delta(kept, correction, semiring)
+                    keys = [correction.table]
+                else:
+                    self.execute_node(node.index)
+                    keys = [None] * len(before)
+                for out, was, cells in zip(node.outputs, before, keys):
+                    if was is None:
+                        continue  # a product step's None stays None
+                    change = difference(was, slots[out], cells)
+                    if change is not None and not change.table:
+                        slots[out] = was  # unchanged: the old factor and its index stay
+                    else:
+                        changed(out, was, change)
+        except BaseException:
+            for s, was in old.items():
+                if slots[s] is not was and slots[s] is not None:
+                    self.tries.discard(slots[s])
+                slots[s] = was
+            self.query = previous
+            raise
+        for s, was in old.items():
+            if was is not None and slots[s] is not was:
+                self.tries.discard(was)
+        return reused, executed
+
+    def _correction(self, node, touched: List[int], old: Dict[int, Optional[Factor]],
+                    deltas: Dict[int, Optional[Factor]]) -> Factor:
+        """The ``⊕`` of a node's step over each changed incident slot's Δ,
+        with the new factors of the changed slots before it in the node's
+        incident order and the old factors of those after it (sparse)."""
+        semiring = self.query.semiring
+        total = None
+        for position, changed in enumerate(touched):
+            later = touched[position + 1:]
+            incident = [
+                deltas[s] if s == changed else old[s] if s in later else self.slots[s]
+                for s in node.incident
+            ]
+            try:
+                (term,), _ = self._kernel(node, incident, OutsideInStats())
+            finally:
+                self.tries.discard(deltas[changed])
+            term = as_sparse(term, semiring)
+            total = term if total is None else apply_output_delta(total, term, semiring)
+        return total
 
     def capture(self, index: int) -> _StepEntry:
         """Snapshot an executed node as a shareable step-cache entry."""
@@ -331,16 +457,23 @@ class _RunState:
         self.records[index] = entry.record
         self.joins[index] = entry.join
         self.provenance[index] = tag
-        if node.kind == KIND_PRODUCT:
-            for slot, new in zip(node.incident, entry.outputs):
-                old = self.slots[slot]
-                if old is not None and new is not old:
-                    self.tries.discard(old)
-        elif node.kind == KIND_SEMIRING:
-            for slot in node.incident:
-                old = self.slots[slot]
-                if old is not None:
-                    self.tries.discard(old)
+        self.release(index)
+
+    def release(self, index: int) -> None:
+        """Drop the indexes of the factors node ``index`` consumed, once its
+        outputs are in place: a semiring step's incident factors, and the
+        ones a product step replaced (one it passes through lives on).
+        Guarded for not-yet-filled slots.  A kept run releases nothing."""
+        node, slots = self.dag.nodes[index], self.slots
+        if node.kind == KIND_SEMIRING:
+            consumed = node.incident
+        elif node.kind == KIND_PRODUCT:
+            consumed = [s for s, out in zip(node.incident, node.outputs) if slots[s] is not slots[out]]
+        else:
+            return
+        for slot in consumed:
+            if slots[slot] is not None:
+                self.tries.discard(slots[slot])
 
     def finish(self) -> InsideOutResult:
         """Assemble the run's result and stats in elimination order.
@@ -457,13 +590,9 @@ class DagExecutor:
         batch — and not at all when ``step_cache`` already holds it.
 
         ``step_cache`` is the batch's *step source*: a
-        :class:`StepResultCache`, shared by a server's traffic or private to
-        a standing query (the dirty-subgraph regime of incremental
-        evaluation: after a factor update the stale keys are exactly the
-        nodes downstream of the touched base factors, so only that subgraph
-        re-executes — for *any* semiring, no algebraic assumptions).
-        Finished steps are replayed from / stored into it under the default
-        backend policy only.
+        :class:`StepResultCache`, shared by a server's traffic.  Finished
+        steps are replayed from / stored into it under the default backend
+        policy only.
 
         Results and per-run stats are bit-identical to independent
         :meth:`run` calls without a step source (wall-clock ``seconds``
@@ -519,8 +648,10 @@ class DagExecutor:
                     raise
                 if shared:
                     step_cache.fulfil(node.key, entry)
+                state.release(index)
             else:
                 state.execute_node(index)
+                state.release(index)
             for sub_run, sub_index in node.subscribers:
                 states[sub_run].replay(sub_index, entry, STEP_SHARED)
         return [state.finish() for state in states]

@@ -38,7 +38,6 @@ from repro.factors.backend import (
     as_sparse,
     choose_dense,
     dense_join_reduce,
-    multiply_factors,
     prefer_dense,
     supports_dense,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "as_sparse",
     "choose_dense",
     "dense_join_reduce",
-    "multiply_factors",
     "prefer_dense",
     "supports_dense",
     "FactorTrie",

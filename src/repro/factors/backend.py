@@ -15,7 +15,6 @@ the :class:`FactorBackend` protocol.  Two implementations exist:
 This module provides the glue:
 
 * :func:`as_sparse` / :func:`as_dense` — conversions both ways,
-* :func:`multiply_factors` — representation-dispatching pairwise product,
 * :class:`BackendPolicy` + :func:`prefer_dense` — the cost heuristic that
   picks a representation per elimination step (dense cell count of the
   induced variable set vs the listed-tuple count of the participants),
@@ -120,24 +119,6 @@ def as_dense(
     if isinstance(factor, DenseFactor):
         return factor
     return DenseFactor.from_factor(factor, domains, semiring)
-
-
-def multiply_factors(
-    left: AnyFactor,
-    right: AnyFactor,
-    semiring: Semiring,
-    domains: Mapping[str, Sequence[Any]] | None = None,
-) -> AnyFactor:
-    """Pointwise product dispatching on representation.
-
-    Two dense operands multiply by broadcasting; any sparse operand pulls
-    the product onto the sparse hash-join path (``domains`` is only needed
-    to *force* a dense product of mixed operands, which callers do via
-    :func:`as_dense` beforehand).
-    """
-    if isinstance(left, DenseFactor) and isinstance(right, DenseFactor):
-        return left.multiply(right, semiring)
-    return as_sparse(left, semiring).multiply(as_sparse(right, semiring), semiring)
 
 
 # ---------------------------------------------------------------------- #

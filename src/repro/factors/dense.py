@@ -506,8 +506,7 @@ class DenseFactor:
         """Pointwise product ``ψ_S ⊗ ψ_T`` over scope ``S ∪ T`` (dense join)."""
         if not isinstance(other, DenseFactor):
             raise FactorError(
-                "DenseFactor.multiply requires a DenseFactor operand; use "
-                "repro.factors.backend.multiply_factors for mixed representations"
+                "DenseFactor.multiply requires a DenseFactor operand"
             )
         ops = dense_ops_for(semiring)
         if ops is None:

@@ -477,9 +477,7 @@ class Factor:
         """Hash-join with ``other``: yield ``(joined_tuple, product)`` pairs.
 
         The joined tuple follows the scope ``self.scope + other_only``;
-        zero inputs and zero products are skipped.  Shared by
-        :meth:`multiply` and :meth:`multiply_marginalize` so the two paths
-        cannot diverge.
+        zero inputs and zero products are skipped.
         """
         shared = [v for v in self.scope if v in other.scope]
         other_only = [v for v in other.scope if v not in self.scope]
@@ -517,37 +515,6 @@ class Factor:
         new_scope = self.scope + tuple(other_only)
         table: Dict[ValueTuple, Any] = dict(self._joined_items(other, semiring))
         return Factor._adopt(new_scope, table, f"({self.name}*{other.name})")
-
-    def multiply_marginalize(
-        self,
-        other: "Factor",
-        variable: str,
-        combine: Callable[[Any, Any], Any],
-        semiring: Semiring,
-    ) -> "Factor":
-        """Fused ``(self ⊗ other)`` then ``⊕``-eliminate ``variable``.
-
-        Joins like :meth:`multiply` but aggregates ``variable`` out of each
-        joined tuple on the fly instead of materialising the full product
-        first.
-        """
-        other_only = [v for v in other.scope if v not in self.scope]
-        product_scope = self.scope + tuple(other_only)
-        if variable not in product_scope:
-            raise FactorError(f"{variable} not in joined scope {product_scope}")
-        keep_idx = [i for i, v in enumerate(product_scope) if v != variable]
-        new_scope = tuple(product_scope[i] for i in keep_idx)
-
-        table: Dict[ValueTuple, Any] = {}
-        for full, prod in self._joined_items(other, semiring):
-            reduced = tuple(full[i] for i in keep_idx)
-            if reduced in table:
-                table[reduced] = combine(table[reduced], prod)
-            else:
-                table[reduced] = prod
-        is_zero = semiring.zero_test()
-        table = {k: v for k, v in table.items() if not is_zero(v)}
-        return Factor._adopt(new_scope, table, f"({self.name}*{other.name})-agg({variable})")
 
     def normalize_scope(self, order: Sequence[str]) -> "Factor":
         """Return an equivalent factor whose scope follows ``order``.

@@ -264,26 +264,40 @@ def _drop_zero_rows(
     return columns, values
 
 
-def _value_column(raw: np.ndarray, ops: DenseOps) -> Optional[np.ndarray]:
-    """Convert a raw value array to the semiring dtype, or ``None`` if lossy.
+def _value_column(values: Sequence[Any], ops: DenseOps) -> Optional[np.ndarray]:
+    """Convert listed Python values to the semiring dtype, or ``None`` if lossy.
 
     Only exact conversions are allowed: float64/bool pass through, ints
     below ``2**53`` widen exactly.  Anything else (mixed object columns,
     huge ints, bool tables holding non-bool truthy values) would diverge
-    from the trie path's Python arithmetic, so the step falls back.
+    from the trie path's Python arithmetic, so the step falls back.  An int
+    beside floats is one: NumPy rounds it into the float column, so the
+    column's large magnitudes are checked against the listed values.
     """
+    raw = np.asarray(values)
     if raw.dtype == ops.dtype:
         column = raw
     elif ops.dtype == np.float64 and raw.dtype.kind in "iu":
-        if raw.size and int(np.max(np.abs(raw.astype(np.int64)))) > _MAX_SAFE_INT:
+        if raw.size and (int(raw.max()) > _MAX_SAFE_INT or int(raw.min()) < -_MAX_SAFE_INT):
             return None
         column = raw.astype(np.float64)
     else:
         return None
-    if column.dtype == np.float64 and bool(np.isnan(column).any()):
-        # NaN makes max/min folds depend on candidate enumeration order.
-        return None
+    if column.dtype == np.float64 and column.size:
+        high, low = float(column.max()), float(column.min())
+        if math.isnan(high):
+            # NaN makes max/min folds depend on candidate enumeration order.
+            return None
+        if max(high, -low) >= _MAX_SAFE_INT and column is raw and not isinstance(values, np.ndarray):
+            large = np.flatnonzero(np.abs(column) >= _MAX_SAFE_INT).tolist()
+            if any(_unsafe_int(values[i]) for i in large):
+                return None
     return column
+
+
+def _unsafe_int(value: Any) -> bool:
+    """Whether ``value`` is an int that float64 may not hold exactly."""
+    return isinstance(value, int) and abs(value) > _MAX_SAFE_INT
 
 
 # ---------------------------------------------------------------------- #
@@ -332,7 +346,7 @@ def _encode_listing(factor: Factor, ctx: FlatContext) -> Optional[FlatFactor]:
         }
     except (KeyError, TypeError):
         return None  # a table value outside the declared domain
-    values = _value_column(np.asarray(list(table.values())), ctx.ops)
+    values = _value_column(list(table.values()), ctx.ops)
     if values is None:
         return None
     columns, values = _drop_zero_rows(columns, values, ctx.semiring.zero)
@@ -369,7 +383,7 @@ def patch_values(flat: FlatFactor, rows: List[int], values: List[Any],
     exactness rules on their own (a NaN, an int above ``2**53`` for a
     float column); the caller then encodes the table afresh.
     """
-    column = _value_column(np.asarray(values), ctx.ops)
+    column = _value_column(values, ctx.ops)
     if column is None:
         return None
     patched = FlatFactor(flat.scope, flat.columns, flat.values.copy())

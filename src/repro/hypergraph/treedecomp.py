@@ -90,10 +90,6 @@ class TreeDecomposition:
                 return False
         return True
 
-    def bag_list(self) -> List[FrozenSet]:
-        """All bags as a list (stable order by node repr)."""
-        return [self.bags[node] for node in sorted(self.bags, key=repr)]
-
 
 # ---------------------------------------------------------------------- #
 # ordering <-> decomposition

@@ -1,7 +1,7 @@
-"""Delta maintenance of FAQ answers over the content-addressed step IR.
+"""Delta maintenance of FAQ answers over a kept step DAG.
 
 See :mod:`repro.incremental.view` for the regime taxonomy (delta
-propagation, monotone append, dirty-subgraph re-execution) and the
+propagation, monotone append, dirty-cone re-execution) and the
 :class:`IncrementalView` entry point.
 """
 

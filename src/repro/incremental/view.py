@@ -2,72 +2,80 @@
 
 Given a standing :class:`~repro.core.query.FAQQuery` and a stream of
 :class:`~repro.factors.FactorDelta` updates, an :class:`IncrementalView`
-keeps the query answer current without full recomputation.  Three regimes,
-chosen per update from the semiring and the shape of the delta:
+keeps the query answer current without full recomputation.  It keeps one
+lowered run of its query — the step DAG, every slot's factor (the
+intermediates included) and the indexes built on them — and an update
+re-runs only the nodes downstream of the changed factor
+(:meth:`repro.exec.executor._RunState.rerun_cone`), reading every clean
+slot from the kept run.  How a dirty node re-runs depends on how the
+change can be written as ``old ⊕ Δ``; the update's regime names that for
+the changed factor:
 
 * **delta propagation** (``REGIME_DELTA``) — for ⊕-invertible semirings
   (counting, sum-product): the FAQ expression is ⊕-linear in each factor
-  when every bound aggregate *is* the semiring ⊕, so the change to the
-  answer is the same query evaluated with the touched factor replaced by
-  the sparse *signed difference* ``new ⊖ old``.  Cost scales with the
-  delta's support, not the factor's.
-* **monotone append** (``REGIME_APPEND``) — for idempotent semirings
+  when every bound aggregate *is* the semiring ⊕, so Δ is the sparse
+  *signed difference* ``new ⊖ old``.
+* **monotone append** (``REGIME_APPEND``) — for the other semirings
   (max-product, boolean, min-plus) when every changed cell *absorbs* its
-  old value (``old ⊕ new = new``): re-running the query over just the
-  changed cells and ⊕-combining into the stale answer is exact, because
-  every stale contribution is absorbed by a fresh one.
-* **dirty-subgraph re-execution** (``REGIME_DIRTY``) — the universal
-  fallback: re-lower the updated query and replay every step-DAG node
-  whose content digest is unchanged from the previous run (an ordinary
-  :class:`repro.exec.DagExecutor` run whose step source is the view's
-  private :class:`~repro.exec.StepResultCache`); only the subgraph
-  downstream of the touched base factor recomputes.
+  old value (``old ⊕ new = new``): Δ is the changed cells at their new
+  values.
+* **dirty-cone re-execution** (``REGIME_DIRTY``) — the universal
+  fallback, when no Δ exists (a decrease under max, a delete under or,
+  a query with product aggregates).
+
+A node whose changed inputs all carry a Δ, and whose indicator
+projections keep their support, is *corrected*: its step runs with the Δ
+in the changed input's place (its incident positions take Δ, its read
+positions keep the standing factors' projections), and the result is
+⊕-combined into the node's kept result, which is the linearity the
+answer itself obeys (§5; DBSP's rule for a bilinear operator, applied per
+step).  So the delta and append regimes run every step at delta size and
+leave each intermediate maintained: a later update in another cone finds
+this one's steps current.  Any other dirty node — on the dirty regime's
+path, or reading a projection whose support an insert or delete moved —
+recomputes at full size over the kept clean slots, and a slot that comes
+out unchanged ends the cone.
 
 **What "equal to a full recomputation" means.**  For int, boolean and
 idempotent (max, min, or) carriers every regime's answer is ``==`` a full
-recomputation, cell for cell (the differential tests enforce this across
-backends).  A float ⊕-invertible view (sum-product) answers by delta
-propagation, which re-associates the float sums: its answers agree with a
-full recomputation within :meth:`Semiring.values_equal` tolerance
-(:meth:`Factor.equals`), not bit for bit — ROADMAP item 2(b) is where float
-equality gets one definition.
+recomputation, cell for cell, and so is every kept intermediate (the
+differential tests enforce this across backends, on values whose products
+are exact).  A float ⊕-invertible view (sum-product) re-associates the
+float sums: its answers and intermediates agree with a full recomputation
+within :meth:`Semiring.values_equal` tolerance (:meth:`Factor.equals`),
+not bit for bit — ROADMAP item 2(b) is where float equality gets one
+definition.
 
 Updates never mutate factors in place — factor tables freeze when
 digested, and the supported update path is ``Factor.apply_delta``
 producing a new factor with a new digest, which is what keeps every
 digest-keyed cache in the engine honest.
 
-**What an update pays for.**  The content that changed, and the steps
-downstream of it.  The standing query holds its (frozen) factors by
-reference, so the n−1 factors an update does not touch are neither copied
-nor swept for zeros nor digested again.  The new factor is zero-free by
-construction (``Factor.apply_delta``) and is named once, by a *derived*
-digest: it carries its parent's bucket table and the changed keys, so
-naming it encodes the changed rows alone and re-hashes each bucket one
-falls in from the encoded rows the lineage keeps — O(|delta|) encodings,
-and O(|delta|·√|factor|) bytes hashed in C (see
-:func:`~repro.planner.signature.factor_digest`; the first update of a
-lineage encodes the parent's keys into their buckets, once, and the first
-update to touch a bucket encodes its values).  It is held by reference
-from then on.  The view keeps one
-:class:`~repro.factors.index.SharedTrieCache` for its pinned ordering and
-hands it to every run, so tries, indicator projections and flat encodings
-of the untouched factors stay warm; it covers exactly the standing
-query's factor contents (the replaced content's entry is dropped with the
-update, a delta factor is never in it).  The new content's index is
-*derived* from the replaced one's
+**What an update pays for.**  The content that changed, and the steps of
+its cone at delta size.  The standing query holds its (frozen) factors by
+reference, and an update swaps one factor into a copy of it
+(:meth:`FAQQuery.with_factor`), so the n−1 factors it does not touch are
+neither copied nor swept for zeros nor digested again.  The new factor is
+zero-free by construction (``Factor.apply_delta``) and is named once, by a
+*derived* digest: it carries its parent's bucket table and the changed
+keys, so naming it encodes the changed rows alone and re-hashes each
+bucket one falls in from the encoded rows the lineage keeps — O(|delta|)
+encodings, and O(|delta|·√|factor|) bytes hashed in C (see
+:func:`~repro.planner.signature.factor_digest`).  The view keeps one
+:class:`~repro.factors.index.SharedTrieCache` of its base factors' indexes
+for its pinned ordering; the replaced content's entry is dropped with the
+update, and the new content's is *derived* from it
 (:meth:`~repro.factors.index.SharedTrieCache.derive`): a path-copied trie
 and, while the support stays, the old projections and the old flat
-encoding with the changed values patched into a copy of its value column,
-so its Python work is O(|delta|).  Each query the view builds sweeps a
-frozen factor for zeros once (:meth:`Factor.is_pruned`), so from the
-first update on every held factor carries the zero-free memo, children
-inherit it, and index builds skip the per-value zero test.  What is still
-O(|factor|) per update is copying the table (and, in NumPy, the value
-column), and a fresh trie (projections, encoding) when a change deletes
-(adds or deletes) a cell; what is still O(|query|) is re-lowering and
-re-annotating the step DAG — the latter splices each variable's memoised
-domain encoding, so it is O(nodes) once every factor is named.
+encoding with the changed values patched in, so its Python work is
+O(|delta|).  The kept run's own index holder keeps the intermediates'
+tries across updates and drops those of the factors an update replaced.
+Nothing is lowered, digested per step, looked up in a step cache or
+rebuilt as a query per update.  What is still O(|factor|) per update is
+copying the table (and, in NumPy, the value column), a fresh trie
+(projections, encoding) when a change deletes (adds or deletes) a cell,
+and the full-size steps of a dirty cone; per corrected node it is a copy
+of that node's kept result.
 """
 
 from __future__ import annotations
@@ -76,9 +84,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.core.insideout import STEP_COMPUTED, STEP_REPLAYED, InsideOutStats, apply_output_delta, _validated_ordering
+from repro.core.insideout import _validated_ordering
 from repro.core.query import FAQQuery, QueryError
-from repro.exec.executor import DagExecutor, RunSpec, StepResultCache
+from repro.exec.executor import RunSpec, _RunState
 from repro.factors.backend import BACKEND_SPARSE, as_sparse, validate_backend
 from repro.factors.delta import FactorDelta
 from repro.factors.factor import Factor
@@ -162,9 +170,9 @@ class IncrementalView:
         The FAQ query to maintain.  Listing output only — factorized
         outputs share sub-factors whose identity an update would break.
     ordering:
-        Variable ordering pinned for the view's lifetime (every regime
-        must eliminate in the same order for digests and deltas to line
-        up).  ``None`` keeps the query's own order.
+        Variable ordering pinned for the view's lifetime (every update
+        re-runs steps of the one lowered run kept for it).  ``None`` keeps
+        the query's own order.
     use_indicator_projections / backend:
         Execution knobs, same meaning as in
         :func:`repro.core.insideout.inside_out`.
@@ -185,8 +193,9 @@ class IncrementalView:
         self._uip = use_indicator_projections
         self._backend = validate_backend(backend)
         self._add_tag = additive_tag(query.semiring, add_tag)
-        self._steps = StepResultCache()
+        self._linear = is_flat_query(query, self._add_tag)
         self._tries = SharedTrieCache(self._order, query.semiring, query.factors)
+        self._run: Optional[_RunState] = None
         self._output: Optional[Factor] = None
         self.stats = IncrementalStats()
 
@@ -197,46 +206,42 @@ class IncrementalView:
         """The view's picklable state for snapshot spill.
 
         Everything a restarted server needs to resume *warm*: the current
-        query (frozen factors), the pinned ordering/backend knobs, the
-        digest-keyed step cache's entries and the current answer.  Runtime-only
-        machinery (the index store) and the accounting stats
-        are excluded — a restored view starts with fresh stats, which is
-        what lets tests assert "no full recompute after restore" as
-        ``full_runs == 0``.
+        query (frozen factors), the pinned ordering/backend knobs and the
+        kept run's intermediate factors, one per slot after the base
+        factors (``None`` before the first answer).  Runtime-only machinery
+        (the indexes) and the accounting stats are excluded — a restored
+        view starts with fresh stats, which is what lets tests assert "no
+        full recompute after restore" as ``full_runs == 0``.
         """
+        run = self._run
         return {
             "query": self.query,
             "order": self._order,
             "uip": self._uip,
             "backend": self._backend,
             "add_tag": self._add_tag,
-            "steps": self._steps,
-            "output": self._output,
+            "intermediates": None if run is None else run.slots[run.dag.num_base:],
         }
 
     @classmethod
     def restore(cls, state: Dict[str, Any]) -> "IncrementalView":
         """Rebuild a view from :meth:`dump_state` output.
 
-        The restored view answers :meth:`result` from the saved output
-        without any execution, and its first :meth:`update_factor` runs
-        against the saved step entries — only the dirty subgraph of that
-        update executes, exactly as if the process had never restarted.
-        Its index store starts empty and refills as updates run; naming
-        the restored factors is a memo hit that freezes them again, so
-        they are held by reference like a live view's.
+        The restored view lowers its query again and takes the spilled
+        intermediates as its kept run's slots, executing nothing: it answers
+        :meth:`result` from them, and its first :meth:`update_factor`
+        re-runs only that update's cone, exactly as if the process had
+        never restarted.  Its indexes start empty and fill as updates run;
+        naming the restored factors is a memo hit that freezes them again,
+        so they are held by reference like a live view's.  Raises
+        :class:`QueryError` when the intermediates do not fit the lowering.
         """
-        view = cls.__new__(cls)
-        view.query = state["query"]
-        view._order = tuple(state["order"])
-        view._uip = state["uip"]
-        view._backend = state["backend"]
-        view._add_tag = state["add_tag"]
-        view._steps = state["steps"]
-        view._tries = SharedTrieCache(view._order, view.query.semiring, ())
-        view._cover()
-        view._output = state["output"]
-        view.stats = IncrementalStats()
+        view = cls(
+            state["query"], state["order"], state["uip"], state["backend"], state["add_tag"]
+        )
+        if state["intermediates"] is not None:
+            view._cover()
+            view._keep(state["intermediates"])
         return view
 
     # ------------------------------------------------------------------ #
@@ -254,15 +259,17 @@ class IncrementalView:
         Computed from scratch on first access; afterwards maintained by
         :meth:`update_factor`.
         """
-        if self._output is None:
-            self._output = self._full_run()
+        if self._run is None:
+            self.stats.full_runs += 1
+            self._cover()
+            self._keep()
         return self._output
 
     # ------------------------------------------------------------------ #
     def update_factor(self, index: int, delta: FactorDelta) -> Factor:
         """Apply ``delta`` to factor ``index`` and return the fresh answer.
 
-        Picks the cheapest sound regime for this update (see the module
+        Re-runs the update's cone of the kept run (see the module
         docstring); the returned factor equals a full recomputation of the
         updated query as the module docstring defines it.
         """
@@ -271,7 +278,7 @@ class IncrementalView:
                 f"factor index {index} out of range (query has "
                 f"{len(self.query.factors)} factors)"
             )
-        base = self.result()  # ensure a baseline answer + its steps exist
+        base = self.result()  # ensure a baseline answer and its kept run exist
         semiring = self.query.semiring
         old_factor = self.query.factors[index]
         changes = delta.effective_changes(old_factor, semiring)
@@ -280,98 +287,59 @@ class IncrementalView:
         new_factor = old_factor.apply_delta(
             FactorDelta(old_factor.scope, changes), semiring
         )
-
-        regime = self._choose_regime(old_factor, changes)
-        self.stats.record(regime)
-        if regime == REGIME_DELTA:
-            cells = self._signed_differences(old_factor, changes)
-            output = self._apply_cells(index, old_factor, cells, "+delta", base)
-        elif regime == REGIME_APPEND:
-            cells = {c: v for c, v in changes.items() if not semiring.is_zero(v)}
-            output = self._apply_cells(index, old_factor, cells, "+append", base)
-        else:
-            self._install(index, new_factor, changes)
-            output = self._update_run(self.query)
-            self._output = output
-            return output
-
+        change = self._difference(old_factor, new_factor, changes)
+        previous = self.query
         self._install(index, new_factor, changes)
-        # The step cache stays: its entries are *content-addressed*, so a
-        # stale entry can never replay wrongly — it either matches a future
-        # node's digest (and is then valid by construction) or is ignored.
-        # Steps disjoint from the updated factor keep replaying across
-        # arbitrarily many updates.
-        self._output = output
-        return output
+        try:
+            reused, executed = self._run.rerun_cone(
+                self.query, index, change, self._difference
+            )
+        except BaseException:
+            self.query = previous
+            self._cover()
+            raise
+        if change is None:
+            self.stats.record(REGIME_DIRTY)
+        else:
+            self.stats.record(REGIME_DELTA if semiring.name in SUBTRACTABLE else REGIME_APPEND)
+        self.stats.nodes_reused += reused
+        self.stats.nodes_executed += executed
+        self._output = self._answer()
+        return self._output
 
     # ------------------------------------------------------------------ #
-    # regime selection and application
-    # ------------------------------------------------------------------ #
-    def _choose_regime(
-        self, old_factor: Factor, changes: Dict[Tuple[Any, ...], Any]
-    ) -> str:
-        semiring = self.query.semiring
-        if not is_flat_query(self.query, self._add_tag):
-            return REGIME_DIRTY
-        if semiring.name in SUBTRACTABLE:
-            return REGIME_DELTA
-        # Idempotent ⊕: sound to append only when every changed cell
-        # absorbs its old value (old ⊕ new = new) — deletions and
-        # "worsening" updates fall through to dirty re-execution.
-        for cell, value in changes.items():
-            old_value = old_factor.value_of_tuple(cell, semiring)
-            if not semiring.values_equal(semiring.add(old_value, value), value):
-                return REGIME_DIRTY
-        return REGIME_APPEND
+    def _difference(self, old: Factor, new: Factor, keys=None) -> Optional[Factor]:
+        """``new`` as ``old ⊕ Δ``: the factor Δ, empty when the two agree.
 
-    def _signed_differences(
-        self, old_factor: Factor, changes: Dict[Tuple[Any, ...], Any]
-    ) -> Dict[Tuple[Any, ...], Any]:
-        """The non-zero ``new ⊖ old`` of each changed cell (delta regime)."""
-        semiring = self.query.semiring
-        sub = SUBTRACTABLE[semiring.name]
-        diff: Dict[Tuple[Any, ...], Any] = {}
-        for cell, value in changes.items():
-            signed = sub(value, old_factor.value_of_tuple(cell, semiring))
-            if not semiring.values_equal(signed, semiring.zero):
-                diff[cell] = signed
-        return diff
-
-    def _apply_cells(
-        self,
-        index: int,
-        old_factor: Factor,
-        cells: Dict[Tuple[Any, ...], Any],
-        suffix: str,
-        base: Factor,
-    ) -> Factor:
-        """``base ⊕`` the query run with factor ``index`` reduced to ``cells``."""
-        if not cells:
-            return base
-        delta_factor = Factor(old_factor.scope, cells, name=old_factor.name + suffix)
-        correction = self._run_with_factor(index, delta_factor)
-        return apply_output_delta(base, correction, self.query.semiring, name=base.name)
-
-    # ------------------------------------------------------------------ #
-    # execution helpers
-    # ------------------------------------------------------------------ #
-    def _with_factor(self, index: int, factor: Factor) -> FAQQuery:
-        """The current query with factor ``index`` replaced.
-
-        The delta-propagation signed differences survive FAQQuery's
-        zero-pruning because a non-zero ⊖ difference is, by construction,
-        a non-zero semiring value.
+        ``None`` when ``⊕`` cannot express the change: the view is not
+        ⊕-linear in its factors, or a changed cell can neither be
+        subtracted (no ⊕-inverse) nor absorbs its old value
+        (``old ⊕ new ≠ new``: a decrease under max, a delete).  ``keys``
+        are the cells that may differ (every cell when ``None``).
         """
-        factors = list(self.query.factors)
-        factors[index] = factor
-        return FAQQuery(
-            variables=[self.query.variables[v] for v in self.query.order],
-            free=self.query.free,
-            aggregates=self.query.aggregates,
-            factors=factors,
-            semiring=self.query.semiring,
-            name=self.query.name,
-        )
+        semiring = self.query.semiring
+        was, now = as_sparse(old, semiring), as_sparse(new, semiring)
+        before, after = was.table, now.table
+        if keys is None:
+            keys = list(before) + [key for key in after if key not in before]
+        zero, equal, is_zero = semiring.zero, semiring.values_equal, semiring.zero_test()
+        sub = SUBTRACTABLE.get(semiring.name) if self._linear else None
+        cells: Dict[Tuple[Any, ...], Any] = {}
+        for key in keys:
+            a, b = before.get(key, zero), after.get(key, zero)
+            if a == b:
+                continue
+            if sub is not None:
+                difference = sub(b, a)
+                if not is_zero(difference):
+                    cells[key] = difference
+            elif equal(a, b):
+                continue
+            elif self._linear and equal(semiring.add(a, b), b):
+                cells[key] = b
+            else:
+                return None
+        return Factor._adopt(was.scope, cells, f"{was.name}+delta")
 
     def _install(self, index: int, factor: Factor, changes: Dict[Tuple[Any, ...], Any]) -> None:
         """Make ``factor`` (factor ``index`` with ``changes`` applied) factor
@@ -382,7 +350,7 @@ class IncrementalView:
         :meth:`_cover` drops that one."""
         self._digest(factor)
         self._tries.derive(self.query.factors[index], factor, changes)
-        self.query = self._with_factor(index, factor)
+        self.query = self.query.with_factor(index, factor)
         self._cover()
 
     @staticmethod
@@ -390,56 +358,40 @@ class IncrementalView:
         try:
             factor_digest(factor)
         except TypeError:
-            pass  # no canonical encoding: copied and indexed per run, as before
+            pass  # no canonical encoding: indexed by the kept run alone
 
     def _cover(self) -> None:
-        """Name every factor of the standing query (a memo hit for all but
-        new content) and point the index store at exactly those contents."""
+        """Name every factor of the standing query and sweep it for zeros
+        (memo hits for all but new content), and point the index store at
+        exactly those contents."""
         for factor in self.query.factors:
             self._digest(factor)
+            factor.is_pruned(self.query.semiring)
         self._tries.cover(self.query.factors)
 
-    def _run_with_factor(self, index: int, factor: Factor) -> Factor:
-        """Evaluate the view's query with factor ``index`` swapped for
-        ``factor`` (the delta/append correction run).
-
-        Runs against the view's step cache: every elimination step *not*
-        involving the swapped factor has the same content digest as the
-        baseline run and replays instead of recomputing, so the correction
-        run pays only for the (small) subgraph the delta actually touches —
-        the joins of a few changed cells, not the full factor tables.
-        """
-        return self._update_run(self._with_factor(index, factor))
-
-    def _full_run(self) -> Factor:
-        self.stats.full_runs += 1
-        self._cover()
-        output, _ = self._execute(self.query)
-        return output
-
-    def _update_run(self, query: FAQQuery) -> Factor:
-        output, stats = self._execute(query)
-        self.stats.nodes_reused += stats.provenance.count(STEP_REPLAYED)
-        self.stats.nodes_executed += stats.provenance.count(STEP_COMPUTED)
-        return output
-
-    def _execute(self, query: FAQQuery) -> Tuple[Factor, InsideOutStats]:
-        """Evaluate ``query`` against the view's step cache.
-
-        An ordinary executor run whose step source is the cache: nodes
-        whose content digest it holds replay, the rest execute and are
-        recorded into it.  Its LRU bound keeps an unbounded update stream
-        from pinning every intermediate ever computed.
-        """
-        [result] = DagExecutor().run_many(
-            [RunSpec(
-                query,
+    def _keep(self, intermediates: Optional[Sequence[Any]] = None) -> None:
+        """Lower the standing query into the run the view keeps, and fill
+        its slots: by executing every node, or from spilled intermediates."""
+        run = _RunState(
+            RunSpec(
+                self.query,
                 ordering=list(self._order),
                 use_indicator_projections=self._uip,
                 backend=self._backend,
                 shared_tries=self._tries,
-            )],
-            step_cache=self._steps,
+            ),
+            content_digests=False,
         )
-        factor = as_sparse(result.factor, self.query.semiring)
-        return factor.normalize_scope(self.query.free), result.stats
+        if intermediates is None:
+            run.execute_all()
+        elif len(intermediates) != len(run.slots) - run.dag.num_base:
+            raise QueryError("spilled intermediates do not fit the view's lowered run")
+        else:
+            run.slots[run.dag.num_base:] = intermediates
+        self._run = run
+        self._output = self._answer()
+
+    def _answer(self) -> Factor:
+        run = self._run
+        factor = as_sparse(run.slots[run.dag.final_live[0]], self.query.semiring)
+        return factor.normalize_scope(self.query.free)

@@ -233,9 +233,10 @@ class PlanServer:
         batch**: every cache keyed by the pre-update content keeps
         answering with the consistent pre-batch state, and the view is
         stored under the post-batch key only once the whole batch has been
-        applied — no request can observe a half-applied batch.  A warm :class:`~repro.incremental.IncrementalView` for the
-        query's content key answers via delta propagation / monotone append
-        / dirty-subgraph replay (counted in ``incremental_hits``); a cold
+        applied — no request can observe a half-applied batch.  A warm
+        :class:`~repro.incremental.IncrementalView` for the query's content
+        key answers by re-running each update's cone of the run it keeps
+        (counted in ``incremental_hits``); a cold
         miss plans the query, builds a baseline, then applies the batch.
 
         Updates never mutate old factors — they stay frozen under their
@@ -274,7 +275,7 @@ class PlanServer:
             try:
                 chosen = self._plan_for(request)
                 view = IncrementalView(request.query, ordering=list(chosen.ordering))
-                view.result()  # baseline answer + its steps
+                view.result()  # baseline answer + its kept run
             except Exception as exc:  # noqa: BLE001 - typed, e.g. a kernel fault
                 raise _plan_failure(exc)
         factor: Any = None

@@ -3,13 +3,12 @@
 A :class:`PlanServer` that owns a :class:`SnapshotStore` spills its warm
 incremental state — the per-content-key
 :class:`~repro.incremental.IncrementalView` states (query, pinned
-ordering, the entries of its digest-keyed
-:class:`~repro.exec.StepResultCache`, current answer) and the
+ordering, the intermediate factors of the run it keeps) and the
 digest-keyed completed-result cache — to disk after every update batch.
 A replica restarted over the same directory restores them at
 construction, so its first incremental request after a crash is answered
-*warm* (delta propagation against the restored step entries) instead of
-paying a cold full run.
+*warm* (the update's cone re-run against the restored intermediates)
+instead of paying a cold full run.
 
 Each file is one :func:`repro.caching.seal` envelope (magic | length |
 SHA-256 | pickle tagged kind + version) holding the sections.  The
@@ -17,7 +16,9 @@ layout number of :data:`SNAPSHOT_VERSION` changes with the sections' shape
 and with the slots of the factors they pickle, so an older spill loads as
 ``None`` (2: a view spills its step cache's bound and entries; 3: a dense
 factor carries its non-zero count memo; 4: step records are frozen,
-slotted values and a step entry holds its join counters as ``join``).
+slotted values and a step entry holds its join counters as ``join``; 5: a
+view spills its kept run's intermediates in place of a step cache and an
+answer).
 
 Durability rules:
 
@@ -41,7 +42,7 @@ from repro.faults import SITE_SNAPSHOT_IO, maybe_raise
 from repro.planner.signature import sealed_version
 
 SNAPSHOT_KIND = "repro-serve-snapshot"
-SNAPSHOT_VERSION = sealed_version(4)
+SNAPSHOT_VERSION = sealed_version(5)
 
 
 class SnapshotStore:

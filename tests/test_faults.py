@@ -632,13 +632,14 @@ class TestWarmRestart:
     def test_spill_of_the_previous_layout_adopts_nothing(self, tmp_path):
         """A view's spilled state is its step cache's entries from layout 2
         on, a dense factor pickles its non-zero count memo from layout 3
-        on, and step records are frozen, slotted values from layout 4 on: a
-        spill sealed at an earlier layout restores no view and no result."""
+        on, step records are frozen, slotted values from layout 4 on, and a
+        view spills its kept run's intermediates from layout 5 on: a spill
+        sealed at an earlier layout restores no view and no result."""
         from repro.planner.signature import sealed_version
 
-        assert SNAPSHOT_VERSION == sealed_version(4)
+        assert SNAPSHOT_VERSION == sealed_version(5)
         sections = _spilled_sections(tmp_path, "old-layout")
-        for layout in (1, 2, 3):
+        for layout in (1, 2, 3, 4):
             assert _restores(tmp_path, sections, sealed_version(layout)) == 0
 
     def test_restored_result_cache_serves_without_recompute(self, tmp_path):

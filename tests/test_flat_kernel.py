@@ -188,6 +188,31 @@ def test_unsafe_int_values_fall_back():
     _diff_runs(query, "big-int", expect_flat=False)
 
 
+@pytest.mark.parametrize("big", [2**60 + 1, -(2**60 + 1), 2**53 + 1, 2**64 - 1])
+def test_an_int_beside_floats_is_refused_not_rounded(big):
+    """NumPy rounds an int listed beside floats into the float column: the
+    encoder refuses such a column, and a value patch writing one, so the
+    step stays on the trie, which compares the int exactly."""
+    domains = {"a": (0, 1), "b": (0, 1)}
+    ctx = flat_module.flat_context(MAX_PRODUCT, domains)
+    assert flat_module.encode_flat(Factor(("a",), {(0,): 1.5, (1,): big}), ctx) is None
+    assert flat_module.encode_flat(Factor(("a",), {(0,): 1, (1,): big}), ctx) is None
+    encoded = flat_module.encode_flat(Factor(("a",), {(0,): 1.5, (1,): 2.0**60}), ctx)
+    assert encoded.values.tolist() == [1.5, 2.0**60]  # a float that large is exact
+    assert flat_module.patch_values(encoded, [0], [big], ctx) is None
+    assert flat_module.patch_values(encoded, [0, 1], [2.5, big], ctx) is None
+    table = {(a, b): 1.5 for a in range(3) for b in range(3)}
+    table[(1, 1)] = big
+    query = FAQQuery(
+        variables=[Variable("y", tuple(range(3))), Variable("x", tuple(range(3)))],
+        free=["y"],
+        aggregates={"x": SemiringAggregate.max()},
+        factors=[Factor(("x", "y"), table)],
+        semiring=MAX_PRODUCT,
+    )
+    _diff_runs(query, "mixed-big-int", expect_flat=False)
+
+
 def test_safe_int_values_use_flat():
     table = {(a, b): a + b + 1 for a in range(4) for b in range(4)}
     query = FAQQuery(

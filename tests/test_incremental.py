@@ -8,10 +8,11 @@ Covers, in order:
   may sit behind digest-keyed caches) rejects in-place mutation, on both
   representations (the satellite-1 stale-cache regression);
 * the :class:`~repro.incremental.IncrementalView` regimes: delta
-  propagation, monotone append, dirty-subgraph replay, and the selection
-  logic between them;
-* a :class:`~repro.exec.StepResultCache` as a run's step source: node-reuse
-  accounting and the LRU growth bound;
+  propagation, monotone append, dirty-cone re-execution, and the selection
+  logic between them (the run a view keeps has its own tests,
+  ``test_incremental_kept_run.py``);
+* a :class:`~repro.exec.StepResultCache` as a run's step source (the
+  serving tier's): node-reuse accounting and the LRU growth bound;
 * the :class:`~repro.exec.StepResultCache` claim lifecycle under a dying
   claimant (the satellite-2 wedge regression);
 * :meth:`~repro.serve.PlanServer.update_factor` — warm-view hits, stale
@@ -266,9 +267,10 @@ def test_dirty_regime_for_worsening_and_product_queries():
 
 def test_dirty_update_of_a_whole_box_factor_replays_its_readers():
     """The step eliminating ``c`` only reads ``f1``, which lists its whole
-    box: a dirty value update of ``f1`` leaves that step's name alone, so it
-    replays and only the steps consuming ``f1`` re-run.  A deletion leaves
-    ``f1`` short of its box, and the reader re-runs too."""
+    box: a dirty value update of ``f1`` leaves the support that step reads
+    alone, so it keeps its result and only the steps consuming ``f1``
+    re-run.  A deletion leaves ``f1`` short of its box, and the reader
+    re-runs too."""
     view = IncrementalView(_chain_query(MAX_PRODUCT, SemiringAggregate.max))
     view.result()
     dag = lower_insideout(view.query, list(view.query.order))
@@ -381,9 +383,8 @@ def test_update_work_census(monkeypatch, semiring, factory, regime, value):
     view = IncrementalView(_two_chains(semiring, factory, domain=6, seed=3))
     view.result()
     index = 1
-    # Warm-up on the same factor: the view recomputes the steps downstream
-    # of replaced content in the first later run that reads them, which is
-    # work on *touched* content and would blur the count below.
+    # Warm-up on the same factor: the count below then sees an update of
+    # content that an update already installed.
     view.update_factor(index, FactorDelta(("x1", "x2"), {(0, 0): 5}))
     before = list(view.query.factors)
     untouched = [f for j, f in enumerate(before) if j != index]

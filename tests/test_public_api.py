@@ -345,6 +345,23 @@ def test_unreached_cache_methods_are_gone_not_shimmed():
     assert "__contains__" not in vars(LruCache)
 
 
+def test_unreached_helpers_are_gone_not_shimmed():
+    """Five functions with no caller in the tree were removed without a
+    deprecation path (ROADMAP 22(a))."""
+    import repro.factors
+    import repro.factors.backend
+    from repro.core.insideout import InsideOutStats
+    from repro.db.relation import Relation
+    from repro.hypergraph.treedecomp import TreeDecomposition
+
+    assert not hasattr(repro.factors.Factor, "multiply_marginalize")
+    assert "multiply_factors" not in repro.factors.__all__
+    assert not hasattr(repro.factors.backend, "multiply_factors")
+    assert not hasattr(InsideOutStats, "largest_induced_set")
+    assert not hasattr(Relation, "rows_as_dicts")
+    assert not hasattr(TreeDecomposition, "bag_list")
+
+
 def test_one_warm_cache_bundle():
     """Only ``planner/cache.py`` knows the warm-cache bundle, and it is the
     one writer of a sealed file outside the envelope's own module and the
