@@ -77,7 +77,8 @@ class Engine:
 
     The engine owns a private plan cache shared by every path through it,
     and lazily starts one in-process :class:`PlanServer` for
-    :meth:`query`/:meth:`batch`/:meth:`submit`.  :meth:`serve` starts a
+    :meth:`query`/:meth:`batch` (``engine.server.submit`` returns a
+    future).  :meth:`serve` starts a
     replicated tier; the returned :class:`Frontend` is independently
     context-managed.  The fleet parent pickles its warm read-only caches
     (the engine's plan cache and the process-wide ρ* memo) into the
@@ -130,10 +131,6 @@ class Engine:
         """
         request = self._as_request(query, output_mode=output_mode, options=options)
         return self.server.execute_request(request)
-
-    def submit(self, query: Union[FAQQuery, ServeRequest], **options: Any):
-        """Async-friendly submit; returns ``Future[ServeResult]``."""
-        return self.server.submit(self._as_request(query, options=options))
 
     def batch(
         self,

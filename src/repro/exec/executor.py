@@ -130,9 +130,6 @@ class StepResultCache:
     key and computes, later callers block until the claimant fulfils (or
     abandons) it.  ``computed``/``replayed`` count resolved lookups and are
     the executor counters the differential tests assert exactly-once with.
-
-    A pickled cache is its bound and its entries in LRU order; claims, the
-    lock and the counters belong to the live process.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
@@ -144,14 +141,6 @@ class StepResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __getstate__(self):
-        return {"maxsize": self._entries.maxsize, "entries": list(self._entries.items())}
-
-    def __setstate__(self, state) -> None:
-        self.__init__(state["maxsize"])
-        for key, entry in state["entries"]:
-            self._entries.put(key, entry)
 
     def lookup_or_claim(self, key) -> Optional[_StepEntry]:
         """Return a finished entry, or claim ``key`` and return ``None``.

@@ -36,9 +36,10 @@ Replica child processes do not inherit the parent's live plan object;
 replica entry point re-installs (with a per-replica seed offset, so the
 fleet's replicas fail independently but reproducibly).
 
-Everything here is observable: per-site call and injection counters via
-:meth:`FaultPlan.stats`, the total via :attr:`FaultPlan.total_injected`
-— which the serving tier surfaces as ``faults_injected``.
+Everything here is observable: per-site call and injection counters in
+:attr:`FaultPlan.calls` and :attr:`FaultPlan.injected`, the total via
+:attr:`FaultPlan.total_injected` — which the serving tier surfaces as
+``faults_injected``.
 """
 
 from __future__ import annotations
@@ -171,15 +172,6 @@ class FaultPlan:
     def total_injected(self) -> int:
         with self._lock:
             return sum(self.injected.values())
-
-    def stats(self) -> Dict[str, Any]:
-        """Per-site call/injection counters (snapshot)."""
-        with self._lock:
-            return {
-                "calls": dict(self.calls),
-                "injected": dict(self.injected),
-                "total_injected": sum(self.injected.values()),
-            }
 
     # ------------------------------------------------------------------ #
     def child_config(self, child_seed_offset: int = 0) -> Dict[str, Any]:

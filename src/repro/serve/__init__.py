@@ -10,8 +10,8 @@ is the horizontal tier on top, behind one stable contract:
   non-retryable :class:`PlanFailure`, :class:`ReplicaCrashed` and its
   :class:`ReplicaTimeout` subclass) and the tier's :class:`RetryPolicy`;
 * :mod:`repro.serve.snapshot` — :class:`SnapshotStore`, checksummed
-  atomic on-disk spill of warm serving state, so a restarted server (or
-  replica) resumes incremental service without a cold full run;
+  atomic on-disk spill of warm serving state, so a restarted
+  :class:`PlanServer` resumes incremental service without a cold full run;
 * :mod:`repro.serve.server` — :class:`PlanServer`, the in-process serving
   loop (thread pool + plan cache + shared tries) with **content-hash
   coalescing**: value-equal in-flight requests execute once, keyed by the
@@ -36,6 +36,12 @@ path (``PlanServer._serve``), the wire one execute message (``exec``)
 and the front-end one retry loop (``Frontend._dispatch``).  Every
 elimination plan on any rung — single request, merged batch,
 incremental update — runs on the one driver, :class:`repro.exec.DagExecutor`.
+
+Factor updates live on the in-process rung, where the kept run of the
+standing query is: ``PlanServer.update_factor(s)`` over an
+:class:`~repro.incremental.IncrementalView`.  The fleet has no update
+call; a tier client submits the updated content as a request like any
+other, and content addressing names it afresh.
 """
 
 from repro.serve.api import (

@@ -24,13 +24,13 @@
    typed :class:`~repro.serve.api.ReplicaCrashed` /
    :class:`~repro.serve.api.ReplicaTimeout` surfaces.
 
-**Fleet-wide factor updates** go through :meth:`Frontend.update_factors`:
-the delta batch fans out to *every* replica as one atomic unit, gated by
-an epoch barrier — reads drain, the batch applies everywhere, the update
-epoch advances, reads resume.  No request can observe a half-applied
-batch; a replica that fails its update is restarted cold, which
-content-addressed serving makes safe (it re-ships state lazily — a
-replica that missed an update is merely cold, never wrong).
+Factor updates are not a tier operation.  An update is answered where the
+kept run of its standing query lives — in-process, by
+:meth:`PlanServer.update_factor <repro.serve.server.PlanServer.update_factor>`
+over an :class:`~repro.incremental.IncrementalView`.  A tier client
+submits the updated content like any other request: content addressing
+names it afresh, so no read can see a mix of old and new content and no
+replica needs telling that anything changed.
 
 A background health loop sweeps for dead replicas every
 ``health_interval`` seconds and deep-pings the fleet — a replica that
@@ -116,11 +116,6 @@ class Frontend:
         The tier's :class:`~repro.serve.api.RetryPolicy` — attempt budget,
         backoff shape and per-RPC deadline for every replica round trip.
         Defaults to ``RetryPolicy()`` (3 attempts, 30 s deadline).
-    snapshot_dir:
-        Directory for per-replica durable snapshot spill.  Each replica
-        persists its warm incremental views + completed-result cache there
-        and a restarted replica resumes from them warm.  ``None`` (the
-        default) disables durability.
     fault_plan:
         A seeded :class:`~repro.faults.FaultPlan` for chaos testing; each
         replica installs a deterministically derived child plan.  ``None``
@@ -137,7 +132,6 @@ class Frontend:
         health_interval: Optional[float] = 1.0,
         plan_cache: Any = None,
         retry: Optional[RetryPolicy] = None,
-        snapshot_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         size = replicas if replicas is not None else (os.cpu_count() or 1)
@@ -150,7 +144,6 @@ class Frontend:
             warm_caches=_warm_caches(plan_cache),
             start_method=start_method,
             rpc_timeout=self.retry.rpc_timeout,
-            snapshot_dir=snapshot_dir,
             fault_plan=fault_plan,
         )
         # content key -> the primary's asyncio future (per-loop objects, but
@@ -173,17 +166,6 @@ class Frontend:
         self._merged_group_requests = 0
         self._retries = 0
         self._timeouts = 0
-        # The update-epoch gate: reads pass while the write gate is open;
-        # an update batch closes it, drains readers, applies fleet-wide,
-        # advances the epoch and reopens.  asyncio primitives are
-        # loop-bound, so the gate is lazily (re)built per driving loop —
-        # serve_batch runs one private loop at a time.
-        self._update_epoch = 0
-        self._gate_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._write_gate: Optional[asyncio.Event] = None
-        self._no_readers: Optional[asyncio.Event] = None
-        self._readers = 0
-        self._last_pongs: List[Optional[Dict[str, Any]]] = []
 
     # ------------------------------------------------------------------ #
     # the serving path
@@ -315,36 +297,32 @@ class Frontend:
     ) -> List[Any]:
         """The tier's one retry loop: run a group on one replica.
 
-        Waits for the update gate, routes on the first request's content
-        key and sends the group in one round trip; a crashed or timed-out
-        replica is restarted and the group retried per the tier's
-        :class:`RetryPolicy`.  Returns per-request outcomes in order (see
-        :meth:`ReplicaHandle.execute`); sheds with :class:`Overloaded` once
-        ``deadline_at`` (event-loop time) has passed.
+        Routes on the first request's content key and sends the group in
+        one round trip; a crashed or timed-out replica is restarted and the
+        group retried per the tier's :class:`RetryPolicy`.  Returns
+        per-request outcomes in order (see :meth:`ReplicaHandle.execute`);
+        sheds with :class:`Overloaded` once ``deadline_at`` (event-loop
+        time) has passed.
         """
         loop = asyncio.get_running_loop()
-        await self._reader_enter(loop)
-        try:
-            attempts = 0
-            while True:
-                if deadline_at is not None and loop.time() >= deadline_at:
-                    self._shed_deadline += 1
-                    self._decay_latency()
-                    raise Overloaded("deadline expired before dispatch", requests[0].tenant)
-                replica = self._set.pick(requests[0].content_key)
-                replica.load += len(requests)
-                started = loop.time()
-                try:
-                    return await asyncio.to_thread(replica.execute, list(requests))
-                except ReplicaCrashed as exc:
-                    attempts += 1
-                    if not await self._recover(replica, exc, attempts):
-                        raise
-                finally:
-                    replica.load -= len(requests)
-                    self._observe_latency(loop.time() - started)
-        finally:
-            self._reader_exit()
+        attempts = 0
+        while True:
+            if deadline_at is not None and loop.time() >= deadline_at:
+                self._shed_deadline += 1
+                self._decay_latency()
+                raise Overloaded("deadline expired before dispatch", requests[0].tenant)
+            replica = self._set.pick(requests[0].content_key)
+            replica.load += len(requests)
+            started = loop.time()
+            try:
+                return await asyncio.to_thread(replica.execute, list(requests))
+            except ReplicaCrashed as exc:
+                attempts += 1
+                if not await self._recover(replica, exc, attempts):
+                    raise
+            finally:
+                replica.load -= len(requests)
+                self._observe_latency(loop.time() - started)
 
     async def submit_many(self, requests: Sequence[ServeRequest]) -> List[Any]:
         """Dispatch a sharing-key group to one replica as a merged batch.
@@ -370,123 +348,6 @@ class Frontend:
             1 for o in outcomes if isinstance(o, ServeResult) and o.coalesced
         )
         return outcomes
-
-    # ------------------------------------------------------------------ #
-    # fleet-wide factor updates (epoch-gated)
-    # ------------------------------------------------------------------ #
-    def _ensure_gate(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._gate_loop is not loop:
-            self._gate_loop = loop
-            self._write_gate = asyncio.Event()
-            self._write_gate.set()
-            self._no_readers = asyncio.Event()
-            self._no_readers.set()
-            self._readers = 0
-
-    async def _reader_enter(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._ensure_gate(loop)
-        await self._write_gate.wait()
-        self._readers += 1
-        self._no_readers.clear()
-
-    def _reader_exit(self) -> None:
-        self._readers -= 1
-        if self._readers <= 0:
-            self._readers = 0
-            if self._no_readers is not None:
-                self._no_readers.set()
-
-    async def update_factors(
-        self, request: ServeRequest, deltas: Sequence[Tuple[int, Any]]
-    ) -> ServeResult:
-        """Apply an atomic factor-update batch to the whole fleet.
-
-        Closes the write gate (new reads wait), drains in-flight reads,
-        fans the ``(factor_index, delta)`` batch out to every replica,
-        advances the update epoch and reopens the gate — so no request
-        ever observes a half-applied batch, tier-wide.  Returns the fresh
-        post-batch answer for ``request``.
-
-        A replica whose update fails after the retry budget is restarted
-        cold rather than failing the update: content-addressed serving
-        re-ships it the post-update state lazily, so a missed update makes
-        a replica cold, never wrong.  The call fails (typed) only when
-        *no* replica could apply the batch.
-        """
-        if self._closed:
-            raise RuntimeError("Frontend is shut down")
-        if request.output_mode != "listing":
-            raise PlanFailure(
-                "incremental updates support listing output only "
-                f"(got output_mode={request.output_mode!r})"
-            )
-        self._ensure_health_task()
-        loop = asyncio.get_running_loop()
-        self._ensure_gate(loop)
-        await self._write_gate.wait()  # one update batch at a time
-        self._write_gate.clear()
-        try:
-            await self._no_readers.wait()
-            deltas = list(deltas)
-            outcomes = await asyncio.gather(
-                *(
-                    self._update_one(replica, request, deltas)
-                    for replica in self._set.replicas
-                )
-            )
-            results = [o for o in outcomes if isinstance(o, ServeResult)]
-            if not results:
-                failure = next(
-                    (o for o in outcomes if isinstance(o, PlanFailure)), None
-                )
-                if failure is not None:
-                    raise failure
-                crash = next(
-                    (o for o in outcomes if isinstance(o, BaseException)), None
-                )
-                raise crash if crash is not None else ReplicaCrashed(
-                    "no replica answered the update batch"
-                )
-            self._update_epoch += 1
-            return results[0]
-        finally:
-            self._write_gate.set()
-
-    async def update_factor(
-        self, request: ServeRequest, factor_index: int, delta: Any
-    ) -> ServeResult:
-        """Single-delta convenience for :meth:`update_factors`."""
-        return await self.update_factors(request, [(factor_index, delta)])
-
-    async def _update_one(
-        self, replica, request: ServeRequest, deltas: List[Tuple[int, Any]]
-    ) -> Any:
-        """One replica's update with the tier retry policy; returns the
-        result or, after the attempt budget, the final exception object
-        (the replica is left restarted — cold, not wrong)."""
-        attempts = 0
-        while True:
-            try:
-                return await asyncio.to_thread(replica.update, request, deltas)
-            except PlanFailure as exc:
-                return exc
-            except ReplicaCrashed as exc:
-                attempts += 1
-                if not await self._recover(replica, exc, attempts):
-                    return exc
-
-    def update_batch(
-        self, request: ServeRequest, deltas: Sequence[Tuple[int, Any]]
-    ) -> ServeResult:
-        """Blocking :meth:`update_factors` for non-async callers."""
-
-        async def _run() -> ServeResult:
-            try:
-                return await self.update_factors(request, deltas)
-            finally:
-                await self._cancel_health_task()
-
-        return asyncio.run(_run())
 
     # ------------------------------------------------------------------ #
     # load estimation
@@ -553,19 +414,15 @@ class Frontend:
         died — comes back ``None`` and is restarted.
         """
         restarted = 0
-        pongs: List[Optional[Dict[str, Any]]] = []
         for replica in self._set.replicas:
             if self._closed:
                 break
-            pong = replica.ping()
-            if pong is None:
+            if replica.ping() is None:
                 try:
                     replica.restart()
                     restarted += 1
                 except Exception:  # noqa: BLE001 - next sweep retries
                     pass
-            pongs.append(pong)
-        self._last_pongs = pongs
         return restarted
 
     async def _cancel_health_task(self) -> None:
@@ -659,17 +516,13 @@ class Frontend:
 
     def ping(self) -> List[Optional[Dict[str, Any]]]:
         """Deep health probe: each replica's serving counters (``None`` = dead)."""
-        pongs = [replica.ping() for replica in self._set.replicas]
-        self._last_pongs = pongs
-        return pongs
+        return [replica.ping() for replica in self._set.replicas]
 
     def stats(self) -> Dict[str, Any]:
         """Tier counters: admission, coalescing, shedding, crashes, fleet state.
 
         ``faults_injected`` is the parent process's count; each replica
-        reports its own in its health pong.  ``snapshot_restores`` sums
-        the fleet's counters as of the last deep ping (health sweep or
-        explicit :meth:`ping`).
+        reports its own in its health pong.
         """
         plan = current_plan()
         return {
@@ -683,13 +536,7 @@ class Frontend:
             "replica_crashes": self._replica_crashes,
             "retries": self._retries,
             "timeouts": self._timeouts,
-            "update_epoch": self._update_epoch,
             "faults_injected": plan.total_injected if plan is not None else 0,
-            "snapshot_restores": sum(
-                pong.get("snapshot_restores", 0)
-                for pong in self._last_pongs
-                if pong is not None
-            ),
             "merged_groups": self._merged_groups,
             "merged_group_requests": self._merged_group_requests,
             "latency_ewma_s": self._latency_ewma,

@@ -22,12 +22,6 @@ frontend → replica
                            for traffic that allowed it) and ``payloads``
                            maps digests to the factor objects the replica
                            is missing, for the whole batch
-``("update", req_id, wire_query, payloads, deltas, output_mode,
-options)``                 apply a factor-update batch to the query's
-                           standing incremental view and answer with the
-                           fresh result; ``deltas`` is a tuple of
-                           ``(factor_index, FactorDelta)`` applied in
-                           order as one atomic batch
 ``("ping", nonce)``        health probe
 ``("shutdown",)``          drain and exit
 ========================  ============================================
@@ -35,7 +29,6 @@ options)``                 apply a factor-update batch to the query's
 ========================  ============================================
 replica → frontend
 ========================  ============================================
-``("ok", req_id, result)``            a :class:`WireResult` for ``update``
 ``("ok_many", req_id, outcomes)``      per-item outcomes for ``exec``:
                                        each is ``("ok", WireResult)`` or
                                        ``("err", kind, message,
@@ -48,6 +41,9 @@ cause_type)``                          typed failure (``kind`` ∈
                                        resend the message with them included
 ``("pong", nonce, stats)``             health reply + serving counters
 ========================  ============================================
+
+There is no update message: updated content is new content, with new
+factor digests, and travels as an ``exec`` like any other query.
 
 Unpicklable payloads (e.g. semirings built by ``set_semiring`` closures)
 fail at the *sender* — the frontend surfaces that as
@@ -66,7 +62,6 @@ from repro.semiring.aggregates import Aggregate
 from repro.semiring.base import Semiring
 
 MSG_EXEC = "exec"
-MSG_UPDATE = "update"
 MSG_PING = "ping"
 MSG_SHUTDOWN = "shutdown"
 MSG_OK = "ok"

@@ -72,7 +72,6 @@ from repro.serve.protocol import (
     MSG_PING,
     MSG_PONG,
     MSG_SHUTDOWN,
-    MSG_UPDATE,
     WireResult,
     decode_query,
     encode_query,
@@ -144,23 +143,20 @@ def _replica_main(
     conn,
     replica_id: int,
     warm_caches: Optional[bytes] = None,
-    snapshot_dir: Optional[str] = None,
     fault_config: Optional[Dict[str, Any]] = None,
 ) -> None:
     """The replica loop (module-level so the spawn start method can pickle it)."""
     from repro.planner.cache import adopt_warm_sections
     from repro.serve.server import PlanServer
-    from repro.serve.snapshot import SnapshotStore
 
     # A replica carries its own deterministic fault plan (derived from the
     # parent's seed) so chaos runs inject inside the child too: step-kernel
-    # faults, snapshot I/O errors and hard replica deaths all originate here.
+    # faults and hard replica deaths originate here.
     install_plan(FaultPlan.from_config(fault_config))
-    snapshots = SnapshotStore(snapshot_dir) if snapshot_dir else None
     # cache_results=True is the replica-side completed-result cache: repeat
     # traffic that opted into sharing (coalesce=True on the wire) is answered
     # by content digest without re-executing.
-    server = PlanServer(pool_size=1, cache_results=True, snapshot_store=snapshots)
+    server = PlanServer(pool_size=1, cache_results=True)
     # Adopt the warm caches the parent pickled into our arguments so a cold
     # replica starts with the warm ρ* memo and plan cache instead of
     # warming private copies.  Best-effort: each section is checked against
@@ -195,33 +191,14 @@ def _replica_main(
         # parent sees a pipe error or an RPC timeout and restarts us.
         if fire(SITE_REPLICA_KILL) is not None:
             os._exit(1)
-        if kind == MSG_EXEC:
-            _, req_id, items, payloads = message
-            wires = [item[0] for item in items]
-        elif kind == MSG_UPDATE:
-            _, req_id, wire, payloads, deltas, output_mode, options = message
-            wires = [wire]
-        else:
+        if kind != MSG_EXEC:
             conn.send((MSG_ERR, None, ERR_INTERNAL, f"unknown message {kind!r}", "ServeError"))
             continue
+        _, req_id, items, payloads = message
         store.update(payloads)
-        missing = missing_digests(wires, store.keys())
+        missing = missing_digests([item[0] for item in items], store.keys())
         if missing:
             conn.send((MSG_NEED, req_id, missing))
-            continue
-        if kind == MSG_UPDATE:
-            try:
-                request = ServeRequest(
-                    query=_memoised_query(wire, store, queries),
-                    output_mode=output_mode,
-                    options=options,
-                )
-                result = server.update_factors(request, list(deltas))
-            except Exception as exc:  # noqa: BLE001 - replica must not die on a bad update
-                conn.send((MSG_ERR, req_id, *_wire_error(exc)))
-                continue
-            served += 1
-            conn.send((MSG_OK, req_id, _wire_result(result)))
             continue
         decoded: List[Any] = []
         for wire, output_mode, options, coalesce in items:
@@ -257,20 +234,17 @@ def _replica_main(
 class ReplicaHandle:
     """One replica process plus its pipe, lock and known-digest set.
 
-    Two calls talk to the replica: :meth:`execute` runs a batch of
-    requests (a single request is a batch of one) and :meth:`update`
-    applies a factor-update batch.  ``load`` is the front-end's in-flight count for routing decisions (the
-    handle itself serialises calls under ``self.lock`` — one pipe, one
-    outstanding request).  A pipe failure raises
+    One call runs work on the replica: :meth:`execute` runs a batch of
+    requests (a single request is a batch of one); :meth:`ping` probes its
+    health.  ``load`` is the front-end's in-flight count for routing
+    decisions (the handle itself serialises calls under ``self.lock`` —
+    one pipe, one outstanding request).  A pipe failure raises
     :class:`~repro.serve.api.ReplicaCrashed`; a reply missing its deadline
     raises :class:`~repro.serve.api.ReplicaTimeout`; :meth:`restart`
     replaces the process and resets the known-digest set, after which
-    factor tables re-ship lazily.  ``warm_caches`` (the parent's pickled
-    warm-cache sections) is passed to every process the handle starts,
-    restarts included.  With a ``snapshot_dir`` the replacement
-    process restores its warm incremental views and completed-result cache
-    from the dead one's spill, so it answers its first incremental request
-    without a cold full run.
+    factor tables re-ship lazily — a restarted replica is cold, never
+    wrong.  ``warm_caches`` (the parent's pickled warm-cache sections) is
+    passed to every process the handle starts, restarts included.
     """
 
     def __init__(
@@ -279,14 +253,12 @@ class ReplicaHandle:
         *,
         warm_caches: Optional[bytes] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
-        snapshot_dir: Optional[str] = None,
         fault_config: Optional[Dict[str, Any]] = None,
         context=None,
     ) -> None:
         self.index = index
         self.warm_caches = warm_caches
         self.rpc_timeout = rpc_timeout
-        self.snapshot_dir = snapshot_dir
         self.fault_config = fault_config
         self._ctx = context if context is not None else multiprocessing.get_context()
         self.lock = threading.Lock()
@@ -302,10 +274,7 @@ class ReplicaHandle:
             parent, child = self._ctx.Pipe()
             self.process = self._ctx.Process(
                 target=_replica_main,
-                args=(
-                    child, self.index, self.warm_caches,
-                    self.snapshot_dir, self.fault_config,
-                ),
+                args=(child, self.index, self.warm_caches, self.fault_config),
                 name=f"repro-replica-{self.index}",
                 daemon=True,
             )
@@ -342,20 +311,21 @@ class ReplicaHandle:
                 cause_type=type(exc).__name__,
             ) from exc
 
-    def _exchange(self, build, wires, tables: Dict[str, Any], ok_kind: str) -> Any:
-        """The ship-once exchange every request kind goes through.
+    def _exchange(self, items: tuple, tables: Dict[str, Any]) -> Any:
+        """The ship-once ``exec`` exchange.
 
-        ``build(req_id, payloads)`` makes the message; ``payloads`` are the
-        ``tables`` of ``wires`` the replica is not known to hold.  A
-        ``("need", ...)`` reply (a replica that restarted mid-conversation)
-        is answered once, by resending with the requested tables.  Returns
-        the body of the ``ok_kind`` reply; an error reply raises
-        :class:`PlanFailure`, anything else :class:`ReplicaCrashed`.
+        The message carries the ``tables`` of the items' wire queries that
+        the replica is not known to hold.  A ``("need", ...)`` reply (a replica that restarted
+        mid-conversation) is answered once, by resending with the
+        requested tables.  Returns the per-item outcomes of the
+        ``ok_many`` reply; an error reply raises :class:`PlanFailure`,
+        anything else :class:`ReplicaCrashed`.
         """
         req_id = next(_REQ_IDS)
+        wires = [item[0] for item in items]
 
         def send(payloads: Dict[str, Any]) -> tuple:
-            reply = self._validated(self._call(build(req_id, payloads)), req_id)
+            reply = self._validated(self._call((MSG_EXEC, req_id, items, payloads)), req_id)
             self.known.update(payloads)
             return reply
 
@@ -363,7 +333,7 @@ class ReplicaHandle:
             reply = send({d: tables[d] for d in missing_digests(wires, self.known)})
             if reply[0] == MSG_NEED:
                 reply = send({d: tables[d] for d in reply[2]})
-        if reply[0] == ok_kind:
+        if reply[0] == MSG_OK_MANY:
             return reply[2]
         if reply[0] == MSG_ERR:
             _, _, err_kind, message, cause_type = reply
@@ -371,26 +341,6 @@ class ReplicaHandle:
         raise ReplicaCrashed(
             f"replica {self.index} sent unexpected reply {reply[0]!r}"
         )
-
-    def update(
-        self, request: ServeRequest, deltas: Sequence[Tuple[int, Any]]
-    ) -> ServeResult:
-        """Apply an atomic factor-update batch on this replica (blocking).
-
-        The replica's warm :class:`~repro.serve.server.PlanServer` view
-        advances through the whole batch before the reply; the handle's
-        known-digest set keeps only digests that still name live factors
-        (the pre-update factors' digests simply stop being referenced).
-        """
-        wire, tables = self._encoded(request.query)
-        result: WireResult = self._exchange(
-            lambda req_id, payloads: (
-                MSG_UPDATE, req_id, wire, payloads, tuple(deltas),
-                request.output_mode, request.options,
-            ),
-            [wire], tables, MSG_OK,
-        )
-        return self._serve_result(result, request)
 
     def execute(self, requests: Sequence[ServeRequest]) -> List[Any]:
         """Run a batch on this replica (blocking; thread-safe) — a single
@@ -422,10 +372,7 @@ class ReplicaHandle:
             (wire, request.output_mode, request.options, request.coalesce)
             for _, request, wire in encoded
         )
-        replies = self._exchange(
-            lambda req_id, payloads: (MSG_EXEC, req_id, items, payloads),
-            [wire for _, _, wire in encoded], combined, MSG_OK_MANY,
-        )
+        replies = self._exchange(items, combined)
         if len(replies) != len(encoded):
             raise ReplicaCrashed(
                 f"replica {self.index} answered {len(replies)} of {len(encoded)} requests"
@@ -551,7 +498,7 @@ class ReplicaHandle:
         if (
             not isinstance(reply, tuple)
             or len(reply) < 2
-            or reply[0] not in (MSG_OK, MSG_OK_MANY, MSG_ERR, MSG_NEED)
+            or reply[0] not in (MSG_OK_MANY, MSG_ERR, MSG_NEED)
             or reply[1] != req_id
         ):
             raise ReplicaCrashed(
@@ -606,7 +553,6 @@ class ReplicaSet:
         warm_caches: Optional[bytes] = None,
         start_method: Optional[str] = None,
         rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT,
-        snapshot_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if size < 1:
@@ -617,12 +563,6 @@ class ReplicaSet:
             ReplicaHandle(
                 i, warm_caches=warm_caches,
                 context=context, rpc_timeout=rpc_timeout,
-                # Per-replica spill directories: a restarted replica i
-                # resumes from replica i's own snapshot, warm.
-                snapshot_dir=(
-                    os.path.join(snapshot_dir, f"replica-{i}")
-                    if snapshot_dir else None
-                ),
                 # Per-replica derived seeds keep chaos runs deterministic
                 # yet uncorrelated across the fleet; a restarted replica
                 # reinstalls the same derived plan.

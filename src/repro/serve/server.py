@@ -93,10 +93,12 @@ class PlanServer:
     Every request is served as part of a batch — a single request is a
     batch of one — and every plan it executes, like every incremental
     update, runs on the one step-DAG driver
-    (:class:`repro.exec.DagExecutor`); what differs is only the batch size
-    and the step source attached (the server's step-result cache, a view's
-    private one, or none for a ``coalesce=False`` request).  A request's
-    steps run on the thread that serves it; concurrency is across requests.
+    (:class:`repro.exec.DagExecutor`).  A batch differs only in its size
+    and its step source (the server's step-result cache, or none for a
+    ``coalesce=False`` request); an update re-runs only its cone of the
+    run its :class:`~repro.incremental.IncrementalView` keeps.  A
+    request's steps run on the thread that serves it; concurrency is
+    across requests.
 
     Sharing is per request (:attr:`ServeRequest.coalesce`): the coalescible
     requests of a batch run as one merged multi-sink step DAG in which
@@ -118,6 +120,12 @@ class PlanServer:
         re-execution.  Off by default in-process (in-process repeats
         already replay from the step-result cache); the replica tier enables it —
         its rendezvous-routed traffic concentrates repeats per replica.
+    snapshot_store:
+        A :class:`~repro.serve.snapshot.SnapshotStore` to spill the warm
+        incremental views and completed results to after every update
+        batch, and to restore them from at construction, so a restarted
+        server answers its first update warm.  ``None`` (the default)
+        keeps nothing on disk.
     """
 
     def __init__(

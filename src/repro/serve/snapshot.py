@@ -5,10 +5,10 @@ incremental state — the per-content-key
 :class:`~repro.incremental.IncrementalView` states (query, pinned
 ordering, the intermediate factors of the run it keeps) and the
 digest-keyed completed-result cache — to disk after every update batch.
-A replica restarted over the same directory restores them at
-construction, so its first incremental request after a crash is answered
-*warm* (the update's cone re-run against the restored intermediates)
-instead of paying a cold full run.
+A server restarted over the same directory restores them at
+construction, so its first update after a crash is answered *warm* (the
+update's cone re-run against the restored intermediates) instead of
+paying a cold full run.
 
 Each file is one :func:`repro.caching.seal` envelope (magic | length |
 SHA-256 | pickle tagged kind + version) holding the sections.  The

@@ -94,11 +94,6 @@ def marginal_junction_tree(
     return JunctionTree(model, mode="sum").marginal(variable)
 
 
-def map_junction_tree(model: DiscreteGraphicalModel, variable: str) -> Dict[Any, float]:
-    """Single-variable max-marginal via the dense junction-tree baseline."""
-    return JunctionTree(model, mode="max").marginal(variable)
-
-
 @dataclass
 class InferenceComparison:
     """Side-by-side costs of InsideOut and the junction-tree baseline."""

@@ -22,6 +22,38 @@ def test_engine_query_returns_typed_result():
     assert result.replica is None  # in-process path
 
 
+def test_scalar_reads_of_a_query_with_no_free_variables():
+    """``ServeResult.scalar`` / ``scalar_or_zero`` read the value of a
+    query with no free variable: an empty listing is ``None`` and the
+    semiring's zero respectively; free variables and factorized output
+    have no scalar."""
+    from repro import Factor, FAQQuery, SemiringAggregate, Variable
+    from repro.semiring.standard import COUNTING
+
+    def count(table):
+        return FAQQuery(
+            [Variable(v, (0, 1)) for v in "ab"], [],
+            {v: SemiringAggregate.sum() for v in "ab"},
+            [Factor("ab", table)], COUNTING,
+        )
+
+    with Engine() as engine:
+        result = engine.query(count({(0, 1): 2, (1, 1): 3}))
+        assert result.scalar == 5
+        assert result.scalar_or_zero(COUNTING) == 5
+        empty = engine.query(count({}))
+        assert empty.factor.table == {}
+        assert empty.scalar is None
+        assert empty.scalar_or_zero(COUNTING) == COUNTING.zero == 0
+        with pytest.raises(QueryError, match="free variables"):
+            engine.query(_random_query("counting", 0)).scalar
+        factorized = engine.query(count({(0, 1): 2}), output_mode="factorized")
+        with pytest.raises(QueryError, match="listing"):
+            factorized.scalar
+        with pytest.raises(QueryError, match="listing"):
+            factorized.scalar_or_zero(COUNTING)
+
+
 def test_engine_config_and_overrides():
     config = EngineConfig(pool_size=2, plan_cache_size=16)
     engine = Engine(config, plan_cache_size=32)

@@ -105,7 +105,7 @@ OPTIONS = {
     "PlanServer": ("pool_size", "cache", "cache_results", "snapshot_store"),
     "Frontend": (
         "replicas", "start_method", "max_pending", "tenant_limit",
-        "health_interval", "plan_cache", "retry", "snapshot_dir", "fault_plan",
+        "health_interval", "plan_cache", "retry", "fault_plan",
     ),
     "EngineConfig": (
         "pool_size", "replicas", "plan_cache_size",
@@ -184,7 +184,7 @@ def test_one_scheduler_one_claim_protocol():
 def test_a_request_is_a_batch_of_one():
     """One execute path per serving layer: one server function runs
     requests, the front-end calls a replica's execute from one line, and
-    the replica loop answers exactly four message kinds."""
+    the replica loop answers exactly three message kinds."""
     root = pathlib.Path(repro.__file__).parent / "serve"
     server = ast.parse((root / "server.py").read_text())
     runners = {
@@ -210,7 +210,7 @@ def test_a_request_is_a_batch_of_one():
         for name in ast.walk(compare)
         if isinstance(name, ast.Name) and name.id.startswith("MSG_")
     }
-    assert kinds == {"MSG_EXEC", "MSG_UPDATE", "MSG_PING", "MSG_SHUTDOWN"}, kinds
+    assert kinds == {"MSG_EXEC", "MSG_PING", "MSG_SHUTDOWN"}, kinds
 
 
 def test_workers_mode_is_gone_not_shimmed():
@@ -360,6 +360,57 @@ def test_unreached_helpers_are_gone_not_shimmed():
     assert not hasattr(InsideOutStats, "largest_induced_set")
     assert not hasattr(Relation, "rows_as_dicts")
     assert not hasattr(TreeDecomposition, "bag_list")
+
+
+def test_fleet_updates_are_gone_not_shimmed():
+    """Updates live in-process (``PlanServer.update_factor(s)``): the
+    front-end's fleet-wide update path, its epoch gate, the replica's
+    update message and the per-replica spill only it fed were removed
+    without a deprecation path."""
+    from repro.serve import Frontend, ReplicaHandle, ReplicaSet, protocol
+    from repro.serve.replica import _replica_main
+
+    for name in (
+        "update_factors", "update_factor", "update_batch", "_update_one",
+        "_ensure_gate", "_reader_enter", "_reader_exit",
+    ):
+        assert not hasattr(Frontend, name), name
+    assert not hasattr(ReplicaHandle, "update")
+    assert not hasattr(protocol, "MSG_UPDATE")
+    for call in (
+        lambda: Frontend(replicas=1, snapshot_dir="spill"),
+        lambda: ReplicaSet(1, snapshot_dir="spill"),
+        lambda: ReplicaHandle(0, snapshot_dir="spill"),
+        lambda: _replica_main(None, 0, snapshot_dir="spill"),
+    ):
+        with pytest.raises(TypeError, match="snapshot_dir"):
+            call()
+    with Frontend(replicas=1, health_interval=None) as frontend:
+        stats = frontend.stats()
+        fields = vars(frontend)
+    assert not {"update_epoch", "snapshot_restores"} & stats.keys()
+    assert not {
+        "_write_gate", "_no_readers", "_readers", "_gate_loop", "_update_epoch",
+    } & fields.keys()
+    for name in ("update_factor", "update_factors"):
+        assert hasattr(repro.serve.PlanServer, name), name
+
+
+def test_unreached_methods_are_gone_not_shimmed():
+    """Four definitions nothing reached were removed without a deprecation
+    path: the step cache's pickling hooks (no step cache is pickled since
+    the view keeps its run), ``Engine.submit`` (``engine.server.submit`` is
+    the path), ``FaultPlan.stats`` and ``solvers.pgm.map_junction_tree``."""
+    import repro.exec
+    from repro.faults import FaultPlan
+    from repro.solvers import pgm
+
+    for name in ("__getstate__", "__setstate__"):
+        assert name not in vars(repro.exec.StepResultCache), name
+    assert not hasattr(repro.Engine, "submit")
+    assert hasattr(repro.serve.PlanServer, "submit")
+    assert not hasattr(FaultPlan, "stats")
+    assert not hasattr(pgm, "map_junction_tree")
 
 
 def test_one_warm_cache_bundle():

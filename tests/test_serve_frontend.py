@@ -309,6 +309,26 @@ def test_decay_latency_steps_the_ewma_down():
         fe.close()
 
 
+def test_async_with_closes_the_fleet_and_aclose_is_idempotent():
+    query = _random_query("counting", 2)
+
+    async def scenario():
+        async with Frontend(replicas=1, health_interval=0.05) as fe:
+            result = await fe.submit(ServeRequest(query=query))
+            handles = list(fe._set.replicas)
+            assert all(handle.alive() for handle in handles)
+        return fe, handles, result
+
+    fe, handles, result = asyncio.run(scenario())
+    assert result.factor.table == _reference(query).table
+    assert not any(handle.alive() for handle in handles)
+    assert fe._health_task is None
+    asyncio.run(fe.aclose())  # a second close does nothing
+    assert not any(handle.alive() for handle in handles)
+    with pytest.raises(RuntimeError):
+        fe.serve_batch([query])
+
+
 def test_closed_frontend_refuses_work():
     fe = Frontend(replicas=1, health_interval=None)
     fe.close()
