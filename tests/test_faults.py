@@ -663,9 +663,14 @@ class TestWarmRestart:
 # ---------------------------------------------------------------------- #
 def test_fleet_answers_each_content_after_an_in_process_update():
     """Content addressing alone keeps a fleet's reads consistent across
-    an update: after ``PlanServer.update_factor`` one fleet answers the
-    post-update query with the post-update answer and the pre-update query
-    with the pre-update answer, whichever comes first."""
+    an update, the property the removed epoch gate claimed to guard.
+
+    The update is applied in-process by ``PlanServer.update_factor``; the
+    fleet never sees that server, only the two contents.  What no other
+    test covers is one fleet holding both contents at once: the pre- and
+    post-update queries in one coalesced batch, then again uncoalesced in
+    the other order, each answered with its own content's table, and the
+    fleet's post-update table equal to the in-process update's."""
     query = _chain_query(name="content-read")
     delta = FactorDelta(("v0", "v1"), {(0, 0): 11, (2, 1): 4})
     updated = _updated_query(query, [(0, delta)])
@@ -709,7 +714,8 @@ class TestObservability:
             assert key in stats, f"missing stats key {key!r}"
         assert stats["faults_injected"] == 0  # no plan installed
         (pong,) = pongs
-        assert "faults_injected" in pong, "missing pong key 'faults_injected'"
+        for key in ("faults_injected", "snapshot_restores", "snapshot_saves"):
+            assert key in pong, f"missing pong key {key!r}"
         fleet = stats["fleet"]
         assert all("timeouts" in row for row in fleet)
 
